@@ -27,13 +27,15 @@ def _apply_thread_env() -> None:
 _apply_thread_env()  # must precede numpy's first import
 
 import argparse
+import dataclasses
 
 import numpy as np
 
 from . import config as cfgmod
 from . import data as datamod
-from . import diffusion, evaluate, gan, trainer
+from . import evaluate, gan, trainer
 from . import reward as reward_mod
+from .cues import CUE_VARIANTS
 from .errors import ConfigurationError, NumericFailure, UsageError
 from .nets import DenseNet, load_checkpoint, save_checkpoint
 from .seeding import stream_rng
@@ -59,16 +61,15 @@ def _add_common(p: _Parser) -> None:
     p.add_argument(
         "--print-config", action="store_true", help="print the resolved config and exit"
     )
-    for key, (default, parser, help_text) in cfgmod.SCHEMA.items():
-        if key in _DEDICATED:
+    for f in dataclasses.fields(cfgmod.Config):
+        if f.name in _DEDICATED:
             continue
-        flag = "--" + key.replace("_", "-")
         p.add_argument(
-            flag,
-            dest=f"cfg_{key}",
+            "--" + f.name.replace("_", "-"),
+            dest=f"cfg_{f.name}",
             metavar="V",
             default=argparse.SUPPRESS,
-            help=f"{help_text} (default: {default})",
+            help=f"{f.metadata['help']} (default: {f.default})",
         )
 
 
@@ -91,7 +92,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-rl", action="store_true", help="disable the policy-gradient phase")
     p.add_argument("--no-cues", action="store_true", help="disable prototype distillation")
     p.add_argument("--raw-reward", action="store_true", help="skip the baseline (raw rewards)")
-    p.add_argument("--cue-loss", choices=cfgmod._CUE_CHOICES, help="distillation variant")
+    p.add_argument("--cue-loss", choices=CUE_VARIANTS, help="distillation variant")
 
     p = sub.add_parser("synthesize", help="synthesize unseen-class features to a file")
     _add_common(p)
@@ -105,12 +106,12 @@ def build_parser() -> _Parser:
     return root
 
 
-def _resolve(args) -> dict:
+def _resolve(args) -> cfgmod.Config:
     overrides = {}
-    for key in cfgmod.SCHEMA:
-        attr = f"cfg_{key}"
+    for f in dataclasses.fields(cfgmod.Config):
+        attr = f"cfg_{f.name}"
         if hasattr(args, attr):
-            overrides[key] = getattr(args, attr)
+            overrides[f.name] = getattr(args, attr)
     if getattr(args, "no_rl", False):
         overrides["use_rl"] = False
     if getattr(args, "no_cues", False):
@@ -129,83 +130,27 @@ def _require(args, name: str) -> str:
     return value
 
 
-def _load_dataset(cfg: dict, path: str) -> datamod.ZslDataset:
+def _load_dataset(cfg: cfgmod.Config, path: str) -> datamod.ZslDataset:
     ds = datamod.load_dataset(path)
-    if cfg["standardize"]:
+    if cfg.standardize:
         ds = datamod.standardize(ds)
     return ds
-
-
-def _synthetic_spec(cfg: dict) -> datamod.SyntheticSpec:
-    return datamod.SyntheticSpec(
-        n_seen=cfg["n_seen"],
-        n_unseen=cfg["n_unseen"],
-        feat_dim=cfg["feat_dim"],
-        sem_dim=cfg["sem_dim"],
-        samples_per_class=cfg["samples_per_class"],
-        semantic_cluster_size=cfg["semantic_cluster_size"],
-        semantic_jitter=cfg["semantic_jitter"],
-        visual_separation=cfg["visual_separation"],
-        visual_sigma=cfg["visual_sigma"],
-        test_fraction=cfg["test_fraction"],
-        seed=cfg["seed"],
-    )
-
-
-def _train_config(cfg: dict) -> trainer.TrainConfig:
-    return trainer.TrainConfig(
-        total_epochs=cfg["epochs"],
-        rl_start_epoch=cfg["rl_start_epoch"],
-        critic_steps=cfg["critic_steps"],
-        batch_size=cfg["batch_size"],
-        lr_adv=cfg["lr_adv"],
-        lr_rl=cfg["lr_rl"],
-        lambda_pd=cfg["lambda_pd"],
-        lambda_gp=cfg["lambda_gp"],
-        ema_alpha=cfg["ema_alpha"],
-        diffusion_steps=cfg["diffusion_steps"],
-        beta_min=cfg["beta_min"],
-        beta_max=cfg["beta_max"],
-        synth_per_class=cfg["synth_per_class"],
-        eval_interval=cfg["eval_interval"],
-        checkpoint_interval=cfg["checkpoint_interval"],
-        use_rl=cfg["use_rl"],
-        use_cues=cfg["use_cues"],
-        raw_reward=cfg["raw_reward"],
-        cue_variant=cfg["cue_loss"],
-        hidden_mult=cfg["hidden_mult"],
-        temb_dim=cfg["temb_dim"],
-        leaky_slope=cfg["leaky_slope"],
-        adam_beta1=cfg["adam_beta1"],
-        adam_beta2=cfg["adam_beta2"],
-        seed=cfg["seed"],
-    )
-
-
-def _clf_config(cfg: dict) -> evaluate.ClassifierConfig:
-    return evaluate.ClassifierConfig(
-        epochs=cfg["clf_epochs"],
-        lr=cfg["clf_lr"],
-        batch_size=cfg["clf_batch"],
-        beta1=cfg["adam_beta1"],
-        beta2=cfg["adam_beta2"],
-    )
 
 
 def _seen_rows(ds: datamod.ZslDataset) -> dict[int, int]:
     return {int(c): i for i, c in enumerate(sorted(int(c) for c in ds.seen_classes))}
 
 
-def _load_generator(cfg: dict, ds: datamod.ZslDataset, path: str) -> gan.Generator:
+def _load_generator(cfg: cfgmod.Config, ds: datamod.ZslDataset, path: str) -> gan.Generator:
     gen = gan.Generator(
         ds.feat_dim,
         ds.sem_dim,
         np.random.default_rng(0),
-        hidden_mult=cfg["hidden_mult"],
-        temb_dim=cfg["temb_dim"],
-        slope=cfg["leaky_slope"],
+        hidden_mult=cfg.hidden_mult,
+        temb_dim=cfg.temb_dim,
+        slope=cfg.leaky_slope,
     )
-    loaded = load_checkpoint(path, GENERATOR_TAG, slope=cfg["leaky_slope"])
+    loaded = load_checkpoint(path, GENERATOR_TAG, slope=cfg.leaky_slope)
     if loaded.layer_dims != gen.net.layer_dims:
         raise ConfigurationError(
             f"generator checkpoint dims {loaded.layer_dims} do not match the "
@@ -218,7 +163,6 @@ def _load_generator(cfg: dict, ds: datamod.ZslDataset, path: str) -> gan.Generat
 def cmd_gen_synthetic(args) -> int:
     cfg = _resolve(args)
     out = _require(args, "out")
-    spec = _synthetic_spec(cfg)
     existing = [
         n
         for n in ("features.csv", "labels.csv", "prototypes.csv", "classes.csv")
@@ -228,7 +172,7 @@ def cmd_gen_synthetic(args) -> int:
         raise ConfigurationError(
             f"{out} already holds a dataset ({existing[0]}); pass --force to overwrite"
         )
-    ds = datamod.make_synthetic(spec)
+    ds = datamod.make_synthetic(cfg)
     datamod.save_dataset(ds, out)
     n_train = int(np.sum(ds.splits == "train"))
     print(
@@ -248,15 +192,7 @@ def cmd_pretrain_reward(args) -> int:
     train_x, train_y = ds.train
     y = np.asarray([rows[int(c)] for c in train_y])
     model = reward_mod.pretrain_reward(
-        train_x,
-        y,
-        n_classes=len(rows),
-        epochs=cfg["reward_epochs"],
-        lr=cfg["reward_lr"],
-        batch_size=cfg["reward_batch"],
-        rng=stream_rng(cfg["seed"], "reward"),
-        beta1=cfg["adam_beta1"],
-        beta2=cfg["adam_beta2"],
+        train_x, y, len(rows), cfg, stream_rng(cfg.seed, "reward")
     )
     acc = reward_mod.reward_train_accuracy(model, train_x, y)
     os.makedirs(out, exist_ok=True)
@@ -273,16 +209,15 @@ def cmd_train(args) -> int:
     data_dir = _require(args, "data")
     out = _require(args, "out")
     ds = _load_dataset(cfg, data_dir)
-    tc = _train_config(cfg)
     model = None
-    if tc.use_rl:
+    if cfg.use_rl:
         reward_path = _require(args, "reward")
         net = load_checkpoint(reward_path, REWARD_TAG)
         model = reward_mod.RewardModel(net.weights[0].data, net.biases[0].data)
-    result = trainer.train(ds, model, tc, clf_cfg=_clf_config(cfg), out_dir=out)
+    result = trainer.train(ds, model, cfg, out_dir=out)
     last = result.metrics[-1]
     print(
-        f"trained {tc.total_epochs} epochs; generator checkpoint and metrics.csv in {out}"
+        f"trained {cfg.epochs} epochs; generator checkpoint and metrics.csv in {out}"
     )
     if result.reports:
         final_epoch = max(result.reports)
@@ -299,14 +234,13 @@ def cmd_synthesize(args) -> int:
     out = _require(args, "out")
     ds = _load_dataset(cfg, data_dir)
     gen = _load_generator(cfg, ds, gen_path)
-    sched = diffusion.build_schedule(cfg["diffusion_steps"], cfg["beta_min"], cfg["beta_max"])
     feats, labels = evaluate.synthesize_unseen(
         gen,
         ds.prototypes,
         ds.unseen_classes,
-        cfg["synth_per_class"],
-        sched,
-        stream_rng(cfg["seed"], "eval"),
+        cfg.synth_per_class,
+        cfg.schedule(),
+        stream_rng(cfg.seed, "eval"),
     )
     parent = os.path.dirname(out)
     if parent:
@@ -322,10 +256,7 @@ def cmd_eval(args) -> int:
     gen_path = _require(args, "generator")
     ds = _load_dataset(cfg, data_dir)
     gen = _load_generator(cfg, ds, gen_path)
-    sched = diffusion.build_schedule(cfg["diffusion_steps"], cfg["beta_min"], cfg["beta_max"])
-    report = evaluate.full_report(
-        gen, ds, cfg["synth_per_class"], sched, _clf_config(cfg), stream_rng(cfg["seed"], "eval")
-    )
+    report = evaluate.full_report(gen, ds, cfg, stream_rng(cfg.seed, "eval"))
     print(report.format_line())
     return 0
 

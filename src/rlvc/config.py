@@ -1,4 +1,8 @@
-"""Flat key=value configuration with presets and strict precedence.
+"""One frozen `Config` for the command line and the library.
+
+Each setting is declared once below, with its default, help text and range
+check; the CLI derives a `--key` flag from every field, and a value given as
+text is parsed by the type of its default.
 
 Precedence, lowest to highest: built-in defaults, preset, config file,
 explicit command-line flags. Files hold one `key = value` per line; blank
@@ -7,6 +11,10 @@ lines and `#` comments are ignored; unknown keys are rejected.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, fields
+
+from . import diffusion
+from .cues import CUE_VARIANTS
 from .errors import ConfigurationError
 
 
@@ -19,51 +27,112 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-# key -> (default, parser, help)
-SCHEMA: dict[str, tuple] = {
-    "seed": (0, int, "root seed; every random stream derives from it"),
-    "epochs": (20, int, "training epochs"),
-    "rl_start_epoch": (5, int, "first epoch (0-indexed) with policy-gradient updates"),
-    "critic_steps": (1, int, "critic updates per minibatch"),
-    "batch_size": (32, int, "minibatch size"),
-    "lr_adv": (5e-4, float, "Adam rate for critics and the adversarial generator step"),
-    "lr_rl": (5e-5, float, "Adam rate for the policy-gradient generator step"),
-    "lambda_pd": (5.0, float, "weight of the prototype-distillation term"),
-    "lambda_gp": (10.0, float, "gradient-penalty weight"),
-    "ema_alpha": (0.9, float, "EMA factor of the reward baseline"),
-    "diffusion_steps": (4, int, "number of diffusion steps T"),
-    "beta_min": (0.1, float, "first diffusion beta"),
-    "beta_max": (0.4, float, "last diffusion beta"),
-    "synth_per_class": (100, int, "synthesized features per unseen class"),
-    "eval_interval": (0, int, "epochs between evaluations (0 = never)"),
-    "checkpoint_interval": (0, int, "epochs between checkpoints (0 = end only)"),
-    "use_rl": (True, _parse_bool, "enable the policy-gradient phase"),
-    "use_cues": (True, _parse_bool, "enable the prototype-distillation term"),
-    "raw_reward": (False, _parse_bool, "weight log-likelihoods by raw rewards (no baseline)"),
-    "cue_loss": ("pd", str, "distillation variant: pd, kl, or l1"),
-    "hidden_mult": (4, int, "hidden width as a multiple of the feature dim"),
-    "temb_dim": (16, int, "timestep embedding width"),
-    "leaky_slope": (0.2, float, "leaky-relu negative slope"),
-    "adam_beta1": (0.5, float, "Adam beta1 (all optimizers)"),
-    "adam_beta2": (0.999, float, "Adam beta2 (all optimizers)"),
-    "reward_epochs": (50, int, "reward-model pretraining epochs"),
-    "reward_lr": (0.01, float, "reward-model Adam rate"),
-    "reward_batch": (128, int, "reward-model minibatch size"),
-    "clf_epochs": (50, int, "evaluation-head training epochs"),
-    "clf_lr": (0.001, float, "evaluation-head Adam rate"),
-    "clf_batch": (128, int, "evaluation-head minibatch size"),
-    "standardize": (False, _parse_bool, "standardize features with train-split statistics"),
-    "n_seen": (20, int, "synthetic benchmark: seen classes"),
-    "n_unseen": (5, int, "synthetic benchmark: unseen classes"),
-    "feat_dim": (32, int, "synthetic benchmark: visual feature dim"),
-    "sem_dim": (16, int, "synthetic benchmark: semantic prototype dim"),
-    "samples_per_class": (60, int, "synthetic benchmark: samples per class"),
-    "semantic_cluster_size": (5, int, "synthetic benchmark: classes per semantic cluster"),
-    "semantic_jitter": (0.05, float, "synthetic benchmark: within-cluster prototype jitter"),
-    "visual_separation": (6.0, float, "synthetic benchmark: min distance between class means"),
-    "visual_sigma": (1.0, float, "synthetic benchmark: within-class feature noise"),
-    "test_fraction": (0.2, float, "synthetic benchmark: held-out fraction per seen class"),
-}
+def _key(default, help_text: str, check=None):
+    """A config field; `check` is an optional (predicate, rule text) pair."""
+    return field(default=default, metadata={"help": help_text, "check": check})
+
+
+def _at_least(lo):
+    return (lambda v: v >= lo), f">= {lo}"
+
+
+def _above(lo):
+    return (lambda v: v > lo), f"> {lo}"
+
+
+@dataclass(frozen=True)
+class Config:
+    """Every setting of a run. Construction runs every range check, so a
+    Config that exists is valid; derive variants with dataclasses.replace."""
+
+    seed: int = _key(0, "root seed; every random stream derives from it")
+    epochs: int = _key(20, "training epochs", _at_least(1))
+    rl_start_epoch: int = _key(
+        5, "first epoch (0-indexed) with policy-gradient updates", _at_least(0)
+    )
+    critic_steps: int = _key(1, "critic updates per minibatch", _at_least(1))
+    batch_size: int = _key(32, "minibatch size", _at_least(1))
+    lr_adv: float = _key(
+        5e-4, "Adam rate for critics and the adversarial generator step", _above(0)
+    )
+    lr_rl: float = _key(5e-5, "Adam rate for the policy-gradient generator step", _above(0))
+    lambda_pd: float = _key(5.0, "weight of the prototype-distillation term", _at_least(0))
+    lambda_gp: float = _key(10.0, "gradient-penalty weight", _at_least(0))
+    ema_alpha: float = _key(
+        0.9, "EMA factor of the reward baseline", ((lambda v: 0.0 <= v < 1.0), "in [0, 1)")
+    )
+    diffusion_steps: int = _key(4, "number of diffusion steps T")
+    beta_min: float = _key(0.1, "first diffusion beta")
+    beta_max: float = _key(0.4, "last diffusion beta")
+    synth_per_class: int = _key(100, "synthesized features per unseen class", _at_least(1))
+    eval_interval: int = _key(0, "epochs between evaluations (0 = never)")
+    checkpoint_interval: int = _key(0, "epochs between checkpoints (0 = end only)")
+    use_rl: bool = _key(True, "enable the policy-gradient phase")
+    use_cues: bool = _key(True, "enable the prototype-distillation term")
+    raw_reward: bool = _key(False, "weight log-likelihoods by raw rewards (no baseline)")
+    cue_loss: str = _key(
+        "pd",
+        "distillation variant: pd, kl, or l1",
+        ((lambda v: v in CUE_VARIANTS), f"one of {CUE_VARIANTS}"),
+    )
+    hidden_mult: int = _key(4, "hidden width as a multiple of the feature dim")
+    temb_dim: int = _key(16, "timestep embedding width")
+    leaky_slope: float = _key(0.2, "leaky-relu negative slope")
+    adam_beta1: float = _key(0.5, "Adam beta1 (all optimizers)")
+    adam_beta2: float = _key(0.999, "Adam beta2 (all optimizers)")
+    reward_epochs: int = _key(50, "reward-model pretraining epochs")
+    reward_lr: float = _key(0.01, "reward-model Adam rate")
+    reward_batch: int = _key(128, "reward-model minibatch size")
+    clf_epochs: int = _key(50, "evaluation-head training epochs")
+    clf_lr: float = _key(0.001, "evaluation-head Adam rate")
+    clf_batch: int = _key(128, "evaluation-head minibatch size")
+    standardize: bool = _key(False, "standardize features with train-split statistics")
+    n_seen: int = _key(20, "synthetic benchmark: seen classes", _at_least(1))
+    n_unseen: int = _key(5, "synthetic benchmark: unseen classes", _at_least(1))
+    feat_dim: int = _key(32, "synthetic benchmark: visual feature dim", _at_least(1))
+    sem_dim: int = _key(16, "synthetic benchmark: semantic prototype dim", _at_least(1))
+    samples_per_class: int = _key(60, "synthetic benchmark: samples per class", _at_least(2))
+    semantic_cluster_size: int = _key(
+        5, "synthetic benchmark: classes per semantic cluster", _at_least(1)
+    )
+    semantic_jitter: float = _key(
+        0.05, "synthetic benchmark: within-cluster prototype jitter", _at_least(0)
+    )
+    visual_separation: float = _key(
+        6.0, "synthetic benchmark: min distance between class means", _above(0)
+    )
+    visual_sigma: float = _key(1.0, "synthetic benchmark: within-class feature noise", _at_least(0))
+    test_fraction: float = _key(
+        0.2,
+        "synthetic benchmark: held-out fraction per seen class",
+        ((lambda v: 0.0 < v < 1.0), "in (0, 1)"),
+    )
+
+    def __post_init__(self):
+        for f in fields(self):
+            _check(f, getattr(self, f.name))
+        if not 1 <= self.n_test < self.samples_per_class:
+            raise ConfigurationError("test_fraction leaves an empty split")
+
+    @property
+    def n_test(self) -> int:
+        """Synthetic benchmark: held-out rows per seen class."""
+        return int(round(self.samples_per_class * self.test_fraction))
+
+    def schedule(self) -> diffusion.DiffusionSchedule:
+        return diffusion.build_schedule(self.diffusion_steps, self.beta_min, self.beta_max)
+
+
+_FIELDS = {f.name: f for f in fields(Config)}
+
+
+def _check(f, value) -> None:
+    if f.metadata["check"] is None:
+        return
+    ok, rule = f.metadata["check"]
+    if not ok(value):
+        raise ConfigurationError(f"{f.name} must be {rule}, got {value!r}")
+
 
 PRESETS: dict[str, dict] = {
     "cub": {"epochs": 500, "rl_start_epoch": 30, "lambda_pd": 20.0, "synth_per_class": 400},
@@ -83,26 +152,20 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-_CUE_CHOICES = ("pd", "kl", "l1")
-
-
-def defaults() -> dict:
-    return {k: v[0] for k, v in SCHEMA.items()}
-
 
 def parse_value(key: str, raw) -> object:
-    if key not in SCHEMA:
+    """Parse text by the type of the key's default, then check its range."""
+    f = _FIELDS.get(key)
+    if f is None:
         raise ConfigurationError(f"unknown config key {key!r}")
-    _, parser, _ = SCHEMA[key]
+    value = raw
     if isinstance(raw, str):
+        parser = _parse_bool if isinstance(f.default, bool) else type(f.default)
         try:
             value = parser(raw)
         except ValueError as e:
             raise ConfigurationError(f"config key {key!r}: {e}") from None
-    else:
-        value = raw
-    if key == "cue_loss" and value not in _CUE_CHOICES:
-        raise ConfigurationError(f"cue_loss must be one of {_CUE_CHOICES}, got {value!r}")
+    _check(f, value)
     return value
 
 
@@ -125,25 +188,25 @@ def resolve_config(
     preset: str | None = None,
     config_path: str | None = None,
     overrides: dict | None = None,
-) -> dict:
-    cfg = defaults()
+) -> Config:
+    values = {}
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigurationError(
                 f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
             )
-        cfg.update(PRESETS[preset])
+        values.update(PRESETS[preset])
     if config_path is not None:
-        cfg.update(load_config_file(config_path))
+        values.update(load_config_file(config_path))
     for key, raw in (overrides or {}).items():
-        cfg[key] = parse_value(key, raw)
-    return cfg
+        values[key] = parse_value(key, raw)
+    return Config(**values)
 
 
-def format_config(cfg: dict) -> str:
+def format_config(cfg: Config) -> str:
     lines = []
-    for key in sorted(cfg):
-        v = cfg[key]
+    for key in sorted(_FIELDS):
+        v = getattr(cfg, key)
         if isinstance(v, bool):
             v = "true" if v else "false"
         lines.append(f"{key} = {v}")

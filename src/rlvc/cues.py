@@ -9,7 +9,6 @@ exist for ablations.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,20 +19,6 @@ from .errors import ConfigurationError, UsageError
 log = logging.getLogger(__name__)
 
 _NORM_FLOOR = 1e-200
-
-CUE_VARIANTS = ("pd", "kl", "l1")
-
-
-@dataclass
-class CueConfig:
-    lambda_pd: float = 5.0
-    variant: str = "pd"
-
-    def __post_init__(self):
-        if self.variant not in CUE_VARIANTS:
-            raise ConfigurationError(f"unknown cue variant {self.variant!r}")
-        if self.lambda_pd < 0:
-            raise ConfigurationError("lambda_pd must be >= 0")
 
 
 class VisualPrototypeTable:
@@ -98,7 +83,7 @@ def pd_loss(x_batch, labels, table: VisualPrototypeTable) -> Tensor:
     with zero norm contributes the neutral value 1 (and logs a warning), with
     zero gradient through that row.
     """
-    x = x_batch if isinstance(x_batch, Tensor) else Tensor(np.atleast_2d(np.asarray(x_batch, dtype=np.float64)))
+    x = engine.as_batch(x_batch)
     v = table.lookup(labels)
     if v.shape != x.shape:
         raise UsageError(f"pd_loss: batch {x.shape} vs prototypes {v.shape}")
@@ -115,7 +100,7 @@ def pd_loss(x_batch, labels, table: VisualPrototypeTable) -> Tensor:
 
 def kl_cue_loss(x_batch, labels, table: VisualPrototypeTable) -> Tensor:
     """Mean KL(softmax(prototype) || softmax(synthesized)) at temperature 1."""
-    x = x_batch if isinstance(x_batch, Tensor) else Tensor(np.atleast_2d(np.asarray(x_batch, dtype=np.float64)))
+    x = engine.as_batch(x_batch)
     v = table.lookup(labels)
     if v.shape != x.shape:
         raise UsageError(f"kl_cue_loss: batch {x.shape} vs prototypes {v.shape}")
@@ -130,23 +115,23 @@ def kl_cue_loss(x_batch, labels, table: VisualPrototypeTable) -> Tensor:
 
 def l1_cue_loss(x_batch, labels, table: VisualPrototypeTable) -> Tensor:
     """Mean per-coordinate absolute difference to the prototype."""
-    x = x_batch if isinstance(x_batch, Tensor) else Tensor(np.atleast_2d(np.asarray(x_batch, dtype=np.float64)))
+    x = engine.as_batch(x_batch)
     v = table.lookup(labels)
     if v.shape != x.shape:
         raise UsageError(f"l1_cue_loss: batch {x.shape} vs prototypes {v.shape}")
     return engine.tmean(engine.absval(x - Tensor(v)))
 
 
+_CUE_LOSSES = {"pd": pd_loss, "kl": kl_cue_loss, "l1": l1_cue_loss}
+CUE_VARIANTS = tuple(_CUE_LOSSES)
+
+
 def cue_loss(x_batch, labels, table: VisualPrototypeTable, variant: str = "pd") -> Tensor:
-    if variant == "pd":
-        return pd_loss(x_batch, labels, table)
-    if variant == "kl":
-        return kl_cue_loss(x_batch, labels, table)
-    if variant == "l1":
-        return l1_cue_loss(x_batch, labels, table)
-    raise ConfigurationError(f"unknown cue variant {variant!r}")
+    if variant not in CUE_VARIANTS:
+        raise ConfigurationError(f"unknown cue variant {variant!r}")
+    return _CUE_LOSSES[variant](x_batch, labels, table)
 
 
-def generator_total_loss(adv_loss, cue_term, config: CueConfig) -> Tensor:
+def generator_total_loss(adv_loss, cue_term, lambda_pd: float) -> Tensor:
     """Composite generator objective: adversarial + lambda * distillation."""
-    return engine.as_tensor(adv_loss) + config.lambda_pd * engine.as_tensor(cue_term)
+    return engine.as_tensor(adv_loss) + lambda_pd * engine.as_tensor(cue_term)

@@ -13,10 +13,11 @@ Reals are written in repr form (shortest round-trip), so reload is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config
 from .errors import ConfigurationError
 from .seeding import stream_rng
 
@@ -256,55 +257,6 @@ def load_features(path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(rows, dtype=np.float64), np.asarray(labels, dtype=np.int64)
 
 
-@dataclass
-class SyntheticSpec:
-    """Knobs of the synthetic benchmark.
-
-    Classes fall into semantic clusters of semantic_cluster_size (the final
-    cluster may be truncated). Unseen classes are placed in adjacent pairs
-    so that some unseen classes share a cluster, and seen classes fill the
-    remaining capacity cyclically, so every cluster that holds unseen
-    classes also holds seen anchors. Within a cluster, prototypes are a
-    shared cluster vector plus a jitter of magnitude semantic_jitter, so
-    cluster members are nearly indistinguishable to a conditioner that
-    ignores fine semantic differences. Visual class means are an exact
-    fixed linear lift of the prototypes, rejection-tested until all
-    pairwise distances reach visual_separation; exact linearity plus the
-    seen anchors keep unseen means recoverable from seen supervision even
-    though the jitter constraints are tiny. Seen classes are the low ids;
-    unseen classes contribute test rows only.
-    """
-
-    n_seen: int = 20
-    n_unseen: int = 5
-    feat_dim: int = 32
-    sem_dim: int = 16
-    samples_per_class: int = 60
-    semantic_cluster_size: int = 5
-    semantic_jitter: float = 0.05
-    visual_separation: float = 6.0
-    visual_sigma: float = 1.0
-    test_fraction: float = 0.2
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.n_seen < 1 or self.n_unseen < 1:
-            raise ConfigurationError("need at least one seen and one unseen class")
-        if self.feat_dim < 1 or self.sem_dim < 1:
-            raise ConfigurationError("dimensions must be positive")
-        if self.samples_per_class < 2:
-            raise ConfigurationError("need at least 2 samples per class")
-        if self.semantic_cluster_size < 1:
-            raise ConfigurationError("cluster size must be positive")
-        if self.semantic_jitter < 0 or self.visual_separation <= 0 or self.visual_sigma < 0:
-            raise ConfigurationError("jitter/separation/sigma out of range")
-        if not (0.0 < self.test_fraction < 1.0):
-            raise ConfigurationError("test_fraction must be in (0, 1)")
-        n_test = int(round(self.samples_per_class * self.test_fraction))
-        if n_test < 1 or self.samples_per_class - n_test < 1:
-            raise ConfigurationError("test_fraction leaves an empty split")
-
-
 _REJECTION_ROUNDS = 500
 
 
@@ -337,42 +289,56 @@ def _assign_clusters(n_seen: int, n_unseen: int, n_clusters: int, size: int) -> 
     return cluster_of
 
 
-def make_synthetic(spec: SyntheticSpec) -> ZslDataset:
-    """Deterministic synthetic benchmark; same spec -> bitwise-same dataset."""
-    spec.validate()
-    rng = stream_rng(spec.seed, "data")
-    c_total = spec.n_seen + spec.n_unseen
-    n_clusters = -(-c_total // spec.semantic_cluster_size)
-    cluster_of = _assign_clusters(spec.n_seen, spec.n_unseen, n_clusters,
-                                  spec.semantic_cluster_size)
+def make_synthetic(config: Config) -> ZslDataset:
+    """Deterministic synthetic benchmark; same config -> bitwise-same dataset.
+
+    Classes fall into semantic clusters of semantic_cluster_size (the final
+    cluster may be truncated). Unseen classes are placed in adjacent pairs
+    so that some unseen classes share a cluster, and seen classes fill the
+    remaining capacity cyclically, so every cluster that holds unseen
+    classes also holds seen anchors. Within a cluster, prototypes are a
+    shared cluster vector plus a jitter of magnitude semantic_jitter, so
+    cluster members are nearly indistinguishable to a conditioner that
+    ignores fine semantic differences. Visual class means are an exact
+    fixed linear lift of the prototypes, rejection-tested until all
+    pairwise distances reach visual_separation; exact linearity plus the
+    seen anchors keep unseen means recoverable from seen supervision even
+    though the jitter constraints are tiny. Seen classes are the low ids;
+    unseen classes contribute test rows only.
+    """
+    rng = stream_rng(config.seed, "data")
+    c_total = config.n_seen + config.n_unseen
+    n_clusters = -(-c_total // config.semantic_cluster_size)
+    cluster_of = _assign_clusters(config.n_seen, config.n_unseen, n_clusters,
+                                  config.semantic_cluster_size)
 
     # The lift scale makes within-cluster jitter differences map to roughly
     # 2.5x the separation floor, so rejection passes quickly and the
     # semantic -> visual relation stays learnable from seen classes alone.
     # Cluster centers sit a few jitter radii apart: far enough that clusters
     # are distinct, close enough that sloppy conditioning confuses them.
-    eff_jitter = max(spec.semantic_jitter, 0.02)
-    lift_scale = 2.5 * spec.visual_separation / (2.0 * eff_jitter)
+    eff_jitter = max(config.semantic_jitter, 0.02)
+    lift_scale = 2.5 * config.visual_separation / (2.0 * eff_jitter)
     cluster_sigma = 2.0 * eff_jitter
 
     means = prototypes = None
     for _ in range(_REJECTION_ROUNDS):
-        clusters = rng.normal(0.0, cluster_sigma, size=(n_clusters, spec.sem_dim))
-        dirs = rng.normal(size=(c_total, spec.sem_dim))
+        clusters = rng.normal(0.0, cluster_sigma, size=(n_clusters, config.sem_dim))
+        dirs = rng.normal(size=(c_total, config.sem_dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        protos = clusters[cluster_of] + spec.semantic_jitter * dirs
+        protos = clusters[cluster_of] + config.semantic_jitter * dirs
         # means track the prototypes but are pushed at least the floor
         # apart, so jitter below the floor (including 0) keeps classes
         # visually separable while their prototypes stay ambiguous
         placed = clusters[cluster_of] + eff_jitter * dirs
-        lift = rng.normal(size=(spec.feat_dim, spec.sem_dim)) * (
-            lift_scale / np.sqrt(spec.sem_dim)
+        lift = rng.normal(size=(config.feat_dim, config.sem_dim)) * (
+            lift_scale / np.sqrt(config.sem_dim)
         )
         candidate = placed @ lift.T
         diffs = candidate[:, None, :] - candidate[None, :, :]
         dist = np.sqrt(np.sum(diffs * diffs, axis=2))
         np.fill_diagonal(dist, np.inf)
-        if dist.min() >= spec.visual_separation:
+        if dist.min() >= config.visual_separation:
             means, prototypes = candidate, protos
             break
     if means is None:
@@ -381,22 +347,22 @@ def make_synthetic(spec: SyntheticSpec) -> ZslDataset:
             "increase feat_dim or lower visual_separation"
         )
 
-    n_test = int(round(spec.samples_per_class * spec.test_fraction))
+    n_test = config.n_test
     feats, labels, splits = [], [], []
     for c in range(c_total):
-        x = means[c] + spec.visual_sigma * rng.standard_normal(
-            (spec.samples_per_class, spec.feat_dim)
+        x = means[c] + config.visual_sigma * rng.standard_normal(
+            (config.samples_per_class, config.feat_dim)
         )
         feats.append(x)
-        labels.extend([c] * spec.samples_per_class)
-        if c < spec.n_seen:
-            tags = ["train"] * (spec.samples_per_class - n_test) + ["test_seen"] * n_test
+        labels.extend([c] * config.samples_per_class)
+        if c < config.n_seen:
+            tags = ["train"] * (config.samples_per_class - n_test) + ["test_seen"] * n_test
         else:
-            tags = ["test_unseen"] * spec.samples_per_class
+            tags = ["test_unseen"] * config.samples_per_class
         splits.extend(tags)
 
     roles = np.asarray(
-        ["seen"] * spec.n_seen + ["unseen"] * spec.n_unseen, dtype=object
+        ["seen"] * config.n_seen + ["unseen"] * config.n_unseen, dtype=object
     )
     ds = ZslDataset(
         np.concatenate(feats, axis=0),

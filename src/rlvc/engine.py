@@ -114,6 +114,11 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def as_batch(x) -> Tensor:
+    """x itself if it is a Tensor, else a constant float64 batch of rows."""
+    return x if isinstance(x, Tensor) else Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+
+
 def constant(x) -> Tensor:
     """A graph leaf that never receives gradient."""
     return Tensor(np.asarray(x, dtype=np.float64))

@@ -13,20 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffusion, engine
-from .engine import Tensor
+from . import diffusion
+from .config import Config
 from .errors import ConfigurationError, UsageError
 from .gan import Generator
-from .nets import AdamState
-
-
-@dataclass
-class ClassifierConfig:
-    epochs: int = 50
-    lr: float = 1e-3
-    batch_size: int = 128
-    beta1: float = 0.5
-    beta2: float = 0.999
+from .nets import fit_linear_softmax
 
 
 @dataclass
@@ -72,7 +63,7 @@ def train_head(
     features: np.ndarray,
     labels: np.ndarray,
     class_ids,
-    cfg: ClassifierConfig,
+    config: Config,
     rng: np.random.Generator,
 ) -> ClassifierHead:
     """Softmax cross-entropy with Adam over shuffled minibatches."""
@@ -83,21 +74,10 @@ def train_head(
     if unknown:
         raise ConfigurationError(f"training label {unknown[0]} outside head classes")
     rows = np.asarray([head.index_of[int(y)] for y in labels])
-    n_cls = len(head.class_ids)
-    w = Tensor(head.weight, requires_grad=True)
-    b = Tensor(head.bias, requires_grad=True)
-    opt = AdamState([w, b], lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
-    onehot = np.eye(n_cls)[rows]
-    n = features.shape[0]
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            lp = engine.log_softmax(Tensor(features[idx]) @ w.T + b, axis=1)
-            loss = -engine.tmean(engine.tsum(lp * Tensor(onehot[idx]), axis=1))
-            opt.step(engine.backward(loss, [w, b]))
-    head.weight = w.data
-    head.bias = b.data
+    head.weight, head.bias = fit_linear_softmax(
+        features, rows, len(head.class_ids), config.clf_epochs, config.clf_lr,
+        config.clf_batch, config.adam_beta1, config.adam_beta2, rng,
+    )
     return head
 
 
@@ -156,11 +136,11 @@ def synthesize_unseen(
 def train_czsl_head(
     synth_features: np.ndarray,
     synth_labels: np.ndarray,
-    cfg: ClassifierConfig,
+    config: Config,
     rng: np.random.Generator,
 ) -> ClassifierHead:
     """Head over unseen classes only, trained purely on synthesized rows."""
-    return train_head(synth_features, synth_labels, np.unique(synth_labels), cfg, rng)
+    return train_head(synth_features, synth_labels, np.unique(synth_labels), config, rng)
 
 
 def train_gzsl_head(
@@ -168,33 +148,28 @@ def train_gzsl_head(
     seen_labels: np.ndarray,
     synth_features: np.ndarray,
     synth_labels: np.ndarray,
-    cfg: ClassifierConfig,
+    config: Config,
     rng: np.random.Generator,
 ) -> ClassifierHead:
     """Head over all classes: real seen training rows + synthesized unseen."""
     x = np.concatenate([seen_features, synth_features], axis=0)
     y = np.concatenate([np.asarray(seen_labels), np.asarray(synth_labels)])
-    return train_head(x, y, np.unique(y), cfg, rng)
+    return train_head(x, y, np.unique(y), config, rng)
 
 
-def full_report(
-    gen: Generator,
-    dataset,
-    n_per_class: int,
-    sched: diffusion.DiffusionSchedule,
-    cfg: ClassifierConfig,
-    rng: np.random.Generator,
-) -> EvalReport:
-    """Synthesize unseen features once, then run both protocols."""
+def full_report(gen: Generator, dataset, config: Config, rng: np.random.Generator) -> EvalReport:
+    """Synthesize config.synth_per_class unseen features per class along
+    config's diffusion schedule, then run both protocols."""
     synth_x, synth_y = synthesize_unseen(
-        gen, dataset.prototypes, dataset.unseen_classes, n_per_class, sched, rng
+        gen, dataset.prototypes, dataset.unseen_classes, config.synth_per_class,
+        config.schedule(), rng,
     )
-    czsl = train_czsl_head(synth_x, synth_y, cfg, rng)
+    czsl = train_czsl_head(synth_x, synth_y, config, rng)
     tu_x, tu_y = dataset.test_unseen
     acc = macro_accuracy(czsl, tu_x, tu_y)
 
     tr_x, tr_y = dataset.train
-    gzsl = train_gzsl_head(tr_x, tr_y, synth_x, synth_y, cfg, rng)
+    gzsl = train_gzsl_head(tr_x, tr_y, synth_x, synth_y, config, rng)
     u = macro_accuracy(gzsl, tu_x, tu_y)
     ts_x, ts_y = dataset.test_seen
     s = macro_accuracy(gzsl, ts_x, ts_y)

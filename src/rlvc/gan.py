@@ -8,8 +8,6 @@ features against prototypes; the other scores denoising transitions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import diffusion, engine
@@ -18,11 +16,6 @@ from .errors import UsageError
 from .nets import DenseNet, timestep_embedding
 
 _NORM_FLOOR = 1e-200  # keeps the norm's subgradient finite at exactly zero
-
-
-@dataclass
-class GpConfig:
-    lambda_gp: float = 10.0
 
 
 class Generator:
@@ -52,7 +45,7 @@ class Generator:
         single-row calls."""
         eps = np.atleast_2d(np.asarray(eps, dtype=np.float64))
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        xn = x_noisy if isinstance(x_noisy, Tensor) else Tensor(np.atleast_2d(np.asarray(x_noisy, dtype=np.float64)))
+        xn = engine.as_batch(x_noisy)
         if xn.ndim != 2:
             xn = engine.reshape(xn, (1, xn.size))
         rows = eps.shape[0]
@@ -79,8 +72,8 @@ class CriticX0:
         return self.net.params
 
     def score(self, x, z) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        z = z if isinstance(z, Tensor) else Tensor(np.atleast_2d(np.asarray(z, dtype=np.float64)))
+        x = engine.as_batch(x)
+        z = engine.as_batch(z)
         return self.net.forward(engine.concat([x, z], axis=1))
 
 
@@ -108,9 +101,9 @@ class CriticXt:
         return self.net.params
 
     def score(self, x_t, x_next, z, t) -> Tensor:
-        x_t = x_t if isinstance(x_t, Tensor) else Tensor(np.atleast_2d(np.asarray(x_t, dtype=np.float64)))
-        x_next = x_next if isinstance(x_next, Tensor) else Tensor(np.atleast_2d(np.asarray(x_next, dtype=np.float64)))
-        z = z if isinstance(z, Tensor) else Tensor(np.atleast_2d(np.asarray(z, dtype=np.float64)))
+        x_t = engine.as_batch(x_t)
+        x_next = engine.as_batch(x_next)
+        z = engine.as_batch(z)
         t = np.asarray(t)
         if t.size == 1:
             t = np.full(x_t.shape[0], int(t.reshape(-1)[0]))
@@ -140,7 +133,7 @@ def _as_const_batch(x, what: str) -> np.ndarray:
     return data
 
 
-def critic_x0_terms(critic: CriticX0, real_x0, fake_x0, z, gp: GpConfig, rng) -> Tensor:
+def critic_x0_terms(critic: CriticX0, real_x0, fake_x0, z, lambda_gp: float, rng) -> Tensor:
     real = _as_const_batch(real_x0, "critic_x0_loss real")
     fake = _as_const_batch(fake_x0, "critic_x0_loss fake")
     z = _as_const_batch(z, "critic_x0_loss z")
@@ -151,19 +144,19 @@ def critic_x0_terms(critic: CriticX0, real_x0, fake_x0, z, gp: GpConfig, rng) ->
         critic.score(Tensor(fake), z_t)
     )
     penalty = _gradient_penalty(lambda xh: critic.score(xh, z_t), real, fake, rng)
-    return wass + gp.lambda_gp * penalty
+    return wass + lambda_gp * penalty
 
 
-def critic_x0_loss(critic, real_x0, fake_x0, z, gp: GpConfig, rng):
+def critic_x0_loss(critic, real_x0, fake_x0, z, lambda_gp: float, rng):
     """Clean-feature critic loss; fakes are constants (no generator grad).
 
     Returns the scalar loss node and gradients w.r.t. the critic parameters.
     """
-    loss = critic_x0_terms(critic, real_x0, fake_x0, z, gp, rng)
+    loss = critic_x0_terms(critic, real_x0, fake_x0, z, lambda_gp, rng)
     return loss, engine.backward(loss, critic.params)
 
 
-def critic_xt_terms(critic: CriticXt, real_xt, fake_xt, x_next, z, t, gp: GpConfig, rng) -> Tensor:
+def critic_xt_terms(critic: CriticXt, real_xt, fake_xt, x_next, z, t, lambda_gp: float, rng) -> Tensor:
     real = _as_const_batch(real_xt, "critic_xt_loss real")
     fake = _as_const_batch(fake_xt, "critic_xt_loss fake")
     x_next = _as_const_batch(x_next, "critic_xt_loss x_next")
@@ -179,12 +172,12 @@ def critic_xt_terms(critic: CriticXt, real_xt, fake_xt, x_next, z, t, gp: GpConf
     penalty = _gradient_penalty(
         lambda xh: critic.score(xh, xn_t, z_t, t), real, fake, rng
     )
-    return wass + gp.lambda_gp * penalty
+    return wass + lambda_gp * penalty
 
 
-def critic_xt_loss(critic, real_xt, fake_xt, x_next, z, t, gp: GpConfig, rng):
+def critic_xt_loss(critic, real_xt, fake_xt, x_next, z, t, lambda_gp: float, rng):
     """Transition critic loss; same contract as critic_x0_loss."""
-    loss = critic_xt_terms(critic, real_xt, fake_xt, x_next, z, t, gp, rng)
+    loss = critic_xt_terms(critic, real_xt, fake_xt, x_next, z, t, lambda_gp, rng)
     return loss, engine.backward(loss, critic.params)
 
 

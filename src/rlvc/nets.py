@@ -1,4 +1,5 @@
-"""Dense networks, Adam, timestep embeddings, and binary checkpoints."""
+"""Dense networks, Adam, linear softmax training, timestep embeddings, and
+binary checkpoints."""
 
 from __future__ import annotations
 
@@ -123,8 +124,33 @@ class AdamState:
                 raise NumericFailure("non-finite parameter after update")
 
 
-def adam_step(state: AdamState, grads: Sequence[np.ndarray]) -> None:
-    state.step(grads)
+def fit_linear_softmax(
+    features: np.ndarray,
+    rows: np.ndarray,
+    n_classes: int,
+    epochs: int,
+    lr: float,
+    batch_size: int,
+    beta1: float,
+    beta2: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Linear softmax classifier from zero weights: cross-entropy with Adam
+    over shuffled minibatches. `rows` holds class indices 0..n_classes-1.
+    Returns the (n_classes, d) weight and the (n_classes,) bias."""
+    w = Tensor(np.zeros((n_classes, features.shape[1])), requires_grad=True)
+    b = Tensor(np.zeros(n_classes), requires_grad=True)
+    opt = AdamState([w, b], lr=lr, beta1=beta1, beta2=beta2)
+    onehot = np.eye(n_classes)[rows]
+    n = features.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            lp = engine.log_softmax(Tensor(features[idx]) @ w.T + b, axis=1)
+            loss = -engine.tmean(engine.tsum(lp * Tensor(onehot[idx]), axis=1))
+            opt.step(engine.backward(loss, [w, b]))
+    return w.data, b.data
 
 
 def save_checkpoint(path, net: DenseNet, tag: bytes = b"GNET") -> None:

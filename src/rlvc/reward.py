@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
+from .config import Config
 from .engine import Tensor
 from .errors import ConfigurationError, NumericFailure, UsageError
+from .nets import fit_linear_softmax
 
 
 class RewardModel:
@@ -45,7 +47,7 @@ class RewardModel:
         return self.weight.shape[1]
 
     def logits(self, x) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+        x = engine.as_batch(x)
         return x @ Tensor(self.weight).T + Tensor(self.bias)
 
     def log_probs(self, x) -> Tensor:
@@ -56,12 +58,8 @@ def pretrain_reward(
     features: np.ndarray,
     labels: np.ndarray,
     n_classes: int,
-    epochs: int = 50,
-    lr: float = 1e-2,
-    batch_size: int = 128,
+    config: Config,
     rng: np.random.Generator | None = None,
-    beta1: float = 0.5,
-    beta2: float = 0.999,
 ) -> RewardModel:
     """Train the linear reward classifier by softmax cross-entropy, then
     freeze it. Labels must be 0..n_classes-1 with every class present."""
@@ -76,24 +74,11 @@ def pretrain_reward(
         )
     if rng is None:
         rng = np.random.default_rng(0)
-
-    from .nets import AdamState  # local import avoids a cycle at module load
-
-    d = features.shape[1]
-    w = Tensor(np.zeros((n_classes, d)), requires_grad=True)
-    b = Tensor(np.zeros(n_classes), requires_grad=True)
-    opt = AdamState([w, b], lr=lr, beta1=beta1, beta2=beta2)
-    n = features.shape[0]
-    onehot = np.eye(n_classes)[labels]
-    for _ in range(int(epochs)):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            x = Tensor(features[idx])
-            lp = engine.log_softmax(x @ w.T + b, axis=1)
-            loss = -engine.tmean(engine.tsum(lp * Tensor(onehot[idx]), axis=1))
-            opt.step(engine.backward(loss, [w, b]))
-    return RewardModel(w.data, b.data)
+    weight, bias = fit_linear_softmax(
+        features, labels, n_classes, config.reward_epochs, config.reward_lr,
+        config.reward_batch, config.adam_beta1, config.adam_beta2, rng,
+    )
+    return RewardModel(weight, bias)
 
 
 def reward_train_accuracy(model: RewardModel, features, labels) -> float:
@@ -126,7 +111,7 @@ class EmaBaseline:
     can assert the baseline was never touched before its activation epoch.
     """
 
-    alpha: float = 0.9
+    alpha: float
     value: float = 0.0
     initialized: bool = False
     writes: int = field(default=0, compare=False)
@@ -149,10 +134,6 @@ class EmaBaseline:
             self.initialized = True
         self.writes += 1
         return self.value
-
-
-def ema_update(baseline: EmaBaseline, batch_rewards) -> float:
-    return baseline.update(batch_rewards)
 
 
 @dataclass

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import cues, diffusion, engine, gan, reward as reward_mod
-from .cues import CueConfig, VisualPrototypeTable
+from .config import Config
+from .cues import VisualPrototypeTable
 from .data import ZslDataset
 from .errors import ConfigurationError, NumericFailure
-from .evaluate import ClassifierConfig, EvalReport, full_report
-from .gan import GpConfig
+from .evaluate import EvalReport, full_report
 from .nets import AdamState, save_checkpoint
 from .reward import AdvantageBatch, EmaBaseline, RewardModel
 from .seeding import stream_rng
@@ -37,51 +37,6 @@ METRICS_COLUMNS = (
     "gzsl_s",
     "gzsl_h",
 )
-
-
-@dataclass
-class TrainConfig:
-    total_epochs: int = 20
-    rl_start_epoch: int = 5
-    critic_steps: int = 1
-    batch_size: int = 32
-    lr_adv: float = 5e-4
-    lr_rl: float = 5e-5
-    lambda_pd: float = 5.0
-    lambda_gp: float = 10.0
-    ema_alpha: float = 0.9
-    diffusion_steps: int = 4
-    beta_min: float = 0.1
-    beta_max: float = 0.4
-    synth_per_class: int = 100
-    eval_interval: int = 0
-    checkpoint_interval: int = 0
-    use_rl: bool = True
-    use_cues: bool = True
-    raw_reward: bool = False
-    cue_variant: str = "pd"
-    hidden_mult: int = 4
-    temb_dim: int = 16
-    leaky_slope: float = 0.2
-    adam_beta1: float = 0.5
-    adam_beta2: float = 0.999
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.total_epochs < 1 or self.batch_size < 1 or self.critic_steps < 1:
-            raise ConfigurationError("epochs, batch size, critic steps must be >= 1")
-        if self.rl_start_epoch < 0:
-            raise ConfigurationError("rl_start_epoch must be >= 0")
-        if self.lr_adv <= 0 or self.lr_rl <= 0:
-            raise ConfigurationError("learning rates must be positive")
-        if self.lambda_gp < 0 or self.lambda_pd < 0:
-            raise ConfigurationError("loss weights must be >= 0")
-        if not (0.0 <= self.ema_alpha < 1.0):
-            raise ConfigurationError("ema_alpha must be in [0, 1)")
-        if self.cue_variant not in cues.CUE_VARIANTS:
-            raise ConfigurationError(f"unknown cue variant {self.cue_variant!r}")
-        if self.synth_per_class < 1:
-            raise ConfigurationError("synth_per_class must be >= 1")
 
 
 @dataclass
@@ -148,8 +103,7 @@ def _require_finite(value: float, what: str, epoch: int, batch: int) -> float:
 def train(
     dataset: ZslDataset,
     reward_model: RewardModel | None,
-    config: TrainConfig,
-    clf_cfg: ClassifierConfig | None = None,
+    config: Config,
     out_dir: str | None = None,
     prototype_table: VisualPrototypeTable | None = None,
 ) -> TrainResult:
@@ -161,10 +115,7 @@ def train(
     checkpoint_interval epochs and at completion; on a numeric abort the last
     written checkpoint stays on disk.
     """
-    config.validate()
     dataset.validate()
-    if clf_cfg is None:
-        clf_cfg = ClassifierConfig(beta1=config.adam_beta1, beta2=config.adam_beta2)
 
     train_x, train_y = dataset.train
     n_train, d = train_x.shape
@@ -182,9 +133,7 @@ def train(
     table = prototype_table
     if table is None and config.use_cues:
         table = cues.mine_prototypes(train_x, train_y, seen)
-    cue_cfg = CueConfig(lambda_pd=config.lambda_pd, variant=config.cue_variant)
-    gp_cfg = GpConfig(lambda_gp=config.lambda_gp)
-    sched = diffusion.build_schedule(config.diffusion_steps, config.beta_min, config.beta_max)
+    sched = config.schedule()
 
     init_rng = stream_rng(config.seed, "init")
     generator = gan.Generator(
@@ -229,7 +178,7 @@ def train(
         return t, x_t, x_next
 
     try:
-        for epoch in range(config.total_epochs):
+        for epoch in range(config.epochs):
             cnt = EpochCounters(epoch=epoch)
             rl_active = config.use_rl and epoch >= config.rl_start_epoch
             critic_vals, adv_vals, cue_vals = [], [], []
@@ -246,9 +195,11 @@ def train(
                     eps_g = train_rng.standard_normal(x0.shape)
                     fake_x0 = generator.synthesize(eps_g, z, x_next, t + 1).data
                     fake_xt = diffusion.posterior_sample(fake_x0, x_next, t, sched, train_rng)
-                    loss0, grads0 = gan.critic_x0_loss(critic_x0, x0, fake_x0, z, gp_cfg, train_rng)
+                    loss0, grads0 = gan.critic_x0_loss(
+                        critic_x0, x0, fake_x0, z, config.lambda_gp, train_rng
+                    )
                     losst, gradst = gan.critic_xt_loss(
-                        critic_xt, x_t, fake_xt, x_next, z, t, gp_cfg, train_rng
+                        critic_xt, x_t, fake_xt, x_next, z, t, config.lambda_gp, train_rng
                     )
                     total = loss0.item() + losst.item()
                     _require_finite(total, "critic loss", epoch, batch_i)
@@ -264,9 +215,9 @@ def train(
                 )
                 _require_finite(adv_loss.item(), "generator adversarial loss", epoch, batch_i)
                 if config.use_cues:
-                    cue_term = cues.cue_loss(x0_tilde, y, table, config.cue_variant)
+                    cue_term = cues.cue_loss(x0_tilde, y, table, config.cue_loss)
                     _require_finite(cue_term.item(), "distillation loss", epoch, batch_i)
-                    total_loss = cues.generator_total_loss(adv_loss, cue_term, cue_cfg)
+                    total_loss = cues.generator_total_loss(adv_loss, cue_term, config.lambda_pd)
                     cue_vals.append(cue_term.item())
                 else:
                     total_loss = adv_loss
@@ -302,11 +253,10 @@ def train(
             nan = float("nan")
             report = None
             if config.eval_interval > 0 and (
-                (epoch + 1) % config.eval_interval == 0 or epoch == config.total_epochs - 1
+                (epoch + 1) % config.eval_interval == 0 or epoch == config.epochs - 1
             ):
                 report = full_report(
-                    generator, dataset, config.synth_per_class, sched, clf_cfg,
-                    stream_rng(config.seed, "eval", epoch),
+                    generator, dataset, config, stream_rng(config.seed, "eval", epoch)
                 )
                 reports[epoch] = report
             row = MetricsRow(

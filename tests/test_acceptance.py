@@ -16,12 +16,12 @@ import pytest
 
 from rlvc import cli, cues, diffusion, engine, gan
 from rlvc import reward as reward_mod
-from rlvc.cues import CueConfig
-from rlvc.data import SyntheticSpec, make_synthetic
+from rlvc.config import Config
+from rlvc.data import make_synthetic
 from rlvc.evaluate import harmonic_mean
-from rlvc.gan import CriticX0, CriticXt, Generator, GpConfig
+from rlvc.gan import CriticX0, CriticXt, Generator
 from rlvc.reward import AdvantageBatch, EmaBaseline, RewardModel, advantage, class_log_probs
-from rlvc.trainer import TrainConfig, train
+from rlvc.trainer import train
 
 
 def _verdict(idx: int, name: str, ok: bool, detail: str) -> None:
@@ -51,8 +51,8 @@ def test_01_gradient_correctness(monkeypatch):
     t_start = time.perf_counter()
     d, dz, b = 4, 2, 3
     sched = diffusion.build_schedule(4, 0.1, 0.4)
-    gp = GpConfig()
-    cue_cfg = CueConfig(lambda_pd=5.0)
+    gp = Config().lambda_gp
+    lambda_pd = 5.0
     worst = 0.0
     sizes = []
     accepted = 0
@@ -104,7 +104,7 @@ def test_01_gradient_correctness(monkeypatch):
             adv, x0_tilde = gan.generator_adv_terms(
                 gen, c0, ct, z, x_next, t, sched, eps_g, eps_p
             )
-            return cues.generator_total_loss(adv, cues.cue_loss(x0_tilde, y, table), cue_cfg)
+            return cues.generator_total_loss(adv, cues.cue_loss(x0_tilde, y, table), lambda_pd)
 
         checks = [
             (loss_c0, c0.params),
@@ -204,17 +204,17 @@ def test_04_baseline_and_stop_gradient():
 
 def test_05_cold_start_gate():
     t_start = time.perf_counter()
-    ds = make_synthetic(SyntheticSpec(
+    ds = make_synthetic(Config(
         n_seen=4, n_unseen=2, feat_dim=8, sem_dim=4, samples_per_class=10,
         semantic_cluster_size=3, seed=0,
     ))
     train_x, train_y = ds.train
     seen = sorted(int(c) for c in ds.seen_classes)
     rows = np.asarray([seen.index(int(c)) for c in train_y])
-    rm = reward_mod.pretrain_reward(train_x, rows, len(seen), epochs=10,
+    rm = reward_mod.pretrain_reward(train_x, rows, len(seen), Config(reward_epochs=10),
                                     rng=np.random.default_rng(0))
-    cfg = TrainConfig(total_epochs=10, rl_start_epoch=6, batch_size=16,
-                      synth_per_class=4, seed=0)
+    cfg = Config(epochs=10, rl_start_epoch=6, batch_size=16,
+                 synth_per_class=4, seed=0)
     result = train(ds, rm, cfg)
     batches = -(-train_x.shape[0] // cfg.batch_size)
     before = [(c.rl_updates, c.ema_writes) for c in result.counters[:6]]

@@ -5,23 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rlvc import cli, config
+from rlvc import cli, config, trainer
+from rlvc.data import make_synthetic, standardize
 from rlvc.errors import ConfigurationError
 from rlvc.evaluate import harmonic_mean
+from rlvc.reward import pretrain_reward
+from rlvc.seeding import stream_rng
 
 
 def test_defaults_pin_training_constants():
-    cfg = config.defaults()
-    assert cfg["epochs"] == 20
-    assert cfg["rl_start_epoch"] == 5
-    assert cfg["lr_adv"] == 5e-4
-    assert cfg["lr_rl"] == 5e-5
-    assert cfg["lambda_pd"] == 5.0
-    assert cfg["lambda_gp"] == 10.0
-    assert cfg["ema_alpha"] == 0.9
-    assert cfg["adam_beta1"] == 0.5
-    assert cfg["adam_beta2"] == 0.999
-    assert (cfg["diffusion_steps"], cfg["beta_min"], cfg["beta_max"]) == (4, 0.1, 0.4)
+    cfg = config.Config()
+    assert cfg.epochs == 20
+    assert cfg.rl_start_epoch == 5
+    assert cfg.lr_adv == 5e-4
+    assert cfg.lr_rl == 5e-5
+    assert cfg.lambda_pd == 5.0
+    assert cfg.lambda_gp == 10.0
+    assert cfg.ema_alpha == 0.9
+    assert cfg.adam_beta1 == 0.5
+    assert cfg.adam_beta2 == 0.999
+    assert (cfg.diffusion_steps, cfg.beta_min, cfg.beta_max) == (4, 0.1, 0.4)
 
 
 @pytest.mark.parametrize(
@@ -35,18 +38,18 @@ def test_defaults_pin_training_constants():
 )
 def test_presets_pinned(name, epochs, rl_start, lam, per_class):
     cfg = config.resolve_config(preset=name)
-    assert cfg["epochs"] == epochs
-    assert cfg["rl_start_epoch"] == rl_start
-    assert cfg["lambda_pd"] == lam
-    assert cfg["synth_per_class"] == per_class
+    assert cfg.epochs == epochs
+    assert cfg.rl_start_epoch == rl_start
+    assert cfg.lambda_pd == lam
+    assert cfg.synth_per_class == per_class
 
 
 def test_synthetic_preset_diffusion_override():
     cfg = config.resolve_config(preset="synthetic")
-    assert cfg["diffusion_steps"] == 6
-    assert cfg["beta_max"] == 0.9
-    assert cfg["standardize"] is True
-    assert cfg["eval_interval"] == 10
+    assert cfg.diffusion_steps == 6
+    assert cfg.beta_max == 0.9
+    assert cfg.standardize is True
+    assert cfg.eval_interval == 10
 
 
 def test_precedence_chain(tmp_path):
@@ -54,10 +57,10 @@ def test_precedence_chain(tmp_path):
     f.write_text("epochs = 7\nlambda_pd = 2.5\n")
     cfg = config.resolve_config(preset="synthetic", config_path=str(f),
                                 overrides={"epochs": "9"})
-    assert cfg["epochs"] == 9  # flag beats file
-    assert cfg["lambda_pd"] == 2.5  # file beats preset
-    assert cfg["beta_max"] == 0.9  # preset beats default
-    assert cfg["lr_adv"] == 5e-4  # untouched default
+    assert cfg.epochs == 9  # flag beats file
+    assert cfg.lambda_pd == 2.5  # file beats preset
+    assert cfg.beta_max == 0.9  # preset beats default
+    assert cfg.lr_adv == 5e-4  # untouched default
 
 
 def test_parse_value_errors():
@@ -90,16 +93,17 @@ def test_unknown_preset_lists_choices():
         config.resolve_config(preset="imagenet")
 
 
-def test_format_config_round_trip(tmp_path):
-    cfg = config.resolve_config(preset="synthetic", overrides={"use_rl": "false"})
+@pytest.mark.parametrize("preset", [None, "synthetic", "cub", "sun", "awa2"])
+def test_format_config_round_trip(tmp_path, preset):
+    cfg = config.resolve_config(preset=preset, overrides={"use_rl": "false"})
     text = config.format_config(cfg)
     lines = text.strip().splitlines()
     assert lines == sorted(lines)
     assert "use_rl = false" in lines
-    assert "standardize = true" in lines
+    assert f"standardize = {'true' if preset == 'synthetic' else 'false'}" in lines
     f = tmp_path / "echo.cfg"
     f.write_text(text)
-    assert config.load_config_file(str(f)) == cfg
+    assert config.resolve_config(config_path=str(f)) == cfg
 
 
 _TINY = [
@@ -215,6 +219,37 @@ def test_cli_full_pipeline(tmp_path, capsys):
     u, s, h = float(parts["u"]), float(parts["s"]), float(parts["h"])
     assert h == pytest.approx(harmonic_mean(s, u), abs=1e-5)
     assert 0.0 <= float(parts["acc"]) <= 1.0
+
+
+def test_cli_and_library_train_write_the_same_metrics(tmp_path, capsys):
+    # with these settings the logged eval numbers move with every head and
+    # synthesis setting, so the CLI cannot pass the library other values
+    flags = _TINY + [
+        "--preset", "synthetic", "--seed", "3", "--n-unseen", "3",
+        "--epochs", "8", "--rl-start-epoch", "1", "--batch-size", "16",
+        "--eval-interval", "4", "--synth-per-class", "4", "--clf-epochs", "3",
+        "--clf-lr", "0.05", "--reward-epochs", "10",
+    ]
+    data, run = str(tmp_path / "data"), str(tmp_path / "cli")
+    assert cli.main(["gen-synthetic", "--out", data] + flags) == 0
+    assert cli.main(["pretrain-reward", "--data", data, "--out", run] + flags) == 0
+    assert cli.main(["train", "--data", data, "--out", run,
+                     "--reward", f"{run}/reward.ckpt"] + flags) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--print-config"] + flags) == 0
+    resolved = tmp_path / "resolved.cfg"
+    resolved.write_text(capsys.readouterr().out)
+
+    cfg = config.resolve_config(config_path=str(resolved))
+    assert cfg.standardize
+    ds = standardize(make_synthetic(cfg))
+    train_x, train_y = ds.train
+    seen = sorted(int(c) for c in ds.seen_classes)
+    rows = np.asarray([seen.index(int(c)) for c in train_y])
+    rm = pretrain_reward(train_x, rows, len(seen), cfg, stream_rng(cfg.seed, "reward"))
+    trainer.train(ds, rm, cfg, out_dir=tmp_path / "lib")
+    for name in ("metrics.csv", "generator.ckpt"):
+        assert (tmp_path / "lib" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
 
 
 def test_cli_train_without_rl_needs_no_reward(tmp_path, capsys):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlvc import cues, engine
-from rlvc.cues import CueConfig, VisualPrototypeTable, mine_prototypes
+from rlvc.config import Config
+from rlvc.cues import VisualPrototypeTable, mine_prototypes
 from rlvc.engine import Tensor
 from rlvc.errors import ConfigurationError, UsageError
 
@@ -183,16 +184,14 @@ def test_dispatcher_and_config_validation():
     with pytest.raises(ConfigurationError):
         cues.cue_loss(x, [0], table, "huber")
     with pytest.raises(ConfigurationError):
-        CueConfig(variant="huber")
+        Config(cue_loss="huber")
     with pytest.raises(ConfigurationError):
-        CueConfig(lambda_pd=-1.0)
+        Config(lambda_pd=-1.0)
 
 
 def test_generator_total_loss_weighting():
-    cfg0 = CueConfig(lambda_pd=0.0)
-    assert cues.generator_total_loss(1.5, 0.2, cfg0).item() == 1.5
-    cfg = CueConfig(lambda_pd=20.0)
-    assert abs(cues.generator_total_loss(1.5, 0.2, cfg).item() - 5.5) < 1e-12
+    assert cues.generator_total_loss(1.5, 0.2, 0.0).item() == 1.5
+    assert abs(cues.generator_total_loss(1.5, 0.2, 20.0).item() - 5.5) < 1e-12
 
 
 def test_generator_total_loss_gradient_linearity():
@@ -202,7 +201,7 @@ def test_generator_total_loss_gradient_linearity():
 
     adv = engine.tmean(x * x)
     cue = cues.pd_loss(x, [0, 0], table)
-    (g_total,) = engine.backward(cues.generator_total_loss(adv, cue, CueConfig(lambda_pd=lam)), [x])
+    (g_total,) = engine.backward(cues.generator_total_loss(adv, cue, lam), [x])
 
     adv2 = engine.tmean(x * x)
     cue2 = cues.pd_loss(x, [0, 0], table)

@@ -7,7 +7,6 @@ import pytest
 
 from rlvc import data as datamod
 from rlvc.data import (
-    SyntheticSpec,
     ZslDataset,
     _assign_clusters,
     export_features,
@@ -17,6 +16,7 @@ from rlvc.data import (
     save_dataset,
     standardize,
 )
+from rlvc.config import Config
 from rlvc.errors import ConfigurationError, UsageError
 from rlvc.seeding import stream_rng
 
@@ -133,8 +133,8 @@ def test_export_features_empty_and_literal(tmp_path):
 
 
 def test_make_synthetic_bitwise_deterministic():
-    spec = SyntheticSpec(n_seen=6, n_unseen=2, feat_dim=8, sem_dim=4,
-                         samples_per_class=10, semantic_cluster_size=4, seed=7)
+    spec = Config(n_seen=6, n_unseen=2, feat_dim=8, sem_dim=4,
+                  samples_per_class=10, semantic_cluster_size=4, seed=7)
     a = make_synthetic(spec)
     b = make_synthetic(spec)
     assert a.features.tobytes() == b.features.tobytes()
@@ -144,14 +144,14 @@ def test_make_synthetic_bitwise_deterministic():
 
 
 def test_make_synthetic_train_row_count():
-    ds = make_synthetic(SyntheticSpec(samples_per_class=40))
+    ds = make_synthetic(Config(samples_per_class=40))
     assert int(np.sum(ds.splits == "train")) == 20 * 40 * 8 // 10
 
 
 def test_make_synthetic_mean_separation_exhaustive():
     # zero visual noise makes every sample equal its class mean, so the
     # placement floor can be scanned exactly
-    spec = SyntheticSpec(samples_per_class=5, visual_sigma=0.0, seed=3)
+    spec = Config(samples_per_class=5, visual_sigma=0.0, seed=3)
     ds = make_synthetic(spec)
     means = np.stack([ds.features[ds.labels == c][0] for c in range(ds.n_classes)])
     for i in range(ds.n_classes):
@@ -160,20 +160,20 @@ def test_make_synthetic_mean_separation_exhaustive():
 
 
 def test_make_synthetic_zero_jitter_collapses_clusters():
-    spec = SyntheticSpec(semantic_jitter=0.0, samples_per_class=5, seed=1)
+    spec = Config(semantic_jitter=0.0, samples_per_class=5, seed=1)
     ds = make_synthetic(spec)
     unique = np.unique(ds.prototypes, axis=0)
     assert unique.shape[0] == 5  # 25 classes / cluster size 5
 
 
 def test_make_synthetic_sample_means_converge():
-    spec = SyntheticSpec(
+    spec = Config(
         n_seen=16, n_unseen=4, feat_dim=8, sem_dim=4,
         samples_per_class=10_000, semantic_cluster_size=5, seed=11,
     )
     noisy = make_synthetic(spec)
     exact = make_synthetic(
-        SyntheticSpec(
+        Config(
             n_seen=16, n_unseen=4, feat_dim=8, sem_dim=4,
             samples_per_class=10_000, semantic_cluster_size=5, seed=11,
             visual_sigma=0.0,
@@ -189,8 +189,8 @@ def test_make_synthetic_sample_means_converge():
 def test_make_synthetic_rejection_exhaustion():
     # 62 classes on a one-dimensional semantic line cannot hold the
     # pairwise floor, so placement runs out of rounds
-    spec = SyntheticSpec(n_seen=60, n_unseen=2, sem_dim=1,
-                         semantic_cluster_size=1, samples_per_class=5)
+    spec = Config(n_seen=60, n_unseen=2, sem_dim=1,
+                  semantic_cluster_size=1, samples_per_class=5)
     with pytest.raises(ConfigurationError, match="separation"):
         make_synthetic(spec)
 
@@ -212,7 +212,7 @@ def test_make_synthetic_rejection_exhaustion():
 )
 def test_synthetic_spec_validation(kwargs):
     with pytest.raises(ConfigurationError):
-        SyntheticSpec(**kwargs).validate()
+        Config(**kwargs)
 
 
 def test_assign_clusters_capacities_and_pairing():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rlvc import diffusion, evaluate
+from rlvc.config import Config
 from rlvc.errors import ConfigurationError, UsageError
 from rlvc.evaluate import (
-    ClassifierConfig,
     ClassifierHead,
     EvalReport,
     harmonic_mean,
@@ -82,7 +82,7 @@ def test_head_duplicate_ids_rejected():
 
 def test_train_head_separable_reaches_perfect():
     x, y = make_separable(n_per_class=30, d=6, n_classes=3, seed=4)
-    head = train_head(x, y, [0, 1, 2], ClassifierConfig(epochs=30),
+    head = train_head(x, y, [0, 1, 2], Config(clf_epochs=30),
                       np.random.default_rng(0))
     assert macro_accuracy(head, x, y) == 1.0
 
@@ -90,7 +90,7 @@ def test_train_head_separable_reaches_perfect():
 def test_train_head_memorizes_singletons():
     x = np.eye(4) * 7.0
     y = np.arange(4)
-    head = train_head(x, y, [0, 1, 2, 3], ClassifierConfig(epochs=200),
+    head = train_head(x, y, [0, 1, 2, 3], Config(clf_epochs=200),
                       np.random.default_rng(1))
     assert macro_accuracy(head, x, y) == 1.0
 
@@ -98,7 +98,7 @@ def test_train_head_memorizes_singletons():
 def test_train_head_unknown_label_rejected():
     with pytest.raises(ConfigurationError, match="outside head"):
         train_head(np.zeros((2, 3)), np.array([0, 9]), [0, 1],
-                   ClassifierConfig(), np.random.default_rng(0))
+                   Config(), np.random.default_rng(0))
 
 
 def test_untrained_head_near_chance():
@@ -112,7 +112,7 @@ def test_untrained_head_near_chance():
 def test_head_preserves_noncontiguous_ids():
     x = np.array([[5.0, 0.0], [0.0, 5.0], [5.1, 0.1], [0.1, 5.1]])
     y = np.array([2, 9, 2, 9])
-    head = train_head(x, y, [2, 9], ClassifierConfig(epochs=40),
+    head = train_head(x, y, [2, 9], Config(clf_epochs=40),
                       np.random.default_rng(3))
     np.testing.assert_array_equal(np.unique(head.predict(x)), [2, 9])
     assert macro_accuracy(head, x, y) == 1.0
@@ -148,7 +148,7 @@ def test_synthesize_unseen_rejects_empty_budget():
 
 def test_czsl_head_covers_only_unseen():
     x, y = make_separable(n_per_class=10, d=4, n_classes=2, seed=5)
-    head = train_czsl_head(x, y + 6, ClassifierConfig(epochs=5),
+    head = train_czsl_head(x, y + 6, Config(clf_epochs=5),
                            np.random.default_rng(0))
     np.testing.assert_array_equal(head.class_ids, [6, 7])
 
@@ -156,16 +156,16 @@ def test_czsl_head_covers_only_unseen():
 def test_gzsl_head_covers_union():
     xs, ys = make_separable(n_per_class=8, d=4, n_classes=2, seed=6)
     xu, yu = make_separable(n_per_class=8, d=4, n_classes=2, seed=7)
-    head = train_gzsl_head(xs, ys, xu, yu + 2, ClassifierConfig(epochs=5),
+    head = train_gzsl_head(xs, ys, xu, yu + 2, Config(clf_epochs=5),
                            np.random.default_rng(0))
     np.testing.assert_array_equal(head.class_ids, [0, 1, 2, 3])
 
 
 def test_full_report_smoke(tiny_ds):
     gen = _tiny_gen(d=3, d_z=2)
-    sched = diffusion.build_schedule(3, 0.1, 0.4)
-    report = evaluate.full_report(gen, tiny_ds, n_per_class=6, sched=sched,
-                                  cfg=ClassifierConfig(epochs=5),
+    cfg = Config(diffusion_steps=3, beta_min=0.1, beta_max=0.4,
+                 synth_per_class=6, clf_epochs=5)
+    report = evaluate.full_report(gen, tiny_ds, config=cfg,
                                   rng=np.random.default_rng(0))
     for value in (report.czsl_acc, report.gzsl_u, report.gzsl_s, report.gzsl_h):
         assert 0.0 <= value <= 1.0

@@ -9,7 +9,7 @@ import pytest
 from rlvc import diffusion, engine, gan
 from rlvc.engine import Tensor
 from rlvc.errors import UsageError
-from rlvc.gan import CriticX0, CriticXt, Generator, GpConfig
+from rlvc.gan import CriticX0, CriticXt, Generator
 
 
 def _zero_net(net) -> None:
@@ -87,7 +87,7 @@ def test_zero_critic_loss_is_lambda_gp():
     fake = rng.normal(size=(8, 3))
     z = rng.normal(size=(8, 2))
     for lam in (10.0, 3.5):
-        loss, grads = gan.critic_x0_loss(critic, real, fake, z, GpConfig(lam), rng)
+        loss, grads = gan.critic_x0_loss(critic, real, fake, z, lam, rng)
         assert abs(loss.item() - lam) < 1e-12
         assert len(grads) == len(critic.params)
 
@@ -98,7 +98,7 @@ def test_constant_critic_wasserstein_cancels():
     real = rng.normal(size=(6, 3))
     fake = rng.normal(size=(6, 3))
     z = rng.normal(size=(6, 2))
-    loss, _ = gan.critic_x0_loss(critic, real, fake, z, GpConfig(10.0), rng)
+    loss, _ = gan.critic_x0_loss(critic, real, fake, z, 10.0, rng)
     # constant output: wasserstein terms cancel, gradient norm is 0 -> GP = 1
     assert abs(loss.item() - 10.0) < 1e-12
 
@@ -112,7 +112,7 @@ def test_unit_linear_critic_gp_vanishes():
     z = rng.normal(size=(16, 2))
     score = critic.score(real, z).data[:, 0]
     np.testing.assert_allclose(score, real @ w, atol=1e-12)
-    loss, _ = gan.critic_x0_loss(critic, real, fake, z, GpConfig(10.0), rng)
+    loss, _ = gan.critic_x0_loss(critic, real, fake, z, 10.0, rng)
     wass = -np.mean(real @ w) + np.mean(fake @ w)
     assert abs(loss.item() - wass) < 1e-10  # the whole penalty is ~0
 
@@ -130,7 +130,7 @@ def test_gp_swap_invariance_when_real_equals_fake():
     critic = CriticX0(3, 2, np.random.default_rng(10))
     batch = np.random.default_rng(11).normal(size=(5, 3))
     z = np.random.default_rng(12).normal(size=(5, 2))
-    gp = GpConfig(10.0)
+    gp = 10.0
     a, _ = gan.critic_x0_loss(critic, batch, batch, z, gp, np.random.default_rng(0))
     b, _ = gan.critic_x0_loss(critic, batch.copy(), batch.copy(), z, gp, np.random.default_rng(99))
     # the interpolation point is the shared point for every u, so even a
@@ -140,7 +140,7 @@ def test_gp_swap_invariance_when_real_equals_fake():
 
 def test_critic_x0_loss_rejects_bad_batches():
     critic = CriticX0(3, 2, np.random.default_rng(0))
-    gp = GpConfig(10.0)
+    gp = 10.0
     rng = np.random.default_rng(0)
     with pytest.raises(UsageError):
         gan.critic_x0_loss(critic, np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 2)), gp, rng)
@@ -160,7 +160,7 @@ def test_critic_xt_zero_net_loss_is_lambda_gp():
         rng.normal(size=shape),
         rng.normal(size=(6, 2)),
         np.array([0, 1, 2, 3, 0, 1]),
-        GpConfig(10.0),
+        10.0,
         rng,
     )
     assert abs(loss.item() - 10.0) < 1e-12
@@ -175,7 +175,7 @@ def test_critic_fd_spot_check():
     z = rng.normal(size=(3, 2))
 
     def loss_fn():
-        return gan.critic_x0_terms(critic, real, fake, z, GpConfig(10.0), np.random.default_rng(55))
+        return gan.critic_x0_terms(critic, real, fake, z, 10.0, np.random.default_rng(55))
 
     assert engine.finite_difference_check(loss_fn, critic.params) < 1e-4
 
@@ -242,7 +242,7 @@ def test_summed_critic_objective_zero_nets():
     xn = rng.normal(size=(4, 2))
     z = rng.normal(size=(4, 2))
     t = np.array([0, 1, 2, 3])
-    gp = GpConfig(10.0)
+    gp = 10.0
     l0, _ = gan.critic_x0_loss(cx0, real, fake, z, gp, np.random.default_rng(70))
     lt, _ = gan.critic_xt_loss(cxt, real, fake, xn, z, t, gp, np.random.default_rng(71))
     assert abs((l0.item() + lt.item()) - 20.0) < 1e-12

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rlvc import engine, reward
+from rlvc.config import Config
 from rlvc.engine import Tensor
 from rlvc.errors import ConfigurationError, NumericFailure, UsageError
 from rlvc.gan import Generator
@@ -76,14 +77,14 @@ def test_zero_init_cross_entropy_is_log_C():
 
 def test_pretrain_reaches_high_accuracy_on_separable_data():
     x, y = make_separable(200, 2, 2, seed=1)
-    model = reward.pretrain_reward(x, y, 2, epochs=30, rng=np.random.default_rng(0))
+    model = reward.pretrain_reward(x, y, 2, Config(reward_epochs=30), rng=np.random.default_rng(0))
     assert reward.reward_train_accuracy(model, x, y) >= 0.99
 
 
 def test_pretrain_terminates_on_conflicting_labels():
     x = np.zeros((4, 2))  # identical rows, conflicting labels
     y = np.array([0, 1, 0, 1])
-    model = reward.pretrain_reward(x, y, 2, epochs=5)
+    model = reward.pretrain_reward(x, y, 2, Config(reward_epochs=5))
     acc = reward.reward_train_accuracy(model, x, y)
     assert acc <= 1.0 - 1.0 / 4
 
@@ -91,12 +92,12 @@ def test_pretrain_terminates_on_conflicting_labels():
 def test_pretrain_rejects_missing_class():
     x = np.zeros((3, 2))
     with pytest.raises(ConfigurationError):
-        reward.pretrain_reward(x, np.array([0, 0, 2]), 3)
+        reward.pretrain_reward(x, np.array([0, 0, 2]), 3, Config())
 
 
 def test_frozen_params_bitwise_stable_under_rl_steps():
     x, y = make_separable(50, 3, 2, seed=2)
-    model = reward.pretrain_reward(x, y, 2, epochs=10)
+    model = reward.pretrain_reward(x, y, 2, Config(reward_epochs=10))
     w_before = model.weight.tobytes()
     b_before = model.bias.tobytes()
 

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from rlvc import nets
-from rlvc.data import SyntheticSpec, make_synthetic
+from rlvc.config import Config
+from rlvc.data import make_synthetic
 from rlvc.errors import ConfigurationError, NumericFailure
-from rlvc.evaluate import ClassifierConfig
 from rlvc.reward import pretrain_reward
 from rlvc.trainer import (
     METRICS_COLUMNS,
-    TrainConfig,
     train,
     update_counters,
     write_metrics,
@@ -23,28 +22,28 @@ def _reward_for(ds, seed=0):
     train_x, train_y = ds.train
     seen = sorted(int(c) for c in ds.seen_classes)
     rows = np.asarray([seen.index(int(c)) for c in train_y])
-    return pretrain_reward(train_x, rows, len(seen), epochs=20,
+    return pretrain_reward(train_x, rows, len(seen), Config(reward_epochs=20),
                            rng=np.random.default_rng(seed))
 
 
 def _small_ds(seed=0):
-    return make_synthetic(SyntheticSpec(
+    return make_synthetic(Config(
         n_seen=4, n_unseen=2, feat_dim=8, sem_dim=4, samples_per_class=10,
         semantic_cluster_size=3, seed=seed,
     ))
 
 
 def _cfg(**kw):
-    base = dict(total_epochs=2, rl_start_epoch=0, batch_size=16,
+    base = dict(epochs=2, rl_start_epoch=0, batch_size=16,
                 synth_per_class=4, seed=0)
     base.update(kw)
-    return TrainConfig(**base)
+    return Config(**base)
 
 
 def test_rl_phase_gate_counts():
     ds = _small_ds()
     rm = _reward_for(ds)
-    cfg = _cfg(total_epochs=10, rl_start_epoch=6)
+    cfg = _cfg(epochs=10, rl_start_epoch=6)
     result = train(ds, rm, cfg)
     n_train = ds.train[0].shape[0]
     batches = -(-n_train // cfg.batch_size)
@@ -62,14 +61,14 @@ def test_rl_phase_gate_counts():
 
 def test_rl_from_first_epoch():
     ds = _small_ds()
-    result = train(ds, _reward_for(ds), _cfg(total_epochs=3, rl_start_epoch=0))
+    result = train(ds, _reward_for(ds), _cfg(epochs=3, rl_start_epoch=0))
     batches = -(-ds.train[0].shape[0] // 16)
     assert sum(c.rl_updates for c in result.counters) == 3 * batches
 
 
 def test_rl_never_activates_when_start_beyond_end():
     ds = _small_ds()
-    result = train(ds, _reward_for(ds), _cfg(total_epochs=3, rl_start_epoch=30))
+    result = train(ds, _reward_for(ds), _cfg(epochs=3, rl_start_epoch=30))
     assert all(c.rl_updates == 0 for c in result.counters)
     assert result.baseline.writes == 0
     for row in result.metrics:
@@ -83,8 +82,8 @@ def test_pre_activation_epochs_leave_no_rl_trace():
     # gate provably does nothing before its epoch
     ds = _small_ds()
     rm = _reward_for(ds)
-    a = train(ds, rm, _cfg(total_epochs=2, rl_start_epoch=2))
-    b = train(ds, None, _cfg(total_epochs=2, rl_start_epoch=2, use_rl=False))
+    a = train(ds, rm, _cfg(epochs=2, rl_start_epoch=2))
+    b = train(ds, None, _cfg(epochs=2, rl_start_epoch=2, use_rl=False))
     for pa, pb in zip(a.generator.params, b.generator.params):
         assert pa.data.tobytes() == pb.data.tobytes()
 
@@ -92,8 +91,8 @@ def test_pre_activation_epochs_leave_no_rl_trace():
 def test_rl_step_changes_generator():
     ds = _small_ds()
     rm = _reward_for(ds)
-    a = train(ds, rm, _cfg(total_epochs=3, rl_start_epoch=2))
-    b = train(ds, None, _cfg(total_epochs=3, rl_start_epoch=2, use_rl=False))
+    a = train(ds, rm, _cfg(epochs=3, rl_start_epoch=2))
+    b = train(ds, None, _cfg(epochs=3, rl_start_epoch=2, use_rl=False))
     same = all(
         pa.data.tobytes() == pb.data.tobytes()
         for pa, pb in zip(a.generator.params, b.generator.params)
@@ -103,7 +102,7 @@ def test_rl_step_changes_generator():
 
 def test_multiple_critic_steps():
     ds = _small_ds()
-    result = train(ds, None, _cfg(total_epochs=1, use_rl=False, critic_steps=5))
+    result = train(ds, None, _cfg(epochs=1, use_rl=False, critic_steps=5))
     batches = -(-ds.train[0].shape[0] // 16)
     assert result.counters[0].critic_updates == 5 * batches
     assert result.counters[0].gen_updates == batches
@@ -131,7 +130,7 @@ def test_raw_reward_disables_baseline_columns():
 def test_metrics_log_byte_identical_across_runs(tmp_path):
     ds = _small_ds()
     rm = _reward_for(ds)
-    cfg = _cfg(total_epochs=3, eval_interval=2)
+    cfg = _cfg(epochs=3, eval_interval=2)
     train(ds, rm, cfg, out_dir=tmp_path / "a")
     train(ds, rm, cfg, out_dir=tmp_path / "b")
     log_a = (tmp_path / "a" / "metrics.csv").read_bytes()
@@ -144,9 +143,8 @@ def test_metrics_log_byte_identical_across_runs(tmp_path):
 
 def test_eval_rows_follow_interval():
     ds = _small_ds()
-    result = train(ds, None, _cfg(total_epochs=5, use_rl=False, use_cues=False,
-                                  eval_interval=2),
-                   clf_cfg=ClassifierConfig(epochs=3))
+    result = train(ds, None, _cfg(epochs=5, use_rl=False, use_cues=False,
+                                  eval_interval=2, clf_epochs=3))
     evaluated = [row.epoch for row in result.metrics if not np.isnan(row.czsl_acc)]
     assert evaluated == [1, 3, 4]
     assert sorted(result.reports) == [1, 3, 4]
@@ -156,7 +154,7 @@ def test_eval_rows_follow_interval():
 
 def test_checkpoint_round_trip(tmp_path):
     ds = _small_ds()
-    result = train(ds, None, _cfg(total_epochs=2, use_rl=False,
+    result = train(ds, None, _cfg(epochs=2, use_rl=False,
                                   checkpoint_interval=1),
                    out_dir=tmp_path / "run")
     net = nets.load_checkpoint(tmp_path / "run" / "generator.ckpt",
@@ -169,7 +167,7 @@ def test_checkpoint_round_trip(tmp_path):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_abort_names_position():
     ds = _small_ds()
-    cfg = _cfg(total_epochs=2, use_rl=False, use_cues=False,
+    cfg = _cfg(epochs=2, use_rl=False, use_cues=False,
                lr_adv=1e200, critic_steps=3)
     with pytest.raises(NumericFailure, match=r"epoch 0, batch \d+"):
         train(ds, None, cfg)
@@ -184,28 +182,28 @@ def test_rl_requires_reward_model():
 def test_reward_model_coverage_mismatch():
     ds = _small_ds()
     wrong = pretrain_reward(np.random.default_rng(0).normal(size=(12, 8)),
-                            np.array([0, 1, 2] * 4), 3, epochs=1)
+                            np.array([0, 1, 2] * 4), 3, Config(reward_epochs=1))
     with pytest.raises(ConfigurationError, match="covers"):
         train(ds, wrong, _cfg())
 
 
 def test_config_validation():
     for bad in (
-        dict(total_epochs=0),
+        dict(epochs=0),
         dict(rl_start_epoch=-1),
         dict(lr_rl=0.0),
         dict(ema_alpha=1.0),
-        dict(cue_variant="huber"),
+        dict(cue_loss="huber"),
         dict(synth_per_class=0),
         dict(lambda_pd=-1.0),
     ):
         with pytest.raises(ConfigurationError):
-            _cfg(**bad).validate()
+            _cfg(**bad)
 
 
 def test_counters_snapshot_is_detached():
     ds = _small_ds()
-    result = train(ds, None, _cfg(total_epochs=1, use_rl=False))
+    result = train(ds, None, _cfg(epochs=1, use_rl=False))
     snap = update_counters(result)
     snap[0].gen_updates = 999
     assert result.counters[0].gen_updates != 999
@@ -214,7 +212,7 @@ def test_counters_snapshot_is_detached():
 
 def test_networks_are_disjoint():
     ds = _small_ds()
-    result = train(ds, None, _cfg(total_epochs=1, use_rl=False))
+    result = train(ds, None, _cfg(epochs=1, use_rl=False))
     gen_ids = {id(p) for p in result.generator.params}
     critic_ids = {id(p) for p in result.critic_x0.params + result.critic_xt.params}
     assert gen_ids.isdisjoint(critic_ids)
@@ -222,7 +220,7 @@ def test_networks_are_disjoint():
 
 def test_write_metrics_matches_streamed_log(tmp_path):
     ds = _small_ds()
-    cfg = _cfg(total_epochs=2, use_rl=False)
+    cfg = _cfg(epochs=2, use_rl=False)
     result = train(ds, None, cfg, out_dir=tmp_path / "run")
     write_metrics(result.metrics, tmp_path / "rewritten.csv")
     assert (tmp_path / "rewritten.csv").read_bytes() == (
@@ -233,7 +231,7 @@ def test_write_metrics_matches_streamed_log(tmp_path):
 def test_smoke_losses_finite_and_logged():
     ds = _small_ds(seed=3)
     rm = _reward_for(ds, seed=3)
-    result = train(ds, rm, _cfg(total_epochs=4, rl_start_epoch=1, seed=3))
+    result = train(ds, rm, _cfg(epochs=4, rl_start_epoch=1, seed=3))
     assert len(result.metrics) == 4
     for row in result.metrics:
         assert np.isfinite(row.critic_loss)
