@@ -1,11 +1,13 @@
-"""Reverse-mode automatic differentiation over numpy float64 arrays.
+"""First-order reverse-mode automatic differentiation over numpy float64
+arrays.
 
 The op set is deliberately small: affine maps, leaky-relu, softmax pieces
 (exp/log/max-shift), means and sums, norms, concatenation, and elementwise
-arithmetic. Every vector-Jacobian callback builds Tensors out of these same
-ops, so a gradient is itself a differentiable graph node. That is what lets
-the gradient-penalty loss (a function of an input gradient) be differentiated
-w.r.t. critic parameters with a second reverse pass.
+arithmetic. Each op records its parents and one vector-Jacobian callback per
+parent; a callback maps an ndarray to an ndarray, so a reverse pass builds no
+graph. Nothing here differentiates a gradient: the gradient penalty's input
+gradient is written in closed form for the critics' MLPs
+(`nets.DenseNet.input_grad`) and is an ordinary graph node of the weights.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class Tensor:
         data,
         requires_grad: bool = False,
         _parents: tuple["Tensor", ...] = (),
-        _vjps: tuple[Callable[["Tensor"], "Tensor"], ...] = (),
+        _vjps: tuple[Callable[[Array], Array], ...] = (),
     ):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) or any(
@@ -119,28 +121,17 @@ def as_batch(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
 
 
-def constant(x) -> Tensor:
-    """A graph leaf that never receives gradient."""
-    return Tensor(np.asarray(x, dtype=np.float64))
-
-
-def stop_gradient(x: Tensor) -> Tensor:
-    """Value of x, detached from the graph."""
-    return Tensor(as_tensor(x).data)
-
-
-def _reduce_to(g: Tensor, shape: tuple) -> Tensor:
+def _reduce_to(g: Array, shape: tuple) -> Array:
     # Inverse of numpy broadcasting: sum g down to `shape`.
     if g.shape == shape:
         return g
-    extra = g.ndim - len(shape)
-    for _ in range(extra):
-        g = tsum(g, axis=0)
+    for _ in range(g.ndim - len(shape)):
+        g = np.sum(g, axis=0)
     for ax, n in enumerate(shape):
         if n == 1 and g.shape[ax] != 1:
-            g = tsum(g, axis=ax, keepdims=True)
+            g = np.sum(g, axis=ax, keepdims=True)
     if g.shape != shape:
-        g = reshape(g, shape)
+        g = g.reshape(shape)
     return g
 
 
@@ -158,10 +149,7 @@ def sub(a, b) -> Tensor:
     return Tensor(
         a.data - b.data,
         _parents=(a, b),
-        _vjps=(
-            lambda u: _reduce_to(u, a.shape),
-            lambda u: _reduce_to(neg(u), b.shape),
-        ),
+        _vjps=(lambda u: _reduce_to(u, a.shape), lambda u: _reduce_to(-u, b.shape)),
     )
 
 
@@ -171,8 +159,8 @@ def mul(a, b) -> Tensor:
         a.data * b.data,
         _parents=(a, b),
         _vjps=(
-            lambda u: _reduce_to(mul(u, b), a.shape),
-            lambda u: _reduce_to(mul(u, a), b.shape),
+            lambda u: _reduce_to(u * b.data, a.shape),
+            lambda u: _reduce_to(u * a.data, b.shape),
         ),
     )
 
@@ -183,15 +171,15 @@ def div(a, b) -> Tensor:
         a.data / b.data,
         _parents=(a, b),
         _vjps=(
-            lambda u: _reduce_to(div(u, b), a.shape),
-            lambda u: _reduce_to(neg(div(mul(u, a), mul(b, b))), b.shape),
+            lambda u: _reduce_to(u / b.data, a.shape),
+            lambda u: _reduce_to(-((u * a.data) / (b.data * b.data)), b.shape),
         ),
     )
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return Tensor(-a.data, _parents=(a,), _vjps=(lambda u: neg(u),))
+    return Tensor(-a.data, _parents=(a,), _vjps=(lambda u: -u,))
 
 
 def matmul(a, b) -> Tensor:
@@ -205,10 +193,7 @@ def matmul(a, b) -> Tensor:
     return Tensor(
         a.data @ b.data,
         _parents=(a, b),
-        _vjps=(
-            lambda u: matmul(u, transpose(b)),
-            lambda u: matmul(transpose(a), u),
-        ),
+        _vjps=(lambda u: u @ b.data.T, lambda u: a.data.T @ u),
     )
 
 
@@ -216,45 +201,26 @@ def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
         raise UsageError("transpose expects a 2-D tensor")
-    return Tensor(a.data.T, _parents=(a,), _vjps=(lambda u: transpose(u),))
+    return Tensor(a.data.T, _parents=(a,), _vjps=(lambda u: u.T,))
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     old = a.shape
-    return Tensor(
-        a.data.reshape(shape), _parents=(a,), _vjps=(lambda u: reshape(u, old),)
-    )
-
-
-def broadcast_to(a, shape) -> Tensor:
-    a = as_tensor(a)
-    old = a.shape
-    return Tensor(
-        np.broadcast_to(a.data, shape).copy(),
-        _parents=(a,),
-        _vjps=(lambda u: _reduce_to(u, old),),
-    )
+    return Tensor(a.data.reshape(shape), _parents=(a,), _vjps=(lambda u: u.reshape(old),))
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     in_shape = a.shape
-    in_ndim = a.ndim
-
-    def vjp(u: Tensor) -> Tensor:
-        if axis is None:
-            return broadcast_to(reshape(u, (1,) * in_ndim), in_shape)
-        g = u
-        if not keepdims:
-            kd = list(in_shape)
-            for ax in np.atleast_1d(axis):
-                kd[int(ax)] = 1
-            g = reshape(g, tuple(kd))
-        return broadcast_to(g, in_shape)
-
+    total = np.sum(a.data, axis=axis, keepdims=True)
+    kept = total.shape
+    # The copy matters: a zero-stride view used as a matmul operand rounds
+    # differently from the same values laid out contiguously.
     return Tensor(
-        np.sum(a.data, axis=axis, keepdims=keepdims), _parents=(a,), _vjps=(vjp,)
+        total if keepdims else np.squeeze(total, axis=axis),
+        _parents=(a,),
+        _vjps=(lambda u: np.broadcast_to(u.reshape(kept), in_shape).copy(),),
     )
 
 
@@ -271,56 +237,56 @@ def powc(a, k) -> Tensor:
     a = as_tensor(a)
     k = float(k)
     return Tensor(
-        a.data**k,
-        _parents=(a,),
-        _vjps=(lambda u: mul(mul(u, k), powc(a, k - 1.0)),),
+        a.data**k, _parents=(a,), _vjps=(lambda u: (u * k) * a.data ** (k - 1.0),)
     )
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.sqrt(a.data), _parents=(a,), _vjps=())
-    out._vjps = (lambda u: div(mul(u, 0.5), out),)
-    return out
+    root = np.sqrt(a.data)
+    return Tensor(root, _parents=(a,), _vjps=(lambda u: (u * 0.5) / root,))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.exp(a.data), _parents=(a,), _vjps=())
-    out._vjps = (lambda u: mul(u, out),)
-    return out
+    value = np.exp(a.data)
+    return Tensor(value, _parents=(a,), _vjps=(lambda u: u * value,))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    return Tensor(np.log(a.data), _parents=(a,), _vjps=(lambda u: div(u, a),))
+    return Tensor(np.log(a.data), _parents=(a,), _vjps=(lambda u: u / a.data,))
 
 
 def absval(a) -> Tensor:
     a = as_tensor(a)
-    sign = Tensor(np.sign(a.data))
-    return Tensor(np.abs(a.data), _parents=(a,), _vjps=(lambda u: mul(u, sign),))
+    sign = np.sign(a.data)
+    return Tensor(np.abs(a.data), _parents=(a,), _vjps=(lambda u: u * sign,))
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
     a = as_tensor(a)
     # The derivative mask is locally constant, so treating it as data is
     # exact away from the kinks.
-    mask = Tensor(np.where(a.data > 0.0, 1.0, slope))
+    mask = np.where(a.data > 0.0, 1.0, slope)
     return Tensor(
         np.where(a.data > 0.0, a.data, slope * a.data),
         _parents=(a,),
-        _vjps=(lambda u: mul(u, mask),),
+        _vjps=(lambda u: u * mask,),
     )
 
 
 def maximum_const(a, c: float) -> Tensor:
     """Elementwise max with a constant; used as a floor guard."""
     a = as_tensor(a)
-    mask = Tensor((a.data >= c).astype(np.float64))
-    return Tensor(
-        np.maximum(a.data, c), _parents=(a,), _vjps=(lambda u: mul(u, mask),)
-    )
+    mask = (a.data >= c).astype(np.float64)
+    return Tensor(np.maximum(a.data, c), _parents=(a,), _vjps=(lambda u: u * mask,))
+
+
+def _axis_index(ndim: int, start: int, stop: int, axis: int) -> tuple:
+    idx = [slice(None)] * ndim
+    idx[axis] = slice(start, stop)
+    return tuple(idx)
 
 
 def concat(parts: Sequence, axis: int = 1) -> Tensor:
@@ -332,9 +298,9 @@ def concat(parts: Sequence, axis: int = 1) -> Tensor:
         raise ConfigurationError("concat rank mismatch")
     offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
     vjps = []
-    for i, p in enumerate(parts):
-        start, stop = int(offsets[i]), int(offsets[i + 1])
-        vjps.append(lambda u, s=start, e=stop: slice_axis(u, s, e, axis))
+    for i in range(len(parts)):
+        idx = _axis_index(nd, int(offsets[i]), int(offsets[i + 1]), axis)
+        vjps.append(lambda u, idx=idx: u[idx])
     return Tensor(
         np.concatenate([p.data for p in parts], axis=axis),
         _parents=tuple(parts),
@@ -344,27 +310,14 @@ def concat(parts: Sequence, axis: int = 1) -> Tensor:
 
 def slice_axis(a, start: int, stop: int, axis: int = 1) -> Tensor:
     a = as_tensor(a)
-    total = a.shape[axis]
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, stop)
-    return Tensor(
-        a.data[tuple(idx)],
-        _parents=(a,),
-        _vjps=(lambda u: _pad_axis(u, start, stop, axis, total),),
-    )
+    idx = _axis_index(a.ndim, start, stop, axis)
 
+    def vjp(u: Array) -> Array:
+        out = np.zeros(a.shape, dtype=np.float64)
+        out[idx] = u
+        return out
 
-def _pad_axis(a: Tensor, start: int, stop: int, axis: int, total: int) -> Tensor:
-    a = as_tensor(a)
-    shape = list(a.shape)
-    shape[axis] = total
-    out = np.zeros(shape, dtype=np.float64)
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, stop)
-    out[tuple(idx)] = a.data
-    return Tensor(
-        out, _parents=(a,), _vjps=(lambda u: slice_axis(u, start, stop, axis),)
-    )
+    return Tensor(a.data[idx], _parents=(a,), _vjps=(vjp,))
 
 
 def log_softmax(a, axis: int = 1) -> Tensor:
@@ -384,11 +337,10 @@ def softmax(a, axis: int = 1) -> Tensor:
     return exp(log_softmax(a, axis=axis))
 
 
-def grad(output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor]:
-    """Gradients of a scalar output w.r.t. each input, as graph nodes.
+def grad(output: Tensor, inputs: Sequence[Tensor]) -> list[Array]:
+    """Gradients of a scalar output w.r.t. each input, as arrays.
 
-    A second call on anything built from the returned tensors differentiates
-    through the first reverse pass.
+    Zeros for an input the output does not reach.
     """
     if not isinstance(output, Tensor):
         raise UsageError("grad target must be a Tensor")
@@ -412,7 +364,7 @@ def grad(output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor]:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
 
-    grads: dict[int, Tensor] = {id(output): Tensor(np.ones_like(output.data))}
+    grads: dict[int, Array] = {id(output): np.ones_like(output.data)}
     for node in reversed(topo):
         g = grads.get(id(node))
         if g is None:
@@ -422,18 +374,14 @@ def grad(output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor]:
                 continue
             contribution = vjp(g)
             seen = grads.get(id(p))
-            grads[id(p)] = contribution if seen is None else add(seen, contribution)
+            grads[id(p)] = contribution if seen is None else seen + contribution
 
-    out = []
-    for x in inputs:
-        g = grads.get(id(x))
-        out.append(g if g is not None else Tensor(np.zeros_like(x.data)))
-    return out
+    return [grads[id(x)] if id(x) in grads else np.zeros_like(x.data) for x in inputs]
 
 
 def backward(output: Tensor, inputs: Sequence[Tensor]) -> list[Array]:
-    """Like grad() but returns detached arrays."""
-    return [g.data for g in grad(output, inputs)]
+    """The reverse pass that optimizer steps call: grad() by another name."""
+    return grad(output, inputs)
 
 
 def finite_difference_check(

@@ -100,28 +100,35 @@ class CriticXt:
     def params(self) -> list[Tensor]:
         return self.net.params
 
-    def score(self, x_t, x_next, z, t) -> Tensor:
-        x_t = engine.as_batch(x_t)
-        x_next = engine.as_batch(x_next)
-        z = engine.as_batch(z)
+    def condition(self, x_next, z, t) -> np.ndarray:
+        """The fixed input columns that follow x_t: x_next, z, then the
+        timestep embedding."""
+        x_next = engine.as_batch(x_next).data
+        z = engine.as_batch(z).data
         t = np.asarray(t)
         if t.size == 1:
-            t = np.full(x_t.shape[0], int(t.reshape(-1)[0]))
-        temb = Tensor(timestep_embedding(t, self.temb_dim))
-        return self.net.forward(engine.concat([x_t, x_next, z, temb], axis=1))
+            t = np.full(x_next.shape[0], int(t.reshape(-1)[0]))
+        return np.concatenate([x_next, z, timestep_embedding(t, self.temb_dim)], axis=1)
+
+    def score(self, x_t, x_next, z, t) -> Tensor:
+        cond = Tensor(self.condition(x_next, z, t))
+        return self.net.forward(engine.concat([engine.as_batch(x_t), cond], axis=1))
 
 
-def gradient_norms(score_of, x_hat: Tensor) -> Tensor:
-    """Per-row L2 norm of d score / d x_hat, as a differentiable node."""
-    s = engine.tsum(score_of(x_hat))
-    g = engine.grad(s, [x_hat])[0]
+def gradient_norms(net: DenseNet, x_hat: np.ndarray, cond: np.ndarray) -> Tensor:
+    """Per-row L2 norm of d sum(net) / d x_hat, as a graph node of the net's
+    weights. The net's input is x_hat followed by the conditioning columns
+    `cond`, which are held fixed."""
+    inp = np.concatenate([x_hat, cond], axis=1)
+    g = engine.slice_axis(net.input_grad(inp), 0, x_hat.shape[1])
     return engine.sqrt(engine.maximum_const(engine.tsum(g * g, axis=1), _NORM_FLOOR))
 
 
-def _gradient_penalty(score_of, real: np.ndarray, fake: np.ndarray, rng) -> Tensor:
+def _gradient_penalty(net: DenseNet, real, fake, cond, rng) -> Tensor:
+    # Interpolation (and the norm) run over the discriminated argument only;
+    # the conditioning stays fixed.
     u = rng.uniform(size=(real.shape[0], 1))
-    x_hat = Tensor(u * real + (1.0 - u) * fake, requires_grad=True)
-    norms = gradient_norms(score_of, x_hat)
+    norms = gradient_norms(net, u * real + (1.0 - u) * fake, cond)
     return engine.tmean((norms - 1.0) ** 2.0)
 
 
@@ -139,12 +146,8 @@ def critic_x0_terms(critic: CriticX0, real_x0, fake_x0, z, lambda_gp: float, rng
     z = _as_const_batch(z, "critic_x0_loss z")
     if not (real.shape == fake.shape and real.shape[0] == z.shape[0]):
         raise UsageError("critic_x0_loss: batch shapes disagree")
-    z_t = Tensor(z)
-    wass = -engine.tmean(critic.score(Tensor(real), z_t)) + engine.tmean(
-        critic.score(Tensor(fake), z_t)
-    )
-    penalty = _gradient_penalty(lambda xh: critic.score(xh, z_t), real, fake, rng)
-    return wass + lambda_gp * penalty
+    wass = -engine.tmean(critic.score(real, z)) + engine.tmean(critic.score(fake, z))
+    return wass + lambda_gp * _gradient_penalty(critic.net, real, fake, z, rng)
 
 
 def critic_x0_loss(critic, real_x0, fake_x0, z, lambda_gp: float, rng):
@@ -163,16 +166,11 @@ def critic_xt_terms(critic: CriticXt, real_xt, fake_xt, x_next, z, t, lambda_gp:
     z = _as_const_batch(z, "critic_xt_loss z")
     if not (real.shape == fake.shape == x_next.shape and real.shape[0] == z.shape[0]):
         raise UsageError("critic_xt_loss: batch shapes disagree")
-    xn_t, z_t = Tensor(x_next), Tensor(z)
-    wass = -engine.tmean(critic.score(Tensor(real), xn_t, z_t, t)) + engine.tmean(
-        critic.score(Tensor(fake), xn_t, z_t, t)
+    wass = -engine.tmean(critic.score(real, x_next, z, t)) + engine.tmean(
+        critic.score(fake, x_next, z, t)
     )
-    # Interpolation (and the norm) run over the discriminated argument only;
-    # the conditioning stays fixed.
-    penalty = _gradient_penalty(
-        lambda xh: critic.score(xh, xn_t, z_t, t), real, fake, rng
-    )
-    return wass + lambda_gp * penalty
+    cond = critic.condition(x_next, z, t)
+    return wass + lambda_gp * _gradient_penalty(critic.net, real, fake, cond, rng)
 
 
 def critic_xt_loss(critic, real_xt, fake_xt, x_next, z, t, lambda_gp: float, rng):
@@ -198,25 +196,13 @@ def generator_adv_terms(
     The transition sample is reparameterized (posterior mean + sigma * eps
     with eps fixed), so gradient reaches the generator through both critics.
     """
-    z = _as_const_batch(z, "generator_adv_loss z")
-    x_next = _as_const_batch(x_next, "generator_adv_loss x_next")
+    z = _as_const_batch(z, "generator_adv_terms z")
+    x_next = _as_const_batch(x_next, "generator_adv_terms x_next")
     t = np.asarray(t).reshape(-1)
     x0_tilde = gen.synthesize(eps_gen, z, x_next, t + 1)
     c1, c2, sigma2 = diffusion.posterior_coeffs(sched, t)
     xt_tilde = Tensor(c1) * x0_tilde + Tensor(c2 * x_next + np.sqrt(sigma2) * eps_post)
-    loss = -engine.tmean(critic_x0.score(x0_tilde, Tensor(z))) - engine.tmean(
-        critic_xt.score(xt_tilde, Tensor(x_next), Tensor(z), t)
+    loss = -engine.tmean(critic_x0.score(x0_tilde, z)) - engine.tmean(
+        critic_xt.score(xt_tilde, x_next, z, t)
     )
     return loss, x0_tilde
-
-
-def generator_adv_loss(gen, critic_x0, critic_xt, z, x_next, t, sched, eps_gen, eps_post):
-    """Adversarial generator loss with gradients w.r.t. generator parameters.
-
-    Critics are frozen here: their parameters receive no update from this
-    loss (gradients are taken for the generator only).
-    """
-    loss, _ = generator_adv_terms(
-        gen, critic_x0, critic_xt, z, x_next, t, sched, eps_gen, eps_post
-    )
-    return loss, engine.backward(loss, gen.params)

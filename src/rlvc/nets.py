@@ -75,6 +75,26 @@ class DenseNet:
                 h = engine.leaky_relu(h, self.slope)
         return h
 
+    def input_grad(self, x) -> Tensor:
+        """Gradient of sum(forward(x)) w.r.t. each row of x, as a graph node
+        of the weights: ones @ W_L @ D_{L-1} @ ... @ D_1 @ W_1 per row.
+
+        The leaky-relu masks D are held constant, as the forward pass's own
+        derivative holds them. They come from a forward pass over x that
+        calls engine.leaky_relu, so anything that observes that op also sees
+        x's pre-activations.
+        """
+        h = engine.as_batch(x).data
+        masks = []
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            pre = Tensor(h @ w.data.T + b.data)
+            masks.append(Tensor(np.where(pre.data > 0.0, 1.0, self.slope)))
+            h = engine.leaky_relu(pre, self.slope).data
+        g = Tensor(np.ones((h.shape[0], self.layer_dims[-1]))) @ self.weights[-1]
+        for w, mask in zip(reversed(self.weights[:-1]), reversed(masks)):
+            g = (g * mask) @ w
+        return g
+
     def set_params(self, arrays: Sequence[np.ndarray]) -> None:
         params = self.params
         if len(arrays) != len(params):

@@ -122,8 +122,27 @@ def test_gradient_norms_of_linear_critic():
     critic = _unit_linear_critic_x0(w)
     x_hat = Tensor(np.random.default_rng(1).normal(size=(4, 3)), requires_grad=True)
     z = Tensor(np.zeros((4, 2)))
-    norms = gan.gradient_norms(lambda xh: critic.score(xh, z), x_hat)
+    norms = gan.gradient_norms(critic.net, x_hat.data, z.data)
     np.testing.assert_allclose(norms.data, np.full(4, 5.0), atol=1e-12)
+
+
+def test_gradient_norms_match_central_differences_of_xt_critic():
+    # only the x_hat columns of the transition critic's input are
+    # differentiated; the conditioning that score builds stays fixed
+    rng = np.random.default_rng(40)
+    critic = CriticXt(3, 2, rng, hidden_mult=2, temb_dim=4)
+    x_hat, x_next, z = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+    t = np.array([0, 1, 2, 3])
+    step = 1e-6
+    fd = np.zeros_like(x_hat)
+    for idx in np.ndindex(*x_hat.shape):
+        hi, lo = x_hat.copy(), x_hat.copy()
+        hi[idx] += step
+        lo[idx] -= step
+        diff = critic.score(hi, x_next, z, t).data.sum() - critic.score(lo, x_next, z, t).data.sum()
+        fd[idx] = diff / (2.0 * step)
+    norms = gan.gradient_norms(critic.net, x_hat, critic.condition(x_next, z, t))
+    np.testing.assert_allclose(norms.data, np.linalg.norm(fd, axis=1), rtol=1e-6)
 
 
 def test_gp_swap_invariance_when_real_equals_fake():
@@ -197,12 +216,13 @@ def test_generator_adv_loss_constant_critics():
     arrays[-1][:] = -0.75
     cxt.net.set_params(arrays)
 
-    loss, grads = gan.generator_adv_loss(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
+    loss, _ = gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
     assert abs(loss.item() - (-1.25 + 0.75)) < 1e-12
 
     _zero_net(cx0.net)
     _zero_net(cxt.net)
-    loss0, grads0 = gan.generator_adv_loss(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
+    loss0, _ = gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
+    grads0 = engine.backward(loss0, gen.params)
     assert loss0.item() == 0.0
     for g in grads0:
         np.testing.assert_array_equal(g, np.zeros_like(g))

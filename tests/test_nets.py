@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from rlvc import nets
+from rlvc import engine, nets
 from rlvc.engine import Tensor
 from rlvc.errors import ConfigurationError, NumericFailure, UsageError
 from rlvc.nets import (
@@ -79,6 +79,51 @@ def test_forward_input_errors():
         DenseNet([3], np.random.default_rng(0))
     with pytest.raises(ConfigurationError):
         DenseNet([3, 0, 1], np.random.default_rng(0))
+
+
+def _pre_activations(net, x):
+    pres, h = [], x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        pres.append(h @ w.data.T + b.data)
+        h = np.where(pres[-1] > 0.0, pres[-1], net.slope * pres[-1])
+    return pres
+
+
+def _central_input_grad(net, x, step=1e-6):
+    out = np.zeros_like(x)
+    for idx in np.ndindex(*x.shape):
+        hi, lo = x.copy(), x.copy()
+        hi[idx] += step
+        lo[idx] -= step
+        diff = net.forward(Tensor(hi)).data.sum() - net.forward(Tensor(lo)).data.sum()
+        out[idx] = diff / (2.0 * step)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_input_grad_matches_central_differences(seed):
+    rng = np.random.default_rng(seed)
+    net = DenseNet([5, 7, 6, 2], rng, slope=0.3)
+    net.set_params([p.data + 0.1 * rng.normal(size=p.shape) for p in net.params])
+    x = rng.normal(size=(4, 5))
+    pres = _pre_activations(net, x)
+    # both mask branches are active, and every stencil stays off the kinks
+    assert all((p > 0.0).any() and (p < 0.0).any() for p in pres)
+    assert min(np.abs(p).min() for p in pres) > 1e-4
+    g = net.input_grad(x)
+    assert g.shape == x.shape
+    np.testing.assert_allclose(g.data, _central_input_grad(net, x), rtol=1e-6, atol=1e-8)
+
+
+def test_input_grad_is_a_graph_node_of_the_weights():
+    rng = np.random.default_rng(4)
+    net = DenseNet([3, 5, 4, 1], rng)
+    x = rng.normal(size=(6, 3))
+    assert min(np.abs(p).min() for p in _pre_activations(net, x)) > 1e-3
+    err = engine.finite_difference_check(
+        lambda: engine.tsum(net.input_grad(x) ** 2.0), net.params
+    )
+    assert err < 1e-6
 
 
 def test_set_params_validates():

@@ -1,16 +1,23 @@
 """No dead helpers: every public top-level function and class of the package,
-and every public method, is named somewhere in src/, tests/ or perfbench/
-outside its own definition."""
+and every public method, is used by code somewhere in src/, tests/ or
+perfbench/ outside its own definition.
+
+A use is a name, an attribute, an imported name, or a word of a string
+literal that is not a docstring (perfbench names its trace targets in
+strings). Comments and docstrings do not count: prose that mentions a helper
+does not keep it alive."""
 
 from __future__ import annotations
 
 import ast
 import re
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rlvc"
 SEARCHED = ("src", "tests", "perfbench")
+WORD = re.compile(r"\w+")
 
 
 def _public_definitions(tree: ast.Module):
@@ -24,25 +31,53 @@ def _public_definitions(tree: ast.Module):
                     yield item
 
 
+def _docstrings(tree: ast.Module) -> set[int]:
+    """ids of the string constants that are docstrings."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                found.add(id(first.value))
+    return found
+
+
+def _uses(tree: ast.Module):
+    """(line, name) of every name the module's code uses."""
+    docstrings = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias):
+            for word in WORD.findall(node.name):
+                yield node.lineno, word
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            for word in WORD.findall(node.value):
+                yield node.lineno, word
+
+
 def unused_definitions() -> list[str]:
-    """`file:line name` of each public definition never named elsewhere."""
-    sources = {
-        path: path.read_text().splitlines()
+    """`file:line name` of each public definition no code uses elsewhere."""
+    trees = {
+        path: ast.parse(path.read_text())
         for top in SEARCHED
         for path in sorted((ROOT / top).rglob("*.py"))
     }
+    used_at = defaultdict(list)
+    for path, tree in trees.items():
+        for line, name in _uses(tree):
+            used_at[name].append((path, line))
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in _public_definitions(ast.parse("\n".join(sources[path]))):
-            pattern = re.compile(rf"\b{re.escape(node.name)}\b")
-            own = range(node.lineno - 1, node.end_lineno)
-            named = any(
-                pattern.search(line)
-                for p, lines in sources.items()
-                for i, line in enumerate(lines)
-                if not (p == path and i in own)
-            )
-            if not named:
+        for node in _public_definitions(trees[path]):
+            own = range(node.lineno, node.end_lineno + 1)
+            if all(p == path and line in own for p, line in used_at[node.name]):
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     return unused
 
