@@ -1,12 +1,15 @@
 """First-order reverse-mode automatic differentiation over numpy float64
 arrays.
 
-The op set is deliberately small: affine maps, leaky-relu, softmax pieces
-(exp/log/max-shift), means and sums, norms, concatenation, and elementwise
-arithmetic. Each op records its parents and one vector-Jacobian callback per
-parent; a callback maps an ndarray to an ndarray, so a reverse pass builds no
-graph. Nothing here differentiates a gradient: the gradient penalty's input
-gradient is written in closed form for the critics' MLPs
+The op set is deliberately small: the affine map `linear` (x @ w.T + b as one
+node, so a dense layer costs one node plus its activation), leaky-relu,
+softmax pieces (exp/log/max-shift), means and sums, norms, concatenation, and
+elementwise arithmetic. Each op records its parents and one vector-Jacobian
+callback per parent; a callback maps an ndarray to an ndarray, so a reverse
+pass builds no graph. The reverse pass (`grad`) calls only the vjps that lead
+to a requested input: a generator step through a critic computes no critic
+weight gradient. Nothing here differentiates a gradient: the gradient
+penalty's input gradient is written in closed form for the critics' MLPs
 (`nets.DenseNet.input_grad`) and is an ordinary graph node of the weights.
 """
 
@@ -60,10 +63,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
     def item(self) -> float:
         return float(self.data)
@@ -197,11 +196,25 @@ def matmul(a, b) -> Tensor:
     )
 
 
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise UsageError("transpose expects a 2-D tensor")
-    return Tensor(a.data.T, _parents=(a,), _vjps=(lambda u: u.T,))
+def linear(x, w, b) -> Tensor:
+    """The affine map x @ w.T + b of a (batch, in) x, an (out, in) weight
+    and an (out,) bias, as one node."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
+        raise UsageError("linear expects a 2-D input, a 2-D weight and a 1-D bias")
+    if x.shape[1] != w.shape[1] or b.shape[0] != w.shape[0]:
+        raise ConfigurationError(
+            f"linear dimension mismatch: {x.shape} @ {w.shape}.T + {b.shape}"
+        )
+    return Tensor(
+        x.data @ w.data.T + b.data,
+        _parents=(x, w, b),
+        _vjps=(
+            lambda u: u @ w.data,
+            lambda u: (x.data.T @ u).T,
+            lambda u: np.sum(u, axis=0),
+        ),
+    )
 
 
 def reshape(a, shape) -> Tensor:
@@ -269,11 +282,7 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     # The derivative mask is locally constant, so treating it as data is
     # exact away from the kinks.
     mask = np.where(a.data > 0.0, 1.0, slope)
-    return Tensor(
-        np.where(a.data > 0.0, a.data, slope * a.data),
-        _parents=(a,),
-        _vjps=(lambda u: u * mask,),
-    )
+    return Tensor(a.data * mask, _parents=(a,), _vjps=(lambda u: u * mask,))
 
 
 def maximum_const(a, c: float) -> Tensor:
@@ -347,36 +356,42 @@ def grad(output: Tensor, inputs: Sequence[Tensor]) -> list[Array]:
     if output.size != 1:
         raise UsageError("grad target must be scalar")
 
-    # Iterative depth-first postorder over the requires_grad subgraph.
+    # Iterative depth-first postorder over the requires_grad subgraph. A node
+    # is finished after all of its parents, so it is live (has a path to a
+    # requested input) exactly when it is an input or has a live parent. Only
+    # live nodes are kept, and only vjps into live parents are called: the
+    # other branches cannot change a returned gradient. Tensors hash by
+    # identity, so they key the sets and dicts themselves.
+    wanted = set(inputs)
+    live: set[Tensor] = set()
     topo: list[Tensor] = []
-    visited: set[int] = set()
+    visited: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(output, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
-            topo.append(node)
+            if node in wanted or not live.isdisjoint(node._parents):
+                live.add(node)
+                topo.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+            if p.requires_grad and p not in visited:
                 stack.append((p, False))
 
-    grads: dict[int, Array] = {id(output): np.ones_like(output.data)}
+    grads: dict[Tensor, Array] = {output: np.ones_like(output.data)}
     for node in reversed(topo):
-        g = grads.get(id(node))
-        if g is None:
-            continue
+        g = grads[node]
         for p, vjp in zip(node._parents, node._vjps):
-            if not p.requires_grad:
-                continue
-            contribution = vjp(g)
-            seen = grads.get(id(p))
-            grads[id(p)] = contribution if seen is None else seen + contribution
+            if p in live:
+                contribution = vjp(g)
+                seen = grads.get(p)
+                grads[p] = contribution if seen is None else seen + contribution
 
-    return [grads[id(x)] if id(x) in grads else np.zeros_like(x.data) for x in inputs]
+    return [grads[x] if x in grads else np.zeros_like(x.data) for x in inputs]
 
 
 def backward(output: Tensor, inputs: Sequence[Tensor]) -> list[Array]:

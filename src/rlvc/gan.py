@@ -110,9 +110,9 @@ class CriticXt:
             t = np.full(x_next.shape[0], int(t.reshape(-1)[0]))
         return np.concatenate([x_next, z, timestep_embedding(t, self.temb_dim)], axis=1)
 
-    def score(self, x_t, x_next, z, t) -> Tensor:
-        cond = Tensor(self.condition(x_next, z, t))
-        return self.net.forward(engine.concat([engine.as_batch(x_t), cond], axis=1))
+    def score(self, x_t, cond: np.ndarray) -> Tensor:
+        """Scores of x_t under the conditioning block built by `condition`."""
+        return self.net.forward(engine.concat([engine.as_batch(x_t), Tensor(cond)], axis=1))
 
 
 def gradient_norms(net: DenseNet, x_hat: np.ndarray, cond: np.ndarray) -> Tensor:
@@ -166,10 +166,8 @@ def critic_xt_terms(critic: CriticXt, real_xt, fake_xt, x_next, z, t, lambda_gp:
     z = _as_const_batch(z, "critic_xt_loss z")
     if not (real.shape == fake.shape == x_next.shape and real.shape[0] == z.shape[0]):
         raise UsageError("critic_xt_loss: batch shapes disagree")
-    wass = -engine.tmean(critic.score(real, x_next, z, t)) + engine.tmean(
-        critic.score(fake, x_next, z, t)
-    )
     cond = critic.condition(x_next, z, t)
+    wass = -engine.tmean(critic.score(real, cond)) + engine.tmean(critic.score(fake, cond))
     return wass + lambda_gp * _gradient_penalty(critic.net, real, fake, cond, rng)
 
 
@@ -203,6 +201,6 @@ def generator_adv_terms(
     c1, c2, sigma2 = diffusion.posterior_coeffs(sched, t)
     xt_tilde = Tensor(c1) * x0_tilde + Tensor(c2 * x_next + np.sqrt(sigma2) * eps_post)
     loss = -engine.tmean(critic_x0.score(x0_tilde, z)) - engine.tmean(
-        critic_xt.score(xt_tilde, x_next, z, t)
+        critic_xt.score(xt_tilde, critic_xt.condition(x_next, z, t))
     )
     return loss, x0_tilde

@@ -16,19 +16,30 @@ CHECKPOINT_MAGIC = b"RLVC"
 CHECKPOINT_VERSION = 1
 
 
+# Width -> embedding rows for t = 0, 1, ... A row depends only on t and the
+# width, so sharing the tables across callers changes no result.
+_EMBEDDING_TABLES: dict[int, np.ndarray] = {}
+
+
 def timestep_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     """Sinusoidal embedding of integer timesteps, shape (len(t), dim).
 
+    Rows come from a table per width that grows to the largest t asked for.
     Parameter-free; treated as constant input by the networks.
     """
-    t = np.asarray(t, dtype=np.float64).reshape(-1)
-    half = dim // 2
-    freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half, 1))
-    args = t[:, None] * freqs[None, :]
-    emb = np.concatenate([np.sin(args), np.cos(args)], axis=1)
-    if emb.shape[1] < dim:
-        emb = np.concatenate([emb, np.zeros((emb.shape[0], dim - emb.shape[1]))], axis=1)
-    return emb
+    t = np.asarray(t).reshape(-1)
+    if not np.issubdtype(t.dtype, np.integer) or t.min(initial=0) < 0:
+        raise UsageError("timesteps must be non-negative integers")
+    top = t.max(initial=0)
+    table = _EMBEDDING_TABLES.get(dim)
+    if table is None or top >= len(table):
+        steps = np.arange(top + 1, dtype=np.float64)
+        half = dim // 2
+        freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half, 1))
+        args = steps[:, None] * freqs[None, :]
+        pad = np.zeros((len(steps), dim - 2 * half))
+        table = _EMBEDDING_TABLES[dim] = np.concatenate([np.sin(args), np.cos(args), pad], axis=1)
+    return table[t]
 
 
 class DenseNet:
@@ -70,7 +81,7 @@ class DenseNet:
             )
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.T + b
+            h = engine.linear(h, w, b)
             if i < last:
                 h = engine.leaky_relu(h, self.slope)
         return h
@@ -106,15 +117,17 @@ class DenseNet:
 
 
 class AdamState:
-    """Adam with bias correction over a fixed parameter list."""
+    """Adam with bias correction over a fixed parameter list.
+
+    The moments live in one flat vector each, and `m` and `v` are lists of
+    per-parameter views of them. A step copies the gradients into a flat
+    vector, checks it once for finiteness and evaluates the update with
+    in-place ufuncs, element by element the same expression as
+    p -= lr * (m / c1) / (sqrt(v / c2) + eps).
+    """
 
     def __init__(
-        self,
-        params: Sequence[Tensor],
-        lr: float,
-        beta1: float = 0.5,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
+        self, params: Sequence[Tensor], lr: float, beta1: float, beta2: float, eps: float = 1e-8
     ):
         self.params = list(params)
         self.lr = float(lr)
@@ -122,25 +135,43 @@ class AdamState:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        size = sum(p.size for p in self.params)
+        # Moments, the gradient (reused for the denominator) and one scratch.
+        self._m, self._v, self._g, self._s = (np.zeros(size) for _ in range(4))
+        self.m, self.v = self._views(self._m), self._views(self._v)
+        self._grads, self._steps = self._views(self._g), self._views(self._s)
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        ends = np.cumsum([p.size for p in self.params])
+        return [flat[end - p.size : end].reshape(p.shape) for p, end in zip(self.params, ends)]
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
         if len(grads) != len(self.params):
             raise UsageError("gradient list length mismatch")
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise NumericFailure("non-finite gradient; update rejected")
+        for dst, g in zip(self._grads, grads):
+            dst[...] = g
+        g, s = self._g, self._s
+        if not np.isfinite(g).all():
+            raise NumericFailure("non-finite gradient; update rejected")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-            if not np.all(np.isfinite(p.data)):
+        np.multiply(1.0 - self.beta1, g, out=s)
+        self._m *= self.beta1
+        self._m += s
+        np.square(g, out=s)
+        s *= 1.0 - self.beta2
+        self._v *= self.beta2
+        self._v += s
+        np.divide(self._m, c1, out=s)
+        s *= self.lr
+        np.divide(self._v, c2, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        s /= g
+        for p, step in zip(self.params, self._steps):
+            p.data -= step
+            if not np.isfinite(p.data).all():
                 raise NumericFailure("non-finite parameter after update")
 
 
@@ -167,7 +198,7 @@ def fit_linear_softmax(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            lp = engine.log_softmax(Tensor(features[idx]) @ w.T + b, axis=1)
+            lp = engine.log_softmax(engine.linear(Tensor(features[idx]), w, b), axis=1)
             loss = -engine.tmean(engine.tsum(lp * Tensor(onehot[idx]), axis=1))
             opt.step(engine.backward(loss, [w, b]))
     return w.data, b.data

@@ -47,8 +47,7 @@ class RewardModel:
         return self.weight.shape[1]
 
     def logits(self, x) -> Tensor:
-        x = engine.as_batch(x)
-        return x @ Tensor(self.weight).T + Tensor(self.bias)
+        return engine.linear(engine.as_batch(x), self.weight, self.bias)
 
     def log_probs(self, x) -> Tensor:
         return engine.log_softmax(self.logits(x), axis=1)

@@ -36,6 +36,12 @@ def test_quadratic_fd_error_tiny():
     assert err < 1e-8
 
 
+# Constant operands of the linear cases below; the case's `a` (3, 4) takes
+# the place of x, of w, of b, or of all three at once.
+_R = np.random.default_rng(5)
+_X, _W, _W12, _B = (_R.normal(size=s) for s in [(2, 4), (5, 4), (12, 4), (5,)])
+
+
 @pytest.mark.parametrize(
     "fn",
     [
@@ -48,12 +54,17 @@ def test_quadratic_fd_error_tiny():
         lambda a: engine.tmean(engine.log_softmax(a, axis=1)),
         lambda a: engine.tsum(engine.softmax(a, axis=1) ** 2.0),
         lambda a: engine.tsum(engine.maximum_const(a, -0.55)),
-        lambda a: engine.tmean(a @ engine.transpose(a)),
+        lambda a: engine.tsum(engine.linear(a, _W, _B) ** 2.0),
         lambda a: engine.tsum(engine.concat([a, a * 2.0], axis=1)),
         lambda a: engine.tsum(engine.slice_axis(a, 1, 3, axis=1) ** 2.0),
         lambda a: engine.tsum(engine.tsum(a, axis=0, keepdims=True) * a),
         lambda a: engine.tsum(1.0 / (a + 3.0)),
         lambda a: engine.tsum((a - engine.tmean(a, axis=1, keepdims=True)) ** 2.0),
+        lambda a: engine.tsum(engine.linear(_X, a, _B[:3]) ** 2.0),
+        lambda a: engine.tsum(engine.linear(_X, _W12, engine.reshape(a, (12,))) ** 2.0),
+        lambda a: engine.tsum(
+            engine.linear(a, a, engine.reshape(engine.slice_axis(a, 0, 1), (3,))) ** 2.0
+        ),
     ],
 )
 def test_op_gradients_match_finite_differences(fn):

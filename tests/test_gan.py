@@ -133,15 +133,16 @@ def test_gradient_norms_match_central_differences_of_xt_critic():
     critic = CriticXt(3, 2, rng, hidden_mult=2, temb_dim=4)
     x_hat, x_next, z = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
     t = np.array([0, 1, 2, 3])
+    cond = critic.condition(x_next, z, t)
     step = 1e-6
     fd = np.zeros_like(x_hat)
     for idx in np.ndindex(*x_hat.shape):
         hi, lo = x_hat.copy(), x_hat.copy()
         hi[idx] += step
         lo[idx] -= step
-        diff = critic.score(hi, x_next, z, t).data.sum() - critic.score(lo, x_next, z, t).data.sum()
+        diff = critic.score(hi, cond).data.sum() - critic.score(lo, cond).data.sum()
         fd[idx] = diff / (2.0 * step)
-    norms = gan.gradient_norms(critic.net, x_hat, critic.condition(x_next, z, t))
+    norms = gan.gradient_norms(critic.net, x_hat, cond)
     np.testing.assert_allclose(norms.data, np.linalg.norm(fd, axis=1), rtol=1e-6)
 
 
@@ -226,6 +227,62 @@ def test_generator_adv_loss_constant_critics():
     assert loss0.item() == 0.0
     for g in grads0:
         np.testing.assert_array_equal(g, np.zeros_like(g))
+
+
+def test_generator_step_runs_no_critic_weight_vjp():
+    rng = np.random.default_rng(21)
+    gen = Generator(3, 2, rng, hidden_mult=2, temb_dim=4)
+    cx0 = CriticX0(3, 2, rng, hidden_mult=2)
+    cxt = CriticXt(3, 2, rng, hidden_mult=2, temb_dim=4)
+    sched = diffusion.build_schedule(4, 0.1, 0.4)
+    z, x_next = rng.normal(size=(5, 2)), rng.normal(size=(5, 3))
+    t = np.array([0, 1, 2, 3, 0])
+    eps_g, eps_p = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    loss, _ = gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
+    together = engine.backward(loss, gen.params + cx0.params + cxt.params)
+
+    # A branch of the graph is a critic-parameter branch when none of the
+    # generator's parameters lies behind it. Count every vjp into one.
+    gen_ids = {id(p) for p in gen.params}
+    reaches_gen: dict[int, bool] = {}
+
+    def behind(node) -> bool:
+        if id(node) not in reaches_gen:
+            reaches_gen[id(node)] = id(node) in gen_ids or any(behind(p) for p in node._parents)
+        return reaches_gen[id(node)]
+
+    calls = []
+
+    def counted(vjp):
+        def wrapped(u):
+            calls.append(vjp)
+            return vjp(u)
+
+        return wrapped
+
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    branches = 0
+    for node in nodes:
+        vjps = []
+        for p, vjp in zip(node._parents, node._vjps):
+            if p.requires_grad and not behind(p):
+                vjp = counted(vjp)
+                branches += 1
+            vjps.append(vjp)
+        node._vjps = tuple(vjps)
+    assert branches >= len(cx0.params + cxt.params)  # at least one per critic parameter
+
+    only_gen = engine.backward(loss, gen.params)
+    assert calls == []
+    for g, g_together in zip(only_gen, together):
+        assert g.shape == g_together.shape
+        assert g.tobytes() == g_together.tobytes()
 
 
 def test_generator_adv_fd_through_posterior_path():

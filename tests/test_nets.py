@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rlvc import engine, nets
+from rlvc.config import Config
 from rlvc.engine import Tensor
 from rlvc.errors import ConfigurationError, NumericFailure, UsageError
 from rlvc.nets import (
@@ -18,6 +19,8 @@ from rlvc.nets import (
     save_checkpoint,
     timestep_embedding,
 )
+
+_BETAS = dict(beta1=Config().adam_beta1, beta2=Config().adam_beta2)
 
 
 def test_init_statistics_match_he():
@@ -150,7 +153,7 @@ def test_adam_first_step_unit_gradient():
 
 def test_adam_zero_gradients_leave_params_fixed():
     p = Tensor(np.array([0.7, -0.3]), requires_grad=True)
-    opt = AdamState([p], lr=0.1)
+    opt = AdamState([p], lr=0.1, **_BETAS)
     before = p.data.copy()
     for _ in range(25):
         opt.step([np.zeros(2)])
@@ -159,7 +162,7 @@ def test_adam_zero_gradients_leave_params_fixed():
 
 def test_adam_second_moment_accumulates():
     p = Tensor(np.array([0.0]), requires_grad=True)
-    opt = AdamState([p], lr=0.01)
+    opt = AdamState([p], lr=0.01, **_BETAS)
     opt.step([np.array([2.0])])
     v1 = opt.v[0].copy()
     opt.step([np.array([2.0])])
@@ -168,12 +171,74 @@ def test_adam_second_moment_accumulates():
 
 def test_adam_rejects_bad_gradients():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = AdamState([p], lr=0.01)
+    opt = AdamState([p], lr=0.01, **_BETAS)
     with pytest.raises(NumericFailure):
         opt.step([np.array([np.nan])])
     np.testing.assert_array_equal(p.data, [1.0])  # rejected before mutation
     with pytest.raises(UsageError):
         opt.step([np.array([1.0]), np.array([1.0])])
+
+
+def test_flat_adam_matches_a_per_parameter_reference():
+    rng = np.random.default_rng(8)
+    shapes = [(3, 4), (4,), (1,), (2, 5)]
+    start = [rng.normal(size=s) for s in shapes]
+    params = [Tensor(a.copy(), requires_grad=True) for a in start]
+    lr, b1, b2, eps = 0.01, _BETAS["beta1"], _BETAS["beta2"], 1e-8
+    opt = AdamState(params, lr=lr, **_BETAS)
+    ref = [a.copy() for a in start]
+    ref_m = [np.zeros(s) for s in shapes]
+    ref_v = [np.zeros(s) for s in shapes]
+    for t in range(1, 26):
+        # drawn transposed, so the 2-D gradients are Fortran-ordered
+        grads = [rng.normal(size=s[::-1]).T for s in shapes]
+        assert not grads[0].flags.c_contiguous
+        opt.step(grads)
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        for p, m, v, g in zip(ref, ref_m, ref_v, grads):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    for p, m, v, r, rm, rv in zip(params, opt.m, opt.v, ref, ref_m, ref_v):
+        assert p.data.tobytes() == r.tobytes()
+        assert m.tobytes() == rm.tobytes() and v.tobytes() == rv.tobytes()
+
+
+def test_flat_adam_nan_gradient_changes_nothing():
+    rng = np.random.default_rng(9)
+    params = [Tensor(a, requires_grad=True) for a in (rng.normal(size=(3, 2)), np.zeros(4))]
+    opt = AdamState(params, lr=0.01, **_BETAS)
+    opt.step([rng.normal(size=(3, 2)), rng.normal(size=4)])
+    before = [a.copy() for a in [p.data for p in params] + opt.m + opt.v]
+    bad = rng.normal(size=4)
+    bad[2] = np.nan  # in the last parameter, after a finite one
+    with pytest.raises(NumericFailure):
+        opt.step([rng.normal(size=(3, 2)), bad])
+    after = [p.data for p in params] + opt.m + opt.v
+    assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
+    assert opt.t == 1
+
+
+def test_timestep_embedding_table_matches_the_sinusoid_formula(monkeypatch):
+    def direct(t, dim):
+        half = dim // 2
+        freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half, 1))
+        args = np.asarray(t, dtype=np.float64)[:, None] * freqs[None, :]
+        emb = np.concatenate([np.sin(args), np.cos(args)], axis=1)
+        return np.concatenate([emb, np.zeros((len(t), dim - 2 * half))], axis=1)
+
+    monkeypatch.setattr(nets, "_EMBEDDING_TABLES", {})
+    steps = 20
+    for dim in (16, 7):
+        every = np.arange(steps + 1)
+        np.testing.assert_array_equal(timestep_embedding(every, dim), direct(every, dim))
+        later = np.array([3, steps + 9, 0, steps + 2])  # beyond every t seen so far
+        np.testing.assert_array_equal(timestep_embedding(later, dim), direct(later, dim))
+        np.testing.assert_array_equal(timestep_embedding(every, dim), direct(every, dim))
+    with pytest.raises(UsageError):
+        timestep_embedding(np.array([2, -1]), 16)
 
 
 def test_timestep_embedding_shape_and_boundary():

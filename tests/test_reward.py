@@ -102,7 +102,7 @@ def test_frozen_params_bitwise_stable_under_rl_steps():
     b_before = model.bias.tobytes()
 
     gen = Generator(3, 2, np.random.default_rng(0), hidden_mult=1, temb_dim=4)
-    opt = AdamState(gen.params, lr=1e-3)
+    opt = AdamState(gen.params, lr=1e-3, beta1=Config().adam_beta1, beta2=Config().adam_beta2)
     rng = np.random.default_rng(1)
     for _ in range(5):
         x0 = gen.synthesize(rng.normal(size=(8, 3)), rng.normal(size=(8, 2)), rng.normal(size=(8, 3)), 1)
@@ -252,7 +252,8 @@ def test_positive_advantage_step_raises_log_prob():
     lp = log_prob()
     batch = AdvantageBatch(rewards=lp.data.copy(), advantages=np.array([1.0]))
     _, grads = reward.rl_loss(batch, lp, gen.params)
-    AdamState(gen.params, lr=1e-4).step(grads)
+    cfg = Config()
+    AdamState(gen.params, lr=1e-4, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2).step(grads)
     assert float(log_prob().data[0]) > before
 
 
