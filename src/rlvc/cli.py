@@ -37,11 +37,8 @@ from . import evaluate, gan, trainer
 from . import reward as reward_mod
 from .cues import CUE_VARIANTS
 from .errors import ConfigurationError, NumericFailure, UsageError
-from .nets import DenseNet, load_checkpoint, save_checkpoint
+from .nets import GENERATOR_TAG, REWARD_TAG, load_checkpoint, save_checkpoint
 from .seeding import stream_rng
-
-REWARD_TAG = b"RWDM"
-GENERATOR_TAG = b"GNET"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,26 +134,9 @@ def _load_dataset(cfg: cfgmod.Config, path: str) -> datamod.ZslDataset:
     return ds
 
 
-def _seen_rows(ds: datamod.ZslDataset) -> dict[int, int]:
-    return {int(c): i for i, c in enumerate(sorted(int(c) for c in ds.seen_classes))}
-
-
 def _load_generator(cfg: cfgmod.Config, ds: datamod.ZslDataset, path: str) -> gan.Generator:
-    gen = gan.Generator(
-        ds.feat_dim,
-        ds.sem_dim,
-        np.random.default_rng(0),
-        hidden_mult=cfg.hidden_mult,
-        temb_dim=cfg.temb_dim,
-        slope=cfg.leaky_slope,
-    )
-    loaded = load_checkpoint(path, GENERATOR_TAG, slope=cfg.leaky_slope)
-    if loaded.layer_dims != gen.net.layer_dims:
-        raise ConfigurationError(
-            f"generator checkpoint dims {loaded.layer_dims} do not match the "
-            f"dataset/config dims {gen.net.layer_dims}"
-        )
-    gen.net = loaded
+    gen = gan.Generator(ds.feat_dim, ds.sem_dim, cfg, np.random.default_rng(0))
+    gen.net.set_params(load_checkpoint(path, GENERATOR_TAG))
     return gen
 
 
@@ -188,18 +168,15 @@ def cmd_pretrain_reward(args) -> int:
     data_dir = _require(args, "data")
     out = _require(args, "out")
     ds = _load_dataset(cfg, data_dir)
-    rows = _seen_rows(ds)
     train_x, train_y = ds.train
-    y = np.asarray([rows[int(c)] for c in train_y])
+    y = np.searchsorted(ds.seen_classes, train_y)
     model = reward_mod.pretrain_reward(
-        train_x, y, len(rows), cfg, stream_rng(cfg.seed, "reward")
+        train_x, y, len(ds.seen_classes), cfg, stream_rng(cfg.seed, "reward")
     )
     acc = reward_mod.reward_train_accuracy(model, train_x, y)
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "reward.ckpt")
-    net = DenseNet([model.feat_dim, model.n_classes], np.random.default_rng(0))
-    net.set_params([model.weight, model.bias])
-    save_checkpoint(path, net, REWARD_TAG)
+    save_checkpoint(path, REWARD_TAG, [model.weight, model.bias])
     print(f"reward model: train accuracy {acc:.4f}, saved to {path}")
     return 0
 
@@ -212,8 +189,10 @@ def cmd_train(args) -> int:
     model = None
     if cfg.use_rl:
         reward_path = _require(args, "reward")
-        net = load_checkpoint(reward_path, REWARD_TAG)
-        model = reward_mod.RewardModel(net.weights[0].data, net.biases[0].data)
+        arrays = load_checkpoint(reward_path, REWARD_TAG)
+        if len(arrays) != 2:
+            raise ConfigurationError(f"reward checkpoint {reward_path} is not one linear layer")
+        model = reward_mod.RewardModel(*arrays)
     result = trainer.train(ds, model, cfg, out_dir=out)
     last = result.metrics[-1]
     print(

@@ -126,7 +126,7 @@ _CUE_LOSSES = {"pd": pd_loss, "kl": kl_cue_loss, "l1": l1_cue_loss}
 CUE_VARIANTS = tuple(_CUE_LOSSES)
 
 
-def cue_loss(x_batch, labels, table: VisualPrototypeTable, variant: str = "pd") -> Tensor:
+def cue_loss(x_batch, labels, table: VisualPrototypeTable, variant: str) -> Tensor:
     if variant not in CUE_VARIANTS:
         raise ConfigurationError(f"unknown cue variant {variant!r}")
     return _CUE_LOSSES[variant](x_batch, labels, table)

@@ -42,14 +42,23 @@ def _check_t(t, lo: int, hi: int, what: str) -> np.ndarray:
     return t.reshape(-1)
 
 
+def per_row(t, rows: int) -> np.ndarray:
+    """Integer timesteps, one per row: a single timestep is repeated `rows`
+    times; otherwise there must be exactly `rows` of them."""
+    t = np.asarray(t).reshape(-1)
+    if not np.issubdtype(t.dtype, np.integer):
+        raise UsageError(f"timesteps must be integers, got {t.dtype}")
+    if t.size not in (1, rows):
+        raise UsageError(f"{t.size} timesteps for {rows} rows")
+    return np.full(rows, int(t[0])) if t.size == 1 else t
+
+
 def forward_noise(
     x0: np.ndarray, t, sched: DiffusionSchedule, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw x_t ~ q(x_t | x_0) = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    t = _check_t(t, 0, sched.timesteps, "forward_noise")
-    if t.size == 1:
-        t = np.full(x0.shape[0], int(t[0]))
+    t = per_row(_check_t(t, 0, sched.timesteps, "forward_noise"), x0.shape[0])
     abar = sched.alpha_bars[t][:, None]
     eps = rng.standard_normal(x0.shape)
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
@@ -60,9 +69,7 @@ def forward_transition(
 ) -> np.ndarray:
     """One forward chain step: x_{t+1} ~ q(x_{t+1} | x_t)."""
     x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-    t = _check_t(t, 0, sched.timesteps - 1, "forward_transition")
-    if t.size == 1:
-        t = np.full(x_t.shape[0], int(t[0]))
+    t = per_row(_check_t(t, 0, sched.timesteps - 1, "forward_transition"), x_t.shape[0])
     a_next = sched.alphas[t + 1][:, None]
     b_next = sched.betas[t + 1][:, None]
     eps = rng.standard_normal(x_t.shape)
@@ -99,10 +106,7 @@ def posterior_sample(
     x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
     if x0_hat.shape != x_next.shape:
         raise UsageError("posterior_sample: state shapes differ")
-    t = np.asarray(t)
-    if t.size == 1:
-        t = np.full(x0_hat.shape[0], int(t.reshape(-1)[0]))
-    c1, c2, sigma2 = posterior_coeffs(sched, t)
+    c1, c2, sigma2 = posterior_coeffs(sched, per_row(t, x0_hat.shape[0]))
     mean = c1 * x0_hat + c2 * x_next
     eps = rng.standard_normal(x0_hat.shape)
     return mean + np.sqrt(sigma2) * eps

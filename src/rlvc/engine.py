@@ -277,7 +277,7 @@ def absval(a) -> Tensor:
     return Tensor(np.abs(a.data), _parents=(a,), _vjps=(lambda u: u * sign,))
 
 
-def leaky_relu(a, slope: float = 0.2) -> Tensor:
+def leaky_relu(a, slope: float) -> Tensor:
     a = as_tensor(a)
     # The derivative mask is locally constant, so treating it as data is
     # exact away from the kinks.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import diffusion, engine
+from .config import Config
 from .engine import Tensor
 from .errors import UsageError
 from .nets import DenseNet, timestep_embedding
@@ -19,21 +20,12 @@ _NORM_FLOOR = 1e-200  # keeps the norm's subgradient finite at exactly zero
 
 
 class Generator:
-    def __init__(
-        self,
-        feat_dim: int,
-        sem_dim: int,
-        rng: np.random.Generator,
-        hidden_mult: int = 4,
-        temb_dim: int = 16,
-        slope: float = 0.2,
-    ):
+    def __init__(self, feat_dim: int, sem_dim: int, config: Config, rng: np.random.Generator):
         self.feat_dim = int(feat_dim)
-        self.sem_dim = int(sem_dim)
-        self.temb_dim = int(temb_dim)
-        in_dim = feat_dim + sem_dim + feat_dim + temb_dim
-        hidden = hidden_mult * feat_dim
-        self.net = DenseNet([in_dim, hidden, hidden, feat_dim], rng, slope=slope)
+        self.temb_dim = config.temb_dim
+        hidden = config.hidden_mult * feat_dim
+        in_dim = feat_dim + sem_dim + feat_dim + self.temb_dim
+        self.net = DenseNet([in_dim, hidden, hidden, feat_dim], rng, config.leaky_slope)
 
     @property
     def params(self) -> list[Tensor]:
@@ -51,10 +43,7 @@ class Generator:
         rows = eps.shape[0]
         if not (z.shape[0] == rows and xn.shape[0] == rows):
             raise UsageError("synthesize: batch sizes differ")
-        t = np.asarray(t)
-        if t.size == 1:
-            t = np.full(rows, int(t.reshape(-1)[0]))
-        temb = timestep_embedding(t, self.temb_dim)
+        temb = timestep_embedding(diffusion.per_row(t, rows), self.temb_dim)
         inp = engine.concat([Tensor(eps), Tensor(z), xn, Tensor(temb)], axis=1)
         return self.net.forward(inp)
 
@@ -62,10 +51,9 @@ class Generator:
 class CriticX0:
     """Scores (clean feature, prototype) pairs; scalar output per row."""
 
-    def __init__(self, feat_dim: int, sem_dim: int, rng, hidden_mult: int = 4, slope: float = 0.2):
-        hidden = hidden_mult * feat_dim
-        self.feat_dim = int(feat_dim)
-        self.net = DenseNet([feat_dim + sem_dim, hidden, hidden, 1], rng, slope=slope)
+    def __init__(self, feat_dim: int, sem_dim: int, config: Config, rng: np.random.Generator):
+        hidden = config.hidden_mult * feat_dim
+        self.net = DenseNet([feat_dim + sem_dim, hidden, hidden, 1], rng, config.leaky_slope)
 
     @property
     def params(self) -> list[Tensor]:
@@ -80,21 +68,11 @@ class CriticX0:
 class CriticXt:
     """Scores denoising transitions (state_t, state_{t+1}, prototype, t)."""
 
-    def __init__(
-        self,
-        feat_dim: int,
-        sem_dim: int,
-        rng,
-        hidden_mult: int = 4,
-        temb_dim: int = 16,
-        slope: float = 0.2,
-    ):
-        hidden = hidden_mult * feat_dim
-        self.feat_dim = int(feat_dim)
-        self.temb_dim = int(temb_dim)
-        self.net = DenseNet(
-            [feat_dim + feat_dim + sem_dim + temb_dim, hidden, hidden, 1], rng, slope=slope
-        )
+    def __init__(self, feat_dim: int, sem_dim: int, config: Config, rng: np.random.Generator):
+        hidden = config.hidden_mult * feat_dim
+        self.temb_dim = config.temb_dim
+        in_dim = feat_dim + feat_dim + sem_dim + self.temb_dim
+        self.net = DenseNet([in_dim, hidden, hidden, 1], rng, config.leaky_slope)
 
     @property
     def params(self) -> list[Tensor]:
@@ -105,10 +83,8 @@ class CriticXt:
         timestep embedding."""
         x_next = engine.as_batch(x_next).data
         z = engine.as_batch(z).data
-        t = np.asarray(t)
-        if t.size == 1:
-            t = np.full(x_next.shape[0], int(t.reshape(-1)[0]))
-        return np.concatenate([x_next, z, timestep_embedding(t, self.temb_dim)], axis=1)
+        temb = timestep_embedding(diffusion.per_row(t, x_next.shape[0]), self.temb_dim)
+        return np.concatenate([x_next, z, temb], axis=1)
 
     def score(self, x_t, cond: np.ndarray) -> Tensor:
         """Scores of x_t under the conditioning block built by `condition`."""

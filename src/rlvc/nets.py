@@ -14,6 +14,8 @@ from .errors import ConfigurationError, NumericFailure, UsageError
 
 CHECKPOINT_MAGIC = b"RLVC"
 CHECKPOINT_VERSION = 1
+GENERATOR_TAG = b"GNET"
+REWARD_TAG = b"RWDM"
 
 
 # Width -> embedding rows for t = 0, 1, ... A row depends only on t and the
@@ -49,7 +51,7 @@ class DenseNet:
     std sqrt(2/fan_in), zero biases.
     """
 
-    def __init__(self, layer_dims: Sequence[int], rng: np.random.Generator, slope: float = 0.2):
+    def __init__(self, layer_dims: Sequence[int], rng: np.random.Generator, slope: float):
         if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
             raise ConfigurationError(f"bad layer dims {layer_dims}")
         self.layer_dims = [int(d) for d in layer_dims]
@@ -108,11 +110,13 @@ class DenseNet:
 
     def set_params(self, arrays: Sequence[np.ndarray]) -> None:
         params = self.params
-        if len(arrays) != len(params):
-            raise ConfigurationError("parameter count mismatch")
+        given = [np.shape(a) for a in arrays]
+        wanted = [p.shape for p in params]
+        if given != wanted:
+            raise ConfigurationError(
+                f"parameter shapes {given} do not match the network's {wanted}"
+            )
         for p, a in zip(params, arrays):
-            if p.data.shape != a.shape:
-                raise ConfigurationError("parameter shape mismatch")
             p.data = np.asarray(a, dtype=np.float64).copy()
 
 
@@ -204,25 +208,36 @@ def fit_linear_softmax(
     return w.data, b.data
 
 
-def save_checkpoint(path, net: DenseNet, tag: bytes = b"GNET") -> None:
-    """Little-endian binary: magic, u32 version, 4-byte kind tag, u32 layer
-    dim count, u32 dims, then raw f64 params (per layer: weight row-major,
-    then bias)."""
+def save_checkpoint(path, tag: bytes, arrays: Sequence[np.ndarray]) -> None:
+    """Write a chain of affine layers, ordered as `DenseNet.params`: per layer
+    a (fan_out, fan_in) weight, then its (fan_out,) bias.
+
+    Little-endian binary: magic, u32 version, 4-byte kind tag, u32 layer
+    dim count, u32 dims (the first fan_in, then each fan_out), then raw f64
+    params (per layer: weight row-major, then bias)."""
     if len(tag) != 4:
         raise UsageError("kind tag must be 4 bytes")
+    shapes = [np.shape(a) for a in arrays]
+    dims = [s[-1] for s in shapes[:1] if s] + [s[0] for s in shapes[0::2] if s]
+    chain = [s for fan_in, fan_out in zip(dims, dims[1:]) for s in ((fan_out, fan_in), (fan_out,))]
+    if not shapes or shapes != chain:
+        raise UsageError(f"checkpoint arrays {shapes} are not a weight/bias chain")
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<I", CHECKPOINT_VERSION)
     blob += tag
-    blob += struct.pack("<I", len(net.layer_dims))
-    blob += struct.pack(f"<{len(net.layer_dims)}I", *net.layer_dims)
-    for p in net.params:
-        blob += np.ascontiguousarray(p.data, dtype="<f8").tobytes()
+    blob += struct.pack("<I", len(dims))
+    blob += struct.pack(f"<{len(dims)}I", *dims)
+    for a in arrays:
+        blob += np.ascontiguousarray(a, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(blob)
 
 
-def load_checkpoint(path, expected_tag: bytes | None = None, slope: float = 0.2) -> DenseNet:
+def load_checkpoint(path, expected_tag: bytes | None = None) -> list[np.ndarray]:
+    """Read a file written by `save_checkpoint` and return its arrays in the
+    same order: weight, bias, weight, bias, ... as read-only float64 arrays.
+    A given `expected_tag` must match the file's kind tag."""
     with open(path, "rb") as fh:
         blob = fh.read()
     off = 0
@@ -249,7 +264,6 @@ def load_checkpoint(path, expected_tag: bytes | None = None, slope: float = 0.2)
     if ndims < 2 or ndims > 64:
         raise ConfigurationError("implausible layer count")
     dims = list(struct.unpack(f"<{ndims}I", take(4 * ndims)))
-    net = DenseNet(dims, np.random.default_rng(0), slope=slope)
     arrays = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         w = np.frombuffer(take(8 * fan_out * fan_in), dtype="<f8").reshape(fan_out, fan_in)
@@ -257,5 +271,4 @@ def load_checkpoint(path, expected_tag: bytes | None = None, slope: float = 0.2)
         arrays.extend((w, b))
     if off != len(blob):
         raise ConfigurationError(f"trailing bytes in checkpoint {path}")
-    net.set_params(arrays)
-    return net
+    return arrays

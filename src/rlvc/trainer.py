@@ -10,7 +10,7 @@ they are never summed into a single step.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,24 +20,9 @@ from .cues import VisualPrototypeTable
 from .data import ZslDataset
 from .errors import ConfigurationError, NumericFailure
 from .evaluate import EvalReport, full_report
-from .nets import AdamState, save_checkpoint
+from .nets import GENERATOR_TAG, AdamState, save_checkpoint
 from .reward import AdvantageBatch, EmaBaseline, RewardModel
 from .seeding import stream_rng
-
-METRICS_COLUMNS = (
-    "epoch",
-    "raw_reward_mean",
-    "ema_baseline",
-    "advantage_mean",
-    "critic_loss",
-    "gen_adv_loss",
-    "pd_loss",
-    "czsl_acc",
-    "gzsl_u",
-    "gzsl_s",
-    "gzsl_h",
-)
-
 
 @dataclass
 class MetricsRow:
@@ -60,11 +45,7 @@ class MetricsRow:
         return ",".join(cells)
 
 
-def write_metrics(rows, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(METRICS_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(row.to_csv() + "\n")
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
 @dataclass
@@ -88,10 +69,9 @@ class TrainResult:
     reports: dict[int, EvalReport] = field(default_factory=dict)
 
 
-def update_counters(result_or_list) -> list[EpochCounters]:
-    """Snapshot of the per-epoch instrumentation record."""
-    counters = result_or_list.counters if isinstance(result_or_list, TrainResult) else result_or_list
-    return [replace(c) for c in counters]
+def _save_generator(out_dir: str, generator: gan.Generator) -> None:
+    arrays = [p.data for p in generator.params]
+    save_checkpoint(os.path.join(out_dir, "generator.ckpt"), GENERATOR_TAG, arrays)
 
 
 def _require_finite(value: float, what: str, epoch: int, batch: int) -> float:
@@ -119,8 +99,7 @@ def train(
 
     train_x, train_y = dataset.train
     n_train, d = train_x.shape
-    seen = sorted(int(c) for c in dataset.seen_classes)
-    seen_row = {c: i for i, c in enumerate(seen)}
+    seen = dataset.seen_classes  # sorted ids; reward row i is class seen[i]
     if config.use_rl:
         if reward_model is None:
             raise ConfigurationError("RL phase enabled but no reward model given")
@@ -136,17 +115,9 @@ def train(
     sched = config.schedule()
 
     init_rng = stream_rng(config.seed, "init")
-    generator = gan.Generator(
-        d, dataset.sem_dim, init_rng,
-        hidden_mult=config.hidden_mult, temb_dim=config.temb_dim, slope=config.leaky_slope,
-    )
-    critic_x0 = gan.CriticX0(
-        d, dataset.sem_dim, init_rng, hidden_mult=config.hidden_mult, slope=config.leaky_slope
-    )
-    critic_xt = gan.CriticXt(
-        d, dataset.sem_dim, init_rng,
-        hidden_mult=config.hidden_mult, temb_dim=config.temb_dim, slope=config.leaky_slope,
-    )
+    generator = gan.Generator(d, dataset.sem_dim, config, init_rng)
+    critic_x0 = gan.CriticX0(d, dataset.sem_dim, config, init_rng)
+    critic_xt = gan.CriticXt(d, dataset.sem_dim, config, init_rng)
 
     betas = dict(beta1=config.adam_beta1, beta2=config.adam_beta2)
     opt_critic = AdamState(critic_x0.params + critic_xt.params, lr=config.lr_adv, **betas)
@@ -229,7 +200,7 @@ def train(
                     t, x_t, x_next = _draw_states(rl_rng, x0)
                     eps_g = rl_rng.standard_normal(x0.shape)
                     x0_rl = generator.synthesize(eps_g, z, x_next, t + 1)
-                    rows = np.asarray([seen_row[int(c)] for c in y])
+                    rows = np.searchsorted(seen, y)
                     log_probs = reward_mod.class_log_probs(reward_model, x0_rl, rows)
                     r = log_probs.data.copy()
                     if not np.all(np.isfinite(r)):
@@ -282,9 +253,9 @@ def train(
                 and config.checkpoint_interval > 0
                 and (epoch + 1) % config.checkpoint_interval == 0
             ):
-                save_checkpoint(os.path.join(out_dir, "generator.ckpt"), generator.net, b"GNET")
+                _save_generator(out_dir, generator)
         if out_dir is not None:
-            save_checkpoint(os.path.join(out_dir, "generator.ckpt"), generator.net, b"GNET")
+            _save_generator(out_dir, generator)
     finally:
         if metrics_fh is not None:
             metrics_fh.close()

@@ -62,9 +62,9 @@ def test_01_gradient_correctness(monkeypatch):
         point += 1
         assert point < 100, "could not find smooth evaluation points"
         rng = np.random.default_rng(1000 + point)
-        gen = Generator(d, dz, rng, hidden_mult=2, temb_dim=4)
-        c0 = CriticX0(d, dz, rng, hidden_mult=2)
-        ct = CriticXt(d, dz, rng, hidden_mult=2, temb_dim=4)
+        gen = Generator(d, dz, Config(hidden_mult=2, temb_dim=4), rng)
+        c0 = CriticX0(d, dz, Config(hidden_mult=2), rng)
+        ct = CriticXt(d, dz, Config(hidden_mult=2, temb_dim=4), rng)
         sizes = [sum(p.data.size for p in net.params) for net in (gen, c0, ct)]
 
         real = rng.normal(size=(b, d))
@@ -98,13 +98,14 @@ def test_01_gradient_correctness(monkeypatch):
             return reward_mod.rl_loss(adv_const, class_log_probs(model, x0, y), gen.params)[0]
 
         def loss_pd():
-            return cues.cue_loss(gen.synthesize(eps_g, z, x_next, t + 1), y, table)
+            return cues.cue_loss(gen.synthesize(eps_g, z, x_next, t + 1), y, table, "pd")
 
         def loss_total():
             adv, x0_tilde = gan.generator_adv_terms(
                 gen, c0, ct, z, x_next, t, sched, eps_g, eps_p
             )
-            return cues.generator_total_loss(adv, cues.cue_loss(x0_tilde, y, table), lambda_pd)
+            cue = cues.cue_loss(x0_tilde, y, table, "pd")
+            return cues.generator_total_loss(adv, cue, lambda_pd)
 
         checks = [
             (loss_c0, c0.params),
@@ -170,7 +171,7 @@ def test_04_baseline_and_stop_gradient():
         worst_ema = max(worst_ema, abs(abs(baseline.value - target) - 0.9**k * 4.5))
 
     rng = np.random.default_rng(5)
-    gen = Generator(4, 2, rng, hidden_mult=2, temb_dim=4)
+    gen = Generator(4, 2, Config(hidden_mult=2, temb_dim=4), rng)
     model = RewardModel(rng.normal(size=(3, 4)), rng.normal(size=3))
     z = rng.normal(size=(6, 2))
     x_next = rng.normal(size=(6, 4))

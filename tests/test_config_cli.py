@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from rlvc import cli, config, trainer
-from rlvc.data import make_synthetic, standardize
+from rlvc.data import export_features, load_dataset, make_synthetic, standardize
 from rlvc.errors import ConfigurationError
-from rlvc.evaluate import harmonic_mean
+from rlvc.evaluate import harmonic_mean, synthesize_unseen
+from rlvc.nets import REWARD_TAG, save_checkpoint
 from rlvc.reward import pretrain_reward
 from rlvc.seeding import stream_rng
 
@@ -283,6 +284,43 @@ def test_cli_generator_dim_mismatch(tmp_path, capsys):
                      "--generator", f"{run}/generator.ckpt"] + _FAST)
     assert code == 2
     assert "do not match" in capsys.readouterr().err
+
+
+def test_cli_synthesize_rebuilds_a_non_default_shape(tmp_path):
+    shape = ["--hidden-mult", "2", "--temb-dim", "8", "--leaky-slope", "0.1"]
+    flags = _TINY + _FAST + shape + ["--use-rl", "false"]
+    cfg = config.resolve_config(
+        overrides={k[2:].replace("-", "_"): v for k, v in zip(flags[::2], flags[1::2])}
+    )
+    data, run = str(tmp_path / "data"), tmp_path / "run"
+    assert cli.main(["gen-synthetic", "--out", data] + flags) == 0
+    ds = load_dataset(data)
+    result = trainer.train(ds, None, cfg, out_dir=run)
+    assert result.generator.net.layer_dims == [8 + 4 + 8 + 8, 16, 16, 8]
+    synth = tmp_path / "cli.csv"
+    assert cli.main(["synthesize", "--data", data, "--out", str(synth),
+                     "--generator", f"{run}/generator.ckpt"] + flags) == 0
+    feats, labels = synthesize_unseen(result.generator, ds.prototypes, ds.unseen_classes,
+                                      cfg.synth_per_class, cfg.schedule(),
+                                      stream_rng(cfg.seed, "eval"))
+    export_features(feats, labels, tmp_path / "lib.csv")
+    assert synth.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
+def test_cli_train_refuses_a_multi_layer_reward_checkpoint(tmp_path, capsys):
+    data, run = str(tmp_path / "data"), tmp_path / "run"
+    assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
+    d, n_seen = 8, 4
+    rng = np.random.default_rng(0)
+    run.mkdir()
+    save_checkpoint(run / "reward.ckpt", REWARD_TAG, [
+        rng.normal(size=(n_seen, d)), np.zeros(n_seen),
+        rng.normal(size=(n_seen, n_seen)), np.zeros(n_seen),
+    ])
+    code = cli.main(["train", "--data", data, "--out", str(run),
+                     "--reward", str(run / "reward.ckpt")] + _FAST)
+    assert code == 2
+    assert "one linear layer" in capsys.readouterr().err
 
 
 def test_cli_raw_reward_and_cue_flags(tmp_path):

@@ -146,3 +146,13 @@ def test_per_row_timesteps():
     out = diffusion.forward_noise(x0, t, s, np.random.default_rng(0))
     np.testing.assert_array_equal(out[0], x0[0])  # the t=0 row stays clean
     assert out.shape == (3, 2)
+
+
+def test_timestep_count_must_be_one_or_the_row_count():
+    s = diffusion.build_schedule(4, 0.1, 0.4)
+    rng = np.random.default_rng(0)
+    np.testing.assert_array_equal(diffusion.per_row(2, 3), [2, 2, 2])
+    with pytest.raises(UsageError, match="2 timesteps for 3 rows"):
+        diffusion.forward_noise(np.zeros((3, 2)), np.array([1, 2]), s, rng)
+    with pytest.raises(UsageError, match="2 timesteps for 3 rows"):
+        diffusion.posterior_sample(np.zeros((3, 2)), np.zeros((3, 2)), np.array([1, 2]), s, rng)

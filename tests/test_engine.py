@@ -94,7 +94,7 @@ def test_broadcast_mul_gradient_values():
 
 def test_reverse_pass_builds_no_tensor(monkeypatch):
     rng = np.random.default_rng(3)
-    net = DenseNet([4, 6, 6, 3], rng)
+    net = DenseNet([4, 6, 6, 3], rng, 0.2)
     logits = net.forward(Tensor(rng.normal(size=(5, 4))))
     onehot = Tensor(np.eye(3)[[0, 1, 2, 0, 1]])
     loss = -engine.tmean(engine.tsum(engine.log_softmax(logits, axis=1) * onehot, axis=1))

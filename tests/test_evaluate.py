@@ -119,8 +119,7 @@ def test_head_preserves_noncontiguous_ids():
 
 
 def _tiny_gen(d=3, d_z=2):
-    return Generator(feat_dim=d, sem_dim=d_z, rng=np.random.default_rng(0),
-                     hidden_mult=1, temb_dim=4)
+    return Generator(d, d_z, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(0))
 
 
 def test_synthesize_unseen_shapes_and_determinism():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rlvc import diffusion, engine, gan
+from rlvc.config import Config
 from rlvc.engine import Tensor
 from rlvc.errors import UsageError
 from rlvc.gan import CriticX0, CriticXt, Generator
@@ -17,7 +18,7 @@ def _zero_net(net) -> None:
 
 
 def _constant_critic_x0(c: float, d=3, dz=2) -> CriticX0:
-    critic = CriticX0(d, dz, np.random.default_rng(0))
+    critic = CriticX0(d, dz, Config(), np.random.default_rng(0))
     _zero_net(critic.net)
     arrays = [p.data.copy() for p in critic.net.params]
     arrays[-1][:] = c  # output bias
@@ -32,7 +33,7 @@ def _unit_linear_critic_x0(w: np.ndarray, dz=2) -> CriticX0:
     units per layer reconstruct the linear pre-activation.
     """
     d = w.size
-    critic = CriticX0(d, dz, np.random.default_rng(0), slope=0.2)
+    critic = CriticX0(d, dz, Config(leaky_slope=0.2), np.random.default_rng(0))
     dims = critic.net.layer_dims
     W1 = np.zeros((dims[1], dims[0]))
     W1[0, :d] = w
@@ -49,7 +50,7 @@ def _unit_linear_critic_x0(w: np.ndarray, dz=2) -> CriticX0:
 
 
 def test_synthesize_deterministic_and_zero_net():
-    gen = Generator(3, 2, np.random.default_rng(1), hidden_mult=2, temb_dim=4)
+    gen = Generator(3, 2, Config(hidden_mult=2, temb_dim=4), np.random.default_rng(1))
     eps = np.random.default_rng(2).normal(size=(4, 3))
     z = np.random.default_rng(3).normal(size=(4, 2))
     xn = np.random.default_rng(4).normal(size=(4, 3))
@@ -62,7 +63,7 @@ def test_synthesize_deterministic_and_zero_net():
 
 
 def test_synthesize_batched_equals_stacked():
-    gen = Generator(3, 2, np.random.default_rng(5), hidden_mult=2, temb_dim=4)
+    gen = Generator(3, 2, Config(hidden_mult=2, temb_dim=4), np.random.default_rng(5))
     rng = np.random.default_rng(6)
     eps, z, xn = rng.normal(size=(5, 3)), rng.normal(size=(5, 2)), rng.normal(size=(5, 3))
     t = np.array([1, 2, 3, 4, 1])
@@ -75,9 +76,34 @@ def test_synthesize_batched_equals_stacked():
 
 
 def test_synthesize_rejects_mismatched_batches():
-    gen = Generator(3, 2, np.random.default_rng(0), hidden_mult=2, temb_dim=4)
+    gen = Generator(3, 2, Config(hidden_mult=2, temb_dim=4), np.random.default_rng(0))
     with pytest.raises(UsageError):
         gen.synthesize(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros((2, 3)), 1)
+
+
+_SCHED = diffusion.build_schedule(4, 0.1, 0.4)
+_SHAPE = Config(hidden_mult=1, temb_dim=4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: diffusion.posterior_sample(
+            np.zeros((2, 3)), np.zeros((2, 3)), t, _SCHED, np.random.default_rng(0)
+        ),
+        lambda t: Generator(3, 2, _SHAPE, np.random.default_rng(0)).synthesize(
+            np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 3)), t
+        ),
+        lambda t: CriticXt(3, 2, _SHAPE, np.random.default_rng(0)).condition(
+            np.zeros((2, 3)), np.zeros((2, 2)), t
+        ),
+    ],
+    ids=["posterior_sample", "Generator.synthesize", "CriticXt.condition"],
+)
+def test_single_timestep_must_be_an_integer(call):
+    call(1)
+    with pytest.raises(UsageError, match="integers"):
+        call(1.5)
 
 
 def test_zero_critic_loss_is_lambda_gp():
@@ -130,7 +156,7 @@ def test_gradient_norms_match_central_differences_of_xt_critic():
     # only the x_hat columns of the transition critic's input are
     # differentiated; the conditioning that score builds stays fixed
     rng = np.random.default_rng(40)
-    critic = CriticXt(3, 2, rng, hidden_mult=2, temb_dim=4)
+    critic = CriticXt(3, 2, Config(hidden_mult=2, temb_dim=4), rng)
     x_hat, x_next, z = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
     t = np.array([0, 1, 2, 3])
     cond = critic.condition(x_next, z, t)
@@ -147,7 +173,7 @@ def test_gradient_norms_match_central_differences_of_xt_critic():
 
 
 def test_gp_swap_invariance_when_real_equals_fake():
-    critic = CriticX0(3, 2, np.random.default_rng(10))
+    critic = CriticX0(3, 2, Config(), np.random.default_rng(10))
     batch = np.random.default_rng(11).normal(size=(5, 3))
     z = np.random.default_rng(12).normal(size=(5, 2))
     gp = 10.0
@@ -159,7 +185,7 @@ def test_gp_swap_invariance_when_real_equals_fake():
 
 
 def test_critic_x0_loss_rejects_bad_batches():
-    critic = CriticX0(3, 2, np.random.default_rng(0))
+    critic = CriticX0(3, 2, Config(), np.random.default_rng(0))
     gp = 10.0
     rng = np.random.default_rng(0)
     with pytest.raises(UsageError):
@@ -169,7 +195,7 @@ def test_critic_x0_loss_rejects_bad_batches():
 
 
 def test_critic_xt_zero_net_loss_is_lambda_gp():
-    critic = CriticXt(3, 2, np.random.default_rng(0), temb_dim=4)
+    critic = CriticXt(3, 2, Config(temb_dim=4), np.random.default_rng(0))
     _zero_net(critic.net)
     rng = np.random.default_rng(13)
     shape = (6, 3)
@@ -189,7 +215,7 @@ def test_critic_xt_zero_net_loss_is_lambda_gp():
 
 def test_critic_fd_spot_check():
     rng = np.random.default_rng(20)
-    critic = CriticX0(2, 2, rng, hidden_mult=1)
+    critic = CriticX0(2, 2, Config(hidden_mult=1), rng)
     real = rng.normal(size=(3, 2))
     fake = rng.normal(size=(3, 2))
     z = rng.normal(size=(3, 2))
@@ -201,7 +227,7 @@ def test_critic_fd_spot_check():
 
 
 def test_generator_adv_loss_constant_critics():
-    gen = Generator(3, 2, np.random.default_rng(1), hidden_mult=1, temb_dim=4)
+    gen = Generator(3, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(1))
     sched = diffusion.build_schedule(4, 0.1, 0.4)
     rng = np.random.default_rng(2)
     z = rng.normal(size=(4, 2))
@@ -211,7 +237,7 @@ def test_generator_adv_loss_constant_critics():
     eps_p = rng.normal(size=(4, 3))
 
     cx0 = _constant_critic_x0(1.25, d=3, dz=2)
-    cxt = CriticXt(3, 2, np.random.default_rng(0), temb_dim=16)
+    cxt = CriticXt(3, 2, Config(temb_dim=16), np.random.default_rng(0))
     _zero_net(cxt.net)
     arrays = [p.data.copy() for p in cxt.net.params]
     arrays[-1][:] = -0.75
@@ -231,9 +257,9 @@ def test_generator_adv_loss_constant_critics():
 
 def test_generator_step_runs_no_critic_weight_vjp():
     rng = np.random.default_rng(21)
-    gen = Generator(3, 2, rng, hidden_mult=2, temb_dim=4)
-    cx0 = CriticX0(3, 2, rng, hidden_mult=2)
-    cxt = CriticXt(3, 2, rng, hidden_mult=2, temb_dim=4)
+    gen = Generator(3, 2, Config(hidden_mult=2, temb_dim=4), rng)
+    cx0 = CriticX0(3, 2, Config(hidden_mult=2), rng)
+    cxt = CriticXt(3, 2, Config(hidden_mult=2, temb_dim=4), rng)
     sched = diffusion.build_schedule(4, 0.1, 0.4)
     z, x_next = rng.normal(size=(5, 2)), rng.normal(size=(5, 3))
     t = np.array([0, 1, 2, 3, 0])
@@ -288,9 +314,9 @@ def test_generator_step_runs_no_critic_weight_vjp():
 def test_generator_adv_fd_through_posterior_path():
     # gradient flows through both critics, including the reparameterized
     # x_t sample; all noise is held fixed so the loss is a pure function
-    gen = Generator(2, 2, np.random.default_rng(3), hidden_mult=1, temb_dim=4)
-    cx0 = CriticX0(2, 2, np.random.default_rng(4), hidden_mult=1)
-    cxt = CriticXt(2, 2, np.random.default_rng(5), hidden_mult=1, temb_dim=4)
+    gen = Generator(2, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(3))
+    cx0 = CriticX0(2, 2, Config(hidden_mult=1), np.random.default_rng(4))
+    cxt = CriticXt(2, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(5))
     sched = diffusion.build_schedule(4, 0.1, 0.4)
     rng = np.random.default_rng(6)
     z = rng.normal(size=(3, 2))
@@ -310,8 +336,8 @@ def test_summed_critic_objective_zero_nets():
     # the trainer adds the two scalar losses; with both critics zeroed each
     # term reduces to its gradient penalty, so the sum is exactly 2 * lambda
     rng = np.random.default_rng(30)
-    cx0 = CriticX0(2, 2, rng, hidden_mult=1)
-    cxt = CriticXt(2, 2, rng, hidden_mult=1, temb_dim=4)
+    cx0 = CriticX0(2, 2, Config(hidden_mult=1), rng)
+    cxt = CriticXt(2, 2, Config(hidden_mult=1, temb_dim=4), rng)
     _zero_net(cx0.net)
     _zero_net(cxt.net)
     real = rng.normal(size=(4, 2))

@@ -24,7 +24,7 @@ _BETAS = dict(beta1=Config().adam_beta1, beta2=Config().adam_beta2)
 
 
 def test_init_statistics_match_he():
-    net = DenseNet([400, 300], np.random.default_rng(0))
+    net = DenseNet([400, 300], np.random.default_rng(0), 0.2)
     w = net.weights[0].data
     assert abs(w.mean()) < 0.005
     assert abs(w.std() - np.sqrt(2.0 / 400)) < 0.002
@@ -32,21 +32,21 @@ def test_init_statistics_match_he():
 
 
 def test_forward_identity_layer():
-    net = DenseNet([2, 2], np.random.default_rng(0))
+    net = DenseNet([2, 2], np.random.default_rng(0), 0.2)
     net.set_params([np.eye(2), np.zeros(2)])
     out = net.forward(Tensor([[1.0, 2.0]]))
     np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
 
 
 def test_forward_zero_net_outputs_zero():
-    net = DenseNet([3, 4, 2], np.random.default_rng(0))
+    net = DenseNet([3, 4, 2], np.random.default_rng(0), 0.2)
     net.set_params([np.zeros_like(p.data) for p in net.params])
     out = net.forward(Tensor(np.random.default_rng(1).normal(size=(5, 3))))
     np.testing.assert_array_equal(out.data, np.zeros((5, 2)))
 
 
 def test_forward_two_layer_hand_oracle():
-    net = DenseNet([2, 2, 1], np.random.default_rng(0), slope=0.2)
+    net = DenseNet([2, 2, 1], np.random.default_rng(0), 0.2)
     net.set_params(
         [
             np.array([[1.0, -1.0], [0.5, 2.0]]),
@@ -62,7 +62,7 @@ def test_forward_two_layer_hand_oracle():
 
 
 def test_forward_rowwise_independence():
-    net = DenseNet([3, 5, 2], np.random.default_rng(3))
+    net = DenseNet([3, 5, 2], np.random.default_rng(3), 0.2)
     x = np.random.default_rng(4).normal(size=(6, 3))
     batched = net.forward(Tensor(x)).data
     stacked = np.concatenate([net.forward(Tensor(x[i : i + 1])).data for i in range(6)])
@@ -73,15 +73,15 @@ def test_forward_rowwise_independence():
 
 
 def test_forward_input_errors():
-    net = DenseNet([3, 2], np.random.default_rng(0))
+    net = DenseNet([3, 2], np.random.default_rng(0), 0.2)
     with pytest.raises(UsageError):
         net.forward(Tensor(np.zeros(3)))
     with pytest.raises(ConfigurationError):
         net.forward(Tensor(np.zeros((1, 4))))
     with pytest.raises(ConfigurationError):
-        DenseNet([3], np.random.default_rng(0))
+        DenseNet([3], np.random.default_rng(0), 0.2)
     with pytest.raises(ConfigurationError):
-        DenseNet([3, 0, 1], np.random.default_rng(0))
+        DenseNet([3, 0, 1], np.random.default_rng(0), 0.2)
 
 
 def _pre_activations(net, x):
@@ -106,7 +106,7 @@ def _central_input_grad(net, x, step=1e-6):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_input_grad_matches_central_differences(seed):
     rng = np.random.default_rng(seed)
-    net = DenseNet([5, 7, 6, 2], rng, slope=0.3)
+    net = DenseNet([5, 7, 6, 2], rng, 0.3)
     net.set_params([p.data + 0.1 * rng.normal(size=p.shape) for p in net.params])
     x = rng.normal(size=(4, 5))
     pres = _pre_activations(net, x)
@@ -120,7 +120,7 @@ def test_input_grad_matches_central_differences(seed):
 
 def test_input_grad_is_a_graph_node_of_the_weights():
     rng = np.random.default_rng(4)
-    net = DenseNet([3, 5, 4, 1], rng)
+    net = DenseNet([3, 5, 4, 1], rng, 0.2)
     x = rng.normal(size=(6, 3))
     assert min(np.abs(p).min() for p in _pre_activations(net, x)) > 1e-3
     err = engine.finite_difference_check(
@@ -130,7 +130,7 @@ def test_input_grad_is_a_graph_node_of_the_weights():
 
 
 def test_set_params_validates():
-    net = DenseNet([2, 2], np.random.default_rng(0))
+    net = DenseNet([2, 2], np.random.default_rng(0), 0.2)
     with pytest.raises(ConfigurationError):
         net.set_params([np.eye(2)])
     with pytest.raises(ConfigurationError):
@@ -138,7 +138,7 @@ def test_set_params_validates():
 
 
 def test_n_params_counts_weights_and_biases():
-    net = DenseNet([3, 5, 2], np.random.default_rng(0))
+    net = DenseNet([3, 5, 2], np.random.default_rng(0), 0.2)
     assert net.n_params() == 3 * 5 + 5 + 5 * 2 + 2
 
 
@@ -258,29 +258,42 @@ def test_timestep_embedding_odd_width_zero_padded():
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
-    net = DenseNet([3, 7, 2], np.random.default_rng(11))
+    net = DenseNet([3, 7, 2], np.random.default_rng(11), 0.2)
     path = tmp_path / "net.ckpt"
-    save_checkpoint(path, net, b"GNET")
+    save_checkpoint(path, b"GNET", [p.data for p in net.params])
     loaded = load_checkpoint(path, b"GNET")
-    assert loaded.layer_dims == net.layer_dims
-    for a, b in zip(net.params, loaded.params):
-        assert a.data.tobytes() == b.data.tobytes()
-    # re-saving the loaded net reproduces the file exactly
+    assert [a.shape for a in loaded] == [p.shape for p in net.params]
+    for a, b in zip(net.params, loaded):
+        assert a.data.tobytes() == b.tobytes()
+    # re-saving the loaded arrays reproduces the file exactly
     path2 = tmp_path / "net2.ckpt"
-    save_checkpoint(path2, loaded, b"GNET")
+    save_checkpoint(path2, b"GNET", loaded)
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_checkpoint_rejects_bad_tag_on_save(tmp_path):
-    net = DenseNet([2, 2], np.random.default_rng(0))
+    net = DenseNet([2, 2], np.random.default_rng(0), 0.2)
     with pytest.raises(UsageError):
-        save_checkpoint(tmp_path / "x.ckpt", net, b"TOOLONG")
+        save_checkpoint(tmp_path / "x.ckpt", b"TOOLONG", [p.data for p in net.params])
+    w, b = np.zeros((3, 2)), np.zeros(3)
+    not_chains = [
+        [],
+        [w],  # weight without its bias
+        [b, w],  # bias first
+        [w, np.zeros(2)],  # bias length != fan_out
+        [w, b, np.zeros((4, 2)), np.zeros(4)],  # fan_in != previous fan_out
+        [np.zeros((3, 2, 1)), b],  # weight not a matrix
+    ]
+    for arrays in not_chains:
+        with pytest.raises(UsageError, match="weight/bias chain"):
+            save_checkpoint(tmp_path / "x.ckpt", b"GNET", arrays)
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def _valid_blob(tmp_path) -> bytes:
-    net = DenseNet([2, 3], np.random.default_rng(5))
+    net = DenseNet([2, 3], np.random.default_rng(5), 0.2)
     path = tmp_path / "good.ckpt"
-    save_checkpoint(path, net, b"GNET")
+    save_checkpoint(path, b"GNET", [p.data for p in net.params])
     return path.read_bytes()
 
 
@@ -305,9 +318,9 @@ def test_checkpoint_rejects_corruption(tmp_path, mutate):
 
 
 def test_checkpoint_tag_check_optional(tmp_path):
-    net = DenseNet([2, 2], np.random.default_rng(0))
+    net = DenseNet([2, 2], np.random.default_rng(0), 0.2)
     path = tmp_path / "r.ckpt"
-    save_checkpoint(path, net, b"RWDM")
+    save_checkpoint(path, b"RWDM", [p.data for p in net.params])
     load_checkpoint(path)  # no expected tag: accepted
     with pytest.raises(ConfigurationError):
         load_checkpoint(path, b"GNET")

@@ -101,7 +101,7 @@ def test_frozen_params_bitwise_stable_under_rl_steps():
     w_before = model.weight.tobytes()
     b_before = model.bias.tobytes()
 
-    gen = Generator(3, 2, np.random.default_rng(0), hidden_mult=1, temb_dim=4)
+    gen = Generator(3, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(0))
     opt = AdamState(gen.params, lr=1e-3, beta1=Config().adam_beta1, beta2=Config().adam_beta2)
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -190,7 +190,7 @@ def test_rl_loss_arithmetic_and_guards():
 
 
 def test_rl_loss_zero_advantages_zero_gradient():
-    gen = Generator(2, 2, np.random.default_rng(0), hidden_mult=1, temb_dim=4)
+    gen = Generator(2, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(0))
     model = RewardModel(np.random.default_rng(1).normal(size=(2, 2)), np.zeros(2))
     rng = np.random.default_rng(2)
     x0 = gen.synthesize(rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), 1)
@@ -205,7 +205,7 @@ def test_rl_loss_zero_advantages_zero_gradient():
 def test_stop_gradient_identity():
     # gradients must be identical whether advantages come from the baseline
     # arithmetic or are pasted in as plain constants of the same value
-    gen = Generator(2, 2, np.random.default_rng(3), hidden_mult=1, temb_dim=4)
+    gen = Generator(2, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(3))
     model = RewardModel(np.random.default_rng(4).normal(size=(3, 2)), np.zeros(3))
     rng = np.random.default_rng(5)
     eps, z, xn = rng.normal(size=(6, 2)), rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
@@ -239,7 +239,7 @@ def test_unit_advantages_reduce_to_nll():
 
 
 def test_positive_advantage_step_raises_log_prob():
-    gen = Generator(2, 2, np.random.default_rng(8), hidden_mult=1, temb_dim=4)
+    gen = Generator(2, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(8))
     model = RewardModel(np.random.default_rng(9).normal(size=(2, 2)), np.zeros(2))
     rng = np.random.default_rng(10)
     eps, z, xn = rng.normal(size=(1, 2)), rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
@@ -258,7 +258,7 @@ def test_positive_advantage_step_raises_log_prob():
 
 
 def test_rl_loss_fd_through_generator():
-    gen = Generator(2, 2, np.random.default_rng(11), hidden_mult=1, temb_dim=4)
+    gen = Generator(2, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(11))
     model = RewardModel(np.random.default_rng(12).normal(size=(2, 2)), np.zeros(2))
     rng = np.random.default_rng(13)
     eps, z, xn = rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
