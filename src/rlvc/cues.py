@@ -15,6 +15,7 @@ import numpy as np
 from . import engine
 from .engine import Tensor
 from .errors import ConfigurationError, UsageError
+from .nets import log_softmax_cached, log_softmax_pullback
 
 log = logging.getLogger(__name__)
 
@@ -27,6 +28,9 @@ class VisualPrototypeTable:
     def __init__(self, prototypes: dict[int, np.ndarray], counts: dict[int, int]):
         self.prototypes = {int(c): np.asarray(v, dtype=np.float64) for c, v in prototypes.items()}
         self.counts = {int(c): int(n) for c, n in counts.items()}
+        self._ids = np.asarray(sorted(self.prototypes), dtype=np.int64)
+        rows = [self.prototypes[c] for c in self._ids.tolist()]
+        self._rows = np.stack(rows) if rows else np.empty((0, 0))
 
     def __contains__(self, class_id: int) -> bool:
         return int(class_id) in self.prototypes
@@ -36,13 +40,13 @@ class VisualPrototypeTable:
 
     def lookup(self, labels) -> np.ndarray:
         """Stack prototypes for a label vector; unknown label is a hard error."""
-        rows = []
-        for y in np.asarray(labels).reshape(-1):
-            v = self.prototypes.get(int(y))
-            if v is None:
-                raise UsageError(f"no visual prototype for class {int(y)}")
-            rows.append(v)
-        return np.stack(rows, axis=0)
+        labels = np.asarray(labels).reshape(-1).astype(np.int64)
+        pos = np.searchsorted(self._ids, labels)
+        known = pos < len(self._ids)
+        known[known] = self._ids[pos[known]] == labels[known]
+        if not known.all():
+            raise UsageError(f"no visual prototype for class {int(labels[np.argmin(known)])}")
+        return self._rows[pos]
 
     def export_text(self, path) -> None:
         """One row per class: class id, then the prototype reals."""
@@ -122,14 +126,72 @@ def l1_cue_loss(x_batch, labels, table: VisualPrototypeTable) -> Tensor:
     return engine.tmean(engine.absval(x - Tensor(v)))
 
 
+# Hand-written passes of the losses above for rows x and their prototypes v:
+# each returns the loss value and the contributions that engine.backward on
+# `weight * <loss>(x)` adds into x's gradient, in the order it adds them, so
+# summing them onto a running gradient in list order is bit-equal to the
+# engine (see gan.py).
+
+
+def _pd_pass(x: np.ndarray, v: np.ndarray, weight: float):
+    x_sq = np.sum(x * x, axis=1)
+    nonzero = x_sq > 0.0
+    if not np.all(nonzero):
+        log.warning("pd_loss: %d synthesized row(s) have zero norm", int((~nonzero).sum()))
+    x_norm = np.sqrt(np.maximum(x_sq, _NORM_FLOOR))
+    v_norm = np.linalg.norm(v, axis=1)
+    num = nonzero * np.sum(x * v, axis=1)
+    den = x_norm * v_norm
+    inv_b = 1.0 / x.shape[0]
+    value = np.sum(1.0 - num / den) * inv_b
+
+    u_cos = -np.full(x.shape[0], weight * inv_b)
+    u_num = (u_cos / den) * nonzero
+    u_den = -((u_cos * num) / (den * den))
+    u_sq = (((u_den * v_norm) * 0.5) / x_norm) * (x_sq >= _NORM_FLOOR)
+    through_sq = u_sq[:, None] * x
+    return value, [u_num[:, None] * v, through_sq, through_sq]
+
+
+def _kl_pass(x: np.ndarray, v: np.ndarray, weight: float):
+    p = np.exp(v - v.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    lq, lq_cache = log_softmax_cached(x)
+    inv_b = 1.0 / x.shape[0]
+    value = np.sum(np.sum(p * (np.log(p) - lq), axis=1)) * inv_b
+
+    u_lq = -(np.full((x.shape[0], 1), weight * inv_b) * p)
+    return value, [log_softmax_pullback(lq_cache, u_lq)]
+
+
+def _l1_pass(x: np.ndarray, v: np.ndarray, weight: float):
+    diff = x - v
+    inv_n = 1.0 / diff.size
+    value = np.sum(np.abs(diff)) * inv_n
+    return value, [(weight * inv_n) * np.sign(diff)]
+
+
 _CUE_LOSSES = {"pd": pd_loss, "kl": kl_cue_loss, "l1": l1_cue_loss}
 CUE_VARIANTS = tuple(_CUE_LOSSES)
+_CUE_PASSES = {"pd": _pd_pass, "kl": _kl_pass, "l1": _l1_pass}
 
 
 def cue_loss(x_batch, labels, table: VisualPrototypeTable, variant: str) -> Tensor:
     if variant not in CUE_VARIANTS:
         raise ConfigurationError(f"unknown cue variant {variant!r}")
     return _CUE_LOSSES[variant](x_batch, labels, table)
+
+
+def cue_loss_pass(x: np.ndarray, labels, table: VisualPrototypeTable, variant: str, weight: float):
+    """`cue_loss` without a graph, on plain rows x: the loss value and the
+    contributions of `weight * cue_loss` to x's gradient, in the order the
+    engine's reverse pass adds them."""
+    if variant not in CUE_VARIANTS:
+        raise ConfigurationError(f"unknown cue variant {variant!r}")
+    v = table.lookup(labels)
+    if v.shape != x.shape:
+        raise UsageError(f"{variant} cue loss: batch {x.shape} vs prototypes {v.shape}")
+    return _CUE_PASSES[variant](x, v, weight)
 
 
 def generator_total_loss(adv_loss, cue_term, lambda_pd: float) -> Tensor:

@@ -31,21 +31,29 @@ class Generator:
     def params(self) -> list[Tensor]:
         return self.net.params
 
-    def synthesize(self, eps, z, x_noisy, t) -> Tensor:
-        """Predict clean features from noise, prototype, noisy state, and the
-        timestep index of that state. Row-wise: batched calls equal stacked
-        single-row calls."""
+    def _inputs(self, eps, z, x_noisy, t) -> np.ndarray:
         eps = np.atleast_2d(np.asarray(eps, dtype=np.float64))
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        xn = engine.as_batch(x_noisy)
+        xn = np.atleast_2d(np.asarray(x_noisy, dtype=np.float64))
         if xn.ndim != 2:
-            xn = engine.reshape(xn, (1, xn.size))
+            xn = xn.reshape(1, xn.size)
         rows = eps.shape[0]
         if not (z.shape[0] == rows and xn.shape[0] == rows):
             raise UsageError("synthesize: batch sizes differ")
         temb = timestep_embedding(diffusion.per_row(t, rows), self.temb_dim)
-        inp = engine.concat([Tensor(eps), Tensor(z), xn, Tensor(temb)], axis=1)
-        return self.net.forward(inp)
+        return np.concatenate([eps, z, xn, temb], axis=1)
+
+    def synthesize(self, eps, z, x_noisy, t, cached: bool = False):
+        """Predict clean features from noise, prototype, noisy state, and the
+        timestep index of that state. Row-wise: batched calls equal stacked
+        single-row calls.
+
+        Returns a graph node of the parameters or, with `cached`, builds no
+        graph and returns the same values as an array together with the
+        cache for `self.net.pullback`.
+        """
+        inp = self._inputs(eps, z, x_noisy, t)
+        return self.net.forward_cached(inp) if cached else self.net.forward(Tensor(inp))
 
 
 class CriticX0:
@@ -81,8 +89,8 @@ class CriticXt:
     def condition(self, x_next, z, t) -> np.ndarray:
         """The fixed input columns that follow x_t: x_next, z, then the
         timestep embedding."""
-        x_next = engine.as_batch(x_next).data
-        z = engine.as_batch(z).data
+        x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
+        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         temb = timestep_embedding(diffusion.per_row(t, x_next.shape[0]), self.temb_dim)
         return np.concatenate([x_next, z, temb], axis=1)
 
@@ -116,41 +124,113 @@ def _as_const_batch(x, what: str) -> np.ndarray:
     return data
 
 
-def critic_x0_terms(critic: CriticX0, real_x0, fake_x0, z, lambda_gp: float, rng) -> Tensor:
+def _x0_batches(real_x0, fake_x0, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     real = _as_const_batch(real_x0, "critic_x0_loss real")
     fake = _as_const_batch(fake_x0, "critic_x0_loss fake")
     z = _as_const_batch(z, "critic_x0_loss z")
     if not (real.shape == fake.shape and real.shape[0] == z.shape[0]):
         raise UsageError("critic_x0_loss: batch shapes disagree")
-    wass = -engine.tmean(critic.score(real, z)) + engine.tmean(critic.score(fake, z))
-    return wass + lambda_gp * _gradient_penalty(critic.net, real, fake, z, rng)
+    return real, fake, z
 
 
-def critic_x0_loss(critic, real_x0, fake_x0, z, lambda_gp: float, rng):
-    """Clean-feature critic loss; fakes are constants (no generator grad).
-
-    Returns the scalar loss node and gradients w.r.t. the critic parameters.
-    """
-    loss = critic_x0_terms(critic, real_x0, fake_x0, z, lambda_gp, rng)
-    return loss, engine.backward(loss, critic.params)
-
-
-def critic_xt_terms(critic: CriticXt, real_xt, fake_xt, x_next, z, t, lambda_gp: float, rng) -> Tensor:
+def _xt_batches(critic: CriticXt, real_xt, fake_xt, x_next, z, t):
+    """The checked real and fake batches, and the conditioning block."""
     real = _as_const_batch(real_xt, "critic_xt_loss real")
     fake = _as_const_batch(fake_xt, "critic_xt_loss fake")
     x_next = _as_const_batch(x_next, "critic_xt_loss x_next")
     z = _as_const_batch(z, "critic_xt_loss z")
     if not (real.shape == fake.shape == x_next.shape and real.shape[0] == z.shape[0]):
         raise UsageError("critic_xt_loss: batch shapes disagree")
-    cond = critic.condition(x_next, z, t)
+    return real, fake, critic.condition(x_next, z, t)
+
+
+def critic_x0_terms(critic: CriticX0, real_x0, fake_x0, z, lambda_gp: float, rng) -> Tensor:
+    real, fake, z = _x0_batches(real_x0, fake_x0, z)
+    wass = -engine.tmean(critic.score(real, z)) + engine.tmean(critic.score(fake, z))
+    return wass + lambda_gp * _gradient_penalty(critic.net, real, fake, z, rng)
+
+
+def critic_xt_terms(critic: CriticXt, real_xt, fake_xt, x_next, z, t, lambda_gp: float, rng) -> Tensor:
+    real, fake, cond = _xt_batches(critic, real_xt, fake_xt, x_next, z, t)
     wass = -engine.tmean(critic.score(real, cond)) + engine.tmean(critic.score(fake, cond))
     return wass + lambda_gp * _gradient_penalty(critic.net, real, fake, cond, rng)
 
 
+# The hand-written passes below build no graph. Each mirrors the engine's
+# reverse pass through the matching `*_terms` graph: the same vjp
+# expressions on the same operand layouts, and the same order of
+# accumulation (`seen + contribution`, in the reverse topological order
+# engine.grad walks), so the results are bit-equal to engine.backward. The
+# tests check this with tobytes().
+
+
+def _penalty_pass(net: DenseNet, real, fake, cond, rng, weight: float):
+    """`_gradient_penalty` and the gradients of `weight` times it w.r.t. the
+    net's weights (one per layer; the biases get none), as the reverse pass
+    through `DenseNet.input_grad` computes them. Each mask is built once."""
+    rows, d = real.shape
+    u = rng.uniform(size=(rows, 1))
+    x_hat = u * real + (1.0 - u) * fake
+    _, (_, masks) = net.forward_cached(np.concatenate([x_hat, cond], axis=1))
+    ws = [w.data for w in net.weights]
+    # g = ones @ W_L, then g = (g * D_l) @ W_l down to the first layer.
+    ones = np.ones((rows, net.layer_dims[-1]))
+    g = ones @ ws[-1]
+    gated = []
+    for w, mask in zip(reversed(ws[:-1]), reversed(masks)):
+        gated.append(g * mask)
+        g = gated[-1] @ w
+    gx = g[:, :d]
+    sq = np.sum(gx * gx, axis=1)
+    norms = np.sqrt(np.maximum(sq, _NORM_FLOOR))
+    dev = norms - 1.0
+    inv_b = 1.0 / rows
+    value = np.sum(dev**2.0) * inv_b
+
+    u_norms = (np.full(rows, weight * inv_b) * 2.0) * dev
+    u_sq = ((u_norms * 0.5) / norms) * (sq >= _NORM_FLOOR)
+    u_gx = u_sq[:, None] * gx
+    ug = np.zeros(g.shape)
+    ug[:, :d] = u_gx + u_gx  # gx * gx has one vjp per operand
+    grads = []
+    for w, gm, mask in zip(ws[:-1], reversed(gated), masks):
+        grads.append(gm.T @ ug)
+        ug = (ug @ w.T) * mask
+    grads.append(ones.T @ ug)
+    return value, grads
+
+
+def _critic_pass(net: DenseNet, real, fake, cond, lambda_gp: float, rng):
+    """The loss of `critic_*_terms` and its gradients w.r.t. net.params:
+    per parameter (real + fake) + penalty."""
+    inv_b = 1.0 / real.shape[0]
+    s_real, real_cache = net.forward_cached(np.concatenate([real, cond], axis=1))
+    s_fake, fake_cache = net.forward_cached(np.concatenate([fake, cond], axis=1))
+    gp, gp_grads = _penalty_pass(net, real, fake, cond, rng, lambda_gp)
+    loss = (-(np.sum(s_real) * inv_b) + np.sum(s_fake) * inv_b) + gp * lambda_gp
+    g_real = net.pullback(real_cache, np.full(s_real.shape, -inv_b))
+    g_fake = net.pullback(fake_cache, np.full(s_fake.shape, inv_b))
+    grads = [r + f for r, f in zip(g_real, g_fake)]
+    for layer, g in enumerate(gp_grads):
+        grads[2 * layer] = grads[2 * layer] + g
+    return loss, grads
+
+
+def critic_x0_loss(critic, real_x0, fake_x0, z, lambda_gp: float, rng):
+    """Clean-feature critic loss; fakes are constants (no generator grad).
+
+    Returns the loss as an np.float64 and the gradients w.r.t. the critic
+    parameters, bit-equal to engine.backward on `critic_x0_terms`.
+    """
+    real, fake, z = _x0_batches(real_x0, fake_x0, z)
+    return _critic_pass(critic.net, real, fake, z, lambda_gp, rng)
+
+
 def critic_xt_loss(critic, real_xt, fake_xt, x_next, z, t, lambda_gp: float, rng):
-    """Transition critic loss; same contract as critic_x0_loss."""
-    loss = critic_xt_terms(critic, real_xt, fake_xt, x_next, z, t, lambda_gp, rng)
-    return loss, engine.backward(loss, critic.params)
+    """Transition critic loss; same contract as critic_x0_loss, against
+    `critic_xt_terms`."""
+    real, fake, cond = _xt_batches(critic, real_xt, fake_xt, x_next, z, t)
+    return _critic_pass(critic.net, real, fake, cond, lambda_gp, rng)
 
 
 def generator_adv_terms(
@@ -180,3 +260,35 @@ def generator_adv_terms(
         critic_xt.score(xt_tilde, critic_xt.condition(x_next, z, t))
     )
     return loss, x0_tilde
+
+
+def generator_adv_pass(
+    gen: Generator,
+    critic_x0: CriticX0,
+    critic_xt: CriticXt,
+    z: np.ndarray,
+    x_next: np.ndarray,
+    t: np.ndarray,
+    sched: diffusion.DiffusionSchedule,
+    eps_gen: np.ndarray,
+    eps_post: np.ndarray,
+) -> tuple[np.float64, np.ndarray, np.ndarray, tuple]:
+    """`generator_adv_terms` without a graph. Returns the loss, the
+    synthesized clean features, the loss's gradient w.r.t. them (critic_x0's
+    term, then c1 times critic_xt's) and the generator's cache, so that
+    `gen.net.pullback(cache, gradient)` gives the generator's gradients."""
+    z = _as_const_batch(z, "generator_adv_terms z")
+    x_next = _as_const_batch(x_next, "generator_adv_terms x_next")
+    t = np.asarray(t).reshape(-1)
+    x0_tilde, cache = gen.synthesize(eps_gen, z, x_next, t + 1, cached=True)
+    c1, c2, sigma2 = diffusion.posterior_coeffs(sched, t)
+    xt_tilde = c1 * x0_tilde + (c2 * x_next + np.sqrt(sigma2) * eps_post)
+    cond = critic_xt.condition(x_next, z, t)
+    s0, cache0 = critic_x0.net.forward_cached(np.concatenate([x0_tilde, z], axis=1))
+    st, cachet = critic_xt.net.forward_cached(np.concatenate([xt_tilde, cond], axis=1))
+    inv_b = 1.0 / x0_tilde.shape[0]
+    loss = -(np.sum(s0) * inv_b) - np.sum(st) * inv_b
+    d = x0_tilde.shape[1]
+    g0 = critic_x0.net.pullback(cache0, np.full(s0.shape, -inv_b), wrt_input=True)
+    gt = critic_xt.net.pullback(cachet, np.full(st.shape, -inv_b), wrt_input=True)
+    return loss, x0_tilde, g0[:, :d] + gt[:, :d] * c1, cache

@@ -88,6 +88,43 @@ class DenseNet:
                 h = engine.leaky_relu(h, self.slope)
         return h
 
+    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, tuple[list, list]]:
+        """`forward` on a plain (batch, features) array, building no graph.
+
+        Returns the output, bit-equal to forward's, and the cache `pullback`
+        reads: the input of every layer and the leaky-relu mask of every
+        hidden layer.
+        """
+        if x.ndim != 2 or x.shape[1] != self.layer_dims[0]:
+            raise ConfigurationError(f"input shape {x.shape} != (batch, {self.layer_dims[0]})")
+        inputs, masks = [], []
+        h = x
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            inputs.append(h)
+            pre = h @ w.data.T + b.data
+            masks.append(np.where(pre > 0.0, 1.0, self.slope))
+            h = pre * masks[-1]
+        inputs.append(h)
+        return h @ self.weights[-1].data.T + self.biases[-1].data, (inputs, masks)
+
+    def pullback(self, cache, u: np.ndarray, wrt_input: bool = False):
+        """Reverse of `forward_cached` for the output gradient u, with the
+        vjps of engine.linear and engine.leaky_relu, so the result is
+        bit-equal to engine.backward through `forward`. Returns the parameter
+        gradients in `params` order or, with `wrt_input`, only the gradient
+        w.r.t. the input rows."""
+        inputs, masks = cache
+        grads = []
+        for i in range(len(self.weights) - 1, -1, -1):
+            w = self.weights[i].data
+            if not wrt_input:
+                grads[:0] = [(inputs[i].T @ u).T, np.sum(u, axis=0)]
+            if i > 0:
+                u = (u @ w) * masks[i - 1]
+            elif wrt_input:
+                return u @ w
+        return grads
+
     def input_grad(self, x) -> Tensor:
         """Gradient of sum(forward(x)) w.r.t. each row of x, as a graph node
         of the weights: ones @ W_L @ D_{L-1} @ ... @ D_1 @ W_1 per row.
@@ -118,6 +155,23 @@ class DenseNet:
             )
         for p, a in zip(params, arrays):
             p.data = np.asarray(a, dtype=np.float64).copy()
+
+
+def log_softmax_cached(a: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Row-wise engine.log_softmax on a plain array, building no graph: the
+    values, and the shifted exponentials with their row sums for
+    `log_softmax_pullback`."""
+    shifted = a - np.max(a, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    s = np.sum(e, axis=1, keepdims=True)
+    return shifted - np.log(s), (e, s)
+
+
+def log_softmax_pullback(cache: tuple, u: np.ndarray) -> np.ndarray:
+    """The input gradient of `log_softmax_cached` for the output gradient u,
+    as engine.log_softmax's reverse pass sums it."""
+    e, s = cache
+    return u + (np.sum(-u, axis=1, keepdims=True) / s) * e
 
 
 class AdamState:

@@ -16,7 +16,7 @@ from . import engine
 from .config import Config
 from .engine import Tensor
 from .errors import ConfigurationError, NumericFailure, UsageError
-from .nets import fit_linear_softmax
+from .nets import fit_linear_softmax, log_softmax_cached, log_softmax_pullback
 
 
 class RewardModel:
@@ -85,14 +85,26 @@ def reward_train_accuracy(model: RewardModel, features, labels) -> float:
     return float(np.mean(pred == np.asarray(labels)))
 
 
-def class_log_probs(model: RewardModel, x, y) -> Tensor:
-    """log p(y_i | x_i) per row, differentiable w.r.t. x only."""
+def _picks(model: RewardModel, y) -> np.ndarray:
+    """One-hot rows selecting class y_i of the reward model."""
     y = np.asarray(y).reshape(-1)
     if np.any(y < 0) or np.any(y >= model.n_classes):
         raise UsageError("class index outside the reward model's class set")
-    lp = model.log_probs(x)
-    pick = Tensor(np.eye(model.n_classes)[y])
-    return engine.tsum(lp * pick, axis=1)
+    return np.eye(model.n_classes)[y]
+
+
+def class_log_probs(model: RewardModel, x, y) -> Tensor:
+    """log p(y_i | x_i) per row, differentiable w.r.t. x only."""
+    pick = Tensor(_picks(model, y))
+    return engine.tsum(model.log_probs(x) * pick, axis=1)
+
+
+def class_log_probs_pass(model: RewardModel, x: np.ndarray, y) -> tuple[np.ndarray, tuple]:
+    """`class_log_probs` on plain rows x, building no graph: the log-probs
+    and the cache `rl_loss_pass` reads."""
+    pick = _picks(model, y)
+    lp, lp_cache = log_softmax_cached(x @ model.weight.T + model.bias)
+    return np.sum(lp * pick, axis=1), (model.weight, pick, lp_cache)
 
 
 def reward(model: RewardModel, x, y: int) -> float:
@@ -152,15 +164,34 @@ def advantage(batch_rewards: np.ndarray, baseline: EmaBaseline) -> AdvantageBatc
     return AdvantageBatch(rewards=r, advantages=r - baseline.value)
 
 
+def _check_advantages(advantages: AdvantageBatch, log_probs) -> None:
+    if not advantages.gradient_barrier:
+        raise UsageError("advantages must pass the stop-gradient barrier")
+    if log_probs.ndim != 1 or log_probs.shape[0] != advantages.advantages.shape[0]:
+        raise UsageError("rl_loss: batch sizes disagree")
+
+
 def rl_loss(advantages: AdvantageBatch, log_probs: Tensor, params) -> tuple[Tensor, list[np.ndarray]]:
     """Policy-gradient surrogate: -(1/B) sum_i A_i * log p(y_i | x_i).
 
     Advantages enter as constants (the stop-gradient barrier); gradients flow
     only through the log-probabilities into the given parameters.
     """
-    if not advantages.gradient_barrier:
-        raise UsageError("advantages must pass the stop-gradient barrier")
-    if log_probs.ndim != 1 or log_probs.shape[0] != advantages.advantages.shape[0]:
-        raise UsageError("rl_loss: batch sizes disagree")
+    _check_advantages(advantages, log_probs)
     loss = -engine.tmean(Tensor(advantages.advantages) * log_probs)
     return loss, engine.backward(loss, params)
+
+
+def rl_loss_pass(
+    advantages: AdvantageBatch, log_probs: np.ndarray, cache: tuple
+) -> tuple[np.float64, np.ndarray]:
+    """`rl_loss` without a graph, for log-probs and cache from
+    `class_log_probs_pass`: the loss, and its gradient w.r.t. the rows x
+    that were scored, bit-equal to the engine's reverse pass."""
+    _check_advantages(advantages, log_probs)
+    a = advantages.advantages
+    inv_b = 1.0 / a.shape[0]
+    loss = -(np.sum(a * log_probs) * inv_b)
+    weight, pick, lp_cache = cache
+    u = (np.full(a.shape[0], -1.0 * inv_b) * a)[:, None] * pick
+    return loss, log_softmax_pullback(lp_cache, u) @ weight

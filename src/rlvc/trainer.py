@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import cues, diffusion, engine, gan, reward as reward_mod
+from . import cues, diffusion, gan, reward as reward_mod
 from .config import Config
 from .cues import VisualPrototypeTable
 from .data import ZslDataset
@@ -164,7 +164,7 @@ def train(
                 for _ in range(config.critic_steps):
                     t, x_t, x_next = _draw_states(train_rng, x0)
                     eps_g = train_rng.standard_normal(x0.shape)
-                    fake_x0 = generator.synthesize(eps_g, z, x_next, t + 1).data
+                    fake_x0, _ = generator.synthesize(eps_g, z, x_next, t + 1, cached=True)
                     fake_xt = diffusion.posterior_sample(fake_x0, x_next, t, sched, train_rng)
                     loss0, grads0 = gan.critic_x0_loss(
                         critic_x0, x0, fake_x0, z, config.lambda_gp, train_rng
@@ -181,28 +181,29 @@ def train(
                 t, x_t, x_next = _draw_states(train_rng, x0)
                 eps_g = train_rng.standard_normal(x0.shape)
                 eps_post = train_rng.standard_normal(x0.shape)
-                adv_loss, x0_tilde = gan.generator_adv_terms(
+                adv_loss, x0_tilde, g_x0, gen_cache = gan.generator_adv_pass(
                     generator, critic_x0, critic_xt, z, x_next, t, sched, eps_g, eps_post
                 )
                 _require_finite(adv_loss.item(), "generator adversarial loss", epoch, batch_i)
                 if config.use_cues:
-                    cue_term = cues.cue_loss(x0_tilde, y, table, config.cue_loss)
+                    cue_term, cue_grads = cues.cue_loss_pass(
+                        x0_tilde, y, table, config.cue_loss, config.lambda_pd
+                    )
                     _require_finite(cue_term.item(), "distillation loss", epoch, batch_i)
-                    total_loss = cues.generator_total_loss(adv_loss, cue_term, config.lambda_pd)
+                    for g in cue_grads:
+                        g_x0 = g_x0 + g
                     cue_vals.append(cue_term.item())
-                else:
-                    total_loss = adv_loss
-                opt_gen.step(engine.backward(total_loss, generator.params))
+                opt_gen.step(generator.net.pullback(gen_cache, g_x0))
                 cnt.gen_updates += 1
                 adv_vals.append(adv_loss.item())
 
                 if rl_active:
                     t, x_t, x_next = _draw_states(rl_rng, x0)
                     eps_g = rl_rng.standard_normal(x0.shape)
-                    x0_rl = generator.synthesize(eps_g, z, x_next, t + 1)
+                    x0_rl, gen_cache = generator.synthesize(eps_g, z, x_next, t + 1, cached=True)
                     rows = np.searchsorted(seen, y)
-                    log_probs = reward_mod.class_log_probs(reward_model, x0_rl, rows)
-                    r = log_probs.data.copy()
+                    log_probs, lp_cache = reward_mod.class_log_probs_pass(reward_model, x0_rl, rows)
+                    r = log_probs.copy()
                     if not np.all(np.isfinite(r)):
                         raise NumericFailure(
                             f"reward is non-finite at epoch {epoch}, batch {batch_i}"
@@ -213,9 +214,9 @@ def train(
                         baseline.update(r)
                         cnt.ema_writes += 1
                         adv_batch = reward_mod.advantage(r, baseline)
-                    rl_l, rl_grads = reward_mod.rl_loss(adv_batch, log_probs, generator.params)
+                    rl_l, g_rl = reward_mod.rl_loss_pass(adv_batch, log_probs, lp_cache)
                     _require_finite(rl_l.item(), "rl loss", epoch, batch_i)
-                    opt_rl.step(rl_grads)
+                    opt_rl.step(generator.net.pullback(gen_cache, g_rl))
                     cnt.rl_updates += 1
                     reward_means.append(float(np.mean(r)))
                     if not config.raw_reward:
@@ -252,6 +253,7 @@ def train(
                 out_dir is not None
                 and config.checkpoint_interval > 0
                 and (epoch + 1) % config.checkpoint_interval == 0
+                and epoch + 1 < config.epochs
             ):
                 _save_generator(out_dir, generator)
         if out_dir is not None:

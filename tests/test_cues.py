@@ -73,6 +73,19 @@ def test_lookup_stacks_and_rejects_unknown():
         table.lookup([1])
 
 
+def test_lookup_rows_are_byte_equal_to_stacked_prototypes():
+    rng = np.random.default_rng(8)
+    table = mine_prototypes(rng.normal(size=(40, 5)), np.repeat([7, 2, 9, 4], 10), [2, 4, 7, 9])
+    labels = rng.choice([2, 4, 7, 9], size=50)
+    rows = table.lookup(labels)
+    stacked = np.stack([table.prototypes[int(y)] for y in labels], axis=0)
+    assert rows.shape == stacked.shape and rows.tobytes() == stacked.tobytes()
+    # the error names the first unknown label: inside, below and above the ids
+    for labels, first in (([2, 5, 11, 4], 5), ([4, 0, 5], 0), ([9, 11, 5], 11)):
+        with pytest.raises(UsageError, match=f"class {first}$"):
+            table.lookup(labels)
+
+
 def test_export_text_round_trips(tmp_path):
     table = _table({1: [0.5, -1.25], 0: [3.0, 7.0]})
     path = tmp_path / "protos.csv"

@@ -1,0 +1,185 @@
+"""The trainer's hand-written passes against the engine.
+
+Each hand pass must give the same bytes as engine.backward on the graph of
+the function it replaces (`critic_*_terms`, `generator_adv_terms` with
+`cue_loss`, `class_log_probs` with `rl_loss`), which stays in the package as
+the oracle.
+"""
+
+from __future__ import annotations
+
+import logging
+
+import numpy as np
+import pytest
+
+from rlvc import cues, diffusion, engine, gan, reward
+from rlvc.config import Config
+from rlvc.engine import Tensor
+from rlvc.nets import DenseNet
+
+D, DZ, T = 6, 3, 4
+SHAPE = Config(hidden_mult=4, temb_dim=4, leaky_slope=0.2)
+SCHED = diffusion.build_schedule(T, 0.1, 0.4)
+# Batch 1 once at each end of the timestep range, and batches 7 and 32
+# spanning it. 1/7 is not exact in binary, so with batch 7 a mean taken as a
+# division instead of the engine's product with 1/B shows.
+BATCHES = pytest.mark.parametrize(
+    "t",
+    [np.array([0]), np.array([T - 1]), np.arange(7) % T, np.arange(32) % T],
+    ids=["b1-t0", "b1-tlast", "b7", "b32"],
+)
+
+
+def _same(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _all_same(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(_same(x, y) for x, y in zip(xs, ys))
+
+
+def _both_branches(net: DenseNet, x: np.ndarray) -> bool:
+    """Whether some hidden unit is on each side of the kink for input x."""
+    _, (_, masks) = net.forward_cached(x)
+    return all((m == 1.0).any() and (m == net.slope).any() for m in masks)
+
+
+def _nets(seed: int):
+    rng = np.random.default_rng(seed)
+    gen = gan.Generator(D, DZ, SHAPE, rng)
+    cx0 = gan.CriticX0(D, DZ, SHAPE, rng)
+    cxt = gan.CriticXt(D, DZ, SHAPE, rng)
+    for net in (gen.net, cx0.net, cxt.net):  # He init leaves zero biases
+        net.set_params([p.data + 0.1 * rng.normal(size=p.shape) for p in net.params])
+    return gen, cx0, cxt
+
+
+def _batch(t: np.ndarray, seed: int):
+    rng = np.random.default_rng(seed)
+    b = t.size
+    return dict(
+        real=rng.normal(size=(b, D)), fake=rng.normal(size=(b, D)), z=rng.normal(size=(b, DZ)),
+        x_next=rng.normal(size=(b, D)), eps_g=rng.normal(size=(b, D)),
+        eps_p=rng.normal(size=(b, D)), y=rng.integers(0, 3, size=b),
+    )
+
+
+def _table(seed: int):
+    rng = np.random.default_rng(seed)
+    return cues.mine_prototypes(rng.normal(size=(9, D)), np.repeat([0, 1, 2], 3), [0, 1, 2])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("rows", [1, 7, 32])
+def test_dense_pullback_matches_the_engine(seed, rows):
+    rng = np.random.default_rng(seed)
+    net = DenseNet([5, 7, 7, 3], rng, 0.2)
+    net.set_params([p.data + 0.1 * rng.normal(size=p.shape) for p in net.params])
+    x = rng.normal(size=(rows, 5))
+    u = rng.normal(size=(rows, 3))
+    assert _both_branches(net, x)
+
+    out, cache = net.forward_cached(x)
+    xt = Tensor(x, requires_grad=True)
+    oracle = net.forward(xt)
+    assert _same(out, oracle.data)
+    loss = engine.tsum(oracle * Tensor(u))
+    assert _all_same(net.pullback(cache, u), engine.backward(loss, net.params))
+    assert _same(net.pullback(cache, u, wrt_input=True), engine.backward(loss, [xt])[0])
+
+
+@BATCHES
+@pytest.mark.parametrize("seed", [0, 1])
+def test_critic_losses_match_the_engine(seed, t):
+    _, cx0, cxt = _nets(seed)
+    b = _batch(t, seed + 10)
+    gp = 10.0
+    cond = cxt.condition(b["x_next"], b["z"], t)
+    assert _both_branches(cx0.net, np.concatenate([b["real"], b["z"]], axis=1))
+    assert _both_branches(cxt.net, np.concatenate([b["real"], cond], axis=1))
+
+    loss, grads = gan.critic_x0_loss(cx0, b["real"], b["fake"], b["z"], gp, np.random.default_rng(5))
+    terms = gan.critic_x0_terms(cx0, b["real"], b["fake"], b["z"], gp, np.random.default_rng(5))
+    assert _same(loss, terms.data)
+    assert _all_same(grads, engine.backward(terms, cx0.params))
+
+    args = (b["real"], b["fake"], b["x_next"], b["z"], t, gp)
+    loss, grads = gan.critic_xt_loss(cxt, *args, np.random.default_rng(6))
+    terms = gan.critic_xt_terms(cxt, *args, np.random.default_rng(6))
+    assert _same(loss, terms.data)
+    assert _all_same(grads, engine.backward(terms, cxt.params))
+
+
+@BATCHES
+@pytest.mark.parametrize("variant", cues.CUE_VARIANTS + (None,))
+def test_generator_step_matches_the_engine(variant, t):
+    gen, cx0, cxt = _nets(2)
+    b = _batch(t, 12)
+    table = _table(3)
+    lambda_pd = 0.7
+    args = (gen, cx0, cxt, b["z"], b["x_next"], t, SCHED, b["eps_g"], b["eps_p"])
+    assert _both_branches(gen.net, gen._inputs(b["eps_g"], b["z"], b["x_next"], t + 1))
+
+    loss, x0_tilde, g_x0, cache = gan.generator_adv_pass(*args)
+    adv, oracle_x0 = gan.generator_adv_terms(*args)
+    assert _same(loss, adv.data)
+    assert _same(x0_tilde, oracle_x0.data)
+    total = adv
+    if variant is not None:
+        value, contributions = cues.cue_loss_pass(x0_tilde, b["y"], table, variant, lambda_pd)
+        cue = cues.cue_loss(oracle_x0, b["y"], table, variant)
+        assert _same(value, cue.data)
+        for g in contributions:
+            g_x0 = g_x0 + g
+        total = cues.generator_total_loss(adv, cue, lambda_pd)
+    assert _all_same(gen.net.pullback(cache, g_x0), engine.backward(total, gen.params))
+
+
+@pytest.mark.parametrize("variant", cues.CUE_VARIANTS)
+def test_cue_pass_matches_the_engine_on_a_zero_norm_row(variant, caplog):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(5, D))
+    x[2] = 0.0
+    y = rng.integers(0, 3, size=5)
+    table = _table(5)
+    with caplog.at_level(logging.WARNING, logger="rlvc.cues"):
+        value, contributions = cues.cue_loss_pass(x, y, table, variant, 0.7)
+    hand_warned = "zero norm" in caplog.text
+    caplog.clear()
+    xt = Tensor(x, requires_grad=True)
+    with caplog.at_level(logging.WARNING, logger="rlvc.cues"):
+        cue = cues.cue_loss(xt, y, table, variant)
+    assert hand_warned == ("zero norm" in caplog.text) == (variant == "pd")
+    grad = contributions[0]
+    for g in contributions[1:]:
+        grad = grad + g
+    assert _same(value, cue.data)
+    assert _same(grad, engine.backward(cue * 0.7, [xt])[0])
+
+
+@BATCHES
+@pytest.mark.parametrize("centred", [False, True], ids=["raw", "centred"])
+def test_rl_step_matches_the_engine(centred, t):
+    gen, _, _ = _nets(6)
+    b = _batch(t, 16)
+    rng = np.random.default_rng(7)
+    model = reward.RewardModel(rng.normal(size=(3, D)), rng.normal(size=3))
+
+    x0, cache = gen.synthesize(b["eps_g"], b["z"], b["x_next"], t + 1, cached=True)
+    log_probs, lp_cache = reward.class_log_probs_pass(model, x0, b["y"])
+    oracle_lp = reward.class_log_probs(model, gen.synthesize(b["eps_g"], b["z"], b["x_next"], t + 1), b["y"])
+    assert _same(log_probs, oracle_lp.data)
+    if centred:
+        baseline = reward.EmaBaseline(alpha=0.9)
+        baseline.update(log_probs - 1.0)
+        baseline.update(log_probs)
+        batch = reward.advantage(log_probs, baseline)
+    else:
+        batch = reward.AdvantageBatch(rewards=log_probs, advantages=log_probs.copy())
+
+    loss, g_x0 = reward.rl_loss_pass(batch, log_probs, lp_cache)
+    oracle_loss, oracle_grads = reward.rl_loss(batch, oracle_lp, gen.params)
+    assert _same(loss, oracle_loss.data)
+    assert _all_same(gen.net.pullback(cache, g_x0), oracle_grads)

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rlvc import nets
+from rlvc import cues, diffusion, engine, gan, nets, reward, trainer
 from rlvc.config import Config
 from rlvc.data import make_synthetic
 from rlvc.errors import ConfigurationError, NumericFailure
 from rlvc.reward import pretrain_reward
+from rlvc.seeding import stream_rng
 from rlvc.trainer import METRICS_COLUMNS, train
 
 
@@ -157,6 +158,118 @@ def test_checkpoint_round_trip(tmp_path):
     assert len(arrays) == len(result.generator.net.params)
     for loaded, live in zip(arrays, result.generator.net.params):
         assert loaded.tobytes() == live.data.tobytes()
+
+
+def test_checkpoint_written_once_at_the_last_epoch(tmp_path, monkeypatch):
+    saved = []
+    save = trainer.save_checkpoint
+
+    def counting_save(path, tag, arrays):
+        saved.append(path)
+        save(path, tag, arrays)
+
+    monkeypatch.setattr(trainer, "save_checkpoint", counting_save)
+    train(_small_ds(), None, _cfg(epochs=2, use_rl=False, checkpoint_interval=1),
+          out_dir=tmp_path / "run")
+    assert len(saved) == 2
+
+
+def test_training_loop_builds_no_tensor(monkeypatch):
+    # Only the networks' parameters are Tensors; an extra epoch builds none.
+    ds = _small_ds()
+    rm = _reward_for(ds)
+    built = []
+    init = engine.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    counts = []
+    for epochs in (1, 2):
+        cfg = _cfg(epochs=epochs, eval_interval=0, rl_start_epoch=0)
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(engine.Tensor, "__init__", counting_init)
+            train(ds, rm, cfg)
+        counts.append(len(built))
+    assert counts[1] == counts[0]
+
+
+def _oracle_minibatch(ds, rm, cfg):
+    """One minibatch of the training schedule on engine graphs: the same
+    draws in the same order as trainer.train, with the gradients taken by
+    engine.backward."""
+    train_x, train_y = ds.train
+    seen = ds.seen_classes
+    table = cues.mine_prototypes(train_x, train_y, seen)
+    sched = cfg.schedule()
+    init_rng = stream_rng(cfg.seed, "init")
+    d = train_x.shape[1]
+    gen = gan.Generator(d, ds.sem_dim, cfg, init_rng)
+    cx0 = gan.CriticX0(d, ds.sem_dim, cfg, init_rng)
+    cxt = gan.CriticXt(d, ds.sem_dim, cfg, init_rng)
+    betas = dict(beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
+    opt_critic = nets.AdamState(cx0.params + cxt.params, lr=cfg.lr_adv, **betas)
+    opt_gen = nets.AdamState(gen.params, lr=cfg.lr_adv, **betas)
+    opt_rl = nets.AdamState(gen.params, lr=cfg.lr_rl, **betas)
+    train_rng, rl_rng = stream_rng(cfg.seed, "train"), stream_rng(cfg.seed, "rl")
+    baseline = reward.EmaBaseline(alpha=cfg.ema_alpha)
+
+    idx = train_rng.integers(0, train_x.shape[0], size=cfg.batch_size)
+    x0, y = train_x[idx], train_y[idx]
+    z = ds.prototypes[y]
+
+    def draw(rng):
+        t = rng.integers(0, cfg.diffusion_steps, size=x0.shape[0])
+        x_t = diffusion.forward_noise(x0, t, sched, rng)
+        return t, x_t, diffusion.forward_transition(x_t, t, sched, rng)
+
+    t, x_t, x_next = draw(train_rng)
+    eps_g = train_rng.standard_normal(x0.shape)
+    fake_x0 = gen.synthesize(eps_g, z, x_next, t + 1).data
+    fake_xt = diffusion.posterior_sample(fake_x0, x_next, t, sched, train_rng)
+    l0 = gan.critic_x0_terms(cx0, x0, fake_x0, z, cfg.lambda_gp, train_rng)
+    lt = gan.critic_xt_terms(cxt, x_t, fake_xt, x_next, z, t, cfg.lambda_gp, train_rng)
+    opt_critic.step(engine.backward(l0, cx0.params) + engine.backward(lt, cxt.params))
+
+    t, x_t, x_next = draw(train_rng)
+    eps_g = train_rng.standard_normal(x0.shape)
+    eps_post = train_rng.standard_normal(x0.shape)
+    adv, x0_tilde = gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_post)
+    cue = cues.cue_loss(x0_tilde, y, table, cfg.cue_loss)
+    opt_gen.step(engine.backward(cues.generator_total_loss(adv, cue, cfg.lambda_pd), gen.params))
+
+    t, x_t, x_next = draw(rl_rng)
+    eps_g = rl_rng.standard_normal(x0.shape)
+    x0_rl = gen.synthesize(eps_g, z, x_next, t + 1)
+    log_probs = reward.class_log_probs(rm, x0_rl, np.searchsorted(seen, y))
+    r = log_probs.data.copy()
+    baseline.update(r)
+    opt_rl.step(reward.rl_loss(reward.advantage(r, baseline), log_probs, gen.params)[1])
+
+
+@pytest.mark.parametrize("cue_loss", ["pd", "kl", "l1"])
+def test_trainer_minibatch_matches_the_engine_oracle(cue_loss, monkeypatch):
+    ds = _small_ds()
+    rm = _reward_for(ds)
+    # 32 training rows and batch 32: one epoch is one minibatch
+    cfg = _cfg(epochs=1, batch_size=32, rl_start_epoch=0, cue_loss=cue_loss, eval_interval=0)
+    assert ds.train[0].shape[0] <= cfg.batch_size
+    updates = []
+    step = nets.AdamState.step
+
+    def recording_step(self, grads):
+        step(self, grads)
+        updates.append([p.data.tobytes() for p in self.params])
+
+    monkeypatch.setattr(nets.AdamState, "step", recording_step)
+    train(ds, rm, cfg)
+    by_trainer = list(updates)
+    updates.clear()
+    _oracle_minibatch(ds, rm, cfg)
+    assert len(by_trainer) == 3  # critic, generator adversarial, policy gradient
+    assert updates == by_trainer
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
