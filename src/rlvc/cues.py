@@ -12,8 +12,6 @@ import logging
 
 import numpy as np
 
-from . import engine
-from .engine import Tensor
 from .errors import ConfigurationError, UsageError
 from .nets import log_softmax_cached, log_softmax_pullback
 
@@ -23,20 +21,13 @@ _NORM_FLOOR = 1e-200
 
 
 class VisualPrototypeTable:
-    """Maps class id -> mean feature vector (plus the contributing count)."""
+    """Maps class id -> mean feature vector."""
 
-    def __init__(self, prototypes: dict[int, np.ndarray], counts: dict[int, int]):
+    def __init__(self, prototypes: dict[int, np.ndarray]):
         self.prototypes = {int(c): np.asarray(v, dtype=np.float64) for c, v in prototypes.items()}
-        self.counts = {int(c): int(n) for c, n in counts.items()}
         self._ids = np.asarray(sorted(self.prototypes), dtype=np.int64)
         rows = [self.prototypes[c] for c in self._ids.tolist()]
         self._rows = np.stack(rows) if rows else np.empty((0, 0))
-
-    def __contains__(self, class_id: int) -> bool:
-        return int(class_id) in self.prototypes
-
-    def class_ids(self) -> list[int]:
-        return sorted(self.prototypes)
 
     def lookup(self, labels) -> np.ndarray:
         """Stack prototypes for a label vector; unknown label is a hard error."""
@@ -47,13 +38,6 @@ class VisualPrototypeTable:
         if not known.all():
             raise UsageError(f"no visual prototype for class {int(labels[np.argmin(known)])}")
         return self._rows[pos]
-
-    def export_text(self, path) -> None:
-        """One row per class: class id, then the prototype reals."""
-        with open(path, "w", newline="\n") as fh:
-            for c in self.class_ids():
-                cells = [str(c)] + [repr(float(v)) for v in self.prototypes[c]]
-                fh.write(",".join(cells) + "\n")
 
 
 def mine_prototypes(features: np.ndarray, labels: np.ndarray, seen_classes) -> VisualPrototypeTable:
@@ -66,68 +50,20 @@ def mine_prototypes(features: np.ndarray, labels: np.ndarray, seen_classes) -> V
     labels = np.asarray(labels).reshape(-1)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ConfigurationError("mine_prototypes: features/labels mismatch")
-    prototypes, counts = {}, {}
+    prototypes = {}
     for c in sorted(int(c) for c in seen_classes):
         mask = labels == c
-        n = int(mask.sum())
-        if n == 0:
+        if not mask.any():
             raise ConfigurationError(f"seen class {c} has no training samples")
         v = features[mask].mean(axis=0)
         if not np.any(v != 0.0):
             raise ConfigurationError(f"class {c} visual prototype is the zero vector")
         prototypes[c] = v
-        counts[c] = n
-    return VisualPrototypeTable(prototypes, counts)
+    return VisualPrototypeTable(prototypes)
 
 
-def pd_loss(x_batch, labels, table: VisualPrototypeTable) -> Tensor:
-    """Mean cosine distance between synthesized rows and their prototypes.
-
-    Bounded in [0, 2]; scale-invariant in both arguments. A synthesized row
-    with zero norm contributes the neutral value 1 (and logs a warning), with
-    zero gradient through that row.
-    """
-    x = engine.as_batch(x_batch)
-    v = table.lookup(labels)
-    if v.shape != x.shape:
-        raise UsageError(f"pd_loss: batch {x.shape} vs prototypes {v.shape}")
-    x_sq = engine.tsum(x * x, axis=1)
-    nonzero = x_sq.data > 0.0
-    if not np.all(nonzero):
-        log.warning("pd_loss: %d synthesized row(s) have zero norm", int((~nonzero).sum()))
-    mask = Tensor(nonzero.astype(np.float64))
-    x_norm = engine.sqrt(engine.maximum_const(x_sq, _NORM_FLOOR))
-    v_norm = Tensor(np.linalg.norm(v, axis=1))
-    cos = mask * engine.tsum(x * Tensor(v), axis=1) / (x_norm * v_norm)
-    return engine.tmean(1.0 - cos)
-
-
-def kl_cue_loss(x_batch, labels, table: VisualPrototypeTable) -> Tensor:
-    """Mean KL(softmax(prototype) || softmax(synthesized)) at temperature 1."""
-    x = engine.as_batch(x_batch)
-    v = table.lookup(labels)
-    if v.shape != x.shape:
-        raise UsageError(f"kl_cue_loss: batch {x.shape} vs prototypes {v.shape}")
-    vmax = v.max(axis=1, keepdims=True)
-    p = np.exp(v - vmax)
-    p /= p.sum(axis=1, keepdims=True)
-    log_p = np.log(p)
-    lq = engine.log_softmax(x, axis=1)
-    per_row = engine.tsum(Tensor(p) * (Tensor(log_p) - lq), axis=1)
-    return engine.tmean(per_row)
-
-
-def l1_cue_loss(x_batch, labels, table: VisualPrototypeTable) -> Tensor:
-    """Mean per-coordinate absolute difference to the prototype."""
-    x = engine.as_batch(x_batch)
-    v = table.lookup(labels)
-    if v.shape != x.shape:
-        raise UsageError(f"l1_cue_loss: batch {x.shape} vs prototypes {v.shape}")
-    return engine.tmean(engine.absval(x - Tensor(v)))
-
-
-# Hand-written passes of the losses above for rows x and their prototypes v:
-# each returns the loss value and the contributions that engine.backward on
+# The distillation losses of rows x against their prototypes v. Each pass
+# returns the loss value and the contributions that engine.backward on
 # `weight * <loss>(x)` adds into x's gradient, in the order it adds them, so
 # summing them onto a running gradient in list order is bit-equal to the
 # engine (see gan.py).
@@ -171,29 +107,21 @@ def _l1_pass(x: np.ndarray, v: np.ndarray, weight: float):
     return value, [(weight * inv_n) * np.sign(diff)]
 
 
-_CUE_LOSSES = {"pd": pd_loss, "kl": kl_cue_loss, "l1": l1_cue_loss}
-CUE_VARIANTS = tuple(_CUE_LOSSES)
 _CUE_PASSES = {"pd": _pd_pass, "kl": _kl_pass, "l1": _l1_pass}
+CUE_VARIANTS = tuple(_CUE_PASSES)
 
 
-def cue_loss(x_batch, labels, table: VisualPrototypeTable, variant: str) -> Tensor:
-    if variant not in CUE_VARIANTS:
-        raise ConfigurationError(f"unknown cue variant {variant!r}")
-    return _CUE_LOSSES[variant](x_batch, labels, table)
-
-
-def cue_loss_pass(x: np.ndarray, labels, table: VisualPrototypeTable, variant: str, weight: float):
-    """`cue_loss` without a graph, on plain rows x: the loss value and the
-    contributions of `weight * cue_loss` to x's gradient, in the order the
-    engine's reverse pass adds them."""
+def cue_loss(x: np.ndarray, labels, table: VisualPrototypeTable, variant: str, weight: float):
+    """The distillation loss of synthesized rows x against their class
+    prototypes: mean cosine distance ("pd"; in [0, 2], scale-invariant, and
+    a zero-norm row contributes the neutral 1 with a warning and no
+    gradient), mean KL(softmax(prototype) || softmax(x)) ("kl") or mean
+    absolute difference ("l1"). Returns the value and the contributions of
+    `weight * cue_loss` to x's gradient, in the order the engine's reverse
+    pass adds them."""
     if variant not in CUE_VARIANTS:
         raise ConfigurationError(f"unknown cue variant {variant!r}")
     v = table.lookup(labels)
     if v.shape != x.shape:
         raise UsageError(f"{variant} cue loss: batch {x.shape} vs prototypes {v.shape}")
     return _CUE_PASSES[variant](x, v, weight)
-
-
-def generator_total_loss(adv_loss, cue_term, lambda_pd: float) -> Tensor:
-    """Composite generator objective: adversarial + lambda * distillation."""
-    return engine.as_tensor(adv_loss) + lambda_pd * engine.as_tensor(cue_term)

@@ -7,15 +7,17 @@ softmax pieces (exp/log/max-shift), means and sums, norms, concatenation, and
 elementwise arithmetic. Each op records its parents and one vector-Jacobian
 callback per parent; a callback maps an ndarray to an ndarray, so a reverse
 pass builds no graph. The reverse pass (`grad`) calls only the vjps that lead
-to a requested input: a generator step through a critic computes no critic
-weight gradient. Nothing here differentiates a gradient: the gradient
-penalty's input gradient is written in closed form for the critics' MLPs
-(`nets.DenseNet.input_grad`) and is an ordinary graph node of the weights.
+to a requested input. Nothing here differentiates a gradient.
+
+The package trains its linear softmax heads on it (`nets.fit_linear_softmax`).
+The training losses are plain numpy passes whose results are bit-equal to
+engine.backward on the graph of the same expressions; the tests build those
+graphs from these ops as their oracle.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -113,11 +115,6 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def as_batch(x) -> Tensor:
-    """x itself if it is a Tensor, else a constant float64 batch of rows."""
-    return x if isinstance(x, Tensor) else Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
 
 
 def _reduce_to(g: Array, shape: tuple) -> Array:
@@ -342,10 +339,6 @@ def log_softmax(a, axis: int = 1) -> Tensor:
     return sub(shifted, lse)
 
 
-def softmax(a, axis: int = 1) -> Tensor:
-    return exp(log_softmax(a, axis=axis))
-
-
 def grad(output: Tensor, inputs: Sequence[Tensor]) -> list[Array]:
     """Gradients of a scalar output w.r.t. each input, as arrays.
 
@@ -397,34 +390,3 @@ def grad(output: Tensor, inputs: Sequence[Tensor]) -> list[Array]:
 def backward(output: Tensor, inputs: Sequence[Tensor]) -> list[Array]:
     """The reverse pass that optimizer steps call: grad() by another name."""
     return grad(output, inputs)
-
-
-def finite_difference_check(
-    loss_fn: Callable[[], Tensor],
-    params: Iterable[Tensor],
-    step: float = 1e-5,
-    floor: float = 1e-6,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    loss_fn must be a pure function of the current parameter values (any
-    randomness frozen outside). Perturbs every coordinate of every parameter.
-    """
-    params = list(params)
-    analytic = backward(loss_fn(), params)
-    worst = 0.0
-    for p, g in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = float(loss_fn().data)
-            flat[i] = orig - step
-            lo = float(loss_fn().data)
-            flat[i] = orig
-            fd = (hi - lo) / (2.0 * step)
-            a = float(gflat[i])
-            err = abs(fd - a) / max(abs(fd), abs(a), floor)
-            worst = max(worst, err)
-    return worst

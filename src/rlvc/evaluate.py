@@ -126,7 +126,7 @@ def synthesize_unseen(
         x0_pred = None
         for t in range(sched.timesteps - 1, -1, -1):
             eps = rng.standard_normal((n_per_class, gen.feat_dim))
-            x0_pred = gen.synthesize(eps, z, x, t + 1).data
+            x0_pred = gen.synthesize(eps, z, x, t + 1)[0]
             x = diffusion.posterior_sample(x0_pred, x, t, sched, rng)
         feats.append(x0_pred)
         labels.extend([c] * n_per_class)

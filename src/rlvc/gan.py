@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import diffusion, engine
+from . import diffusion
 from .config import Config
-from .engine import Tensor
 from .errors import UsageError
 from .nets import DenseNet, timestep_embedding
 
@@ -28,7 +27,7 @@ class Generator:
         self.net = DenseNet([in_dim, hidden, hidden, feat_dim], rng, config.leaky_slope)
 
     @property
-    def params(self) -> list[Tensor]:
+    def params(self) -> list:
         return self.net.params
 
     def _inputs(self, eps, z, x_noisy, t) -> np.ndarray:
@@ -43,17 +42,14 @@ class Generator:
         temb = timestep_embedding(diffusion.per_row(t, rows), self.temb_dim)
         return np.concatenate([eps, z, xn, temb], axis=1)
 
-    def synthesize(self, eps, z, x_noisy, t, cached: bool = False):
+    def synthesize(self, eps, z, x_noisy, t) -> tuple[np.ndarray, tuple]:
         """Predict clean features from noise, prototype, noisy state, and the
         timestep index of that state. Row-wise: batched calls equal stacked
         single-row calls.
 
-        Returns a graph node of the parameters or, with `cached`, builds no
-        graph and returns the same values as an array together with the
-        cache for `self.net.pullback`.
+        Returns the features and the cache for `self.net.pullback`.
         """
-        inp = self._inputs(eps, z, x_noisy, t)
-        return self.net.forward_cached(inp) if cached else self.net.forward(Tensor(inp))
+        return self.net.forward(self._inputs(eps, z, x_noisy, t))
 
 
 class CriticX0:
@@ -64,13 +60,8 @@ class CriticX0:
         self.net = DenseNet([feat_dim + sem_dim, hidden, hidden, 1], rng, config.leaky_slope)
 
     @property
-    def params(self) -> list[Tensor]:
+    def params(self) -> list:
         return self.net.params
-
-    def score(self, x, z) -> Tensor:
-        x = engine.as_batch(x)
-        z = engine.as_batch(z)
-        return self.net.forward(engine.concat([x, z], axis=1))
 
 
 class CriticXt:
@@ -83,7 +74,7 @@ class CriticXt:
         self.net = DenseNet([in_dim, hidden, hidden, 1], rng, config.leaky_slope)
 
     @property
-    def params(self) -> list[Tensor]:
+    def params(self) -> list:
         return self.net.params
 
     def condition(self, x_next, z, t) -> np.ndarray:
@@ -94,84 +85,32 @@ class CriticXt:
         temb = timestep_embedding(diffusion.per_row(t, x_next.shape[0]), self.temb_dim)
         return np.concatenate([x_next, z, temb], axis=1)
 
-    def score(self, x_t, cond: np.ndarray) -> Tensor:
-        """Scores of x_t under the conditioning block built by `condition`."""
-        return self.net.forward(engine.concat([engine.as_batch(x_t), Tensor(cond)], axis=1))
 
-
-def gradient_norms(net: DenseNet, x_hat: np.ndarray, cond: np.ndarray) -> Tensor:
-    """Per-row L2 norm of d sum(net) / d x_hat, as a graph node of the net's
-    weights. The net's input is x_hat followed by the conditioning columns
-    `cond`, which are held fixed."""
-    inp = np.concatenate([x_hat, cond], axis=1)
-    g = engine.slice_axis(net.input_grad(inp), 0, x_hat.shape[1])
-    return engine.sqrt(engine.maximum_const(engine.tsum(g * g, axis=1), _NORM_FLOOR))
-
-
-def _gradient_penalty(net: DenseNet, real, fake, cond, rng) -> Tensor:
-    # Interpolation (and the norm) run over the discriminated argument only;
-    # the conditioning stays fixed.
-    u = rng.uniform(size=(real.shape[0], 1))
-    norms = gradient_norms(net, u * real + (1.0 - u) * fake, cond)
-    return engine.tmean((norms - 1.0) ** 2.0)
-
-
-def _as_const_batch(x, what: str) -> np.ndarray:
-    data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    data = np.atleast_2d(data)
+def _as_batch(x, what: str) -> np.ndarray:
+    data = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if data.shape[0] < 1:
         raise UsageError(f"{what}: empty batch")
     return data
 
 
-def _x0_batches(real_x0, fake_x0, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    real = _as_const_batch(real_x0, "critic_x0_loss real")
-    fake = _as_const_batch(fake_x0, "critic_x0_loss fake")
-    z = _as_const_batch(z, "critic_x0_loss z")
-    if not (real.shape == fake.shape and real.shape[0] == z.shape[0]):
-        raise UsageError("critic_x0_loss: batch shapes disagree")
-    return real, fake, z
-
-
-def _xt_batches(critic: CriticXt, real_xt, fake_xt, x_next, z, t):
-    """The checked real and fake batches, and the conditioning block."""
-    real = _as_const_batch(real_xt, "critic_xt_loss real")
-    fake = _as_const_batch(fake_xt, "critic_xt_loss fake")
-    x_next = _as_const_batch(x_next, "critic_xt_loss x_next")
-    z = _as_const_batch(z, "critic_xt_loss z")
-    if not (real.shape == fake.shape == x_next.shape and real.shape[0] == z.shape[0]):
-        raise UsageError("critic_xt_loss: batch shapes disagree")
-    return real, fake, critic.condition(x_next, z, t)
-
-
-def critic_x0_terms(critic: CriticX0, real_x0, fake_x0, z, lambda_gp: float, rng) -> Tensor:
-    real, fake, z = _x0_batches(real_x0, fake_x0, z)
-    wass = -engine.tmean(critic.score(real, z)) + engine.tmean(critic.score(fake, z))
-    return wass + lambda_gp * _gradient_penalty(critic.net, real, fake, z, rng)
-
-
-def critic_xt_terms(critic: CriticXt, real_xt, fake_xt, x_next, z, t, lambda_gp: float, rng) -> Tensor:
-    real, fake, cond = _xt_batches(critic, real_xt, fake_xt, x_next, z, t)
-    wass = -engine.tmean(critic.score(real, cond)) + engine.tmean(critic.score(fake, cond))
-    return wass + lambda_gp * _gradient_penalty(critic.net, real, fake, cond, rng)
-
-
-# The hand-written passes below build no graph. Each mirrors the engine's
-# reverse pass through the matching `*_terms` graph: the same vjp
-# expressions on the same operand layouts, and the same order of
-# accumulation (`seen + contribution`, in the reverse topological order
-# engine.grad walks), so the results are bit-equal to engine.backward. The
-# tests check this with tobytes().
+# The passes below mirror, expression for expression and in the same order
+# of accumulation (`seen + contribution`, in the reverse topological order
+# engine.grad walks), the engine graph of each loss, so their results are
+# bit-equal to engine.backward on it; the tests keep that graph as their
+# oracle and compare with tobytes().
 
 
 def _penalty_pass(net: DenseNet, real, fake, cond, rng, weight: float):
-    """`_gradient_penalty` and the gradients of `weight` times it w.r.t. the
-    net's weights (one per layer; the biases get none), as the reverse pass
-    through `DenseNet.input_grad` computes them. Each mask is built once."""
+    """The gradient penalty mean((|d sum(net) / d x_hat| - 1)^2) at the
+    interpolates x_hat of real and fake (the conditioning columns `cond` held
+    fixed), and the gradients of `weight` times it w.r.t. the net's weights
+    (one per layer; the biases get none). The input gradient is the closed
+    form ones @ W_L @ D_{L-1} @ ... @ D_1 @ W_1 of the leaky-relu MLP, with
+    the masks D held constant; each mask is built once."""
     rows, d = real.shape
     u = rng.uniform(size=(rows, 1))
     x_hat = u * real + (1.0 - u) * fake
-    _, (_, masks) = net.forward_cached(np.concatenate([x_hat, cond], axis=1))
+    _, (_, masks) = net.forward(np.concatenate([x_hat, cond], axis=1))
     ws = [w.data for w in net.weights]
     # g = ones @ W_L, then g = (g * D_l) @ W_l down to the first layer.
     ones = np.ones((rows, net.layer_dims[-1]))
@@ -201,11 +140,12 @@ def _penalty_pass(net: DenseNet, real, fake, cond, rng, weight: float):
 
 
 def _critic_pass(net: DenseNet, real, fake, cond, lambda_gp: float, rng):
-    """The loss of `critic_*_terms` and its gradients w.r.t. net.params:
-    per parameter (real + fake) + penalty."""
+    """The critic loss -mean(net(real)) + mean(net(fake)) + lambda_gp *
+    penalty, and its gradients w.r.t. net.params: per parameter
+    (real + fake) + penalty."""
     inv_b = 1.0 / real.shape[0]
-    s_real, real_cache = net.forward_cached(np.concatenate([real, cond], axis=1))
-    s_fake, fake_cache = net.forward_cached(np.concatenate([fake, cond], axis=1))
+    s_real, real_cache = net.forward(np.concatenate([real, cond], axis=1))
+    s_fake, fake_cache = net.forward(np.concatenate([fake, cond], axis=1))
     gp, gp_grads = _penalty_pass(net, real, fake, cond, rng, lambda_gp)
     loss = (-(np.sum(s_real) * inv_b) + np.sum(s_fake) * inv_b) + gp * lambda_gp
     g_real = net.pullback(real_cache, np.full(s_real.shape, -inv_b))
@@ -220,16 +160,26 @@ def critic_x0_loss(critic, real_x0, fake_x0, z, lambda_gp: float, rng):
     """Clean-feature critic loss; fakes are constants (no generator grad).
 
     Returns the loss as an np.float64 and the gradients w.r.t. the critic
-    parameters, bit-equal to engine.backward on `critic_x0_terms`.
+    parameters.
     """
-    real, fake, z = _x0_batches(real_x0, fake_x0, z)
+    real = _as_batch(real_x0, "critic_x0_loss real")
+    fake = _as_batch(fake_x0, "critic_x0_loss fake")
+    z = _as_batch(z, "critic_x0_loss z")
+    if not (real.shape == fake.shape and real.shape[0] == z.shape[0]):
+        raise UsageError("critic_x0_loss: batch shapes disagree")
     return _critic_pass(critic.net, real, fake, z, lambda_gp, rng)
 
 
 def critic_xt_loss(critic, real_xt, fake_xt, x_next, z, t, lambda_gp: float, rng):
-    """Transition critic loss; same contract as critic_x0_loss, against
-    `critic_xt_terms`."""
-    real, fake, cond = _xt_batches(critic, real_xt, fake_xt, x_next, z, t)
+    """Transition critic loss on (x_t, x_next, z, t); same contract as
+    critic_x0_loss."""
+    real = _as_batch(real_xt, "critic_xt_loss real")
+    fake = _as_batch(fake_xt, "critic_xt_loss fake")
+    x_next = _as_batch(x_next, "critic_xt_loss x_next")
+    z = _as_batch(z, "critic_xt_loss z")
+    if not (real.shape == fake.shape == x_next.shape and real.shape[0] == z.shape[0]):
+        raise UsageError("critic_xt_loss: batch shapes disagree")
+    cond = critic.condition(x_next, z, t)
     return _critic_pass(critic.net, real, fake, cond, lambda_gp, rng)
 
 
@@ -243,49 +193,25 @@ def generator_adv_terms(
     sched: diffusion.DiffusionSchedule,
     eps_gen: np.ndarray,
     eps_post: np.ndarray,
-) -> tuple[Tensor, Tensor]:
-    """Adversarial generator objective as a graph node, plus the synthesized
-    clean features (for composing distillation terms on the same batch).
+) -> tuple[np.float64, np.ndarray, np.ndarray, tuple]:
+    """Adversarial generator objective -mean(critic_x0) - mean(critic_xt).
 
     The transition sample is reparameterized (posterior mean + sigma * eps
     with eps fixed), so gradient reaches the generator through both critics.
-    """
-    z = _as_const_batch(z, "generator_adv_terms z")
-    x_next = _as_const_batch(x_next, "generator_adv_terms x_next")
+    Returns the loss, the synthesized clean features (for composing
+    distillation terms on the same batch), the loss's gradient w.r.t. them
+    (critic_x0's term, then c1 times critic_xt's) and the generator's cache,
+    so that `gen.net.pullback(cache, gradient)` gives the generator's
+    gradients."""
+    z = _as_batch(z, "generator_adv_terms z")
+    x_next = _as_batch(x_next, "generator_adv_terms x_next")
     t = np.asarray(t).reshape(-1)
-    x0_tilde = gen.synthesize(eps_gen, z, x_next, t + 1)
-    c1, c2, sigma2 = diffusion.posterior_coeffs(sched, t)
-    xt_tilde = Tensor(c1) * x0_tilde + Tensor(c2 * x_next + np.sqrt(sigma2) * eps_post)
-    loss = -engine.tmean(critic_x0.score(x0_tilde, z)) - engine.tmean(
-        critic_xt.score(xt_tilde, critic_xt.condition(x_next, z, t))
-    )
-    return loss, x0_tilde
-
-
-def generator_adv_pass(
-    gen: Generator,
-    critic_x0: CriticX0,
-    critic_xt: CriticXt,
-    z: np.ndarray,
-    x_next: np.ndarray,
-    t: np.ndarray,
-    sched: diffusion.DiffusionSchedule,
-    eps_gen: np.ndarray,
-    eps_post: np.ndarray,
-) -> tuple[np.float64, np.ndarray, np.ndarray, tuple]:
-    """`generator_adv_terms` without a graph. Returns the loss, the
-    synthesized clean features, the loss's gradient w.r.t. them (critic_x0's
-    term, then c1 times critic_xt's) and the generator's cache, so that
-    `gen.net.pullback(cache, gradient)` gives the generator's gradients."""
-    z = _as_const_batch(z, "generator_adv_terms z")
-    x_next = _as_const_batch(x_next, "generator_adv_terms x_next")
-    t = np.asarray(t).reshape(-1)
-    x0_tilde, cache = gen.synthesize(eps_gen, z, x_next, t + 1, cached=True)
+    x0_tilde, cache = gen.synthesize(eps_gen, z, x_next, t + 1)
     c1, c2, sigma2 = diffusion.posterior_coeffs(sched, t)
     xt_tilde = c1 * x0_tilde + (c2 * x_next + np.sqrt(sigma2) * eps_post)
     cond = critic_xt.condition(x_next, z, t)
-    s0, cache0 = critic_x0.net.forward_cached(np.concatenate([x0_tilde, z], axis=1))
-    st, cachet = critic_xt.net.forward_cached(np.concatenate([xt_tilde, cond], axis=1))
+    s0, cache0 = critic_x0.net.forward(np.concatenate([x0_tilde, z], axis=1))
+    st, cachet = critic_xt.net.forward(np.concatenate([xt_tilde, cond], axis=1))
     inv_b = 1.0 / x0_tilde.shape[0]
     loss = -(np.sum(s0) * inv_b) - np.sum(st) * inv_b
     d = x0_tilde.shape[1]

@@ -70,33 +70,16 @@ class DenseNet:
             out.extend((w, b))
         return out
 
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params)
-
-    def forward(self, x) -> Tensor:
-        h = engine.as_tensor(x)
-        if h.ndim != 2:
-            raise UsageError("forward expects a (batch, features) matrix")
-        if h.shape[1] != self.layer_dims[0]:
-            raise ConfigurationError(
-                f"input width {h.shape[1]} != expected {self.layer_dims[0]}"
-            )
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = engine.linear(h, w, b)
-            if i < last:
-                h = engine.leaky_relu(h, self.slope)
-        return h
-
-    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, tuple[list, list]]:
-        """`forward` on a plain (batch, features) array, building no graph.
-
-        Returns the output, bit-equal to forward's, and the cache `pullback`
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple[list, list]]:
+        """The output for a (batch, features) array, and the cache `pullback`
         reads: the input of every layer and the leaky-relu mask of every
-        hidden layer.
-        """
-        if x.ndim != 2 or x.shape[1] != self.layer_dims[0]:
-            raise ConfigurationError(f"input shape {x.shape} != (batch, {self.layer_dims[0]})")
+        hidden layer."""
+        if x.ndim != 2:
+            raise UsageError("forward expects a (batch, features) matrix")
+        if x.shape[1] != self.layer_dims[0]:
+            raise ConfigurationError(
+                f"input width {x.shape[1]} != expected {self.layer_dims[0]}"
+            )
         inputs, masks = [], []
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
@@ -108,11 +91,11 @@ class DenseNet:
         return h @ self.weights[-1].data.T + self.biases[-1].data, (inputs, masks)
 
     def pullback(self, cache, u: np.ndarray, wrt_input: bool = False):
-        """Reverse of `forward_cached` for the output gradient u, with the
-        vjps of engine.linear and engine.leaky_relu, so the result is
-        bit-equal to engine.backward through `forward`. Returns the parameter
+        """Reverse of `forward` for the output gradient u: the parameter
         gradients in `params` order or, with `wrt_input`, only the gradient
-        w.r.t. the input rows."""
+        w.r.t. the input rows. Each product and sum is laid out as in the
+        reverse pass of engine.linear and engine.leaky_relu, so the result is
+        bit-equal to engine.backward through the same layers."""
         inputs, masks = cache
         grads = []
         for i in range(len(self.weights) - 1, -1, -1):
@@ -124,26 +107,6 @@ class DenseNet:
             elif wrt_input:
                 return u @ w
         return grads
-
-    def input_grad(self, x) -> Tensor:
-        """Gradient of sum(forward(x)) w.r.t. each row of x, as a graph node
-        of the weights: ones @ W_L @ D_{L-1} @ ... @ D_1 @ W_1 per row.
-
-        The leaky-relu masks D are held constant, as the forward pass's own
-        derivative holds them. They come from a forward pass over x that
-        calls engine.leaky_relu, so anything that observes that op also sees
-        x's pre-activations.
-        """
-        h = engine.as_batch(x).data
-        masks = []
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            pre = Tensor(h @ w.data.T + b.data)
-            masks.append(Tensor(np.where(pre.data > 0.0, 1.0, self.slope)))
-            h = engine.leaky_relu(pre, self.slope).data
-        g = Tensor(np.ones((h.shape[0], self.layer_dims[-1]))) @ self.weights[-1]
-        for w, mask in zip(reversed(self.weights[:-1]), reversed(masks)):
-            g = (g * mask) @ w
-        return g
 
     def set_params(self, arrays: Sequence[np.ndarray]) -> None:
         params = self.params

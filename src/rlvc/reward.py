@@ -2,8 +2,9 @@
 
 The reward of a synthesized feature is the log-probability the frozen
 classifier assigns to its intended class. Advantages are centered by an
-exponential-moving-average baseline and pass a stop-gradient barrier, so the
-policy update weighs log-likelihood gradients by plain numbers.
+exponential-moving-average baseline and are plain numbers, so the policy
+update weighs log-likelihood gradients by constants. The passes here are
+plain numpy, bit-equal to engine.backward on the same graph (see gan.py).
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine
 from .config import Config
-from .engine import Tensor
 from .errors import ConfigurationError, NumericFailure, UsageError
 from .nets import fit_linear_softmax, log_softmax_cached, log_softmax_pullback
 
@@ -23,8 +22,8 @@ class RewardModel:
     """Linear softmax classifier over seen classes, frozen after training.
 
     Parameters are numpy arrays marked read-only; any in-place write attempt
-    raises. They are wrapped as non-gradient graph leaves, so gradients flow
-    through the model into its inputs but never into it.
+    raises. The policy-gradient pass differentiates through the model into
+    its inputs only.
     """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray):
@@ -36,7 +35,6 @@ class RewardModel:
         bias.setflags(write=False)
         self.weight = weight
         self.bias = bias
-        self.frozen = True
 
     @property
     def n_classes(self) -> int:
@@ -46,11 +44,8 @@ class RewardModel:
     def feat_dim(self) -> int:
         return self.weight.shape[1]
 
-    def logits(self, x) -> Tensor:
-        return engine.linear(engine.as_batch(x), self.weight, self.bias)
-
-    def log_probs(self, x) -> Tensor:
-        return engine.log_softmax(self.logits(x), axis=1)
+    def logits(self, x) -> np.ndarray:
+        return np.atleast_2d(np.asarray(x, dtype=np.float64)) @ self.weight.T + self.bias
 
 
 def pretrain_reward(
@@ -81,36 +76,24 @@ def pretrain_reward(
 
 
 def reward_train_accuracy(model: RewardModel, features, labels) -> float:
-    pred = np.argmax(model.logits(features).data, axis=1)
+    pred = np.argmax(model.logits(features), axis=1)
     return float(np.mean(pred == np.asarray(labels)))
 
 
-def _picks(model: RewardModel, y) -> np.ndarray:
-    """One-hot rows selecting class y_i of the reward model."""
+def class_log_probs(model: RewardModel, x: np.ndarray, y) -> tuple[np.ndarray, tuple]:
+    """log p(y_i | x_i) per row, and the cache `rl_loss` reads."""
     y = np.asarray(y).reshape(-1)
     if np.any(y < 0) or np.any(y >= model.n_classes):
         raise UsageError("class index outside the reward model's class set")
-    return np.eye(model.n_classes)[y]
-
-
-def class_log_probs(model: RewardModel, x, y) -> Tensor:
-    """log p(y_i | x_i) per row, differentiable w.r.t. x only."""
-    pick = Tensor(_picks(model, y))
-    return engine.tsum(model.log_probs(x) * pick, axis=1)
-
-
-def class_log_probs_pass(model: RewardModel, x: np.ndarray, y) -> tuple[np.ndarray, tuple]:
-    """`class_log_probs` on plain rows x, building no graph: the log-probs
-    and the cache `rl_loss_pass` reads."""
-    pick = _picks(model, y)
-    lp, lp_cache = log_softmax_cached(x @ model.weight.T + model.bias)
+    pick = np.eye(model.n_classes)[y]
+    lp, lp_cache = log_softmax_cached(model.logits(x))
     return np.sum(lp * pick, axis=1), (model.weight, pick, lp_cache)
 
 
 def reward(model: RewardModel, x, y: int) -> float:
     """Outcome reward of a single feature vector: log p(y | x)."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return float(class_log_probs(model, x, [int(y)]).data[0])
+    return float(class_log_probs(model, x, [int(y)])[0][0])
 
 
 @dataclass
@@ -149,11 +132,10 @@ class EmaBaseline:
 
 @dataclass
 class AdvantageBatch:
-    """Rewards and centered advantages, detached from any graph."""
+    """Rewards and the advantages that weight the policy gradient."""
 
     rewards: np.ndarray
     advantages: np.ndarray
-    gradient_barrier: bool = True
 
 
 def advantage(batch_rewards: np.ndarray, baseline: EmaBaseline) -> AdvantageBatch:
@@ -164,31 +146,14 @@ def advantage(batch_rewards: np.ndarray, baseline: EmaBaseline) -> AdvantageBatc
     return AdvantageBatch(rewards=r, advantages=r - baseline.value)
 
 
-def _check_advantages(advantages: AdvantageBatch, log_probs) -> None:
-    if not advantages.gradient_barrier:
-        raise UsageError("advantages must pass the stop-gradient barrier")
-    if log_probs.ndim != 1 or log_probs.shape[0] != advantages.advantages.shape[0]:
-        raise UsageError("rl_loss: batch sizes disagree")
-
-
-def rl_loss(advantages: AdvantageBatch, log_probs: Tensor, params) -> tuple[Tensor, list[np.ndarray]]:
-    """Policy-gradient surrogate: -(1/B) sum_i A_i * log p(y_i | x_i).
-
-    Advantages enter as constants (the stop-gradient barrier); gradients flow
-    only through the log-probabilities into the given parameters.
-    """
-    _check_advantages(advantages, log_probs)
-    loss = -engine.tmean(Tensor(advantages.advantages) * log_probs)
-    return loss, engine.backward(loss, params)
-
-
-def rl_loss_pass(
+def rl_loss(
     advantages: AdvantageBatch, log_probs: np.ndarray, cache: tuple
 ) -> tuple[np.float64, np.ndarray]:
-    """`rl_loss` without a graph, for log-probs and cache from
-    `class_log_probs_pass`: the loss, and its gradient w.r.t. the rows x
-    that were scored, bit-equal to the engine's reverse pass."""
-    _check_advantages(advantages, log_probs)
+    """Policy-gradient surrogate -(1/B) sum_i A_i * log p(y_i | x_i), for
+    log-probs and cache from `class_log_probs`: the loss, and its gradient
+    w.r.t. the rows x that were scored. Advantages enter as constants."""
+    if log_probs.ndim != 1 or log_probs.shape[0] != advantages.advantages.shape[0]:
+        raise UsageError("rl_loss: batch sizes disagree")
     a = advantages.advantages
     inv_b = 1.0 / a.shape[0]
     loss = -(np.sum(a * log_probs) * inv_b)

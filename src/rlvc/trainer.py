@@ -164,7 +164,7 @@ def train(
                 for _ in range(config.critic_steps):
                     t, x_t, x_next = _draw_states(train_rng, x0)
                     eps_g = train_rng.standard_normal(x0.shape)
-                    fake_x0, _ = generator.synthesize(eps_g, z, x_next, t + 1, cached=True)
+                    fake_x0 = generator.synthesize(eps_g, z, x_next, t + 1)[0]
                     fake_xt = diffusion.posterior_sample(fake_x0, x_next, t, sched, train_rng)
                     loss0, grads0 = gan.critic_x0_loss(
                         critic_x0, x0, fake_x0, z, config.lambda_gp, train_rng
@@ -181,12 +181,12 @@ def train(
                 t, x_t, x_next = _draw_states(train_rng, x0)
                 eps_g = train_rng.standard_normal(x0.shape)
                 eps_post = train_rng.standard_normal(x0.shape)
-                adv_loss, x0_tilde, g_x0, gen_cache = gan.generator_adv_pass(
+                adv_loss, x0_tilde, g_x0, gen_cache = gan.generator_adv_terms(
                     generator, critic_x0, critic_xt, z, x_next, t, sched, eps_g, eps_post
                 )
                 _require_finite(adv_loss.item(), "generator adversarial loss", epoch, batch_i)
                 if config.use_cues:
-                    cue_term, cue_grads = cues.cue_loss_pass(
+                    cue_term, cue_grads = cues.cue_loss(
                         x0_tilde, y, table, config.cue_loss, config.lambda_pd
                     )
                     _require_finite(cue_term.item(), "distillation loss", epoch, batch_i)
@@ -200,9 +200,9 @@ def train(
                 if rl_active:
                     t, x_t, x_next = _draw_states(rl_rng, x0)
                     eps_g = rl_rng.standard_normal(x0.shape)
-                    x0_rl, gen_cache = generator.synthesize(eps_g, z, x_next, t + 1, cached=True)
+                    x0_rl, gen_cache = generator.synthesize(eps_g, z, x_next, t + 1)
                     rows = np.searchsorted(seen, y)
-                    log_probs, lp_cache = reward_mod.class_log_probs_pass(reward_model, x0_rl, rows)
+                    log_probs, lp_cache = reward_mod.class_log_probs(reward_model, x0_rl, rows)
                     r = log_probs.copy()
                     if not np.all(np.isfinite(r)):
                         raise NumericFailure(
@@ -214,7 +214,7 @@ def train(
                         baseline.update(r)
                         cnt.ema_writes += 1
                         adv_batch = reward_mod.advantage(r, baseline)
-                    rl_l, g_rl = reward_mod.rl_loss_pass(adv_batch, log_probs, lp_cache)
+                    rl_l, g_rl = reward_mod.rl_loss(adv_batch, log_probs, lp_cache)
                     _require_finite(rl_l.item(), "rl loss", epoch, batch_i)
                     opt_rl.step(generator.net.pullback(gen_cache, g_rl))
                     cnt.rl_updates += 1

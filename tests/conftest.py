@@ -48,3 +48,30 @@ def make_separable(n_per_class: int, d: int, n_classes: int, seed: int = 0):
         feats.append(mean + rng.standard_normal((n_per_class, d)))
         labels.extend([c] * n_per_class)
     return np.concatenate(feats, axis=0), np.asarray(labels)
+
+
+def max_fd_error(fn, params, step: float = 1e-5, floor: float = 1e-6) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    fn() returns (value, gradients), the gradients in the order of `params`,
+    the arrays it reads; it must be a pure function of their values (any
+    randomness frozen outside). Every coordinate of every array is perturbed
+    in place. A loss built as a graph returns
+    `(loss.item(), engine.backward(loss, tensors))`.
+    """
+    _, analytic = fn()
+    worst = 0.0
+    for p, g in zip(params, analytic):
+        flat = p.reshape(-1)
+        gflat = np.reshape(g, -1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = float(fn()[0])
+            flat[i] = orig - step
+            lo = float(fn()[0])
+            flat[i] = orig
+            fd = (hi - lo) / (2.0 * step)
+            a = float(gflat[i])
+            worst = max(worst, abs(fd - a) / max(abs(fd), abs(a), floor))
+    return worst

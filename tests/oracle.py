@@ -1,0 +1,113 @@
+"""The training losses as engine graphs: the reference that the package's
+plain numpy passes must match byte for byte.
+
+Each function builds, from `rlvc.engine` ops, the graph of the same
+expressions in the same order as the pass it checks, so engine.backward on
+it gives the bits that pass must give. Data enter as plain arrays; a Tensor
+is taken only where the gradient flows on (the synthesized rows that the
+critics, the cue losses and the reward model score).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from rlvc import diffusion, engine
+from rlvc.engine import Tensor
+
+_NORM_FLOOR = 1e-200
+
+
+def forward(net, h: Tensor) -> Tensor:
+    """The dense net on a graph node: linear layers with leaky-relu between."""
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = engine.linear(h, w, b)
+        if i < last:
+            h = engine.leaky_relu(h, net.slope)
+    return h
+
+
+def synthesize(gen, eps, z, x_noisy, t) -> Tensor:
+    return forward(gen.net, Tensor(gen._inputs(eps, z, x_noisy, t)))
+
+
+def score(net, x, cond: np.ndarray) -> Tensor:
+    """A critic's scores of rows x (an array or a graph node) under the fixed
+    conditioning columns cond."""
+    return forward(net, engine.concat([x, Tensor(cond)], axis=1))
+
+
+def input_grad(net, x: np.ndarray) -> Tensor:
+    """Gradient of sum(net(x)) w.r.t. each row of x, as a graph node of the
+    weights: ones @ W_L @ D_{L-1} @ ... @ D_1 @ W_1 per row, with the
+    leaky-relu masks D held constant."""
+    _, (_, masks) = net.forward(x)
+    g = Tensor(np.ones((x.shape[0], net.layer_dims[-1]))) @ net.weights[-1]
+    for w, mask in zip(reversed(net.weights[:-1]), reversed(masks)):
+        g = (g * Tensor(mask)) @ w
+    return g
+
+
+def gradient_norms(net, x_hat: np.ndarray, cond: np.ndarray) -> Tensor:
+    """Per-row L2 norm of d sum(net) / d x_hat, the conditioning held fixed."""
+    g = engine.slice_axis(input_grad(net, np.concatenate([x_hat, cond], axis=1)), 0, x_hat.shape[1])
+    return engine.sqrt(engine.maximum_const(engine.tsum(g * g, axis=1), _NORM_FLOOR))
+
+
+def critic_terms(net, real, fake, cond, lambda_gp: float, rng) -> Tensor:
+    """gan.critic_x0_loss (cond = z) and gan.critic_xt_loss (cond =
+    critic.condition(x_next, z, t))."""
+    wass = -engine.tmean(score(net, real, cond)) + engine.tmean(score(net, fake, cond))
+    u = rng.uniform(size=(real.shape[0], 1))
+    norms = gradient_norms(net, u * real + (1.0 - u) * fake, cond)
+    return wass + lambda_gp * engine.tmean((norms - 1.0) ** 2.0)
+
+
+def generator_adv_terms(gen, critic_x0, critic_xt, z, x_next, t, sched, eps_gen, eps_post):
+    """gan.generator_adv_terms: the loss and the synthesized rows."""
+    x0_tilde = synthesize(gen, eps_gen, z, x_next, t + 1)
+    c1, c2, sigma2 = diffusion.posterior_coeffs(sched, t)
+    xt_tilde = Tensor(c1) * x0_tilde + Tensor(c2 * x_next + np.sqrt(sigma2) * eps_post)
+    loss = -engine.tmean(score(critic_x0.net, x0_tilde, z)) - engine.tmean(
+        score(critic_xt.net, xt_tilde, critic_xt.condition(x_next, z, t))
+    )
+    return loss, x0_tilde
+
+
+def _pd(x: Tensor, v: np.ndarray) -> Tensor:
+    x_sq = engine.tsum(x * x, axis=1)
+    mask = Tensor((x_sq.data > 0.0).astype(np.float64))
+    x_norm = engine.sqrt(engine.maximum_const(x_sq, _NORM_FLOOR))
+    v_norm = Tensor(np.linalg.norm(v, axis=1))
+    cos = mask * engine.tsum(x * Tensor(v), axis=1) / (x_norm * v_norm)
+    return engine.tmean(1.0 - cos)
+
+
+def _kl(x: Tensor, v: np.ndarray) -> Tensor:
+    p = np.exp(v - v.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    lq = engine.log_softmax(x, axis=1)
+    return engine.tmean(engine.tsum(Tensor(p) * (Tensor(np.log(p)) - lq), axis=1))
+
+
+def _l1(x: Tensor, v: np.ndarray) -> Tensor:
+    return engine.tmean(engine.absval(x - Tensor(v)))
+
+
+_CUES = {"pd": _pd, "kl": _kl, "l1": _l1}
+
+
+def cue_loss(x: Tensor, labels, table, variant: str) -> Tensor:
+    """cues.cue_loss with weight 1."""
+    return _CUES[variant](x, table.lookup(labels))
+
+
+def class_log_probs(model, x: Tensor, y) -> Tensor:
+    pick = Tensor(np.eye(model.n_classes)[np.asarray(y).reshape(-1)])
+    logits = engine.linear(x, model.weight, model.bias)
+    return engine.tsum(engine.log_softmax(logits, axis=1) * pick, axis=1)
+
+
+def rl_loss(advantages: np.ndarray, log_probs: Tensor) -> Tensor:
+    return -engine.tmean(Tensor(advantages) * log_probs)

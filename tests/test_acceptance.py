@@ -14,14 +14,17 @@ import time
 import numpy as np
 import pytest
 
-from rlvc import cli, cues, diffusion, engine, gan
+from rlvc import cli, cues, diffusion, gan
 from rlvc import reward as reward_mod
 from rlvc.config import Config
 from rlvc.data import make_synthetic
 from rlvc.evaluate import harmonic_mean
 from rlvc.gan import CriticX0, CriticXt, Generator
+from rlvc.nets import DenseNet
 from rlvc.reward import AdvantageBatch, EmaBaseline, RewardModel, advantage, class_log_probs
 from rlvc.trainer import train
+
+from conftest import max_fd_error
 
 
 def _verdict(idx: int, name: str, ok: bool, detail: str) -> None:
@@ -31,20 +34,25 @@ def _verdict(idx: int, name: str, ok: bool, detail: str) -> None:
 
 
 class _KinkMargin:
-    """Wraps the piecewise-linear activation to record how close any
-    pre-activation comes to its kink. Central differences are only valid
-    when the whole stencil stays on one side, so evaluation points are
-    accepted only with a margin of 100x the difference step. The margin is
-    measured before and independently of the gradient comparison; a wrong
+    """Wraps the dense forward pass to record how close any hidden
+    pre-activation comes to its leaky-relu kink. Central differences are
+    only valid when the whole stencil stays on one side, so evaluation points
+    are accepted only with a margin of 100x the difference step. The margin
+    is measured before and independently of the gradient comparison; a wrong
     gradient still fails at every accepted point."""
 
     def __init__(self):
         self.margin = np.inf
-        self._orig = engine.leaky_relu
+        forward = DenseNet.forward
 
-    def __call__(self, a, slope=0.2):
-        self.margin = min(self.margin, float(np.min(np.abs(a.data))))
-        return self._orig(a, slope)
+        def recording_forward(net, x):
+            out, (inputs, masks) = forward(net, x)
+            for h, w, b in zip(inputs, net.weights[:-1], net.biases[:-1]):
+                pre = h @ w.data.T + b.data
+                self.margin = min(self.margin, float(np.min(np.abs(pre))))
+            return out, (inputs, masks)
+
+        self.forward = recording_forward
 
 
 def test_01_gradient_correctness(monkeypatch):
@@ -83,29 +91,37 @@ def test_01_gradient_correctness(monkeypatch):
         gp_seed = 7700 + point
 
         def loss_c0():
-            return gan.critic_x0_terms(c0, real, fake, z, gp, np.random.default_rng(gp_seed))
+            return gan.critic_x0_loss(c0, real, fake, z, gp, np.random.default_rng(gp_seed))
 
         def loss_ct():
-            return gan.critic_xt_terms(
+            return gan.critic_xt_loss(
                 ct, xt_real, xt_fake, x_next, z, t, gp, np.random.default_rng(gp_seed)
             )
 
+        def adv_pass():
+            return gan.generator_adv_terms(gen, c0, ct, z, x_next, t, sched, eps_g, eps_p)
+
         def loss_adv():
-            return gan.generator_adv_terms(gen, c0, ct, z, x_next, t, sched, eps_g, eps_p)[0]
+            loss, _, g_x0, cache = adv_pass()
+            return loss, gen.net.pullback(cache, g_x0)
 
         def loss_rl():
-            x0 = gen.synthesize(eps_g, z, x_next, t + 1)
-            return reward_mod.rl_loss(adv_const, class_log_probs(model, x0, y), gen.params)[0]
+            x0, cache = gen.synthesize(eps_g, z, x_next, t + 1)
+            lp, lp_cache = class_log_probs(model, x0, y)
+            loss, g_x0 = reward_mod.rl_loss(adv_const, lp, lp_cache)
+            return loss, gen.net.pullback(cache, g_x0)
 
         def loss_pd():
-            return cues.cue_loss(gen.synthesize(eps_g, z, x_next, t + 1), y, table, "pd")
+            x0, cache = gen.synthesize(eps_g, z, x_next, t + 1)
+            value, contributions = cues.cue_loss(x0, y, table, "pd", 1.0)
+            return value, gen.net.pullback(cache, sum(contributions))
 
         def loss_total():
-            adv, x0_tilde = gan.generator_adv_terms(
-                gen, c0, ct, z, x_next, t, sched, eps_g, eps_p
-            )
-            cue = cues.cue_loss(x0_tilde, y, table, "pd")
-            return cues.generator_total_loss(adv, cue, lambda_pd)
+            adv, x0_tilde, g_x0, cache = adv_pass()
+            cue, contributions = cues.cue_loss(x0_tilde, y, table, "pd", lambda_pd)
+            for g in contributions:
+                g_x0 = g_x0 + g
+            return adv + lambda_pd * cue, gen.net.pullback(cache, g_x0)
 
         checks = [
             (loss_c0, c0.params),
@@ -118,7 +134,7 @@ def test_01_gradient_correctness(monkeypatch):
 
         recorder = _KinkMargin()
         with monkeypatch.context() as m:
-            m.setattr(engine, "leaky_relu", recorder)
+            m.setattr(DenseNet, "forward", recorder.forward)
             for fn, _ in checks:
                 fn()
         if recorder.margin < 1e-3:
@@ -126,7 +142,7 @@ def test_01_gradient_correctness(monkeypatch):
         accepted += 1
 
         for fn, params in checks:
-            worst = max(worst, engine.finite_difference_check(fn, params))
+            worst = max(worst, max_fd_error(fn, [p.data for p in params]))
 
     elapsed = time.perf_counter() - t_start
     ok = worst < 1e-4 and max(sizes) <= 1000 and elapsed < 120
@@ -179,13 +195,14 @@ def test_04_baseline_and_stop_gradient():
     y = rng.integers(0, 3, size=6)
     sg_base = EmaBaseline(alpha=0.9)
 
-    def grads_with(adv_batch):
-        lp = class_log_probs(model, gen.synthesize(eps, z, x_next, np.ones(6, dtype=np.int64)), y)
-        return reward_mod.rl_loss(adv_batch, lp, gen.params)[1]
+    x0, cache = gen.synthesize(eps, z, x_next, np.ones(6, dtype=np.int64))
+    lp0, lp_cache = class_log_probs(model, x0, y)
 
-    lp0 = class_log_probs(model, gen.synthesize(eps, z, x_next, np.ones(6, dtype=np.int64)), y)
-    sg_base.update(lp0.data)
-    computed = advantage(lp0.data.copy(), sg_base)
+    def grads_with(adv_batch):
+        return gen.net.pullback(cache, reward_mod.rl_loss(adv_batch, lp0, lp_cache)[1])
+
+    sg_base.update(lp0)
+    computed = advantage(lp0.copy(), sg_base)
     pasted = AdvantageBatch(
         rewards=computed.rewards.copy(),
         advantages=np.array([float(v) for v in computed.advantages]),
@@ -260,17 +277,20 @@ def test_06_diffusion_consistency():
 
 
 def test_07_distillation_exact_cases():
-    table = cues.VisualPrototypeTable({0: np.array([1.0, 0.0])}, {0: 1})
-    aligned = cues.pd_loss(np.array([[3.0, 0.0]]), [0], table).item()
-    orthogonal = cues.pd_loss(np.array([[0.0, 2.0]]), [0], table).item()
-    antipodal = cues.pd_loss(np.array([[-1.0, 0.0]]), [0], table).item()
+    def pd(x, table):
+        return cues.cue_loss(np.array(x), [0], table, "pd", 1.0)[0]
+
+    table = cues.VisualPrototypeTable({0: np.array([1.0, 0.0])})
+    aligned = pd([[3.0, 0.0]], table)
+    orthogonal = pd([[0.0, 2.0]], table)
+    antipodal = pd([[-1.0, 0.0]], table)
     exact_err = max(abs(aligned), abs(orthogonal - 1.0), abs(antipodal - 2.0))
 
     rng = np.random.default_rng(0)
     lo, hi = np.inf, -np.inf
     for _ in range(10_000):
-        tab = cues.VisualPrototypeTable({0: rng.normal(size=4)}, {0: 1})
-        v = cues.pd_loss(rng.normal(size=(1, 4)), [0], tab).item()
+        tab = cues.VisualPrototypeTable({0: rng.normal(size=4)})
+        v = pd(rng.normal(size=(1, 4)), tab)
         lo, hi = min(lo, v), max(hi, v)
     ok = exact_err < 1e-12 and lo >= 0.0 and hi <= 2.0
     _verdict(

@@ -9,18 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlvc import cues, engine
+from rlvc import cues
 from rlvc.config import Config
 from rlvc.cues import VisualPrototypeTable, mine_prototypes
-from rlvc.engine import Tensor
 from rlvc.errors import ConfigurationError, UsageError
+
+from conftest import max_fd_error
 
 
 def _table(vectors: dict[int, list[float]]) -> VisualPrototypeTable:
-    return VisualPrototypeTable(
-        {c: np.asarray(v, dtype=np.float64) for c, v in vectors.items()},
-        {c: 1 for c in vectors},
-    )
+    return VisualPrototypeTable({c: np.asarray(v, dtype=np.float64) for c, v in vectors.items()})
+
+
+def _loss(variant, x, labels, table, weight=1.0):
+    """The cue loss's value and its gradient w.r.t. the rows x."""
+    value, contributions = cues.cue_loss(np.asarray(x, dtype=np.float64), labels, table, variant, weight)
+    return value, [sum(contributions)]
 
 
 def test_mine_single_sample_per_class():
@@ -28,7 +32,6 @@ def test_mine_single_sample_per_class():
     table = mine_prototypes(feats, np.array([0, 1]), [0, 1])
     np.testing.assert_array_equal(table.prototypes[0], [1.0, 2.0])
     np.testing.assert_array_equal(table.prototypes[1], [3.0, -1.0])
-    assert table.counts == {0: 1, 1: 1}
 
 
 def test_mine_midpoint():
@@ -51,7 +54,6 @@ def test_mine_matches_bruteforce_accumulation():
                 acc += x
                 n += 1
         np.testing.assert_allclose(table.prototypes[c], acc / n, atol=1e-12)
-        assert table.counts[c] == n
 
 
 def test_mine_rejects_missing_class_and_zero_mean():
@@ -86,33 +88,23 @@ def test_lookup_rows_are_byte_equal_to_stacked_prototypes():
             table.lookup(labels)
 
 
-def test_export_text_round_trips(tmp_path):
-    table = _table({1: [0.5, -1.25], 0: [3.0, 7.0]})
-    path = tmp_path / "protos.csv"
-    table.export_text(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0].split(",")[0] == "0"  # sorted by class id
-    got = [float(v) for v in lines[1].split(",")[1:]]
-    assert got == [0.5, -1.25]
-
-
 def test_pd_loss_exact_endpoints():
     v = np.array([1.0, 2.0, -1.0])
     table = _table({0: v.tolist()})
-    aligned = cues.pd_loss(np.array([3.0 * v]), [0], table)
-    anti = cues.pd_loss(np.array([-0.5 * v]), [0], table)
-    ortho = cues.pd_loss(np.array([[2.0, -1.0, 0.0]]), [0], table)
-    assert abs(aligned.item() - 0.0) < 1e-12
-    assert abs(anti.item() - 2.0) < 1e-12
-    assert abs(ortho.item() - 1.0) < 1e-12
+    aligned, _ = _loss("pd", [3.0 * v], [0], table)
+    anti, _ = _loss("pd", [-0.5 * v], [0], table)
+    ortho, _ = _loss("pd", [[2.0, -1.0, 0.0]], [0], table)
+    assert abs(aligned - 0.0) < 1e-12
+    assert abs(anti - 2.0) < 1e-12
+    assert abs(ortho - 1.0) < 1e-12
 
 
 def test_pd_loss_scale_invariance():
     table = _table({0: [2.0, 1.0]})
     x = np.array([[0.3, -0.9]])
-    base = cues.pd_loss(x, [0], table).item()
+    base, _ = _loss("pd", x, [0], table)
     for c in (0.01, 7.0, 1234.5):
-        assert abs(cues.pd_loss(c * x, [0], table).item() - base) < 1e-12
+        assert abs(_loss("pd", c * x, [0], table)[0] - base) < 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -123,47 +115,44 @@ def test_pd_loss_bounded(seed):
     if not np.any(v):
         v = np.array([1.0, 0.0, 0.0])
     table = _table({0: v.tolist()})
-    val = cues.pd_loss(rng.normal(size=(4, 3)), [0, 0, 0, 0], table).item()
+    val, _ = _loss("pd", rng.normal(size=(4, 3)), [0, 0, 0, 0], table)
     assert 0.0 <= val <= 2.0
 
 
 def test_pd_loss_zero_row_is_neutral_and_warned(caplog):
     table = _table({0: [1.0, 0.0]})
-    x = Tensor(np.array([[0.0, 0.0], [1.0, 0.0]]), requires_grad=True)
     with caplog.at_level(logging.WARNING, logger="rlvc.cues"):
-        loss = cues.pd_loss(x, [0, 0], table)
+        loss, (g,) = _loss("pd", [[0.0, 0.0], [1.0, 0.0]], [0, 0], table)
     assert "zero norm" in caplog.text
-    assert abs(loss.item() - 0.5) < 1e-12  # mean of (1, 0)
-    (g,) = engine.backward(loss, [x])
+    assert abs(loss - 0.5) < 1e-12  # mean of (1, 0)
     np.testing.assert_array_equal(g[0], [0.0, 0.0])  # masked row: no gradient
 
 
 def test_pd_loss_shape_mismatch():
     table = _table({0: [1.0, 0.0]})
     with pytest.raises(UsageError):
-        cues.pd_loss(np.zeros((1, 3)), [0], table)
+        _loss("pd", np.zeros((1, 3)), [0], table)
 
 
 def test_pd_loss_fd_gradient():
     table = _table({0: [1.0, -2.0, 0.5], 1: [0.0, 1.0, 1.0]})
-    x = Tensor(np.random.default_rng(3).normal(size=(4, 3)), requires_grad=True)
-    err = engine.finite_difference_check(lambda: cues.pd_loss(x, [0, 1, 0, 1], table), [x])
-    assert err < 1e-6
+    x = np.random.default_rng(3).normal(size=(4, 3))
+    assert max_fd_error(lambda: _loss("pd", x, [0, 1, 0, 1], table), [x]) < 1e-6
 
 
 def test_kl_loss_zero_at_equality_and_nonnegative():
     table = _table({0: [0.5, -1.0, 2.0]})
-    same = cues.kl_cue_loss(np.array([[0.5, -1.0, 2.0]]), [0], table)
-    assert abs(same.item()) < 1e-12
+    same, _ = _loss("kl", [[0.5, -1.0, 2.0]], [0], table)
+    assert abs(same) < 1e-12
     rng = np.random.default_rng(4)
     for _ in range(25):
         x = rng.normal(size=(2, 3))
-        assert cues.kl_cue_loss(x, [0, 0], table).item() >= -1e-15
+        assert _loss("kl", x, [0, 0], table)[0] >= -1e-15
 
 
 def test_kl_loss_hand_case():
     table = _table({0: [1.0, 0.0]})
-    val = cues.kl_cue_loss(np.array([[0.0, 1.0]]), [0], table).item()
+    val, _ = _loss("kl", [[0.0, 1.0]], [0], table)
     p = np.exp([1.0, 0.0]) / np.exp([1.0, 0.0]).sum()
     want = (p[0] - p[1]) * np.log(p[0] / p[1])
     assert abs(val - want) < 1e-12
@@ -172,20 +161,19 @@ def test_kl_loss_hand_case():
 
 def test_kl_loss_fd_gradient():
     table = _table({0: [1.0, -2.0, 0.5]})
-    x = Tensor(np.random.default_rng(5).normal(size=(3, 3)), requires_grad=True)
-    err = engine.finite_difference_check(lambda: cues.kl_cue_loss(x, [0, 0, 0], table), [x])
-    assert err < 1e-6
+    x = np.random.default_rng(5).normal(size=(3, 3))
+    assert max_fd_error(lambda: _loss("kl", x, [0, 0, 0], table), [x]) < 1e-6
 
 
 def test_l1_loss_cases():
     table = _table({0: [1.0, -3.0]})
-    assert cues.l1_cue_loss(np.array([[1.0, -3.0]]), [0], table).item() == 0.0
-    assert cues.l1_cue_loss(np.array([[0.0, 0.0]]), [0], table).item() == 2.0
+    assert _loss("l1", [[1.0, -3.0]], [0], table)[0] == 0.0
+    assert _loss("l1", [[0.0, 0.0]], [0], table)[0] == 2.0
     # symmetry: swapping roles of x and v gives the same value
     table_sw = _table({0: [0.2, 0.9]})
-    a = cues.l1_cue_loss(np.array([[1.0, -3.0]]), [0], table_sw).item()
+    a, _ = _loss("l1", [[1.0, -3.0]], [0], table_sw)
     table_rev = _table({0: [1.0, -3.0]})
-    b = cues.l1_cue_loss(np.array([[0.2, 0.9]]), [0], table_rev).item()
+    b, _ = _loss("l1", [[0.2, 0.9]], [0], table_rev)
     assert a == b
 
 
@@ -193,31 +181,22 @@ def test_dispatcher_and_config_validation():
     table = _table({0: [1.0, 0.0]})
     x = np.array([[1.0, 0.0]])
     for variant in cues.CUE_VARIANTS:
-        assert np.isfinite(cues.cue_loss(x, [0], table, variant).item())
+        assert np.isfinite(_loss(variant, x, [0], table)[0])
     with pytest.raises(ConfigurationError):
-        cues.cue_loss(x, [0], table, "huber")
+        _loss("huber", x, [0], table)
     with pytest.raises(ConfigurationError):
         Config(cue_loss="huber")
     with pytest.raises(ConfigurationError):
         Config(lambda_pd=-1.0)
 
 
-def test_generator_total_loss_weighting():
-    assert cues.generator_total_loss(1.5, 0.2, 0.0).item() == 1.5
-    assert abs(cues.generator_total_loss(1.5, 0.2, 20.0).item() - 5.5) < 1e-12
-
-
 def test_generator_total_loss_gradient_linearity():
+    # the generator's distillation gradient is lambda times the unit-weight one
     table = _table({0: [1.0, -1.0, 2.0]})
-    x = Tensor(np.random.default_rng(6).normal(size=(2, 3)), requires_grad=True)
+    x = np.random.default_rng(6).normal(size=(2, 3))
     lam = 7.0
-
-    adv = engine.tmean(x * x)
-    cue = cues.pd_loss(x, [0, 0], table)
-    (g_total,) = engine.backward(cues.generator_total_loss(adv, cue, lam), [x])
-
-    adv2 = engine.tmean(x * x)
-    cue2 = cues.pd_loss(x, [0, 0], table)
-    (g_adv,) = engine.backward(adv2, [x])
-    (g_cue,) = engine.backward(cue2, [x])
-    np.testing.assert_allclose(g_total, g_adv + lam * g_cue, atol=1e-12)
+    for variant in cues.CUE_VARIANTS:
+        value, (g_lam,) = _loss(variant, x, [0, 0], table, lam)
+        unit_value, (g_unit,) = _loss(variant, x, [0, 0], table)
+        assert value == unit_value
+        np.testing.assert_allclose(g_lam, lam * g_unit, atol=1e-12)

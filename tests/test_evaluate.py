@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rlvc import diffusion, evaluate
+from rlvc import diffusion, engine, evaluate
 from rlvc.config import Config
 from rlvc.errors import ConfigurationError, UsageError
 from rlvc.evaluate import (
@@ -135,6 +135,21 @@ def test_synthesize_unseen_shapes_and_determinism():
     assert np.all(np.isfinite(x1))
     assert x1.tobytes() == x2.tobytes()
     np.testing.assert_array_equal(y1, y2)
+
+
+def test_synthesize_unseen_builds_no_tensor(monkeypatch):
+    gen = _tiny_gen()
+    built = []
+    init = engine.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine.Tensor, "__init__", counting_init)
+    synthesize_unseen(gen, np.ones((4, 2)), [1, 3], 5, diffusion.build_schedule(4, 0.1, 0.4),
+                      np.random.default_rng(9))
+    assert len(built) == 0
 
 
 def test_synthesize_unseen_rejects_empty_budget():

@@ -6,11 +6,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rlvc import diffusion, engine, gan
+from rlvc import diffusion, gan
 from rlvc.config import Config
-from rlvc.engine import Tensor
 from rlvc.errors import UsageError
 from rlvc.gan import CriticX0, CriticXt, Generator
+from rlvc.nets import DenseNet
+
+import oracle
+from conftest import max_fd_error
 
 
 def _zero_net(net) -> None:
@@ -54,12 +57,12 @@ def test_synthesize_deterministic_and_zero_net():
     eps = np.random.default_rng(2).normal(size=(4, 3))
     z = np.random.default_rng(3).normal(size=(4, 2))
     xn = np.random.default_rng(4).normal(size=(4, 3))
-    a = gen.synthesize(eps, z, xn, 2).data
-    b = gen.synthesize(eps, z, xn, 2).data
+    a, _ = gen.synthesize(eps, z, xn, 2)
+    b, _ = gen.synthesize(eps, z, xn, 2)
     np.testing.assert_array_equal(a, b)
 
     _zero_net(gen.net)
-    np.testing.assert_array_equal(gen.synthesize(eps, z, xn, 2).data, np.zeros((4, 3)))
+    np.testing.assert_array_equal(gen.synthesize(eps, z, xn, 2)[0], np.zeros((4, 3)))
 
 
 def test_synthesize_batched_equals_stacked():
@@ -67,9 +70,9 @@ def test_synthesize_batched_equals_stacked():
     rng = np.random.default_rng(6)
     eps, z, xn = rng.normal(size=(5, 3)), rng.normal(size=(5, 2)), rng.normal(size=(5, 3))
     t = np.array([1, 2, 3, 4, 1])
-    batched = gen.synthesize(eps, z, xn, t).data
+    batched, _ = gen.synthesize(eps, z, xn, t)
     rows = [
-        gen.synthesize(eps[i : i + 1], z[i : i + 1], xn[i : i + 1], t[i : i + 1]).data
+        gen.synthesize(eps[i : i + 1], z[i : i + 1], xn[i : i + 1], t[i : i + 1])[0]
         for i in range(5)
     ]
     np.testing.assert_allclose(batched, np.concatenate(rows), rtol=1e-13, atol=1e-15)
@@ -136,7 +139,7 @@ def test_unit_linear_critic_gp_vanishes():
     real = rng.normal(size=(16, 3))
     fake = rng.normal(size=(16, 3))
     z = rng.normal(size=(16, 2))
-    score = critic.score(real, z).data[:, 0]
+    score = critic.net.forward(np.concatenate([real, z], axis=1))[0][:, 0]
     np.testing.assert_allclose(score, real @ w, atol=1e-12)
     loss, _ = gan.critic_x0_loss(critic, real, fake, z, 10.0, rng)
     wass = -np.mean(real @ w) + np.mean(fake @ w)
@@ -146,10 +149,11 @@ def test_unit_linear_critic_gp_vanishes():
 def test_gradient_norms_of_linear_critic():
     w = np.array([3.0, 0.0, 4.0])  # norm 5
     critic = _unit_linear_critic_x0(w)
-    x_hat = Tensor(np.random.default_rng(1).normal(size=(4, 3)), requires_grad=True)
-    z = Tensor(np.zeros((4, 2)))
-    norms = gan.gradient_norms(critic.net, x_hat.data, z.data)
-    np.testing.assert_allclose(norms.data, np.full(4, 5.0), atol=1e-12)
+    rng = np.random.default_rng(1)
+    real, fake, z = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), np.zeros((4, 2))
+    loss, _ = gan.critic_x0_loss(critic, real, fake, z, 10.0, rng)
+    wass = -np.mean(real @ w) + np.mean(fake @ w)
+    assert abs(loss.item() - (wass + 10.0 * (5.0 - 1.0) ** 2)) < 1e-10
 
 
 def test_gradient_norms_match_central_differences_of_xt_critic():
@@ -166,9 +170,10 @@ def test_gradient_norms_match_central_differences_of_xt_critic():
         hi, lo = x_hat.copy(), x_hat.copy()
         hi[idx] += step
         lo[idx] -= step
-        diff = critic.score(hi, cond).data.sum() - critic.score(lo, cond).data.sum()
+        score = critic.net.forward(np.concatenate([hi, cond], axis=1))[0].sum()
+        diff = score - critic.net.forward(np.concatenate([lo, cond], axis=1))[0].sum()
         fd[idx] = diff / (2.0 * step)
-    norms = gan.gradient_norms(critic.net, x_hat, cond)
+    norms = oracle.gradient_norms(critic.net, x_hat, cond)
     np.testing.assert_allclose(norms.data, np.linalg.norm(fd, axis=1), rtol=1e-6)
 
 
@@ -221,9 +226,9 @@ def test_critic_fd_spot_check():
     z = rng.normal(size=(3, 2))
 
     def loss_fn():
-        return gan.critic_x0_terms(critic, real, fake, z, 10.0, np.random.default_rng(55))
+        return gan.critic_x0_loss(critic, real, fake, z, 10.0, np.random.default_rng(55))
 
-    assert engine.finite_difference_check(loss_fn, critic.params) < 1e-4
+    assert max_fd_error(loss_fn, [p.data for p in critic.params]) < 1e-4
 
 
 def test_generator_adv_loss_constant_critics():
@@ -243,19 +248,19 @@ def test_generator_adv_loss_constant_critics():
     arrays[-1][:] = -0.75
     cxt.net.set_params(arrays)
 
-    loss, _ = gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
+    loss, *_ = gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
     assert abs(loss.item() - (-1.25 + 0.75)) < 1e-12
 
     _zero_net(cx0.net)
     _zero_net(cxt.net)
-    loss0, _ = gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
-    grads0 = engine.backward(loss0, gen.params)
+    loss0, _, g_x0, cache = gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
+    grads0 = gen.net.pullback(cache, g_x0)
     assert loss0.item() == 0.0
     for g in grads0:
         np.testing.assert_array_equal(g, np.zeros_like(g))
 
 
-def test_generator_step_runs_no_critic_weight_vjp():
+def test_generator_step_runs_no_critic_weight_vjp(monkeypatch):
     rng = np.random.default_rng(21)
     gen = Generator(3, 2, Config(hidden_mult=2, temb_dim=4), rng)
     cx0 = CriticX0(3, 2, Config(hidden_mult=2), rng)
@@ -264,51 +269,17 @@ def test_generator_step_runs_no_critic_weight_vjp():
     z, x_next = rng.normal(size=(5, 2)), rng.normal(size=(5, 3))
     t = np.array([0, 1, 2, 3, 0])
     eps_g, eps_p = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-    loss, _ = gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
-    together = engine.backward(loss, gen.params + cx0.params + cxt.params)
-
-    # A branch of the graph is a critic-parameter branch when none of the
-    # generator's parameters lies behind it. Count every vjp into one.
-    gen_ids = {id(p) for p in gen.params}
-    reaches_gen: dict[int, bool] = {}
-
-    def behind(node) -> bool:
-        if id(node) not in reaches_gen:
-            reaches_gen[id(node)] = id(node) in gen_ids or any(behind(p) for p in node._parents)
-        return reaches_gen[id(node)]
-
     calls = []
+    pullback = DenseNet.pullback
 
-    def counted(vjp):
-        def wrapped(u):
-            calls.append(vjp)
-            return vjp(u)
+    def recording_pullback(net, cache, u, wrt_input=False):
+        calls.append((net, wrt_input))
+        return pullback(net, cache, u, wrt_input)
 
-        return wrapped
-
-    nodes, stack, seen = [], [loss], set()
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node._parents)
-    branches = 0
-    for node in nodes:
-        vjps = []
-        for p, vjp in zip(node._parents, node._vjps):
-            if p.requires_grad and not behind(p):
-                vjp = counted(vjp)
-                branches += 1
-            vjps.append(vjp)
-        node._vjps = tuple(vjps)
-    assert branches >= len(cx0.params + cxt.params)  # at least one per critic parameter
-
-    only_gen = engine.backward(loss, gen.params)
-    assert calls == []
-    for g, g_together in zip(only_gen, together):
-        assert g.shape == g_together.shape
-        assert g.tobytes() == g_together.tobytes()
+    monkeypatch.setattr(DenseNet, "pullback", recording_pullback)
+    gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
+    # each critic is pulled back to its input only
+    assert calls == [(cx0.net, True), (cxt.net, True)]
 
 
 def test_generator_adv_fd_through_posterior_path():
@@ -326,10 +297,10 @@ def test_generator_adv_fd_through_posterior_path():
     eps_p = rng.normal(size=(3, 2))
 
     def loss_fn():
-        loss, _ = gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
-        return loss
+        loss, _, g_x0, cache = gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
+        return loss, gen.net.pullback(cache, g_x0)
 
-    assert engine.finite_difference_check(loss_fn, gen.params) < 1e-4
+    assert max_fd_error(loss_fn, [p.data for p in gen.params]) < 1e-4
 
 
 def test_summed_critic_objective_zero_nets():

@@ -1,9 +1,9 @@
-"""The trainer's hand-written passes against the engine.
+"""The package's numpy passes against the engine.
 
-Each hand pass must give the same bytes as engine.backward on the graph of
-the function it replaces (`critic_*_terms`, `generator_adv_terms` with
-`cue_loss`, `class_log_probs` with `rl_loss`), which stays in the package as
-the oracle.
+Each pass must give the same bytes as engine.backward on the engine graph of
+the same loss, built by `oracle` from engine ops: the critic losses, the
+generator's adversarial step with each cue loss, and the policy-gradient
+step.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from rlvc import cues, diffusion, engine, gan, reward
 from rlvc.config import Config
 from rlvc.engine import Tensor
 from rlvc.nets import DenseNet
+
+import oracle
 
 D, DZ, T = 6, 3, 4
 SHAPE = Config(hidden_mult=4, temb_dim=4, leaky_slope=0.2)
@@ -42,7 +44,7 @@ def _all_same(xs, ys) -> bool:
 
 def _both_branches(net: DenseNet, x: np.ndarray) -> bool:
     """Whether some hidden unit is on each side of the kink for input x."""
-    _, (_, masks) = net.forward_cached(x)
+    _, (_, masks) = net.forward(x)
     return all((m == 1.0).any() and (m == net.slope).any() for m in masks)
 
 
@@ -81,11 +83,11 @@ def test_dense_pullback_matches_the_engine(seed, rows):
     u = rng.normal(size=(rows, 3))
     assert _both_branches(net, x)
 
-    out, cache = net.forward_cached(x)
+    out, cache = net.forward(x)
     xt = Tensor(x, requires_grad=True)
-    oracle = net.forward(xt)
-    assert _same(out, oracle.data)
-    loss = engine.tsum(oracle * Tensor(u))
+    graph = oracle.forward(net, xt)
+    assert _same(out, graph.data)
+    loss = engine.tsum(graph * Tensor(u))
     assert _all_same(net.pullback(cache, u), engine.backward(loss, net.params))
     assert _same(net.pullback(cache, u, wrt_input=True), engine.backward(loss, [xt])[0])
 
@@ -101,13 +103,13 @@ def test_critic_losses_match_the_engine(seed, t):
     assert _both_branches(cxt.net, np.concatenate([b["real"], cond], axis=1))
 
     loss, grads = gan.critic_x0_loss(cx0, b["real"], b["fake"], b["z"], gp, np.random.default_rng(5))
-    terms = gan.critic_x0_terms(cx0, b["real"], b["fake"], b["z"], gp, np.random.default_rng(5))
+    terms = oracle.critic_terms(cx0.net, b["real"], b["fake"], b["z"], gp, np.random.default_rng(5))
     assert _same(loss, terms.data)
     assert _all_same(grads, engine.backward(terms, cx0.params))
 
     args = (b["real"], b["fake"], b["x_next"], b["z"], t, gp)
     loss, grads = gan.critic_xt_loss(cxt, *args, np.random.default_rng(6))
-    terms = gan.critic_xt_terms(cxt, *args, np.random.default_rng(6))
+    terms = oracle.critic_terms(cxt.net, b["real"], b["fake"], cond, gp, np.random.default_rng(6))
     assert _same(loss, terms.data)
     assert _all_same(grads, engine.backward(terms, cxt.params))
 
@@ -122,18 +124,18 @@ def test_generator_step_matches_the_engine(variant, t):
     args = (gen, cx0, cxt, b["z"], b["x_next"], t, SCHED, b["eps_g"], b["eps_p"])
     assert _both_branches(gen.net, gen._inputs(b["eps_g"], b["z"], b["x_next"], t + 1))
 
-    loss, x0_tilde, g_x0, cache = gan.generator_adv_pass(*args)
-    adv, oracle_x0 = gan.generator_adv_terms(*args)
+    loss, x0_tilde, g_x0, cache = gan.generator_adv_terms(*args)
+    adv, oracle_x0 = oracle.generator_adv_terms(*args)
     assert _same(loss, adv.data)
     assert _same(x0_tilde, oracle_x0.data)
     total = adv
     if variant is not None:
-        value, contributions = cues.cue_loss_pass(x0_tilde, b["y"], table, variant, lambda_pd)
-        cue = cues.cue_loss(oracle_x0, b["y"], table, variant)
+        value, contributions = cues.cue_loss(x0_tilde, b["y"], table, variant, lambda_pd)
+        cue = oracle.cue_loss(oracle_x0, b["y"], table, variant)
         assert _same(value, cue.data)
         for g in contributions:
             g_x0 = g_x0 + g
-        total = cues.generator_total_loss(adv, cue, lambda_pd)
+        total = adv + lambda_pd * cue
     assert _all_same(gen.net.pullback(cache, g_x0), engine.backward(total, gen.params))
 
 
@@ -145,13 +147,10 @@ def test_cue_pass_matches_the_engine_on_a_zero_norm_row(variant, caplog):
     y = rng.integers(0, 3, size=5)
     table = _table(5)
     with caplog.at_level(logging.WARNING, logger="rlvc.cues"):
-        value, contributions = cues.cue_loss_pass(x, y, table, variant, 0.7)
-    hand_warned = "zero norm" in caplog.text
-    caplog.clear()
+        value, contributions = cues.cue_loss(x, y, table, variant, 0.7)
+    assert ("zero norm" in caplog.text) == (variant == "pd")
     xt = Tensor(x, requires_grad=True)
-    with caplog.at_level(logging.WARNING, logger="rlvc.cues"):
-        cue = cues.cue_loss(xt, y, table, variant)
-    assert hand_warned == ("zero norm" in caplog.text) == (variant == "pd")
+    cue = oracle.cue_loss(xt, y, table, variant)
     grad = contributions[0]
     for g in contributions[1:]:
         grad = grad + g
@@ -167,9 +166,10 @@ def test_rl_step_matches_the_engine(centred, t):
     rng = np.random.default_rng(7)
     model = reward.RewardModel(rng.normal(size=(3, D)), rng.normal(size=3))
 
-    x0, cache = gen.synthesize(b["eps_g"], b["z"], b["x_next"], t + 1, cached=True)
-    log_probs, lp_cache = reward.class_log_probs_pass(model, x0, b["y"])
-    oracle_lp = reward.class_log_probs(model, gen.synthesize(b["eps_g"], b["z"], b["x_next"], t + 1), b["y"])
+    x0, cache = gen.synthesize(b["eps_g"], b["z"], b["x_next"], t + 1)
+    log_probs, lp_cache = reward.class_log_probs(model, x0, b["y"])
+    oracle_x0 = oracle.synthesize(gen, b["eps_g"], b["z"], b["x_next"], t + 1)
+    oracle_lp = oracle.class_log_probs(model, oracle_x0, b["y"])
     assert _same(log_probs, oracle_lp.data)
     if centred:
         baseline = reward.EmaBaseline(alpha=0.9)
@@ -179,7 +179,7 @@ def test_rl_step_matches_the_engine(centred, t):
     else:
         batch = reward.AdvantageBatch(rewards=log_probs, advantages=log_probs.copy())
 
-    loss, g_x0 = reward.rl_loss_pass(batch, log_probs, lp_cache)
-    oracle_loss, oracle_grads = reward.rl_loss(batch, oracle_lp, gen.params)
+    loss, g_x0 = reward.rl_loss(batch, log_probs, lp_cache)
+    oracle_loss = oracle.rl_loss(batch.advantages, oracle_lp)
     assert _same(loss, oracle_loss.data)
-    assert _all_same(gen.net.pullback(cache, g_x0), oracle_grads)
+    assert _all_same(gen.net.pullback(cache, g_x0), engine.backward(oracle_loss, gen.params))

@@ -1,6 +1,8 @@
 """No dead helpers: every public top-level function and class of the package,
-and every public method, is used by code somewhere in src/, tests/ or
-perfbench/ outside its own definition.
+and every public method, is used by code in src/ or perfbench/ outside its
+own definition. A use found only under tests/ does not keep a definition
+alive; the few definitions kept for tests alone are listed in ALLOWED, each
+with its reason.
 
 A use is a name, an attribute, an imported name, or a word of a string
 literal that is not a docstring (perfbench names its trace targets in
@@ -16,8 +18,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rlvc"
-SEARCHED = ("src", "tests", "perfbench")
+SEARCHED = ("src", "perfbench")
 WORD = re.compile(r"\w+")
+# Public definitions that tests alone use: a file name for a whole module, or
+# "module.name".
+ALLOWED = {
+    "engine.py": "its ops are the vocabulary of the test oracle (tests/oracle.py)",
+    "reward.reward": "the single-row outcome reward that acceptance test 03 checks",
+    "data.load_features": "the reader of the files `rlvc synthesize` writes",
+}
 
 
 def _public_definitions(tree: ast.Module):
@@ -75,7 +84,11 @@ def unused_definitions() -> list[str]:
             used_at[name].append((path, line))
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ALLOWED:
+            continue
         for node in _public_definitions(trees[path]):
+            if f"{path.stem}.{node.name}" in ALLOWED:
+                continue
             own = range(node.lineno, node.end_lineno + 1)
             if all(p == path and line in own for p, line in used_at[node.name]):
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
@@ -84,3 +97,24 @@ def unused_definitions() -> list[str]:
 
 def test_no_public_definition_is_dead():
     assert unused_definitions() == []
+
+
+def _imports_engine(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "rlvc.engine" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = ".".join((["rlvc"] if node.level else []) + ([node.module] if node.module else []))
+        names = {alias.name for alias in node.names}
+        return module == "rlvc.engine" or (module == "rlvc" and "engine" in names)
+    return False
+
+
+def test_only_nets_imports_the_engine():
+    # The training losses are numpy passes; the engine stays behind the
+    # networks' parameter Tensors and the softmax heads in nets.py.
+    importers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if any(_imports_engine(n) for n in ast.walk(ast.parse(path.read_text())))
+    )
+    assert importers == ["nets.py"]

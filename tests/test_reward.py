@@ -5,15 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rlvc import engine, reward
+from rlvc import reward
 from rlvc.config import Config
-from rlvc.engine import Tensor
 from rlvc.errors import ConfigurationError, NumericFailure, UsageError
 from rlvc.gan import Generator
 from rlvc.nets import AdamState
 from rlvc.reward import AdvantageBatch, EmaBaseline, RewardModel
 
-from conftest import make_separable
+from conftest import make_separable, max_fd_error
+
+
+def _policy_gradient(gen, model, inputs, y, batch_of):
+    """The RL loss on rows synthesized from inputs = (eps, z, x_next, t),
+    with the advantage batch `batch_of(log_probs)`, and its gradients w.r.t.
+    the generator's parameters."""
+    x0, cache = gen.synthesize(*inputs)
+    lp, lp_cache = reward.class_log_probs(model, x0, y)
+    loss, g_x0 = reward.rl_loss(batch_of(lp), lp, lp_cache)
+    return loss, gen.net.pullback(cache, g_x0)
 
 
 def test_zero_model_reward_is_log_quarter():
@@ -53,7 +62,6 @@ def test_reward_rejects_out_of_range_class():
 
 def test_model_parameters_are_write_protected():
     model = RewardModel(np.ones((2, 2)), np.zeros(2))
-    assert model.frozen
     with pytest.raises(ValueError):
         model.weight[0, 0] = 5.0
     with pytest.raises(ValueError):
@@ -71,8 +79,8 @@ def test_zero_init_cross_entropy_is_log_C():
     # before any training step the mean CE of a zero model is ln C exactly
     x, y = make_separable(20, 4, 3)
     model = RewardModel(np.zeros((3, 4)), np.zeros(3))
-    lp = reward.class_log_probs(model, x, y)
-    assert abs(-lp.data.mean() - np.log(3.0)) < 1e-12
+    lp, _ = reward.class_log_probs(model, x, y)
+    assert abs(-lp.mean() - np.log(3.0)) < 1e-12
 
 
 def test_pretrain_reaches_high_accuracy_on_separable_data():
@@ -105,10 +113,10 @@ def test_frozen_params_bitwise_stable_under_rl_steps():
     opt = AdamState(gen.params, lr=1e-3, beta1=Config().adam_beta1, beta2=Config().adam_beta2)
     rng = np.random.default_rng(1)
     for _ in range(5):
-        x0 = gen.synthesize(rng.normal(size=(8, 3)), rng.normal(size=(8, 2)), rng.normal(size=(8, 3)), 1)
-        lp = reward.class_log_probs(model, x0, rng.integers(0, 2, size=8))
-        batch = AdvantageBatch(rewards=lp.data.copy(), advantages=rng.normal(size=8))
-        _, grads = reward.rl_loss(batch, lp, gen.params)
+        inputs = rng.normal(size=(8, 3)), rng.normal(size=(8, 2)), rng.normal(size=(8, 3)), 1
+        adv = rng.normal(size=8)
+        y = rng.integers(0, 2, size=8)
+        _, grads = _policy_gradient(gen, model, inputs, y, lambda lp: AdvantageBatch(lp.copy(), adv))
         opt.step(grads)
     assert model.weight.tobytes() == w_before
     assert model.bias.tobytes() == b_before
@@ -169,34 +177,28 @@ def test_advantage_values():
     batch = reward.advantage(np.array([-1.0, -3.0]), b)
     np.testing.assert_array_equal(batch.advantages, [1.0, -1.0])
     np.testing.assert_array_equal(batch.rewards, [-1.0, -3.0])
-    assert batch.gradient_barrier
     batch2 = reward.advantage(np.full(4, b.value), b)
     np.testing.assert_array_equal(batch2.advantages, np.zeros(4))
 
 
 def test_rl_loss_arithmetic_and_guards():
-    lp = Tensor(np.array([-0.5]), requires_grad=True)
-    batch = AdvantageBatch(rewards=np.array([-0.5]), advantages=np.array([1.0]))
-    loss, _ = reward.rl_loss(batch, lp, [lp])
-    assert abs(loss.item() - 0.5) < 1e-15
+    uniform = RewardModel(np.zeros((2, 1)), np.zeros(2))
+    lp, cache = reward.class_log_probs(uniform, np.zeros((1, 1)), [0])
+    batch = AdvantageBatch(rewards=lp.copy(), advantages=np.array([1.0]))
+    loss, _ = reward.rl_loss(batch, lp, cache)
+    assert abs(loss.item() - np.log(2.0)) < 1e-15
 
     with pytest.raises(UsageError):
-        reward.rl_loss(
-            AdvantageBatch(np.array([0.0]), np.array([0.0]), gradient_barrier=False),
-            lp, [lp],
-        )
-    with pytest.raises(UsageError):
-        reward.rl_loss(AdvantageBatch(np.zeros(2), np.zeros(2)), lp, [lp])
+        reward.rl_loss(AdvantageBatch(np.zeros(2), np.zeros(2)), lp, cache)
 
 
 def test_rl_loss_zero_advantages_zero_gradient():
     gen = Generator(2, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(0))
     model = RewardModel(np.random.default_rng(1).normal(size=(2, 2)), np.zeros(2))
     rng = np.random.default_rng(2)
-    x0 = gen.synthesize(rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), 1)
-    lp = reward.class_log_probs(model, x0, np.array([0, 1, 0, 1]))
-    batch = AdvantageBatch(rewards=lp.data.copy(), advantages=np.zeros(4))
-    loss, grads = reward.rl_loss(batch, lp, gen.params)
+    inputs = rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), 1
+    y = np.array([0, 1, 0, 1])
+    loss, grads = _policy_gradient(gen, model, inputs, y, lambda lp: AdvantageBatch(lp.copy(), np.zeros(4)))
     assert loss.item() == 0.0
     for g in grads:
         np.testing.assert_array_equal(g, np.zeros_like(g))
@@ -212,14 +214,11 @@ def test_stop_gradient_identity():
     y = np.array([0, 1, 2, 0, 1, 2])
 
     def grads_with(adv_batch):
-        x0 = gen.synthesize(eps, z, xn, 2)
-        lp = reward.class_log_probs(model, x0, y)
-        _, grads = reward.rl_loss(adv_batch, lp, gen.params)
-        return grads
+        return _policy_gradient(gen, model, (eps, z, xn, 2), y, lambda lp: adv_batch)[1]
 
     b = EmaBaseline(alpha=0.9)
-    x0 = gen.synthesize(eps, z, xn, 2)
-    r = reward.class_log_probs(model, x0, y).data.copy()
+    x0, _ = gen.synthesize(eps, z, xn, 2)
+    r = reward.class_log_probs(model, x0, y)[0].copy()
     b.update(r)
     computed = reward.advantage(r, b)
     pasted = AdvantageBatch(rewards=r.copy(), advantages=computed.advantages.copy())
@@ -229,12 +228,12 @@ def test_stop_gradient_identity():
 
 def test_unit_advantages_reduce_to_nll():
     model = RewardModel(np.random.default_rng(6).normal(size=(3, 4)), np.zeros(3))
-    x = Tensor(np.random.default_rng(7).normal(size=(5, 4)), requires_grad=True)
+    x = np.random.default_rng(7).normal(size=(5, 4))
     y = np.array([0, 1, 2, 1, 0])
-    lp = reward.class_log_probs(model, x, y)
-    batch = AdvantageBatch(rewards=lp.data.copy(), advantages=np.ones(5))
-    loss, _ = reward.rl_loss(batch, lp, [x])
-    nll = -engine.tmean(lp).item()
+    lp, cache = reward.class_log_probs(model, x, y)
+    batch = AdvantageBatch(rewards=lp.copy(), advantages=np.ones(5))
+    loss, _ = reward.rl_loss(batch, lp, cache)
+    nll = -np.mean(lp)
     assert abs(loss.item() - nll) < 1e-15
 
 
@@ -242,32 +241,28 @@ def test_positive_advantage_step_raises_log_prob():
     gen = Generator(2, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(8))
     model = RewardModel(np.random.default_rng(9).normal(size=(2, 2)), np.zeros(2))
     rng = np.random.default_rng(10)
-    eps, z, xn = rng.normal(size=(1, 2)), rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
+    inputs = rng.normal(size=(1, 2)), rng.normal(size=(1, 2)), rng.normal(size=(1, 2)), 1
     y = np.array([1])
 
     def log_prob():
-        return reward.class_log_probs(model, gen.synthesize(eps, z, xn, 1), y)
+        return float(reward.class_log_probs(model, gen.synthesize(*inputs)[0], y)[0][0])
 
-    before = float(log_prob().data[0])
-    lp = log_prob()
-    batch = AdvantageBatch(rewards=lp.data.copy(), advantages=np.array([1.0]))
-    _, grads = reward.rl_loss(batch, lp, gen.params)
+    before = log_prob()
+    _, grads = _policy_gradient(gen, model, inputs, y, lambda lp: AdvantageBatch(lp.copy(), np.ones(1)))
     cfg = Config()
     AdamState(gen.params, lr=1e-4, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2).step(grads)
-    assert float(log_prob().data[0]) > before
+    assert log_prob() > before
 
 
 def test_rl_loss_fd_through_generator():
     gen = Generator(2, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(11))
     model = RewardModel(np.random.default_rng(12).normal(size=(2, 2)), np.zeros(2))
     rng = np.random.default_rng(13)
-    eps, z, xn = rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+    inputs = rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), 1
     y = np.array([0, 1, 0])
     adv = np.array([0.5, -1.0, 2.0])  # frozen constants
 
     def loss_fn():
-        lp = reward.class_log_probs(model, gen.synthesize(eps, z, xn, 1), y)
-        loss, _ = reward.rl_loss(AdvantageBatch(adv.copy(), adv.copy()), lp, gen.params)
-        return loss
+        return _policy_gradient(gen, model, inputs, y, lambda lp: AdvantageBatch(adv.copy(), adv.copy()))
 
-    assert engine.finite_difference_check(loss_fn, gen.params) < 1e-4
+    assert max_fd_error(loss_fn, [p.data for p in gen.params]) < 1e-4

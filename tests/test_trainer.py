@@ -13,6 +13,8 @@ from rlvc.reward import pretrain_reward
 from rlvc.seeding import stream_rng
 from rlvc.trainer import METRICS_COLUMNS, train
 
+import oracle
+
 
 def _reward_for(ds, seed=0):
     train_x, train_y = ds.train
@@ -227,26 +229,28 @@ def _oracle_minibatch(ds, rm, cfg):
 
     t, x_t, x_next = draw(train_rng)
     eps_g = train_rng.standard_normal(x0.shape)
-    fake_x0 = gen.synthesize(eps_g, z, x_next, t + 1).data
+    fake_x0 = oracle.synthesize(gen, eps_g, z, x_next, t + 1).data
     fake_xt = diffusion.posterior_sample(fake_x0, x_next, t, sched, train_rng)
-    l0 = gan.critic_x0_terms(cx0, x0, fake_x0, z, cfg.lambda_gp, train_rng)
-    lt = gan.critic_xt_terms(cxt, x_t, fake_xt, x_next, z, t, cfg.lambda_gp, train_rng)
+    l0 = oracle.critic_terms(cx0.net, x0, fake_x0, z, cfg.lambda_gp, train_rng)
+    cond = cxt.condition(x_next, z, t)
+    lt = oracle.critic_terms(cxt.net, x_t, fake_xt, cond, cfg.lambda_gp, train_rng)
     opt_critic.step(engine.backward(l0, cx0.params) + engine.backward(lt, cxt.params))
 
     t, x_t, x_next = draw(train_rng)
     eps_g = train_rng.standard_normal(x0.shape)
     eps_post = train_rng.standard_normal(x0.shape)
-    adv, x0_tilde = gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_post)
-    cue = cues.cue_loss(x0_tilde, y, table, cfg.cue_loss)
-    opt_gen.step(engine.backward(cues.generator_total_loss(adv, cue, cfg.lambda_pd), gen.params))
+    adv, x0_tilde = oracle.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_post)
+    cue = oracle.cue_loss(x0_tilde, y, table, cfg.cue_loss)
+    opt_gen.step(engine.backward(adv + cfg.lambda_pd * cue, gen.params))
 
     t, x_t, x_next = draw(rl_rng)
     eps_g = rl_rng.standard_normal(x0.shape)
-    x0_rl = gen.synthesize(eps_g, z, x_next, t + 1)
-    log_probs = reward.class_log_probs(rm, x0_rl, np.searchsorted(seen, y))
+    x0_rl = oracle.synthesize(gen, eps_g, z, x_next, t + 1)
+    log_probs = oracle.class_log_probs(rm, x0_rl, np.searchsorted(seen, y))
     r = log_probs.data.copy()
     baseline.update(r)
-    opt_rl.step(reward.rl_loss(reward.advantage(r, baseline), log_probs, gen.params)[1])
+    loss = oracle.rl_loss(reward.advantage(r, baseline).advantages, log_probs)
+    opt_rl.step(engine.backward(loss, gen.params))
 
 
 @pytest.mark.parametrize("cue_loss", ["pd", "kl", "l1"])
