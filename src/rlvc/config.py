@@ -40,6 +40,10 @@ def _above(lo):
     return (lambda v: v > lo), f"> {lo}"
 
 
+def _unit_interval():
+    return (lambda v: 0.0 <= v < 1.0), "in [0, 1)"
+
+
 @dataclass(frozen=True)
 class Config:
     """Every setting of a run. Construction runs every range check, so a
@@ -58,9 +62,7 @@ class Config:
     lr_rl: float = _key(5e-5, "Adam rate for the policy-gradient generator step", _above(0))
     lambda_pd: float = _key(5.0, "weight of the prototype-distillation term", _at_least(0))
     lambda_gp: float = _key(10.0, "gradient-penalty weight", _at_least(0))
-    ema_alpha: float = _key(
-        0.9, "EMA factor of the reward baseline", ((lambda v: 0.0 <= v < 1.0), "in [0, 1)")
-    )
+    ema_alpha: float = _key(0.9, "EMA factor of the reward baseline", _unit_interval())
     diffusion_steps: int = _key(4, "number of diffusion steps T")
     beta_min: float = _key(0.1, "first diffusion beta")
     beta_max: float = _key(0.4, "last diffusion beta")
@@ -78,8 +80,8 @@ class Config:
     hidden_mult: int = _key(4, "hidden width as a multiple of the feature dim")
     temb_dim: int = _key(16, "timestep embedding width")
     leaky_slope: float = _key(0.2, "leaky-relu negative slope")
-    adam_beta1: float = _key(0.5, "Adam beta1 (all optimizers)")
-    adam_beta2: float = _key(0.999, "Adam beta2 (all optimizers)")
+    adam_beta1: float = _key(0.5, "Adam beta1 (all optimizers)", _unit_interval())
+    adam_beta2: float = _key(0.999, "Adam beta2 (all optimizers)", _unit_interval())
     reward_epochs: int = _key(50, "reward-model pretraining epochs")
     reward_lr: float = _key(0.01, "reward-model Adam rate")
     reward_batch: int = _key(128, "reward-model minibatch size")

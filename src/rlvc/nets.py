@@ -1,5 +1,12 @@
 """Dense networks, Adam, linear softmax training, timestep embeddings, and
-binary checkpoints."""
+binary checkpoints.
+
+The reverse passes here (`DenseNet.pullback`, `log_softmax_pullback` and the
+minibatch gradient of `fit_linear_softmax`) are written by hand in plain
+numpy. Each lays out its products and sums as the reverse pass of the same
+expression in `engine` does, so it is bit-equal to engine.backward on that
+graph. The engine's `Tensor` only holds the parameters.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import engine
 from .engine import Tensor
 from .errors import ConfigurationError, NumericFailure, UsageError
 
@@ -137,6 +143,10 @@ def log_softmax_pullback(cache: tuple, u: np.ndarray) -> np.ndarray:
     return u + (np.sum(-u, axis=1, keepdims=True) / s) * e
 
 
+# Parameters and steps under this size cannot sum to a non-finite value.
+_SAFE = 2.0**1022
+
+
 class AdamState:
     """Adam with bias correction over a fixed parameter list.
 
@@ -145,17 +155,31 @@ class AdamState:
     vector, checks it once for finiteness and evaluates the update with
     in-place ufuncs, element by element the same expression as
     p -= lr * (m / c1) / (sqrt(v / c2) + eps).
+
+    A step is all or nothing: if it would leave a parameter non-finite, it
+    raises NumericFailure and no parameter, moment or `t` moves. The step
+    tracks a bound on max|m| by the same update as m, from max|g|; the
+    denominator is at least eps, so no step entry exceeds
+    4 * lr * bound / (c1 * eps) (the 4 covers rounding). While that and every
+    parameter stay under 2**1022, the step runs in place. Otherwise it runs
+    on copies of the moments and commits only a finite result. The bound
+    decays with m, so the copies last only while m is near overflow.
     """
 
     def __init__(
         self, params: Sequence[Tensor], lr: float, beta1: float, beta2: float, eps: float = 1e-8
     ):
+        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0 and eps > 0.0):
+            raise ConfigurationError(
+                f"Adam needs 0 <= beta < 1 and eps > 0, got {beta1}, {beta2}, {eps}"
+            )
         self.params = list(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
+        self._m_bound = 0.0  # at least max|m|
         size = sum(p.size for p in self.params)
         # Moments, the gradient (reused for the denominator) and one scratch.
         self._m, self._v, self._g, self._s = (np.zeros(size) for _ in range(4))
@@ -166,34 +190,54 @@ class AdamState:
         ends = np.cumsum([p.size for p in self.params])
         return [flat[end - p.size : end].reshape(p.shape) for p, end in zip(self.params, ends)]
 
+    def _advance(self, t: int, m: np.ndarray, v: np.ndarray) -> None:
+        """Advance m and v in place to step t's moments from the gradient in
+        `_g`, and write the step to `_s` (`_g` ends as the denominator)."""
+        g, s = self._g, self._s
+        c1 = 1.0 - self.beta1**t
+        c2 = 1.0 - self.beta2**t
+        np.multiply(1.0 - self.beta1, g, out=s)
+        m *= self.beta1
+        m += s
+        np.square(g, out=s)
+        s *= 1.0 - self.beta2
+        v *= self.beta2
+        v += s
+        np.divide(m, c1, out=s)
+        s *= self.lr
+        np.divide(v, c2, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        s /= g
+
     def step(self, grads: Sequence[np.ndarray]) -> None:
         if len(grads) != len(self.params):
             raise UsageError("gradient list length mismatch")
         for dst, g in zip(self._grads, grads):
             dst[...] = g
-        g, s = self._g, self._s
-        if not np.isfinite(g).all():
+        g_max = float(np.abs(self._g, out=self._s).max(initial=0.0))
+        if not np.isfinite(g_max):
             raise NumericFailure("non-finite gradient; update rejected")
-        self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
-        np.multiply(1.0 - self.beta1, g, out=s)
-        self._m *= self.beta1
-        self._m += s
-        np.square(g, out=s)
-        s *= 1.0 - self.beta2
-        self._v *= self.beta2
-        self._v += s
-        np.divide(self._m, c1, out=s)
-        s *= self.lr
-        np.divide(self._v, c2, out=g)
-        np.sqrt(g, out=g)
-        g += self.eps
-        s /= g
-        for p, step in zip(self.params, self._steps):
-            p.data -= step
-            if not np.isfinite(p.data).all():
-                raise NumericFailure("non-finite parameter after update")
+        m_bound = self.beta1 * self._m_bound + (1.0 - self.beta1) * g_max
+        t = self.t + 1
+        bound = 4.0 * abs(self.lr) * m_bound / (1.0 - self.beta1**t) / self.eps
+        if bound < _SAFE and all(
+            -_SAFE < p.data.min(initial=0.0) and p.data.max(initial=0.0) < _SAFE
+            for p in self.params
+        ):
+            self._advance(t, self._m, self._v)
+            for p, step in zip(self.params, self._steps):
+                p.data -= step
+        else:
+            m, v = self._m.copy(), self._v.copy()
+            self._advance(t, m, v)
+            new = [p.data - step for p, step in zip(self.params, self._steps)]
+            if not all(np.isfinite(a).all() for a in new):
+                raise NumericFailure("non-finite parameter after update; update rejected")
+            self._m[...], self._v[...] = m, v
+            for p, a in zip(self.params, new):
+                p.data[...] = a
+        self.t, self._m_bound = t, m_bound
 
 
 def fit_linear_softmax(
@@ -209,19 +253,32 @@ def fit_linear_softmax(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Linear softmax classifier from zero weights: cross-entropy with Adam
     over shuffled minibatches. `rows` holds class indices 0..n_classes-1.
-    Returns the (n_classes, d) weight and the (n_classes,) bias."""
+    Returns the (n_classes, d) weight and the (n_classes,) bias.
+
+    Each minibatch gradient is a hand-written reverse pass laid out as those
+    of engine.linear and engine.log_softmax, so the result is bit-equal to
+    Adam on engine.backward of the graph
+    -tmean(tsum(log_softmax(linear(x, w, b)) * onehot, 1)). Into log_softmax
+    that graph sends u = -onehot / B, and u + (sum(-u) / s) * e is then
+    (1/B / s) * e less 1/B at each row's label: a row sum of one nonzero
+    term is exact, and -0.0 + y == y. So no one-hot matrix is built and the
+    log-probs are never formed, which makes the step faster than one through
+    `log_softmax_cached` and `log_softmax_pullback`."""
     w = Tensor(np.zeros((n_classes, features.shape[1])), requires_grad=True)
     b = Tensor(np.zeros(n_classes), requires_grad=True)
     opt = AdamState([w, b], lr=lr, beta1=beta1, beta2=beta2)
-    onehot = np.eye(n_classes)[rows]
     n = features.shape[0]
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            lp = engine.log_softmax(engine.linear(Tensor(features[idx]), w, b), axis=1)
-            loss = -engine.tmean(engine.tsum(lp * Tensor(onehot[idx]), axis=1))
-            opt.step(engine.backward(loss, [w, b]))
+            x, y = features[idx], rows[idx]
+            inv_b = 1.0 / len(y)
+            z = x @ w.data.T + b.data
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            gz = (inv_b / e.sum(axis=1, keepdims=True)) * e
+            gz[np.arange(len(y)), y] -= inv_b
+            opt.step([(x.T @ gz).T, gz.sum(axis=0)])
     return w.data, b.data
 
 

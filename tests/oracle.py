@@ -14,6 +14,7 @@ import numpy as np
 
 from rlvc import diffusion, engine
 from rlvc.engine import Tensor
+from rlvc.nets import AdamState
 
 _NORM_FLOOR = 1e-200
 
@@ -111,3 +112,21 @@ def class_log_probs(model, x: Tensor, y) -> Tensor:
 
 def rl_loss(advantages: np.ndarray, log_probs: Tensor) -> Tensor:
     return -engine.tmean(Tensor(advantages) * log_probs)
+
+
+def fit_linear_softmax(features, rows, n_classes, epochs, lr, batch_size, beta1, beta2, rng):
+    """nets.fit_linear_softmax: the same draws and Adam steps, each gradient
+    from engine.backward on the cross-entropy graph of the minibatch."""
+    w = Tensor(np.zeros((n_classes, features.shape[1])), requires_grad=True)
+    b = Tensor(np.zeros(n_classes), requires_grad=True)
+    opt = AdamState([w, b], lr=lr, beta1=beta1, beta2=beta2)
+    onehot = np.eye(n_classes)[rows]
+    n = features.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            lp = engine.log_softmax(engine.linear(Tensor(features[idx]), w, b), axis=1)
+            loss = -engine.tmean(engine.tsum(lp * Tensor(onehot[idx]), axis=1))
+            opt.step(engine.backward(loss, [w, b]))
+    return w.data, b.data

@@ -138,6 +138,13 @@ def test_cli_bad_flag_value(tmp_path, capsys):
     assert "epochs" in capsys.readouterr().err
 
 
+def test_cli_rejects_an_adam_beta_outside_the_unit_interval(capsys):
+    for flag in ("--adam-beta1", "--adam-beta2"):
+        assert cli.main(["train", "--print-config", flag, "1.0"]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert cli.main(["train", "--print-config", "--adam-beta1", "0.0"]) == 0
+
+
 def test_cli_unknown_preset(tmp_path):
     assert cli.main(["gen-synthetic", "--out", str(tmp_path / "d"),
                      "--preset", "imagenet"]) == 2

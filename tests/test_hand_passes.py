@@ -2,8 +2,9 @@
 
 Each pass must give the same bytes as engine.backward on the engine graph of
 the same loss, built by `oracle` from engine ops: the critic losses, the
-generator's adversarial step with each cue loss, and the policy-gradient
-step.
+generator's adversarial step with each cue loss, the policy-gradient step,
+and the linear softmax fit that trains the reward model and the evaluation
+heads.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import logging
 import numpy as np
 import pytest
 
-from rlvc import cues, diffusion, engine, gan, reward
+from rlvc import cues, diffusion, engine, gan, nets, reward
 from rlvc.config import Config
 from rlvc.engine import Tensor
 from rlvc.nets import DenseNet
@@ -183,3 +184,22 @@ def test_rl_step_matches_the_engine(centred, t):
     oracle_loss = oracle.rl_loss(batch.advantages, oracle_lp)
     assert _same(loss, oracle_loss.data)
     assert _all_same(gen.net.pullback(cache, g_x0), engine.backward(oracle_loss, gen.params))
+
+
+@pytest.mark.parametrize(
+    "n, d, classes, batch, epochs",
+    # The eval-sweep GZSL head fits 20 seen classes' 960 training rows plus
+    # 400 synthesized rows for each of 5 unseen classes, in minibatches of
+    # 128: its last minibatch has 16 rows.
+    [(37, 5, 4, 8, 3), (10, 5, 4, 16, 3), (9, 3, 1, 4, 3), (20, 4, 6, 3, 2), (2960, 32, 25, 128, 2)],
+    ids=["short-last-batch", "batch-covers-all", "one-class", "batch-misses-classes", "eval-sweep-gzsl"],
+)
+def test_linear_softmax_fit_matches_the_engine(n, d, classes, batch, epochs):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, d))
+    rows = rng.integers(0, classes, size=n)
+    args = (x, rows, classes, epochs, 0.01, batch, 0.5, 0.999)
+    w, b = nets.fit_linear_softmax(*args, np.random.default_rng(1))
+    ref_w, ref_b = oracle.fit_linear_softmax(*args, np.random.default_rng(1))
+    assert _same(w, ref_w) and _same(b, ref_b)
+    assert np.any(w) == (classes > 1)  # one class: the gradient is exactly 0

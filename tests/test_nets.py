@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,10 +179,8 @@ def test_adam_rejects_bad_gradients():
         opt.step([np.array([1.0]), np.array([1.0])])
 
 
-def test_flat_adam_matches_a_per_parameter_reference():
-    rng = np.random.default_rng(8)
-    shapes = [(3, 4), (4,), (1,), (2, 5)]
-    start = [rng.normal(size=s) for s in shapes]
+def _adam_against_a_per_parameter_reference(start, rng):
+    shapes = [a.shape for a in start]
     params = [Tensor(a.copy(), requires_grad=True) for a in start]
     lr, b1, b2, eps = 0.01, _BETAS["beta1"], _BETAS["beta2"], 1e-8
     opt = AdamState(params, lr=lr, **_BETAS)
@@ -203,6 +202,28 @@ def test_flat_adam_matches_a_per_parameter_reference():
     for p, m, v, r, rm, rv in zip(params, opt.m, opt.v, ref, ref_m, ref_v):
         assert p.data.tobytes() == r.tobytes()
         assert m.tobytes() == rm.tobytes() and v.tobytes() == rv.tobytes()
+    assert opt.t == 25
+
+
+def test_flat_adam_matches_a_per_parameter_reference():
+    rng = np.random.default_rng(8)
+    start = [rng.normal(size=s) for s in [(3, 4), (4,), (1,), (2, 5)]]
+    _adam_against_a_per_parameter_reference(start, rng)
+
+
+def test_flat_adam_on_huge_parameters_matches_the_reference():
+    # An entry past 2**1022 sends every step through the copies.
+    rng = np.random.default_rng(8)
+    start = [rng.normal(size=s) for s in [(3, 4), (4,), (1,), (2, 5)]]
+    start[2][0] = 1e308
+    _adam_against_a_per_parameter_reference(start, rng)
+
+
+def test_adam_rejects_betas_outside_the_unit_interval():
+    p = Tensor(np.zeros(2), requires_grad=True)
+    for beta1, beta2, eps in [(1.0, 0.999, 1e-8), (0.5, -0.1, 1e-8), (0.5, 0.999, 0.0)]:
+        with pytest.raises(ConfigurationError):
+            AdamState([p], lr=0.01, beta1=beta1, beta2=beta2, eps=eps)
 
 
 def test_flat_adam_nan_gradient_changes_nothing():
@@ -218,6 +239,55 @@ def test_flat_adam_nan_gradient_changes_nothing():
     after = [p.data for p in params] + opt.m + opt.v
     assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
     assert opt.t == 1
+
+
+@pytest.mark.parametrize(
+    "edge, lr",
+    # With lr 1e295 the bound on a step is under 2**1022, so only the size
+    # of the parameter itself can tell that the step must not run in place.
+    [(-1.7e308, 1e308), (-np.finfo(np.float64).max, 1e295)],
+    ids=["huge-rate", "parameter-at-the-edge"],
+)
+def test_flat_adam_overflowing_parameter_changes_nothing(edge, lr):
+    rng = np.random.default_rng(10)
+    params = [
+        Tensor(rng.normal(size=(3, 2)), requires_grad=True),
+        Tensor(np.array([0.5, edge]), requires_grad=True),
+    ]
+    opt = AdamState(params, lr=lr, **_BETAS)
+    opt.step([np.zeros((3, 2)), np.zeros(2)])  # zero gradients: a zero step
+    before = [a.copy() for a in [p.data for p in params] + opt.m + opt.v]
+    # A step of about 0.94 * lr against each gradient's sign: the first
+    # parameter stays finite, the last entry runs past the largest float.
+    with pytest.raises(NumericFailure), np.errstate(over="ignore"):
+        opt.step([rng.normal(size=(3, 2)), np.array([0.0, 1.0])])
+    after = [p.data for p in params] + opt.m + opt.v
+    assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
+    assert opt.t == 1
+    opt.step([rng.normal(size=(3, 2)), np.array([0.0, -1.0])])  # still usable
+    assert opt.t == 2 and np.isfinite(params[1].data).all()
+
+
+def test_adam_copies_the_moments_only_while_a_step_could_overflow():
+    # One huge step sends the update through copies of the moments; once m
+    # has decayed under zero gradients, steps run in place again.
+    n = 50_000
+    p = Tensor(np.zeros(n), requires_grad=True)
+    opt = AdamState([p], lr=1e290, **_BETAS)
+
+    def peak_bytes(g):
+        tracemalloc.start()
+        try:
+            opt.step([g])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(np.full(n, 1e15)) > 2 * p.data.nbytes
+    peaks = [peak_bytes(np.zeros(n)) for _ in range(60)]
+    assert peaks[0] > 2 * p.data.nbytes
+    assert max(peaks[-10:]) < p.data.nbytes // 10
+    assert np.isfinite(p.data).all() and opt.t == 61
 
 
 def test_timestep_embedding_table_matches_the_sinusoid_formula(monkeypatch):

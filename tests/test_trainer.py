@@ -9,6 +9,7 @@ from rlvc import cues, diffusion, engine, gan, nets, reward, trainer
 from rlvc.config import Config
 from rlvc.data import make_synthetic
 from rlvc.errors import ConfigurationError, NumericFailure
+from rlvc.evaluate import full_report
 from rlvc.reward import pretrain_reward
 from rlvc.seeding import stream_rng
 from rlvc.trainer import METRICS_COLUMNS, train
@@ -196,6 +197,26 @@ def test_training_loop_builds_no_tensor(monkeypatch):
             train(ds, rm, cfg)
         counts.append(len(built))
     assert counts[1] == counts[0]
+
+
+def test_pretraining_training_and_evaluation_build_no_graph(monkeypatch):
+    # No runtime code differentiates through the engine: reward pretraining,
+    # a training epoch with the RL step, and evaluation construct no Tensor
+    # with parents.
+    ds = _small_ds()
+    linked = []
+    init = engine.Tensor.__init__
+
+    def counting_init(self, data, requires_grad=False, _parents=(), _vjps=()):
+        linked.extend(_parents[:1])
+        init(self, data, requires_grad, _parents, _vjps)
+
+    monkeypatch.setattr(engine.Tensor, "__init__", counting_init)
+    result = train(ds, _reward_for(ds), _cfg(epochs=1, eval_interval=1, rl_start_epoch=0))
+    full_report(result.generator, ds, _cfg(), np.random.default_rng(0))
+    assert linked == []
+    engine.tmean(engine.Tensor(np.ones(2), requires_grad=True))  # the count sees a graph
+    assert len(linked) > 0
 
 
 def _oracle_minibatch(ds, rm, cfg):
