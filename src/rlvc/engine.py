@@ -9,10 +9,12 @@ callback per parent; a callback maps an ndarray to an ndarray, so a reverse
 pass builds no graph. The reverse pass (`grad`) calls only the vjps that lead
 to a requested input. Nothing here differentiates a gradient.
 
-No runtime code trains through it: `Tensor` holds the networks' parameters.
-The training losses and the linear softmax fit are plain numpy passes whose
-results are bit-equal to engine.backward on the graph of the same
-expressions; the tests build those graphs from these ops as their oracle.
+No runtime code trains through it. A network's parameters are one flat
+vector (`nets.DenseNet.flat`); its weights and biases are also Tensors, as
+views into that vector, for the tests' graphs. The training losses and the
+linear softmax fit are plain numpy passes whose results are bit-equal to
+engine.backward on the graph of the same expressions; the tests build those
+graphs from these ops as their oracle.
 """
 
 from __future__ import annotations

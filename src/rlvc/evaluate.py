@@ -50,9 +50,16 @@ class ClassifierHead:
         self.class_ids = np.asarray(sorted(int(c) for c in class_ids), dtype=np.int64)
         if len(set(self.class_ids.tolist())) != len(self.class_ids):
             raise ConfigurationError("duplicate class ids in head")
-        self.index_of = {int(c): i for i, c in enumerate(self.class_ids)}
         self.weight = np.zeros((len(self.class_ids), feat_dim))
         self.bias = np.zeros(len(self.class_ids))
+
+    def rows_of(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each label's row in `class_ids`, and a mask of the labels that
+        are not among them."""
+        rows = np.searchsorted(self.class_ids, labels)
+        if not len(self.class_ids):
+            return rows, np.ones(rows.shape, dtype=bool)
+        return rows, self.class_ids[np.minimum(rows, len(self.class_ids) - 1)] != labels
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         logits = features @ self.weight.T + self.bias
@@ -70,10 +77,9 @@ def train_head(
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels).reshape(-1)
     head = ClassifierHead(class_ids, features.shape[1])
-    unknown = [y for y in labels if int(y) not in head.index_of]
-    if unknown:
-        raise ConfigurationError(f"training label {unknown[0]} outside head classes")
-    rows = np.asarray([head.index_of[int(y)] for y in labels])
+    rows, unknown = head.rows_of(labels)
+    if unknown.any():
+        raise ConfigurationError(f"training label {labels[unknown][0]} outside head classes")
     head.weight, head.bias = fit_linear_softmax(
         features, rows, len(head.class_ids), config.clf_epochs, config.clf_lr,
         config.clf_batch, config.adam_beta1, config.adam_beta2, rng,
@@ -86,9 +92,10 @@ def macro_accuracy(head: ClassifierHead, features: np.ndarray, labels: np.ndarra
     labels = np.asarray(labels).reshape(-1)
     if labels.size == 0:
         raise UsageError("macro_accuracy over an empty set")
-    missing = [y for y in np.unique(labels) if int(y) not in head.index_of]
-    if missing:
-        raise ConfigurationError(f"test label {int(missing[0])} outside head classes")
+    present = np.unique(labels)
+    missing = head.rows_of(present)[1]
+    if missing.any():
+        raise ConfigurationError(f"test label {int(present[missing][0])} outside head classes")
     preds = head.predict(np.asarray(features, dtype=np.float64))
     return macro_accuracy_from_predictions(preds, labels)
 

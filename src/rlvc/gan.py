@@ -141,26 +141,25 @@ def _penalty_pass(net: DenseNet, real, fake, cond, rng, weight: float):
 
 def _critic_pass(net: DenseNet, real, fake, cond, lambda_gp: float, rng):
     """The critic loss -mean(net(real)) + mean(net(fake)) + lambda_gp *
-    penalty, and its gradients w.r.t. net.params: per parameter
+    penalty, and its gradient laid out like net.flat: per entry
     (real + fake) + penalty."""
     inv_b = 1.0 / real.shape[0]
     s_real, real_cache = net.forward(np.concatenate([real, cond], axis=1))
     s_fake, fake_cache = net.forward(np.concatenate([fake, cond], axis=1))
     gp, gp_grads = _penalty_pass(net, real, fake, cond, rng, lambda_gp)
     loss = (-(np.sum(s_real) * inv_b) + np.sum(s_fake) * inv_b) + gp * lambda_gp
-    g_real = net.pullback(real_cache, np.full(s_real.shape, -inv_b))
-    g_fake = net.pullback(fake_cache, np.full(s_fake.shape, inv_b))
-    grads = [r + f for r, f in zip(g_real, g_fake)]
-    for layer, g in enumerate(gp_grads):
-        grads[2 * layer] = grads[2 * layer] + g
-    return loss, grads
+    grad = net.pullback(real_cache, np.full(s_real.shape, -inv_b))
+    grad += net.pullback(fake_cache, np.full(s_fake.shape, inv_b))
+    for w, g in zip(net.views(grad)[0::2], gp_grads):
+        w += g
+    return loss, grad
 
 
 def critic_x0_loss(critic, real_x0, fake_x0, z, lambda_gp: float, rng):
     """Clean-feature critic loss; fakes are constants (no generator grad).
 
-    Returns the loss as an np.float64 and the gradients w.r.t. the critic
-    parameters.
+    Returns the loss as an np.float64 and its gradient w.r.t. the critic's
+    parameters, laid out like `critic.net.flat`.
     """
     real = _as_batch(real_x0, "critic_x0_loss real")
     fake = _as_batch(fake_x0, "critic_x0_loss fake")

@@ -1,15 +1,19 @@
 """Dense networks, Adam, linear softmax training, timestep embeddings, and
 binary checkpoints.
 
-The reverse passes here (`DenseNet.pullback`, `log_softmax_pullback` and the
-minibatch gradient of `fit_linear_softmax`) are written by hand in plain
-numpy. Each lays out its products and sums as the reverse pass of the same
-expression in `engine` does, so it is bit-equal to engine.backward on that
-graph. The engine's `Tensor` only holds the parameters.
+A network's parameters are one flat float64 vector, and Adam steps whole
+vectors in place. The reverse passes here (`DenseNet.pullback`,
+`log_softmax_pullback` and the minibatch gradient of `fit_linear_softmax`)
+are written by hand in plain numpy and return gradients laid out like that
+vector. Each sums its products and reductions as the reverse pass of the
+same expression in `engine` does, so it is bit-equal to engine.backward on
+that graph. A network's engine `Tensor`s are views into its vector, kept for
+the tests' engine oracle.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Sequence
 
@@ -55,6 +59,12 @@ class DenseNet:
 
     Weight of layer l has shape (layer_dims[l+1], layer_dims[l]); He init
     std sqrt(2/fan_in), zero biases.
+
+    The parameters live in one float64 vector, `flat`: per layer the weight
+    row-major, then the bias, in `params` order (a checkpoint's order too).
+    `weights` and `biases` are Tensors whose data are views into `flat`, for
+    the engine graphs of the tests; nothing rebinds their data, so a write to
+    `flat` and a write to a view are one.
     """
 
     def __init__(self, layer_dims: Sequence[int], rng: np.random.Generator, slope: float):
@@ -62,12 +72,16 @@ class DenseNet:
             raise ConfigurationError(f"bad layer dims {layer_dims}")
         self.layer_dims = [int(d) for d in layer_dims]
         self.slope = float(slope)
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
-        for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
-            self.weights.append(Tensor(w, requires_grad=True))
-            self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
+        pairs = list(zip(self.layer_dims[:-1], self.layer_dims[1:]))
+        self._shapes = [s for fan_in, fan_out in pairs for s in ((fan_out, fan_in), (fan_out,))]
+        ends = np.cumsum([int(np.prod(s)) for s in self._shapes])
+        self._spans = list(zip([0, *ends[:-1]], ends))
+        self.flat = np.zeros(ends[-1])
+        views = self.views(self.flat)
+        for (fan_in, _), w in zip(pairs, views[0::2]):
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=w.shape)
+        self.weights = [Tensor(w, requires_grad=True) for w in views[0::2]]
+        self.biases = [Tensor(b, requires_grad=True) for b in views[1::2]]
 
     @property
     def params(self) -> list[Tensor]:
@@ -75,6 +89,11 @@ class DenseNet:
         for w, b in zip(self.weights, self.biases):
             out.extend((w, b))
         return out
+
+    def views(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Per-parameter views, in `params` order, of a vector laid out like
+        `flat`."""
+        return [vector[a:b].reshape(s) for (a, b), s in zip(self._spans, self._shapes)]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple[list, list]]:
         """The output for a (batch, features) array, and the cache `pullback`
@@ -96,34 +115,38 @@ class DenseNet:
         inputs.append(h)
         return h @ self.weights[-1].data.T + self.biases[-1].data, (inputs, masks)
 
-    def pullback(self, cache, u: np.ndarray, wrt_input: bool = False):
-        """Reverse of `forward` for the output gradient u: the parameter
-        gradients in `params` order or, with `wrt_input`, only the gradient
-        w.r.t. the input rows. Each product and sum is laid out as in the
-        reverse pass of engine.linear and engine.leaky_relu, so the result is
-        bit-equal to engine.backward through the same layers."""
+    def pullback(self, cache, u: np.ndarray, wrt_input: bool = False) -> np.ndarray:
+        """Reverse of `forward` for the output gradient u: the gradient w.r.t.
+        the parameters, laid out like `flat`, or, with `wrt_input`, only the
+        gradient w.r.t. the input rows. A weight gradient is u.T @ x, written
+        row-major into its slice; engine.linear's reverse pass forms it as
+        (x.T @ u).T, the same sums of the same products. Every other product
+        and sum is laid out as in the reverse pass of engine.linear and
+        engine.leaky_relu, so the result is bit-equal to engine.backward
+        through the same layers."""
         inputs, masks = cache
-        grads = []
+        grad = None if wrt_input else np.empty(self.flat.size)
+        views = None if wrt_input else self.views(grad)
         for i in range(len(self.weights) - 1, -1, -1):
             w = self.weights[i].data
-            if not wrt_input:
-                grads[:0] = [(inputs[i].T @ u).T, np.sum(u, axis=0)]
+            if views is not None:
+                np.matmul(u.T, inputs[i], out=views[2 * i])
+                np.sum(u, axis=0, out=views[2 * i + 1])
             if i > 0:
                 u = (u @ w) * masks[i - 1]
             elif wrt_input:
                 return u @ w
-        return grads
+        return grad
 
     def set_params(self, arrays: Sequence[np.ndarray]) -> None:
-        params = self.params
+        """Copy arrays, in `params` order, into `flat`."""
         given = [np.shape(a) for a in arrays]
-        wanted = [p.shape for p in params]
-        if given != wanted:
+        if given != self._shapes:
             raise ConfigurationError(
-                f"parameter shapes {given} do not match the network's {wanted}"
+                f"parameter shapes {given} do not match the network's {self._shapes}"
             )
-        for p, a in zip(params, arrays):
-            p.data = np.asarray(a, dtype=np.float64).copy()
+        for view, a in zip(self.views(self.flat), arrays):
+            view[...] = a
 
 
 def log_softmax_cached(a: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -148,12 +171,14 @@ _SAFE = 2.0**1022
 
 
 class AdamState:
-    """Adam with bias correction over a fixed parameter list.
+    """Adam with bias correction over a fixed list of parameter vectors.
 
-    The moments live in one flat vector each, and `m` and `v` are lists of
-    per-parameter views of them. A step copies the gradients into a flat
-    vector, checks it once for finiteness and evaluates the update with
-    in-place ufuncs, element by element the same expression as
+    Each parameter is a 1-D float64 vector, such as `DenseNet.flat`, that a
+    step updates in place, and a step takes one gradient vector per
+    parameter. The moments live in one flat vector each, and `m` and `v` are
+    lists of per-parameter views of them. A step reads each gradient where
+    it lies and evaluates the update with in-place ufuncs over the whole
+    moment vectors, element by element the same expression as
     p -= lr * (m / c1) / (sqrt(v / c2) + eps).
 
     A step is all or nothing: if it would leave a parameter non-finite, it
@@ -161,82 +186,90 @@ class AdamState:
     tracks a bound on max|m| by the same update as m, from max|g|; the
     denominator is at least eps, so no step entry exceeds
     4 * lr * bound / (c1 * eps) (the 4 covers rounding). While that and every
-    parameter stay under 2**1022, the step runs in place. Otherwise it runs
-    on copies of the moments and commits only a finite result. The bound
-    decays with m, so the copies last only while m is near overflow.
+    parameter stay under 2**1022 (one range check per vector), the step runs
+    in place. Otherwise it runs on copies of the moments and commits only a
+    finite result. The bound decays with m, so the copies last only while m
+    is near overflow.
     """
 
     def __init__(
-        self, params: Sequence[Tensor], lr: float, beta1: float, beta2: float, eps: float = 1e-8
+        self, params: Sequence[np.ndarray], lr: float, beta1: float, beta2: float, eps: float = 1e-8
     ):
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0 and eps > 0.0):
             raise ConfigurationError(
                 f"Adam needs 0 <= beta < 1 and eps > 0, got {beta1}, {beta2}, {eps}"
             )
         self.params = list(params)
+        if not all(isinstance(p, np.ndarray) and p.ndim == 1 and p.dtype == np.float64
+                   for p in self.params):
+            raise UsageError("Adam steps 1-D float64 parameter vectors")
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
         self._m_bound = 0.0  # at least max|m|
-        size = sum(p.size for p in self.params)
-        # Moments, the gradient (reused for the denominator) and one scratch.
-        self._m, self._v, self._g, self._s = (np.zeros(size) for _ in range(4))
-        self.m, self.v = self._views(self._m), self._views(self._v)
-        self._grads, self._steps = self._views(self._g), self._views(self._s)
+        ends = np.cumsum([p.size for p in self.params], dtype=np.int64)
+        self._spans = list(zip([0, *ends[:-1]], ends))
+        # Moments, the step and the step's denominator.
+        self._m, self._v, self._s, self._d = (np.zeros(sum(p.size for p in self.params))
+                                              for _ in range(4))
+        self.m, self.v, self._steps = self._views(self._m), self._views(self._v), self._views(self._s)
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        ends = np.cumsum([p.size for p in self.params])
-        return [flat[end - p.size : end].reshape(p.shape) for p, end in zip(self.params, ends)]
+        return [flat[a:b] for a, b in self._spans]
 
-    def _advance(self, t: int, m: np.ndarray, v: np.ndarray) -> None:
-        """Advance m and v in place to step t's moments from the gradient in
-        `_g`, and write the step to `_s` (`_g` ends as the denominator)."""
-        g, s = self._g, self._s
+    def _advance(self, t: int, grads: list[np.ndarray], m: np.ndarray, v: np.ndarray) -> None:
+        """Advance m and v in place to step t's moments from `grads`, and
+        write the step to `_s`."""
+        s, d = self._s, self._d
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
-        np.multiply(1.0 - self.beta1, g, out=s)
+        for dst, g in zip(self._steps, grads):
+            np.multiply(1.0 - self.beta1, g, out=dst)
         m *= self.beta1
         m += s
-        np.square(g, out=s)
+        for dst, g in zip(self._steps, grads):
+            np.square(g, out=dst)
         s *= 1.0 - self.beta2
         v *= self.beta2
         v += s
         np.divide(m, c1, out=s)
         s *= self.lr
-        np.divide(v, c2, out=g)
-        np.sqrt(g, out=g)
-        g += self.eps
-        s /= g
+        np.divide(v, c2, out=d)
+        np.sqrt(d, out=d)
+        d += self.eps
+        s /= d
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
-        if len(grads) != len(self.params):
-            raise UsageError("gradient list length mismatch")
-        for dst, g in zip(self._grads, grads):
-            dst[...] = g
-        g_max = float(np.abs(self._g, out=self._s).max(initial=0.0))
-        if not np.isfinite(g_max):
-            raise NumericFailure("non-finite gradient; update rejected")
+        """One update from one gradient vector per parameter vector."""
+        if [np.shape(g) for g in grads] != [p.shape for p in self.params]:
+            raise UsageError("gradients do not match the parameter vectors")
+        grads = [np.asarray(g, dtype=np.float64) for g in grads]
+        g_max = 0.0
+        for g in grads:
+            hi, lo = float(g.max(initial=0.0)), float(g.min(initial=0.0))
+            if not (math.isfinite(hi) and math.isfinite(lo)):
+                raise NumericFailure("non-finite gradient; update rejected")
+            g_max = max(g_max, hi, -lo)
         m_bound = self.beta1 * self._m_bound + (1.0 - self.beta1) * g_max
         t = self.t + 1
         bound = 4.0 * abs(self.lr) * m_bound / (1.0 - self.beta1**t) / self.eps
         if bound < _SAFE and all(
-            -_SAFE < p.data.min(initial=0.0) and p.data.max(initial=0.0) < _SAFE
-            for p in self.params
+            -_SAFE < p.min(initial=0.0) and p.max(initial=0.0) < _SAFE for p in self.params
         ):
-            self._advance(t, self._m, self._v)
+            self._advance(t, grads, self._m, self._v)
             for p, step in zip(self.params, self._steps):
-                p.data -= step
+                p -= step
         else:
             m, v = self._m.copy(), self._v.copy()
-            self._advance(t, m, v)
-            new = [p.data - step for p, step in zip(self.params, self._steps)]
+            self._advance(t, grads, m, v)
+            new = [p - step for p, step in zip(self.params, self._steps)]
             if not all(np.isfinite(a).all() for a in new):
                 raise NumericFailure("non-finite parameter after update; update rejected")
             self._m[...], self._v[...] = m, v
             for p, a in zip(self.params, new):
-                p.data[...] = a
+                p[...] = a
         self.t, self._m_bound = t, m_bound
 
 
@@ -253,20 +286,24 @@ def fit_linear_softmax(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Linear softmax classifier from zero weights: cross-entropy with Adam
     over shuffled minibatches. `rows` holds class indices 0..n_classes-1.
-    Returns the (n_classes, d) weight and the (n_classes,) bias.
+    Returns the (n_classes, d) weight and the (n_classes,) bias, views of one
+    vector [w | b] that Adam steps.
 
     Each minibatch gradient is a hand-written reverse pass laid out as those
-    of engine.linear and engine.log_softmax, so the result is bit-equal to
-    Adam on engine.backward of the graph
+    of engine.linear and engine.log_softmax (the weight gradient gz.T @ x is
+    written row-major, as in `DenseNet.pullback`), so the result is bit-equal
+    to Adam on engine.backward of the graph
     -tmean(tsum(log_softmax(linear(x, w, b)) * onehot, 1)). Into log_softmax
     that graph sends u = -onehot / B, and u + (sum(-u) / s) * e is then
     (1/B / s) * e less 1/B at each row's label: a row sum of one nonzero
     term is exact, and -0.0 + y == y. So no one-hot matrix is built and the
     log-probs are never formed, which makes the step faster than one through
     `log_softmax_cached` and `log_softmax_pullback`."""
-    w = Tensor(np.zeros((n_classes, features.shape[1])), requires_grad=True)
-    b = Tensor(np.zeros(n_classes), requires_grad=True)
-    opt = AdamState([w, b], lr=lr, beta1=beta1, beta2=beta2)
+    split = n_classes * features.shape[1]
+    wb, grad = np.zeros(split + n_classes), np.empty(split + n_classes)
+    w, b = wb[:split].reshape(n_classes, features.shape[1]), wb[split:]
+    gw, gb = grad[:split].reshape(w.shape), grad[split:]
+    opt = AdamState([wb], lr=lr, beta1=beta1, beta2=beta2)
     n = features.shape[0]
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -274,12 +311,14 @@ def fit_linear_softmax(
             idx = order[start : start + batch_size]
             x, y = features[idx], rows[idx]
             inv_b = 1.0 / len(y)
-            z = x @ w.data.T + b.data
+            z = x @ w.T + b
             e = np.exp(z - z.max(axis=1, keepdims=True))
             gz = (inv_b / e.sum(axis=1, keepdims=True)) * e
             gz[np.arange(len(y)), y] -= inv_b
-            opt.step([(x.T @ gz).T, gz.sum(axis=0)])
-    return w.data, b.data
+            np.matmul(gz.T, x, out=gw)
+            np.sum(gz, axis=0, out=gb)
+            opt.step([grad])
+    return w, b
 
 
 def save_checkpoint(path, tag: bytes, arrays: Sequence[np.ndarray]) -> None:

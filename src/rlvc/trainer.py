@@ -120,11 +120,11 @@ def train(
     critic_xt = gan.CriticXt(d, dataset.sem_dim, config, init_rng)
 
     betas = dict(beta1=config.adam_beta1, beta2=config.adam_beta2)
-    opt_critic = AdamState(critic_x0.params + critic_xt.params, lr=config.lr_adv, **betas)
-    opt_gen = AdamState(generator.params, lr=config.lr_adv, **betas)
+    opt_critic = AdamState([critic_x0.net.flat, critic_xt.net.flat], lr=config.lr_adv, **betas)
+    opt_gen = AdamState([generator.net.flat], lr=config.lr_adv, **betas)
     # The RL phase owns a separate optimizer state over the same parameters;
     # its updates alternate with the adversarial step rather than summing.
-    opt_rl = AdamState(generator.params, lr=config.lr_rl, **betas)
+    opt_rl = AdamState([generator.net.flat], lr=config.lr_rl, **betas)
 
     train_rng = stream_rng(config.seed, "train")
     rl_rng = stream_rng(config.seed, "rl")
@@ -166,15 +166,15 @@ def train(
                     eps_g = train_rng.standard_normal(x0.shape)
                     fake_x0 = generator.synthesize(eps_g, z, x_next, t + 1)[0]
                     fake_xt = diffusion.posterior_sample(fake_x0, x_next, t, sched, train_rng)
-                    loss0, grads0 = gan.critic_x0_loss(
+                    loss0, grad0 = gan.critic_x0_loss(
                         critic_x0, x0, fake_x0, z, config.lambda_gp, train_rng
                     )
-                    losst, gradst = gan.critic_xt_loss(
+                    losst, gradt = gan.critic_xt_loss(
                         critic_xt, x_t, fake_xt, x_next, z, t, config.lambda_gp, train_rng
                     )
                     total = loss0.item() + losst.item()
                     _require_finite(total, "critic loss", epoch, batch_i)
-                    opt_critic.step(grads0 + gradst)
+                    opt_critic.step([grad0, gradt])
                     cnt.critic_updates += 1
                     critic_vals.append(total)
 
@@ -193,7 +193,7 @@ def train(
                     for g in cue_grads:
                         g_x0 = g_x0 + g
                     cue_vals.append(cue_term.item())
-                opt_gen.step(generator.net.pullback(gen_cache, g_x0))
+                opt_gen.step([generator.net.pullback(gen_cache, g_x0)])
                 cnt.gen_updates += 1
                 adv_vals.append(adv_loss.item())
 
@@ -216,7 +216,7 @@ def train(
                         adv_batch = reward_mod.advantage(r, baseline)
                     rl_l, g_rl = reward_mod.rl_loss(adv_batch, log_probs, lp_cache)
                     _require_finite(rl_l.item(), "rl loss", epoch, batch_i)
-                    opt_rl.step(generator.net.pullback(gen_cache, g_rl))
+                    opt_rl.step([generator.net.pullback(gen_cache, g_rl)])
                     cnt.rl_updates += 1
                     reward_means.append(float(np.mean(r)))
                     if not config.raw_reward:

@@ -19,6 +19,12 @@ from rlvc.nets import AdamState
 _NORM_FLOOR = 1e-200
 
 
+def flat_grad(loss: Tensor, params) -> np.ndarray:
+    """engine.backward of loss w.r.t. params, each gradient laid out
+    row-major, concatenated as `DenseNet.flat` lays out the parameters."""
+    return np.concatenate([np.ravel(g) for g in engine.backward(loss, params)])
+
+
 def forward(net, h: Tensor) -> Tensor:
     """The dense net on a graph node: linear layers with leaky-relu between."""
     last = len(net.weights) - 1
@@ -117,9 +123,11 @@ def rl_loss(advantages: np.ndarray, log_probs: Tensor) -> Tensor:
 def fit_linear_softmax(features, rows, n_classes, epochs, lr, batch_size, beta1, beta2, rng):
     """nets.fit_linear_softmax: the same draws and Adam steps, each gradient
     from engine.backward on the cross-entropy graph of the minibatch."""
-    w = Tensor(np.zeros((n_classes, features.shape[1])), requires_grad=True)
-    b = Tensor(np.zeros(n_classes), requires_grad=True)
-    opt = AdamState([w, b], lr=lr, beta1=beta1, beta2=beta2)
+    split = n_classes * features.shape[1]
+    wb = np.zeros(split + n_classes)
+    w = Tensor(wb[:split].reshape(n_classes, features.shape[1]), requires_grad=True)
+    b = Tensor(wb[split:], requires_grad=True)
+    opt = AdamState([wb], lr=lr, beta1=beta1, beta2=beta2)
     onehot = np.eye(n_classes)[rows]
     n = features.shape[0]
     for _ in range(epochs):
@@ -128,5 +136,5 @@ def fit_linear_softmax(features, rows, n_classes, epochs, lr, batch_size, beta1,
             idx = order[start : start + batch_size]
             lp = engine.log_softmax(engine.linear(Tensor(features[idx]), w, b), axis=1)
             loss = -engine.tmean(engine.tsum(lp * Tensor(onehot[idx]), axis=1))
-            opt.step(engine.backward(loss, [w, b]))
+            opt.step([flat_grad(loss, [w, b])])
     return w.data, b.data

@@ -101,6 +101,32 @@ def test_train_head_unknown_label_rejected():
                    Config(), np.random.default_rng(0))
 
 
+def test_train_head_maps_labels_to_rows_of_the_sorted_class_ids(monkeypatch):
+    fitted = []
+
+    def recording_fit(features, rows, n_classes, *args):
+        fitted.append(rows)
+        return np.zeros((n_classes, features.shape[1])), np.zeros(n_classes)
+
+    monkeypatch.setattr(evaluate, "fit_linear_softmax", recording_fit)
+    labels = np.array([7, 3, 11, 3, 20, 7])
+    head = train_head(np.zeros((6, 2)), labels, [11, 20, 3, 7], Config(), np.random.default_rng(0))
+    assert head.class_ids.tolist() == [3, 7, 11, 20]
+    assert fitted[0].tolist() == [1, 0, 2, 0, 3, 1]
+    assert head.class_ids[fitted[0]].tolist() == labels.tolist()
+
+
+@pytest.mark.parametrize("labels, first", [([3, 5, 2], 5), ([1, 3], 1), ([7, 25, 3], 25)])
+def test_unknown_label_names_the_first_one(labels, first):
+    # below every class id, in a gap between two, and above every one
+    x = np.zeros((len(labels), 2))
+    with pytest.raises(ConfigurationError, match=f"^training label {first} outside head classes$"):
+        train_head(x, np.array(labels), [3, 7, 11], Config(), np.random.default_rng(0))
+    head = ClassifierHead([3, 7, 11], feat_dim=2)
+    with pytest.raises(ConfigurationError, match=f"^test label {min(set(labels) - {3, 7, 11})} outside"):
+        macro_accuracy(head, x, np.array(labels))
+
+
 def test_untrained_head_near_chance():
     # zero weights predict the first class everywhere; with balanced
     # classes macro accuracy is exactly 1/C

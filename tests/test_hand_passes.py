@@ -4,7 +4,9 @@ Each pass must give the same bytes as engine.backward on the engine graph of
 the same loss, built by `oracle` from engine ops: the critic losses, the
 generator's adversarial step with each cue loss, the policy-gradient step,
 and the linear softmax fit that trains the reward model and the evaluation
-heads.
+heads. A pass's parameter gradient is one vector laid out like
+`DenseNet.flat`; the oracle's per-parameter gradients are concatenated to
+match.
 """
 
 from __future__ import annotations
@@ -37,10 +39,6 @@ BATCHES = pytest.mark.parametrize(
 def _same(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _all_same(xs, ys) -> bool:
-    return len(xs) == len(ys) and all(_same(x, y) for x, y in zip(xs, ys))
 
 
 def _both_branches(net: DenseNet, x: np.ndarray) -> bool:
@@ -89,7 +87,7 @@ def test_dense_pullback_matches_the_engine(seed, rows):
     graph = oracle.forward(net, xt)
     assert _same(out, graph.data)
     loss = engine.tsum(graph * Tensor(u))
-    assert _all_same(net.pullback(cache, u), engine.backward(loss, net.params))
+    assert _same(net.pullback(cache, u), oracle.flat_grad(loss, net.params))
     assert _same(net.pullback(cache, u, wrt_input=True), engine.backward(loss, [xt])[0])
 
 
@@ -106,13 +104,13 @@ def test_critic_losses_match_the_engine(seed, t):
     loss, grads = gan.critic_x0_loss(cx0, b["real"], b["fake"], b["z"], gp, np.random.default_rng(5))
     terms = oracle.critic_terms(cx0.net, b["real"], b["fake"], b["z"], gp, np.random.default_rng(5))
     assert _same(loss, terms.data)
-    assert _all_same(grads, engine.backward(terms, cx0.params))
+    assert _same(grads, oracle.flat_grad(terms, cx0.params))
 
     args = (b["real"], b["fake"], b["x_next"], b["z"], t, gp)
     loss, grads = gan.critic_xt_loss(cxt, *args, np.random.default_rng(6))
     terms = oracle.critic_terms(cxt.net, b["real"], b["fake"], cond, gp, np.random.default_rng(6))
     assert _same(loss, terms.data)
-    assert _all_same(grads, engine.backward(terms, cxt.params))
+    assert _same(grads, oracle.flat_grad(terms, cxt.params))
 
 
 @BATCHES
@@ -137,7 +135,7 @@ def test_generator_step_matches_the_engine(variant, t):
         for g in contributions:
             g_x0 = g_x0 + g
         total = adv + lambda_pd * cue
-    assert _all_same(gen.net.pullback(cache, g_x0), engine.backward(total, gen.params))
+    assert _same(gen.net.pullback(cache, g_x0), oracle.flat_grad(total, gen.params))
 
 
 @pytest.mark.parametrize("variant", cues.CUE_VARIANTS)
@@ -183,7 +181,7 @@ def test_rl_step_matches_the_engine(centred, t):
     loss, g_x0 = reward.rl_loss(batch, log_probs, lp_cache)
     oracle_loss = oracle.rl_loss(batch.advantages, oracle_lp)
     assert _same(loss, oracle_loss.data)
-    assert _all_same(gen.net.pullback(cache, g_x0), engine.backward(oracle_loss, gen.params))
+    assert _same(gen.net.pullback(cache, g_x0), oracle.flat_grad(oracle_loss, gen.params))
 
 
 @pytest.mark.parametrize(
@@ -203,3 +201,29 @@ def test_linear_softmax_fit_matches_the_engine(n, d, classes, batch, epochs):
     ref_w, ref_b = oracle.fit_linear_softmax(*args, np.random.default_rng(1))
     assert _same(w, ref_w) and _same(b, ref_b)
     assert np.any(w) == (classes > 1)  # one class: the gradient is exactly 0
+
+
+# Every (fan_in, fan_out) of a layer the synthetic preset trains: the critics
+# 48 -> 128 -> 128 -> 1 and 96 -> 128 -> 128 -> 1, the generator
+# 96 -> 128 -> 128 -> 32, and the evaluation heads and the reward model,
+# 32 -> 5, 20 and 25 classes.
+PIPELINE_LAYERS = [(48, 128), (96, 128), (128, 128), (128, 1), (128, 32), (32, 5), (32, 20), (32, 25)]
+
+
+def test_row_major_weight_gradient_is_the_engines_bytes():
+    # The passes write a weight gradient as u.T @ x into a slice of a flat
+    # vector; engine.linear's reverse pass forms (x.T @ u).T. The two sum the
+    # same products, but only a BLAS that orders the sums alike gives the
+    # same bits, so every layer shape the pipeline trains is checked at
+    # every minibatch size up to 128 rows.
+    rng = np.random.default_rng(0)
+    differ = []
+    for fan_in, fan_out in PIPELINE_LAYERS:
+        vector = np.empty(fan_out * (fan_in + 1) + 1)
+        row_major = vector[1 : 1 + fan_out * fan_in].reshape(fan_out, fan_in)
+        for rows in range(1, 129):
+            x, u = rng.normal(size=(rows, fan_in)), rng.normal(size=(rows, fan_out))
+            np.matmul(u.T, x, out=row_major)
+            if not _same(row_major, (x.T @ u).T):
+                differ.append(f"{rows}x{fan_in} -> {fan_out}")
+    assert differ == [], f"u.T @ x and (x.T @ u).T differ at {differ}"

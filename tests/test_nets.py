@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
-from rlvc import engine, nets
+from rlvc import cli, engine, nets
 from rlvc.config import Config
 from rlvc.engine import Tensor
 from rlvc.errors import ConfigurationError, NumericFailure, UsageError
+from rlvc.gan import Generator
 from rlvc.nets import (
     CHECKPOINT_MAGIC,
     AdamState,
@@ -143,25 +145,25 @@ def test_set_params_validates():
 
 
 def test_adam_first_step_unit_gradient():
-    p = Tensor(np.array([1.0]), requires_grad=True)
+    p = np.array([1.0])
     opt = AdamState([p], lr=0.01, beta1=0.5, beta2=0.999)
     opt.step([np.array([1.0])])
     # bias-corrected first step moves by lr/(1 + eps) regardless of betas
-    assert abs((p.data[0] - 1.0) + 0.01) < 1e-9
+    assert abs((p[0] - 1.0) + 0.01) < 1e-9
     assert opt.t == 1
 
 
 def test_adam_zero_gradients_leave_params_fixed():
-    p = Tensor(np.array([0.7, -0.3]), requires_grad=True)
+    p = np.array([0.7, -0.3])
     opt = AdamState([p], lr=0.1, **_BETAS)
-    before = p.data.copy()
+    before = p.copy()
     for _ in range(25):
         opt.step([np.zeros(2)])
-    np.testing.assert_array_equal(p.data, before)
+    np.testing.assert_array_equal(p, before)
 
 
 def test_adam_second_moment_accumulates():
-    p = Tensor(np.array([0.0]), requires_grad=True)
+    p = np.array([0.0])
     opt = AdamState([p], lr=0.01, **_BETAS)
     opt.step([np.array([2.0])])
     v1 = opt.v[0].copy()
@@ -170,57 +172,76 @@ def test_adam_second_moment_accumulates():
 
 
 def test_adam_rejects_bad_gradients():
-    p = Tensor(np.array([1.0]), requires_grad=True)
+    p = np.array([1.0])
     opt = AdamState([p], lr=0.01, **_BETAS)
     with pytest.raises(NumericFailure):
         opt.step([np.array([np.nan])])
-    np.testing.assert_array_equal(p.data, [1.0])  # rejected before mutation
-    with pytest.raises(UsageError):
-        opt.step([np.array([1.0]), np.array([1.0])])
+    np.testing.assert_array_equal(p, [1.0])  # rejected before mutation
+    for bad in ([np.array([1.0]), np.array([1.0])], [np.array([1.0, 1.0])], [np.array([[1.0]])]):
+        with pytest.raises(UsageError):
+            opt.step(bad)
+    assert opt.t == 0
 
 
-def _adam_against_a_per_parameter_reference(start, rng):
-    shapes = [a.shape for a in start]
-    params = [Tensor(a.copy(), requires_grad=True) for a in start]
+def test_adam_steps_only_float64_vectors():
+    for bad in (np.zeros((2, 2)), np.zeros(2, dtype=np.float32), Tensor(np.zeros(2))):
+        with pytest.raises(UsageError):
+            AdamState([bad], lr=0.01, **_BETAS)
+
+
+def _critic_pair(rng):
+    """Two nets of the critic pair's shapes at the synthetic preset, with
+    nonzero biases."""
+    pair = [DenseNet([48, 128, 128, 1], rng, 0.2), DenseNet([96, 128, 128, 1], rng, 0.2)]
+    for net in pair:
+        net.flat += 0.1 * rng.normal(size=net.flat.size)
+    return pair
+
+
+def _adam_against_a_per_parameter_reference(pair, rng):
     lr, b1, b2, eps = 0.01, _BETAS["beta1"], _BETAS["beta2"], 1e-8
-    opt = AdamState(params, lr=lr, **_BETAS)
-    ref = [a.copy() for a in start]
-    ref_m = [np.zeros(s) for s in shapes]
-    ref_v = [np.zeros(s) for s in shapes]
+    opt = AdamState([net.flat for net in pair], lr=lr, **_BETAS)
+    refs = [[a.copy() for a in net.views(net.flat)] for net in pair]
+    ref_m = [[np.zeros(a.shape) for a in ref] for ref in refs]
+    ref_v = [[np.zeros(a.shape) for a in ref] for ref in refs]
     for t in range(1, 26):
-        # drawn transposed, so the 2-D gradients are Fortran-ordered
-        grads = [rng.normal(size=s[::-1]).T for s in shapes]
-        assert not grads[0].flags.c_contiguous
-        opt.step(grads)
+        # drawn transposed, as the engine lays out a weight gradient
+        grads = [[rng.normal(size=a.shape[::-1]).T for a in ref] for ref in refs]
+        assert not grads[0][0].flags.c_contiguous
+        opt.step([np.concatenate([g.ravel() for g in gs]) for gs in grads])
         c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-        for p, m, v, g in zip(ref, ref_m, ref_v, grads):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * np.square(g)
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-    for p, m, v, r, rm, rv in zip(params, opt.m, opt.v, ref, ref_m, ref_v):
-        assert p.data.tobytes() == r.tobytes()
-        assert m.tobytes() == rm.tobytes() and v.tobytes() == rv.tobytes()
+        for ref, rm, rv, gs in zip(refs, ref_m, ref_v, grads):
+            for p, m, v, g in zip(ref, rm, rv, gs):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * np.square(g)
+                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+    def cat(arrays):
+        return np.concatenate([a.ravel() for a in arrays]).tobytes()
+
+    for net, m, v, ref, rm, rv in zip(pair, opt.m, opt.v, refs, ref_m, ref_v):
+        assert net.flat.tobytes() == cat(ref)
+        assert m.tobytes() == cat(rm) and v.tobytes() == cat(rv)
     assert opt.t == 25
 
 
 def test_flat_adam_matches_a_per_parameter_reference():
     rng = np.random.default_rng(8)
-    start = [rng.normal(size=s) for s in [(3, 4), (4,), (1,), (2, 5)]]
-    _adam_against_a_per_parameter_reference(start, rng)
+    _adam_against_a_per_parameter_reference(_critic_pair(rng), rng)
 
 
 def test_flat_adam_on_huge_parameters_matches_the_reference():
     # An entry past 2**1022 sends every step through the copies.
     rng = np.random.default_rng(8)
-    start = [rng.normal(size=s) for s in [(3, 4), (4,), (1,), (2, 5)]]
-    start[2][0] = 1e308
-    _adam_against_a_per_parameter_reference(start, rng)
+    pair = _critic_pair(rng)
+    pair[1].biases[0].data[3] = 1e308
+    _adam_against_a_per_parameter_reference(pair, rng)
 
 
 def test_adam_rejects_betas_outside_the_unit_interval():
-    p = Tensor(np.zeros(2), requires_grad=True)
+    p = np.zeros(2)
     for beta1, beta2, eps in [(1.0, 0.999, 1e-8), (0.5, -0.1, 1e-8), (0.5, 0.999, 0.0)]:
         with pytest.raises(ConfigurationError):
             AdamState([p], lr=0.01, beta1=beta1, beta2=beta2, eps=eps)
@@ -228,51 +249,59 @@ def test_adam_rejects_betas_outside_the_unit_interval():
 
 def test_flat_adam_nan_gradient_changes_nothing():
     rng = np.random.default_rng(9)
-    params = [Tensor(a, requires_grad=True) for a in (rng.normal(size=(3, 2)), np.zeros(4))]
+    params = [rng.normal(size=6), np.zeros(4)]
     opt = AdamState(params, lr=0.01, **_BETAS)
-    opt.step([rng.normal(size=(3, 2)), rng.normal(size=4)])
-    before = [a.copy() for a in [p.data for p in params] + opt.m + opt.v]
+    opt.step([rng.normal(size=6), rng.normal(size=4)])
+    before = [a.copy() for a in params + opt.m + opt.v]
     bad = rng.normal(size=4)
-    bad[2] = np.nan  # in the last parameter, after a finite one
+    bad[2] = np.nan  # in the last vector, after a finite one
     with pytest.raises(NumericFailure):
-        opt.step([rng.normal(size=(3, 2)), bad])
-    after = [p.data for p in params] + opt.m + opt.v
-    assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
+        opt.step([rng.normal(size=6), bad])
+    assert [a.tobytes() for a in params + opt.m + opt.v] == [b.tobytes() for b in before]
     assert opt.t == 1
 
 
-@pytest.mark.parametrize(
+def _overflow_fixture(edge, lr):
+    """A net whose output bias holds `edge`, stepped once by a zero step, and
+    the next gradient: a step of about 0.94 * lr against each gradient's
+    sign, which keeps the weights finite and runs the bias past the largest
+    float."""
+    rng = np.random.default_rng(10)
+    net = DenseNet([3, 2], rng, 0.2)
+    net.set_params([net.weights[0].data, np.array([0.5, edge])])
+    opt = AdamState([net.flat], lr=lr, **_BETAS)
+    opt.step([np.zeros(8)])  # zero gradients: a zero step
+    grad = np.concatenate([rng.normal(size=6), [0.0, 1.0]])
+    return net, opt, grad
+
+
+_OVERFLOWS = pytest.mark.parametrize(
     "edge, lr",
     # With lr 1e295 the bound on a step is under 2**1022, so only the size
     # of the parameter itself can tell that the step must not run in place.
     [(-1.7e308, 1e308), (-np.finfo(np.float64).max, 1e295)],
     ids=["huge-rate", "parameter-at-the-edge"],
 )
+
+
+@_OVERFLOWS
 def test_flat_adam_overflowing_parameter_changes_nothing(edge, lr):
-    rng = np.random.default_rng(10)
-    params = [
-        Tensor(rng.normal(size=(3, 2)), requires_grad=True),
-        Tensor(np.array([0.5, edge]), requires_grad=True),
-    ]
-    opt = AdamState(params, lr=lr, **_BETAS)
-    opt.step([np.zeros((3, 2)), np.zeros(2)])  # zero gradients: a zero step
-    before = [a.copy() for a in [p.data for p in params] + opt.m + opt.v]
-    # A step of about 0.94 * lr against each gradient's sign: the first
-    # parameter stays finite, the last entry runs past the largest float.
+    net, opt, grad = _overflow_fixture(edge, lr)
+    before = [a.copy() for a in [net.flat] + opt.m + opt.v]
     with pytest.raises(NumericFailure), np.errstate(over="ignore"):
-        opt.step([rng.normal(size=(3, 2)), np.array([0.0, 1.0])])
-    after = [p.data for p in params] + opt.m + opt.v
-    assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
+        opt.step([grad])
+    assert [a.tobytes() for a in [net.flat] + opt.m + opt.v] == [b.tobytes() for b in before]
     assert opt.t == 1
-    opt.step([rng.normal(size=(3, 2)), np.array([0.0, -1.0])])  # still usable
-    assert opt.t == 2 and np.isfinite(params[1].data).all()
+    grad[-1] = -1.0
+    opt.step([grad])  # still usable
+    assert opt.t == 2 and np.isfinite(net.flat).all()
 
 
 def test_adam_copies_the_moments_only_while_a_step_could_overflow():
     # One huge step sends the update through copies of the moments; once m
     # has decayed under zero gradients, steps run in place again.
     n = 50_000
-    p = Tensor(np.zeros(n), requires_grad=True)
+    p = np.zeros(n)
     opt = AdamState([p], lr=1e290, **_BETAS)
 
     def peak_bytes(g):
@@ -283,11 +312,56 @@ def test_adam_copies_the_moments_only_while_a_step_could_overflow():
         finally:
             tracemalloc.stop()
 
-    assert peak_bytes(np.full(n, 1e15)) > 2 * p.data.nbytes
+    assert peak_bytes(np.full(n, 1e15)) > 2 * p.nbytes
     peaks = [peak_bytes(np.zeros(n)) for _ in range(60)]
-    assert peaks[0] > 2 * p.data.nbytes
-    assert max(peaks[-10:]) < p.data.nbytes // 10
-    assert np.isfinite(p.data).all() and opt.t == 61
+    assert peaks[0] > 2 * p.nbytes
+    assert max(peaks[-10:]) < p.nbytes // 10
+    assert np.isfinite(p).all() and opt.t == 61
+
+
+def _params_view_flat(net) -> bool:
+    """Whether every parameter's data is a view into net.flat, at its place
+    in the layout."""
+    cat = np.concatenate([p.data.ravel() for p in net.params])
+    return all(np.shares_memory(p.data, net.flat) for p in net.params) and (
+        cat.tobytes() == net.flat.tobytes()
+    )
+
+
+def test_parameters_stay_views_of_the_flat_vector():
+    rng = np.random.default_rng(12)
+    net = DenseNet([4, 6, 3], rng, 0.2)
+    assert _params_view_flat(net)
+    net.set_params([rng.normal(size=p.shape) for p in net.params])
+    assert _params_view_flat(net)
+    before = net.flat.copy()
+    AdamState([net.flat], lr=0.01, **_BETAS).step([rng.normal(size=net.flat.size)])
+    assert _params_view_flat(net) and net.flat.tobytes() != before.tobytes()
+
+
+@_OVERFLOWS
+def test_parameters_stay_views_through_a_copy_path_step(edge, lr):
+    net, opt, grad = _overflow_fixture(edge, lr)
+    with pytest.raises(NumericFailure), np.errstate(over="ignore"):
+        opt.step([grad])
+    grad[-1] = -1.0
+    before = net.flat.copy()
+    opt.step([grad])  # the parameter at the edge sends it through the copies
+    assert _params_view_flat(net) and net.flat.tobytes() != before.tobytes()
+
+
+def test_loaded_generator_views_its_flat_vector(tmp_path):
+    cfg = Config(hidden_mult=2, temb_dim=4)
+    trained = Generator(3, 2, cfg, np.random.default_rng(13))
+    trained.net.flat += np.random.default_rng(14).normal(size=trained.net.flat.size)
+    path = tmp_path / "generator.ckpt"
+    save_checkpoint(path, b"GNET", [p.data for p in trained.params])
+    loaded = cli._load_generator(cfg, types.SimpleNamespace(feat_dim=3, sem_dim=2), str(path))
+    assert _params_view_flat(loaded.net)
+    assert loaded.net.flat.tobytes() == trained.net.flat.tobytes()
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(again, b"GNET", [p.data for p in loaded.params])
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_timestep_embedding_table_matches_the_sinusoid_formula(monkeypatch):

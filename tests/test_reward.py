@@ -17,8 +17,8 @@ from conftest import make_separable, max_fd_error
 
 def _policy_gradient(gen, model, inputs, y, batch_of):
     """The RL loss on rows synthesized from inputs = (eps, z, x_next, t),
-    with the advantage batch `batch_of(log_probs)`, and its gradients w.r.t.
-    the generator's parameters."""
+    with the advantage batch `batch_of(log_probs)`, and its gradient w.r.t.
+    the generator's parameters, laid out like `gen.net.flat`."""
     x0, cache = gen.synthesize(*inputs)
     lp, lp_cache = reward.class_log_probs(model, x0, y)
     loss, g_x0 = reward.rl_loss(batch_of(lp), lp, lp_cache)
@@ -110,14 +110,14 @@ def test_frozen_params_bitwise_stable_under_rl_steps():
     b_before = model.bias.tobytes()
 
     gen = Generator(3, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(0))
-    opt = AdamState(gen.params, lr=1e-3, beta1=Config().adam_beta1, beta2=Config().adam_beta2)
+    opt = AdamState([gen.net.flat], lr=1e-3, beta1=Config().adam_beta1, beta2=Config().adam_beta2)
     rng = np.random.default_rng(1)
     for _ in range(5):
         inputs = rng.normal(size=(8, 3)), rng.normal(size=(8, 2)), rng.normal(size=(8, 3)), 1
         adv = rng.normal(size=8)
         y = rng.integers(0, 2, size=8)
         _, grads = _policy_gradient(gen, model, inputs, y, lambda lp: AdvantageBatch(lp.copy(), adv))
-        opt.step(grads)
+        opt.step([grads])
     assert model.weight.tobytes() == w_before
     assert model.bias.tobytes() == b_before
 
@@ -250,7 +250,7 @@ def test_positive_advantage_step_raises_log_prob():
     before = log_prob()
     _, grads = _policy_gradient(gen, model, inputs, y, lambda lp: AdvantageBatch(lp.copy(), np.ones(1)))
     cfg = Config()
-    AdamState(gen.params, lr=1e-4, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2).step(grads)
+    AdamState([gen.net.flat], lr=1e-4, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2).step([grads])
     assert log_prob() > before
 
 
@@ -263,6 +263,7 @@ def test_rl_loss_fd_through_generator():
     adv = np.array([0.5, -1.0, 2.0])  # frozen constants
 
     def loss_fn():
-        return _policy_gradient(gen, model, inputs, y, lambda lp: AdvantageBatch(adv.copy(), adv.copy()))
+        loss, grad = _policy_gradient(gen, model, inputs, y, lambda lp: AdvantageBatch(adv.copy(), adv.copy()))
+        return loss, [grad]
 
-    assert max_fd_error(loss_fn, [p.data for p in gen.params]) < 1e-4
+    assert max_fd_error(loss_fn, [gen.net.flat]) < 1e-4

@@ -222,7 +222,7 @@ def test_pretraining_training_and_evaluation_build_no_graph(monkeypatch):
 def _oracle_minibatch(ds, rm, cfg):
     """One minibatch of the training schedule on engine graphs: the same
     draws in the same order as trainer.train, with the gradients taken by
-    engine.backward."""
+    engine.backward and concatenated per network."""
     train_x, train_y = ds.train
     seen = ds.seen_classes
     table = cues.mine_prototypes(train_x, train_y, seen)
@@ -233,9 +233,9 @@ def _oracle_minibatch(ds, rm, cfg):
     cx0 = gan.CriticX0(d, ds.sem_dim, cfg, init_rng)
     cxt = gan.CriticXt(d, ds.sem_dim, cfg, init_rng)
     betas = dict(beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
-    opt_critic = nets.AdamState(cx0.params + cxt.params, lr=cfg.lr_adv, **betas)
-    opt_gen = nets.AdamState(gen.params, lr=cfg.lr_adv, **betas)
-    opt_rl = nets.AdamState(gen.params, lr=cfg.lr_rl, **betas)
+    opt_critic = nets.AdamState([cx0.net.flat, cxt.net.flat], lr=cfg.lr_adv, **betas)
+    opt_gen = nets.AdamState([gen.net.flat], lr=cfg.lr_adv, **betas)
+    opt_rl = nets.AdamState([gen.net.flat], lr=cfg.lr_rl, **betas)
     train_rng, rl_rng = stream_rng(cfg.seed, "train"), stream_rng(cfg.seed, "rl")
     baseline = reward.EmaBaseline(alpha=cfg.ema_alpha)
 
@@ -255,14 +255,14 @@ def _oracle_minibatch(ds, rm, cfg):
     l0 = oracle.critic_terms(cx0.net, x0, fake_x0, z, cfg.lambda_gp, train_rng)
     cond = cxt.condition(x_next, z, t)
     lt = oracle.critic_terms(cxt.net, x_t, fake_xt, cond, cfg.lambda_gp, train_rng)
-    opt_critic.step(engine.backward(l0, cx0.params) + engine.backward(lt, cxt.params))
+    opt_critic.step([oracle.flat_grad(l0, cx0.params), oracle.flat_grad(lt, cxt.params)])
 
     t, x_t, x_next = draw(train_rng)
     eps_g = train_rng.standard_normal(x0.shape)
     eps_post = train_rng.standard_normal(x0.shape)
     adv, x0_tilde = oracle.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_post)
     cue = oracle.cue_loss(x0_tilde, y, table, cfg.cue_loss)
-    opt_gen.step(engine.backward(adv + cfg.lambda_pd * cue, gen.params))
+    opt_gen.step([oracle.flat_grad(adv + cfg.lambda_pd * cue, gen.params)])
 
     t, x_t, x_next = draw(rl_rng)
     eps_g = rl_rng.standard_normal(x0.shape)
@@ -271,7 +271,7 @@ def _oracle_minibatch(ds, rm, cfg):
     r = log_probs.data.copy()
     baseline.update(r)
     loss = oracle.rl_loss(reward.advantage(r, baseline).advantages, log_probs)
-    opt_rl.step(engine.backward(loss, gen.params))
+    opt_rl.step([oracle.flat_grad(loss, gen.params)])
 
 
 @pytest.mark.parametrize("cue_loss", ["pd", "kl", "l1"])
@@ -286,7 +286,7 @@ def test_trainer_minibatch_matches_the_engine_oracle(cue_loss, monkeypatch):
 
     def recording_step(self, grads):
         step(self, grads)
-        updates.append([p.data.tobytes() for p in self.params])
+        updates.append([p.tobytes() for p in self.params])
 
     monkeypatch.setattr(nets.AdamState, "step", recording_step)
     train(ds, rm, cfg)
