@@ -13,12 +13,38 @@ from .errors import ConfigurationError, UsageError
 
 
 class DiffusionSchedule:
+    """The betas, alphas and alpha_bars of a schedule, and per-timestep
+    coefficient tables computed from them once, at construction.
+
+    Each table is a (rows, 1) column, so indexing it with a vector of
+    timesteps gives the (B, 1) coefficients of a batch. Each entry is the
+    expression the samplers would evaluate per call, so indexing a table
+    gives the same bits:
+
+    - for t = 0..T: `sqrt_abar[t]` = sqrt(abar_t) and `sqrt_one_minus_abar[t]`
+      = sqrt(1 - abar_t), the marginal q(x_t | x_0);
+    - for t = 0..T-1: `sqrt_alpha_next[t]` = sqrt(alpha_{t+1}) and
+      `sqrt_beta_next[t]` = sqrt(beta_{t+1}), the step q(x_{t+1} | x_t);
+    - for t = 0..T-1: `c1`, `c2`, `sigma2` and `sigma` = sqrt(sigma2), the
+      posterior q(x_t | x_{t+1}, x_0) of `posterior_coeffs`.
+    """
+
     def __init__(self, timesteps: int, betas: np.ndarray):
         self.timesteps = int(timesteps)
         self.betas = betas  # shape (T+1,), betas[0] unused (0.0)
         self.alphas = 1.0 - betas
         self.alphas[0] = 1.0
         self.alpha_bars = np.cumprod(self.alphas)
+        abar, abar_t, beta_next = self.alpha_bars, self.alpha_bars[:-1], betas[1:]
+        denom = 1.0 - abar[1:]
+        self.sqrt_abar = np.sqrt(abar)[:, None]
+        self.sqrt_one_minus_abar = np.sqrt(1.0 - abar)[:, None]
+        self.sqrt_alpha_next = np.sqrt(self.alphas[1:])[:, None]
+        self.sqrt_beta_next = np.sqrt(beta_next)[:, None]
+        self.c1 = (np.sqrt(abar_t) * beta_next / denom)[:, None]
+        self.c2 = (self.sqrt_alpha_next[:, 0] * (1.0 - abar_t) / denom)[:, None]
+        self.sigma2 = (beta_next * (1.0 - abar_t) / denom)[:, None]
+        self.sigma = np.sqrt(self.sigma2)
 
 
 def build_schedule(timesteps: int, beta_min: float, beta_max: float) -> DiffusionSchedule:
@@ -35,9 +61,9 @@ def build_schedule(timesteps: int, beta_min: float, beta_max: float) -> Diffusio
 
 def _check_t(t, lo: int, hi: int, what: str) -> np.ndarray:
     t = np.asarray(t)
-    if not np.issubdtype(t.dtype, np.integer):
+    if t.dtype.kind not in "iu":
         raise UsageError(f"{what}: timesteps must be integers")
-    if t.size == 0 or np.any(t < lo) or np.any(t > hi):
+    if t.size == 0 or t.min() < lo or t.max() > hi:
         raise UsageError(f"{what}: timestep out of range [{lo}, {hi}]")
     return t.reshape(-1)
 
@@ -46,7 +72,7 @@ def per_row(t, rows: int) -> np.ndarray:
     """Integer timesteps, one per row: a single timestep is repeated `rows`
     times; otherwise there must be exactly `rows` of them."""
     t = np.asarray(t).reshape(-1)
-    if not np.issubdtype(t.dtype, np.integer):
+    if t.dtype.kind not in "iu":
         raise UsageError(f"timesteps must be integers, got {t.dtype}")
     if t.size not in (1, rows):
         raise UsageError(f"{t.size} timesteps for {rows} rows")
@@ -59,9 +85,8 @@ def forward_noise(
     """Draw x_t ~ q(x_t | x_0) = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     t = per_row(_check_t(t, 0, sched.timesteps, "forward_noise"), x0.shape[0])
-    abar = sched.alpha_bars[t][:, None]
     eps = rng.standard_normal(x0.shape)
-    return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
+    return sched.sqrt_abar[t] * x0 + sched.sqrt_one_minus_abar[t] * eps
 
 
 def forward_transition(
@@ -70,10 +95,8 @@ def forward_transition(
     """One forward chain step: x_{t+1} ~ q(x_{t+1} | x_t)."""
     x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
     t = per_row(_check_t(t, 0, sched.timesteps - 1, "forward_transition"), x_t.shape[0])
-    a_next = sched.alphas[t + 1][:, None]
-    b_next = sched.betas[t + 1][:, None]
     eps = rng.standard_normal(x_t.shape)
-    return np.sqrt(a_next) * x_t + np.sqrt(b_next) * eps
+    return sched.sqrt_alpha_next[t] * x_t + sched.sqrt_beta_next[t] * eps
 
 
 def posterior_coeffs(sched: DiffusionSchedule, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -83,15 +106,7 @@ def posterior_coeffs(sched: DiffusionSchedule, t) -> tuple[np.ndarray, np.ndarra
     is exactly zero and c2 vanishes, so the output is the clean prediction.
     """
     t = _check_t(t, 0, sched.timesteps - 1, "posterior_coeffs")
-    abar_t = sched.alpha_bars[t]
-    abar_next = sched.alpha_bars[t + 1]
-    beta_next = sched.betas[t + 1]
-    alpha_next = sched.alphas[t + 1]
-    denom = 1.0 - abar_next
-    c1 = np.sqrt(abar_t) * beta_next / denom
-    c2 = np.sqrt(alpha_next) * (1.0 - abar_t) / denom
-    sigma2 = beta_next * (1.0 - abar_t) / denom
-    return c1[:, None], c2[:, None], sigma2[:, None]
+    return sched.c1[t], sched.c2[t], sched.sigma2[t]
 
 
 def posterior_sample(
@@ -106,7 +121,7 @@ def posterior_sample(
     x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
     if x0_hat.shape != x_next.shape:
         raise UsageError("posterior_sample: state shapes differ")
-    c1, c2, sigma2 = posterior_coeffs(sched, per_row(t, x0_hat.shape[0]))
-    mean = c1 * x0_hat + c2 * x_next
+    t = _check_t(per_row(t, x0_hat.shape[0]), 0, sched.timesteps - 1, "posterior_coeffs")
+    mean = sched.c1[t] * x0_hat + sched.c2[t] * x_next
     eps = rng.standard_normal(x0_hat.shape)
-    return mean + np.sqrt(sigma2) * eps
+    return mean + sched.sigma[t] * eps

@@ -18,6 +18,14 @@ from .nets import DenseNet, timestep_embedding
 _NORM_FLOOR = 1e-200  # keeps the norm's subgradient finite at exactly zero
 
 
+def _rows(x) -> np.ndarray:
+    """x as a float64 matrix of rows; an array that is one already is
+    returned as it is."""
+    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64:
+        return x
+    return np.atleast_2d(np.asarray(x, dtype=np.float64))
+
+
 class Generator:
     def __init__(self, feat_dim: int, sem_dim: int, config: Config, rng: np.random.Generator):
         self.feat_dim = int(feat_dim)
@@ -31,9 +39,7 @@ class Generator:
         return self.net.params
 
     def _inputs(self, eps, z, x_noisy, t) -> np.ndarray:
-        eps = np.atleast_2d(np.asarray(eps, dtype=np.float64))
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        xn = np.atleast_2d(np.asarray(x_noisy, dtype=np.float64))
+        eps, z, xn = _rows(eps), _rows(z), _rows(x_noisy)
         if xn.ndim != 2:
             xn = xn.reshape(1, xn.size)
         rows = eps.shape[0]
@@ -59,10 +65,6 @@ class CriticX0:
         hidden = config.hidden_mult * feat_dim
         self.net = DenseNet([feat_dim + sem_dim, hidden, hidden, 1], rng, config.leaky_slope)
 
-    @property
-    def params(self) -> list:
-        return self.net.params
-
 
 class CriticXt:
     """Scores denoising transitions (state_t, state_{t+1}, prototype, t)."""
@@ -73,21 +75,16 @@ class CriticXt:
         in_dim = feat_dim + feat_dim + sem_dim + self.temb_dim
         self.net = DenseNet([in_dim, hidden, hidden, 1], rng, config.leaky_slope)
 
-    @property
-    def params(self) -> list:
-        return self.net.params
-
     def condition(self, x_next, z, t) -> np.ndarray:
         """The fixed input columns that follow x_t: x_next, z, then the
         timestep embedding."""
-        x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+        x_next, z = _rows(x_next), _rows(z)
         temb = timestep_embedding(diffusion.per_row(t, x_next.shape[0]), self.temb_dim)
         return np.concatenate([x_next, z, temb], axis=1)
 
 
 def _as_batch(x, what: str) -> np.ndarray:
-    data = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    data = _rows(x)
     if data.shape[0] < 1:
         raise UsageError(f"{what}: empty batch")
     return data
@@ -106,15 +103,17 @@ def _penalty_pass(net: DenseNet, real, fake, cond, rng, weight: float):
     fixed), and the gradients of `weight` times it w.r.t. the net's weights
     (one per layer; the biases get none). The input gradient is the closed
     form ones @ W_L @ D_{L-1} @ ... @ D_1 @ W_1 of the leaky-relu MLP, with
-    the masks D held constant; each mask is built once."""
+    the masks D held constant; each mask is built once. A critic has one
+    output, so ones @ W_L is W_L in every row (a one-term sum is exact), and
+    W_L is broadcast instead."""
     rows, d = real.shape
     u = rng.uniform(size=(rows, 1))
     x_hat = u * real + (1.0 - u) * fake
     _, (_, masks) = net.forward(np.concatenate([x_hat, cond], axis=1))
     ws = [w.data for w in net.weights]
-    # g = ones @ W_L, then g = (g * D_l) @ W_l down to the first layer.
-    ones = np.ones((rows, net.layer_dims[-1]))
-    g = ones @ ws[-1]
+    # g = W_L, each row of ones @ W_L, then g = (g * D_l) @ W_l down to the
+    # first layer.
+    g = ws[-1]
     gated = []
     for w, mask in zip(reversed(ws[:-1]), reversed(masks)):
         gated.append(g * mask)
@@ -135,7 +134,7 @@ def _penalty_pass(net: DenseNet, real, fake, cond, rng, weight: float):
     for w, gm, mask in zip(ws[:-1], reversed(gated), masks):
         grads.append(gm.T @ ug)
         ug = (ug @ w.T) * mask
-    grads.append(ones.T @ ug)
+    grads.append(np.ones((rows, 1)).T @ ug)
     return value, grads
 
 
@@ -206,8 +205,8 @@ def generator_adv_terms(
     x_next = _as_batch(x_next, "generator_adv_terms x_next")
     t = np.asarray(t).reshape(-1)
     x0_tilde, cache = gen.synthesize(eps_gen, z, x_next, t + 1)
-    c1, c2, sigma2 = diffusion.posterior_coeffs(sched, t)
-    xt_tilde = c1 * x0_tilde + (c2 * x_next + np.sqrt(sigma2) * eps_post)
+    c1, c2, _ = diffusion.posterior_coeffs(sched, t)
+    xt_tilde = c1 * x0_tilde + (c2 * x_next + sched.sigma[t] * eps_post)
     cond = critic_xt.condition(x_next, z, t)
     s0, cache0 = critic_x0.net.forward(np.concatenate([x0_tilde, z], axis=1))
     st, cachet = critic_xt.net.forward(np.concatenate([xt_tilde, cond], axis=1))

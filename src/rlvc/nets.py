@@ -27,6 +27,10 @@ CHECKPOINT_VERSION = 1
 GENERATOR_TAG = b"GNET"
 REWARD_TAG = b"RWDM"
 
+# The ufunc reductions that np.sum, ndarray.max and ndarray.min call, without
+# those wrappers' per-call cost: the same results.
+_sum, _max, _min = np.add.reduce, np.maximum.reduce, np.minimum.reduce
+
 
 # Width -> embedding rows for t = 0, 1, ... A row depends only on t and the
 # width, so sharing the tables across callers changes no result.
@@ -40,7 +44,7 @@ def timestep_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     Parameter-free; treated as constant input by the networks.
     """
     t = np.asarray(t).reshape(-1)
-    if not np.issubdtype(t.dtype, np.integer) or t.min(initial=0) < 0:
+    if t.dtype.kind not in "iu" or t.min(initial=0) < 0:
         raise UsageError("timesteps must be non-negative integers")
     top = t.max(initial=0)
     table = _EMBEDDING_TABLES.get(dim)
@@ -123,7 +127,9 @@ class DenseNet:
         (x.T @ u).T, the same sums of the same products. Every other product
         and sum is laid out as in the reverse pass of engine.linear and
         engine.leaky_relu, so the result is bit-equal to engine.backward
-        through the same layers."""
+        through the same layers. Where u has one column (a critic's output),
+        u @ w has one term per entry and is formed as the broadcast u * w,
+        the same single rounding."""
         inputs, masks = cache
         grad = None if wrt_input else np.empty(self.flat.size)
         views = None if wrt_input else self.views(grad)
@@ -131,9 +137,9 @@ class DenseNet:
             w = self.weights[i].data
             if views is not None:
                 np.matmul(u.T, inputs[i], out=views[2 * i])
-                np.sum(u, axis=0, out=views[2 * i + 1])
+                _sum(u, axis=0, out=views[2 * i + 1])
             if i > 0:
-                u = (u @ w) * masks[i - 1]
+                u = (u * w if u.shape[1] == 1 else u @ w) * masks[i - 1]
             elif wrt_input:
                 return u @ w
         return grad
@@ -190,6 +196,10 @@ class AdamState:
     in place. Otherwise it runs on copies of the moments and commits only a
     finite result. The bound decays with m, so the copies last only while m
     is near overflow.
+
+    Once beta1**t falls below 2**-54, c1 = 1 - beta1**t rounds to exactly
+    1.0 (t >= 54 at beta1 = 0.5), and m / c1 is m; the step then skips that
+    division and forms m * lr, the same bits.
     """
 
     def __init__(
@@ -234,8 +244,11 @@ class AdamState:
         s *= 1.0 - self.beta2
         v *= self.beta2
         v += s
-        np.divide(m, c1, out=s)
-        s *= self.lr
+        if c1 == 1.0:
+            np.multiply(m, self.lr, out=s)
+        else:
+            np.divide(m, c1, out=s)
+            s *= self.lr
         np.divide(v, c2, out=d)
         np.sqrt(d, out=d)
         d += self.eps
@@ -243,12 +256,16 @@ class AdamState:
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
         """One update from one gradient vector per parameter vector."""
-        if [np.shape(g) for g in grads] != [p.shape for p in self.params]:
+        if len(grads) != len(self.params):
             raise UsageError("gradients do not match the parameter vectors")
-        grads = [np.asarray(g, dtype=np.float64) for g in grads]
+        arrays = []
+        for g, p in zip(grads, self.params):
+            if np.shape(g) != p.shape:
+                raise UsageError("gradients do not match the parameter vectors")
+            arrays.append(np.asarray(g, dtype=np.float64))
         g_max = 0.0
-        for g in grads:
-            hi, lo = float(g.max(initial=0.0)), float(g.min(initial=0.0))
+        for g in arrays:
+            hi, lo = float(_max(g, initial=0.0)), float(_min(g, initial=0.0))
             if not (math.isfinite(hi) and math.isfinite(lo)):
                 raise NumericFailure("non-finite gradient; update rejected")
             g_max = max(g_max, hi, -lo)
@@ -256,14 +273,14 @@ class AdamState:
         t = self.t + 1
         bound = 4.0 * abs(self.lr) * m_bound / (1.0 - self.beta1**t) / self.eps
         if bound < _SAFE and all(
-            -_SAFE < p.min(initial=0.0) and p.max(initial=0.0) < _SAFE for p in self.params
+            -_SAFE < _min(p, initial=0.0) and _max(p, initial=0.0) < _SAFE for p in self.params
         ):
-            self._advance(t, grads, self._m, self._v)
+            self._advance(t, arrays, self._m, self._v)
             for p, step in zip(self.params, self._steps):
                 p -= step
         else:
             m, v = self._m.copy(), self._v.copy()
-            self._advance(t, grads, m, v)
+            self._advance(t, arrays, m, v)
             new = [p - step for p, step in zip(self.params, self._steps)]
             if not all(np.isfinite(a).all() for a in new):
                 raise NumericFailure("non-finite parameter after update; update rejected")
@@ -305,18 +322,22 @@ def fit_linear_softmax(
     gw, gb = grad[:split].reshape(w.shape), grad[split:]
     opt = AdamState([wb], lr=lr, beta1=beta1, beta2=beta2)
     n = features.shape[0]
+    batch_rows = np.arange(min(batch_size, n))
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             x, y = features[idx], rows[idx]
             inv_b = 1.0 / len(y)
-            z = x @ w.T + b
-            e = np.exp(z - z.max(axis=1, keepdims=True))
-            gz = (inv_b / e.sum(axis=1, keepdims=True)) * e
-            gz[np.arange(len(y)), y] -= inv_b
+            # z, then z - max, e and gz, each written over the last.
+            gz = x @ w.T
+            gz += b
+            gz -= _max(gz, axis=1, keepdims=True)
+            np.exp(gz, out=gz)
+            gz *= inv_b / _sum(gz, axis=1, keepdims=True)
+            gz[batch_rows[: len(y)], y] -= inv_b
             np.matmul(gz.T, x, out=gw)
-            np.sum(gz, axis=0, out=gb)
+            _sum(gz, axis=0, out=gb)
             opt.step([grad])
     return w, b
 

@@ -81,13 +81,18 @@ def reward_train_accuracy(model: RewardModel, features, labels) -> float:
 
 
 def class_log_probs(model: RewardModel, x: np.ndarray, y) -> tuple[np.ndarray, tuple]:
-    """log p(y_i | x_i) per row, and the cache `rl_loss` reads."""
+    """log p(y_i | x_i) per row, and the cache `rl_loss` reads.
+
+    Each row's value is read at its label. The engine graph sums the row of
+    log-probs times a one-hot row instead: with finite log-probs every other
+    term is a signed zero and the one at the label is never -0.0, so that
+    sum has the same bits."""
     y = np.asarray(y).reshape(-1)
-    if np.any(y < 0) or np.any(y >= model.n_classes):
+    if y.min(initial=0) < 0 or y.max(initial=0) >= model.n_classes:
         raise UsageError("class index outside the reward model's class set")
-    pick = np.eye(model.n_classes)[y]
     lp, lp_cache = log_softmax_cached(model.logits(x))
-    return np.sum(lp * pick, axis=1), (model.weight, pick, lp_cache)
+    rows = np.arange(len(y))
+    return lp[rows, y], (model.weight, rows, y, lp_cache)
 
 
 def reward(model: RewardModel, x, y: int) -> float:
@@ -157,6 +162,12 @@ def rl_loss(
     a = advantages.advantages
     inv_b = 1.0 / a.shape[0]
     loss = -(np.sum(a * log_probs) * inv_b)
-    weight, pick, lp_cache = cache
-    u = (np.full(a.shape[0], -1.0 * inv_b) * a)[:, None] * pick
+    weight, rows, y, lp_cache = cache
+    # The engine graph sends u = w * onehot into log_softmax, w = -(1/B) * a.
+    # Here u is w at each row's label and +0.0 elsewhere. The row sum of -u
+    # is -w in both, and off the label (-w / s) * e is nonzero or a zero of
+    # the sign opposite to w's, so adding it to w * 0.0 or to +0.0 gives the
+    # same bits.
+    u = np.zeros((len(y), weight.shape[0]))
+    u[rows, y] = np.full(a.shape[0], -1.0 * inv_b) * a
     return loss, log_softmax_pullback(lp_cache, u) @ weight

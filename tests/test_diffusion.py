@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlvc import diffusion
+from rlvc.config import Config, resolve_config
 from rlvc.errors import ConfigurationError, UsageError
 
 
@@ -81,8 +82,26 @@ def test_forward_noise_rejects_bad_t():
         diffusion.forward_noise(np.zeros((1, 2)), 5, s, rng)
     with pytest.raises(UsageError):
         diffusion.forward_noise(np.zeros((1, 2)), -1, s, rng)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="forward_noise: timesteps must be integers"):
         diffusion.forward_noise(np.zeros((1, 2)), np.array([0.5]), s, rng)
+    with pytest.raises(UsageError, match="forward_noise: timesteps must be integers"):
+        diffusion.forward_noise(np.zeros((1, 2)), np.array([True]), s, rng)
+    with pytest.raises(UsageError, match=r"forward_noise: timestep out of range \[0, 4\]"):
+        diffusion.forward_noise(np.zeros((1, 2)), np.array([], dtype=np.int64), s, rng)
+    with pytest.raises(UsageError, match=r"forward_transition: timestep out of range \[0, 3\]"):
+        diffusion.forward_transition(np.zeros((1, 2)), 4, s, rng)
+    with pytest.raises(UsageError, match="forward_transition: timesteps must be integers"):
+        diffusion.forward_transition(np.zeros((1, 2)), np.array([False]), s, rng)
+    with pytest.raises(UsageError, match=r"posterior_coeffs: timestep out of range \[0, 3\]"):
+        diffusion.posterior_coeffs(s, np.array([], dtype=np.int64))
+    with pytest.raises(UsageError, match="posterior_coeffs: timesteps must be integers"):
+        diffusion.posterior_coeffs(s, np.array([True]))
+    with pytest.raises(UsageError, match="timesteps must be integers, got bool"):
+        diffusion.per_row(np.array([True]), 1)
+    with pytest.raises(UsageError, match="0 timesteps for 1 rows"):
+        diffusion.posterior_sample(np.zeros((1, 2)), np.zeros((1, 2)), np.array([], dtype=np.int64), s, rng)
+    with pytest.raises(UsageError, match="timesteps must be integers, got bool"):
+        diffusion.posterior_sample(np.zeros((1, 2)), np.zeros((1, 2)), np.array([True]), s, rng)
 
 
 def test_forward_transition_matches_marginal_distribution():
@@ -156,3 +175,42 @@ def test_timestep_count_must_be_one_or_the_row_count():
         diffusion.forward_noise(np.zeros((3, 2)), np.array([1, 2]), s, rng)
     with pytest.raises(UsageError, match="2 timesteps for 3 rows"):
         diffusion.posterior_sample(np.zeros((3, 2)), np.zeros((3, 2)), np.array([1, 2]), s, rng)
+
+
+def _per_call_columns(s: diffusion.DiffusionSchedule, t: int) -> dict:
+    """The coefficients at timestep t as the samplers once computed them on
+    every call, from a one-row index."""
+    at = np.array([t])
+    abar = s.alpha_bars[at][:, None]
+    out = {"sqrt_abar": np.sqrt(abar), "sqrt_one_minus_abar": np.sqrt(1.0 - abar)}
+    if t < s.timesteps:
+        out["sqrt_alpha_next"] = np.sqrt(s.alphas[at + 1][:, None])
+        out["sqrt_beta_next"] = np.sqrt(s.betas[at + 1][:, None])
+        abar_t, abar_next = s.alpha_bars[at], s.alpha_bars[at + 1]
+        beta_next, alpha_next = s.betas[at + 1], s.alphas[at + 1]
+        denom = 1.0 - abar_next
+        out["c1"] = (np.sqrt(abar_t) * beta_next / denom)[:, None]
+        out["c2"] = (np.sqrt(alpha_next) * (1.0 - abar_t) / denom)[:, None]
+        out["sigma2"] = (beta_next * (1.0 - abar_t) / denom)[:, None]
+        out["sigma"] = np.sqrt(out["sigma2"])
+    return out
+
+
+@pytest.mark.parametrize(
+    "cfg", [Config(), resolve_config("synthetic")], ids=["defaults", "synthetic"]
+)
+def test_tables_hold_the_per_call_formulas_bytes(cfg):
+    s = cfg.schedule()
+    rows = {"sqrt_abar": s.timesteps + 1, "sqrt_one_minus_abar": s.timesteps + 1}
+    for name in ("sqrt_alpha_next", "sqrt_beta_next", "c1", "c2", "sigma2", "sigma"):
+        rows[name] = s.timesteps
+    for name, n in rows.items():
+        assert getattr(s, name).shape == (n, 1), name
+    for t in range(s.timesteps + 1):
+        for name, want in _per_call_columns(s, t).items():
+            got = getattr(s, name)[[t]]
+            assert got.tobytes() == want.tobytes(), (name, t)
+    t = np.arange(s.timesteps)
+    for got, name in zip(diffusion.posterior_coeffs(s, t), ("c1", "c2", "sigma2")):
+        assert got.shape == (s.timesteps, 1)
+        assert got.tobytes() == getattr(s, name).tobytes()

@@ -104,13 +104,13 @@ def test_critic_losses_match_the_engine(seed, t):
     loss, grads = gan.critic_x0_loss(cx0, b["real"], b["fake"], b["z"], gp, np.random.default_rng(5))
     terms = oracle.critic_terms(cx0.net, b["real"], b["fake"], b["z"], gp, np.random.default_rng(5))
     assert _same(loss, terms.data)
-    assert _same(grads, oracle.flat_grad(terms, cx0.params))
+    assert _same(grads, oracle.flat_grad(terms, cx0.net.params))
 
     args = (b["real"], b["fake"], b["x_next"], b["z"], t, gp)
     loss, grads = gan.critic_xt_loss(cxt, *args, np.random.default_rng(6))
     terms = oracle.critic_terms(cxt.net, b["real"], b["fake"], cond, gp, np.random.default_rng(6))
     assert _same(loss, terms.data)
-    assert _same(grads, oracle.flat_grad(terms, cxt.params))
+    assert _same(grads, oracle.flat_grad(terms, cxt.net.params))
 
 
 @BATCHES
@@ -184,12 +184,38 @@ def test_rl_step_matches_the_engine(centred, t):
     assert _same(gen.net.pullback(cache, g_x0), oracle.flat_grad(oracle_loss, gen.params))
 
 
+def test_rl_pass_matches_the_engine_at_zero_advantages_and_saturated_logits():
+    # The pass reads each label's log-prob and scatters -(1/B) * a there
+    # instead of multiplying by a one-hot row. The two differ in the sign of
+    # the zeros off the label, which may show only where a is +-0.0 or
+    # where exp underflows to 0, so this batch has both.
+    rng = np.random.default_rng(11)
+    model = reward.RewardModel(300.0 * rng.normal(size=(4, D)), rng.normal(size=4))
+    x = rng.normal(size=(6, D))
+    logits = model.logits(x)
+    y = np.argmax(logits, axis=1)
+    y[3:] = np.argmin(logits[3:], axis=1)
+    a = np.array([0.0, -0.0, 1.5, 0.0, -0.0, -2.0])
+    assert np.any(np.exp(logits - logits.max(axis=1, keepdims=True)) == 0.0)
+    log_probs, lp_cache = reward.class_log_probs(model, x, y)
+    assert np.any(log_probs == 0.0)
+    loss, g_x = reward.rl_loss(reward.AdvantageBatch(rewards=a, advantages=a), log_probs, lp_cache)
+
+    xt = Tensor(x, requires_grad=True)
+    oracle_lp = oracle.class_log_probs(model, xt, y)
+    oracle_loss = oracle.rl_loss(a, oracle_lp)
+    assert _same(log_probs, oracle_lp.data)
+    assert _same(loss, oracle_loss.data)
+    assert _same(g_x, engine.backward(oracle_loss, [xt])[0])
+
+
 @pytest.mark.parametrize(
     "n, d, classes, batch, epochs",
     # The eval-sweep GZSL head fits 20 seen classes' 960 training rows plus
     # 400 synthesized rows for each of 5 unseen classes, in minibatches of
-    # 128: its last minibatch has 16 rows.
-    [(37, 5, 4, 8, 3), (10, 5, 4, 16, 3), (9, 3, 1, 4, 3), (20, 4, 6, 3, 2), (2960, 32, 25, 128, 2)],
+    # 128: its last minibatch has 16 rows. Its 3 epochs are 72 Adam steps,
+    # past step 54, where the steps skip the division by c1 = 1.0.
+    [(37, 5, 4, 8, 3), (10, 5, 4, 16, 3), (9, 3, 1, 4, 3), (20, 4, 6, 3, 2), (2960, 32, 25, 128, 3)],
     ids=["short-last-batch", "batch-covers-all", "one-class", "batch-misses-classes", "eval-sweep-gzsl"],
 )
 def test_linear_softmax_fit_matches_the_engine(n, d, classes, batch, epochs):

@@ -199,12 +199,14 @@ def _critic_pair(rng):
 
 
 def _adam_against_a_per_parameter_reference(pair, rng):
+    # Past step 54, 1 - 0.5**t rounds to 1.0: the steps then skip m / c1.
     lr, b1, b2, eps = 0.01, _BETAS["beta1"], _BETAS["beta2"], 1e-8
+    assert 1.0 - b1**54 == 1.0 and 1.0 - b1**53 < 1.0
     opt = AdamState([net.flat for net in pair], lr=lr, **_BETAS)
     refs = [[a.copy() for a in net.views(net.flat)] for net in pair]
     ref_m = [[np.zeros(a.shape) for a in ref] for ref in refs]
     ref_v = [[np.zeros(a.shape) for a in ref] for ref in refs]
-    for t in range(1, 26):
+    for t in range(1, 61):
         # drawn transposed, as the engine lays out a weight gradient
         grads = [[rng.normal(size=a.shape[::-1]).T for a in ref] for ref in refs]
         assert not grads[0][0].flags.c_contiguous
@@ -224,7 +226,7 @@ def _adam_against_a_per_parameter_reference(pair, rng):
     for net, m, v, ref, rm, rv in zip(pair, opt.m, opt.v, refs, ref_m, ref_v):
         assert net.flat.tobytes() == cat(ref)
         assert m.tobytes() == cat(rm) and v.tobytes() == cat(rv)
-    assert opt.t == 25
+    assert opt.t == 60
 
 
 def test_flat_adam_matches_a_per_parameter_reference():
@@ -380,8 +382,9 @@ def test_timestep_embedding_table_matches_the_sinusoid_formula(monkeypatch):
         later = np.array([3, steps + 9, 0, steps + 2])  # beyond every t seen so far
         np.testing.assert_array_equal(timestep_embedding(later, dim), direct(later, dim))
         np.testing.assert_array_equal(timestep_embedding(every, dim), direct(every, dim))
-    with pytest.raises(UsageError):
-        timestep_embedding(np.array([2, -1]), 16)
+    for bad in (np.array([2, -1]), np.array([1.0]), np.array([True])):
+        with pytest.raises(UsageError, match="timesteps must be non-negative integers"):
+            timestep_embedding(bad, 16)
 
 
 def test_timestep_embedding_shape_and_boundary():

@@ -255,7 +255,7 @@ def _oracle_minibatch(ds, rm, cfg):
     l0 = oracle.critic_terms(cx0.net, x0, fake_x0, z, cfg.lambda_gp, train_rng)
     cond = cxt.condition(x_next, z, t)
     lt = oracle.critic_terms(cxt.net, x_t, fake_xt, cond, cfg.lambda_gp, train_rng)
-    opt_critic.step([oracle.flat_grad(l0, cx0.params), oracle.flat_grad(lt, cxt.params)])
+    opt_critic.step([oracle.flat_grad(l0, cx0.net.params), oracle.flat_grad(lt, cxt.net.params)])
 
     t, x_t, x_next = draw(train_rng)
     eps_g = train_rng.standard_normal(x0.shape)
@@ -338,7 +338,7 @@ def test_networks_are_disjoint():
     ds = _small_ds()
     result = train(ds, None, _cfg(epochs=1, use_rl=False))
     gen_ids = {id(p) for p in result.generator.params}
-    critic_ids = {id(p) for p in result.critic_x0.params + result.critic_xt.params}
+    critic_ids = {id(p) for p in result.critic_x0.net.params + result.critic_xt.net.params}
     assert gen_ids.isdisjoint(critic_ids)
 
 

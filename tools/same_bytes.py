@@ -1,0 +1,115 @@
+"""Byte-identity check of the synthetic-preset pipeline against a revision.
+
+Usage (from the repository root):
+
+    python3 tools/same_bytes.py --against HEAD~1 [--seeds 0 3]
+
+For the working tree and for the committed files of revision --against
+(extracted with `git archive` into a temporary directory), and for each seed,
+this runs with RLVC_THREADS=1 in a fresh temporary directory:
+
+- gen-synthetic -> pretrain-reward -> train -> eval -> synthesize, all on
+  --preset synthetic;
+- a `--no-rl --cue-loss kl` train and a
+  `--cue-loss l1 --raw-reward --rl-start-epoch 1` train;
+- `eval --synth-per-class 400` on the first train's checkpoint.
+
+Every command uses relative paths, so its stdout does not name the
+directory. The script prints the sha256 of each file the commands wrote and
+of each command's stdout, for both sides, and exits 1 if any differ (2 if a
+command fails). The temporary directories are removed afterwards.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SYNTHETIC = ["--preset", "synthetic"]
+
+# (name, arguments after the seed); names label the stdout hashes.
+STEPS = (
+    ("gen-synthetic", ["gen-synthetic", "--out", "data"]),
+    ("pretrain-reward", ["pretrain-reward", "--data", "data", "--out", "full"]),
+    ("train", ["train", "--data", "data", "--reward", "full/reward.ckpt", "--out", "full"]),
+    ("eval", ["eval", "--data", "data", "--generator", "full/generator.ckpt"]),
+    ("synthesize", ["synthesize", "--data", "data", "--generator", "full/generator.ckpt",
+                    "--out", "synth/features.csv"]),
+    ("train-no-rl-kl", ["train", "--data", "data", "--no-rl", "--cue-loss", "kl",
+                        "--out", "no-rl-kl"]),
+    ("train-l1-raw", ["train", "--data", "data", "--reward", "full/reward.ckpt",
+                      "--cue-loss", "l1", "--raw-reward", "--rl-start-epoch", "1",
+                      "--out", "l1-raw"]),
+    ("eval-400", ["eval", "--data", "data", "--generator", "full/generator.ckpt",
+                  "--synth-per-class", "400"]),
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_pipeline(src: str, work: str, seed: int) -> dict[str, str]:
+    """Run every step with the package at `src` in the empty directory
+    `work`; the sha256 of each step's stdout and of each file written."""
+    env = dict(os.environ, RLVC_THREADS="1", PYTHONPATH=src)
+    hashes = {}
+    for name, args in STEPS:
+        cmd = [sys.executable, "-m", "rlvc.cli", args[0], *SYNTHETIC, "--seed", str(seed), *args[1:]]
+        done = subprocess.run(cmd, cwd=work, env=env, capture_output=True)
+        if done.returncode != 0:
+            sys.stderr.write(done.stderr.decode(errors="replace"))
+            print(f"{name} failed with exit {done.returncode} in {work}", file=sys.stderr)
+            raise SystemExit(2)
+        hashes[f"{name} stdout"] = _sha(done.stdout)
+    for folder, _, files in os.walk(work):
+        for f in files:
+            path = os.path.join(folder, f)
+            with open(path, "rb") as fh:
+                hashes[os.path.relpath(path, work)] = _sha(fh.read())
+    return hashes
+
+
+def extract(rev: str, dest: str) -> None:
+    """The committed files of `rev` under `dest`."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", default="HEAD", help="git revision to compare with")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
+    args = parser.parse_args(argv)
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="same_bytes-") as tmp:
+        base = os.path.join(tmp, "against")
+        os.makedirs(base)
+        extract(args.against, base)
+        sources = (os.path.join(ROOT, "src"), os.path.join(base, "src"))
+        for seed in args.seeds:
+            results = []
+            for side, src in enumerate(sources):
+                work = os.path.join(tmp, f"seed{seed}-{side}")
+                os.makedirs(work)
+                results.append(run_pipeline(src, work, seed))
+            ours, theirs = results
+            print(f"seed {seed}")
+            for key in sorted(set(ours) | set(theirs)):
+                a, b = ours.get(key, "-"), theirs.get(key, "-")
+                differ += a != b
+                if a == b:
+                    print(f"  SAME {key}: {a}")
+                else:
+                    print(f"  DIFF {key}: tree {a}, {args.against} {b}")
+    print("SAME" if not differ else f"DIFFERENT: {differ} artifact(s)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
