@@ -30,9 +30,12 @@ class Generator:
     def __init__(self, feat_dim: int, sem_dim: int, config: Config, rng: np.random.Generator):
         self.feat_dim = int(feat_dim)
         self.temb_dim = config.temb_dim
+        self.net = DenseNet(self.layer_dims(feat_dim, sem_dim, config), rng, config.leaky_slope)
+
+    @staticmethod
+    def layer_dims(feat_dim: int, sem_dim: int, config: Config) -> list[int]:
         hidden = config.hidden_mult * feat_dim
-        in_dim = feat_dim + sem_dim + feat_dim + self.temb_dim
-        self.net = DenseNet([in_dim, hidden, hidden, feat_dim], rng, config.leaky_slope)
+        return [feat_dim + sem_dim + feat_dim + config.temb_dim, hidden, hidden, feat_dim]
 
     @property
     def params(self) -> list:
@@ -62,18 +65,25 @@ class CriticX0:
     """Scores (clean feature, prototype) pairs; scalar output per row."""
 
     def __init__(self, feat_dim: int, sem_dim: int, config: Config, rng: np.random.Generator):
+        self.net = DenseNet(self.layer_dims(feat_dim, sem_dim, config), rng, config.leaky_slope)
+
+    @staticmethod
+    def layer_dims(feat_dim: int, sem_dim: int, config: Config) -> list[int]:
         hidden = config.hidden_mult * feat_dim
-        self.net = DenseNet([feat_dim + sem_dim, hidden, hidden, 1], rng, config.leaky_slope)
+        return [feat_dim + sem_dim, hidden, hidden, 1]
 
 
 class CriticXt:
     """Scores denoising transitions (state_t, state_{t+1}, prototype, t)."""
 
     def __init__(self, feat_dim: int, sem_dim: int, config: Config, rng: np.random.Generator):
-        hidden = config.hidden_mult * feat_dim
         self.temb_dim = config.temb_dim
-        in_dim = feat_dim + feat_dim + sem_dim + self.temb_dim
-        self.net = DenseNet([in_dim, hidden, hidden, 1], rng, config.leaky_slope)
+        self.net = DenseNet(self.layer_dims(feat_dim, sem_dim, config), rng, config.leaky_slope)
+
+    @staticmethod
+    def layer_dims(feat_dim: int, sem_dim: int, config: Config) -> list[int]:
+        hidden = config.hidden_mult * feat_dim
+        return [feat_dim + feat_dim + sem_dim + config.temb_dim, hidden, hidden, 1]
 
     def condition(self, x_next, z, t) -> np.ndarray:
         """The fixed input columns that follow x_t: x_next, z, then the

@@ -1,8 +1,10 @@
 """Dense networks, Adam, linear softmax training, timestep embeddings, and
 binary checkpoints.
 
-A network's parameters are one flat float64 vector, and Adam steps whole
-vectors in place. The reverse passes here (`DenseNet.pullback`,
+A network's parameters are one flat float64 vector. Adam steps each vector
+in place, block by block through a scratch pair shared by every optimizer;
+its update is elementwise, so a block's entries get the bits a whole-vector
+update would give them. The reverse passes here (`DenseNet.pullback`,
 `log_softmax_pullback` and the minibatch gradient of `fit_linear_softmax`)
 are written by hand in plain numpy and return gradients laid out like that
 vector. Each sums its products and reductions as the reverse pass of the
@@ -56,6 +58,11 @@ def timestep_embedding(t: np.ndarray, dim: int) -> np.ndarray:
         pad = np.zeros((len(steps), dim - 2 * half))
         table = _EMBEDDING_TABLES[dim] = np.concatenate([np.sin(args), np.cos(args), pad], axis=1)
     return table[t]
+
+
+def param_count(layer_dims: Sequence[int]) -> int:
+    """Entries of the `flat` vector of a DenseNet over `layer_dims`."""
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(layer_dims, layer_dims[1:]))
 
 
 class DenseNet:
@@ -175,6 +182,21 @@ def log_softmax_pullback(cache: tuple, u: np.ndarray) -> np.ndarray:
 # Parameters and steps under this size cannot sum to a non-finite value.
 _SAFE = 2.0**1022
 
+# Adam sweeps each vector this many entries at a time, so that a block's
+# operands stay in cache across the dozen ufunc calls of its update.
+ADAM_BLOCK = 2**15
+
+# The step and denominator of one block, shared by every AdamState and grown
+# in place to min(ADAM_BLOCK, the largest vector stepped so far) on first
+# need.
+_SCRATCH = [np.empty(0), np.empty(0)]
+
+
+def _blocks(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each vector cut into consecutive views of ADAM_BLOCK entries, the last
+    of each shorter."""
+    return [x[a : a + ADAM_BLOCK] for x in vectors for a in range(0, x.size, ADAM_BLOCK)]
+
 
 class AdamState:
     """Adam with bias correction over a fixed list of parameter vectors.
@@ -183,19 +205,27 @@ class AdamState:
     step updates in place, and a step takes one gradient vector per
     parameter. The moments live in one flat vector each, and `m` and `v` are
     lists of per-parameter views of them. A step reads each gradient where
-    it lies and evaluates the update with in-place ufuncs over the whole
-    moment vectors, element by element the same expression as
-    p -= lr * (m / c1) / (sqrt(v / c2) + eps).
+    it lies and runs the update block by block through a shared scratch
+    pair: for each ADAM_BLOCK entries of a parameter, in-place ufuncs advance
+    that block of m and v, form the step in one scratch buffer and its
+    denominator in the other, and subtract the step from the parameter,
+    element by element the same expression as
+    p -= lr * (m / c1) / (sqrt(v / c2) + eps). Every operation is
+    elementwise, so the bits do not depend on the block size. The scratch
+    pair is one per process, not per optimizer: a step leaves nothing in it
+    between calls and the package runs on one thread, so every AdamState can
+    share it, and Adam holds two parameter-sized vectors (m and v), not four.
 
     A step is all or nothing: if it would leave a parameter non-finite, it
     raises NumericFailure and no parameter, moment or `t` moves. The step
     tracks a bound on max|m| by the same update as m, from max|g|; the
     denominator is at least eps, so no step entry exceeds
     4 * lr * bound / (c1 * eps) (the 4 covers rounding). While that and every
-    parameter stay under 2**1022 (one range check per vector), the step runs
-    in place. Otherwise it runs on copies of the moments and commits only a
-    finite result. The bound decays with m, so the copies last only while m
-    is near overflow.
+    parameter stay under 2**1022 (checked, like the gradient's finiteness,
+    block by block before any write), the step runs in place. Otherwise the same sweep runs on copies
+    of the moments and the parameters, and only a finite result is
+    committed. The bound decays with m, so the copies last only while m is
+    near overflow.
 
     Once beta1**t falls below 2**-54, c1 = 1 - beta1**t rounds to exactly
     1.0 (t >= 54 at beta1 = 0.5), and m / c1 is m; the step then skips that
@@ -221,38 +251,45 @@ class AdamState:
         self._m_bound = 0.0  # at least max|m|
         ends = np.cumsum([p.size for p in self.params], dtype=np.int64)
         self._spans = list(zip([0, *ends[:-1]], ends))
-        # Moments, the step and the step's denominator.
-        self._m, self._v, self._s, self._d = (np.zeros(sum(p.size for p in self.params))
-                                              for _ in range(4))
-        self.m, self.v, self._steps = self._views(self._m), self._views(self._v), self._views(self._s)
+        size = sum(p.size for p in self.params)
+        self._m, self._v = np.zeros(size), np.zeros(size)
+        self._block = min(ADAM_BLOCK, max((p.size for p in self.params), default=0))
+        self.m, self.v = self._views(self._m), self._views(self._v)
+        self._in_place = _blocks(self.m), _blocks(self.v), _blocks(self.params)
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         return [flat[a:b] for a, b in self._spans]
 
-    def _advance(self, t: int, grads: list[np.ndarray], m: np.ndarray, v: np.ndarray) -> None:
-        """Advance m and v in place to step t's moments from `grads`, and
-        write the step to `_s`."""
-        s, d = self._s, self._d
-        c1 = 1.0 - self.beta1**t
-        c2 = 1.0 - self.beta2**t
-        for dst, g in zip(self._steps, grads):
-            np.multiply(1.0 - self.beta1, g, out=dst)
-        m *= self.beta1
-        m += s
-        for dst, g in zip(self._steps, grads):
-            np.square(g, out=dst)
-        s *= 1.0 - self.beta2
-        v *= self.beta2
-        v += s
-        if c1 == 1.0:
-            np.multiply(m, self.lr, out=s)
-        else:
-            np.divide(m, c1, out=s)
-            s *= self.lr
-        np.divide(v, c2, out=d)
-        np.sqrt(d, out=d)
-        d += self.eps
-        s /= d
+    def _advance(self, t: int, g_blocks, m_blocks, v_blocks, p_blocks) -> None:
+        """Step t from the gradient's blocks: advance the moments' blocks in
+        place and subtract the step from the parameters' blocks, which all
+        line up."""
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        a1, a2 = 1.0 - b1, 1.0 - b2
+        c1 = 1.0 - b1**t
+        c2 = 1.0 - b2**t
+        if _SCRATCH[0].size < self._block:
+            _SCRATCH[:] = np.empty(self._block), np.empty(self._block)
+        s_all, d_all = _SCRATCH
+        for gb, mb, vb, pb in zip(g_blocks, m_blocks, v_blocks, p_blocks):
+            s, d = s_all[: gb.size], d_all[: gb.size]
+            np.multiply(a1, gb, out=s)
+            mb *= b1
+            mb += s
+            np.square(gb, out=s)
+            s *= a2
+            vb *= b2
+            vb += s
+            if c1 == 1.0:
+                np.multiply(mb, lr, out=s)
+            else:
+                np.divide(mb, c1, out=s)
+                s *= lr
+            np.divide(vb, c2, out=d)
+            np.sqrt(d, out=d)
+            d += eps
+            s /= d
+            pb -= s
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
         """One update from one gradient vector per parameter vector."""
@@ -263,25 +300,28 @@ class AdamState:
             if np.shape(g) != p.shape:
                 raise UsageError("gradients do not match the parameter vectors")
             arrays.append(np.asarray(g, dtype=np.float64))
+        # The range checks run by blocks too: a block's second reduction
+        # reads it from cache. Under one block, a gradient is its own block.
+        g_blocks = arrays if self._block < ADAM_BLOCK else _blocks(arrays)
         g_max = 0.0
-        for g in arrays:
-            hi, lo = float(_max(g, initial=0.0)), float(_min(g, initial=0.0))
+        for gb in g_blocks:
+            hi, lo = float(_max(gb, initial=0.0)), float(_min(gb, initial=0.0))
             if not (math.isfinite(hi) and math.isfinite(lo)):
                 raise NumericFailure("non-finite gradient; update rejected")
             g_max = max(g_max, hi, -lo)
         m_bound = self.beta1 * self._m_bound + (1.0 - self.beta1) * g_max
         t = self.t + 1
         bound = 4.0 * abs(self.lr) * m_bound / (1.0 - self.beta1**t) / self.eps
+        m_blocks, v_blocks, p_blocks = self._in_place
         if bound < _SAFE and all(
-            -_SAFE < _min(p, initial=0.0) and _max(p, initial=0.0) < _SAFE for p in self.params
+            -_SAFE < _min(pb, initial=0.0) and _max(pb, initial=0.0) < _SAFE for pb in p_blocks
         ):
-            self._advance(t, arrays, self._m, self._v)
-            for p, step in zip(self.params, self._steps):
-                p -= step
+            self._advance(t, g_blocks, m_blocks, v_blocks, p_blocks)
         else:
             m, v = self._m.copy(), self._v.copy()
-            self._advance(t, arrays, m, v)
-            new = [p - step for p, step in zip(self.params, self._steps)]
+            new = [p.copy() for p in self.params]
+            m_blocks, v_blocks = _blocks(self._views(m)), _blocks(self._views(v))
+            self._advance(t, g_blocks, m_blocks, v_blocks, _blocks(new))
             if not all(np.isfinite(a).all() for a in new):
                 raise NumericFailure("non-finite parameter after update; update rejected")
             self._m[...], self._v[...] = m, v

@@ -88,6 +88,8 @@ def class_log_probs(model: RewardModel, x: np.ndarray, y) -> tuple[np.ndarray, t
     term is a signed zero and the one at the label is never -0.0, so that
     sum has the same bits."""
     y = np.asarray(y).reshape(-1)
+    if y.dtype.kind not in "iu":
+        raise UsageError(f"class labels must be integers, got {y.dtype}")
     if y.min(initial=0) < 0 or y.max(initial=0) >= model.n_classes:
         raise UsageError("class index outside the reward model's class set")
     lp, lp_cache = log_softmax_cached(model.logits(x))

@@ -20,7 +20,7 @@ from .cues import VisualPrototypeTable
 from .data import ZslDataset
 from .errors import ConfigurationError, NumericFailure
 from .evaluate import EvalReport, full_report
-from .nets import GENERATOR_TAG, AdamState, save_checkpoint
+from .nets import ADAM_BLOCK, GENERATOR_TAG, AdamState, param_count, save_checkpoint
 from .reward import AdvantageBatch, EmaBaseline, RewardModel
 from .seeding import stream_rng
 
@@ -80,6 +80,28 @@ def _require_finite(value: float, what: str, epoch: int, batch: int) -> float:
     return value
 
 
+def training_floats(feat_dim: int, sem_dim: int, config: Config) -> int:
+    """The float64 entries that training holds in its parameter-sized
+    arrays: each network's parameters and one gradient of them, two Adam
+    moments per optimized vector (the generator has a second optimizer when
+    use_rl is on), and Adam's shared scratch pair."""
+    gen, *critics = (
+        param_count(net.layer_dims(feat_dim, sem_dim, config))
+        for net in (gan.Generator, gan.CriticX0, gan.CriticXt)
+    )
+    params = gen + sum(critics)
+    moments = 2 * (params + (gen if config.use_rl else 0))
+    return 2 * params + moments + 2 * min(ADAM_BLOCK, max(gen, *critics))
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def train(
     dataset: ZslDataset,
     reward_model: RewardModel | None,
@@ -93,7 +115,8 @@ def train(
     and is required whenever the RL phase is enabled. Prototypes are mined
     once, before the first epoch. Checkpoints are written every
     checkpoint_interval epochs and at completion; on a numeric abort the last
-    written checkpoint stays on disk.
+    written checkpoint stays on disk. A run whose `training_floats` would
+    not fit in physical memory is refused before any network is built.
     """
     dataset.validate()
 
@@ -108,6 +131,13 @@ def train(
                 f"reward model covers {reward_model.n_classes} classes / dim "
                 f"{reward_model.feat_dim}, dataset has {len(seen)} seen / dim {d}"
             )
+
+    need, have = 8 * training_floats(d, dataset.sem_dim, config), _physical_memory()
+    if have is not None and need > have:
+        raise ConfigurationError(
+            f"training would hold {need:,} bytes of parameters, gradients and Adam "
+            f"state, more than the {have:,} bytes of physical memory; lower hidden_mult"
+        )
 
     table = prototype_table
     if table is None and config.use_cues:

@@ -195,6 +195,23 @@ def test_cli_print_config(capsys):
     assert lines == sorted(lines)
 
 
+def test_cli_train_refuses_a_run_larger_than_physical_memory(tmp_path, monkeypatch, capsys):
+    data, run = str(tmp_path / "data"), tmp_path / "run"
+    assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
+    cfg = config.resolve_config(overrides={"feat_dim": 8, "sem_dim": 4, "use_rl": False})
+    need = 8 * trainer.training_floats(8, 4, cfg)
+    monkeypatch.setattr(trainer, "_physical_memory", lambda: need - 1)
+    capsys.readouterr()
+    code = cli.main(["train", "--data", data, "--out", str(run), "--no-rl"] + _FAST)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert f"{need:,} bytes" in err and f"{need - 1:,} bytes of physical memory" in err
+    assert not (run / "metrics.csv").exists()
+    monkeypatch.setattr(trainer, "_physical_memory", lambda: need)
+    assert cli.main(["train", "--data", data, "--out", str(run), "--no-rl"] + _FAST) == 0
+    assert (run / "metrics.csv").exists()
+
+
 def test_cli_full_pipeline(tmp_path, capsys):
     data = str(tmp_path / "data")
     run = str(tmp_path / "run")

@@ -242,6 +242,71 @@ def test_flat_adam_on_huge_parameters_matches_the_reference():
     _adam_against_a_per_parameter_reference(pair, rng)
 
 
+def _past_one_block(rng):
+    """A net of 2 * ADAM_BLOCK + 3 entries, stepped in two whole blocks and a
+    three-entry tail, and one under a block, both with nonzero biases."""
+    pair = [DenseNet([329, 198, 1], rng, 0.2), DenseNet([48, 128, 128, 1], rng, 0.2)]
+    assert pair[0].flat.size == 2 * nets.ADAM_BLOCK + 3
+    assert pair[1].flat.size < nets.ADAM_BLOCK
+    for net in pair:
+        net.flat += 0.1 * rng.normal(size=net.flat.size)
+    return pair
+
+
+def test_blocked_adam_matches_the_reference_past_one_block():
+    rng = np.random.default_rng(13)
+    _adam_against_a_per_parameter_reference(_past_one_block(rng), rng)
+
+
+def test_blocked_adam_on_huge_parameters_matches_the_reference_past_one_block():
+    rng = np.random.default_rng(13)
+    pair = _past_one_block(rng)
+    pair[0].biases[-1].data[0] = 1e308  # in the tail block
+    _adam_against_a_per_parameter_reference(pair, rng)
+
+
+def test_optimizers_sharing_the_scratch_leave_the_bytes_of_lone_runs(monkeypatch):
+    # The small optimizer steps first, so the shared pair grows between its
+    # first and second steps; from then on both step through the grown pair.
+    rng = np.random.default_rng(14)
+    sizes = (100, 2 * nets.ADAM_BLOCK + 3)
+    starts = [rng.normal(size=n) for n in sizes]
+    grads = [[rng.normal(size=n) for _ in range(5)] for n in sizes]
+
+    def optimizers():
+        return [AdamState([p.copy()], lr=0.01, **_BETAS) for p in starts]
+
+    def state(opt):
+        return [a.tobytes() for a in opt.params + opt.m + opt.v]
+
+    monkeypatch.setattr(nets, "_SCRATCH", [np.empty(0), np.empty(0)])
+    together = optimizers()
+    for k in range(5):
+        for opt, gs in zip(together, grads):
+            opt.step([gs[k]])
+    for opt, gs in zip(optimizers(), grads):
+        for g in gs:
+            opt.step([g])
+        assert state(opt) == state(together.pop(0))
+
+
+def test_adam_holds_two_parameter_sized_vectors():
+    n = 3 * nets.ADAM_BLOCK + 5
+    p, g = np.zeros(n), np.ones(n)
+    pair = 2 * nets.ADAM_BLOCK * 8
+    tracemalloc.start()
+    try:
+        opt = AdamState([p], lr=0.01, **_BETAS)
+        held, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        opt.step([g])
+        stepped = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert built < 2 * n * 8 + pair
+    assert stepped < pair + 16_384
+
+
 def test_adam_rejects_betas_outside_the_unit_interval():
     p = np.zeros(2)
     for beta1, beta2, eps in [(1.0, 0.999, 1e-8), (0.5, -0.1, 1e-8), (0.5, 0.999, 0.0)]:

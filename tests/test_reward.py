@@ -60,6 +60,13 @@ def test_reward_rejects_out_of_range_class():
         reward.reward(model, np.zeros(2), 3)
 
 
+def test_class_log_probs_rejects_labels_that_are_not_integers():
+    model = RewardModel(np.zeros((3, 2)), np.zeros(3))
+    for labels in ([0.5], [1.0], [True]):
+        with pytest.raises(UsageError):
+            reward.class_log_probs(model, np.zeros((1, 2)), labels)
+
+
 def test_model_parameters_are_write_protected():
     model = RewardModel(np.ones((2, 2)), np.zeros(2))
     with pytest.raises(ValueError):

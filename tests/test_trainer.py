@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rlvc import cues, diffusion, engine, gan, nets, reward, trainer
+from rlvc import config, cues, diffusion, engine, gan, nets, reward, trainer
 from rlvc.config import Config
 from rlvc.data import make_synthetic
 from rlvc.errors import ConfigurationError, NumericFailure
@@ -37,6 +37,22 @@ def _cfg(**kw):
                 synth_per_class=4, seed=0)
     base.update(kw)
     return Config(**base)
+
+
+@pytest.mark.parametrize("use_rl", [True, False])
+def test_training_floats_counts_the_arrays_of_a_synthetic_preset_run(use_rl):
+    cfg = config.resolve_config("synthetic", overrides={"use_rl": use_rl})
+    rng = np.random.default_rng(0)
+    gen, cx0, cxt = (cls(cfg.feat_dim, cfg.sem_dim, cfg, rng).net
+                     for cls in (gan.Generator, gan.CriticX0, gan.CriticXt))
+    opts = [nets.AdamState([cx0.flat, cxt.flat], lr=1.0, beta1=0.5, beta2=0.9)]
+    opts += [nets.AdamState([gen.flat], lr=1.0, beta1=0.5, beta2=0.9)] * (1 + use_rl)
+    sizes = [net.flat.size for net in (gen, cx0, cxt)]
+    moments = sum(a.size for opt in opts for a in opt.m + opt.v)
+    scratch = 2 * min(nets.ADAM_BLOCK, max(sizes))
+    assert trainer.training_floats(cfg.feat_dim, cfg.sem_dim, cfg) == (
+        2 * sum(sizes) + moments + scratch
+    )
 
 
 def test_rl_phase_gate_counts():
