@@ -136,7 +136,12 @@ def _load_dataset(cfg: cfgmod.Config, path: str) -> datamod.ZslDataset:
 
 def _load_generator(cfg: cfgmod.Config, ds: datamod.ZslDataset, path: str) -> gan.Generator:
     gen = gan.Generator(ds.feat_dim, ds.sem_dim, cfg, np.random.default_rng(0))
-    gen.net.set_params(load_checkpoint(path, GENERATOR_TAG))
+    dims, flat = load_checkpoint(path, GENERATOR_TAG)
+    if dims != gen.net.layer_dims:
+        raise ConfigurationError(
+            f"checkpoint layer dims {dims} do not match the generator's {gen.net.layer_dims}"
+        )
+    gen.net.flat[...] = flat
     return gen
 
 
@@ -176,7 +181,8 @@ def cmd_pretrain_reward(args) -> int:
     acc = reward_mod.reward_train_accuracy(model, train_x, y)
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "reward.ckpt")
-    save_checkpoint(path, REWARD_TAG, [model.weight, model.bias])
+    flat = np.concatenate([model.weight.ravel(), model.bias])
+    save_checkpoint(path, REWARD_TAG, [model.feat_dim, model.n_classes], flat)
     print(f"reward model: train accuracy {acc:.4f}, saved to {path}")
     return 0
 
@@ -189,10 +195,12 @@ def cmd_train(args) -> int:
     model = None
     if cfg.use_rl:
         reward_path = _require(args, "reward")
-        arrays = load_checkpoint(reward_path, REWARD_TAG)
-        if len(arrays) != 2:
+        dims, flat = load_checkpoint(reward_path, REWARD_TAG)
+        if len(dims) != 2:
             raise ConfigurationError(f"reward checkpoint {reward_path} is not one linear layer")
-        model = reward_mod.RewardModel(*arrays)
+        d, n_classes = dims
+        weight = flat[: n_classes * d].reshape(n_classes, d)
+        model = reward_mod.RewardModel(weight, flat[n_classes * d :])
     result = trainer.train(ds, model, cfg, out_dir=out)
     last = result.metrics[-1]
     print(

@@ -31,7 +31,9 @@ class VisualPrototypeTable:
 
     def lookup(self, labels) -> np.ndarray:
         """Stack prototypes for a label vector; unknown label is a hard error."""
-        labels = np.asarray(labels).reshape(-1).astype(np.int64)
+        labels = np.asarray(labels).reshape(-1)
+        if labels.dtype.kind not in "iu":
+            raise UsageError(f"class labels must be integers, got {labels.dtype}")
         pos = np.searchsorted(self._ids, labels)
         known = pos < len(self._ids)
         known[known] = self._ids[pos[known]] == labels[known]

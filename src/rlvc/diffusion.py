@@ -121,7 +121,7 @@ def posterior_sample(
     x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
     if x0_hat.shape != x_next.shape:
         raise UsageError("posterior_sample: state shapes differ")
-    t = _check_t(per_row(t, x0_hat.shape[0]), 0, sched.timesteps - 1, "posterior_coeffs")
+    t = _check_t(per_row(t, x0_hat.shape[0]), 0, sched.timesteps - 1, "posterior_sample")
     mean = sched.c1[t] * x0_hat + sched.c2[t] * x_next
     eps = rng.standard_normal(x0_hat.shape)
     return mean + sched.sigma[t] * eps

@@ -140,30 +140,6 @@ def synthesize_unseen(
     return np.concatenate(feats, axis=0), np.asarray(labels, dtype=np.int64)
 
 
-def train_czsl_head(
-    synth_features: np.ndarray,
-    synth_labels: np.ndarray,
-    config: Config,
-    rng: np.random.Generator,
-) -> ClassifierHead:
-    """Head over unseen classes only, trained purely on synthesized rows."""
-    return train_head(synth_features, synth_labels, np.unique(synth_labels), config, rng)
-
-
-def train_gzsl_head(
-    seen_features: np.ndarray,
-    seen_labels: np.ndarray,
-    synth_features: np.ndarray,
-    synth_labels: np.ndarray,
-    config: Config,
-    rng: np.random.Generator,
-) -> ClassifierHead:
-    """Head over all classes: real seen training rows + synthesized unseen."""
-    x = np.concatenate([seen_features, synth_features], axis=0)
-    y = np.concatenate([np.asarray(seen_labels), np.asarray(synth_labels)])
-    return train_head(x, y, np.unique(y), config, rng)
-
-
 def full_report(gen: Generator, dataset, config: Config, rng: np.random.Generator) -> EvalReport:
     """Synthesize config.synth_per_class unseen features per class along
     config's diffusion schedule, then run both protocols."""
@@ -171,12 +147,16 @@ def full_report(gen: Generator, dataset, config: Config, rng: np.random.Generato
         gen, dataset.prototypes, dataset.unseen_classes, config.synth_per_class,
         config.schedule(), rng,
     )
-    czsl = train_czsl_head(synth_x, synth_y, config, rng)
+    # CZSL: a head over the unseen classes, trained on synthesized rows only.
+    czsl = train_head(synth_x, synth_y, np.unique(synth_y), config, rng)
     tu_x, tu_y = dataset.test_unseen
     acc = macro_accuracy(czsl, tu_x, tu_y)
 
+    # GZSL: a head over all classes, on real seen rows plus the synthesized.
     tr_x, tr_y = dataset.train
-    gzsl = train_gzsl_head(tr_x, tr_y, synth_x, synth_y, config, rng)
+    x = np.concatenate([tr_x, synth_x], axis=0)
+    y = np.concatenate([np.asarray(tr_y), synth_y])
+    gzsl = train_head(x, y, np.unique(y), config, rng)
     u = macro_accuracy(gzsl, tu_x, tu_y)
     ts_x, ts_y = dataset.test_seen
     s = macro_accuracy(gzsl, ts_x, ts_y)

@@ -37,10 +37,6 @@ class Generator:
         hidden = config.hidden_mult * feat_dim
         return [feat_dim + sem_dim + feat_dim + config.temb_dim, hidden, hidden, feat_dim]
 
-    @property
-    def params(self) -> list:
-        return self.net.params
-
     def _inputs(self, eps, z, x_noisy, t) -> np.ndarray:
         eps, z, xn = _rows(eps), _rows(z), _rows(x_noisy)
         if xn.ndim != 2:

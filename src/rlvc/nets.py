@@ -1,7 +1,9 @@
 """Dense networks, Adam, linear softmax training, timestep embeddings, and
 binary checkpoints.
 
-A network's parameters are one flat float64 vector. Adam steps each vector
+A network's parameters are one flat float64 vector, and a checkpoint is a
+network's layer dims and that vector: `save_checkpoint` writes a header and
+the vector's bytes, `load_checkpoint` gives both back. Adam steps each vector
 in place, block by block through a scratch pair shared by every optimizer;
 its update is elementwise, so a block's entries get the bits a whole-vector
 update would give them. The reverse passes here (`DenseNet.pullback`,
@@ -72,7 +74,8 @@ class DenseNet:
     std sqrt(2/fan_in), zero biases.
 
     The parameters live in one float64 vector, `flat`: per layer the weight
-    row-major, then the bias, in `params` order (a checkpoint's order too).
+    row-major, then the bias, in `params` order, which is a checkpoint's
+    payload.
     `weights` and `biases` are Tensors whose data are views into `flat`, for
     the engine graphs of the tests; nothing rebinds their data, so a write to
     `flat` and a write to a view are one.
@@ -150,16 +153,6 @@ class DenseNet:
             elif wrt_input:
                 return u @ w
         return grad
-
-    def set_params(self, arrays: Sequence[np.ndarray]) -> None:
-        """Copy arrays, in `params` order, into `flat`."""
-        given = [np.shape(a) for a in arrays]
-        if given != self._shapes:
-            raise ConfigurationError(
-                f"parameter shapes {given} do not match the network's {self._shapes}"
-            )
-        for view, a in zip(self.views(self.flat), arrays):
-            view[...] = a
 
 
 def log_softmax_cached(a: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -382,36 +375,31 @@ def fit_linear_softmax(
     return w, b
 
 
-def save_checkpoint(path, tag: bytes, arrays: Sequence[np.ndarray]) -> None:
-    """Write a chain of affine layers, ordered as `DenseNet.params`: per layer
-    a (fan_out, fan_in) weight, then its (fan_out,) bias.
+def save_checkpoint(path, tag: bytes, layer_dims: Sequence[int], flat: np.ndarray) -> None:
+    """Write a network's layer dims and its parameter vector, laid out like
+    `DenseNet.flat` over those dims.
 
     Little-endian binary: magic, u32 version, 4-byte kind tag, u32 layer
-    dim count, u32 dims (the first fan_in, then each fan_out), then raw f64
-    params (per layer: weight row-major, then bias)."""
+    dim count, u32 dims (the first fan_in, then each fan_out), then the
+    vector as raw f64 (per layer: weight row-major, then bias). Nothing is
+    written unless the dims and the vector's size agree."""
     if len(tag) != 4:
         raise UsageError("kind tag must be 4 bytes")
-    shapes = [np.shape(a) for a in arrays]
-    dims = [s[-1] for s in shapes[:1] if s] + [s[0] for s in shapes[0::2] if s]
-    chain = [s for fan_in, fan_out in zip(dims, dims[1:]) for s in ((fan_out, fan_in), (fan_out,))]
-    if not shapes or shapes != chain:
-        raise UsageError(f"checkpoint arrays {shapes} are not a weight/bias chain")
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<I", CHECKPOINT_VERSION)
-    blob += tag
-    blob += struct.pack("<I", len(dims))
-    blob += struct.pack(f"<{len(dims)}I", *dims)
-    for a in arrays:
-        blob += np.ascontiguousarray(a, dtype="<f8").tobytes()
+    dims = [int(d) for d in layer_dims]
+    flat = np.asarray(flat, dtype="<f8")
+    if len(dims) < 2 or min(dims) < 1 or flat.shape != (param_count(dims),):
+        raise UsageError(f"checkpoint vector of shape {flat.shape} does not fit layer dims {dims}")
+    header = struct.pack(f"<4sI4sI{len(dims)}I", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, tag,
+                         len(dims), *dims)
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(header)
+        fh.write(flat.tobytes())
 
 
-def load_checkpoint(path, expected_tag: bytes | None = None) -> list[np.ndarray]:
-    """Read a file written by `save_checkpoint` and return its arrays in the
-    same order: weight, bias, weight, bias, ... as read-only float64 arrays.
-    A given `expected_tag` must match the file's kind tag."""
+def load_checkpoint(path, expected_tag: bytes | None = None) -> tuple[list[int], np.ndarray]:
+    """Read a file written by `save_checkpoint`: its layer dims and its
+    read-only float64 parameter vector. A given `expected_tag` must match the
+    file's kind tag."""
     with open(path, "rb") as fh:
         blob = fh.read()
     off = 0
@@ -438,11 +426,9 @@ def load_checkpoint(path, expected_tag: bytes | None = None) -> list[np.ndarray]
     if ndims < 2 or ndims > 64:
         raise ConfigurationError("implausible layer count")
     dims = list(struct.unpack(f"<{ndims}I", take(4 * ndims)))
-    arrays = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = np.frombuffer(take(8 * fan_out * fan_in), dtype="<f8").reshape(fan_out, fan_in)
-        b = np.frombuffer(take(8 * fan_out), dtype="<f8")
-        arrays.extend((w, b))
-    if off != len(blob):
+    count = param_count(dims)
+    if len(blob) - off < 8 * count:
+        raise ConfigurationError(f"truncated checkpoint {path}")
+    if len(blob) - off > 8 * count:
         raise ConfigurationError(f"trailing bytes in checkpoint {path}")
-    return arrays
+    return dims, np.frombuffer(blob, dtype="<f8", count=count, offset=off)

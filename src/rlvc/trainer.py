@@ -70,8 +70,8 @@ class TrainResult:
 
 
 def _save_generator(out_dir: str, generator: gan.Generator) -> None:
-    arrays = [p.data for p in generator.params]
-    save_checkpoint(os.path.join(out_dir, "generator.ckpt"), GENERATOR_TAG, arrays)
+    path = os.path.join(out_dir, "generator.ckpt")
+    save_checkpoint(path, GENERATOR_TAG, generator.net.layer_dims, generator.net.flat)
 
 
 def _require_finite(value: float, what: str, epoch: int, batch: int) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rlvc.data import ZslDataset
+from rlvc.errors import ConfigurationError
 
 
 def tiny_dataset() -> ZslDataset:
@@ -75,3 +76,14 @@ def max_fd_error(fn, params, step: float = 1e-5, floor: float = 1e-6) -> float:
             a = float(gflat[i])
             worst = max(worst, abs(fd - a) / max(abs(fd), abs(a), floor))
     return worst
+
+
+def set_params(net, arrays) -> None:
+    """Copy per-layer arrays, in `net.params` order (per layer the weight,
+    then the bias), into `net.flat`."""
+    given = [np.shape(a) for a in arrays]
+    expected = [p.shape for p in net.params]
+    if given != expected:
+        raise ConfigurationError(f"parameter shapes {given} do not match the network's {expected}")
+    for p, a in zip(net.params, arrays):
+        p.data[...] = a

@@ -9,7 +9,7 @@ from rlvc import cli, config, trainer
 from rlvc.data import export_features, load_dataset, make_synthetic, standardize
 from rlvc.errors import ConfigurationError
 from rlvc.evaluate import harmonic_mean, synthesize_unseen
-from rlvc.nets import REWARD_TAG, save_checkpoint
+from rlvc.nets import REWARD_TAG, param_count, save_checkpoint
 from rlvc.reward import pretrain_reward
 from rlvc.seeding import stream_rng
 
@@ -337,10 +337,8 @@ def test_cli_train_refuses_a_multi_layer_reward_checkpoint(tmp_path, capsys):
     d, n_seen = 8, 4
     rng = np.random.default_rng(0)
     run.mkdir()
-    save_checkpoint(run / "reward.ckpt", REWARD_TAG, [
-        rng.normal(size=(n_seen, d)), np.zeros(n_seen),
-        rng.normal(size=(n_seen, n_seen)), np.zeros(n_seen),
-    ])
+    dims = [d, n_seen, n_seen]
+    save_checkpoint(run / "reward.ckpt", REWARD_TAG, dims, rng.normal(size=param_count(dims)))
     code = cli.main(["train", "--data", data, "--out", str(run),
                      "--reward", str(run / "reward.ckpt")] + _FAST)
     assert code == 2

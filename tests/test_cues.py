@@ -73,6 +73,10 @@ def test_lookup_stacks_and_rejects_unknown():
     np.testing.assert_array_equal(rows, [[0.0, 2.0], [1.0, 0.0], [0.0, 2.0]])
     with pytest.raises(UsageError):
         table.lookup([1])
+    # a float or bool label is refused, not truncated to a class id
+    for labels in ([0.5], [1.0], [True]):
+        with pytest.raises(UsageError, match="class labels must be integers"):
+            table.lookup(labels)
 
 
 def test_lookup_rows_are_byte_equal_to_stacked_prototypes():

@@ -102,6 +102,8 @@ def test_forward_noise_rejects_bad_t():
         diffusion.posterior_sample(np.zeros((1, 2)), np.zeros((1, 2)), np.array([], dtype=np.int64), s, rng)
     with pytest.raises(UsageError, match="timesteps must be integers, got bool"):
         diffusion.posterior_sample(np.zeros((1, 2)), np.zeros((1, 2)), np.array([True]), s, rng)
+    with pytest.raises(UsageError, match=r"posterior_sample: timestep out of range \[0, 3\]"):
+        diffusion.posterior_sample(np.zeros((1, 2)), np.zeros((1, 2)), 4, s, rng)
 
 
 def test_forward_transition_matches_marginal_distribution():

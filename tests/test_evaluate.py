@@ -16,8 +16,6 @@ from rlvc.evaluate import (
     macro_accuracy,
     macro_accuracy_from_predictions,
     synthesize_unseen,
-    train_czsl_head,
-    train_gzsl_head,
     train_head,
 )
 from rlvc.gan import Generator
@@ -186,19 +184,27 @@ def test_synthesize_unseen_rejects_empty_budget():
                           np.random.default_rng(0))
 
 
-def test_czsl_head_covers_only_unseen():
-    x, y = make_separable(n_per_class=10, d=4, n_classes=2, seed=5)
-    head = train_czsl_head(x, y + 6, Config(clf_epochs=5),
-                           np.random.default_rng(0))
-    np.testing.assert_array_equal(head.class_ids, [6, 7])
+def _head_classes(tiny_ds, monkeypatch) -> list[list[int]]:
+    """The class ids of each head that full_report trains, in order."""
+    seen = []
+
+    def recording_train_head(features, labels, class_ids, config, rng):
+        seen.append(np.asarray(class_ids).tolist())
+        return train_head(features, labels, class_ids, config, rng)
+
+    monkeypatch.setattr(evaluate, "train_head", recording_train_head)
+    cfg = Config(diffusion_steps=3, beta_min=0.1, beta_max=0.4,
+                 synth_per_class=6, clf_epochs=5)
+    evaluate.full_report(_tiny_gen(d=3, d_z=2), tiny_ds, cfg, np.random.default_rng(0))
+    return seen
 
 
-def test_gzsl_head_covers_union():
-    xs, ys = make_separable(n_per_class=8, d=4, n_classes=2, seed=6)
-    xu, yu = make_separable(n_per_class=8, d=4, n_classes=2, seed=7)
-    head = train_gzsl_head(xs, ys, xu, yu + 2, Config(clf_epochs=5),
-                           np.random.default_rng(0))
-    np.testing.assert_array_equal(head.class_ids, [0, 1, 2, 3])
+def test_czsl_head_covers_only_unseen(tiny_ds, monkeypatch):
+    assert _head_classes(tiny_ds, monkeypatch)[0] == [2]
+
+
+def test_gzsl_head_covers_union(tiny_ds, monkeypatch):
+    assert _head_classes(tiny_ds, monkeypatch)[1] == [0, 1, 2]
 
 
 def test_full_report_smoke(tiny_ds):

@@ -13,11 +13,11 @@ from rlvc.gan import CriticX0, CriticXt, Generator
 from rlvc.nets import DenseNet
 
 import oracle
-from conftest import max_fd_error
+from conftest import max_fd_error, set_params
 
 
 def _zero_net(net) -> None:
-    net.set_params([np.zeros_like(p.data) for p in net.params])
+    set_params(net, [np.zeros_like(p.data) for p in net.params])
 
 
 def _constant_critic_x0(c: float, d=3, dz=2) -> CriticX0:
@@ -25,7 +25,7 @@ def _constant_critic_x0(c: float, d=3, dz=2) -> CriticX0:
     _zero_net(critic.net)
     arrays = [p.data.copy() for p in critic.net.params]
     arrays[-1][:] = c  # output bias
-    critic.net.set_params(arrays)
+    set_params(critic.net, arrays)
     return critic
 
 
@@ -46,8 +46,8 @@ def _unit_linear_critic_x0(w: np.ndarray, dz=2) -> CriticX0:
     W2[1, 0], W2[1, 1] = -1 / 1.2, 1 / 1.2
     W3 = np.zeros((1, dims[2]))
     W3[0, 0], W3[0, 1] = 1 / 1.2, -1 / 1.2
-    critic.net.set_params(
-        [W1, np.zeros(dims[1]), W2, np.zeros(dims[2]), W3, np.zeros(1)]
+    set_params(
+        critic.net, [W1, np.zeros(dims[1]), W2, np.zeros(dims[2]), W3, np.zeros(1)]
     )
     return critic
 
@@ -247,7 +247,7 @@ def test_generator_adv_loss_constant_critics():
     _zero_net(cxt.net)
     arrays = [p.data.copy() for p in cxt.net.params]
     arrays[-1][:] = -0.75
-    cxt.net.set_params(arrays)
+    set_params(cxt.net, arrays)
 
     loss, *_ = gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
     assert abs(loss.item() - (-1.25 + 0.75)) < 1e-12

@@ -22,6 +22,7 @@ from rlvc.engine import Tensor
 from rlvc.nets import DenseNet
 
 import oracle
+from conftest import set_params
 
 D, DZ, T = 6, 3, 4
 SHAPE = Config(hidden_mult=4, temb_dim=4, leaky_slope=0.2)
@@ -53,7 +54,7 @@ def _nets(seed: int):
     cx0 = gan.CriticX0(D, DZ, SHAPE, rng)
     cxt = gan.CriticXt(D, DZ, SHAPE, rng)
     for net in (gen.net, cx0.net, cxt.net):  # He init leaves zero biases
-        net.set_params([p.data + 0.1 * rng.normal(size=p.shape) for p in net.params])
+        set_params(net, [p.data + 0.1 * rng.normal(size=p.shape) for p in net.params])
     return gen, cx0, cxt
 
 
@@ -77,7 +78,7 @@ def _table(seed: int):
 def test_dense_pullback_matches_the_engine(seed, rows):
     rng = np.random.default_rng(seed)
     net = DenseNet([5, 7, 7, 3], rng, 0.2)
-    net.set_params([p.data + 0.1 * rng.normal(size=p.shape) for p in net.params])
+    set_params(net, [p.data + 0.1 * rng.normal(size=p.shape) for p in net.params])
     x = rng.normal(size=(rows, 5))
     u = rng.normal(size=(rows, 3))
     assert _both_branches(net, x)
@@ -135,7 +136,7 @@ def test_generator_step_matches_the_engine(variant, t):
         for g in contributions:
             g_x0 = g_x0 + g
         total = adv + lambda_pd * cue
-    assert _same(gen.net.pullback(cache, g_x0), oracle.flat_grad(total, gen.params))
+    assert _same(gen.net.pullback(cache, g_x0), oracle.flat_grad(total, gen.net.params))
 
 
 @pytest.mark.parametrize("variant", cues.CUE_VARIANTS)
@@ -181,7 +182,7 @@ def test_rl_step_matches_the_engine(centred, t):
     loss, g_x0 = reward.rl_loss(batch, log_probs, lp_cache)
     oracle_loss = oracle.rl_loss(batch.advantages, oracle_lp)
     assert _same(loss, oracle_loss.data)
-    assert _same(gen.net.pullback(cache, g_x0), oracle.flat_grad(oracle_loss, gen.params))
+    assert _same(gen.net.pullback(cache, g_x0), oracle.flat_grad(oracle_loss, gen.net.params))
 
 
 def test_rl_pass_matches_the_engine_at_zero_advantages_and_saturated_logits():

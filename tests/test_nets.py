@@ -24,7 +24,7 @@ from rlvc.nets import (
 )
 
 import oracle
-from conftest import max_fd_error
+from conftest import max_fd_error, set_params
 
 _BETAS = dict(beta1=Config().adam_beta1, beta2=Config().adam_beta2)
 
@@ -39,27 +39,28 @@ def test_init_statistics_match_he():
 
 def test_forward_identity_layer():
     net = DenseNet([2, 2], np.random.default_rng(0), 0.2)
-    net.set_params([np.eye(2), np.zeros(2)])
+    set_params(net, [np.eye(2), np.zeros(2)])
     out, _ = net.forward(np.array([[1.0, 2.0]]))
     np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
 
 def test_forward_zero_net_outputs_zero():
     net = DenseNet([3, 4, 2], np.random.default_rng(0), 0.2)
-    net.set_params([np.zeros_like(p.data) for p in net.params])
+    set_params(net, [np.zeros_like(p.data) for p in net.params])
     out, _ = net.forward(np.random.default_rng(1).normal(size=(5, 3)))
     np.testing.assert_array_equal(out, np.zeros((5, 2)))
 
 
 def test_forward_two_layer_hand_oracle():
     net = DenseNet([2, 2, 1], np.random.default_rng(0), 0.2)
-    net.set_params(
+    set_params(
+        net,
         [
             np.array([[1.0, -1.0], [0.5, 2.0]]),
             np.array([0.1, -0.2]),
             np.array([[1.5, -0.5]]),
             np.array([0.25]),
-        ]
+        ],
     )
     # hidden pre-act: [-0.9, 4.3]; leaky(0.2): [-0.18, 4.3]
     # output: 1.5*(-0.18) - 0.5*4.3 + 0.25 = -2.17
@@ -113,7 +114,7 @@ def _central_input_grad(net, x, step=1e-6):
 def test_input_grad_matches_central_differences(seed):
     rng = np.random.default_rng(seed)
     net = DenseNet([5, 7, 6, 2], rng, 0.3)
-    net.set_params([p.data + 0.1 * rng.normal(size=p.shape) for p in net.params])
+    set_params(net, [p.data + 0.1 * rng.normal(size=p.shape) for p in net.params])
     x = rng.normal(size=(4, 5))
     pres = _pre_activations(net, x)
     # both mask branches are active, and every stencil stays off the kinks
@@ -139,9 +140,9 @@ def test_input_grad_is_a_graph_node_of_the_weights():
 def test_set_params_validates():
     net = DenseNet([2, 2], np.random.default_rng(0), 0.2)
     with pytest.raises(ConfigurationError):
-        net.set_params([np.eye(2)])
+        set_params(net, [np.eye(2)])
     with pytest.raises(ConfigurationError):
-        net.set_params([np.eye(3), np.zeros(2)])
+        set_params(net, [np.eye(3), np.zeros(2)])
 
 
 def test_adam_first_step_unit_gradient():
@@ -335,7 +336,7 @@ def _overflow_fixture(edge, lr):
     float."""
     rng = np.random.default_rng(10)
     net = DenseNet([3, 2], rng, 0.2)
-    net.set_params([net.weights[0].data, np.array([0.5, edge])])
+    set_params(net, [net.weights[0].data, np.array([0.5, edge])])
     opt = AdamState([net.flat], lr=lr, **_BETAS)
     opt.step([np.zeros(8)])  # zero gradients: a zero step
     grad = np.concatenate([rng.normal(size=6), [0.0, 1.0]])
@@ -399,7 +400,7 @@ def test_parameters_stay_views_of_the_flat_vector():
     rng = np.random.default_rng(12)
     net = DenseNet([4, 6, 3], rng, 0.2)
     assert _params_view_flat(net)
-    net.set_params([rng.normal(size=p.shape) for p in net.params])
+    set_params(net, [rng.normal(size=p.shape) for p in net.params])
     assert _params_view_flat(net)
     before = net.flat.copy()
     AdamState([net.flat], lr=0.01, **_BETAS).step([rng.normal(size=net.flat.size)])
@@ -422,12 +423,12 @@ def test_loaded_generator_views_its_flat_vector(tmp_path):
     trained = Generator(3, 2, cfg, np.random.default_rng(13))
     trained.net.flat += np.random.default_rng(14).normal(size=trained.net.flat.size)
     path = tmp_path / "generator.ckpt"
-    save_checkpoint(path, b"GNET", [p.data for p in trained.params])
+    save_checkpoint(path, b"GNET", trained.net.layer_dims, trained.net.flat)
     loaded = cli._load_generator(cfg, types.SimpleNamespace(feat_dim=3, sem_dim=2), str(path))
     assert _params_view_flat(loaded.net)
     assert loaded.net.flat.tobytes() == trained.net.flat.tobytes()
     again = tmp_path / "again.ckpt"
-    save_checkpoint(again, b"GNET", [p.data for p in loaded.params])
+    save_checkpoint(again, b"GNET", loaded.net.layer_dims, loaded.net.flat)
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -471,41 +472,50 @@ def test_timestep_embedding_odd_width_zero_padded():
 def test_checkpoint_round_trip_bitwise(tmp_path):
     net = DenseNet([3, 7, 2], np.random.default_rng(11), 0.2)
     path = tmp_path / "net.ckpt"
-    save_checkpoint(path, b"GNET", [p.data for p in net.params])
-    loaded = load_checkpoint(path, b"GNET")
-    assert [a.shape for a in loaded] == [p.shape for p in net.params]
-    for a, b in zip(net.params, loaded):
-        assert a.data.tobytes() == b.tobytes()
-    # re-saving the loaded arrays reproduces the file exactly
+    save_checkpoint(path, b"GNET", net.layer_dims, net.flat)
+    dims, flat = load_checkpoint(path, b"GNET")
+    assert dims == [3, 7, 2]
+    assert flat.dtype == np.float64 and flat.tobytes() == net.flat.tobytes()
+    # re-saving the loaded vector reproduces the file exactly
     path2 = tmp_path / "net2.ckpt"
-    save_checkpoint(path2, b"GNET", loaded)
+    save_checkpoint(path2, b"GNET", dims, flat)
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_checkpoint_rejects_bad_tag_on_save(tmp_path):
     net = DenseNet([2, 2], np.random.default_rng(0), 0.2)
     with pytest.raises(UsageError):
-        save_checkpoint(tmp_path / "x.ckpt", b"TOOLONG", [p.data for p in net.params])
-    w, b = np.zeros((3, 2)), np.zeros(3)
-    not_chains = [
-        [],
-        [w],  # weight without its bias
-        [b, w],  # bias first
-        [w, np.zeros(2)],  # bias length != fan_out
-        [w, b, np.zeros((4, 2)), np.zeros(4)],  # fan_in != previous fan_out
-        [np.zeros((3, 2, 1)), b],  # weight not a matrix
+        save_checkpoint(tmp_path / "x.ckpt", b"TOOLONG", net.layer_dims, net.flat)
+    mismatched = [
+        ([2, 3], np.zeros(8)),  # param_count([2, 3]) is 9
+        ([2, 3], np.zeros((3, 3))),  # 9 entries, but not a vector
+        ([2, 0, 3], np.zeros(3)),  # a layer of width 0
+        ([2], np.zeros(0)),  # a single dim: no layer
     ]
-    for arrays in not_chains:
-        with pytest.raises(UsageError, match="weight/bias chain"):
-            save_checkpoint(tmp_path / "x.ckpt", b"GNET", arrays)
+    for dims, flat in mismatched:
+        with pytest.raises(UsageError, match="checkpoint"):
+            save_checkpoint(tmp_path / "x.ckpt", b"GNET", dims, flat)
     assert not (tmp_path / "x.ckpt").exists()
 
 
-def _valid_blob(tmp_path) -> bytes:
-    net = DenseNet([2, 3], np.random.default_rng(5), 0.2)
-    path = tmp_path / "good.ckpt"
-    save_checkpoint(path, b"GNET", [p.data for p in net.params])
-    return path.read_bytes()
+_BLOB_DIMS = [2, 3]
+_BLOB_FLAT = np.arange(nets.param_count(_BLOB_DIMS), dtype=np.float64) / 4.0 - 1.0
+
+
+def _valid_blob() -> bytes:
+    """A v1 generator checkpoint over _BLOB_DIMS, packed by hand."""
+    header = struct.pack("<4sI4sI2I", b"RLVC", 1, b"GNET", len(_BLOB_DIMS), *_BLOB_DIMS)
+    return header + struct.pack(f"<{_BLOB_FLAT.size}d", *_BLOB_FLAT)
+
+
+def test_checkpoint_reads_and_writes_the_packed_format(tmp_path):
+    path = tmp_path / "packed.ckpt"
+    path.write_bytes(_valid_blob())
+    dims, flat = load_checkpoint(path, b"GNET")
+    assert dims == _BLOB_DIMS and flat.tobytes() == _BLOB_FLAT.tobytes()
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(again, b"GNET", _BLOB_DIMS, _BLOB_FLAT)
+    assert again.read_bytes() == _valid_blob()
 
 
 @pytest.mark.parametrize(
@@ -518,10 +528,11 @@ def _valid_blob(tmp_path) -> bytes:
         lambda b: b[:-8],  # truncated params
         lambda b: b + b"\x00" * 8,  # trailing bytes
         lambda b: b[:10],  # truncated header
+        lambda b: b[:12] + struct.pack("<I", 1) + b[16:],  # one dim: no layer
     ],
 )
 def test_checkpoint_rejects_corruption(tmp_path, mutate):
-    blob = _valid_blob(tmp_path)
+    blob = _valid_blob()
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(mutate(blob))
     with pytest.raises(ConfigurationError):
@@ -531,7 +542,7 @@ def test_checkpoint_rejects_corruption(tmp_path, mutate):
 def test_checkpoint_tag_check_optional(tmp_path):
     net = DenseNet([2, 2], np.random.default_rng(0), 0.2)
     path = tmp_path / "r.ckpt"
-    save_checkpoint(path, b"RWDM", [p.data for p in net.params])
+    save_checkpoint(path, b"RWDM", net.layer_dims, net.flat)
     load_checkpoint(path)  # no expected tag: accepted
     with pytest.raises(ConfigurationError):
         load_checkpoint(path, b"GNET")

@@ -99,7 +99,7 @@ def test_pre_activation_epochs_leave_no_rl_trace():
     rm = _reward_for(ds)
     a = train(ds, rm, _cfg(epochs=2, rl_start_epoch=2))
     b = train(ds, None, _cfg(epochs=2, rl_start_epoch=2, use_rl=False))
-    for pa, pb in zip(a.generator.params, b.generator.params):
+    for pa, pb in zip(a.generator.net.params, b.generator.net.params):
         assert pa.data.tobytes() == pb.data.tobytes()
 
 
@@ -110,7 +110,7 @@ def test_rl_step_changes_generator():
     b = train(ds, None, _cfg(epochs=3, rl_start_epoch=2, use_rl=False))
     same = all(
         pa.data.tobytes() == pb.data.tobytes()
-        for pa, pb in zip(a.generator.params, b.generator.params)
+        for pa, pb in zip(a.generator.net.params, b.generator.net.params)
     )
     assert not same
 
@@ -172,20 +172,19 @@ def test_checkpoint_round_trip(tmp_path):
     result = train(ds, None, _cfg(epochs=2, use_rl=False,
                                   checkpoint_interval=1),
                    out_dir=tmp_path / "run")
-    arrays = nets.load_checkpoint(tmp_path / "run" / "generator.ckpt",
-                                  expected_tag=b"GNET")
-    assert len(arrays) == len(result.generator.net.params)
-    for loaded, live in zip(arrays, result.generator.net.params):
-        assert loaded.tobytes() == live.data.tobytes()
+    dims, flat = nets.load_checkpoint(tmp_path / "run" / "generator.ckpt",
+                                      expected_tag=b"GNET")
+    assert dims == result.generator.net.layer_dims
+    assert flat.tobytes() == result.generator.net.flat.tobytes()
 
 
 def test_checkpoint_written_once_at_the_last_epoch(tmp_path, monkeypatch):
     saved = []
     save = trainer.save_checkpoint
 
-    def counting_save(path, tag, arrays):
+    def counting_save(path, tag, dims, flat):
         saved.append(path)
-        save(path, tag, arrays)
+        save(path, tag, dims, flat)
 
     monkeypatch.setattr(trainer, "save_checkpoint", counting_save)
     train(_small_ds(), None, _cfg(epochs=2, use_rl=False, checkpoint_interval=1),
@@ -278,7 +277,7 @@ def _oracle_minibatch(ds, rm, cfg):
     eps_post = train_rng.standard_normal(x0.shape)
     adv, x0_tilde = oracle.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_post)
     cue = oracle.cue_loss(x0_tilde, y, table, cfg.cue_loss)
-    opt_gen.step([oracle.flat_grad(adv + cfg.lambda_pd * cue, gen.params)])
+    opt_gen.step([oracle.flat_grad(adv + cfg.lambda_pd * cue, gen.net.params)])
 
     t, x_t, x_next = draw(rl_rng)
     eps_g = rl_rng.standard_normal(x0.shape)
@@ -287,7 +286,7 @@ def _oracle_minibatch(ds, rm, cfg):
     r = log_probs.data.copy()
     baseline.update(r)
     loss = oracle.rl_loss(reward.advantage(r, baseline).advantages, log_probs)
-    opt_rl.step([oracle.flat_grad(loss, gen.params)])
+    opt_rl.step([oracle.flat_grad(loss, gen.net.params)])
 
 
 @pytest.mark.parametrize("cue_loss", ["pd", "kl", "l1"])
@@ -353,7 +352,7 @@ def test_config_validation():
 def test_networks_are_disjoint():
     ds = _small_ds()
     result = train(ds, None, _cfg(epochs=1, use_rl=False))
-    gen_ids = {id(p) for p in result.generator.params}
+    gen_ids = {id(p) for p in result.generator.net.params}
     critic_ids = {id(p) for p in result.critic_x0.net.params + result.critic_xt.net.params}
     assert gen_ids.isdisjoint(critic_ids)
 

@@ -12,7 +12,10 @@ this runs with RLVC_THREADS=1 in a fresh temporary directory:
   --preset synthetic;
 - a `--no-rl --cue-loss kl` train and a
   `--cue-loss l1 --raw-reward --rl-start-epoch 1` train;
-- `eval --synth-per-class 400` on the first train's checkpoint.
+- `eval --synth-per-class 400` on the first train's checkpoint;
+- a `--no-rl` train at a non-default network shape (`--hidden-mult 2
+  --temb-dim 8 --leaky-slope 0.1`) and an `eval` of its checkpoint with the
+  same flags, so one checkpoint's layer dims are not the preset's.
 
 Every command uses relative paths, so its stdout does not name the
 directory. The script prints the sha256 of each file the commands wrote and
@@ -31,6 +34,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SYNTHETIC = ["--preset", "synthetic"]
+SHAPE = ["--hidden-mult", "2", "--temb-dim", "8", "--leaky-slope", "0.1"]
 
 # (name, arguments after the seed); names label the stdout hashes.
 STEPS = (
@@ -47,6 +51,8 @@ STEPS = (
                       "--out", "l1-raw"]),
     ("eval-400", ["eval", "--data", "data", "--generator", "full/generator.ckpt",
                   "--synth-per-class", "400"]),
+    ("train-shape", ["train", "--data", "data", "--no-rl", *SHAPE, "--out", "shape"]),
+    ("eval-shape", ["eval", "--data", "data", "--generator", "shape/generator.ckpt", *SHAPE]),
 )
 
 
