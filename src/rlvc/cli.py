@@ -148,11 +148,7 @@ def _load_generator(cfg: cfgmod.Config, ds: datamod.ZslDataset, path: str) -> ga
 def cmd_gen_synthetic(args) -> int:
     cfg = _resolve(args)
     out = _require(args, "out")
-    existing = [
-        n
-        for n in ("features.csv", "labels.csv", "prototypes.csv", "classes.csv")
-        if os.path.isfile(os.path.join(out, n))
-    ]
+    existing = [n for n in datamod.DATASET_FILES if os.path.isfile(os.path.join(out, n))]
     if existing and not args.force:
         raise ConfigurationError(
             f"{out} already holds a dataset ({existing[0]}); pass --force to overwrite"

@@ -49,7 +49,7 @@ class Config:
     """Every setting of a run. Construction runs every range check, so a
     Config that exists is valid; derive variants with dataclasses.replace."""
 
-    seed: int = _key(0, "root seed; every random stream derives from it")
+    seed: int = _key(0, "root seed; every random stream derives from it", _at_least(0))
     epochs: int = _key(20, "training epochs", _at_least(1))
     rl_start_epoch: int = _key(
         5, "first epoch (0-indexed) with policy-gradient updates", _at_least(0)
@@ -67,8 +67,8 @@ class Config:
     beta_min: float = _key(0.1, "first diffusion beta")
     beta_max: float = _key(0.4, "last diffusion beta")
     synth_per_class: int = _key(100, "synthesized features per unseen class", _at_least(1))
-    eval_interval: int = _key(0, "epochs between evaluations (0 = never)")
-    checkpoint_interval: int = _key(0, "epochs between checkpoints (0 = end only)")
+    eval_interval: int = _key(0, "epochs between evaluations (0 = never)", _at_least(0))
+    checkpoint_interval: int = _key(0, "epochs between checkpoints (0 = end only)", _at_least(0))
     use_rl: bool = _key(True, "enable the policy-gradient phase")
     use_cues: bool = _key(True, "enable the prototype-distillation term")
     raw_reward: bool = _key(False, "weight log-likelihoods by raw rewards (no baseline)")
@@ -77,17 +77,17 @@ class Config:
         "distillation variant: pd, kl, or l1",
         ((lambda v: v in CUE_VARIANTS), f"one of {CUE_VARIANTS}"),
     )
-    hidden_mult: int = _key(4, "hidden width as a multiple of the feature dim")
-    temb_dim: int = _key(16, "timestep embedding width")
+    hidden_mult: int = _key(4, "hidden width as a multiple of the feature dim", _at_least(1))
+    temb_dim: int = _key(16, "timestep embedding width", _at_least(0))
     leaky_slope: float = _key(0.2, "leaky-relu negative slope")
     adam_beta1: float = _key(0.5, "Adam beta1 (all optimizers)", _unit_interval())
     adam_beta2: float = _key(0.999, "Adam beta2 (all optimizers)", _unit_interval())
-    reward_epochs: int = _key(50, "reward-model pretraining epochs")
-    reward_lr: float = _key(0.01, "reward-model Adam rate")
-    reward_batch: int = _key(128, "reward-model minibatch size")
-    clf_epochs: int = _key(50, "evaluation-head training epochs")
-    clf_lr: float = _key(0.001, "evaluation-head Adam rate")
-    clf_batch: int = _key(128, "evaluation-head minibatch size")
+    reward_epochs: int = _key(50, "reward-model pretraining epochs", _at_least(1))
+    reward_lr: float = _key(0.01, "reward-model Adam rate", _above(0))
+    reward_batch: int = _key(128, "reward-model minibatch size", _at_least(1))
+    clf_epochs: int = _key(50, "evaluation-head training epochs", _at_least(1))
+    clf_lr: float = _key(0.001, "evaluation-head Adam rate", _above(0))
+    clf_batch: int = _key(128, "evaluation-head minibatch size", _at_least(1))
     standardize: bool = _key(False, "standardize features with train-split statistics")
     n_seen: int = _key(20, "synthetic benchmark: seen classes", _at_least(1))
     n_unseen: int = _key(5, "synthetic benchmark: unseen classes", _at_least(1))
@@ -115,6 +115,7 @@ class Config:
             _check(f, getattr(self, f.name))
         if not 1 <= self.n_test < self.samples_per_class:
             raise ConfigurationError("test_fraction leaves an empty split")
+        self.schedule()  # build_schedule's own rule checks diffusion_steps and the betas
 
     @property
     def n_test(self) -> int:

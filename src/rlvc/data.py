@@ -1,7 +1,7 @@
 """Dataset container, the four-file on-disk format, and the synthetic benchmark.
 
-On disk a dataset is a directory of four comma-separated text files, LF line
-endings, no header rows in the matrix files:
+On disk a dataset is a directory of four comma-separated text files
+(`DATASET_FILES`), LF line endings, no header rows:
 
   features.csv    N rows x d feature reals
   labels.csv      N rows: class id, split tag (train | test_seen | test_unseen)
@@ -9,10 +9,15 @@ endings, no header rows in the matrix files:
   classes.csv     C rows: class id, role (seen | unseen)
 
 Reals are written in repr form (shortest round-trip), so reload is exact.
+Every file, and the features file `export_features` writes, is read by one
+row reader and written by one row writer; a malformed line is reported as
+"<file> row <i>", i the 0-based line number.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +26,7 @@ from .config import Config
 from .errors import ConfigurationError
 from .seeding import stream_rng
 
+DATASET_FILES = ("features.csv", "labels.csv", "prototypes.csv", "classes.csv")
 SPLIT_TAGS = ("train", "test_seen", "test_unseen")
 ROLES = ("seen", "unseen")
 
@@ -99,15 +105,15 @@ class ZslDataset:
             raise ConfigurationError(
                 f"labels row {row}: class id {self.labels[row]} outside 0..{c - 1}"
             )
-        seen = set(self.seen_classes.tolist())
-        for i, (y, s) in enumerate(zip(self.labels, self.splits)):
-            is_seen = int(y) in seen
-            if s == "train" and not is_seen:
-                raise ConfigurationError(f"labels row {i}: train sample of unseen class {y}")
-            if s == "test_seen" and not is_seen:
-                raise ConfigurationError(f"labels row {i}: test_seen sample of unseen class {y}")
-            if s == "test_unseen" and is_seen:
-                raise ConfigurationError(f"labels row {i}: test_unseen sample of seen class {y}")
+        # a train or test_seen row must be of a seen class, a test_unseen row not
+        is_seen = np.isin(self.labels, self.seen_classes)
+        bad = np.flatnonzero((self.splits == "test_unseen") == is_seen)
+        if bad.size:
+            i = int(bad[0])
+            kind = "seen" if is_seen[i] else "unseen"
+            raise ConfigurationError(
+                f"labels row {i}: {self.splits[i]} sample of {kind} class {self.labels[i]}"
+            )
         train_labels = set(self.train[1].tolist())
         for c_id in self.seen_classes:
             if int(c_id) not in train_labels:
@@ -118,22 +124,29 @@ class ZslDataset:
                 raise ConfigurationError(f"unseen class {int(c_id)} has no test samples")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_matrix(path, matrix: np.ndarray) -> None:
+def _write_rows(path, rows) -> None:
+    """Write each row's text cells joined by commas, one LF-ended line each."""
     with open(path, "w", newline="\n") as fh:
-        for row in matrix:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(cells) + "\n" for cells in rows)
 
 
-def _read_matrix(path, what: str) -> np.ndarray:
-    rows, width = [], None
+def _real_rows(matrix: np.ndarray):
+    """The rows of a real matrix as repr cells."""
+    return (map(repr, row) for row in matrix.tolist())
+
+
+def _read_rows(path, what: str, parse, width: int | None = None,
+               comment: str | None = None) -> list:
+    """`parse(cells)` for each nonblank line of `path` split on commas, in
+    order. Every line must have `width` cells, or as many as the first line
+    when `width` is None; lines starting with `comment` are skipped. A wrong
+    cell count or a ValueError from `parse` raises ConfigurationError
+    "{what} row {i}: ...", i the 0-based line number."""
+    rows = []
     with open(path, "r") as fh:
         for i, line in enumerate(fh):
             line = line.strip()
-            if not line:
+            if not line or (comment is not None and line.startswith(comment)):
                 continue
             cells = line.split(",")
             if width is None:
@@ -141,85 +154,78 @@ def _read_matrix(path, what: str) -> np.ndarray:
             elif len(cells) != width:
                 raise ConfigurationError(f"{what} row {i}: expected {width} cells, got {len(cells)}")
             try:
-                rows.append([float(c) for c in cells])
+                rows.append(parse(cells))
             except ValueError as e:
                 raise ConfigurationError(f"{what} row {i}: {e}") from None
+    return rows
+
+
+def _reals(cells) -> list:
+    return list(map(float, cells))
+
+
+def _class_id(cell: str) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise ValueError(f"bad class id {cell!r}") from None
+
+
+def _read_matrix(path, what: str) -> np.ndarray:
+    rows = _read_rows(path, what, _reals)
     if not rows:
         raise ConfigurationError(f"{what}: no rows")
     return np.asarray(rows, dtype=np.float64)
 
 
 def save_dataset(ds: ZslDataset, dirpath) -> None:
-    import os
-
     ds.validate()
     os.makedirs(dirpath, exist_ok=True)
-    _write_matrix(os.path.join(dirpath, "features.csv"), ds.features)
-    _write_matrix(os.path.join(dirpath, "prototypes.csv"), ds.prototypes)
-    with open(os.path.join(dirpath, "labels.csv"), "w", newline="\n") as fh:
-        for y, s in zip(ds.labels, ds.splits):
-            fh.write(f"{int(y)},{s}\n")
-    with open(os.path.join(dirpath, "classes.csv"), "w", newline="\n") as fh:
-        for c, r in enumerate(ds.roles):
-            fh.write(f"{c},{r}\n")
+    features, labels, prototypes, classes = (os.path.join(dirpath, n) for n in DATASET_FILES)
+    _write_rows(features, _real_rows(ds.features))
+    _write_rows(prototypes, _real_rows(ds.prototypes))
+    _write_rows(labels, ((str(int(y)), s) for y, s in zip(ds.labels, ds.splits)))
+    _write_rows(classes, ((str(c), r) for c, r in enumerate(ds.roles)))
 
 
 def load_dataset(dirpath) -> ZslDataset:
     """Read and fully validate a dataset directory; any broken invariant is
     rejected with a row-level diagnostic."""
-    import os
-
-    for name in ("features.csv", "labels.csv", "prototypes.csv", "classes.csv"):
+    for name in DATASET_FILES:
         if not os.path.isfile(os.path.join(dirpath, name)):
             raise FileNotFoundError(f"missing {name} in {dirpath}")
-    features = _read_matrix(os.path.join(dirpath, "features.csv"), "features.csv")
-    prototypes = _read_matrix(os.path.join(dirpath, "prototypes.csv"), "prototypes.csv")
+    features_csv, labels_csv, prototypes_csv, classes_csv = (
+        os.path.join(dirpath, n) for n in DATASET_FILES
+    )
+    features = _read_matrix(features_csv, "features.csv")
+    prototypes = _read_matrix(prototypes_csv, "prototypes.csv")
 
     roles_by_id: dict[int, str] = {}
-    with open(os.path.join(dirpath, "classes.csv"), "r") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != 2:
-                raise ConfigurationError(f"classes.csv row {i}: expected 'id,role'")
-            try:
-                c = int(cells[0])
-            except ValueError:
-                raise ConfigurationError(f"classes.csv row {i}: bad class id {cells[0]!r}") from None
-            role = cells[1].strip()
-            if role not in ROLES:
-                raise ConfigurationError(f"classes.csv row {i}: unknown role {role!r}")
-            if c in roles_by_id:
-                raise ConfigurationError(f"classes.csv row {i}: duplicate class id {c}")
-            roles_by_id[c] = role
+
+    def add_role(cells) -> None:
+        c, role = _class_id(cells[0]), cells[1].strip()
+        if role not in ROLES:
+            raise ValueError(f"unknown role {role!r}")
+        if c in roles_by_id:
+            raise ValueError(f"duplicate class id {c}")
+        roles_by_id[c] = role
+
+    _read_rows(classes_csv, "classes.csv", add_role, width=2)
     c_count = prototypes.shape[0]
     if sorted(roles_by_id) != list(range(c_count)):
         raise ConfigurationError(
             f"classes.csv ids must be exactly 0..{c_count - 1} (prototype row index is the class id)"
         )
-    roles = np.asarray([roles_by_id[c] for c in range(c_count)], dtype=object)
+    roles = [roles_by_id[c] for c in range(c_count)]
 
-    labels, splits = [], []
-    with open(os.path.join(dirpath, "labels.csv"), "r") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != 2:
-                raise ConfigurationError(f"labels.csv row {i}: expected 'id,split'")
-            try:
-                labels.append(int(cells[0]))
-            except ValueError:
-                raise ConfigurationError(f"labels.csv row {i}: bad class id {cells[0]!r}") from None
-            splits.append(cells[1].strip())
-    if len(labels) != features.shape[0]:
+    rows = _read_rows(labels_csv, "labels.csv",
+                      lambda cells: (_class_id(cells[0]), cells[1].strip()), width=2)
+    if len(rows) != features.shape[0]:
         raise ConfigurationError(
-            f"labels.csv has {len(labels)} rows but features.csv has {features.shape[0]}"
+            f"labels.csv has {len(rows)} rows but features.csv has {features.shape[0]}"
         )
-    ds = ZslDataset(features, np.asarray(labels), np.asarray(splits, dtype=object), prototypes, roles)
+    labels, splits = zip(*rows)
+    ds = ZslDataset(features, labels, splits, prototypes, roles)
     ds.validate()
     return ds
 
@@ -232,29 +238,19 @@ def export_features(matrix: np.ndarray, labels, path) -> None:
     if matrix.shape[0] != labels.shape[0]:
         raise ConfigurationError("export_features: row/label count mismatch")
     d = matrix.shape[1] if matrix.ndim == 2 else 0
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# features n={matrix.shape[0]} d={d}\n")
-        for y, row in zip(labels, matrix):
-            fh.write(",".join([str(int(y))] + [_fmt(v) for v in row]) + "\n")
+    header = [f"# features n={matrix.shape[0]} d={d}"]
+    rows = ((str(int(y)), *cells) for y, cells in zip(labels, _real_rows(matrix)))
+    _write_rows(path, itertools.chain([header], rows))
 
 
 def load_features(path) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of export_features."""
-    rows, labels = [], []
-    with open(path, "r") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            try:
-                labels.append(int(cells[0]))
-                rows.append([float(c) for c in cells[1:]])
-            except ValueError as e:
-                raise ConfigurationError(f"{path} row {i}: {e}") from None
+    rows = _read_rows(path, str(path), lambda cells: (int(cells[0]), _reals(cells[1:])),
+                      comment="#")
     if not rows:
         return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-    return np.asarray(rows, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+    labels, features = zip(*rows)
+    return np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64)
 
 
 _REJECTION_ROUNDS = 500

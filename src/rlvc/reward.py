@@ -9,7 +9,7 @@ plain numpy, bit-equal to engine.backward on the same graph (see gan.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,14 +108,12 @@ class EmaBaseline:
     """Scalar exponential moving average of batch-mean rewards.
 
     The first update adopts the batch mean outright; afterwards
-    b <- alpha * b + (1 - alpha) * mean. `writes` counts updates so callers
-    can assert the baseline was never touched before its activation epoch.
+    b <- alpha * b + (1 - alpha) * mean.
     """
 
     alpha: float
     value: float = 0.0
     initialized: bool = False
-    writes: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
@@ -133,7 +131,6 @@ class EmaBaseline:
         else:
             self.value = m
             self.initialized = True
-        self.writes += 1
         return self.value
 
 

@@ -145,6 +145,32 @@ def test_cli_rejects_an_adam_beta_outside_the_unit_interval(capsys):
     assert cli.main(["train", "--print-config", "--adam-beta1", "0.0"]) == 0
 
 
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("gen-synthetic", "--seed", "-1"),
+        ("pretrain-reward", "--reward-batch", "0"),
+        ("pretrain-reward", "--reward-epochs", "-1"),
+        ("pretrain-reward", "--reward-lr", "0"),
+        ("eval", "--clf-batch", "0"),
+        ("eval", "--clf-batch", "-5"),
+        ("eval", "--clf-epochs", "-1"),
+        ("eval", "--clf-lr", "-0.1"),
+        ("train", "--hidden-mult", "0"),
+        ("train", "--temb-dim", "-1"),
+        ("train", "--eval-interval", "-1"),
+        ("train", "--checkpoint-interval", "-1"),
+        ("gen-synthetic", "--diffusion-steps", "0"),
+        ("synthesize", "--beta-min", "0"),
+        ("synthesize", "--beta-max", "1.0"),
+        ("synthesize", "--beta-min", "0.5"),  # above the default beta_max 0.4
+    ],
+)
+def test_cli_rejects_an_out_of_range_value_when_resolving(command, flag, value, capsys):
+    assert cli.main([command, "--print-config", flag, value]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_cli_unknown_preset(tmp_path):
     assert cli.main(["gen-synthetic", "--out", str(tmp_path / "d"),
                      "--preset", "imagenet"]) == 2

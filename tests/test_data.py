@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -100,12 +102,90 @@ def test_loader_reports_offending_row(tmp_path):
         load_dataset(path)
 
 
+def test_save_dataset_writes_these_bytes(tmp_path):
+    save_dataset(tiny_dataset(), tmp_path)
+    want = {
+        "features.csv": b"10.0,0.0,0.0\n10.5,0.2,-0.1\n0.0,10.0,0.0\n"
+                        b"0.1,10.4,0.3\n10.2,-0.3,0.1\n-0.2,0.1,10.0\n",
+        "labels.csv": b"0,train\n0,train\n1,train\n1,train\n0,test_seen\n2,test_unseen\n",
+        "prototypes.csv": b"1.0,0.0\n0.0,1.0\n0.7,0.7\n",
+        "classes.csv": b"0,seen\n1,seen\n2,unseen\n",
+    }
+    assert {n: (tmp_path / n).read_bytes() for n in datamod.DATASET_FILES} == want
+
+
+def test_loader_skips_blank_lines_and_counts_them_in_row_numbers(tmp_path):
+    path = _write_fixture(tmp_path)
+    _edit(path, "features.csv", "0.0,10.0,0.0\n", "0.0,10.0,0.0\n\n")
+    np.testing.assert_array_equal(load_dataset(path).features, tiny_dataset().features)
+    _edit(path, "features.csv", "0.1,10.4,0.3", "0.1,ten,0.3")  # line 4, after the blank
+    with pytest.raises(ConfigurationError, match=r"^features\.csv row 4: .*'ten'"):
+        load_dataset(path)
+
+
+def test_loader_rejects_a_comment_line_in_a_dataset_file(tmp_path):
+    path = _write_fixture(tmp_path)
+    _edit(path, "features.csv", "10.0,0.0,0.0\n", "# note\n10.0,0.0,0.0\n")
+    with pytest.raises(ConfigurationError, match=r"^features\.csv row 0: "):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("name,old", [("classes.csv", "1,seen"), ("labels.csv", "1,train")])
+def test_loader_names_the_file_and_row_of_a_three_cell_row(tmp_path, name, old):
+    path = _write_fixture(tmp_path)
+    _edit(path, name, old, old + ",x")
+    with pytest.raises(ConfigurationError, match=rf"^{name} row \d: expected 2 cells, got 3$"):
+        load_dataset(path)
+
+
+def test_loader_names_the_row_of_an_unknown_role_or_duplicate_class_id(tmp_path):
+    path = _write_fixture(tmp_path)
+    _edit(path, "classes.csv", "1,seen", "1,sideways")
+    with pytest.raises(ConfigurationError, match=r"^classes\.csv row 1: unknown role 'sideways'$"):
+        load_dataset(path)
+    _edit(path, "classes.csv", "1,sideways", "0,seen")
+    with pytest.raises(ConfigurationError, match=r"^classes\.csv row 1: duplicate class id 0$"):
+        load_dataset(path)
+
+
 def test_validate_requires_train_coverage(tiny_ds):
     splits = tiny_ds.splits.copy()
     splits[(tiny_ds.labels == 1) & (splits == "train")] = "test_seen"
     broken = ZslDataset(tiny_ds.features, tiny_ds.labels, splits, tiny_ds.prototypes, tiny_ds.roles)
     with pytest.raises(ConfigurationError, match="no training samples"):
         broken.validate()
+
+
+def _first_split_fault(ds):
+    """The per-row loop over labels and splits, as the reference for the
+    mask `validate` uses."""
+    seen = set(ds.seen_classes.tolist())
+    for i, (y, s) in enumerate(zip(ds.labels, ds.splits)):
+        is_seen = int(y) in seen
+        if s == "train" and not is_seen:
+            return f"labels row {i}: train sample of unseen class {y}"
+        if s == "test_seen" and not is_seen:
+            return f"labels row {i}: test_seen sample of unseen class {y}"
+        if s == "test_unseen" and is_seen:
+            return f"labels row {i}: test_unseen sample of seen class {y}"
+    return None
+
+
+def test_validate_names_the_first_split_fault_as_a_row_loop_does(tiny_ds):
+    faults = 0
+    for i, j in itertools.product(range(6), repeat=2):
+        for yi, yj in itertools.product(range(3), repeat=2):
+            labels = tiny_ds.labels.copy()
+            labels[i], labels[j] = yi, yj
+            ds = ZslDataset(tiny_ds.features, labels, tiny_ds.splits, tiny_ds.prototypes,
+                            tiny_ds.roles)
+            want = _first_split_fault(ds)
+            if want is not None:
+                faults += 1
+                with pytest.raises(ConfigurationError) as e:
+                    ds.validate()
+                assert str(e.value) == want
+    assert faults > 100
 
 
 def test_export_features_round_trip(tmp_path):
@@ -130,6 +210,13 @@ def test_export_features_empty_and_literal(tmp_path):
     lit = tmp_path / "one.csv"
     export_features(np.array([[3.5]]), np.array([9]), lit)
     assert "9,3.5\n" in lit.read_text()
+
+
+def test_load_features_rejects_a_ragged_file(tmp_path):
+    path = tmp_path / "feats.csv"
+    path.write_text("# features n=2 d=2\n0,1.0,2.0\n1,3.0,4.0,5.0\n")
+    with pytest.raises(ConfigurationError, match="row 2"):
+        load_features(path)
 
 
 def test_make_synthetic_bitwise_deterministic():

@@ -133,7 +133,7 @@ def test_ema_first_update_adopts_batch_mean():
     b = EmaBaseline(alpha=0.9)
     assert not b.initialized
     b.update(np.array([-1.0, -3.0]))
-    assert b.initialized and b.value == -2.0 and b.writes == 1
+    assert b.initialized and b.value == -2.0
 
 
 def test_ema_recurrence_arithmetic():
@@ -161,7 +161,6 @@ def test_ema_linearity_two_updates():
     b.update(np.array([m2]))
     want = alpha**2 * b0 + alpha * (1 - alpha) * m1 + (1 - alpha) * m2
     assert abs(b.value - want) < 1e-14
-    assert b.writes == 2
 
 
 def test_ema_validation():

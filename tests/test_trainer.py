@@ -85,7 +85,8 @@ def test_rl_never_activates_when_start_beyond_end():
     ds = _small_ds()
     result = train(ds, _reward_for(ds), _cfg(epochs=3, rl_start_epoch=30))
     assert all(c.rl_updates == 0 for c in result.counters)
-    assert result.baseline.writes == 0
+    assert not result.baseline.initialized
+    assert all(c.ema_writes == 0 for c in result.counters)
     for row in result.metrics:
         assert np.isnan(row.raw_reward_mean)
         assert np.isnan(row.ema_baseline)
@@ -135,7 +136,8 @@ def test_nan_sentinels_without_cues():
 def test_raw_reward_disables_baseline_columns():
     ds = _small_ds()
     result = train(ds, _reward_for(ds), _cfg(raw_reward=True))
-    assert result.baseline.writes == 0
+    assert not result.baseline.initialized
+    assert all(c.ema_writes == 0 for c in result.counters)
     for row in result.metrics:
         assert np.isfinite(row.raw_reward_mean)
         assert np.isnan(row.ema_baseline)

@@ -15,7 +15,10 @@ this runs with RLVC_THREADS=1 in a fresh temporary directory:
 - `eval --synth-per-class 400` on the first train's checkpoint;
 - a `--no-rl` train at a non-default network shape (`--hidden-mult 2
   --temb-dim 8 --leaky-slope 0.1`) and an `eval` of its checkpoint with the
-  same flags, so one checkpoint's layer dims are not the preset's.
+  same flags, so one checkpoint's layer dims are not the preset's;
+- a second, smaller dataset (`--n-seen 6 --n-unseen 3 --feat-dim 8
+  --sem-dim 4`) and a `pretrain-reward` on it, so the dataset writer and
+  reader see other widths and class counts.
 
 Every command uses relative paths, so its stdout does not name the
 directory. The script prints the sha256 of each file the commands wrote and
@@ -53,6 +56,9 @@ STEPS = (
                   "--synth-per-class", "400"]),
     ("train-shape", ["train", "--data", "data", "--no-rl", *SHAPE, "--out", "shape"]),
     ("eval-shape", ["eval", "--data", "data", "--generator", "shape/generator.ckpt", *SHAPE]),
+    ("gen-synthetic-small", ["gen-synthetic", "--n-seen", "6", "--n-unseen", "3", "--feat-dim", "8",
+                             "--sem-dim", "4", "--out", "data-small"]),
+    ("pretrain-reward-small", ["pretrain-reward", "--data", "data-small", "--out", "small"]),
 )
 
 
