@@ -135,7 +135,7 @@ def _load_dataset(cfg: cfgmod.Config, path: str) -> datamod.ZslDataset:
 
 
 def _load_generator(cfg: cfgmod.Config, ds: datamod.ZslDataset, path: str) -> gan.Generator:
-    gen = gan.Generator(ds.feat_dim, ds.sem_dim, cfg, np.random.default_rng(0))
+    gen = gan.Generator(ds.feat_dim, ds.sem_dim, cfg, None)  # no draw: flat is overwritten
     dims, flat = load_checkpoint(path, GENERATOR_TAG)
     if dims != gen.net.layer_dims:
         raise ConfigurationError(

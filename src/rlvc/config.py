@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields
 from . import diffusion
 from .cues import CUE_VARIANTS
 from .errors import ConfigurationError
+from .nets import exact_slope
 
 
 def _parse_bool(s: str) -> bool:
@@ -79,7 +80,11 @@ class Config:
     )
     hidden_mult: int = _key(4, "hidden width as a multiple of the feature dim", _at_least(1))
     temb_dim: int = _key(16, "timestep embedding width", _at_least(0))
-    leaky_slope: float = _key(0.2, "leaky-relu negative slope")
+    leaky_slope: float = _key(
+        0.2,
+        "leaky-relu negative slope",
+        (exact_slope, "in [0, 1] and not -0.0"),
+    )
     adam_beta1: float = _key(0.5, "Adam beta1 (all optimizers)", _unit_interval())
     adam_beta2: float = _key(0.999, "Adam beta2 (all optimizers)", _unit_interval())
     reward_epochs: int = _key(50, "reward-model pretraining epochs", _at_least(1))

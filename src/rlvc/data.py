@@ -11,13 +11,16 @@ On disk a dataset is a directory of four comma-separated text files
 Reals are written in repr form (shortest round-trip), so reload is exact.
 Every file, and the features file `export_features` writes, is read by one
 row reader and written by one row writer; a malformed line is reported as
-"<file> row <i>", i the 0-based line number.
+"<file> row <i>", i the 0-based line number. The features file's
+`# features n=... d=...` header fixes its shape, and its reader checks the
+rows against it.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,6 +233,9 @@ def load_dataset(dirpath) -> ZslDataset:
     return ds
 
 
+_FEATURES_HEADER = re.compile(r"# features n=(\d+) d=(\d+)")
+
+
 def export_features(matrix: np.ndarray, labels, path) -> None:
     """Write features with their class ids: one '#' header line, then rows of
     'class id, d reals'. An empty matrix yields a header-only file."""
@@ -244,13 +250,20 @@ def export_features(matrix: np.ndarray, labels, path) -> None:
 
 
 def load_features(path) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of export_features."""
+    """Inverse of export_features. The header fixes the shape: a file whose
+    rows do not number n, or hold d reals each, raises ConfigurationError,
+    and a header-only file reloads as (0, d)."""
+    with open(path, "r") as fh:
+        head = _FEATURES_HEADER.fullmatch(fh.readline().strip())
+    if head is None:
+        raise ConfigurationError(f"{path}: first line is not a '# features n=<rows> d=<width>' header")
+    n, d = int(head[1]), int(head[2])
     rows = _read_rows(path, str(path), lambda cells: (int(cells[0]), _reals(cells[1:])),
-                      comment="#")
-    if not rows:
-        return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-    labels, features = zip(*rows)
-    return np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+                      width=d + 1, comment="#")
+    if len(rows) != n:
+        raise ConfigurationError(f"{path}: the header gives {n} rows, the file holds {len(rows)}")
+    labels = np.array([y for y, _ in rows], dtype=np.int64)
+    return np.array([x for _, x in rows], dtype=np.float64).reshape(n, d), labels
 
 
 _REJECTION_ROUNDS = 500

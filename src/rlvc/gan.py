@@ -13,7 +13,7 @@ import numpy as np
 from . import diffusion
 from .config import Config
 from .errors import UsageError
-from .nets import DenseNet, timestep_embedding
+from .nets import DenseNet, leaky_relu_mask, timestep_embedding
 
 _NORM_FLOOR = 1e-200  # keeps the norm's subgradient finite at exactly zero
 
@@ -27,7 +27,7 @@ def _rows(x) -> np.ndarray:
 
 
 class Generator:
-    def __init__(self, feat_dim: int, sem_dim: int, config: Config, rng: np.random.Generator):
+    def __init__(self, feat_dim: int, sem_dim: int, config: Config, rng: np.random.Generator | None):
         self.feat_dim = int(feat_dim)
         self.temb_dim = config.temb_dim
         self.net = DenseNet(self.layer_dims(feat_dim, sem_dim, config), rng, config.leaky_slope)
@@ -47,7 +47,7 @@ class Generator:
         temb = timestep_embedding(diffusion.per_row(t, rows), self.temb_dim)
         return np.concatenate([eps, z, xn, temb], axis=1)
 
-    def synthesize(self, eps, z, x_noisy, t) -> tuple[np.ndarray, tuple]:
+    def synthesize(self, eps, z, x_noisy, t) -> tuple[np.ndarray, list]:
         """Predict clean features from noise, prototype, noisy state, and the
         timestep index of that state. Row-wise: batched calls equal stacked
         single-row calls.
@@ -109,13 +109,14 @@ def _penalty_pass(net: DenseNet, real, fake, cond, rng, weight: float):
     fixed), and the gradients of `weight` times it w.r.t. the net's weights
     (one per layer; the biases get none). The input gradient is the closed
     form ones @ W_L @ D_{L-1} @ ... @ D_1 @ W_1 of the leaky-relu MLP, with
-    the masks D held constant; each mask is built once. A critic has one
-    output, so ones @ W_L is W_L in every row (a one-term sum is exact), and
-    W_L is broadcast instead."""
+    the masks D held constant; each mask is built once, from its layer's
+    cached activation. A critic has one output, so ones @ W_L is W_L in
+    every row (a one-term sum is exact), and W_L is broadcast instead."""
     rows, d = real.shape
     u = rng.uniform(size=(rows, 1))
     x_hat = u * real + (1.0 - u) * fake
-    _, (_, masks) = net.forward(np.concatenate([x_hat, cond], axis=1))
+    _, inputs = net.forward(np.concatenate([x_hat, cond], axis=1))
+    masks = [leaky_relu_mask(h, net.slope) for h in inputs[1:]]
     ws = [w.data for w in net.weights]
     # g = W_L, each row of ones @ W_L, then g = (g * D_l) @ W_l down to the
     # first layer.
@@ -197,7 +198,7 @@ def generator_adv_terms(
     sched: diffusion.DiffusionSchedule,
     eps_gen: np.ndarray,
     eps_post: np.ndarray,
-) -> tuple[np.float64, np.ndarray, np.ndarray, tuple]:
+) -> tuple[np.float64, np.ndarray, np.ndarray, list]:
     """Adversarial generator objective -mean(critic_x0) - mean(critic_xt).
 
     The transition sample is reparameterized (posterior mean + sigma * eps

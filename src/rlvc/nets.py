@@ -13,6 +13,15 @@ vector. Each sums its products and reductions as the reverse pass of the
 same expression in `engine` does, so it is bit-equal to engine.backward on
 that graph. A network's engine `Tensor`s are views into its vector, kept for
 the tests' engine oracle.
+
+A hidden layer's leaky relu is `leaky_relu`, max(pre, slope * pre): no
+data-dependent branch, where the mask form where(pre > 0, 1, slope) that
+engine.leaky_relu takes mispredicts on about every other entry of fresh
+activations. For a slope in [0, 1] the two give the same bits (see
+`leaky_relu`). So `DenseNet.forward` caches only each layer's input, and a
+reverse pass that needs a hidden layer's mask builds it from that layer's
+cached activation with `leaky_relu_mask`; a forward-only caller, such as
+evaluation's synthesis, builds none.
 """
 
 from __future__ import annotations
@@ -62,6 +71,38 @@ def timestep_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     return table[t]
 
 
+def exact_slope(slope: float) -> bool:
+    """Whether `leaky_relu` and `leaky_relu_mask` are exact at this slope:
+    it lies in [0, 1] and is not -0.0, for which a SIMD maximum may return
+    either zero of (+0.0, -0.0)."""
+    return 0.0 <= slope <= 1.0 and math.copysign(1.0, slope) > 0.0
+
+
+def leaky_relu(pre: np.ndarray, slope: float) -> np.ndarray:
+    """max(pre, slope * pre), written over `pre`: two ufunc passes without a
+    data-dependent branch.
+
+    For an `exact_slope` this has the bits of the mask form
+    pre * where(pre > 0, 1, slope) that engine.leaky_relu takes. Rounding is
+    monotone, so slope * pre <= pre where pre > 0 and slope * pre >= pre
+    where pre < 0; a zero gives a zero of its own sign, and a quiet NaN
+    comes back with its payload (the `+= b` that makes `pre` never leaves a
+    signalling one). The one exception is +inf at slope 0, which becomes NaN
+    (0 * inf) where the mask form keeps +inf; a row holding it is non-finite
+    from the next layer on either way."""
+    return np.maximum(pre, pre * slope, out=pre)
+
+
+def leaky_relu_mask(h: np.ndarray, slope: float) -> np.ndarray:
+    """The derivative of `leaky_relu` at the pre-activation that gave h: 1
+    where h > 0, else slope, formed as max(float(h > 0), slope) without a
+    data-dependent branch. With an `exact_slope`, h > 0 exactly where
+    pre > 0 (but for +inf at slope 0), and max(1, slope) = 1,
+    max(0, slope) = slope, so this is where(pre > 0, 1, slope) bit for bit."""
+    m = (h > 0.0).astype(np.float64)
+    return np.maximum(m, slope, out=m)
+
+
 def param_count(layer_dims: Sequence[int]) -> int:
     """Entries of the `flat` vector of a DenseNet over `layer_dims`."""
     return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(layer_dims, layer_dims[1:]))
@@ -71,7 +112,8 @@ class DenseNet:
     """Multilayer affine network with leaky-relu hidden units, linear output.
 
     Weight of layer l has shape (layer_dims[l+1], layer_dims[l]); He init
-    std sqrt(2/fan_in), zero biases.
+    std sqrt(2/fan_in), zero biases. With rng None every parameter starts at
+    zero and nothing is drawn, for a network whose vector is loaded next.
 
     The parameters live in one float64 vector, `flat`: per layer the weight
     row-major, then the bias, in `params` order, which is a checkpoint's
@@ -81,9 +123,11 @@ class DenseNet:
     `flat` and a write to a view are one.
     """
 
-    def __init__(self, layer_dims: Sequence[int], rng: np.random.Generator, slope: float):
+    def __init__(self, layer_dims: Sequence[int], rng: np.random.Generator | None, slope: float):
         if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
             raise ConfigurationError(f"bad layer dims {layer_dims}")
+        if not exact_slope(slope):
+            raise ConfigurationError(f"leaky slope must be in [0, 1] and not -0.0, got {slope!r}")
         self.layer_dims = [int(d) for d in layer_dims]
         self.slope = float(slope)
         pairs = list(zip(self.layer_dims[:-1], self.layer_dims[1:]))
@@ -92,8 +136,9 @@ class DenseNet:
         self._spans = list(zip([0, *ends[:-1]], ends))
         self.flat = np.zeros(ends[-1])
         views = self.views(self.flat)
-        for (fan_in, _), w in zip(pairs, views[0::2]):
-            w[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=w.shape)
+        if rng is not None:
+            for (fan_in, _), w in zip(pairs, views[0::2]):
+                w[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=w.shape)
         self.weights = [Tensor(w, requires_grad=True) for w in views[0::2]]
         self.biases = [Tensor(b, requires_grad=True) for b in views[1::2]]
 
@@ -109,25 +154,25 @@ class DenseNet:
         `flat`."""
         return [vector[a:b].reshape(s) for (a, b), s in zip(self._spans, self._shapes)]
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple[list, list]]:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """The output for a (batch, features) array, and the cache `pullback`
-        reads: the input of every layer and the leaky-relu mask of every
-        hidden layer."""
+        reads: the input of every layer, so x and then each hidden layer's
+        activation. Each hidden layer is h @ W.T + b through `leaky_relu`;
+        no mask is built here, only by the reverse passes that read one."""
         if x.ndim != 2:
             raise UsageError("forward expects a (batch, features) matrix")
         if x.shape[1] != self.layer_dims[0]:
             raise ConfigurationError(
                 f"input width {x.shape[1]} != expected {self.layer_dims[0]}"
             )
-        inputs, masks = [], []
-        h = x
+        inputs = [x]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            inputs.append(h)
-            pre = h @ w.data.T + b.data
-            masks.append(np.where(pre > 0.0, 1.0, self.slope))
-            h = pre * masks[-1]
-        inputs.append(h)
-        return h @ self.weights[-1].data.T + self.biases[-1].data, (inputs, masks)
+            pre = inputs[-1] @ w.data.T
+            pre += b.data
+            inputs.append(leaky_relu(pre, self.slope))
+        out = inputs[-1] @ self.weights[-1].data.T
+        out += self.biases[-1].data
+        return out, inputs
 
     def pullback(self, cache, u: np.ndarray, wrt_input: bool = False) -> np.ndarray:
         """Reverse of `forward` for the output gradient u: the gradient w.r.t.
@@ -137,10 +182,11 @@ class DenseNet:
         (x.T @ u).T, the same sums of the same products. Every other product
         and sum is laid out as in the reverse pass of engine.linear and
         engine.leaky_relu, so the result is bit-equal to engine.backward
-        through the same layers. Where u has one column (a critic's output),
-        u @ w has one term per entry and is formed as the broadcast u * w,
-        the same single rounding."""
-        inputs, masks = cache
+        through the same layers; each hidden layer's mask comes from its
+        cached activation by `leaky_relu_mask`. Where u has one column (a
+        critic's output), u @ w has one term per entry and is formed as the
+        broadcast u * w, the same single rounding."""
+        inputs = cache
         grad = None if wrt_input else np.empty(self.flat.size)
         views = None if wrt_input else self.views(grad)
         for i in range(len(self.weights) - 1, -1, -1):
@@ -149,7 +195,8 @@ class DenseNet:
                 np.matmul(u.T, inputs[i], out=views[2 * i])
                 _sum(u, axis=0, out=views[2 * i + 1])
             if i > 0:
-                u = (u * w if u.shape[1] == 1 else u @ w) * masks[i - 1]
+                u = u * w if u.shape[1] == 1 else u @ w
+                u *= leaky_relu_mask(inputs[i], self.slope)
             elif wrt_input:
                 return u @ w
         return grad

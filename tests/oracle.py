@@ -45,13 +45,24 @@ def score(net, x, cond: np.ndarray) -> Tensor:
     return forward(net, engine.concat([x, Tensor(cond)], axis=1))
 
 
+def masks(net, x: np.ndarray) -> list[np.ndarray]:
+    """The leaky-relu mask where(pre > 0, 1, slope) of each hidden layer at
+    input rows x, from pre-activations computed here, not read from the
+    forward pass under test."""
+    out, h = [], x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        pre = h @ w.data.T + b.data
+        out.append(np.where(pre > 0.0, 1.0, net.slope))
+        h = pre * out[-1]
+    return out
+
+
 def input_grad(net, x: np.ndarray) -> Tensor:
     """Gradient of sum(net(x)) w.r.t. each row of x, as a graph node of the
     weights: ones @ W_L @ D_{L-1} @ ... @ D_1 @ W_1 per row, with the
     leaky-relu masks D held constant."""
-    _, (_, masks) = net.forward(x)
     g = Tensor(np.ones((x.shape[0], net.layer_dims[-1]))) @ net.weights[-1]
-    for w, mask in zip(reversed(net.weights[:-1]), reversed(masks)):
+    for w, mask in zip(reversed(net.weights[:-1]), reversed(masks(net, x))):
         g = (g * Tensor(mask)) @ w
     return g
 

@@ -171,6 +171,25 @@ def test_cli_rejects_an_out_of_range_value_when_resolving(command, flag, value, 
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("slope", ["1.5", "-0.1", "-0.0"])
+def test_cli_train_refuses_a_leaky_slope_outside_the_exact_range(slope, tmp_path, capsys):
+    code = cli.main(["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run"),
+                     "--no-rl", "--leaky-slope", slope])
+    assert code == 2
+    assert "leaky_slope must be in [0, 1] and not -0.0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("slope", ["0", "1"])
+def test_cli_train_and_eval_run_at_either_end_of_the_slope_range(slope, tmp_path, capsys):
+    data, run = str(tmp_path / "data"), str(tmp_path / "run")
+    flags = _FAST + ["--leaky-slope", slope]
+    assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
+    assert cli.main(["train", "--data", data, "--out", run, "--no-rl"] + flags) == 0
+    assert cli.main(["eval", "--data", data, "--generator", f"{run}/generator.ckpt"] + flags) == 0
+    assert "acc=" in capsys.readouterr().out.strip().splitlines()[-1]
+
+
 def test_cli_unknown_preset(tmp_path):
     assert cli.main(["gen-synthetic", "--out", str(tmp_path / "d"),
                      "--preset", "imagenet"]) == 2

@@ -219,6 +219,36 @@ def test_load_features_rejects_a_ragged_file(tmp_path):
         load_features(path)
 
 
+def test_load_features_rejects_a_truncated_file(tmp_path):
+    path = tmp_path / "feats.csv"
+    export_features(np.arange(6.0).reshape(3, 2), np.array([0, 1, 2]), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+    with pytest.raises(ConfigurationError, match="the header gives 3 rows, the file holds 2"):
+        load_features(path)
+
+
+def test_load_features_keeps_the_width_of_an_empty_export(tmp_path):
+    path = tmp_path / "empty.csv"
+    export_features(np.zeros((0, 4)), np.zeros(0, dtype=int), path)
+    got, labels = load_features(path)
+    assert got.shape == (0, 4) and got.dtype == np.float64
+    assert labels.shape == (0,) and labels.dtype == np.int64
+
+
+@pytest.mark.parametrize("text,match", [
+    ("0,1.0,2.0\n", "header"),
+    ("", "header"),
+    ("# features n=1 d=3\n0,1.0,2.0\n", "row 1: expected 4 cells, got 3"),
+    ("# features n=1 d=2\n0,1.0,2.0\n1,3.0,4.0\n", "the header gives 1 rows, the file holds 2"),
+])
+def test_load_features_checks_the_rows_against_the_header(tmp_path, text, match):
+    path = tmp_path / "feats.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=match):
+        load_features(path)
+
+
 def test_make_synthetic_bitwise_deterministic():
     spec = Config(n_seen=6, n_unseen=2, feat_dim=8, sem_dim=4,
                   samples_per_class=10, semantic_cluster_size=4, seed=7)

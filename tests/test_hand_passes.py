@@ -11,6 +11,7 @@ match.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -44,15 +45,15 @@ def _same(a, b) -> bool:
 
 def _both_branches(net: DenseNet, x: np.ndarray) -> bool:
     """Whether some hidden unit is on each side of the kink for input x."""
-    _, (_, masks) = net.forward(x)
-    return all((m == 1.0).any() and (m == net.slope).any() for m in masks)
+    return all((m == 1.0).any() and (m == net.slope).any() for m in oracle.masks(net, x))
 
 
-def _nets(seed: int):
+def _nets(seed: int, slope: float = SHAPE.leaky_slope):
     rng = np.random.default_rng(seed)
-    gen = gan.Generator(D, DZ, SHAPE, rng)
-    cx0 = gan.CriticX0(D, DZ, SHAPE, rng)
-    cxt = gan.CriticXt(D, DZ, SHAPE, rng)
+    shape = dataclasses.replace(SHAPE, leaky_slope=slope)
+    gen = gan.Generator(D, DZ, shape, rng)
+    cx0 = gan.CriticX0(D, DZ, shape, rng)
+    cxt = gan.CriticXt(D, DZ, shape, rng)
     for net in (gen.net, cx0.net, cxt.net):  # He init leaves zero biases
         set_params(net, [p.data + 0.1 * rng.normal(size=p.shape) for p in net.params])
     return gen, cx0, cxt
@@ -75,9 +76,9 @@ def _table(seed: int):
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("rows", [1, 7, 32])
-def test_dense_pullback_matches_the_engine(seed, rows):
+def test_dense_pullback_matches_the_engine(seed, rows, slope=0.2):
     rng = np.random.default_rng(seed)
-    net = DenseNet([5, 7, 7, 3], rng, 0.2)
+    net = DenseNet([5, 7, 7, 3], rng, slope)
     set_params(net, [p.data + 0.1 * rng.normal(size=p.shape) for p in net.params])
     x = rng.normal(size=(rows, 5))
     u = rng.normal(size=(rows, 3))
@@ -92,10 +93,16 @@ def test_dense_pullback_matches_the_engine(seed, rows):
     assert _same(net.pullback(cache, u, wrt_input=True), engine.backward(loss, [xt])[0])
 
 
+@pytest.mark.parametrize("slope", [0.0, 1.0])
+@pytest.mark.parametrize("rows", [1, 32])
+def test_dense_pullback_matches_the_engine_at_either_end_of_the_slope_range(rows, slope):
+    test_dense_pullback_matches_the_engine(0, rows, slope)
+
+
 @BATCHES
 @pytest.mark.parametrize("seed", [0, 1])
-def test_critic_losses_match_the_engine(seed, t):
-    _, cx0, cxt = _nets(seed)
+def test_critic_losses_match_the_engine(seed, t, slope=SHAPE.leaky_slope):
+    _, cx0, cxt = _nets(seed, slope)
     b = _batch(t, seed + 10)
     gp = 10.0
     cond = cxt.condition(b["x_next"], b["z"], t)
@@ -112,6 +119,11 @@ def test_critic_losses_match_the_engine(seed, t):
     terms = oracle.critic_terms(cxt.net, b["real"], b["fake"], cond, gp, np.random.default_rng(6))
     assert _same(loss, terms.data)
     assert _same(grads, oracle.flat_grad(terms, cxt.net.params))
+
+
+@pytest.mark.parametrize("slope", [0.0, 1.0])
+def test_critic_losses_match_the_engine_at_either_end_of_the_slope_range(slope):
+    test_critic_losses_match_the_engine(0, np.arange(32) % T, slope)
 
 
 @BATCHES

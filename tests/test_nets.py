@@ -9,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from rlvc import cli, engine, nets
+from rlvc import cli, engine, gan, nets
 from rlvc.config import Config
 from rlvc.engine import Tensor
 from rlvc.errors import ConfigurationError, NumericFailure, UsageError
@@ -89,6 +89,79 @@ def test_forward_input_errors():
         DenseNet([3], np.random.default_rng(0), 0.2)
     with pytest.raises(ConfigurationError):
         DenseNet([3, 0, 1], np.random.default_rng(0), 0.2)
+
+
+def test_dense_net_refuses_a_slope_its_activation_is_not_exact_at():
+    for slope in (1.5, -0.1, -0.0, float("nan")):
+        with pytest.raises(ConfigurationError, match="slope"):
+            DenseNet([3, 2], np.random.default_rng(0), slope)
+    for slope in (0.0, 1.0):
+        DenseNet([3, 2], np.random.default_rng(0), slope)
+
+
+def _where_form(pre, slope):
+    """The activation and mask engine.leaky_relu takes: pre * mask with
+    mask = where(pre > 0, 1, slope)."""
+    mask = np.where(pre > 0.0, 1.0, slope)
+    return pre * mask, mask
+
+
+_QUIET_NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+                        0xFFF800000000ABCD], dtype=np.uint64).view(np.float64)
+_EDGES = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 2.2250738585072014e-308,
+     -2.2250738585072014e-308, 1e-300, -1e-300, 1.0, -1.0, 1.7e308, -1.7e308, -np.inf],
+    _QUIET_NANS,
+])
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.1, 0.2, 1.0])
+def test_leaky_relu_and_its_mask_have_the_bits_of_the_where_form(slope):
+    rng = np.random.default_rng(0)
+    pre = np.concatenate([_EDGES, rng.normal(size=400), rng.normal(size=100) * 1e-309])
+    pre = pre[rng.permutation(pre.size)].reshape(3, -1)
+    with np.errstate(invalid="ignore"):  # -inf * 0 at slope 0, in both forms
+        want_h, want_mask = _where_form(pre, slope)
+        h = nets.leaky_relu(pre.copy(), slope)
+    assert h.tobytes() == want_h.tobytes()
+    assert nets.leaky_relu_mask(h, slope).tobytes() == want_mask.tobytes()
+    # +inf is exact for slope > 0; at slope 0 it is the documented exception
+    with np.errstate(invalid="ignore"):
+        h_inf = nets.leaky_relu(np.array([np.inf]), slope)
+    if slope > 0.0:
+        assert h_inf.tobytes() == np.array([np.inf]).tobytes()
+        assert nets.leaky_relu_mask(h_inf, slope)[0] == 1.0
+    else:
+        assert np.isnan(h_inf[0])
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.1, 0.2, 1.0])
+def test_forward_and_masks_have_the_bits_of_the_where_form(slope):
+    rng = np.random.default_rng(5)
+    net = DenseNet([3, 16, 16, 2], rng, slope)
+    x = rng.normal(size=(12, 3))
+    x[0] = 0.0  # zero biases: every pre-activation of this row is +0.0
+    x[1] = [1e-310, -2e-310, 3e-310]  # subnormal first-layer pre-activations
+    x[2, 1] = np.nan
+    out, cache = net.forward(x)
+
+    h, pres, masks = x, [], []
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        pres.append(h @ w.data.T + b.data)
+        h, mask = _where_form(pres[-1], slope)
+        masks.append(mask)
+        assert cache[len(pres)].tobytes() == h.tobytes()
+    assert out.tobytes() == (h @ net.weights[-1].data.T + net.biases[-1].data).tobytes()
+    assert len(cache) == 3 and cache[0] is x
+    for mask, h_cached in zip(masks, cache[1:]):
+        assert nets.leaky_relu_mask(h_cached, slope).tobytes() == mask.tobytes()
+    # the edge cases are really there (a matmul sums from +0.0, so -0.0
+    # cannot reach a pre-activation; the elementwise test covers it)
+    first = pres[0]
+    assert (first[0] == 0.0).all() and not np.signbit(first[0]).any()
+    assert ((first[1] != 0.0) & (np.abs(first[1]) < 2.2250738585072014e-308)).any()
+    assert np.isnan(first[2]).all() and np.isnan(out[2]).all()
+    assert all((p > 0.0).any() and (p < 0.0).any() for p in pres)
 
 
 def _pre_activations(net, x):
@@ -418,13 +491,27 @@ def test_parameters_stay_views_through_a_copy_path_step(edge, lr):
     assert _params_view_flat(net) and net.flat.tobytes() != before.tobytes()
 
 
-def test_loaded_generator_views_its_flat_vector(tmp_path):
+def test_a_net_built_without_an_rng_starts_at_zero():
+    net = DenseNet([4, 5, 3], None, 0.2)
+    assert net.flat.tobytes() == np.zeros(nets.param_count([4, 5, 3])).tobytes()
+
+
+def test_loaded_generator_views_its_flat_vector(tmp_path, monkeypatch):
     cfg = Config(hidden_mult=2, temb_dim=4)
     trained = Generator(3, 2, cfg, np.random.default_rng(13))
     trained.net.flat += np.random.default_rng(14).normal(size=trained.net.flat.size)
     path = tmp_path / "generator.ckpt"
     save_checkpoint(path, b"GNET", trained.net.layer_dims, trained.net.flat)
+    rngs = []
+    built = gan.DenseNet
+
+    def recording(dims, rng, slope):
+        rngs.append(rng)
+        return built(dims, rng, slope)
+
+    monkeypatch.setattr(gan, "DenseNet", recording)
     loaded = cli._load_generator(cfg, types.SimpleNamespace(feat_dim=3, sem_dim=2), str(path))
+    assert rngs == [None]  # no initialisation is drawn for weights the file overwrites
     assert _params_view_flat(loaded.net)
     assert loaded.net.flat.tobytes() == trained.net.flat.tobytes()
     again = tmp_path / "again.ckpt"

@@ -16,6 +16,8 @@ this runs with RLVC_THREADS=1 in a fresh temporary directory:
 - a `--no-rl` train at a non-default network shape (`--hidden-mult 2
   --temb-dim 8 --leaky-slope 0.1`) and an `eval` of its checkpoint with the
   same flags, so one checkpoint's layer dims are not the preset's;
+- a full-arm train and an `eval` of its checkpoint at each end of the
+  leaky-slope range, `--leaky-slope 0` and `--leaky-slope 1`;
 - a second, smaller dataset (`--n-seen 6 --n-unseen 3 --feat-dim 8
   --sem-dim 4`) and a `pretrain-reward` on it, so the dataset writer and
   reader see other widths and class counts.
@@ -56,6 +58,14 @@ STEPS = (
                   "--synth-per-class", "400"]),
     ("train-shape", ["train", "--data", "data", "--no-rl", *SHAPE, "--out", "shape"]),
     ("eval-shape", ["eval", "--data", "data", "--generator", "shape/generator.ckpt", *SHAPE]),
+    ("train-slope-0", ["train", "--data", "data", "--reward", "full/reward.ckpt",
+                       "--leaky-slope", "0", "--out", "slope-0"]),
+    ("eval-slope-0", ["eval", "--data", "data", "--generator", "slope-0/generator.ckpt",
+                      "--leaky-slope", "0"]),
+    ("train-slope-1", ["train", "--data", "data", "--reward", "full/reward.ckpt",
+                       "--leaky-slope", "1", "--out", "slope-1"]),
+    ("eval-slope-1", ["eval", "--data", "data", "--generator", "slope-1/generator.ckpt",
+                      "--leaky-slope", "1"]),
     ("gen-synthetic-small", ["gen-synthetic", "--n-seen", "6", "--n-unseen", "3", "--feat-dim", "8",
                              "--sem-dim", "4", "--out", "data-small"]),
     ("pretrain-reward-small", ["pretrain-reward", "--data", "data-small", "--out", "small"]),
