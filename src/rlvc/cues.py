@@ -1,9 +1,10 @@
 """Class-wise visual prototypes and the distillation losses built on them.
 
 Prototypes are per-class means of real training features, mined once before
-training starts. The default distillation term pulls each synthesized
-feature toward its class prototype in cosine distance; KL and L1 variants
-exist for ablations.
+training starts into one matrix with a row per seen class. The losses take a
+batch's rows of that matrix as a plain array. The default distillation term
+pulls each synthesized feature toward its class prototype in cosine
+distance; KL and L1 variants exist for ablations.
 """
 
 from __future__ import annotations
@@ -20,30 +21,9 @@ log = logging.getLogger(__name__)
 _NORM_FLOOR = 1e-200
 
 
-class VisualPrototypeTable:
-    """Maps class id -> mean feature vector."""
-
-    def __init__(self, prototypes: dict[int, np.ndarray]):
-        self.prototypes = {int(c): np.asarray(v, dtype=np.float64) for c, v in prototypes.items()}
-        self._ids = np.asarray(sorted(self.prototypes), dtype=np.int64)
-        rows = [self.prototypes[c] for c in self._ids.tolist()]
-        self._rows = np.stack(rows) if rows else np.empty((0, 0))
-
-    def lookup(self, labels) -> np.ndarray:
-        """Stack prototypes for a label vector; unknown label is a hard error."""
-        labels = np.asarray(labels).reshape(-1)
-        if labels.dtype.kind not in "iu":
-            raise UsageError(f"class labels must be integers, got {labels.dtype}")
-        pos = np.searchsorted(self._ids, labels)
-        known = pos < len(self._ids)
-        known[known] = self._ids[pos[known]] == labels[known]
-        if not known.all():
-            raise UsageError(f"no visual prototype for class {int(labels[np.argmin(known)])}")
-        return self._rows[pos]
-
-
-def mine_prototypes(features: np.ndarray, labels: np.ndarray, seen_classes) -> VisualPrototypeTable:
-    """Per-class means over real training features.
+def mine_prototypes(features: np.ndarray, labels: np.ndarray, seen_classes) -> np.ndarray:
+    """Per-class means over real training features: the (S, d) matrix whose
+    row i is the mean of seen class sorted(seen_classes)[i].
 
     Every seen class must contribute at least one sample, and no mean may be
     the zero vector (cosine distance to it is undefined).
@@ -52,7 +32,7 @@ def mine_prototypes(features: np.ndarray, labels: np.ndarray, seen_classes) -> V
     labels = np.asarray(labels).reshape(-1)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ConfigurationError("mine_prototypes: features/labels mismatch")
-    prototypes = {}
+    prototypes = []
     for c in sorted(int(c) for c in seen_classes):
         mask = labels == c
         if not mask.any():
@@ -60,8 +40,8 @@ def mine_prototypes(features: np.ndarray, labels: np.ndarray, seen_classes) -> V
         v = features[mask].mean(axis=0)
         if not np.any(v != 0.0):
             raise ConfigurationError(f"class {c} visual prototype is the zero vector")
-        prototypes[c] = v
-    return VisualPrototypeTable(prototypes)
+        prototypes.append(v)
+    return np.reshape(prototypes, (-1, features.shape[1]))
 
 
 # The distillation losses of rows x against their prototypes v. Each pass
@@ -113,17 +93,16 @@ _CUE_PASSES = {"pd": _pd_pass, "kl": _kl_pass, "l1": _l1_pass}
 CUE_VARIANTS = tuple(_CUE_PASSES)
 
 
-def cue_loss(x: np.ndarray, labels, table: VisualPrototypeTable, variant: str, weight: float):
-    """The distillation loss of synthesized rows x against their class
-    prototypes: mean cosine distance ("pd"; in [0, 2], scale-invariant, and
-    a zero-norm row contributes the neutral 1 with a warning and no
-    gradient), mean KL(softmax(prototype) || softmax(x)) ("kl") or mean
-    absolute difference ("l1"). Returns the value and the contributions of
-    `weight * cue_loss` to x's gradient, in the order the engine's reverse
-    pass adds them."""
+def cue_loss(x: np.ndarray, v: np.ndarray, variant: str, weight: float):
+    """The distillation loss of synthesized rows x against v, the prototype
+    of each row's class (a row of `mine_prototypes` per row of x): mean
+    cosine distance ("pd"; in [0, 2], scale-invariant, and a zero-norm row
+    contributes the neutral 1 with a warning and no gradient), mean
+    KL(softmax(prototype) || softmax(x)) ("kl") or mean absolute difference
+    ("l1"). Returns the value and the contributions of `weight * cue_loss`
+    to x's gradient, in the order the engine's reverse pass adds them."""
     if variant not in CUE_VARIANTS:
         raise ConfigurationError(f"unknown cue variant {variant!r}")
-    v = table.lookup(labels)
     if v.shape != x.shape:
         raise UsageError(f"{variant} cue loss: batch {x.shape} vs prototypes {v.shape}")
     return _CUE_PASSES[variant](x, v, weight)

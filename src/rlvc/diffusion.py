@@ -59,24 +59,22 @@ def build_schedule(timesteps: int, beta_min: float, beta_max: float) -> Diffusio
     return DiffusionSchedule(timesteps, betas)
 
 
-def _check_t(t, lo: int, hi: int, what: str) -> np.ndarray:
-    t = np.asarray(t)
-    if t.dtype.kind not in "iu":
-        raise UsageError(f"{what}: timesteps must be integers")
-    if t.size == 0 or t.min() < lo or t.max() > hi:
-        raise UsageError(f"{what}: timestep out of range [{lo}, {hi}]")
-    return t.reshape(-1)
-
-
-def per_row(t, rows: int) -> np.ndarray:
-    """Integer timesteps, one per row: a single timestep is repeated `rows`
-    times; otherwise there must be exactly `rows` of them."""
+def per_row(t, rows: int | None, hi: int | None = None, what: str = "per_row") -> np.ndarray:
+    """The one timestep check: integer timesteps as a flat vector, each in
+    [0, hi] unless hi is None, and, unless rows is None, one per row, a
+    single timestep being repeated `rows` times. A vector that breaks both
+    the range and the count is refused with both named."""
     t = np.asarray(t).reshape(-1)
     if t.dtype.kind not in "iu":
-        raise UsageError(f"timesteps must be integers, got {t.dtype}")
-    if t.size not in (1, rows):
-        raise UsageError(f"{t.size} timesteps for {rows} rows")
-    return np.full(rows, int(t[0])) if t.size == 1 else t
+        raise UsageError(f"{what}: timesteps must be integers, got {t.dtype}")
+    problems = []
+    if hi is not None and (t.size == 0 or t.min() < 0 or t.max() > hi):
+        problems.append(f"timestep out of range [0, {hi}]")
+    if rows is not None and t.size not in (1, rows):
+        problems.append(f"{t.size} timesteps for {rows} rows")
+    if problems:
+        raise UsageError(f"{what}: " + "; ".join(problems))
+    return np.full(rows, int(t[0])) if rows is not None and t.size == 1 else t
 
 
 def forward_noise(
@@ -84,7 +82,7 @@ def forward_noise(
 ) -> np.ndarray:
     """Draw x_t ~ q(x_t | x_0) = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    t = per_row(_check_t(t, 0, sched.timesteps, "forward_noise"), x0.shape[0])
+    t = per_row(t, x0.shape[0], sched.timesteps, "forward_noise")
     eps = rng.standard_normal(x0.shape)
     return sched.sqrt_abar[t] * x0 + sched.sqrt_one_minus_abar[t] * eps
 
@@ -94,7 +92,7 @@ def forward_transition(
 ) -> np.ndarray:
     """One forward chain step: x_{t+1} ~ q(x_{t+1} | x_t)."""
     x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-    t = per_row(_check_t(t, 0, sched.timesteps - 1, "forward_transition"), x_t.shape[0])
+    t = per_row(t, x_t.shape[0], sched.timesteps - 1, "forward_transition")
     eps = rng.standard_normal(x_t.shape)
     return sched.sqrt_alpha_next[t] * x_t + sched.sqrt_beta_next[t] * eps
 
@@ -105,7 +103,7 @@ def posterior_coeffs(sched: DiffusionSchedule, t) -> tuple[np.ndarray, np.ndarra
     mean = c1 * x0_hat + c2 * x_next; variance sigma2. At t = 0 the variance
     is exactly zero and c2 vanishes, so the output is the clean prediction.
     """
-    t = _check_t(t, 0, sched.timesteps - 1, "posterior_coeffs")
+    t = per_row(t, None, sched.timesteps - 1, "posterior_coeffs")
     return sched.c1[t], sched.c2[t], sched.sigma2[t]
 
 
@@ -121,7 +119,7 @@ def posterior_sample(
     x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
     if x0_hat.shape != x_next.shape:
         raise UsageError("posterior_sample: state shapes differ")
-    t = _check_t(per_row(t, x0_hat.shape[0]), 0, sched.timesteps - 1, "posterior_sample")
+    t = per_row(t, x0_hat.shape[0], sched.timesteps - 1, "posterior_sample")
     mean = sched.c1[t] * x0_hat + sched.c2[t] * x_next
     eps = rng.standard_normal(x0_hat.shape)
     return mean + sched.sigma[t] * eps

@@ -44,7 +44,7 @@ class Generator:
         rows = eps.shape[0]
         if not (z.shape[0] == rows and xn.shape[0] == rows):
             raise UsageError("synthesize: batch sizes differ")
-        temb = timestep_embedding(diffusion.per_row(t, rows), self.temb_dim)
+        temb = timestep_embedding(diffusion.per_row(t, rows, what="synthesize"), self.temb_dim)
         return np.concatenate([eps, z, xn, temb], axis=1)
 
     def synthesize(self, eps, z, x_noisy, t) -> tuple[np.ndarray, list]:
@@ -85,7 +85,8 @@ class CriticXt:
         """The fixed input columns that follow x_t: x_next, z, then the
         timestep embedding."""
         x_next, z = _rows(x_next), _rows(z)
-        temb = timestep_embedding(diffusion.per_row(t, x_next.shape[0]), self.temb_dim)
+        t = diffusion.per_row(t, x_next.shape[0], what="condition")
+        temb = timestep_embedding(t, self.temb_dim)
         return np.concatenate([x_next, z, temb], axis=1)
 
 

@@ -1,10 +1,11 @@
 """Frozen linear reward model, EMA baseline, and the policy-gradient loss.
 
 The reward of a synthesized feature is the log-probability the frozen
-classifier assigns to its intended class. Advantages are centered by an
-exponential-moving-average baseline and are plain numbers, so the policy
-update weighs log-likelihood gradients by constants. The passes here are
-plain numpy, bit-equal to engine.backward on the same graph (see gan.py).
+classifier assigns to its intended class (`class_log_probs`). The trainer
+centres a batch's rewards by an exponential-moving-average baseline; the
+advantages are a plain vector of constants, so the policy update weighs
+log-likelihood gradients by them. The passes here are plain numpy, bit-equal
+to engine.backward on the same graph (see gan.py).
 """
 
 from __future__ import annotations
@@ -97,12 +98,6 @@ def class_log_probs(model: RewardModel, x: np.ndarray, y) -> tuple[np.ndarray, t
     return lp[rows, y], (model.weight, rows, y, lp_cache)
 
 
-def reward(model: RewardModel, x, y: int) -> float:
-    """Outcome reward of a single feature vector: log p(y | x)."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return float(class_log_probs(model, x, [int(y)])[0][0])
-
-
 @dataclass
 class EmaBaseline:
     """Scalar exponential moving average of batch-mean rewards.
@@ -134,31 +129,16 @@ class EmaBaseline:
         return self.value
 
 
-@dataclass
-class AdvantageBatch:
-    """Rewards and the advantages that weight the policy gradient."""
-
-    rewards: np.ndarray
-    advantages: np.ndarray
-
-
-def advantage(batch_rewards: np.ndarray, baseline: EmaBaseline) -> AdvantageBatch:
-    """Center rewards by the baseline's current (post-update) value."""
-    r = np.asarray(batch_rewards, dtype=np.float64).reshape(-1)
-    if not baseline.initialized:
-        raise UsageError("advantage before any baseline update")
-    return AdvantageBatch(rewards=r, advantages=r - baseline.value)
-
-
 def rl_loss(
-    advantages: AdvantageBatch, log_probs: np.ndarray, cache: tuple
+    advantages: np.ndarray, log_probs: np.ndarray, cache: tuple
 ) -> tuple[np.float64, np.ndarray]:
     """Policy-gradient surrogate -(1/B) sum_i A_i * log p(y_i | x_i), for
-    log-probs and cache from `class_log_probs`: the loss, and its gradient
-    w.r.t. the rows x that were scored. Advantages enter as constants."""
-    if log_probs.ndim != 1 or log_probs.shape[0] != advantages.advantages.shape[0]:
+    the advantage vector A and the log-probs and cache from
+    `class_log_probs`: the loss, and its gradient w.r.t. the rows x that
+    were scored. Advantages enter as constants."""
+    a = advantages
+    if log_probs.ndim != 1 or log_probs.shape != a.shape:
         raise UsageError("rl_loss: batch sizes disagree")
-    a = advantages.advantages
     inv_b = 1.0 / a.shape[0]
     loss = -(np.sum(a * log_probs) * inv_b)
     weight, rows, y, lp_cache = cache

@@ -16,12 +16,11 @@ import numpy as np
 
 from . import cues, diffusion, gan, reward as reward_mod
 from .config import Config
-from .cues import VisualPrototypeTable
 from .data import ZslDataset
 from .errors import ConfigurationError, NumericFailure
 from .evaluate import EvalReport, full_report
 from .nets import ADAM_BLOCK, GENERATOR_TAG, AdamState, param_count, save_checkpoint
-from .reward import AdvantageBatch, EmaBaseline, RewardModel
+from .reward import EmaBaseline, RewardModel
 from .seeding import stream_rng
 
 @dataclass
@@ -65,7 +64,7 @@ class TrainResult:
     metrics: list[MetricsRow]
     counters: list[EpochCounters]
     baseline: EmaBaseline
-    prototype_table: VisualPrototypeTable | None
+    visual_prototypes: np.ndarray | None
     reports: dict[int, EvalReport] = field(default_factory=dict)
 
 
@@ -107,22 +106,24 @@ def train(
     reward_model: RewardModel | None,
     config: Config,
     out_dir: str | None = None,
-    prototype_table: VisualPrototypeTable | None = None,
 ) -> TrainResult:
     """Run the full schedule and return the trained generator plus logs.
 
     The reward model must cover the seen classes (rows in sorted-id order)
-    and is required whenever the RL phase is enabled. Prototypes are mined
-    once, before the first epoch. Checkpoints are written every
-    checkpoint_interval epochs and at completion; on a numeric abort the last
-    written checkpoint stays on disk. A run whose `training_floats` would
-    not fit in physical memory is refused before any network is built.
+    and is required whenever the RL phase is enabled. Before the first
+    epoch, visual prototypes are mined and each training label is mapped to
+    its seen row, once; a batch's rows then pick both its reward class and
+    its prototypes. Checkpoints are written every checkpoint_interval epochs
+    and at completion; on a numeric abort the last written checkpoint stays
+    on disk. A run whose `training_floats` would not fit in physical memory
+    is refused before any network is built.
     """
     dataset.validate()
 
     train_x, train_y = dataset.train
     n_train, d = train_x.shape
     seen = dataset.seen_classes  # sorted ids; reward row i is class seen[i]
+    train_rows = np.searchsorted(seen, train_y)
     if config.use_rl:
         if reward_model is None:
             raise ConfigurationError("RL phase enabled but no reward model given")
@@ -139,9 +140,7 @@ def train(
             f"state, more than the {have:,} bytes of physical memory; lower hidden_mult"
         )
 
-    table = prototype_table
-    if table is None and config.use_cues:
-        table = cues.mine_prototypes(train_x, train_y, seen)
+    visual_prototypes = cues.mine_prototypes(train_x, train_y, seen) if config.use_cues else None
     sched = config.schedule()
 
     init_rng = stream_rng(config.seed, "init")
@@ -188,8 +187,8 @@ def train(
             for batch_i in range(batches_per_epoch):
                 idx = train_rng.integers(0, n_train, size=config.batch_size)
                 x0 = train_x[idx]
-                y = train_y[idx]
-                z = proto_matrix[y]
+                z = proto_matrix[train_y[idx]]
+                rows = train_rows[idx]
 
                 for _ in range(config.critic_steps):
                     t, x_t, x_next = _draw_states(train_rng, x0)
@@ -217,7 +216,7 @@ def train(
                 _require_finite(adv_loss.item(), "generator adversarial loss", epoch, batch_i)
                 if config.use_cues:
                     cue_term, cue_grads = cues.cue_loss(
-                        x0_tilde, y, table, config.cue_loss, config.lambda_pd
+                        x0_tilde, visual_prototypes[rows], config.cue_loss, config.lambda_pd
                     )
                     _require_finite(cue_term.item(), "distillation loss", epoch, batch_i)
                     for g in cue_grads:
@@ -231,26 +230,23 @@ def train(
                     t, x_t, x_next = _draw_states(rl_rng, x0)
                     eps_g = rl_rng.standard_normal(x0.shape)
                     x0_rl, gen_cache = generator.synthesize(eps_g, z, x_next, t + 1)
-                    rows = np.searchsorted(seen, y)
-                    log_probs, lp_cache = reward_mod.class_log_probs(reward_model, x0_rl, rows)
-                    r = log_probs.copy()
+                    r, lp_cache = reward_mod.class_log_probs(reward_model, x0_rl, rows)
                     if not np.all(np.isfinite(r)):
                         raise NumericFailure(
                             f"reward is non-finite at epoch {epoch}, batch {batch_i}"
                         )
                     if config.raw_reward:
-                        adv_batch = AdvantageBatch(rewards=r, advantages=r.copy())
+                        advantages = r
                     else:
-                        baseline.update(r)
+                        advantages = r - baseline.update(r)
                         cnt.ema_writes += 1
-                        adv_batch = reward_mod.advantage(r, baseline)
-                    rl_l, g_rl = reward_mod.rl_loss(adv_batch, log_probs, lp_cache)
+                    rl_l, g_rl = reward_mod.rl_loss(advantages, r, lp_cache)
                     _require_finite(rl_l.item(), "rl loss", epoch, batch_i)
                     opt_rl.step([generator.net.pullback(gen_cache, g_rl)])
                     cnt.rl_updates += 1
                     reward_means.append(float(np.mean(r)))
                     if not config.raw_reward:
-                        adv_means.append(float(np.mean(adv_batch.advantages)))
+                        adv_means.append(float(np.mean(advantages)))
 
             nan = float("nan")
             report = None
@@ -299,6 +295,6 @@ def train(
         metrics=metrics,
         counters=counters,
         baseline=baseline,
-        prototype_table=table,
+        visual_prototypes=visual_prototypes,
         reports=reports,
     )

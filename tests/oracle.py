@@ -116,9 +116,9 @@ def _l1(x: Tensor, v: np.ndarray) -> Tensor:
 _CUES = {"pd": _pd, "kl": _kl, "l1": _l1}
 
 
-def cue_loss(x: Tensor, labels, table, variant: str) -> Tensor:
-    """cues.cue_loss with weight 1."""
-    return _CUES[variant](x, table.lookup(labels))
+def cue_loss(x: Tensor, v: np.ndarray, variant: str) -> Tensor:
+    """cues.cue_loss with weight 1, against the prototype rows v."""
+    return _CUES[variant](x, v)
 
 
 def class_log_probs(model, x: Tensor, y) -> Tensor:

@@ -21,7 +21,7 @@ from rlvc.data import make_synthetic
 from rlvc.evaluate import harmonic_mean
 from rlvc.gan import CriticX0, CriticXt, Generator
 from rlvc.nets import DenseNet
-from rlvc.reward import AdvantageBatch, EmaBaseline, RewardModel, advantage, class_log_probs
+from rlvc.reward import EmaBaseline, RewardModel, class_log_probs
 from rlvc.trainer import train
 
 from conftest import max_fd_error
@@ -85,9 +85,9 @@ def test_01_gradient_correctness(monkeypatch):
         eps_g = rng.standard_normal((b, d))
         eps_p = rng.standard_normal((b, d))
         y = rng.integers(0, 2, size=b)
-        table = cues.mine_prototypes(rng.normal(size=(6, d)), np.repeat([0, 1], 3), [0, 1])
+        v = cues.mine_prototypes(rng.normal(size=(6, d)), np.repeat([0, 1], 3), [0, 1])[y]
         model = RewardModel(rng.normal(size=(2, d)), rng.normal(size=2))
-        adv_const = AdvantageBatch(rewards=np.ones(b), advantages=rng.normal(size=b))
+        adv_const = rng.normal(size=b)
         gp_seed = 7700 + point
 
         def loss_c0():
@@ -113,12 +113,12 @@ def test_01_gradient_correctness(monkeypatch):
 
         def loss_pd():
             x0, cache = gen.synthesize(eps_g, z, x_next, t + 1)
-            value, contributions = cues.cue_loss(x0, y, table, "pd", 1.0)
+            value, contributions = cues.cue_loss(x0, v, "pd", 1.0)
             return value, gen.net.pullback(cache, sum(contributions))
 
         def loss_total():
             adv, x0_tilde, g_x0, cache = adv_pass()
-            cue, contributions = cues.cue_loss(x0_tilde, y, table, "pd", lambda_pd)
+            cue, contributions = cues.cue_loss(x0_tilde, v, "pd", lambda_pd)
             for g in contributions:
                 g_x0 = g_x0 + g
             return adv + lambda_pd * cue, gen.net.pullback(cache, g_x0)
@@ -166,11 +166,11 @@ def test_02_harmonic_mean_table():
 
 def test_03_outcome_reward_exactness():
     flat = RewardModel(np.zeros((4, 3)), np.zeros(4))
-    r_flat = reward_mod.reward(flat, [0.3, -1.2, 4.0], 2)
+    r_flat = float(class_log_probs(flat, [[0.3, -1.2, 4.0]], [2])[0][0])
     err_flat = abs(r_flat - math.log(0.25))
 
     ladder = RewardModel(np.array([[2.0], [1.0], [0.0]]), np.zeros(3))
-    r_hand = reward_mod.reward(ladder, [1.0], 0)
+    r_hand = float(class_log_probs(ladder, [[1.0]], [0])[0][0])
     err_hand = abs(r_hand - (-0.407606))
 
     ok = err_flat < 1e-12 and err_hand < 1e-5
@@ -202,15 +202,11 @@ def test_04_baseline_and_stop_gradient():
     x0, cache = gen.synthesize(eps, z, x_next, np.ones(6, dtype=np.int64))
     lp0, lp_cache = class_log_probs(model, x0, y)
 
-    def grads_with(adv_batch):
-        return gen.net.pullback(cache, reward_mod.rl_loss(adv_batch, lp0, lp_cache)[1])
+    def grads_with(advantages):
+        return gen.net.pullback(cache, reward_mod.rl_loss(advantages, lp0, lp_cache)[1])
 
-    sg_base.update(lp0)
-    computed = advantage(lp0.copy(), sg_base)
-    pasted = AdvantageBatch(
-        rewards=computed.rewards.copy(),
-        advantages=np.array([float(v) for v in computed.advantages]),
-    )
+    computed = lp0 - sg_base.update(lp0)
+    pasted = np.array([float(v) for v in computed])
     worst_sg = max(
         float(np.max(np.abs(ga - gb)))
         for ga, gb in zip(grads_with(computed), grads_with(pasted))
@@ -281,21 +277,21 @@ def test_06_diffusion_consistency():
 
 
 def test_07_distillation_exact_cases():
-    def pd(x, table):
-        return cues.cue_loss(np.array(x), [0], table, "pd", 1.0)[0]
+    def pd(x, v):
+        return cues.cue_loss(np.array(x), np.array(v), "pd", 1.0)[0]
 
-    table = cues.VisualPrototypeTable({0: np.array([1.0, 0.0])})
-    aligned = pd([[3.0, 0.0]], table)
-    orthogonal = pd([[0.0, 2.0]], table)
-    antipodal = pd([[-1.0, 0.0]], table)
+    v = [[1.0, 0.0]]
+    aligned = pd([[3.0, 0.0]], v)
+    orthogonal = pd([[0.0, 2.0]], v)
+    antipodal = pd([[-1.0, 0.0]], v)
     exact_err = max(abs(aligned), abs(orthogonal - 1.0), abs(antipodal - 2.0))
 
     rng = np.random.default_rng(0)
     lo, hi = np.inf, -np.inf
     for _ in range(10_000):
-        tab = cues.VisualPrototypeTable({0: rng.normal(size=4)})
-        v = pd(rng.normal(size=(1, 4)), tab)
-        lo, hi = min(lo, v), max(hi, v)
+        proto = rng.normal(size=(1, 4))
+        value = pd(rng.normal(size=(1, 4)), proto)
+        lo, hi = min(lo, value), max(hi, value)
     ok = exact_err < 1e-12 and lo >= 0.0 and hi <= 2.0
     _verdict(
         7, "distillation-exact-cases", ok,

@@ -177,6 +177,29 @@ def test_timestep_count_must_be_one_or_the_row_count():
         diffusion.forward_noise(np.zeros((3, 2)), np.array([1, 2]), s, rng)
     with pytest.raises(UsageError, match="2 timesteps for 3 rows"):
         diffusion.posterior_sample(np.zeros((3, 2)), np.zeros((3, 2)), np.array([1, 2]), s, rng)
+    # a vector that breaks both the range and the count is refused with both named
+    both = r"^forward_noise: timestep out of range \[0, 4\]; 2 timesteps for 3 rows$"
+    with pytest.raises(UsageError, match=both):
+        diffusion.forward_noise(np.zeros((3, 2)), np.array([1, 9]), s, rng)
+
+
+def test_each_sampler_checks_its_timesteps_once(monkeypatch):
+    s = diffusion.build_schedule(4, 0.1, 0.4)
+    rng = np.random.default_rng(0)
+    x, t = np.zeros((3, 2)), np.array([0, 1, 3])
+    checks = []
+    check = diffusion.per_row
+
+    def counting_check(*args, **kwargs):
+        checks.append(args[-1])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "per_row", counting_check)
+    diffusion.forward_noise(x, t, s, rng)
+    diffusion.forward_transition(x, t, s, rng)
+    diffusion.posterior_coeffs(s, t)
+    diffusion.posterior_sample(x, x, t, s, rng)
+    assert checks == ["forward_noise", "forward_transition", "posterior_coeffs", "posterior_sample"]
 
 
 def _per_call_columns(s: diffusion.DiffusionSchedule, t: int) -> dict:

@@ -69,7 +69,7 @@ def _batch(t: np.ndarray, seed: int):
     )
 
 
-def _table(seed: int):
+def _prototypes(seed: int):
     rng = np.random.default_rng(seed)
     return cues.mine_prototypes(rng.normal(size=(9, D)), np.repeat([0, 1, 2], 3), [0, 1, 2])
 
@@ -131,7 +131,7 @@ def test_critic_losses_match_the_engine_at_either_end_of_the_slope_range(slope):
 def test_generator_step_matches_the_engine(variant, t):
     gen, cx0, cxt = _nets(2)
     b = _batch(t, 12)
-    table = _table(3)
+    v = _prototypes(3)[b["y"]]
     lambda_pd = 0.7
     args = (gen, cx0, cxt, b["z"], b["x_next"], t, SCHED, b["eps_g"], b["eps_p"])
     assert _both_branches(gen.net, gen._inputs(b["eps_g"], b["z"], b["x_next"], t + 1))
@@ -142,8 +142,8 @@ def test_generator_step_matches_the_engine(variant, t):
     assert _same(x0_tilde, oracle_x0.data)
     total = adv
     if variant is not None:
-        value, contributions = cues.cue_loss(x0_tilde, b["y"], table, variant, lambda_pd)
-        cue = oracle.cue_loss(oracle_x0, b["y"], table, variant)
+        value, contributions = cues.cue_loss(x0_tilde, v, variant, lambda_pd)
+        cue = oracle.cue_loss(oracle_x0, v, variant)
         assert _same(value, cue.data)
         for g in contributions:
             g_x0 = g_x0 + g
@@ -157,12 +157,12 @@ def test_cue_pass_matches_the_engine_on_a_zero_norm_row(variant, caplog):
     x = rng.normal(size=(5, D))
     x[2] = 0.0
     y = rng.integers(0, 3, size=5)
-    table = _table(5)
+    v = _prototypes(5)[y]
     with caplog.at_level(logging.WARNING, logger="rlvc.cues"):
-        value, contributions = cues.cue_loss(x, y, table, variant, 0.7)
+        value, contributions = cues.cue_loss(x, v, variant, 0.7)
     assert ("zero norm" in caplog.text) == (variant == "pd")
     xt = Tensor(x, requires_grad=True)
-    cue = oracle.cue_loss(xt, y, table, variant)
+    cue = oracle.cue_loss(xt, v, variant)
     grad = contributions[0]
     for g in contributions[1:]:
         grad = grad + g
@@ -186,13 +186,12 @@ def test_rl_step_matches_the_engine(centred, t):
     if centred:
         baseline = reward.EmaBaseline(alpha=0.9)
         baseline.update(log_probs - 1.0)
-        baseline.update(log_probs)
-        batch = reward.advantage(log_probs, baseline)
+        advantages = log_probs - baseline.update(log_probs)
     else:
-        batch = reward.AdvantageBatch(rewards=log_probs, advantages=log_probs.copy())
+        advantages = log_probs
 
-    loss, g_x0 = reward.rl_loss(batch, log_probs, lp_cache)
-    oracle_loss = oracle.rl_loss(batch.advantages, oracle_lp)
+    loss, g_x0 = reward.rl_loss(advantages, log_probs, lp_cache)
+    oracle_loss = oracle.rl_loss(advantages, oracle_lp)
     assert _same(loss, oracle_loss.data)
     assert _same(gen.net.pullback(cache, g_x0), oracle.flat_grad(oracle_loss, gen.net.params))
 
@@ -212,7 +211,7 @@ def test_rl_pass_matches_the_engine_at_zero_advantages_and_saturated_logits():
     assert np.any(np.exp(logits - logits.max(axis=1, keepdims=True)) == 0.0)
     log_probs, lp_cache = reward.class_log_probs(model, x, y)
     assert np.any(log_probs == 0.0)
-    loss, g_x = reward.rl_loss(reward.AdvantageBatch(rewards=a, advantages=a), log_probs, lp_cache)
+    loss, g_x = reward.rl_loss(a, log_probs, lp_cache)
 
     xt = Tensor(x, requires_grad=True)
     oracle_lp = oracle.class_log_probs(model, xt, y)

@@ -31,7 +31,6 @@ MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 # "module.Class.method".
 ALLOWED = {
     "engine.py": "its ops are the vocabulary of the test oracle (tests/oracle.py)",
-    "reward.reward": "the single-row outcome reward that acceptance test 03 checks",
     "data.load_features": "the reader of the files `rlvc synthesize` writes",
     "cli._Parser.error": "an argparse override: argparse calls it on a bad command line",
 }

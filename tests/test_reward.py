@@ -10,38 +10,44 @@ from rlvc.config import Config
 from rlvc.errors import ConfigurationError, NumericFailure, UsageError
 from rlvc.gan import Generator
 from rlvc.nets import AdamState
-from rlvc.reward import AdvantageBatch, EmaBaseline, RewardModel
+from rlvc.reward import EmaBaseline, RewardModel
 
 from conftest import make_separable, max_fd_error
 
 
-def _policy_gradient(gen, model, inputs, y, batch_of):
+def _policy_gradient(gen, model, inputs, y, advantages):
     """The RL loss on rows synthesized from inputs = (eps, z, x_next, t),
-    with the advantage batch `batch_of(log_probs)`, and its gradient w.r.t.
-    the generator's parameters, laid out like `gen.net.flat`."""
+    weighted by the advantage vector, and its gradient w.r.t. the
+    generator's parameters, laid out like `gen.net.flat`."""
     x0, cache = gen.synthesize(*inputs)
     lp, lp_cache = reward.class_log_probs(model, x0, y)
-    loss, g_x0 = reward.rl_loss(batch_of(lp), lp, lp_cache)
+    loss, g_x0 = reward.rl_loss(advantages, lp, lp_cache)
     return loss, gen.net.pullback(cache, g_x0)
+
+
+def _reward(model, x, y: int) -> float:
+    """Outcome reward of a single feature vector: log p(y | x)."""
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    return float(reward.class_log_probs(model, x, [y])[0][0])
 
 
 def test_zero_model_reward_is_log_quarter():
     model = RewardModel(np.zeros((4, 3)), np.zeros(4))
-    r = reward.reward(model, np.array([0.3, -0.7, 2.0]), 2)
+    r = _reward(model, np.array([0.3, -0.7, 2.0]), 2)
     assert abs(r - np.log(0.25)) < 1e-12
 
 
 def test_hand_computed_reward():
     # logits [2, 1, 0] for a 3-class model, class 0
     model = RewardModel(np.array([[2.0], [1.0], [0.0]]), np.zeros(3))
-    r = reward.reward(model, np.array([1.0]), 0)
+    r = _reward(model, np.array([1.0]), 0)
     assert abs(r - (2.0 - np.log(np.e**2 + np.e + 1.0))) < 1e-12
     assert abs(r - (-0.40760596444658)) < 1e-5
 
 
 def test_reward_saturates_near_zero():
     model = RewardModel(np.array([[60.0], [0.0]]), np.zeros(2))
-    r = reward.reward(model, np.array([1.0]), 0)
+    r = _reward(model, np.array([1.0]), 0)
     assert -1e-20 <= r <= 0.0
 
 
@@ -51,13 +57,13 @@ def test_reward_always_nonpositive():
     for _ in range(50):
         x = rng.normal(size=4) * 10
         y = int(rng.integers(5))
-        assert reward.reward(model, x, y) <= 0.0
+        assert _reward(model, x, y) <= 0.0
 
 
 def test_reward_rejects_out_of_range_class():
     model = RewardModel(np.zeros((3, 2)), np.zeros(3))
     with pytest.raises(UsageError):
-        reward.reward(model, np.zeros(2), 3)
+        _reward(model, np.zeros(2), 3)
 
 
 def test_class_log_probs_rejects_labels_that_are_not_integers():
@@ -123,7 +129,7 @@ def test_frozen_params_bitwise_stable_under_rl_steps():
         inputs = rng.normal(size=(8, 3)), rng.normal(size=(8, 2)), rng.normal(size=(8, 3)), 1
         adv = rng.normal(size=8)
         y = rng.integers(0, 2, size=8)
-        _, grads = _policy_gradient(gen, model, inputs, y, lambda lp: AdvantageBatch(lp.copy(), adv))
+        _, grads = _policy_gradient(gen, model, inputs, y, adv)
         opt.step([grads])
     assert model.weight.tobytes() == w_before
     assert model.bias.tobytes() == b_before
@@ -173,29 +179,23 @@ def test_ema_validation():
         b.update(np.array([np.inf]))
 
 
-def test_advantage_requires_initialized_baseline():
-    with pytest.raises(UsageError):
-        reward.advantage(np.array([1.0]), EmaBaseline(alpha=0.9))
-
-
 def test_advantage_values():
+    # the trainer centres rewards by the baseline's post-update value
     b = EmaBaseline(alpha=0.9, value=-2.0, initialized=True)
-    batch = reward.advantage(np.array([-1.0, -3.0]), b)
-    np.testing.assert_array_equal(batch.advantages, [1.0, -1.0])
-    np.testing.assert_array_equal(batch.rewards, [-1.0, -3.0])
-    batch2 = reward.advantage(np.full(4, b.value), b)
-    np.testing.assert_array_equal(batch2.advantages, np.zeros(4))
+    r = np.array([-1.0, -3.0])
+    np.testing.assert_array_equal(r - b.update(r), [1.0, -1.0])
+    r2 = np.full(4, b.value)
+    np.testing.assert_array_equal(r2 - b.update(r2), np.zeros(4))
 
 
 def test_rl_loss_arithmetic_and_guards():
     uniform = RewardModel(np.zeros((2, 1)), np.zeros(2))
     lp, cache = reward.class_log_probs(uniform, np.zeros((1, 1)), [0])
-    batch = AdvantageBatch(rewards=lp.copy(), advantages=np.array([1.0]))
-    loss, _ = reward.rl_loss(batch, lp, cache)
+    loss, _ = reward.rl_loss(np.array([1.0]), lp, cache)
     assert abs(loss.item() - np.log(2.0)) < 1e-15
 
     with pytest.raises(UsageError):
-        reward.rl_loss(AdvantageBatch(np.zeros(2), np.zeros(2)), lp, cache)
+        reward.rl_loss(np.zeros(2), lp, cache)
 
 
 def test_rl_loss_zero_advantages_zero_gradient():
@@ -204,7 +204,7 @@ def test_rl_loss_zero_advantages_zero_gradient():
     rng = np.random.default_rng(2)
     inputs = rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), 1
     y = np.array([0, 1, 0, 1])
-    loss, grads = _policy_gradient(gen, model, inputs, y, lambda lp: AdvantageBatch(lp.copy(), np.zeros(4)))
+    loss, grads = _policy_gradient(gen, model, inputs, y, np.zeros(4))
     assert loss.item() == 0.0
     for g in grads:
         np.testing.assert_array_equal(g, np.zeros_like(g))
@@ -219,15 +219,14 @@ def test_stop_gradient_identity():
     eps, z, xn = rng.normal(size=(6, 2)), rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
     y = np.array([0, 1, 2, 0, 1, 2])
 
-    def grads_with(adv_batch):
-        return _policy_gradient(gen, model, (eps, z, xn, 2), y, lambda lp: adv_batch)[1]
+    def grads_with(advantages):
+        return _policy_gradient(gen, model, (eps, z, xn, 2), y, advantages)[1]
 
     b = EmaBaseline(alpha=0.9)
     x0, _ = gen.synthesize(eps, z, xn, 2)
-    r = reward.class_log_probs(model, x0, y)[0].copy()
-    b.update(r)
-    computed = reward.advantage(r, b)
-    pasted = AdvantageBatch(rewards=r.copy(), advantages=computed.advantages.copy())
+    r = reward.class_log_probs(model, x0, y)[0]
+    computed = r - b.update(r)
+    pasted = computed.copy()
     for ga, gb in zip(grads_with(computed), grads_with(pasted)):
         np.testing.assert_allclose(ga, gb, atol=1e-10)
 
@@ -237,8 +236,7 @@ def test_unit_advantages_reduce_to_nll():
     x = np.random.default_rng(7).normal(size=(5, 4))
     y = np.array([0, 1, 2, 1, 0])
     lp, cache = reward.class_log_probs(model, x, y)
-    batch = AdvantageBatch(rewards=lp.copy(), advantages=np.ones(5))
-    loss, _ = reward.rl_loss(batch, lp, cache)
+    loss, _ = reward.rl_loss(np.ones(5), lp, cache)
     nll = -np.mean(lp)
     assert abs(loss.item() - nll) < 1e-15
 
@@ -254,7 +252,7 @@ def test_positive_advantage_step_raises_log_prob():
         return float(reward.class_log_probs(model, gen.synthesize(*inputs)[0], y)[0][0])
 
     before = log_prob()
-    _, grads = _policy_gradient(gen, model, inputs, y, lambda lp: AdvantageBatch(lp.copy(), np.ones(1)))
+    _, grads = _policy_gradient(gen, model, inputs, y, np.ones(1))
     cfg = Config()
     AdamState([gen.net.flat], lr=1e-4, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2).step([grads])
     assert log_prob() > before
@@ -269,7 +267,7 @@ def test_rl_loss_fd_through_generator():
     adv = np.array([0.5, -1.0, 2.0])  # frozen constants
 
     def loss_fn():
-        loss, grad = _policy_gradient(gen, model, inputs, y, lambda lp: AdvantageBatch(adv.copy(), adv.copy()))
+        loss, grad = _policy_gradient(gen, model, inputs, y, adv)
         return loss, [grad]
 
     assert max_fd_error(loss_fn, [gen.net.flat]) < 1e-4

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rlvc import config, cues, diffusion, engine, gan, nets, reward, trainer
+from rlvc import config, diffusion, engine, gan, nets, reward, trainer
 from rlvc.config import Config
-from rlvc.data import make_synthetic
+from rlvc.data import ZslDataset, make_synthetic
 from rlvc.errors import ConfigurationError, NumericFailure
 from rlvc.evaluate import full_report
 from rlvc.reward import pretrain_reward
@@ -127,7 +127,7 @@ def test_multiple_critic_steps():
 def test_nan_sentinels_without_cues():
     ds = _small_ds()
     result = train(ds, _reward_for(ds), _cfg(use_cues=False))
-    assert result.prototype_table is None
+    assert result.visual_prototypes is None
     for row in result.metrics:
         assert np.isnan(row.pd_loss)
         assert np.isfinite(row.gen_adv_loss)
@@ -239,10 +239,11 @@ def test_pretraining_training_and_evaluation_build_no_graph(monkeypatch):
 def _oracle_minibatch(ds, rm, cfg):
     """One minibatch of the training schedule on engine graphs: the same
     draws in the same order as trainer.train, with the gradients taken by
-    engine.backward and concatenated per network."""
+    engine.backward and concatenated per network. Each row's visual
+    prototype and reward class come from its class id here, not through the
+    trainer's label-to-row map."""
     train_x, train_y = ds.train
-    seen = ds.seen_classes
-    table = cues.mine_prototypes(train_x, train_y, seen)
+    seen = sorted(int(c) for c in ds.seen_classes)
     sched = cfg.schedule()
     init_rng = stream_rng(cfg.seed, "init")
     d = train_x.shape[1]
@@ -259,6 +260,8 @@ def _oracle_minibatch(ds, rm, cfg):
     idx = train_rng.integers(0, train_x.shape[0], size=cfg.batch_size)
     x0, y = train_x[idx], train_y[idx]
     z = ds.prototypes[y]
+    v = np.stack([train_x[train_y == c].mean(0) for c in y])
+    reward_rows = np.array([seen.index(int(c)) for c in y])
 
     def draw(rng):
         t = rng.integers(0, cfg.diffusion_steps, size=x0.shape[0])
@@ -278,22 +281,19 @@ def _oracle_minibatch(ds, rm, cfg):
     eps_g = train_rng.standard_normal(x0.shape)
     eps_post = train_rng.standard_normal(x0.shape)
     adv, x0_tilde = oracle.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_post)
-    cue = oracle.cue_loss(x0_tilde, y, table, cfg.cue_loss)
+    cue = oracle.cue_loss(x0_tilde, v, cfg.cue_loss)
     opt_gen.step([oracle.flat_grad(adv + cfg.lambda_pd * cue, gen.net.params)])
 
     t, x_t, x_next = draw(rl_rng)
     eps_g = rl_rng.standard_normal(x0.shape)
     x0_rl = oracle.synthesize(gen, eps_g, z, x_next, t + 1)
-    log_probs = oracle.class_log_probs(rm, x0_rl, np.searchsorted(seen, y))
+    log_probs = oracle.class_log_probs(rm, x0_rl, reward_rows)
     r = log_probs.data.copy()
-    baseline.update(r)
-    loss = oracle.rl_loss(reward.advantage(r, baseline).advantages, log_probs)
+    loss = oracle.rl_loss(r - baseline.update(r), log_probs)
     opt_rl.step([oracle.flat_grad(loss, gen.net.params)])
 
 
-@pytest.mark.parametrize("cue_loss", ["pd", "kl", "l1"])
-def test_trainer_minibatch_matches_the_engine_oracle(cue_loss, monkeypatch):
-    ds = _small_ds()
+def _replay_against_the_oracle(ds, cue_loss, monkeypatch):
     rm = _reward_for(ds)
     # 32 training rows and batch 32: one epoch is one minibatch
     cfg = _cfg(epochs=1, batch_size=32, rl_start_epoch=0, cue_loss=cue_loss, eval_interval=0)
@@ -312,6 +312,30 @@ def test_trainer_minibatch_matches_the_engine_oracle(cue_loss, monkeypatch):
     _oracle_minibatch(ds, rm, cfg)
     assert len(by_trainer) == 3  # critic, generator adversarial, policy gradient
     assert updates == by_trainer
+
+
+@pytest.mark.parametrize("cue_loss", ["pd", "kl", "l1"])
+def test_trainer_minibatch_matches_the_engine_oracle(cue_loss, monkeypatch):
+    _replay_against_the_oracle(_small_ds(), cue_loss, monkeypatch)
+
+
+def _renamed(ds: ZslDataset, new_id) -> ZslDataset:
+    """ds with class c renamed new_id[c]: the same rows and draws."""
+    old_id = np.argsort(new_id)
+    return ZslDataset(ds.features, new_id[ds.labels], ds.splits,
+                      ds.prototypes[old_id], ds.roles[old_id])
+
+
+@pytest.mark.parametrize("cue_loss", ["pd", "kl", "l1"])
+def test_trainer_minibatch_matches_the_engine_oracle_with_seen_ids_out_of_order(
+    cue_loss, monkeypatch
+):
+    # Every synthetic dataset has its seen classes at ids 0..S-1, where the
+    # label-to-row map is the identity. Here the seen ids are 0, 1, 3 and 5,
+    # and the class that was 0 is now 5, the last seen row.
+    ds = _renamed(_small_ds(), np.array([5, 1, 3, 0, 4, 2]))
+    assert ds.seen_classes.tolist() == [0, 1, 3, 5]
+    _replay_against_the_oracle(ds, cue_loss, monkeypatch)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
