@@ -170,7 +170,7 @@ def cmd_pretrain_reward(args) -> int:
     out = _require(args, "out")
     ds = _load_dataset(cfg, data_dir)
     train_x, train_y = ds.train
-    y = np.searchsorted(ds.seen_classes, train_y)
+    y = ds.seen_rows(train_y)
     model = reward_mod.pretrain_reward(
         train_x, y, len(ds.seen_classes), cfg, stream_rng(cfg.seed, "reward")
     )

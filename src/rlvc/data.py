@@ -14,13 +14,23 @@ row reader and written by one row writer; a malformed line is reported as
 "<file> row <i>", i the 0-based line number. The features file's
 `# features n=... d=...` header fixes its shape, and its reader checks the
 rows against it.
+
+`load_dataset` keeps the arrays it parsed in `CACHE_NAME` inside the
+dataset directory, stored under the directory's `fingerprint`, and a later
+load whose four files hash to the same fingerprint reads the arrays from
+there instead of parsing the text again. Any edit to a csv changes the
+fingerprint, so the cache can never stand in for a different dataset; a
+cache that is stale, damaged or unwritable only costs a parse.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import itertools
 import os
 import re
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +42,7 @@ from .seeding import stream_rng
 DATASET_FILES = ("features.csv", "labels.csv", "prototypes.csv", "classes.csv")
 SPLIT_TAGS = ("train", "test_seen", "test_unseen")
 ROLES = ("seen", "unseen")
+CACHE_NAME = ".rlvc-dataset.npz"
 
 
 @dataclass
@@ -84,6 +95,13 @@ class ZslDataset:
     @property
     def test_unseen(self) -> tuple[np.ndarray, np.ndarray]:
         return self._split("test_unseen")
+
+    def seen_rows(self, labels) -> np.ndarray:
+        """Each seen-class label's row among the sorted seen ids: row i is
+        seen class `seen_classes[i]`, as in the reward model and the mined
+        prototypes. `validate` guarantees that every train and test_seen
+        label is a seen class."""
+        return np.searchsorted(self.seen_classes, labels)
 
     def validate(self) -> None:
         n, c = self.features.shape[0], self.n_classes
@@ -191,12 +209,78 @@ def save_dataset(ds: ZslDataset, dirpath) -> None:
     _write_rows(classes, ((str(c), r) for c, r in enumerate(ds.roles)))
 
 
+def fingerprint(dirpath) -> str:
+    """The dataset's content key, in hex: one sha256 over each of the
+    DATASET_FILES in order, its name and the sha256 of its bytes. Hashing
+    each file apart keeps bytes moved from the end of one file to the start
+    of the next from giving the same key."""
+    digest = hashlib.sha256()
+    for name in DATASET_FILES:
+        part = hashlib.sha256()
+        with open(os.path.join(dirpath, name), "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                part.update(chunk)
+        digest.update(name.encode() + b"\0" + part.digest())
+    return digest.hexdigest()
+
+
 def load_dataset(dirpath) -> ZslDataset:
     """Read and fully validate a dataset directory; any broken invariant is
-    rejected with a row-level diagnostic."""
+    rejected with a row-level diagnostic. The arrays come from the directory's
+    cache when it was stored under the files' fingerprint; otherwise the csv
+    files are parsed and the cache is (re)written."""
     for name in DATASET_FILES:
         if not os.path.isfile(os.path.join(dirpath, name)):
             raise FileNotFoundError(f"missing {name} in {dirpath}")
+    key = fingerprint(dirpath)
+    cache = os.path.join(dirpath, CACHE_NAME)
+    ds = _read_cache(cache, key)
+    if ds is None:
+        ds = _parse_dataset(dirpath)
+        _write_cache(cache, key, ds)
+    return ds
+
+
+def _read_cache(path, key: str) -> ZslDataset | None:
+    """The validated dataset stored at `path` under `key`; None when the file
+    is absent, holds another key, or is unreadable or invalid in any way."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            if str(npz["fingerprint"]) != key:
+                return None
+            ds = ZslDataset(npz["features"], npz["labels"],
+                            np.array(SPLIT_TAGS, dtype=object)[npz["splits"]],
+                            npz["prototypes"], np.array(ROLES, dtype=object)[npz["roles"]])
+        ds.validate()
+    except (OSError, ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile,
+            ConfigurationError):
+        return None
+    return ds
+
+
+def _write_cache(path, key: str, ds: ZslDataset) -> None:
+    """Store `ds` at `path` under `key`: written to a temporary file, then
+    renamed over `path`. A directory that cannot take the file (read-only,
+    full) is left uncached."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, fingerprint=np.array(key), features=ds.features, labels=ds.labels,
+                     splits=_codes(ds.splits, SPLIT_TAGS), prototypes=ds.prototypes,
+                     roles=_codes(ds.roles, ROLES))
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
+def _codes(values: np.ndarray, tags: tuple) -> np.ndarray:
+    """Each value's index in `tags`, as uint8."""
+    return np.array([tags.index(v) for v in values], dtype=np.uint8)
+
+
+def _parse_dataset(dirpath) -> ZslDataset:
+    """Parse and validate the four csv files of a dataset directory."""
     features_csv, labels_csv, prototypes_csv, classes_csv = (
         os.path.join(dirpath, n) for n in DATASET_FILES
     )

@@ -223,19 +223,38 @@ def log_softmax_pullback(cache: tuple, u: np.ndarray) -> np.ndarray:
 _SAFE = 2.0**1022
 
 # Adam sweeps each vector this many entries at a time, so that a block's
-# operands stay in cache across the dozen ufunc calls of its update.
+# operands stay in cache across the dozen ufunc calls of its update. A tail
+# under ADAM_BLOCK // 8 entries joins the block before it rather than paying
+# those calls for a few entries.
 ADAM_BLOCK = 2**15
 
 # The step and denominator of one block, shared by every AdamState and grown
-# in place to min(ADAM_BLOCK, the largest vector stepped so far) on first
-# need.
+# in place to the largest block stepped so far on first need.
 _SCRATCH = [np.empty(0), np.empty(0)]
 
 
+def _cuts(n: int) -> list[int]:
+    """The block bounds of an n-entry vector: every ADAM_BLOCK entries, with a
+    tail shorter than ADAM_BLOCK // 8 folded into the block before it."""
+    cuts = [*range(0, n, ADAM_BLOCK), n]
+    if len(cuts) > 2 and n - cuts[-2] < ADAM_BLOCK // 8:
+        del cuts[-2]
+    return cuts
+
+
+def largest_block(n: int) -> int:
+    """The most entries of an n-entry vector that Adam steps at once."""
+    cuts = _cuts(n)
+    return max((b - a for a, b in zip(cuts, cuts[1:])), default=0)
+
+
 def _blocks(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Each vector cut into consecutive views of ADAM_BLOCK entries, the last
-    of each shorter."""
-    return [x[a : a + ADAM_BLOCK] for x in vectors for a in range(0, x.size, ADAM_BLOCK)]
+    """Each vector cut at its `_cuts` into consecutive views."""
+    views = []
+    for x in vectors:
+        cuts = _cuts(x.size)
+        views += [x[a:b] for a, b in zip(cuts, cuts[1:])]
+    return views
 
 
 class AdamState:
@@ -246,10 +265,10 @@ class AdamState:
     parameter. The moments live in one flat vector each, and `m` and `v` are
     lists of per-parameter views of them. A step reads each gradient where
     it lies and runs the update block by block through a shared scratch
-    pair: for each ADAM_BLOCK entries of a parameter, in-place ufuncs advance
-    that block of m and v, form the step in one scratch buffer and its
-    denominator in the other, and subtract the step from the parameter,
-    element by element the same expression as
+    pair: for each block of a parameter (about ADAM_BLOCK entries; see
+    `_cuts`), in-place ufuncs advance that block of m and v, form the step
+    in one scratch buffer and its denominator in the other, and subtract the
+    step from the parameter, element by element the same expression as
     p -= lr * (m / c1) / (sqrt(v / c2) + eps). Every operation is
     elementwise, so the bits do not depend on the block size. The scratch
     pair is one per process, not per optimizer: a step leaves nothing in it
@@ -293,9 +312,10 @@ class AdamState:
         self._spans = list(zip([0, *ends[:-1]], ends))
         size = sum(p.size for p in self.params)
         self._m, self._v = np.zeros(size), np.zeros(size)
-        self._block = min(ADAM_BLOCK, max((p.size for p in self.params), default=0))
+        self._block = max((largest_block(p.size) for p in self.params), default=0)
         self.m, self.v = self._views(self._m), self._views(self._v)
         self._in_place = _blocks(self.m), _blocks(self.v), _blocks(self.params)
+        self._whole = len(self._in_place[2]) == len(self.params)  # one block each
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         return [flat[a:b] for a, b in self._spans]
@@ -341,8 +361,8 @@ class AdamState:
                 raise UsageError("gradients do not match the parameter vectors")
             arrays.append(np.asarray(g, dtype=np.float64))
         # The range checks run by blocks too: a block's second reduction
-        # reads it from cache. Under one block, a gradient is its own block.
-        g_blocks = arrays if self._block < ADAM_BLOCK else _blocks(arrays)
+        # reads it from cache. A gradient of one block is its own block.
+        g_blocks = arrays if self._whole else _blocks(arrays)
         g_max = 0.0
         for gb in g_blocks:
             hi, lo = float(_max(gb, initial=0.0)), float(_min(gb, initial=0.0))

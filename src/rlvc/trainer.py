@@ -19,7 +19,7 @@ from .config import Config
 from .data import ZslDataset
 from .errors import ConfigurationError, NumericFailure
 from .evaluate import EvalReport, full_report
-from .nets import ADAM_BLOCK, GENERATOR_TAG, AdamState, param_count, save_checkpoint
+from .nets import GENERATOR_TAG, AdamState, largest_block, param_count, save_checkpoint
 from .reward import EmaBaseline, RewardModel
 from .seeding import stream_rng
 
@@ -90,7 +90,7 @@ def training_floats(feat_dim: int, sem_dim: int, config: Config) -> int:
     )
     params = gen + sum(critics)
     moments = 2 * (params + (gen if config.use_rl else 0))
-    return 2 * params + moments + 2 * min(ADAM_BLOCK, max(gen, *critics))
+    return 2 * params + moments + 2 * max(largest_block(n) for n in (gen, *critics))
 
 
 def _physical_memory() -> int | None:
@@ -122,8 +122,8 @@ def train(
 
     train_x, train_y = dataset.train
     n_train, d = train_x.shape
-    seen = dataset.seen_classes  # sorted ids; reward row i is class seen[i]
-    train_rows = np.searchsorted(seen, train_y)
+    seen = dataset.seen_classes
+    train_rows = dataset.seen_rows(train_y)
     if config.use_rl:
         if reward_model is None:
             raise ConfigurationError("RL phase enabled but no reward model given")

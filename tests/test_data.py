@@ -57,27 +57,43 @@ def _edit(path, name, old, new):
     f.write_text(text.replace(old, new, 1))
 
 
-@pytest.mark.parametrize(
-    "name,old,new",
-    [
-        ("labels.csv", "0,train", "2,train"),  # train row with unseen label
-        ("labels.csv", "2,test_unseen", "0,test_unseen"),  # unseen split, seen label
-        ("labels.csv", "1,train", "7,train"),  # label outside prototype table
-        ("labels.csv", "0,test_seen", "2,test_seen"),  # seen split, unseen label
-        ("labels.csv", "0,train", "0,validation"),  # unknown split tag
-        ("classes.csv", "1,seen", "1,sideways"),  # unknown role
-        ("classes.csv", "2,unseen", "5,unseen"),  # id not contiguous
-        ("features.csv", "10.5", "10.5,9.9"),  # ragged feature row
-        ("features.csv", "10.5", "ten"),  # non-numeric cell
-        ("prototypes.csv", "0.7,0.7\n", ""),  # prototype count != class count
-        ("labels.csv", "0,test_seen\n", ""),  # label rows != feature rows
-    ],
-)
+_CORRUPTIONS = [
+    ("labels.csv", "0,train", "2,train"),  # train row with unseen label
+    ("labels.csv", "2,test_unseen", "0,test_unseen"),  # unseen split, seen label
+    ("labels.csv", "1,train", "7,train"),  # label outside prototype table
+    ("labels.csv", "0,test_seen", "2,test_seen"),  # seen split, unseen label
+    ("labels.csv", "0,train", "0,validation"),  # unknown split tag
+    ("classes.csv", "1,seen", "1,sideways"),  # unknown role
+    ("classes.csv", "2,unseen", "5,unseen"),  # id not contiguous
+    ("features.csv", "10.5", "10.5,9.9"),  # ragged feature row
+    ("features.csv", "10.5", "ten"),  # non-numeric cell
+    ("prototypes.csv", "0.7,0.7\n", ""),  # prototype count != class count
+    ("labels.csv", "0,test_seen\n", ""),  # label rows != feature rows
+]
+
+
+@pytest.mark.parametrize("name,old,new", _CORRUPTIONS)
 def test_loader_rejects_single_field_corruption(tmp_path, name, old, new):
     path = _write_fixture(tmp_path)
     _edit(path, name, old, new)
     with pytest.raises(ConfigurationError):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("name,old,new", _CORRUPTIONS)
+def test_loader_rejects_single_field_corruption_with_a_warm_cache(tmp_path, name, old, new):
+    # the cache of the intact files must not stand in for the edited ones:
+    # the edit is refused with the message a parse without a cache gives
+    warm, cold = _write_fixture(tmp_path / "warm"), _write_fixture(tmp_path / "cold")
+    load_dataset(warm)
+    assert (warm / datamod.CACHE_NAME).is_file()
+    messages = []
+    for path in (warm, cold):
+        _edit(path, name, old, new)
+        with pytest.raises(ConfigurationError) as e:
+            load_dataset(path)
+        messages.append(str(e.value))
+    assert messages[0] == messages[1]
 
 
 def test_loader_rejects_duplicate_class_id(tmp_path):
@@ -146,6 +162,118 @@ def test_loader_names_the_row_of_an_unknown_role_or_duplicate_class_id(tmp_path)
     _edit(path, "classes.csv", "1,sideways", "0,seen")
     with pytest.raises(ConfigurationError, match=r"^classes\.csv row 1: duplicate class id 0$"):
         load_dataset(path)
+
+
+def _synthetic_dir(path):
+    save_dataset(make_synthetic(Config(n_seen=6, n_unseen=3, feat_dim=8, sem_dim=4,
+                                       samples_per_class=10, semantic_cluster_size=3)), path)
+    return path
+
+
+def _count_parses(monkeypatch) -> list:
+    """The files `_read_rows` reads from here on, by name."""
+    read, real = [], datamod._read_rows
+    monkeypatch.setattr(datamod, "_read_rows",
+                        lambda path, what, *a, **k: read.append(what) or real(path, what, *a, **k))
+    return read
+
+
+def test_a_cache_hit_gives_the_parsed_arrays_without_parsing(tmp_path, monkeypatch):
+    path = _synthetic_dir(tmp_path)
+    assert not (path / datamod.CACHE_NAME).exists()  # save_dataset writes no cache
+    read = _count_parses(monkeypatch)
+    parsed = load_dataset(path)
+    assert sorted(read) == sorted(datamod.DATASET_FILES)
+    assert (path / datamod.CACHE_NAME).is_file()
+    read.clear()
+    hit = load_dataset(path)
+    assert read == []
+    for field in ("features", "labels", "prototypes"):
+        a, b = getattr(hit, field), getattr(parsed, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for field in ("splits", "roles"):
+        a, b = getattr(hit, field), getattr(parsed, field)
+        assert a.dtype == object and a.tolist() == b.tolist()
+
+
+def _replace_in_cache(cache, **arrays):
+    with np.load(cache) as npz:
+        stored = dict(npz)
+    stored.update(arrays)
+    with open(cache, "wb") as fh:
+        np.savez(fh, **stored)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "stale", "bad split code",
+                                    "bad role code", "bad shape"])
+def test_a_damaged_cache_is_parsed_past_and_rewritten(tmp_path, monkeypatch, damage):
+    path = _synthetic_dir(tmp_path)
+    parsed = load_dataset(path)
+    cache = path / datamod.CACHE_NAME
+    good = cache.read_bytes()
+    if damage == "truncated":
+        cache.write_bytes(good[: len(good) // 2])
+    elif damage == "garbage":
+        cache.write_bytes(b"not a cache\n" * 100)
+    elif damage == "stale":
+        _replace_in_cache(cache, fingerprint=np.array("0" * 64))
+    elif damage == "bad split code":
+        _replace_in_cache(cache, splits=np.full(parsed.labels.size, 3, dtype=np.uint8))
+    elif damage == "bad role code":
+        _replace_in_cache(cache, roles=np.full(parsed.n_classes, 2, dtype=np.uint8))
+    else:
+        _replace_in_cache(cache, labels=parsed.labels[:-1])
+    read = _count_parses(monkeypatch)
+    loaded = load_dataset(path)
+    assert sorted(read) == sorted(datamod.DATASET_FILES)
+    assert loaded.features.tobytes() == parsed.features.tobytes()
+    assert loaded.splits.tolist() == parsed.splits.tolist()
+    assert cache.read_bytes() == good
+
+
+def test_a_directory_that_cannot_take_the_cache_still_loads(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(f"read-only: {dst}")
+
+    path = _write_fixture(tmp_path)
+    monkeypatch.setattr(datamod.os, "replace", refuse)
+    for _ in range(2):
+        loaded = load_dataset(path)
+        assert loaded.features.tobytes() == tiny_dataset().features.tobytes()
+    assert sorted(p.name for p in path.iterdir()) == sorted(datamod.DATASET_FILES)
+
+
+def test_the_cache_bytes_depend_only_on_the_dataset(tmp_path):
+    caches = []
+    for name in ("a", "b"):
+        path = _synthetic_dir(tmp_path / name)
+        load_dataset(path)
+        caches.append((path / datamod.CACHE_NAME).read_bytes())
+    assert caches[0] == caches[1]
+
+
+def test_the_fingerprint_follows_every_byte_and_its_file(tmp_path):
+    path = _write_fixture(tmp_path)
+    key = datamod.fingerprint(path)
+    assert key == datamod.fingerprint(path) and len(key) == 64
+    _edit(path, "classes.csv", "2,unseen", "2,unseen ")
+    assert datamod.fingerprint(path) != key
+    # the same bytes split differently between two files
+    moved = tmp_path / "moved"
+    moved.mkdir()
+    for name in datamod.DATASET_FILES:
+        (moved / name).write_bytes((path / name).read_bytes())
+    first = (moved / "features.csv").read_bytes()
+    tail = first.splitlines(keepends=True)[-1]
+    (moved / "features.csv").write_bytes(first[: -len(tail)])
+    (moved / "labels.csv").write_bytes(tail + (path / "labels.csv").read_bytes())
+    assert datamod.fingerprint(moved) != datamod.fingerprint(path)
+
+
+def test_seen_rows_index_the_sorted_seen_ids():
+    roles = np.array(["unseen", "seen", "seen", "unseen", "seen"], dtype=object)
+    ds = ZslDataset(np.zeros((1, 1)), [1], ["train"], np.zeros((5, 1)), roles)
+    np.testing.assert_array_equal(ds.seen_rows([4, 1, 2, 4, 1]), [2, 0, 1, 2, 0])
 
 
 def test_validate_requires_train_coverage(tiny_ds):

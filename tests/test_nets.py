@@ -317,8 +317,9 @@ def test_flat_adam_on_huge_parameters_matches_the_reference():
 
 
 def _past_one_block(rng):
-    """A net of 2 * ADAM_BLOCK + 3 entries, stepped in two whole blocks and a
-    three-entry tail, and one under a block, both with nonzero biases."""
+    """A net of 2 * ADAM_BLOCK + 3 entries, stepped in a whole block and one
+    with the three-entry tail folded in, and one under a block, both with
+    nonzero biases."""
     pair = [DenseNet([329, 198, 1], rng, 0.2), DenseNet([48, 128, 128, 1], rng, 0.2)]
     assert pair[0].flat.size == 2 * nets.ADAM_BLOCK + 3
     assert pair[1].flat.size < nets.ADAM_BLOCK
@@ -337,6 +338,43 @@ def test_blocked_adam_on_huge_parameters_matches_the_reference_past_one_block():
     pair = _past_one_block(rng)
     pair[0].biases[-1].data[0] = 1e308  # in the tail block
     _adam_against_a_per_parameter_reference(pair, rng)
+
+
+def test_blocked_adam_matches_the_reference_with_an_unfolded_tail():
+    rng = np.random.default_rng(15)
+    pair = [DenseNet([185, 200, 1], rng, 0.2), DenseNet([48, 128, 128, 1], rng, 0.2)]
+    assert [b.size for b in nets._blocks([pair[0].flat])] == [nets.ADAM_BLOCK, 4633]
+    for net in pair:
+        net.flat += 0.1 * rng.normal(size=net.flat.size)
+    _adam_against_a_per_parameter_reference(pair, rng)
+
+
+_B = nets.ADAM_BLOCK
+
+
+@pytest.mark.parametrize("n,sizes", [
+    (0, []),
+    (100, [100]),
+    (_B, [_B]),
+    (_B + _B // 8 - 1, [_B + _B // 8 - 1]),
+    (_B + _B // 8, [_B, _B // 8]),
+    (2 * _B + 3, [_B, _B + 3]),
+    (33_056, [33_056]),  # the synthetic preset's generator: one block
+])
+def test_adam_folds_only_a_tail_under_an_eighth_of_a_block(n, sizes):
+    assert [b.size for b in nets._blocks([np.zeros(n)])] == sizes
+    assert nets.largest_block(n) == max(sizes, default=0)
+
+
+def test_adam_steps_an_empty_vector_beside_others():
+    rng = np.random.default_rng(16)
+    start, grads = rng.normal(size=5), [rng.normal(size=5) for _ in range(3)]
+    with_empty = AdamState([np.zeros(0), start.copy()], lr=0.01, **_BETAS)
+    alone = AdamState([start.copy()], lr=0.01, **_BETAS)
+    for g in grads:
+        with_empty.step([np.zeros(0), g])
+        alone.step([g])
+    assert with_empty.params[1].tobytes() == alone.params[0].tobytes()
 
 
 def test_optimizers_sharing_the_scratch_leave_the_bytes_of_lone_runs(monkeypatch):
@@ -367,7 +405,7 @@ def test_optimizers_sharing_the_scratch_leave_the_bytes_of_lone_runs(monkeypatch
 def test_adam_holds_two_parameter_sized_vectors():
     n = 3 * nets.ADAM_BLOCK + 5
     p, g = np.zeros(n), np.ones(n)
-    pair = 2 * nets.ADAM_BLOCK * 8
+    pair = 2 * nets.largest_block(n) * 8
     tracemalloc.start()
     try:
         opt = AdamState([p], lr=0.01, **_BETAS)

@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rlvc import reward
+from rlvc import engine, reward
 from rlvc.config import Config
 from rlvc.errors import ConfigurationError, NumericFailure, UsageError
 from rlvc.gan import Generator
 from rlvc.nets import AdamState
 from rlvc.reward import EmaBaseline, RewardModel
 
+import oracle
 from conftest import make_separable, max_fd_error
 
 
@@ -229,6 +230,33 @@ def test_stop_gradient_identity():
     pasted = computed.copy()
     for ga, gb in zip(grads_with(computed), grads_with(pasted)):
         np.testing.assert_allclose(ga, gb, atol=1e-10)
+
+
+def test_the_policy_gradient_stops_at_the_advantages():
+    # The hand pass must be the engine's gradient with the advantages held
+    # constant, bit for bit, and not the gradient of a graph in which they
+    # depend on the log-probs. For the batch-mean baseline the second is
+    # twice the first: sum_i (lp_i - mean lp) grad lp_i appears once through
+    # the weights and once through the advantages.
+    gen = Generator(3, 2, Config(hidden_mult=2, temb_dim=4), np.random.default_rng(16))
+    model = RewardModel(np.random.default_rng(17).normal(size=(3, 3)), np.zeros(3))
+    rng = np.random.default_rng(18)
+    inputs = rng.normal(size=(8, 3)), rng.normal(size=(8, 2)), rng.normal(size=(8, 3)), 2
+    y = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+
+    x0, cache = gen.synthesize(*inputs)
+    lp, lp_cache = reward.class_log_probs(model, x0, y)
+    advantages = lp - np.mean(lp)
+    hand = gen.net.pullback(cache, reward.rl_loss(advantages, lp, lp_cache)[1])
+
+    lp_graph = oracle.class_log_probs(model, oracle.synthesize(gen, *inputs), y)
+    detached = oracle.flat_grad(oracle.rl_loss(advantages, lp_graph), gen.net.params)
+    assert hand.tobytes() == detached.tobytes()
+
+    attached = -engine.tmean((lp_graph - engine.tmean(lp_graph)) * lp_graph)
+    through = oracle.flat_grad(attached, gen.net.params)
+    assert np.max(np.abs(through - hand)) > 0.5 * np.max(np.abs(hand)) > 0.0
+    np.testing.assert_allclose(through, 2.0 * hand, rtol=1e-9, atol=1e-12 * np.max(np.abs(hand)))
 
 
 def test_unit_advantages_reduce_to_nll():

@@ -19,10 +19,8 @@ import oracle
 
 def _reward_for(ds, seed=0):
     train_x, train_y = ds.train
-    seen = sorted(int(c) for c in ds.seen_classes)
-    rows = np.asarray([seen.index(int(c)) for c in train_y])
-    return pretrain_reward(train_x, rows, len(seen), Config(reward_epochs=20),
-                           rng=np.random.default_rng(seed))
+    return pretrain_reward(train_x, ds.seen_rows(train_y), len(ds.seen_classes),
+                           Config(reward_epochs=20), rng=np.random.default_rng(seed))
 
 
 def _small_ds(seed=0):
@@ -49,7 +47,7 @@ def test_training_floats_counts_the_arrays_of_a_synthetic_preset_run(use_rl):
     opts += [nets.AdamState([gen.flat], lr=1.0, beta1=0.5, beta2=0.9)] * (1 + use_rl)
     sizes = [net.flat.size for net in (gen, cx0, cxt)]
     moments = sum(a.size for opt in opts for a in opt.m + opt.v)
-    scratch = 2 * min(nets.ADAM_BLOCK, max(sizes))
+    scratch = 2 * max(opt._block for opt in opts)
     assert trainer.training_floats(cfg.feat_dim, cfg.sem_dim, cfg) == (
         2 * sum(sizes) + moments + scratch
     )

@@ -20,7 +20,10 @@ this runs with RLVC_THREADS=1 in a fresh temporary directory:
   leaky-slope range, `--leaky-slope 0` and `--leaky-slope 1`;
 - a second, smaller dataset (`--n-seen 6 --n-unseen 3 --feat-dim 8
   --sem-dim 4`) and a `pretrain-reward` on it, so the dataset writer and
-  reader see other widths and class counts.
+  reader see other widths and class counts;
+- last, `gen-synthetic --force --visual-sigma 1.5` over the first dataset
+  and an `eval` of the first checkpoint on it, so a load that finds the
+  parsed-array cache of the old files must parse the new ones.
 
 Every command uses relative paths, so its stdout does not name the
 directory. The script prints the sha256 of each file the commands wrote and
@@ -69,6 +72,9 @@ STEPS = (
     ("gen-synthetic-small", ["gen-synthetic", "--n-seen", "6", "--n-unseen", "3", "--feat-dim", "8",
                              "--sem-dim", "4", "--out", "data-small"]),
     ("pretrain-reward-small", ["pretrain-reward", "--data", "data-small", "--out", "small"]),
+    ("gen-synthetic-resampled", ["gen-synthetic", "--force", "--visual-sigma", "1.5",
+                                 "--out", "data"]),
+    ("eval-resampled", ["eval", "--data", "data", "--generator", "full/generator.ckpt"]),
 )
 
 
