@@ -37,7 +37,7 @@ from . import evaluate, gan, trainer
 from . import reward as reward_mod
 from .cues import CUE_VARIANTS
 from .errors import ConfigurationError, NumericFailure, UsageError
-from .nets import GENERATOR_TAG, REWARD_TAG, load_checkpoint, save_checkpoint
+from .nets import GENERATOR_TAG, load_checkpoint, load_reward, save_reward
 from .seeding import stream_rng
 
 
@@ -174,11 +174,10 @@ def cmd_pretrain_reward(args) -> int:
     model = reward_mod.pretrain_reward(
         train_x, y, len(ds.seen_classes), cfg, stream_rng(cfg.seed, "reward")
     )
-    acc = reward_mod.reward_train_accuracy(model, train_x, y)
+    acc = np.mean(model.predict(train_x) == y)
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "reward.ckpt")
-    flat = np.concatenate([model.weight.ravel(), model.bias])
-    save_checkpoint(path, REWARD_TAG, [model.feat_dim, model.n_classes], flat)
+    save_reward(path, model)
     print(f"reward model: train accuracy {acc:.4f}, saved to {path}")
     return 0
 
@@ -188,15 +187,7 @@ def cmd_train(args) -> int:
     data_dir = _require(args, "data")
     out = _require(args, "out")
     ds = _load_dataset(cfg, data_dir)
-    model = None
-    if cfg.use_rl:
-        reward_path = _require(args, "reward")
-        dims, flat = load_checkpoint(reward_path, REWARD_TAG)
-        if len(dims) != 2:
-            raise ConfigurationError(f"reward checkpoint {reward_path} is not one linear layer")
-        d, n_classes = dims
-        weight = flat[: n_classes * d].reshape(n_classes, d)
-        model = reward_mod.RewardModel(weight, flat[n_classes * d :])
+    model = load_reward(_require(args, "reward")) if cfg.use_rl else None
     result = trainer.train(ds, model, cfg, out_dir=out)
     last = result.metrics[-1]
     print(

@@ -37,6 +37,7 @@ import numpy as np
 
 from .config import Config
 from .errors import ConfigurationError
+from .nets import label_rows
 from .seeding import stream_rng
 
 DATASET_FILES = ("features.csv", "labels.csv", "prototypes.csv", "classes.csv")
@@ -100,8 +101,8 @@ class ZslDataset:
         """Each seen-class label's row among the sorted seen ids: row i is
         seen class `seen_classes[i]`, as in the reward model and the mined
         prototypes. `validate` guarantees that every train and test_seen
-        label is a seen class."""
-        return np.searchsorted(self.seen_classes, labels)
+        label is a seen class; any other label is refused."""
+        return label_rows(self.seen_classes, labels, "label {} is not a seen class")
 
     def validate(self) -> None:
         n, c = self.features.shape[0], self.n_classes
@@ -118,6 +119,9 @@ class ZslDataset:
         bad = [r for r in self.roles if r not in ROLES]
         if bad:
             raise ConfigurationError(f"unknown class role {bad[0]!r}")
+        for role in ROLES:
+            if role not in self.roles:
+                raise ConfigurationError(f"dataset has no {role} class")
         bad = [s for s in self.splits if s not in SPLIT_TAGS]
         if bad:
             raise ConfigurationError(f"unknown split tag {bad[0]!r}")

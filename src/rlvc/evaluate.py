@@ -15,9 +15,9 @@ import numpy as np
 
 from . import diffusion
 from .config import Config
-from .errors import ConfigurationError, UsageError
+from .errors import UsageError
 from .gan import Generator
-from .nets import fit_linear_softmax
+from .nets import SoftmaxClassifier, fit_linear_softmax, label_rows
 
 
 @dataclass
@@ -43,70 +43,33 @@ def harmonic_mean(s: float, u: float) -> float:
     return 2.0 * s * u / (s + u)
 
 
-class ClassifierHead:
-    """Linear softmax head over an explicit class-id set."""
-
-    def __init__(self, class_ids, feat_dim: int):
-        self.class_ids = np.asarray(sorted(int(c) for c in class_ids), dtype=np.int64)
-        if len(set(self.class_ids.tolist())) != len(self.class_ids):
-            raise ConfigurationError("duplicate class ids in head")
-        self.weight = np.zeros((len(self.class_ids), feat_dim))
-        self.bias = np.zeros(len(self.class_ids))
-
-    def rows_of(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each label's row in `class_ids`, and a mask of the labels that
-        are not among them."""
-        rows = np.searchsorted(self.class_ids, labels)
-        if not len(self.class_ids):
-            return rows, np.ones(rows.shape, dtype=bool)
-        return rows, self.class_ids[np.minimum(rows, len(self.class_ids) - 1)] != labels
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        logits = features @ self.weight.T + self.bias
-        return self.class_ids[np.argmax(logits, axis=1)]
-
-
 def train_head(
     features: np.ndarray,
     labels: np.ndarray,
     class_ids,
     config: Config,
     rng: np.random.Generator,
-) -> ClassifierHead:
+) -> SoftmaxClassifier:
     """Softmax cross-entropy with Adam over shuffled minibatches."""
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels).reshape(-1)
-    head = ClassifierHead(class_ids, features.shape[1])
-    rows, unknown = head.rows_of(labels)
-    if unknown.any():
-        raise ConfigurationError(f"training label {labels[unknown][0]} outside head classes")
-    head.weight, head.bias = fit_linear_softmax(
-        features, rows, len(head.class_ids), config.clf_epochs, config.clf_lr,
+    ids = np.asarray(sorted(int(c) for c in class_ids), dtype=np.int64)
+    rows = label_rows(ids, np.asarray(labels).reshape(-1), "training label {} outside head classes")
+    weight, bias = fit_linear_softmax(
+        features, rows, len(ids), config.clf_epochs, config.clf_lr,
         config.clf_batch, config.adam_beta1, config.adam_beta2, rng,
     )
-    return head
+    return SoftmaxClassifier(weight, bias, ids)
 
 
-def macro_accuracy(head: ClassifierHead, features: np.ndarray, labels: np.ndarray) -> float:
+def macro_accuracy(head: SoftmaxClassifier, features: np.ndarray, labels: np.ndarray) -> float:
     """Per-class top-1 accuracy averaged uniformly over the classes present."""
     labels = np.asarray(labels).reshape(-1)
     if labels.size == 0:
         raise UsageError("macro_accuracy over an empty set")
     present = np.unique(labels)
-    missing = head.rows_of(present)[1]
-    if missing.any():
-        raise ConfigurationError(f"test label {int(present[missing][0])} outside head classes")
-    preds = head.predict(np.asarray(features, dtype=np.float64))
-    return macro_accuracy_from_predictions(preds, labels)
-
-
-def macro_accuracy_from_predictions(preds: np.ndarray, labels: np.ndarray) -> float:
-    labels = np.asarray(labels).reshape(-1)
-    accs = []
-    for c in np.unique(labels):
-        mask = labels == c
-        accs.append(float(np.mean(preds[mask] == c)))
-    return float(np.mean(accs))
+    label_rows(head.class_ids, present, "test label {} outside head classes")
+    preds = head.predict(features)
+    return float(np.mean([np.mean(preds[labels == c] == c) for c in present]))
 
 
 def synthesize_unseen(

@@ -1,5 +1,5 @@
-"""Dense networks, Adam, linear softmax training, timestep embeddings, and
-binary checkpoints.
+"""Dense networks, Adam, the linear softmax classifier and its training,
+timestep embeddings, and binary checkpoints.
 
 A network's parameters are one flat float64 vector, and a checkpoint is a
 network's layer dims and that vector: `save_checkpoint` writes a header and
@@ -26,7 +26,9 @@ evaluation's synthesis, builds none.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from typing import Sequence
 
@@ -442,6 +444,50 @@ def fit_linear_softmax(
     return w, b
 
 
+class SoftmaxClassifier:
+    """A frozen linear softmax classifier: row i of `weight` and `bias`
+    scores class `class_ids[i]` (sorted and distinct, by default
+    0..n_classes-1) by x @ weight.T + bias. The three arrays are read-only
+    copies; `label_rows` maps labels to rows. The reward model and both
+    evaluation heads are of this type."""
+
+    def __init__(self, weight, bias, class_ids=None):
+        weight = np.array(weight, dtype=np.float64)
+        bias = np.array(bias, dtype=np.float64)
+        ids = np.arange(bias.size) if class_ids is None else np.array(class_ids, dtype=np.int64)
+        if weight.ndim != 2 or bias.shape != (weight.shape[0],) or ids.shape != bias.shape:
+            raise ConfigurationError(f"classifier shape mismatch: weight {weight.shape}, "
+                                     f"bias {bias.shape}, class ids {ids.shape}")
+        steps = np.diff(ids)
+        if np.any(steps == 0):
+            raise ConfigurationError("duplicate class ids in head")
+        if np.any(steps < 0):
+            raise ConfigurationError("class ids must be sorted")
+        for a in (weight, bias, ids):
+            a.setflags(write=False)
+        self.weight, self.bias, self.class_ids = weight, bias, ids
+        self.n_classes, self.feat_dim = weight.shape
+
+    def logits(self, x) -> np.ndarray:
+        return np.atleast_2d(np.asarray(x, dtype=np.float64)) @ self.weight.T + self.bias
+
+    def predict(self, x) -> np.ndarray:
+        """The class id of the largest logit of each row."""
+        return self.class_ids[np.argmax(self.logits(x), axis=1)]
+
+
+def label_rows(ids: np.ndarray, labels, message: str, error=ConfigurationError) -> np.ndarray:
+    """Each label's row among the sorted, distinct `ids`. The first label
+    that is not among them raises `error(message.format(label))`."""
+    labels = np.asarray(labels)
+    rows = np.searchsorted(ids, labels)
+    top = len(ids) - 1
+    unknown = ids[np.minimum(rows, top)] != labels if top >= 0 else np.full(rows.shape, True)
+    if unknown.any():
+        raise error(message.format(labels[unknown][0]))
+    return rows
+
+
 def save_checkpoint(path, tag: bytes, layer_dims: Sequence[int], flat: np.ndarray) -> None:
     """Write a network's layer dims and its parameter vector, laid out like
     `DenseNet.flat` over those dims.
@@ -449,7 +495,9 @@ def save_checkpoint(path, tag: bytes, layer_dims: Sequence[int], flat: np.ndarra
     Little-endian binary: magic, u32 version, 4-byte kind tag, u32 layer
     dim count, u32 dims (the first fan_in, then each fan_out), then the
     vector as raw f64 (per layer: weight row-major, then bias). Nothing is
-    written unless the dims and the vector's size agree."""
+    written unless the dims and the vector's size agree. The bytes go to
+    `<path>.<pid>.tmp`, which is then renamed over `path`, so a write that
+    fails part way leaves the file that was there before."""
     if len(tag) != 4:
         raise UsageError("kind tag must be 4 bytes")
     dims = [int(d) for d in layer_dims]
@@ -458,9 +506,16 @@ def save_checkpoint(path, tag: bytes, layer_dims: Sequence[int], flat: np.ndarra
         raise UsageError(f"checkpoint vector of shape {flat.shape} does not fit layer dims {dims}")
     header = struct.pack(f"<4sI4sI{len(dims)}I", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, tag,
                          len(dims), *dims)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(flat.tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(flat.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, expected_tag: bytes | None = None) -> tuple[list[int], np.ndarray]:
@@ -499,3 +554,21 @@ def load_checkpoint(path, expected_tag: bytes | None = None) -> tuple[list[int],
     if len(blob) - off > 8 * count:
         raise ConfigurationError(f"trailing bytes in checkpoint {path}")
     return dims, np.frombuffer(blob, dtype="<f8", count=count, offset=off)
+
+
+def save_reward(path, model: SoftmaxClassifier) -> None:
+    """Write the reward file: a checkpoint of kind REWARD_TAG with layer dims
+    [feat_dim, n_classes] and the vector [weight row-major | bias]. It holds
+    no class ids; `load_reward` gives the model ids 0..n_classes-1."""
+    save_checkpoint(path, REWARD_TAG, [model.feat_dim, model.n_classes],
+                    np.concatenate([model.weight.ravel(), model.bias]))
+
+
+def load_reward(path) -> SoftmaxClassifier:
+    """Read a file written by `save_reward`. A checkpoint of another kind, or
+    with more than one layer, is refused."""
+    dims, flat = load_checkpoint(path, REWARD_TAG)
+    if len(dims) != 2:
+        raise ConfigurationError(f"reward checkpoint {path} is not one linear layer")
+    d, n_classes = dims
+    return SoftmaxClassifier(flat[: n_classes * d].reshape(n_classes, d), flat[n_classes * d :])

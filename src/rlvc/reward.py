@@ -1,9 +1,10 @@
 """Frozen linear reward model, EMA baseline, and the policy-gradient loss.
 
-The reward of a synthesized feature is the log-probability the frozen
-classifier assigns to its intended class (`class_log_probs`). The trainer
-centres a batch's rewards by an exponential-moving-average baseline; the
-advantages are a plain vector of constants, so the policy update weighs
+The reward model is a `nets.SoftmaxClassifier` over the seen classes, whose
+class ids are their rows 0..S-1. The reward of a synthesized feature is the
+log-probability it assigns to its intended class (`class_log_probs`). The
+trainer centres a batch's rewards by an exponential-moving-average baseline;
+the advantages are a plain vector of constants, so the policy update weighs
 log-likelihood gradients by them. The passes here are plain numpy, bit-equal
 to engine.backward on the same graph (see gan.py).
 """
@@ -16,37 +17,8 @@ import numpy as np
 
 from .config import Config
 from .errors import ConfigurationError, NumericFailure, UsageError
-from .nets import fit_linear_softmax, log_softmax_cached, log_softmax_pullback
-
-
-class RewardModel:
-    """Linear softmax classifier over seen classes, frozen after training.
-
-    Parameters are numpy arrays marked read-only; any in-place write attempt
-    raises. The policy-gradient pass differentiates through the model into
-    its inputs only.
-    """
-
-    def __init__(self, weight: np.ndarray, bias: np.ndarray):
-        weight = np.asarray(weight, dtype=np.float64).copy()
-        bias = np.asarray(bias, dtype=np.float64).copy()
-        if weight.ndim != 2 or bias.shape != (weight.shape[0],):
-            raise ConfigurationError("reward model shape mismatch")
-        weight.setflags(write=False)
-        bias.setflags(write=False)
-        self.weight = weight
-        self.bias = bias
-
-    @property
-    def n_classes(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def feat_dim(self) -> int:
-        return self.weight.shape[1]
-
-    def logits(self, x) -> np.ndarray:
-        return np.atleast_2d(np.asarray(x, dtype=np.float64)) @ self.weight.T + self.bias
+from .nets import SoftmaxClassifier, fit_linear_softmax, label_rows
+from .nets import log_softmax_cached, log_softmax_pullback
 
 
 def pretrain_reward(
@@ -55,15 +27,16 @@ def pretrain_reward(
     n_classes: int,
     config: Config,
     rng: np.random.Generator | None = None,
-) -> RewardModel:
+) -> SoftmaxClassifier:
     """Train the linear reward classifier by softmax cross-entropy, then
-    freeze it. Labels must be 0..n_classes-1 with every class present."""
+    freeze it. Labels must be 0..n_classes-1 with every class present; they
+    are the classifier's class ids."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ConfigurationError("pretrain_reward: features/labels mismatch")
     present = np.unique(labels)
-    if present.min() < 0 or present.max() >= n_classes or len(present) != n_classes:
+    if not np.array_equal(present, np.arange(n_classes)):
         raise ConfigurationError(
             f"pretrain_reward: labels must cover 0..{n_classes - 1}, saw {len(present)} classes"
         )
@@ -73,29 +46,24 @@ def pretrain_reward(
         features, labels, n_classes, config.reward_epochs, config.reward_lr,
         config.reward_batch, config.adam_beta1, config.adam_beta2, rng,
     )
-    return RewardModel(weight, bias)
+    return SoftmaxClassifier(weight, bias)
 
 
-def reward_train_accuracy(model: RewardModel, features, labels) -> float:
-    pred = np.argmax(model.logits(features), axis=1)
-    return float(np.mean(pred == np.asarray(labels)))
-
-
-def class_log_probs(model: RewardModel, x: np.ndarray, y) -> tuple[np.ndarray, tuple]:
+def class_log_probs(model: SoftmaxClassifier, x: np.ndarray, y) -> tuple[np.ndarray, tuple]:
     """log p(y_i | x_i) per row, and the cache `rl_loss` reads.
 
-    Each row's value is read at its label. The engine graph sums the row of
-    log-probs times a one-hot row instead: with finite log-probs every other
-    term is a signed zero and the one at the label is never -0.0, so that
-    sum has the same bits."""
+    Each row's value is read at its label's column. The engine graph sums the
+    row of log-probs times a one-hot row instead: with finite log-probs every
+    other term is a signed zero and the one at the label is never -0.0, so
+    that sum has the same bits."""
     y = np.asarray(y).reshape(-1)
     if y.dtype.kind not in "iu":
         raise UsageError(f"class labels must be integers, got {y.dtype}")
-    if y.min(initial=0) < 0 or y.max(initial=0) >= model.n_classes:
-        raise UsageError("class index outside the reward model's class set")
+    cols = label_rows(model.class_ids, y, "class index {} outside the reward model's class set",
+                      UsageError)
     lp, lp_cache = log_softmax_cached(model.logits(x))
     rows = np.arange(len(y))
-    return lp[rows, y], (model.weight, rows, y, lp_cache)
+    return lp[rows, cols], (model.weight, rows, cols, lp_cache)
 
 
 @dataclass

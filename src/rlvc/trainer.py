@@ -14,13 +14,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import cues, diffusion, gan, reward as reward_mod
+from . import cues, diffusion, gan, nets, reward as reward_mod
 from .config import Config
 from .data import ZslDataset
 from .errors import ConfigurationError, NumericFailure
 from .evaluate import EvalReport, full_report
 from .nets import GENERATOR_TAG, AdamState, largest_block, param_count, save_checkpoint
-from .reward import EmaBaseline, RewardModel
+from .reward import EmaBaseline
 from .seeding import stream_rng
 
 @dataclass
@@ -103,7 +103,7 @@ def _physical_memory() -> int | None:
 
 def train(
     dataset: ZslDataset,
-    reward_model: RewardModel | None,
+    reward_model: nets.SoftmaxClassifier | None,
     config: Config,
     out_dir: str | None = None,
 ) -> TrainResult:

@@ -20,8 +20,8 @@ from rlvc.config import Config
 from rlvc.data import make_synthetic
 from rlvc.evaluate import harmonic_mean
 from rlvc.gan import CriticX0, CriticXt, Generator
-from rlvc.nets import DenseNet
-from rlvc.reward import EmaBaseline, RewardModel, class_log_probs
+from rlvc.nets import DenseNet, SoftmaxClassifier
+from rlvc.reward import EmaBaseline, class_log_probs
 from rlvc.trainer import train
 
 from conftest import max_fd_error
@@ -86,7 +86,7 @@ def test_01_gradient_correctness(monkeypatch):
         eps_p = rng.standard_normal((b, d))
         y = rng.integers(0, 2, size=b)
         v = cues.mine_prototypes(rng.normal(size=(6, d)), np.repeat([0, 1], 3), [0, 1])[y]
-        model = RewardModel(rng.normal(size=(2, d)), rng.normal(size=2))
+        model = SoftmaxClassifier(rng.normal(size=(2, d)), rng.normal(size=2))
         adv_const = rng.normal(size=b)
         gp_seed = 7700 + point
 
@@ -165,11 +165,11 @@ def test_02_harmonic_mean_table():
 
 
 def test_03_outcome_reward_exactness():
-    flat = RewardModel(np.zeros((4, 3)), np.zeros(4))
+    flat = SoftmaxClassifier(np.zeros((4, 3)), np.zeros(4))
     r_flat = float(class_log_probs(flat, [[0.3, -1.2, 4.0]], [2])[0][0])
     err_flat = abs(r_flat - math.log(0.25))
 
-    ladder = RewardModel(np.array([[2.0], [1.0], [0.0]]), np.zeros(3))
+    ladder = SoftmaxClassifier(np.array([[2.0], [1.0], [0.0]]), np.zeros(3))
     r_hand = float(class_log_probs(ladder, [[1.0]], [0])[0][0])
     err_hand = abs(r_hand - (-0.407606))
 
@@ -192,7 +192,7 @@ def test_04_baseline_and_stop_gradient():
 
     rng = np.random.default_rng(5)
     gen = Generator(4, 2, Config(hidden_mult=2, temb_dim=4), rng)
-    model = RewardModel(rng.normal(size=(3, 4)), rng.normal(size=3))
+    model = SoftmaxClassifier(rng.normal(size=(3, 4)), rng.normal(size=3))
     z = rng.normal(size=(6, 2))
     x_next = rng.normal(size=(6, 4))
     eps = rng.standard_normal((6, 4))

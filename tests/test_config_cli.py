@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from rlvc import cli, config, trainer
-from rlvc.data import export_features, load_dataset, make_synthetic, standardize
+from rlvc.data import (
+    CACHE_NAME, ZslDataset, export_features, load_dataset, make_synthetic, save_dataset,
+    standardize,
+)
 from rlvc.errors import ConfigurationError
 from rlvc.evaluate import harmonic_mean, synthesize_unseen
 from rlvc.nets import REWARD_TAG, param_count, save_checkpoint
@@ -388,6 +391,38 @@ def test_cli_train_refuses_a_multi_layer_reward_checkpoint(tmp_path, capsys):
                      "--reward", str(run / "reward.ckpt")] + _FAST)
     assert code == 2
     assert "one linear layer" in capsys.readouterr().err
+
+
+def _one_role_dataset(role: str) -> ZslDataset:
+    """Two classes, both of `role`: rows a seen-only dataset needs (train
+    and test_seen), or an unseen-only one (test_unseen)."""
+    splits = ["train", "train", "test_seen"] if role == "seen" else ["test_unseen"] * 3
+    return ZslDataset(np.eye(3), [0, 1, 0], splits, np.eye(2), [role, role])
+
+
+@pytest.mark.parametrize("role, missing", [("seen", "unseen"), ("unseen", "seen")])
+def test_cli_refuses_a_dataset_without_seen_or_unseen_classes(tmp_path, monkeypatch, capsys,
+                                                              role, missing):
+    # Unrefused, a seen-only dataset crashes `train --eval-interval 1` and an
+    # unseen-only one `pretrain-reward`, each with a traceback (exit 1).
+    data = tmp_path / "data"
+    with monkeypatch.context() as m:  # write and cache it as a load once accepted it
+        m.setattr(ZslDataset, "validate", lambda self: None)
+        save_dataset(_one_role_dataset(role), data)
+        load_dataset(data)
+    commands = [
+        ["pretrain-reward", "--out", str(tmp_path / "run")],
+        ["train", "--no-rl", "--eval-interval", "1", "--out", str(tmp_path / "run")],
+        ["eval", "--generator", str(tmp_path / "none.ckpt")],
+        ["synthesize", "--generator", str(tmp_path / "none.ckpt"),
+         "--out", str(tmp_path / "out.csv")],
+    ]
+    for cache in ("warm", "cold"):
+        assert (data / CACHE_NAME).is_file() == (cache == "warm")
+        for command in commands:
+            assert cli.main([*command, "--data", str(data)] + _FAST) == 2, (cache, command)
+            assert f"error: dataset has no {missing} class" in capsys.readouterr().err
+        (data / CACHE_NAME).unlink(missing_ok=True)
 
 
 def test_cli_raw_reward_and_cue_flags(tmp_path):

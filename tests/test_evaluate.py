@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rlvc import diffusion, engine, evaluate
+from rlvc import diffusion, engine, evaluate, reward
 from rlvc.config import Config
+from rlvc.data import ZslDataset
 from rlvc.errors import ConfigurationError, UsageError
 from rlvc.evaluate import (
-    ClassifierHead,
     EvalReport,
     harmonic_mean,
     macro_accuracy,
-    macro_accuracy_from_predictions,
     synthesize_unseen,
     train_head,
 )
 from rlvc.gan import Generator
+from rlvc.nets import SoftmaxClassifier
 
 from conftest import make_separable
 
@@ -53,29 +53,47 @@ def test_harmonic_mean_below_arithmetic(s, u):
     assert h <= max(s, u) + 1e-12
 
 
+def _zero_head(class_ids, feat_dim: int) -> SoftmaxClassifier:
+    """A head whose logits tie everywhere, so it predicts its first class."""
+    n = len(class_ids)
+    return SoftmaxClassifier(np.zeros((n, feat_dim)), np.zeros(n), class_ids)
+
+
 def test_macro_vs_micro_on_imbalanced_classes():
     # 90 rows of class 0 all right, 10 rows of class 1 all wrong:
     # micro would say 0.9, macro must say 0.5
-    preds = np.array([0] * 90 + [0] * 10)
     labels = np.array([0] * 90 + [1] * 10)
-    assert macro_accuracy_from_predictions(preds, labels) == 0.5
+    assert macro_accuracy(_zero_head([0, 1], 2), np.zeros((100, 2)), labels) == 0.5
 
 
 def test_macro_accuracy_empty_rejected():
-    head = ClassifierHead([0, 1], feat_dim=2)
+    head = _zero_head([0, 1], 2)
     with pytest.raises(UsageError):
         macro_accuracy(head, np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
 def test_macro_accuracy_label_outside_head():
-    head = ClassifierHead([0, 1], feat_dim=2)
+    head = _zero_head([0, 1], 2)
     with pytest.raises(ConfigurationError, match="outside head"):
         macro_accuracy(head, np.zeros((1, 2)), np.array([5]))
 
 
 def test_head_duplicate_ids_rejected():
-    with pytest.raises(ConfigurationError):
-        ClassifierHead([3, 3], feat_dim=2)
+    with pytest.raises(ConfigurationError, match="^duplicate class ids in head$"):
+        _zero_head([3, 3], 2)
+    with pytest.raises(ConfigurationError, match="^duplicate class ids in head$"):
+        train_head(np.zeros((2, 2)), np.array([3, 7]), [7, 3, 7], Config(clf_epochs=1),
+                   np.random.default_rng(0))
+    with pytest.raises(ConfigurationError, match="^class ids must be sorted$"):
+        _zero_head([7, 3], 2)
+
+
+def test_a_head_is_read_only():
+    head = train_head(np.eye(2), np.array([4, 9]), [4, 9], Config(clf_epochs=1),
+                      np.random.default_rng(0))
+    for array in (head.weight, head.bias, head.class_ids):
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 def test_train_head_separable_reaches_perfect():
@@ -116,20 +134,28 @@ def test_train_head_maps_labels_to_rows_of_the_sorted_class_ids(monkeypatch):
 
 @pytest.mark.parametrize("labels, first", [([3, 5, 2], 5), ([1, 3], 1), ([7, 25, 3], 25)])
 def test_unknown_label_names_the_first_one(labels, first):
-    # below every class id, in a gap between two, and above every one
+    # below every class id, in a gap between two, and above every one; the
+    # training map and the reward name the first in order, the test map the
+    # first of the sorted classes present
     x = np.zeros((len(labels), 2))
     with pytest.raises(ConfigurationError, match=f"^training label {first} outside head classes$"):
         train_head(x, np.array(labels), [3, 7, 11], Config(), np.random.default_rng(0))
-    head = ClassifierHead([3, 7, 11], feat_dim=2)
+    head = _zero_head([3, 7, 11], 2)
     with pytest.raises(ConfigurationError, match=f"^test label {min(set(labels) - {3, 7, 11})} outside"):
         macro_accuracy(head, x, np.array(labels))
+    with pytest.raises(UsageError, match=f"^class index {first} outside the reward model's class set$"):
+        reward.class_log_probs(head, x, labels)
+    roles = np.array(["seen" if c in (3, 7, 11) else "unseen" for c in range(30)], dtype=object)
+    ds = ZslDataset(np.zeros((1, 2)), [3], ["train"], np.zeros((30, 2)), roles)
+    with pytest.raises(ConfigurationError, match=f"^label {first} is not a seen class$"):
+        ds.seen_rows(labels)
 
 
 def test_untrained_head_near_chance():
     # zero weights predict the first class everywhere; with balanced
     # classes macro accuracy is exactly 1/C
     x, y = make_separable(n_per_class=25, d=5, n_classes=5, seed=2)
-    head = ClassifierHead(range(5), feat_dim=5)
+    head = _zero_head(range(5), 5)
     assert macro_accuracy(head, x, y) == pytest.approx(0.2, abs=1e-12)
 
 

@@ -176,7 +176,7 @@ def test_rl_step_matches_the_engine(centred, t):
     gen, _, _ = _nets(6)
     b = _batch(t, 16)
     rng = np.random.default_rng(7)
-    model = reward.RewardModel(rng.normal(size=(3, D)), rng.normal(size=3))
+    model = nets.SoftmaxClassifier(rng.normal(size=(3, D)), rng.normal(size=3))
 
     x0, cache = gen.synthesize(b["eps_g"], b["z"], b["x_next"], t + 1)
     log_probs, lp_cache = reward.class_log_probs(model, x0, b["y"])
@@ -202,7 +202,7 @@ def test_rl_pass_matches_the_engine_at_zero_advantages_and_saturated_logits():
     # the zeros off the label, which may show only where a is +-0.0 or
     # where exp underflows to 0, so this batch has both.
     rng = np.random.default_rng(11)
-    model = reward.RewardModel(300.0 * rng.normal(size=(4, D)), rng.normal(size=4))
+    model = nets.SoftmaxClassifier(300.0 * rng.normal(size=(4, D)), rng.normal(size=4))
     x = rng.normal(size=(6, D))
     logits = model.logits(x)
     y = np.argmax(logits, axis=1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import io
 import struct
 import tracemalloc
 import types
@@ -18,6 +20,7 @@ from rlvc.nets import (
     CHECKPOINT_MAGIC,
     AdamState,
     DenseNet,
+    SoftmaxClassifier,
     load_checkpoint,
     save_checkpoint,
     timestep_embedding,
@@ -641,6 +644,45 @@ def test_checkpoint_reads_and_writes_the_packed_format(tmp_path):
     again = tmp_path / "again.ckpt"
     save_checkpoint(again, b"GNET", _BLOB_DIMS, _BLOB_FLAT)
     assert again.read_bytes() == _valid_blob()
+
+
+def test_a_checkpoint_write_that_fails_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "generator.ckpt"
+    path.write_bytes(_valid_blob())
+
+    class FullDisk(io.FileIO):
+        """Takes the header, then half the payload, then runs out of space."""
+
+        writes = 0
+
+        def write(self, data):
+            FullDisk.writes += 1
+            if FullDisk.writes == 2:
+                super().write(bytes(data)[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(data)
+
+    monkeypatch.setattr(nets, "open", lambda p, mode: FullDisk(p, "w"), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, b"GNET", _BLOB_DIMS, 2.0 * _BLOB_FLAT)
+    assert FullDisk.writes == 2
+    assert path.read_bytes() == _valid_blob()
+    assert [p.name for p in tmp_path.iterdir()] == ["generator.ckpt"]
+
+
+def test_the_reward_file_is_a_v1_header_then_weight_and_bias(tmp_path):
+    rng = np.random.default_rng(5)
+    weight, bias = rng.normal(size=(3, 4)), rng.normal(size=3)
+    path = tmp_path / "reward.ckpt"
+    nets.save_reward(path, SoftmaxClassifier(weight, bias))
+    header = struct.pack("<4sI4sI2I", b"RLVC", 1, b"RWDM", 2, 4, 3)
+    payload = struct.pack("<15d", *weight.ravel(), *bias)
+    assert path.read_bytes() == header + payload
+    model = nets.load_reward(path)
+    assert model.weight.tobytes() == weight.tobytes() and model.bias.tobytes() == bias.tobytes()
+    assert model.class_ids.tolist() == [0, 1, 2]
+    with pytest.raises(ValueError):
+        model.weight[0, 0] = 1.0
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,8 @@ from rlvc import engine, reward
 from rlvc.config import Config
 from rlvc.errors import ConfigurationError, NumericFailure, UsageError
 from rlvc.gan import Generator
-from rlvc.nets import AdamState
-from rlvc.reward import EmaBaseline, RewardModel
+from rlvc.nets import AdamState, SoftmaxClassifier
+from rlvc.reward import EmaBaseline
 
 import oracle
 from conftest import make_separable, max_fd_error
@@ -33,28 +33,28 @@ def _reward(model, x, y: int) -> float:
 
 
 def test_zero_model_reward_is_log_quarter():
-    model = RewardModel(np.zeros((4, 3)), np.zeros(4))
+    model = SoftmaxClassifier(np.zeros((4, 3)), np.zeros(4))
     r = _reward(model, np.array([0.3, -0.7, 2.0]), 2)
     assert abs(r - np.log(0.25)) < 1e-12
 
 
 def test_hand_computed_reward():
     # logits [2, 1, 0] for a 3-class model, class 0
-    model = RewardModel(np.array([[2.0], [1.0], [0.0]]), np.zeros(3))
+    model = SoftmaxClassifier(np.array([[2.0], [1.0], [0.0]]), np.zeros(3))
     r = _reward(model, np.array([1.0]), 0)
     assert abs(r - (2.0 - np.log(np.e**2 + np.e + 1.0))) < 1e-12
     assert abs(r - (-0.40760596444658)) < 1e-5
 
 
 def test_reward_saturates_near_zero():
-    model = RewardModel(np.array([[60.0], [0.0]]), np.zeros(2))
+    model = SoftmaxClassifier(np.array([[60.0], [0.0]]), np.zeros(2))
     r = _reward(model, np.array([1.0]), 0)
     assert -1e-20 <= r <= 0.0
 
 
 def test_reward_always_nonpositive():
     rng = np.random.default_rng(0)
-    model = RewardModel(rng.normal(size=(5, 4)), rng.normal(size=5))
+    model = SoftmaxClassifier(rng.normal(size=(5, 4)), rng.normal(size=5))
     for _ in range(50):
         x = rng.normal(size=4) * 10
         y = int(rng.integers(5))
@@ -62,20 +62,20 @@ def test_reward_always_nonpositive():
 
 
 def test_reward_rejects_out_of_range_class():
-    model = RewardModel(np.zeros((3, 2)), np.zeros(3))
+    model = SoftmaxClassifier(np.zeros((3, 2)), np.zeros(3))
     with pytest.raises(UsageError):
         _reward(model, np.zeros(2), 3)
 
 
 def test_class_log_probs_rejects_labels_that_are_not_integers():
-    model = RewardModel(np.zeros((3, 2)), np.zeros(3))
+    model = SoftmaxClassifier(np.zeros((3, 2)), np.zeros(3))
     for labels in ([0.5], [1.0], [True]):
         with pytest.raises(UsageError):
             reward.class_log_probs(model, np.zeros((1, 2)), labels)
 
 
 def test_model_parameters_are_write_protected():
-    model = RewardModel(np.ones((2, 2)), np.zeros(2))
+    model = SoftmaxClassifier(np.ones((2, 2)), np.zeros(2))
     with pytest.raises(ValueError):
         model.weight[0, 0] = 5.0
     with pytest.raises(ValueError):
@@ -84,15 +84,15 @@ def test_model_parameters_are_write_protected():
 
 def test_model_shape_validation():
     with pytest.raises(ConfigurationError):
-        RewardModel(np.zeros((2, 3)), np.zeros(3))
+        SoftmaxClassifier(np.zeros((2, 3)), np.zeros(3))
     with pytest.raises(ConfigurationError):
-        RewardModel(np.zeros(3), np.zeros(3))
+        SoftmaxClassifier(np.zeros(3), np.zeros(3))
 
 
 def test_zero_init_cross_entropy_is_log_C():
     # before any training step the mean CE of a zero model is ln C exactly
     x, y = make_separable(20, 4, 3)
-    model = RewardModel(np.zeros((3, 4)), np.zeros(3))
+    model = SoftmaxClassifier(np.zeros((3, 4)), np.zeros(3))
     lp, _ = reward.class_log_probs(model, x, y)
     assert abs(-lp.mean() - np.log(3.0)) < 1e-12
 
@@ -100,14 +100,14 @@ def test_zero_init_cross_entropy_is_log_C():
 def test_pretrain_reaches_high_accuracy_on_separable_data():
     x, y = make_separable(200, 2, 2, seed=1)
     model = reward.pretrain_reward(x, y, 2, Config(reward_epochs=30), rng=np.random.default_rng(0))
-    assert reward.reward_train_accuracy(model, x, y) >= 0.99
+    assert np.mean(model.predict(x) == y) >= 0.99
 
 
 def test_pretrain_terminates_on_conflicting_labels():
     x = np.zeros((4, 2))  # identical rows, conflicting labels
     y = np.array([0, 1, 0, 1])
     model = reward.pretrain_reward(x, y, 2, Config(reward_epochs=5))
-    acc = reward.reward_train_accuracy(model, x, y)
+    acc = np.mean(model.predict(x) == y)
     assert acc <= 1.0 - 1.0 / 4
 
 
@@ -190,7 +190,7 @@ def test_advantage_values():
 
 
 def test_rl_loss_arithmetic_and_guards():
-    uniform = RewardModel(np.zeros((2, 1)), np.zeros(2))
+    uniform = SoftmaxClassifier(np.zeros((2, 1)), np.zeros(2))
     lp, cache = reward.class_log_probs(uniform, np.zeros((1, 1)), [0])
     loss, _ = reward.rl_loss(np.array([1.0]), lp, cache)
     assert abs(loss.item() - np.log(2.0)) < 1e-15
@@ -201,7 +201,7 @@ def test_rl_loss_arithmetic_and_guards():
 
 def test_rl_loss_zero_advantages_zero_gradient():
     gen = Generator(2, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(0))
-    model = RewardModel(np.random.default_rng(1).normal(size=(2, 2)), np.zeros(2))
+    model = SoftmaxClassifier(np.random.default_rng(1).normal(size=(2, 2)), np.zeros(2))
     rng = np.random.default_rng(2)
     inputs = rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), 1
     y = np.array([0, 1, 0, 1])
@@ -215,7 +215,7 @@ def test_stop_gradient_identity():
     # gradients must be identical whether advantages come from the baseline
     # arithmetic or are pasted in as plain constants of the same value
     gen = Generator(2, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(3))
-    model = RewardModel(np.random.default_rng(4).normal(size=(3, 2)), np.zeros(3))
+    model = SoftmaxClassifier(np.random.default_rng(4).normal(size=(3, 2)), np.zeros(3))
     rng = np.random.default_rng(5)
     eps, z, xn = rng.normal(size=(6, 2)), rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
     y = np.array([0, 1, 2, 0, 1, 2])
@@ -239,7 +239,7 @@ def test_the_policy_gradient_stops_at_the_advantages():
     # twice the first: sum_i (lp_i - mean lp) grad lp_i appears once through
     # the weights and once through the advantages.
     gen = Generator(3, 2, Config(hidden_mult=2, temb_dim=4), np.random.default_rng(16))
-    model = RewardModel(np.random.default_rng(17).normal(size=(3, 3)), np.zeros(3))
+    model = SoftmaxClassifier(np.random.default_rng(17).normal(size=(3, 3)), np.zeros(3))
     rng = np.random.default_rng(18)
     inputs = rng.normal(size=(8, 3)), rng.normal(size=(8, 2)), rng.normal(size=(8, 3)), 2
     y = np.array([0, 1, 2, 0, 1, 2, 0, 1])
@@ -260,7 +260,7 @@ def test_the_policy_gradient_stops_at_the_advantages():
 
 
 def test_unit_advantages_reduce_to_nll():
-    model = RewardModel(np.random.default_rng(6).normal(size=(3, 4)), np.zeros(3))
+    model = SoftmaxClassifier(np.random.default_rng(6).normal(size=(3, 4)), np.zeros(3))
     x = np.random.default_rng(7).normal(size=(5, 4))
     y = np.array([0, 1, 2, 1, 0])
     lp, cache = reward.class_log_probs(model, x, y)
@@ -271,7 +271,7 @@ def test_unit_advantages_reduce_to_nll():
 
 def test_positive_advantage_step_raises_log_prob():
     gen = Generator(2, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(8))
-    model = RewardModel(np.random.default_rng(9).normal(size=(2, 2)), np.zeros(2))
+    model = SoftmaxClassifier(np.random.default_rng(9).normal(size=(2, 2)), np.zeros(2))
     rng = np.random.default_rng(10)
     inputs = rng.normal(size=(1, 2)), rng.normal(size=(1, 2)), rng.normal(size=(1, 2)), 1
     y = np.array([1])
@@ -288,7 +288,7 @@ def test_positive_advantage_step_raises_log_prob():
 
 def test_rl_loss_fd_through_generator():
     gen = Generator(2, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(11))
-    model = RewardModel(np.random.default_rng(12).normal(size=(2, 2)), np.zeros(2))
+    model = SoftmaxClassifier(np.random.default_rng(12).normal(size=(2, 2)), np.zeros(2))
     rng = np.random.default_rng(13)
     inputs = rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), 1
     y = np.array([0, 1, 0])

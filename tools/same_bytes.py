@@ -19,8 +19,10 @@ this runs with RLVC_THREADS=1 in a fresh temporary directory:
 - a full-arm train and an `eval` of its checkpoint at each end of the
   leaky-slope range, `--leaky-slope 0` and `--leaky-slope 1`;
 - a second, smaller dataset (`--n-seen 6 --n-unseen 3 --feat-dim 8
-  --sem-dim 4`) and a `pretrain-reward` on it, so the dataset writer and
-  reader see other widths and class counts;
+  --sem-dim 4`), a `pretrain-reward` on it, a `--no-rl --epochs 2
+  --eval-interval 2` train on it and an `eval` of that checkpoint, so the
+  dataset writer and reader, the reward file, the label-to-row map and the
+  evaluation heads see other widths and class counts;
 - last, `gen-synthetic --force --visual-sigma 1.5` over the first dataset
   and an `eval` of the first checkpoint on it, so a load that finds the
   parsed-array cache of the old files must parse the new ones.
@@ -72,6 +74,9 @@ STEPS = (
     ("gen-synthetic-small", ["gen-synthetic", "--n-seen", "6", "--n-unseen", "3", "--feat-dim", "8",
                              "--sem-dim", "4", "--out", "data-small"]),
     ("pretrain-reward-small", ["pretrain-reward", "--data", "data-small", "--out", "small"]),
+    ("train-small", ["train", "--data", "data-small", "--no-rl", "--epochs", "2",
+                     "--eval-interval", "2", "--out", "small"]),
+    ("eval-small", ["eval", "--data", "data-small", "--generator", "small/generator.ckpt"]),
     ("gen-synthetic-resampled", ["gen-synthetic", "--force", "--visual-sigma", "1.5",
                                  "--out", "data"]),
     ("eval-resampled", ["eval", "--data", "data", "--generator", "full/generator.ckpt"]),
