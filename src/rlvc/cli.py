@@ -206,7 +206,8 @@ def cmd_synthesize(args) -> int:
     data_dir = _require(args, "data")
     gen_path = _require(args, "generator")
     out = _require(args, "out")
-    ds = _load_dataset(cfg, data_dir)
+    raw = datamod.load_dataset(data_dir)
+    ds = datamod.standardize(raw) if cfg.standardize else raw
     gen = _load_generator(cfg, ds, gen_path)
     feats, labels = evaluate.synthesize_unseen(
         gen,
@@ -216,6 +217,9 @@ def cmd_synthesize(args) -> int:
         cfg.schedule(),
         stream_rng(cfg.seed, "eval"),
     )
+    if cfg.standardize:  # the csv holds the dataset's own units
+        mu, sd = datamod.train_stats(raw)
+        feats = feats * sd + mu
     parent = os.path.dirname(out)
     if parent:
         os.makedirs(parent, exist_ok=True)

@@ -14,11 +14,9 @@ import logging
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .nets import log_softmax_cached, log_softmax_pullback
+from .nets import NORM_FLOOR, log_softmax_cached, log_softmax_pullback
 
 log = logging.getLogger(__name__)
-
-_NORM_FLOOR = 1e-200
 
 
 def mine_prototypes(features: np.ndarray, labels: np.ndarray, seen_classes) -> np.ndarray:
@@ -56,7 +54,7 @@ def _pd_pass(x: np.ndarray, v: np.ndarray, weight: float):
     nonzero = x_sq > 0.0
     if not np.all(nonzero):
         log.warning("pd_loss: %d synthesized row(s) have zero norm", int((~nonzero).sum()))
-    x_norm = np.sqrt(np.maximum(x_sq, _NORM_FLOOR))
+    x_norm = np.sqrt(np.maximum(x_sq, NORM_FLOOR))
     v_norm = np.linalg.norm(v, axis=1)
     num = nonzero * np.sum(x * v, axis=1)
     den = x_norm * v_norm
@@ -66,7 +64,7 @@ def _pd_pass(x: np.ndarray, v: np.ndarray, weight: float):
     u_cos = -np.full(x.shape[0], weight * inv_b)
     u_num = (u_cos / den) * nonzero
     u_den = -((u_cos * num) / (den * den))
-    u_sq = (((u_den * v_norm) * 0.5) / x_norm) * (x_sq >= _NORM_FLOOR)
+    u_sq = (((u_den * v_norm) * 0.5) / x_norm) * (x_sq >= NORM_FLOOR)
     through_sq = u_sq[:, None] * x
     return value, [u_num[:, None] * v, through_sq, through_sq]
 

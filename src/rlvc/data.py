@@ -472,12 +472,17 @@ def make_synthetic(config: Config) -> ZslDataset:
     return ds
 
 
+def train_stats(ds: ZslDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate train-split mean and std (a zero std taken as 1):
+    `standardize` maps x to (x - mu) / sd, and x * sd + mu maps it back."""
+    train_x, _ = ds.train
+    sd = train_x.std(axis=0)
+    return train_x.mean(axis=0), np.where(sd > 0, sd, 1.0)
+
+
 def standardize(ds: ZslDataset) -> ZslDataset:
     """Per-coordinate standardization using train-split statistics only."""
-    train_x, _ = ds.train
-    mu = train_x.mean(axis=0)
-    sd = train_x.std(axis=0)
-    sd = np.where(sd > 0, sd, 1.0)
+    mu, sd = train_stats(ds)
     return ZslDataset(
         (ds.features - mu) / sd, ds.labels, ds.splits, ds.prototypes, ds.roles
     )

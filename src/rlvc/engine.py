@@ -71,15 +71,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

@@ -13,23 +13,28 @@ import numpy as np
 from . import diffusion
 from .config import Config
 from .errors import UsageError
-from .nets import DenseNet, leaky_relu_mask, timestep_embedding
-
-_NORM_FLOOR = 1e-200  # keeps the norm's subgradient finite at exactly zero
+from .nets import NORM_FLOOR, DenseNet, leaky_relu_mask, timestep_table
 
 
 def _rows(x) -> np.ndarray:
     """x as a float64 matrix of rows; an array that is one already is
-    returned as it is."""
+    returned as it is. A vector is one row; more than two dimensions are
+    refused."""
     if type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64:
         return x
-    return np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.ndim > 2:
+        raise UsageError(f"a batch is a vector or a matrix of rows, got shape {x.shape}")
+    return x
 
 
 class Generator:
+    """Predicts clean features from a noisy state and its timestep in 0..T
+    (callers pass t + 1 for t = 0..T-1), embedded through a table of 0..T."""
+
     def __init__(self, feat_dim: int, sem_dim: int, config: Config, rng: np.random.Generator | None):
         self.feat_dim = int(feat_dim)
-        self.temb_dim = config.temb_dim
+        self.temb = timestep_table(config.diffusion_steps + 1, config.temb_dim)
         self.net = DenseNet(self.layer_dims(feat_dim, sem_dim, config), rng, config.leaky_slope)
 
     @staticmethod
@@ -39,13 +44,11 @@ class Generator:
 
     def _inputs(self, eps, z, x_noisy, t) -> np.ndarray:
         eps, z, xn = _rows(eps), _rows(z), _rows(x_noisy)
-        if xn.ndim != 2:
-            xn = xn.reshape(1, xn.size)
         rows = eps.shape[0]
         if not (z.shape[0] == rows and xn.shape[0] == rows):
             raise UsageError("synthesize: batch sizes differ")
-        temb = timestep_embedding(diffusion.per_row(t, rows, what="synthesize"), self.temb_dim)
-        return np.concatenate([eps, z, xn, temb], axis=1)
+        t = diffusion.per_row(t, rows, len(self.temb) - 1, "synthesize")
+        return np.concatenate([eps, z, xn, self.temb[t]], axis=1)
 
     def synthesize(self, eps, z, x_noisy, t) -> tuple[np.ndarray, list]:
         """Predict clean features from noise, prototype, noisy state, and the
@@ -70,10 +73,11 @@ class CriticX0:
 
 
 class CriticXt:
-    """Scores denoising transitions (state_t, state_{t+1}, prototype, t)."""
+    """Scores denoising transitions (state_t, state_{t+1}, prototype, t),
+    t = 0..T-1 embedded through a table of those rows."""
 
     def __init__(self, feat_dim: int, sem_dim: int, config: Config, rng: np.random.Generator):
-        self.temb_dim = config.temb_dim
+        self.temb = timestep_table(config.diffusion_steps, config.temb_dim)
         self.net = DenseNet(self.layer_dims(feat_dim, sem_dim, config), rng, config.leaky_slope)
 
     @staticmethod
@@ -85,9 +89,8 @@ class CriticXt:
         """The fixed input columns that follow x_t: x_next, z, then the
         timestep embedding."""
         x_next, z = _rows(x_next), _rows(z)
-        t = diffusion.per_row(t, x_next.shape[0], what="condition")
-        temb = timestep_embedding(t, self.temb_dim)
-        return np.concatenate([x_next, z, temb], axis=1)
+        t = diffusion.per_row(t, x_next.shape[0], len(self.temb) - 1, "condition")
+        return np.concatenate([x_next, z, self.temb[t]], axis=1)
 
 
 def _as_batch(x, what: str) -> np.ndarray:
@@ -128,13 +131,13 @@ def _penalty_pass(net: DenseNet, real, fake, cond, rng, weight: float):
         g = gated[-1] @ w
     gx = g[:, :d]
     sq = np.sum(gx * gx, axis=1)
-    norms = np.sqrt(np.maximum(sq, _NORM_FLOOR))
+    norms = np.sqrt(np.maximum(sq, NORM_FLOOR))
     dev = norms - 1.0
     inv_b = 1.0 / rows
     value = np.sum(dev**2.0) * inv_b
 
     u_norms = (np.full(rows, weight * inv_b) * 2.0) * dev
-    u_sq = ((u_norms * 0.5) / norms) * (sq >= _NORM_FLOOR)
+    u_sq = ((u_norms * 0.5) / norms) * (sq >= NORM_FLOOR)
     u_gx = u_sq[:, None] * gx
     ug = np.zeros(g.shape)
     ug[:, :d] = u_gx + u_gx  # gx * gx has one vjp per operand

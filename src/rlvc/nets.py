@@ -1,5 +1,8 @@
 """Dense networks, Adam, the linear softmax classifier and its training,
-timestep embeddings, and binary checkpoints.
+the sinusoidal timestep table, and binary checkpoints.
+
+A network that takes a timestep builds its own `timestep_table` once, for
+the timesteps it can see, and indexes it after `diffusion.per_row` checks.
 
 A network's parameters are one flat float64 vector, and a checkpoint is a
 network's layer dims and that vector: `save_checkpoint` writes a header and
@@ -47,30 +50,18 @@ REWARD_TAG = b"RWDM"
 _sum, _max, _min = np.add.reduce, np.maximum.reduce, np.minimum.reduce
 
 
-# Width -> embedding rows for t = 0, 1, ... A row depends only on t and the
-# width, so sharing the tables across callers changes no result.
-_EMBEDDING_TABLES: dict[int, np.ndarray] = {}
+NORM_FLOOR = 1e-200  # under a norm's square root: keeps its subgradient finite at zero
 
 
-def timestep_embedding(t: np.ndarray, dim: int) -> np.ndarray:
-    """Sinusoidal embedding of integer timesteps, shape (len(t), dim).
-
-    Rows come from a table per width that grows to the largest t asked for.
-    Parameter-free; treated as constant input by the networks.
-    """
-    t = np.asarray(t).reshape(-1)
-    if t.dtype.kind not in "iu" or t.min(initial=0) < 0:
-        raise UsageError("timesteps must be non-negative integers")
-    top = t.max(initial=0)
-    table = _EMBEDDING_TABLES.get(dim)
-    if table is None or top >= len(table):
-        steps = np.arange(top + 1, dtype=np.float64)
-        half = dim // 2
-        freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half, 1))
-        args = steps[:, None] * freqs[None, :]
-        pad = np.zeros((len(steps), dim - 2 * half))
-        table = _EMBEDDING_TABLES[dim] = np.concatenate([np.sin(args), np.cos(args), pad], axis=1)
-    return table[t]
+def timestep_table(steps: int, dim: int) -> np.ndarray:
+    """Sinusoidal embeddings of the timesteps 0..steps-1, shape (steps, dim):
+    row t is sin(t f_i), cos(t f_i) at f_i = 10000^(-i / (dim // 2)) for
+    i < dim // 2, zero-padded to dim columns; it depends only on t and dim."""
+    t = np.arange(steps, dtype=np.float64)
+    half = dim // 2
+    freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half, 1))
+    args = t[:, None] * freqs[None, :]
+    return np.concatenate([np.sin(args), np.cos(args), np.zeros((steps, dim - 2 * half))], axis=1)
 
 
 def exact_slope(slope: float) -> bool:

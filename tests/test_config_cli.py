@@ -379,6 +379,32 @@ def test_cli_synthesize_rebuilds_a_non_default_shape(tmp_path):
     assert synth.read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
 
+@pytest.mark.parametrize("standardized", [True, False], ids=["standardized", "raw"])
+def test_cli_synthesize_writes_the_dataset_units(tmp_path, standardized):
+    flags = _TINY + _FAST + ["--use-rl", "false", "--standardize", str(standardized).lower()]
+    cfg = config.resolve_config(
+        overrides={k[2:].replace("-", "_"): v for k, v in zip(flags[::2], flags[1::2])}
+    )
+    data, run = str(tmp_path / "data"), tmp_path / "run"
+    assert cli.main(["gen-synthetic", "--out", data] + flags) == 0
+    raw = load_dataset(data)
+    ds = standardize(raw) if standardized else raw
+    result = trainer.train(ds, None, cfg, out_dir=run)
+    synth = tmp_path / "cli.csv"
+    assert cli.main(["synthesize", "--data", data, "--out", str(synth),
+                     "--generator", f"{run}/generator.ckpt"] + flags) == 0
+    feats, labels = synthesize_unseen(result.generator, ds.prototypes, ds.unseen_classes,
+                                      cfg.synth_per_class, cfg.schedule(),
+                                      stream_rng(cfg.seed, "eval"))
+    if standardized:  # back to the units of the files, by the train split's stats
+        train_x = raw.train[0]
+        mu, sd = train_x.mean(axis=0), train_x.std(axis=0)
+        assert np.all(sd > 0) and not np.all(sd == 1.0)
+        feats = np.array([row * sd + mu for row in feats])
+    export_features(feats, labels, tmp_path / "lib.csv")
+    assert synth.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
 def test_cli_train_refuses_a_multi_layer_reward_checkpoint(tmp_path, capsys):
     data, run = str(tmp_path / "data"), tmp_path / "run"
     assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0

@@ -82,31 +82,48 @@ def test_synthesize_rejects_mismatched_batches():
     gen = Generator(3, 2, Config(hidden_mult=2, temb_dim=4), np.random.default_rng(0))
     with pytest.raises(UsageError):
         gen.synthesize(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros((2, 3)), 1)
+    with pytest.raises(UsageError, match=r"got shape \(1, 1, 3\)"):
+        gen.synthesize(np.zeros((1, 3)), np.zeros((1, 2)), np.zeros((1, 1, 3)), 1)
 
 
 _SCHED = diffusion.build_schedule(4, 0.1, 0.4)
-_SHAPE = Config(hidden_mult=1, temb_dim=4)
+_SHAPE = Config(hidden_mult=1, temb_dim=4)  # diffusion_steps 4, as _SCHED
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, hi",
     [
-        lambda t: diffusion.posterior_sample(
-            np.zeros((2, 3)), np.zeros((2, 3)), t, _SCHED, np.random.default_rng(0)
+        (
+            lambda t: diffusion.posterior_sample(
+                np.zeros((2, 3)), np.zeros((2, 3)), t, _SCHED, np.random.default_rng(0)
+            ),
+            _SCHED.timesteps - 1,
         ),
-        lambda t: Generator(3, 2, _SHAPE, np.random.default_rng(0)).synthesize(
-            np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 3)), t
+        (
+            lambda t: Generator(3, 2, _SHAPE, np.random.default_rng(0)).synthesize(
+                np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 3)), t
+            ),
+            _SHAPE.diffusion_steps,  # called at t + 1: its table holds 0..T
         ),
-        lambda t: CriticXt(3, 2, _SHAPE, np.random.default_rng(0)).condition(
-            np.zeros((2, 3)), np.zeros((2, 2)), t
+        (
+            lambda t: CriticXt(3, 2, _SHAPE, np.random.default_rng(0)).condition(
+                np.zeros((2, 3)), np.zeros((2, 2)), t
+            ),
+            _SHAPE.diffusion_steps - 1,
         ),
     ],
     ids=["posterior_sample", "Generator.synthesize", "CriticXt.condition"],
 )
-def test_single_timestep_must_be_an_integer(call):
-    call(1)
-    with pytest.raises(UsageError, match="integers"):
-        call(1.5)
+def test_single_timestep_must_be_an_integer(call, hi):
+    """A timestep is an integer in [0, hi], and a refusal names that range."""
+    call(0)
+    call(hi)
+    for bad in (1.5, True, np.array([True])):
+        with pytest.raises(UsageError, match="integers"):
+            call(bad)
+    for bad in (-1, hi + 1):
+        with pytest.raises(UsageError, match=rf"timestep out of range \[0, {hi}\]"):
+            call(bad)
 
 
 def test_zero_critic_loss_is_lambda_gp():

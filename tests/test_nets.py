@@ -1,4 +1,4 @@
-"""Dense nets, Adam, timestep embeddings, checkpoint format."""
+"""Dense nets, Adam, timestep tables, checkpoint format."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from rlvc.nets import (
     SoftmaxClassifier,
     load_checkpoint,
     save_checkpoint,
-    timestep_embedding,
+    timestep_table,
 )
 
 import oracle
@@ -560,7 +560,7 @@ def test_loaded_generator_views_its_flat_vector(tmp_path, monkeypatch):
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_timestep_embedding_table_matches_the_sinusoid_formula(monkeypatch):
+def test_timestep_table_matches_the_sinusoid_formula():
     def direct(t, dim):
         half = dim // 2
         freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half, 1))
@@ -568,21 +568,16 @@ def test_timestep_embedding_table_matches_the_sinusoid_formula(monkeypatch):
         emb = np.concatenate([np.sin(args), np.cos(args)], axis=1)
         return np.concatenate([emb, np.zeros((len(t), dim - 2 * half))], axis=1)
 
-    monkeypatch.setattr(nets, "_EMBEDDING_TABLES", {})
     steps = 20
     for dim in (16, 7):
-        every = np.arange(steps + 1)
-        np.testing.assert_array_equal(timestep_embedding(every, dim), direct(every, dim))
-        later = np.array([3, steps + 9, 0, steps + 2])  # beyond every t seen so far
-        np.testing.assert_array_equal(timestep_embedding(later, dim), direct(later, dim))
-        np.testing.assert_array_equal(timestep_embedding(every, dim), direct(every, dim))
-    for bad in (np.array([2, -1]), np.array([1.0]), np.array([True])):
-        with pytest.raises(UsageError, match="timesteps must be non-negative integers"):
-            timestep_embedding(bad, 16)
+        table = timestep_table(steps + 1, dim)
+        np.testing.assert_array_equal(table, direct(np.arange(steps + 1), dim))
+        # row t depends only on t and the width, not on the table's length
+        np.testing.assert_array_equal(timestep_table(4, dim), table[:4])
 
 
-def test_timestep_embedding_shape_and_boundary():
-    emb = timestep_embedding(np.array([0, 1, 3]), 8)
+def test_timestep_table_shape_and_boundary():
+    emb = timestep_table(4, 8)[[0, 1, 3]]
     assert emb.shape == (3, 8)
     np.testing.assert_array_equal(emb[0, :4], np.zeros(4))  # sin(0)
     np.testing.assert_array_equal(emb[0, 4:], np.ones(4))  # cos(0)
@@ -591,8 +586,8 @@ def test_timestep_embedding_shape_and_boundary():
     np.testing.assert_allclose(emb[2, 4:], np.cos(3 * freqs), atol=1e-15)
 
 
-def test_timestep_embedding_odd_width_zero_padded():
-    emb = timestep_embedding(np.array([2]), 5)
+def test_timestep_table_odd_width_zero_padded():
+    emb = timestep_table(3, 5)[[2]]
     assert emb.shape == (1, 5)
     assert emb[0, 4] == 0.0
 

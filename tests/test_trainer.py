@@ -72,6 +72,29 @@ def test_rl_phase_gate_counts():
         assert c.critic_updates == batches * cfg.critic_steps
 
 
+def test_a_full_arm_minibatch_checks_its_timesteps_thirteen_times(monkeypatch):
+    ds = _small_ds()
+    rm = _reward_for(ds)
+    cfg = _cfg(epochs=1, batch_size=ds.train[0].shape[0])  # one minibatch
+    assert cfg.critic_steps == 1 and cfg.use_cues
+    checks = []
+    check = diffusion.per_row
+
+    def counting_check(t, rows, hi=None, what="per_row"):
+        checks.append(what)
+        return check(t, rows, hi, what)
+
+    monkeypatch.setattr(diffusion, "per_row", counting_check)
+    result = train(ds, rm, cfg)
+    assert result.counters[0].rl_updates == 1
+    draw = ["forward_noise", "forward_transition"]
+    assert checks == (
+        draw + ["synthesize", "posterior_sample", "condition"]  # critic step
+        + draw + ["synthesize", "posterior_coeffs", "condition"]  # generator step
+        + draw + ["synthesize"]  # policy-gradient step
+    )
+
+
 def test_rl_from_first_epoch():
     ds = _small_ds()
     result = train(ds, _reward_for(ds), _cfg(epochs=3, rl_start_epoch=0))

@@ -23,6 +23,10 @@ this runs with RLVC_THREADS=1 in a fresh temporary directory:
   --eval-interval 2` train on it and an `eval` of that checkpoint, so the
   dataset writer and reader, the reward file, the label-to-row map and the
   evaluation heads see other widths and class counts;
+- on that dataset, a `--no-rl --diffusion-steps 3 --epochs 2
+  --eval-interval 2` train and an `eval` of its checkpoint with the same
+  `--diffusion-steps 3`, so the generator's and the transition critic's
+  timestep tables are built at a T other than the preset's 6;
 - last, `gen-synthetic --force --visual-sigma 1.5` over the first dataset
   and an `eval` of the first checkpoint on it, so a load that finds the
   parsed-array cache of the old files must parse the new ones.
@@ -77,6 +81,10 @@ STEPS = (
     ("train-small", ["train", "--data", "data-small", "--no-rl", "--epochs", "2",
                      "--eval-interval", "2", "--out", "small"]),
     ("eval-small", ["eval", "--data", "data-small", "--generator", "small/generator.ckpt"]),
+    ("train-small-t3", ["train", "--data", "data-small", "--no-rl", "--diffusion-steps", "3",
+                        "--epochs", "2", "--eval-interval", "2", "--out", "small-t3"]),
+    ("eval-small-t3", ["eval", "--data", "data-small", "--generator", "small-t3/generator.ckpt",
+                       "--diffusion-steps", "3"]),
     ("gen-synthetic-resampled", ["gen-synthetic", "--force", "--visual-sigma", "1.5",
                                  "--out", "data"]),
     ("eval-resampled", ["eval", "--data", "data", "--generator", "full/generator.ckpt"]),
