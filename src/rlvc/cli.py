@@ -35,20 +35,14 @@ from . import config as cfgmod
 from . import data as datamod
 from . import evaluate, gan, trainer
 from . import reward as reward_mod
-from .cues import CUE_VARIANTS
 from .errors import ConfigurationError, NumericFailure, UsageError
-from .nets import GENERATOR_TAG, load_checkpoint, load_reward, save_reward
+from .nets import load_reward, save_reward
 from .seeding import stream_rng
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are 1
         raise UsageError(message)
-
-
-# these two get dedicated flags on the train command instead of the generic
-# --key V form; they stay settable everywhere through a config file
-_DEDICATED = ("raw_reward", "cue_loss")
 
 
 def _add_common(p: _Parser) -> None:
@@ -59,14 +53,14 @@ def _add_common(p: _Parser) -> None:
         "--print-config", action="store_true", help="print the resolved config and exit"
     )
     for f in dataclasses.fields(cfgmod.Config):
-        if f.name in _DEDICATED:
-            continue
+        bare = {"nargs": "?", "const": "true"} if isinstance(f.default, bool) else {}
         p.add_argument(
             "--" + f.name.replace("_", "-"),
             dest=f"cfg_{f.name}",
             metavar="V",
             default=argparse.SUPPRESS,
             help=f"{f.metadata['help']} (default: {f.default})",
+            **bare,
         )
 
 
@@ -88,8 +82,6 @@ def build_parser() -> _Parser:
     p.add_argument("--reward", metavar="PATH", help="frozen reward-model checkpoint")
     p.add_argument("--no-rl", action="store_true", help="disable the policy-gradient phase")
     p.add_argument("--no-cues", action="store_true", help="disable prototype distillation")
-    p.add_argument("--raw-reward", action="store_true", help="skip the baseline (raw rewards)")
-    p.add_argument("--cue-loss", choices=CUE_VARIANTS, help="distillation variant")
 
     p = sub.add_parser("synthesize", help="synthesize unseen-class features to a file")
     _add_common(p)
@@ -103,21 +95,17 @@ def build_parser() -> _Parser:
     return root
 
 
+def _overrides(args) -> dict:
+    """The settings given on the command line, by Config key."""
+    given = {name[4:]: v for name, v in vars(args).items() if name.startswith("cfg_")}
+    for flag, key in (("no_rl", "use_rl"), ("no_cues", "use_cues")):
+        if getattr(args, flag, False):
+            given[key] = False
+    return given
+
+
 def _resolve(args) -> cfgmod.Config:
-    overrides = {}
-    for f in dataclasses.fields(cfgmod.Config):
-        attr = f"cfg_{f.name}"
-        if hasattr(args, attr):
-            overrides[f.name] = getattr(args, attr)
-    if getattr(args, "no_rl", False):
-        overrides["use_rl"] = False
-    if getattr(args, "no_cues", False):
-        overrides["use_cues"] = False
-    if getattr(args, "raw_reward", False):
-        overrides["raw_reward"] = True
-    if getattr(args, "cue_loss", None):
-        overrides["cue_loss"] = args.cue_loss
-    return cfgmod.resolve_config(args.preset, args.config, overrides)
+    return cfgmod.resolve_config(args.preset, args.config, _overrides(args))
 
 
 def _require(args, name: str) -> str:
@@ -127,22 +115,26 @@ def _require(args, name: str) -> str:
     return value
 
 
-def _load_dataset(cfg: cfgmod.Config, path: str) -> datamod.ZslDataset:
-    ds = datamod.load_dataset(path)
-    if cfg.standardize:
-        ds = datamod.standardize(ds)
-    return ds
+def _in_space(cfg: cfgmod.Config, raw: datamod.ZslDataset) -> datamod.ZslDataset:
+    """The dataset in the feature space that cfg.standardize picks."""
+    return datamod.standardize(raw) if cfg.standardize else raw
 
 
-def _load_generator(cfg: cfgmod.Config, ds: datamod.ZslDataset, path: str) -> gan.Generator:
-    gen = gan.Generator(ds.feat_dim, ds.sem_dim, cfg, None)  # no draw: flat is overwritten
-    dims, flat = load_checkpoint(path, GENERATOR_TAG)
-    if dims != gen.net.layer_dims:
-        raise ConfigurationError(
-            f"checkpoint layer dims {dims} do not match the generator's {gen.net.layer_dims}"
-        )
-    gen.net.flat[...] = flat
-    return gen
+def _trained(args):
+    """The raw dataset of --data and `gan.load_generator` of --generator on it.
+    A flag for a setting the generator file records must give the file's value."""
+    cfg = _resolve(args)
+    data_dir, path = _require(args, "data"), _require(args, "generator")
+    raw = datamod.load_dataset(data_dir)
+    gen, trained, epoch = gan.load_generator(path, raw.feat_dim, raw.sem_dim, cfg)
+    given = _overrides(args)
+    for key in gan.GENERATOR_KEYS:
+        if key in given and getattr(cfg, key) != getattr(trained, key):
+            raise ConfigurationError(
+                f"{path} was trained with {cfgmod.format_config(trained, [key]).strip()}; "
+                f"--{key.replace('_', '-')} {given[key]} disagrees"
+            )
+    return raw, gen, trained, epoch
 
 
 def cmd_gen_synthetic(args) -> int:
@@ -168,7 +160,7 @@ def cmd_pretrain_reward(args) -> int:
     cfg = _resolve(args)
     data_dir = _require(args, "data")
     out = _require(args, "out")
-    ds = _load_dataset(cfg, data_dir)
+    ds = _in_space(cfg, datamod.load_dataset(data_dir))
     train_x, train_y = ds.train
     y = ds.seen_rows(train_y)
     model = reward_mod.pretrain_reward(
@@ -177,7 +169,7 @@ def cmd_pretrain_reward(args) -> int:
     acc = np.mean(model.predict(train_x) == y)
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "reward.ckpt")
-    save_reward(path, model)
+    save_reward(path, model, cfgmod.format_config(cfg, ["standardize"]))
     print(f"reward model: train accuracy {acc:.4f}, saved to {path}")
     return 0
 
@@ -186,8 +178,14 @@ def cmd_train(args) -> int:
     cfg = _resolve(args)
     data_dir = _require(args, "data")
     out = _require(args, "out")
-    ds = _load_dataset(cfg, data_dir)
-    model = load_reward(_require(args, "reward")) if cfg.use_rl else None
+    ds = _in_space(cfg, datamod.load_dataset(data_dir))
+    model = None
+    if cfg.use_rl:  # the reward model must score rows of this run's feature space
+        model, settings = load_reward(_require(args, "reward"))
+        fit, space = settings.get("standardize"), cfgmod.format_config(cfg, ["standardize"])
+        if f"standardize = {fit}\n" != space:
+            raise ConfigurationError(f"{args.reward} was fit with standardize = {fit}; "
+                                     f"this run has {space.strip()}")
     result = trainer.train(ds, model, cfg, out_dir=out)
     last = result.metrics[-1]
     print(
@@ -202,21 +200,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    cfg = _resolve(args)
-    data_dir = _require(args, "data")
-    gen_path = _require(args, "generator")
     out = _require(args, "out")
-    raw = datamod.load_dataset(data_dir)
-    ds = datamod.standardize(raw) if cfg.standardize else raw
-    gen = _load_generator(cfg, ds, gen_path)
-    feats, labels = evaluate.synthesize_unseen(
-        gen,
-        ds.prototypes,
-        ds.unseen_classes,
-        cfg.synth_per_class,
-        cfg.schedule(),
-        stream_rng(cfg.seed, "eval"),
-    )
+    raw, gen, cfg, epoch = _trained(args)
+    ds = _in_space(cfg, raw)
+    feats, labels = evaluate.synthesize_unseen(gen, ds.prototypes, ds.unseen_classes,
+                                               cfg.synth_per_class, cfg.schedule(),
+                                               stream_rng(cfg.seed, "eval", epoch))
     if cfg.standardize:  # the csv holds the dataset's own units
         mu, sd = datamod.train_stats(raw)
         feats = feats * sd + mu
@@ -229,12 +218,10 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _resolve(args)
-    data_dir = _require(args, "data")
-    gen_path = _require(args, "generator")
-    ds = _load_dataset(cfg, data_dir)
-    gen = _load_generator(cfg, ds, gen_path)
-    report = evaluate.full_report(gen, ds, cfg, stream_rng(cfg.seed, "eval"))
+    raw, gen, cfg, epoch = _trained(args)
+    ds = _in_space(cfg, raw)
+    del raw  # a standardized copy replaces it: keep one dataset in memory, as training does
+    report = evaluate.full_report(gen, ds, cfg, stream_rng(cfg.seed, "eval", epoch))
     print(report.format_line())
     return 0
 

@@ -211,9 +211,10 @@ def resolve_config(
     return Config(**values)
 
 
-def format_config(cfg: Config) -> str:
+def format_config(cfg: Config, keys=None) -> str:
+    """`key = value` lines of the given keys (default every key), sorted."""
     lines = []
-    for key in sorted(_FIELDS):
+    for key in sorted(_FIELDS if keys is None else keys):
         v = getattr(cfg, key)
         if isinstance(v, bool):
             v = "true" if v else "false"

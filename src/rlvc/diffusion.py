@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
+from .nets import as_rows
 
 
 class DiffusionSchedule:
@@ -81,7 +82,7 @@ def forward_noise(
     x0: np.ndarray, t, sched: DiffusionSchedule, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw x_t ~ q(x_t | x_0) = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps."""
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
+    x0 = as_rows(x0)
     t = per_row(t, x0.shape[0], sched.timesteps, "forward_noise")
     eps = rng.standard_normal(x0.shape)
     return sched.sqrt_abar[t] * x0 + sched.sqrt_one_minus_abar[t] * eps
@@ -91,7 +92,7 @@ def forward_transition(
     x_t: np.ndarray, t, sched: DiffusionSchedule, rng: np.random.Generator
 ) -> np.ndarray:
     """One forward chain step: x_{t+1} ~ q(x_{t+1} | x_t)."""
-    x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
+    x_t = as_rows(x_t)
     t = per_row(t, x_t.shape[0], sched.timesteps - 1, "forward_transition")
     eps = rng.standard_normal(x_t.shape)
     return sched.sqrt_alpha_next[t] * x_t + sched.sqrt_beta_next[t] * eps
@@ -115,8 +116,8 @@ def posterior_sample(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw x_t ~ q(x_t | x_{t+1}, x0_hat); deterministic where t = 0."""
-    x0_hat = np.atleast_2d(np.asarray(x0_hat, dtype=np.float64))
-    x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
+    x0_hat = as_rows(x0_hat)
+    x_next = as_rows(x_next)
     if x0_hat.shape != x_next.shape:
         raise UsageError("posterior_sample: state shapes differ")
     t = per_row(t, x0_hat.shape[0], sched.timesteps - 1, "posterior_sample")

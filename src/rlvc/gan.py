@@ -8,24 +8,20 @@ features against prototypes; the other scores denoising transitions
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import diffusion
-from .config import Config
-from .errors import UsageError
-from .nets import NORM_FLOOR, DenseNet, leaky_relu_mask, timestep_table
+from .config import Config, format_config, parse_value
+from .errors import ConfigurationError, UsageError
+from .nets import (GENERATOR_TAG, NORM_FLOOR, DenseNet, as_rows, leaky_relu_mask,
+                   load_checkpoint, save_checkpoint, timestep_table)
 
-
-def _rows(x) -> np.ndarray:
-    """x as a float64 matrix of rows; an array that is one already is
-    returned as it is. A vector is one row; more than two dimensions are
-    refused."""
-    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64:
-        return x
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.ndim > 2:
-        raise UsageError(f"a batch is a vector or a matrix of rows, got shape {x.shape}")
-    return x
+# The settings a generator file records: with the dataset's widths they
+# rebuild the network, its diffusion chain and its feature space.
+GENERATOR_KEYS = ("hidden_mult", "temb_dim", "leaky_slope", "diffusion_steps", "beta_min",
+                  "beta_max", "standardize")
 
 
 class Generator:
@@ -43,7 +39,7 @@ class Generator:
         return [feat_dim + sem_dim + feat_dim + config.temb_dim, hidden, hidden, feat_dim]
 
     def _inputs(self, eps, z, x_noisy, t) -> np.ndarray:
-        eps, z, xn = _rows(eps), _rows(z), _rows(x_noisy)
+        eps, z, xn = as_rows(eps), as_rows(z), as_rows(x_noisy)
         rows = eps.shape[0]
         if not (z.shape[0] == rows and xn.shape[0] == rows):
             raise UsageError("synthesize: batch sizes differ")
@@ -58,6 +54,34 @@ class Generator:
         Returns the features and the cache for `self.net.pullback`.
         """
         return self.net.forward(self._inputs(eps, z, x_noisy, t))
+
+
+def save_generator(path, gen: Generator, config: Config, epoch: int) -> None:
+    """Write the generator file: a checkpoint of kind GENERATOR_TAG whose
+    settings are `epoch`, the 0-indexed epoch the weights finished, and the
+    config's GENERATOR_KEYS."""
+    save_checkpoint(path, GENERATOR_TAG, gen.net.layer_dims, gen.net.flat,
+                    f"epoch = {epoch}\n" + format_config(config, GENERATOR_KEYS))
+
+
+def load_generator(path, feat_dim: int, sem_dim: int, config: Config
+                   ) -> tuple[Generator, Config, int]:
+    """Read a file written by `save_generator`: the generator, built without
+    an rng draw, `config` with the file's GENERATOR_KEYS in, and the file's
+    epoch. A file that records other settings, or whose layer dims the
+    dataset's widths do not give, is refused."""
+    dims, flat, settings = load_checkpoint(path, GENERATOR_TAG)
+    epoch = settings.pop("epoch", "")
+    if not epoch.isdecimal() or settings.keys() != set(GENERATOR_KEYS):
+        raise ConfigurationError(f"generator checkpoint {path} records epoch {epoch!r} and "
+                                 f"{sorted(settings)}, not an epoch index and {GENERATOR_KEYS}")
+    config = dataclasses.replace(config, **{k: parse_value(k, v) for k, v in settings.items()})
+    if dims != Generator.layer_dims(feat_dim, sem_dim, config):
+        raise ConfigurationError(f"checkpoint layer dims {dims} do not match the generator's "
+                                 f"{Generator.layer_dims(feat_dim, sem_dim, config)}")
+    gen = Generator(feat_dim, sem_dim, config, None)  # no draw: flat is overwritten
+    gen.net.flat[...] = flat
+    return gen, config, int(epoch)
 
 
 class CriticX0:
@@ -88,13 +112,13 @@ class CriticXt:
     def condition(self, x_next, z, t) -> np.ndarray:
         """The fixed input columns that follow x_t: x_next, z, then the
         timestep embedding."""
-        x_next, z = _rows(x_next), _rows(z)
+        x_next, z = as_rows(x_next), as_rows(z)
         t = diffusion.per_row(t, x_next.shape[0], len(self.temb) - 1, "condition")
         return np.concatenate([x_next, z, self.temb[t]], axis=1)
 
 
 def _as_batch(x, what: str) -> np.ndarray:
-    data = _rows(x)
+    data = as_rows(x)
     if data.shape[0] < 1:
         raise UsageError(f"{what}: empty batch")
     return data

@@ -5,8 +5,9 @@ A network that takes a timestep builds its own `timestep_table` once, for
 the timesteps it can see, and indexes it after `diffusion.per_row` checks.
 
 A network's parameters are one flat float64 vector, and a checkpoint is a
-network's layer dims and that vector: `save_checkpoint` writes a header and
-the vector's bytes, `load_checkpoint` gives both back. Adam steps each vector
+network's layer dims, the settings it was made with and that vector:
+`save_checkpoint` writes a header, the settings' `key = value` lines and the
+vector's bytes, `load_checkpoint` gives all three back. Adam steps each vector
 in place, block by block through a scratch pair shared by every optimizer;
 its update is elementwise, so a block's entries get the bits a whole-vector
 update would give them. The reverse passes here (`DenseNet.pullback`,
@@ -41,7 +42,7 @@ from .engine import Tensor
 from .errors import ConfigurationError, NumericFailure, UsageError
 
 CHECKPOINT_MAGIC = b"RLVC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 GENERATOR_TAG = b"GNET"
 REWARD_TAG = b"RWDM"
 
@@ -51,6 +52,17 @@ _sum, _max, _min = np.add.reduce, np.maximum.reduce, np.minimum.reduce
 
 
 NORM_FLOOR = 1e-200  # under a norm's square root: keeps its subgradient finite at zero
+
+
+def as_rows(x) -> np.ndarray:
+    """x as a float64 matrix of rows, x itself if it is one already: a
+    vector is one row, and more than two dimensions are refused."""
+    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64:
+        return x
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.ndim > 2:
+        raise UsageError(f"a batch is a vector or a matrix of rows, got shape {x.shape}")
+    return x
 
 
 def timestep_table(steps: int, dim: int) -> np.ndarray:
@@ -460,7 +472,7 @@ class SoftmaxClassifier:
         self.n_classes, self.feat_dim = weight.shape
 
     def logits(self, x) -> np.ndarray:
-        return np.atleast_2d(np.asarray(x, dtype=np.float64)) @ self.weight.T + self.bias
+        return as_rows(x) @ self.weight.T + self.bias
 
     def predict(self, x) -> np.ndarray:
         """The class id of the largest logit of each row."""
@@ -479,14 +491,16 @@ def label_rows(ids: np.ndarray, labels, message: str, error=ConfigurationError) 
     return rows
 
 
-def save_checkpoint(path, tag: bytes, layer_dims: Sequence[int], flat: np.ndarray) -> None:
-    """Write a network's layer dims and its parameter vector, laid out like
-    `DenseNet.flat` over those dims.
+def save_checkpoint(path, tag: bytes, layer_dims: Sequence[int], flat: np.ndarray,
+                    settings: str = "") -> None:
+    """Write a network's layer dims, its settings and its parameter vector,
+    laid out like `DenseNet.flat` over those dims.
 
     Little-endian binary: magic, u32 version, 4-byte kind tag, u32 layer
-    dim count, u32 dims (the first fan_in, then each fan_out), then the
-    vector as raw f64 (per layer: weight row-major, then bias). Nothing is
-    written unless the dims and the vector's size agree. The bytes go to
+    dim count, u32 dims (the first fan_in, then each fan_out), u32 byte
+    count of the settings, the settings as UTF-8 `key = value` lines, then
+    the vector as raw f64 (per layer: weight row-major, then bias). Nothing
+    is written unless the dims and the vector's size agree. The bytes go to
     `<path>.<pid>.tmp`, which is then renamed over `path`, so a write that
     fails part way leaves the file that was there before."""
     if len(tag) != 4:
@@ -495,12 +509,13 @@ def save_checkpoint(path, tag: bytes, layer_dims: Sequence[int], flat: np.ndarra
     flat = np.asarray(flat, dtype="<f8")
     if len(dims) < 2 or min(dims) < 1 or flat.shape != (param_count(dims),):
         raise UsageError(f"checkpoint vector of shape {flat.shape} does not fit layer dims {dims}")
-    header = struct.pack(f"<4sI4sI{len(dims)}I", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, tag,
-                         len(dims), *dims)
+    text = settings.encode("utf-8")
+    header = struct.pack(f"<4sI4sI{len(dims)}II", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, tag,
+                         len(dims), *dims, len(text))
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(header)
+            fh.write(header + text)
             fh.write(flat.tobytes())
         os.replace(tmp, path)
     except BaseException:
@@ -509,10 +524,10 @@ def save_checkpoint(path, tag: bytes, layer_dims: Sequence[int], flat: np.ndarra
         raise
 
 
-def load_checkpoint(path, expected_tag: bytes | None = None) -> tuple[list[int], np.ndarray]:
-    """Read a file written by `save_checkpoint`: its layer dims and its
-    read-only float64 parameter vector. A given `expected_tag` must match the
-    file's kind tag."""
+def load_checkpoint(path, expected_tag: bytes | None = None) -> tuple[list[int], np.ndarray, dict]:
+    """Read a file written by `save_checkpoint`: its layer dims, its
+    read-only float64 parameter vector and its settings, each line's value
+    text by key. A given `expected_tag` must match the file's kind tag."""
     with open(path, "rb") as fh:
         blob = fh.read()
     off = 0
@@ -539,27 +554,38 @@ def load_checkpoint(path, expected_tag: bytes | None = None) -> tuple[list[int],
     if ndims < 2 or ndims > 64:
         raise ConfigurationError("implausible layer count")
     dims = list(struct.unpack(f"<{ndims}I", take(4 * ndims)))
+    (size,) = struct.unpack("<I", take(4))
+    try:
+        lines = take(size).decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"checkpoint {path}: settings are not UTF-8") from None
+    settings = dict(kv for kv in (line.split(" = ", 1) for line in lines) if len(kv) == 2 and kv[0])
+    if len(settings) != len(lines):
+        raise ConfigurationError(f"{path}: settings are not one 'key = value' line per key")
     count = param_count(dims)
     if len(blob) - off < 8 * count:
         raise ConfigurationError(f"truncated checkpoint {path}")
     if len(blob) - off > 8 * count:
         raise ConfigurationError(f"trailing bytes in checkpoint {path}")
-    return dims, np.frombuffer(blob, dtype="<f8", count=count, offset=off)
+    return dims, np.frombuffer(blob, dtype="<f8", count=count, offset=off), settings
 
 
-def save_reward(path, model: SoftmaxClassifier) -> None:
+def save_reward(path, model: SoftmaxClassifier, settings: str = "") -> None:
     """Write the reward file: a checkpoint of kind REWARD_TAG with layer dims
-    [feat_dim, n_classes] and the vector [weight row-major | bias]. It holds
-    no class ids; `load_reward` gives the model ids 0..n_classes-1."""
+    [feat_dim, n_classes], `settings`, and the vector [weight row-major |
+    bias]. It holds no class ids; `load_reward` gives the model ids
+    0..n_classes-1."""
     save_checkpoint(path, REWARD_TAG, [model.feat_dim, model.n_classes],
-                    np.concatenate([model.weight.ravel(), model.bias]))
+                    np.concatenate([model.weight.ravel(), model.bias]), settings)
 
 
-def load_reward(path) -> SoftmaxClassifier:
-    """Read a file written by `save_reward`. A checkpoint of another kind, or
-    with more than one layer, is refused."""
-    dims, flat = load_checkpoint(path, REWARD_TAG)
+def load_reward(path) -> tuple[SoftmaxClassifier, dict[str, str]]:
+    """Read a file written by `save_reward`: the model and the file's
+    settings. A checkpoint of another kind, or with more than one layer, is
+    refused."""
+    dims, flat, settings = load_checkpoint(path, REWARD_TAG)
     if len(dims) != 2:
         raise ConfigurationError(f"reward checkpoint {path} is not one linear layer")
     d, n_classes = dims
-    return SoftmaxClassifier(flat[: n_classes * d].reshape(n_classes, d), flat[n_classes * d :])
+    model = SoftmaxClassifier(flat[: n_classes * d].reshape(n_classes, d), flat[n_classes * d :])
+    return model, settings

@@ -19,7 +19,7 @@ from .config import Config
 from .data import ZslDataset
 from .errors import ConfigurationError, NumericFailure
 from .evaluate import EvalReport, full_report
-from .nets import GENERATOR_TAG, AdamState, largest_block, param_count, save_checkpoint
+from .nets import AdamState, largest_block, param_count
 from .reward import EmaBaseline
 from .seeding import stream_rng
 
@@ -66,11 +66,6 @@ class TrainResult:
     baseline: EmaBaseline
     visual_prototypes: np.ndarray | None
     reports: dict[int, EvalReport] = field(default_factory=dict)
-
-
-def _save_generator(out_dir: str, generator: gan.Generator) -> None:
-    path = os.path.join(out_dir, "generator.ckpt")
-    save_checkpoint(path, GENERATOR_TAG, generator.net.layer_dims, generator.net.flat)
 
 
 def _require_finite(value: float, what: str, epoch: int, batch: int) -> float:
@@ -167,6 +162,7 @@ def train(
     reports: dict[int, EvalReport] = {}
     metrics_fh = None
     if out_dir is not None:
+        ckpt_path = os.path.join(out_dir, "generator.ckpt")
         os.makedirs(out_dir, exist_ok=True)
         metrics_fh = open(os.path.join(out_dir, "metrics.csv"), "w", newline="\n")
         metrics_fh.write(",".join(METRICS_COLUMNS) + "\n")
@@ -281,9 +277,9 @@ def train(
                 and (epoch + 1) % config.checkpoint_interval == 0
                 and epoch + 1 < config.epochs
             ):
-                _save_generator(out_dir, generator)
+                gan.save_generator(ckpt_path, generator, config, epoch)
         if out_dir is not None:
-            _save_generator(out_dir, generator)
+            gan.save_generator(ckpt_path, generator, config, config.epochs - 1)
     finally:
         if metrics_fh is not None:
             metrics_fh.close()

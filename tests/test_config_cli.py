@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from rlvc.data import (
 )
 from rlvc.errors import ConfigurationError
 from rlvc.evaluate import harmonic_mean, synthesize_unseen
-from rlvc.nets import REWARD_TAG, param_count, save_checkpoint
+from rlvc.nets import GENERATOR_TAG, REWARD_TAG, param_count, save_checkpoint
 from rlvc.reward import pretrain_reward
 from rlvc.seeding import stream_rng
 
@@ -167,11 +169,22 @@ def test_cli_rejects_an_adam_beta_outside_the_unit_interval(capsys):
         ("synthesize", "--beta-min", "0"),
         ("synthesize", "--beta-max", "1.0"),
         ("synthesize", "--beta-min", "0.5"),  # above the default beta_max 0.4
+        ("train", "--cue-loss", "huber"),
+        ("eval", "--raw-reward", "maybe"),
     ],
 )
 def test_cli_rejects_an_out_of_range_value_when_resolving(command, flag, value, capsys):
     assert cli.main([command, "--print-config", flag, value]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen-synthetic", "pretrain-reward", "train", "synthesize",
+                                     "eval"])
+def test_cli_a_bare_boolean_flag_means_true(command, capsys):
+    assert cli.main([command, "--print-config", "--raw-reward", "--standardize", "--seed", "3",
+                     "--use-cues", "false"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert {"raw_reward = true", "standardize = true", "seed = 3", "use_cues = false"} <= set(lines)
 
 
 @pytest.mark.parametrize("slope", ["1.5", "-0.1", "-0.0"])
@@ -374,7 +387,7 @@ def test_cli_synthesize_rebuilds_a_non_default_shape(tmp_path):
                      "--generator", f"{run}/generator.ckpt"] + flags) == 0
     feats, labels = synthesize_unseen(result.generator, ds.prototypes, ds.unseen_classes,
                                       cfg.synth_per_class, cfg.schedule(),
-                                      stream_rng(cfg.seed, "eval"))
+                                      stream_rng(cfg.seed, "eval", cfg.epochs - 1))
     export_features(feats, labels, tmp_path / "lib.csv")
     assert synth.read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
@@ -395,7 +408,7 @@ def test_cli_synthesize_writes_the_dataset_units(tmp_path, standardized):
                      "--generator", f"{run}/generator.ckpt"] + flags) == 0
     feats, labels = synthesize_unseen(result.generator, ds.prototypes, ds.unseen_classes,
                                       cfg.synth_per_class, cfg.schedule(),
-                                      stream_rng(cfg.seed, "eval"))
+                                      stream_rng(cfg.seed, "eval", cfg.epochs - 1))
     if standardized:  # back to the units of the files, by the train split's stats
         train_x = raw.train[0]
         mu, sd = train_x.mean(axis=0), train_x.std(axis=0)
@@ -465,3 +478,79 @@ def test_cli_raw_reward_and_cue_flags(tmp_path):
     row = dict(zip(header, lines[-1].split(",")))
     assert row["ema_baseline"] == "nan"
     assert float(row["raw_reward_mean"]) <= 0.0
+
+
+_SHAPE = ["--hidden-mult", "2", "--temb-dim", "8", "--leaky-slope", "0.1"]
+_EVAL_TIME = ["--seed", "0", "--synth-per-class", "4", "--clf-epochs", "3"]
+
+
+@pytest.fixture(scope="module")
+def shaped_run(tmp_path_factory):
+    """A `--preset synthetic` run at a non-default network shape: its data
+    dir, its generator file, a v1 copy of that file, and the eval line the
+    library logged at the last epoch."""
+    root = tmp_path_factory.mktemp("shaped")
+    data, run = root / "data", root / "run"
+    flags = _TINY + _FAST + _SHAPE + ["--eval-interval", "2", "--use-rl", "false"]
+    assert cli.main(["gen-synthetic", "--preset", "synthetic", "--out", str(data)] + flags) == 0
+    cfg = config.resolve_config(
+        "synthetic", overrides={k[2:].replace("-", "_"): v for k, v in zip(flags[::2], flags[1::2])}
+    )
+    result = trainer.train(standardize(load_dataset(data)), None, cfg, out_dir=run)
+    dims = result.generator.net.layer_dims
+    v1 = struct.pack(f"<4sI4sI{len(dims)}I", b"RLVC", 1, GENERATOR_TAG, len(dims), *dims)
+    (run / "v1.ckpt").write_bytes(v1 + result.generator.net.flat.tobytes())
+    return data, run, result.reports[cfg.epochs - 1].format_line()
+
+
+def test_cli_eval_of_the_final_checkpoint_prints_the_logged_row(shaped_run, capsys):
+    data, run, logged = shaped_run
+    assert cli.main(["eval", "--preset", "synthetic", "--data", str(data), "--generator",
+                     str(run / "generator.ckpt")] + _EVAL_TIME) == 0
+    assert capsys.readouterr().out == logged + "\n"
+
+
+@pytest.mark.parametrize(
+    "flags, ckpt, code, expected",
+    [
+        (["--preset", "synthetic"], "generator.ckpt", 0, None),  # no shape flags
+        ([], "generator.ckpt", 0, None),  # no preset
+        (["--preset", "synthetic", *_SHAPE, "--standardize"], "generator.ckpt", 0, None),
+        (["--preset", "synthetic", "--diffusion-steps", "8"], "generator.ckpt", 2,
+         "trained with diffusion_steps = 6; --diffusion-steps 8 disagrees"),
+        (["--leaky-slope", "0.2"], "generator.ckpt", 2,
+         "trained with leaky_slope = 0.1; --leaky-slope 0.2 disagrees"),
+        (["--standardize", "false"], "generator.ckpt", 2,
+         "trained with standardize = true; --standardize false disagrees"),
+        (["--preset", "synthetic"], "v1.ckpt", 2, "unsupported checkpoint version 1"),
+    ],
+    ids=["no shape flags", "no preset", "agreeing flags", "other diffusion steps",
+         "other slope", "other feature space", "v1 file"],
+)
+@pytest.mark.parametrize("command", ["eval", "synthesize"])
+def test_cli_reads_the_generator_settings_from_the_file(shaped_run, tmp_path, capsys, command,
+                                                        flags, ckpt, code, expected):
+    data, run, logged = shaped_run
+    out = ["--out", str(tmp_path / "synth.csv")] if command == "synthesize" else []
+    argv = [command, "--data", str(data), "--generator", str(run / ckpt), *out]
+    assert cli.main(argv + _EVAL_TIME + flags) == code
+    stdout, stderr = capsys.readouterr()
+    if code:
+        assert expected in stderr and stdout == ""
+    elif command == "eval":
+        assert stdout == logged + "\n"
+
+
+def test_cli_train_refuses_a_reward_file_from_the_other_feature_space(tmp_path, capsys):
+    data, run = str(tmp_path / "data"), str(tmp_path / "run")
+    assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
+    for fit, train in (("false", "true"), ("true", "false")):
+        assert cli.main(["pretrain-reward", "--data", data, "--out", run,
+                         "--standardize", fit] + _FAST) == 0
+        capsys.readouterr()
+        assert cli.main(["train", "--data", data, "--out", run, "--reward", f"{run}/reward.ckpt",
+                         "--standardize", train] + _FAST) == 2
+        err = capsys.readouterr().err
+        assert f"was fit with standardize = {fit}; this run has standardize = {train}" in err
+    assert cli.main(["train", "--data", data, "--out", run, "--reward", f"{run}/reward.ckpt",
+                     "--standardize"] + _FAST) == 0

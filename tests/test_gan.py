@@ -10,7 +10,7 @@ from rlvc import diffusion, gan
 from rlvc.config import Config
 from rlvc.errors import UsageError
 from rlvc.gan import CriticX0, CriticXt, Generator
-from rlvc.nets import DenseNet
+from rlvc.nets import DenseNet, SoftmaxClassifier
 
 import oracle
 from conftest import max_fd_error, set_params
@@ -88,6 +88,27 @@ def test_synthesize_rejects_mismatched_batches():
 
 _SCHED = diffusion.build_schedule(4, 0.1, 0.4)
 _SHAPE = Config(hidden_mult=1, temb_dim=4)  # diffusion_steps 4, as _SCHED
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: Generator(2, 2, _SHAPE, np.random.default_rng(0)).synthesize(x, x, x, 1),
+        lambda x: CriticXt(2, 2, _SHAPE, np.random.default_rng(0)).condition(x, x, 1),
+        lambda x: diffusion.forward_noise(x, np.arange(3), _SCHED, np.random.default_rng(0)),
+        lambda x: diffusion.forward_transition(x, np.arange(3), _SCHED, np.random.default_rng(0)),
+        lambda x: diffusion.posterior_sample(x, x, np.arange(3), _SCHED,
+                                             np.random.default_rng(0)),
+        lambda x: SoftmaxClassifier(np.ones((4, 2)), np.zeros(4)).logits(x),
+    ],
+    ids=["Generator.synthesize", "CriticXt.condition", "forward_noise", "forward_transition",
+         "posterior_sample", "SoftmaxClassifier.logits"],
+)
+def test_a_batch_of_more_than_two_dimensions_is_refused(call):
+    call(np.zeros((3, 2)))
+    with pytest.raises(UsageError, match=r"a batch is a vector or a matrix of rows, got shape "
+                                         r"\(3, 3, 2\)"):
+        call(np.zeros((3, 3, 2)))
 
 
 @pytest.mark.parametrize(

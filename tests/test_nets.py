@@ -6,13 +6,12 @@ import errno
 import io
 import struct
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
 
-from rlvc import cli, engine, gan, nets
-from rlvc.config import Config
+from rlvc import engine, gan, nets
+from rlvc.config import Config, format_config
 from rlvc.engine import Tensor
 from rlvc.errors import ConfigurationError, NumericFailure, UsageError
 from rlvc.gan import Generator
@@ -542,7 +541,7 @@ def test_loaded_generator_views_its_flat_vector(tmp_path, monkeypatch):
     trained = Generator(3, 2, cfg, np.random.default_rng(13))
     trained.net.flat += np.random.default_rng(14).normal(size=trained.net.flat.size)
     path = tmp_path / "generator.ckpt"
-    save_checkpoint(path, b"GNET", trained.net.layer_dims, trained.net.flat)
+    gan.save_generator(path, trained, cfg, 3)
     rngs = []
     built = gan.DenseNet
 
@@ -551,13 +550,44 @@ def test_loaded_generator_views_its_flat_vector(tmp_path, monkeypatch):
         return built(dims, rng, slope)
 
     monkeypatch.setattr(gan, "DenseNet", recording)
-    loaded = cli._load_generator(cfg, types.SimpleNamespace(feat_dim=3, sem_dim=2), str(path))
+    # the file's settings replace the defaults the caller passes in
+    loaded, loaded_cfg, epoch = gan.load_generator(path, 3, 2, Config())
     assert rngs == [None]  # no initialisation is drawn for weights the file overwrites
     assert _params_view_flat(loaded.net)
     assert loaded.net.flat.tobytes() == trained.net.flat.tobytes()
+    assert loaded_cfg == cfg and epoch == 3
     again = tmp_path / "again.ckpt"
-    save_checkpoint(again, b"GNET", loaded.net.layer_dims, loaded.net.flat)
+    gan.save_generator(again, loaded, loaded_cfg, epoch)
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda text: text + "lr_adv = 0.1\n", r"'hidden_mult', 'leaky_slope', 'lr_adv'"),
+        (lambda text: text.replace("epoch = 3\n", ""), "records epoch ''"),
+        (lambda text: text.replace("temb_dim = 4\n", ""), r"'standardize'\], not an epoch"),
+        (lambda text: text.replace("epoch = 3", "epoch = -1"), "records epoch '-1'"),
+        (lambda text: text.replace("epoch = 3", "epoch = three"), "records epoch 'three'"),
+        (lambda text: text.replace("leaky_slope = 0.2", "leaky_slope = 2.0"), "leaky_slope"),
+        (lambda text: text.replace("standardize = false", "standardize = maybe"), "boolean"),
+        (lambda text: text.replace("beta_min = 0.1", "beta_min = 0.5"), "betas must satisfy"),
+        (lambda text: text.replace("hidden_mult = 2", "hidden_mult = 3"), "do not match"),
+    ],
+    ids=["unknown key", "no epoch", "no temb_dim", "negative epoch", "epoch not an integer",
+         "slope out of range", "not a boolean", "bad schedule", "dims disagree"],
+)
+def test_generator_file_refuses_settings_that_do_not_rebuild_it(tmp_path, edit, match):
+    cfg = Config(hidden_mult=2, temb_dim=4)
+    gen = Generator(3, 2, cfg, np.random.default_rng(0))
+    path = tmp_path / "generator.ckpt"
+    gan.save_generator(path, gen, cfg, 3)
+    assert gan.load_generator(path, 3, 2, Config())[2] == 3  # the file as written loads
+    dims, flat, _ = load_checkpoint(path, b"GNET")
+    text = "epoch = 3\n" + format_config(cfg, gan.GENERATOR_KEYS)
+    save_checkpoint(path, b"GNET", dims, flat, edit(text))
+    with pytest.raises(ConfigurationError, match=match):
+        gan.load_generator(path, 3, 2, Config())
 
 
 def test_timestep_table_matches_the_sinusoid_formula():
@@ -596,8 +626,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     net = DenseNet([3, 7, 2], np.random.default_rng(11), 0.2)
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, b"GNET", net.layer_dims, net.flat)
-    dims, flat = load_checkpoint(path, b"GNET")
-    assert dims == [3, 7, 2]
+    dims, flat, settings = load_checkpoint(path, b"GNET")
+    assert dims == [3, 7, 2] and settings == {}
     assert flat.dtype == np.float64 and flat.tobytes() == net.flat.tobytes()
     # re-saving the loaded vector reproduces the file exactly
     path2 = tmp_path / "net2.ckpt"
@@ -623,21 +653,25 @@ def test_checkpoint_rejects_bad_tag_on_save(tmp_path):
 
 _BLOB_DIMS = [2, 3]
 _BLOB_FLAT = np.arange(nets.param_count(_BLOB_DIMS), dtype=np.float64) / 4.0 - 1.0
+_BLOB_SETTINGS = "epoch = 7\nnote = a = b\n"
 
 
-def _valid_blob() -> bytes:
-    """A v1 generator checkpoint over _BLOB_DIMS, packed by hand."""
-    header = struct.pack("<4sI4sI2I", b"RLVC", 1, b"GNET", len(_BLOB_DIMS), *_BLOB_DIMS)
-    return header + struct.pack(f"<{_BLOB_FLAT.size}d", *_BLOB_FLAT)
+def _valid_blob(settings: bytes = _BLOB_SETTINGS.encode()) -> bytes:
+    """A v2 generator checkpoint over _BLOB_DIMS, packed by hand; the
+    settings block starts at byte 28."""
+    header = struct.pack("<4sI4sI2II", b"RLVC", 2, b"GNET", len(_BLOB_DIMS), *_BLOB_DIMS,
+                         len(settings))
+    return header + settings + struct.pack(f"<{_BLOB_FLAT.size}d", *_BLOB_FLAT)
 
 
 def test_checkpoint_reads_and_writes_the_packed_format(tmp_path):
     path = tmp_path / "packed.ckpt"
     path.write_bytes(_valid_blob())
-    dims, flat = load_checkpoint(path, b"GNET")
+    dims, flat, settings = load_checkpoint(path, b"GNET")
     assert dims == _BLOB_DIMS and flat.tobytes() == _BLOB_FLAT.tobytes()
+    assert settings == {"epoch": "7", "note": "a = b"}  # a value may hold " = "
     again = tmp_path / "again.ckpt"
-    save_checkpoint(again, b"GNET", _BLOB_DIMS, _BLOB_FLAT)
+    save_checkpoint(again, b"GNET", _BLOB_DIMS, _BLOB_FLAT, _BLOB_SETTINGS)
     assert again.read_bytes() == _valid_blob()
 
 
@@ -665,15 +699,16 @@ def test_a_checkpoint_write_that_fails_keeps_the_old_file(tmp_path, monkeypatch)
     assert [p.name for p in tmp_path.iterdir()] == ["generator.ckpt"]
 
 
-def test_the_reward_file_is_a_v1_header_then_weight_and_bias(tmp_path):
+def test_the_reward_file_is_a_v2_header_then_weight_and_bias(tmp_path):
     rng = np.random.default_rng(5)
     weight, bias = rng.normal(size=(3, 4)), rng.normal(size=3)
     path = tmp_path / "reward.ckpt"
-    nets.save_reward(path, SoftmaxClassifier(weight, bias))
-    header = struct.pack("<4sI4sI2I", b"RLVC", 1, b"RWDM", 2, 4, 3)
+    nets.save_reward(path, SoftmaxClassifier(weight, bias), "standardize = true\n")
+    header = struct.pack("<4sI4sI2II", b"RLVC", 2, b"RWDM", 2, 4, 3, 19)
     payload = struct.pack("<15d", *weight.ravel(), *bias)
-    assert path.read_bytes() == header + payload
-    model = nets.load_reward(path)
+    assert path.read_bytes() == header + b"standardize = true\n" + payload
+    model, settings = nets.load_reward(path)
+    assert settings == {"standardize": "true"}
     assert model.weight.tobytes() == weight.tobytes() and model.bias.tobytes() == bias.tobytes()
     assert model.class_ids.tolist() == [0, 1, 2]
     with pytest.raises(ValueError):
@@ -691,6 +726,13 @@ def test_the_reward_file_is_a_v1_header_then_weight_and_bias(tmp_path):
         lambda b: b + b"\x00" * 8,  # trailing bytes
         lambda b: b[:10],  # truncated header
         lambda b: b[:12] + struct.pack("<I", 1) + b[16:],  # one dim: no layer
+        lambda b: b[:4] + struct.pack("<I", 1) + b[8:],  # a v1 file
+        lambda b: b[:24] + struct.pack("<I", len(b)) + b[28:],  # settings past the end
+        lambda b: b[:31],  # truncated settings
+        lambda b: _valid_blob(b"epoch 7\n"),  # a line without " = "
+        lambda b: _valid_blob(b" = 7\n"),  # an empty key
+        lambda b: _valid_blob(b"epoch = 7\nepoch = 8\n"),  # a key twice
+        lambda b: _valid_blob(b"epoch = \xff\n"),  # not UTF-8
     ],
 )
 def test_checkpoint_rejects_corruption(tmp_path, mutate):
@@ -712,4 +754,4 @@ def test_checkpoint_tag_check_optional(tmp_path):
 
 def test_checkpoint_magic_constant():
     assert CHECKPOINT_MAGIC == b"RLVC"
-    assert nets.CHECKPOINT_VERSION == 1
+    assert nets.CHECKPOINT_VERSION == 2

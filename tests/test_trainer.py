@@ -195,24 +195,26 @@ def test_checkpoint_round_trip(tmp_path):
     result = train(ds, None, _cfg(epochs=2, use_rl=False,
                                   checkpoint_interval=1),
                    out_dir=tmp_path / "run")
-    dims, flat = nets.load_checkpoint(tmp_path / "run" / "generator.ckpt",
-                                      expected_tag=b"GNET")
+    dims, flat, settings = nets.load_checkpoint(tmp_path / "run" / "generator.ckpt",
+                                                expected_tag=b"GNET")
     assert dims == result.generator.net.layer_dims
     assert flat.tobytes() == result.generator.net.flat.tobytes()
+    assert settings["epoch"] == "1"
+    assert settings.keys() == {"epoch", *gan.GENERATOR_KEYS}
 
 
 def test_checkpoint_written_once_at_the_last_epoch(tmp_path, monkeypatch):
     saved = []
-    save = trainer.save_checkpoint
+    save = gan.save_generator
 
-    def counting_save(path, tag, dims, flat):
-        saved.append(path)
-        save(path, tag, dims, flat)
+    def counting_save(path, gen, config, epoch):
+        saved.append(epoch)
+        save(path, gen, config, epoch)
 
-    monkeypatch.setattr(trainer, "save_checkpoint", counting_save)
+    monkeypatch.setattr(gan, "save_generator", counting_save)
     train(_small_ds(), None, _cfg(epochs=2, use_rl=False, checkpoint_interval=1),
           out_dir=tmp_path / "run")
-    assert len(saved) == 2
+    assert saved == [0, 1]
 
 
 def test_training_loop_builds_no_tensor(monkeypatch):
