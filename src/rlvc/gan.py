@@ -48,8 +48,10 @@ class Generator:
 
     def synthesize(self, eps, z, x_noisy, t) -> tuple[np.ndarray, list]:
         """Predict clean features from noise, prototype, noisy state, and the
-        timestep index of that state. Row-wise: batched calls equal stacked
-        single-row calls.
+        timestep index of that state. Row-wise: a batched call equals stacked
+        single-row calls up to rounding, and is bitwise equal only to calls
+        on batches of the same shape, since a BLAS product's row depends on
+        the batch's row count.
 
         Returns the features and the cache for `self.net.pullback`.
         """

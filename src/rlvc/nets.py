@@ -10,7 +10,13 @@ network's layer dims, the settings it was made with and that vector:
 vector's bytes, `load_checkpoint` gives all three back. Adam steps each vector
 in place, block by block through a scratch pair shared by every optimizer;
 its update is elementwise, so a block's entries get the bits a whole-vector
-update would give them. The reverse passes here (`DenseNet.pullback`,
+update would give them. At the evaluation heads' sizes (hundreds of entries)
+a step costs about as much in numpy calls as in arithmetic, so it passes its
+fixed scalars as 0-d float64 arrays built once, which numpy need not convert
+on each call, and `out` positionally; `fit_linear_softmax` likewise works in
+preallocated buffers: each minibatch gathers its rows into one and writes
+its logits into another, and one flat index per epoch finds every row's
+label cell. The reverse passes here (`DenseNet.pullback`,
 `log_softmax_pullback` and the minibatch gradient of `fit_linear_softmax`)
 are written by hand in plain numpy and return gradients laid out like that
 vector. Each sums its products and reductions as the reverse pass of the
@@ -269,8 +275,9 @@ class AdamState:
     step updates in place, and a step takes one gradient vector per
     parameter. The moments live in one flat vector each, and `m` and `v` are
     lists of per-parameter views of them. A step reads each gradient where
-    it lies and runs the update block by block through a shared scratch
-    pair: for each block of a parameter (about ADAM_BLOCK entries; see
+    it lies (a float64 ndarray as it is, anything else through
+    np.asarray(g, float64)) and runs the update block by block through a
+    shared scratch pair: for each block of a parameter (about ADAM_BLOCK entries; see
     `_cuts`), in-place ufuncs advance that block of m and v, form the step
     in one scratch buffer and its denominator in the other, and subtract the
     step from the parameter, element by element the same expression as
@@ -311,6 +318,13 @@ class AdamState:
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
+        # The update's fixed operands as 0-d float64 arrays: numpy converts a
+        # Python float operand anew on every ufunc call, and these are the
+        # same values, so the same bits.
+        self._b1, self._b2, self._a1, self._a2, self._lr, self._eps = (
+            np.array(c) for c in (self.beta1, self.beta2, 1.0 - self.beta1,
+                                  1.0 - self.beta2, self.lr, self.eps)
+        )
         self.t = 0
         self._m_bound = 0.0  # at least max|m|
         ends = np.cumsum([p.size for p in self.params], dtype=np.int64)
@@ -329,32 +343,31 @@ class AdamState:
         """Step t from the gradient's blocks: advance the moments' blocks in
         place and subtract the step from the parameters' blocks, which all
         line up."""
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
-        a1, a2 = 1.0 - b1, 1.0 - b2
-        c1 = 1.0 - b1**t
-        c2 = 1.0 - b2**t
+        b1, b2, a1, a2, lr, eps = self._b1, self._b2, self._a1, self._a2, self._lr, self._eps
+        c1 = 1.0 - self.beta1**t
+        c2 = 1.0 - self.beta2**t
         if _SCRATCH[0].size < self._block:
             _SCRATCH[:] = np.empty(self._block), np.empty(self._block)
         s_all, d_all = _SCRATCH
         for gb, mb, vb, pb in zip(g_blocks, m_blocks, v_blocks, p_blocks):
             s, d = s_all[: gb.size], d_all[: gb.size]
-            np.multiply(a1, gb, out=s)
-            mb *= b1
-            mb += s
-            np.square(gb, out=s)
-            s *= a2
-            vb *= b2
-            vb += s
+            np.multiply(a1, gb, s)
+            np.multiply(mb, b1, mb)
+            np.add(mb, s, mb)
+            np.square(gb, s)
+            np.multiply(s, a2, s)
+            np.multiply(vb, b2, vb)
+            np.add(vb, s, vb)
             if c1 == 1.0:
-                np.multiply(mb, lr, out=s)
+                np.multiply(mb, lr, s)
             else:
-                np.divide(mb, c1, out=s)
-                s *= lr
-            np.divide(vb, c2, out=d)
-            np.sqrt(d, out=d)
-            d += eps
-            s /= d
-            pb -= s
+                np.divide(mb, c1, s)
+                np.multiply(s, lr, s)
+            np.divide(vb, c2, d)
+            np.sqrt(d, d)
+            np.add(d, eps, d)
+            np.divide(s, d, s)
+            np.subtract(pb, s, pb)
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
         """One update from one gradient vector per parameter vector."""
@@ -362,9 +375,10 @@ class AdamState:
             raise UsageError("gradients do not match the parameter vectors")
         arrays = []
         for g, p in zip(grads, self.params):
-            if np.shape(g) != p.shape:
+            ready = type(g) is np.ndarray and g.dtype == np.float64
+            if (g.shape if ready else np.shape(g)) != p.shape:
                 raise UsageError("gradients do not match the parameter vectors")
-            arrays.append(np.asarray(g, dtype=np.float64))
+            arrays.append(g if ready else np.asarray(g, dtype=np.float64))
         # The range checks run by blocks too: a block's second reduction
         # reads it from cache. A gradient of one block is its own block.
         g_blocks = arrays if self._whole else _blocks(arrays)
@@ -378,9 +392,12 @@ class AdamState:
         t = self.t + 1
         bound = 4.0 * abs(self.lr) * m_bound / (1.0 - self.beta1**t) / self.eps
         m_blocks, v_blocks, p_blocks = self._in_place
-        if bound < _SAFE and all(
-            -_SAFE < _min(pb, initial=0.0) and _max(pb, initial=0.0) < _SAFE for pb in p_blocks
-        ):
+        in_place = bound < _SAFE
+        for pb in p_blocks:
+            if not in_place:
+                break
+            in_place = -_SAFE < _min(pb, initial=0.0) and _max(pb, initial=0.0) < _SAFE
+        if in_place:
             self._advance(t, g_blocks, m_blocks, v_blocks, p_blocks)
         else:
             m, v = self._m.copy(), self._v.copy()
@@ -420,30 +437,64 @@ def fit_linear_softmax(
     (1/B / s) * e less 1/B at each row's label: a row sum of one nonzero
     term is exact, and -0.0 + y == y. So no one-hot matrix is built and the
     log-probs are never formed, which makes the step faster than one through
-    `log_softmax_cached` and `log_softmax_pullback`."""
-    split = n_classes * features.shape[1]
+    `log_softmax_cached` and `log_softmax_pullback`.
+
+    A step costs about as much in numpy calls as in arithmetic, so it makes
+    few calls and allocates no array per minibatch; each minibatch's views of
+    the preallocated buffers are built once, before the first epoch. Each
+    minibatch gathers its rows of the float64 `features` into one buffer (the
+    features are never copied whole: a permuted copy per epoch would hold as
+    much memory again), and its logits go into another, where they become
+    the output gradient in place. The row maxima are reduced over the outer
+    axis of a transposed copy of the logits, the fast direction for a few
+    classes: a max is exact in any order, and the sign of a zero max, which
+    it may change, is erased by exp. The row sums keep the engine's
+    inner-axis order. Each label cell is found by one flat index into the
+    logits buffer, computed once per epoch for all its rows."""
+    n, d = features.shape
+    split = n_classes * d
     wb, grad = np.zeros(split + n_classes), np.empty(split + n_classes)
-    w, b = wb[:split].reshape(n_classes, features.shape[1]), wb[split:]
+    w, b = wb[:split].reshape(n_classes, d), wb[split:]
     gw, gb = grad[:split].reshape(w.shape), grad[split:]
     opt = AdamState([wb], lr=lr, beta1=beta1, beta2=beta2)
-    n = features.shape[0]
-    batch_rows = np.arange(min(batch_size, n))
+    full = min(batch_size, n)
+    x_all, z_all = np.empty((full, d)), np.empty((full, n_classes))
+    zt_all, top_all, sums_all = np.empty((n_classes, full)), np.empty(full), np.empty((full, 1))
+    z_flat, w_t, grads = z_all.reshape(-1), w.T, [grad]
+
+    def views(r: int) -> tuple:
+        """A minibatch of r rows works in the first r rows of the buffers
+        (the first r columns of zt_all): its features, its logits, which
+        become its output gradient in place, their transpose, a transposed
+        copy, the row maxima as a vector and a column, the row sums; and
+        1 / r as a 0-d array."""
+        gz, top = z_all[:r], top_all[:r]
+        return (x_all[:r], gz, gz.T, zt_all[:, :r], top, top[:, None], sums_all[:r],
+                np.array(1.0 / r))
+
+    whole = views(full) if n else None  # no rows, no minibatch and no 1 / 0
+    batches = [(start, start + batch_size, *(whole if n - start >= full else views(n - start)))
+               for start in range(0, n, batch_size)]
+    slots = (np.arange(n) % batch_size) * n_classes
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            x, y = features[idx], rows[idx]
-            inv_b = 1.0 / len(y)
-            # z, then z - max, e and gz, each written over the last.
-            gz = x @ w.T
-            gz += b
-            gz -= _max(gz, axis=1, keepdims=True)
-            np.exp(gz, out=gz)
-            gz *= inv_b / _sum(gz, axis=1, keepdims=True)
-            gz[batch_rows[: len(y)], y] -= inv_b
-            np.matmul(gz.T, x, out=gw)
-            _sum(gz, axis=0, out=gb)
-            opt.step([grad])
+        # labels[i]: where in z_flat the label of the epoch's i-th row lies
+        labels = slots + rows[order]
+        for start, stop, x, gz, gz_t, zt, top, top_col, sums, inv_b in batches:
+            np.take(features, order[start:stop], 0, x, "clip")  # in range: no clipping
+            np.matmul(x, w_t, gz)
+            np.add(gz, b, gz)
+            np.copyto(zt, gz_t)
+            _max(zt, 0, None, top)
+            np.subtract(gz, top_col, gz)
+            np.exp(gz, gz)
+            _sum(gz, 1, None, sums, True)
+            np.divide(inv_b, sums, sums)
+            np.multiply(gz, sums, gz)
+            z_flat[labels[start:stop]] -= inv_b
+            np.matmul(gz_t, x, gw)
+            _sum(gz, 0, None, gb)
+            opt.step(grads)
     return w, b
 
 

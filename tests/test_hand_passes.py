@@ -226,9 +226,13 @@ def test_rl_pass_matches_the_engine_at_zero_advantages_and_saturated_logits():
     # The eval-sweep GZSL head fits 20 seen classes' 960 training rows plus
     # 400 synthesized rows for each of 5 unseen classes, in minibatches of
     # 128: its last minibatch has 16 rows. Its 3 epochs are 72 Adam steps,
-    # past step 54, where the steps skip the division by c1 = 1.0.
-    [(37, 5, 4, 8, 3), (10, 5, 4, 16, 3), (9, 3, 1, 4, 3), (20, 4, 6, 3, 2), (2960, 32, 25, 128, 3)],
-    ids=["short-last-batch", "batch-covers-all", "one-class", "batch-misses-classes", "eval-sweep-gzsl"],
+    # past step 54, where the steps skip the division by c1 = 1.0. The CZSL
+    # head fits the 2000 synthesized rows over the 5 unseen classes: its
+    # last minibatch has 80 rows.
+    [(37, 5, 4, 8, 3), (10, 5, 4, 16, 3), (9, 3, 1, 4, 3), (20, 4, 6, 3, 2),
+     (2960, 32, 25, 128, 3), (2000, 32, 5, 128, 3)],
+    ids=["short-last-batch", "batch-covers-all", "one-class", "batch-misses-classes",
+         "eval-sweep-gzsl", "eval-sweep-czsl"],
 )
 def test_linear_softmax_fit_matches_the_engine(n, d, classes, batch, epochs):
     rng = np.random.default_rng(n)

@@ -265,6 +265,37 @@ def test_adam_steps_only_float64_vectors():
             AdamState([bad], lr=0.01, **_BETAS)
 
 
+@pytest.mark.parametrize("convert", [
+    lambda g: g.tolist(),
+    lambda g: g.astype(np.float32),
+    lambda g: np.repeat(g, 2)[::2],  # a strided float64 view
+], ids=["list", "float32", "strided-view"])
+def test_adam_converts_any_gradient_as_asarray_does(convert):
+    rng = np.random.default_rng(17)
+    start, grads = rng.normal(size=7), [convert(rng.normal(size=7)) for _ in range(3)]
+
+    def stepped(gradients):
+        opt = AdamState([start.copy()], lr=0.01, **_BETAS)
+        for g in gradients:
+            opt.step([g])
+        return [a.tobytes() for a in opt.params + opt.m + opt.v]
+
+    assert stepped(grads) == stepped([np.asarray(g, dtype=np.float64) for g in grads])
+
+
+@pytest.mark.parametrize("bad", [np.zeros(6), np.zeros((7, 1)), np.zeros(6).tolist(),
+                                 np.zeros(8, dtype=np.float32), np.zeros(14)[::2][:6]])
+def test_adam_refuses_a_wrong_shape_gradient_and_changes_nothing(bad):
+    rng = np.random.default_rng(18)
+    opt = AdamState([rng.normal(size=7)], lr=0.01, **_BETAS)
+    opt.step([rng.normal(size=7)])
+    before = [a.tobytes() for a in opt.params + opt.m + opt.v]
+    with pytest.raises(UsageError):
+        opt.step([bad])
+    assert [a.tobytes() for a in opt.params + opt.m + opt.v] == before
+    assert opt.t == 1
+
+
 def _critic_pair(rng):
     """Two nets of the critic pair's shapes at the synthetic preset, with
     nonzero biases."""
@@ -419,6 +450,20 @@ def test_adam_holds_two_parameter_sized_vectors():
         tracemalloc.stop()
     assert built < 2 * n * 8 + pair
     assert stepped < pair + 16_384
+
+
+def test_linear_softmax_fit_never_copies_its_features():
+    # It gathers each minibatch's rows as it goes: a permuted copy of the
+    # features per epoch would hold as much as the features themselves.
+    rng = np.random.default_rng(19)
+    features, rows = rng.normal(size=(20_000, 64)), rng.integers(0, 5, size=20_000)
+    tracemalloc.start()
+    try:
+        nets.fit_linear_softmax(features, rows, 5, 2, 0.01, 128, **_BETAS, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < features.nbytes // 4
 
 
 def test_adam_rejects_betas_outside_the_unit_interval():
