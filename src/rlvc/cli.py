@@ -2,7 +2,8 @@
 
 Commands: gen-synthetic, pretrain-reward, train, synthesize, eval.
 Exit codes: 0 success, 1 usage error, 2 I/O or validation error, 3 numeric
-failure. RLVC_THREADS (when set and > 0) bounds worker threads; 0 = auto.
+failure. RLVC_THREADS=n (n > 0) sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
+MKL_NUM_THREADS to n, over any inherited values; 0 = leave them as they are.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ def _apply_thread_env() -> None:
         return  # validated again (with a clean exit code) inside main()
     if n > 0:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
+            os.environ[var] = str(n)
 
 
 _apply_thread_env()  # must precede numpy's first import

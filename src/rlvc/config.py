@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from . import diffusion
-from .cues import CUE_VARIANTS
 from .errors import ConfigurationError
 from .nets import exact_slope
 
@@ -72,12 +71,6 @@ class Config:
     checkpoint_interval: int = _key(0, "epochs between checkpoints (0 = end only)", _at_least(0))
     use_rl: bool = _key(True, "enable the policy-gradient phase")
     use_cues: bool = _key(True, "enable the prototype-distillation term")
-    raw_reward: bool = _key(False, "weight log-likelihoods by raw rewards (no baseline)")
-    cue_loss: str = _key(
-        "pd",
-        "distillation variant: pd, kl, or l1",
-        ((lambda v: v in CUE_VARIANTS), f"one of {CUE_VARIANTS}"),
-    )
     hidden_mult: int = _key(4, "hidden width as a multiple of the feature dim", _at_least(1))
     temb_dim: int = _key(16, "timestep embedding width", _at_least(0))
     leaky_slope: float = _key(

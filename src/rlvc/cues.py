@@ -1,10 +1,9 @@
-"""Class-wise visual prototypes and the distillation losses built on them.
+"""Class-wise visual prototypes and the distillation loss built on them.
 
 Prototypes are per-class means of real training features, mined once before
-training starts into one matrix with a row per seen class. The losses take a
-batch's rows of that matrix as a plain array. The default distillation term
-pulls each synthesized feature toward its class prototype in cosine
-distance; KL and L1 variants exist for ablations.
+training starts into one matrix with a row per seen class. The distillation
+loss takes a batch's rows of that matrix as a plain array and pulls each
+synthesized feature toward its class prototype in cosine distance.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import logging
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .nets import NORM_FLOOR, log_softmax_cached, log_softmax_pullback
+from .nets import NORM_FLOOR
 
 log = logging.getLogger(__name__)
 
@@ -42,14 +41,17 @@ def mine_prototypes(features: np.ndarray, labels: np.ndarray, seen_classes) -> n
     return np.reshape(prototypes, (-1, features.shape[1]))
 
 
-# The distillation losses of rows x against their prototypes v. Each pass
-# returns the loss value and the contributions that engine.backward on
-# `weight * <loss>(x)` adds into x's gradient, in the order it adds them, so
-# summing them onto a running gradient in list order is bit-equal to the
-# engine (see gan.py).
-
-
-def _pd_pass(x: np.ndarray, v: np.ndarray, weight: float):
+def cue_loss(x: np.ndarray, v: np.ndarray, weight: float):
+    """The distillation loss of synthesized rows x against v, the prototype
+    of each row's class (a row of `mine_prototypes` per row of x): the mean
+    cosine distance, in [0, 2] and scale-invariant; a zero-norm row
+    contributes the neutral 1 with a warning and no gradient. Returns the
+    value and the contributions that engine.backward on `weight * cue_loss`
+    adds into x's gradient, in the order it adds them, so summing them onto
+    a running gradient in list order is bit-equal to the engine (see
+    gan.py)."""
+    if v.shape != x.shape:
+        raise UsageError(f"cue loss: batch {x.shape} vs prototypes {v.shape}")
     x_sq = np.sum(x * x, axis=1)
     nonzero = x_sq > 0.0
     if not np.all(nonzero):
@@ -67,40 +69,3 @@ def _pd_pass(x: np.ndarray, v: np.ndarray, weight: float):
     u_sq = (((u_den * v_norm) * 0.5) / x_norm) * (x_sq >= NORM_FLOOR)
     through_sq = u_sq[:, None] * x
     return value, [u_num[:, None] * v, through_sq, through_sq]
-
-
-def _kl_pass(x: np.ndarray, v: np.ndarray, weight: float):
-    p = np.exp(v - v.max(axis=1, keepdims=True))
-    p /= p.sum(axis=1, keepdims=True)
-    lq, lq_cache = log_softmax_cached(x)
-    inv_b = 1.0 / x.shape[0]
-    value = np.sum(np.sum(p * (np.log(p) - lq), axis=1)) * inv_b
-
-    u_lq = -(np.full((x.shape[0], 1), weight * inv_b) * p)
-    return value, [log_softmax_pullback(lq_cache, u_lq)]
-
-
-def _l1_pass(x: np.ndarray, v: np.ndarray, weight: float):
-    diff = x - v
-    inv_n = 1.0 / diff.size
-    value = np.sum(np.abs(diff)) * inv_n
-    return value, [(weight * inv_n) * np.sign(diff)]
-
-
-_CUE_PASSES = {"pd": _pd_pass, "kl": _kl_pass, "l1": _l1_pass}
-CUE_VARIANTS = tuple(_CUE_PASSES)
-
-
-def cue_loss(x: np.ndarray, v: np.ndarray, variant: str, weight: float):
-    """The distillation loss of synthesized rows x against v, the prototype
-    of each row's class (a row of `mine_prototypes` per row of x): mean
-    cosine distance ("pd"; in [0, 2], scale-invariant, and a zero-norm row
-    contributes the neutral 1 with a warning and no gradient), mean
-    KL(softmax(prototype) || softmax(x)) ("kl") or mean absolute difference
-    ("l1"). Returns the value and the contributions of `weight * cue_loss`
-    to x's gradient, in the order the engine's reverse pass adds them."""
-    if variant not in CUE_VARIANTS:
-        raise ConfigurationError(f"unknown cue variant {variant!r}")
-    if v.shape != x.shape:
-        raise UsageError(f"{variant} cue loss: batch {x.shape} vs prototypes {v.shape}")
-    return _CUE_PASSES[variant](x, v, weight)

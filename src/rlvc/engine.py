@@ -261,12 +261,6 @@ def log(a) -> Tensor:
     return Tensor(np.log(a.data), _parents=(a,), _vjps=(lambda u: u / a.data,))
 
 
-def absval(a) -> Tensor:
-    a = as_tensor(a)
-    sign = np.sign(a.data)
-    return Tensor(np.abs(a.data), _parents=(a,), _vjps=(lambda u: u * sign,))
-
-
 def leaky_relu(a, slope: float) -> Tensor:
     a = as_tensor(a)
     # The derivative mask is locally constant, so treating it as data is

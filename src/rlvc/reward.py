@@ -3,10 +3,12 @@
 The reward model is a `nets.SoftmaxClassifier` over the seen classes, whose
 class ids are their rows 0..S-1. The reward of a synthesized feature is the
 log-probability it assigns to its intended class (`class_log_probs`). The
-trainer centres a batch's rewards by an exponential-moving-average baseline;
-the advantages are a plain vector of constants, so the policy update weighs
-log-likelihood gradients by them. The passes here are plain numpy, bit-equal
-to engine.backward on the same graph (see gan.py).
+trainer centres a batch's rewards by an exponential-moving-average baseline,
+always: a reward is a log-probability, never positive, so weighting by raw
+rewards would push every row's reward down. The advantages are a plain
+vector of constants, so the policy update weighs log-likelihood gradients
+by them. The passes here are plain numpy, bit-equal to engine.backward on
+the same graph (see gan.py).
 """
 
 from __future__ import annotations

@@ -3,8 +3,11 @@
 Per minibatch: K critic updates (both critics, one summed objective), one
 generator update on the composite adversarial + distillation objective, and,
 only once the epoch index reaches rl_start_epoch, one policy-gradient update
-through a separate optimizer state. The two generator objectives alternate;
-they are never summed into a single step.
+through a separate optimizer state, built only when use_rl is on. The two
+generator objectives alternate; they are never summed into a single step.
+The policy gradient weighs each row's log-likelihood by its advantage: the
+row's reward minus the EMA baseline, after the baseline has taken in this
+batch's mean reward.
 """
 
 from __future__ import annotations
@@ -148,7 +151,8 @@ def train(
     opt_gen = AdamState([generator.net.flat], lr=config.lr_adv, **betas)
     # The RL phase owns a separate optimizer state over the same parameters;
     # its updates alternate with the adversarial step rather than summing.
-    opt_rl = AdamState([generator.net.flat], lr=config.lr_rl, **betas)
+    # As in training_floats, it exists only when use_rl is on.
+    opt_rl = AdamState([generator.net.flat], lr=config.lr_rl, **betas) if config.use_rl else None
 
     train_rng = stream_rng(config.seed, "train")
     rl_rng = stream_rng(config.seed, "rl")
@@ -212,7 +216,7 @@ def train(
                 _require_finite(adv_loss.item(), "generator adversarial loss", epoch, batch_i)
                 if config.use_cues:
                     cue_term, cue_grads = cues.cue_loss(
-                        x0_tilde, visual_prototypes[rows], config.cue_loss, config.lambda_pd
+                        x0_tilde, visual_prototypes[rows], config.lambda_pd
                     )
                     _require_finite(cue_term.item(), "distillation loss", epoch, batch_i)
                     for g in cue_grads:
@@ -231,18 +235,14 @@ def train(
                         raise NumericFailure(
                             f"reward is non-finite at epoch {epoch}, batch {batch_i}"
                         )
-                    if config.raw_reward:
-                        advantages = r
-                    else:
-                        advantages = r - baseline.update(r)
-                        cnt.ema_writes += 1
+                    advantages = r - baseline.update(r)
+                    cnt.ema_writes += 1
                     rl_l, g_rl = reward_mod.rl_loss(advantages, r, lp_cache)
                     _require_finite(rl_l.item(), "rl loss", epoch, batch_i)
                     opt_rl.step([generator.net.pullback(gen_cache, g_rl)])
                     cnt.rl_updates += 1
                     reward_means.append(float(np.mean(r)))
-                    if not config.raw_reward:
-                        adv_means.append(float(np.mean(advantages)))
+                    adv_means.append(float(np.mean(advantages)))
 
             nan = float("nan")
             report = None
@@ -256,7 +256,7 @@ def train(
             row = MetricsRow(
                 epoch=epoch,
                 raw_reward_mean=float(np.mean(reward_means)) if reward_means else nan,
-                ema_baseline=baseline.value if (rl_active and not config.raw_reward) else nan,
+                ema_baseline=baseline.value if rl_active else nan,
                 advantage_mean=float(np.mean(adv_means)) if adv_means else nan,
                 critic_loss=float(np.mean(critic_vals)),
                 gen_adv_loss=float(np.mean(adv_vals)),

@@ -93,32 +93,14 @@ def generator_adv_terms(gen, critic_x0, critic_xt, z, x_next, t, sched, eps_gen,
     return loss, x0_tilde
 
 
-def _pd(x: Tensor, v: np.ndarray) -> Tensor:
+def cue_loss(x: Tensor, v: np.ndarray) -> Tensor:
+    """cues.cue_loss with weight 1, against the prototype rows v."""
     x_sq = engine.tsum(x * x, axis=1)
     mask = Tensor((x_sq.data > 0.0).astype(np.float64))
     x_norm = engine.sqrt(engine.maximum_const(x_sq, _NORM_FLOOR))
     v_norm = Tensor(np.linalg.norm(v, axis=1))
     cos = mask * engine.tsum(x * Tensor(v), axis=1) / (x_norm * v_norm)
     return engine.tmean(1.0 - cos)
-
-
-def _kl(x: Tensor, v: np.ndarray) -> Tensor:
-    p = np.exp(v - v.max(axis=1, keepdims=True))
-    p /= p.sum(axis=1, keepdims=True)
-    lq = engine.log_softmax(x, axis=1)
-    return engine.tmean(engine.tsum(Tensor(p) * (Tensor(np.log(p)) - lq), axis=1))
-
-
-def _l1(x: Tensor, v: np.ndarray) -> Tensor:
-    return engine.tmean(engine.absval(x - Tensor(v)))
-
-
-_CUES = {"pd": _pd, "kl": _kl, "l1": _l1}
-
-
-def cue_loss(x: Tensor, v: np.ndarray, variant: str) -> Tensor:
-    """cues.cue_loss with weight 1, against the prototype rows v."""
-    return _CUES[variant](x, v)
 
 
 def class_log_probs(model, x: Tensor, y) -> Tensor:

@@ -113,12 +113,12 @@ def test_01_gradient_correctness(monkeypatch):
 
         def loss_pd():
             x0, cache = gen.synthesize(eps_g, z, x_next, t + 1)
-            value, contributions = cues.cue_loss(x0, v, "pd", 1.0)
+            value, contributions = cues.cue_loss(x0, v, 1.0)
             return value, gen.net.pullback(cache, sum(contributions))
 
         def loss_total():
             adv, x0_tilde, g_x0, cache = adv_pass()
-            cue, contributions = cues.cue_loss(x0_tilde, v, "pd", lambda_pd)
+            cue, contributions = cues.cue_loss(x0_tilde, v, lambda_pd)
             for g in contributions:
                 g_x0 = g_x0 + g
             return adv + lambda_pd * cue, gen.net.pullback(cache, g_x0)
@@ -278,7 +278,7 @@ def test_06_diffusion_consistency():
 
 def test_07_distillation_exact_cases():
     def pd(x, v):
-        return cues.cue_loss(np.array(x), np.array(v), "pd", 1.0)[0]
+        return cues.cue_loss(np.array(x), np.array(v), 1.0)[0]
 
     v = [[1.0, 0.0]]
     aligned = pd([[3.0, 0.0]], v)

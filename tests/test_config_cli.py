@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -74,8 +77,8 @@ def test_parse_value_errors():
         config.parse_value("momentum", "0.9")
     with pytest.raises(ConfigurationError, match="epochs"):
         config.parse_value("epochs", "abc")
-    with pytest.raises(ConfigurationError, match="cue_loss"):
-        config.parse_value("cue_loss", "huber")
+    with pytest.raises(ConfigurationError, match="ema_alpha"):
+        config.parse_value("ema_alpha", "1.0")
     with pytest.raises(ConfigurationError, match="boolean"):
         config.parse_value("use_rl", "maybe")
     assert config.parse_value("use_rl", "off") is False
@@ -169,8 +172,8 @@ def test_cli_rejects_an_adam_beta_outside_the_unit_interval(capsys):
         ("synthesize", "--beta-min", "0"),
         ("synthesize", "--beta-max", "1.0"),
         ("synthesize", "--beta-min", "0.5"),  # above the default beta_max 0.4
-        ("train", "--cue-loss", "huber"),
-        ("eval", "--raw-reward", "maybe"),
+        ("train", "--ema-alpha", "1.0"),
+        ("eval", "--standardize", "maybe"),
     ],
 )
 def test_cli_rejects_an_out_of_range_value_when_resolving(command, flag, value, capsys):
@@ -181,10 +184,10 @@ def test_cli_rejects_an_out_of_range_value_when_resolving(command, flag, value, 
 @pytest.mark.parametrize("command", ["gen-synthetic", "pretrain-reward", "train", "synthesize",
                                      "eval"])
 def test_cli_a_bare_boolean_flag_means_true(command, capsys):
-    assert cli.main([command, "--print-config", "--raw-reward", "--standardize", "--seed", "3",
+    assert cli.main([command, "--print-config", "--standardize", "--seed", "3",
                      "--use-cues", "false"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert {"raw_reward = true", "standardize = true", "seed = 3", "use_cues = false"} <= set(lines)
+    assert {"standardize = true", "seed = 3", "use_cues = false"} <= set(lines)
 
 
 @pytest.mark.parametrize("slope", ["1.5", "-0.1", "-0.0"])
@@ -219,6 +222,21 @@ def test_cli_thread_env_guard(tmp_path, monkeypatch, capsys):
     assert cli.main(["gen-synthetic", "--out", str(tmp_path / "d")] + _TINY) == 1
     monkeypatch.setenv("RLVC_THREADS", "0")
     assert cli.main(["gen-synthetic", "--out", str(tmp_path / "d")] + _TINY) == 0
+
+
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("threads,want", [("1", "1"), ("3", "3"), ("0", "4")])
+def test_rlvc_threads_overrides_inherited_blas_thread_counts(threads, want):
+    # The variables must be set before numpy's first import, so this runs
+    # in a fresh interpreter that inherits a count of 4 for each.
+    env = dict(os.environ, RLVC_THREADS=threads, **dict.fromkeys(_BLAS_VARS, "4"))
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    code = f"import os, rlvc.cli; print(*(os.environ[v] for v in {_BLAS_VARS!r}))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == [want] * 3
 
 
 def test_cli_gen_synthetic_force_semantics(tmp_path, capsys):
@@ -464,20 +482,19 @@ def test_cli_refuses_a_dataset_without_seen_or_unseen_classes(tmp_path, monkeypa
         (data / CACHE_NAME).unlink(missing_ok=True)
 
 
-def test_cli_raw_reward_and_cue_flags(tmp_path):
-    data = str(tmp_path / "data")
-    run = str(tmp_path / "run")
-    assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
-    assert cli.main(["pretrain-reward", "--data", data, "--out", run] + _FAST) == 0
-    code = cli.main(["train", "--data", data, "--out", run,
-                     "--reward", f"{run}/reward.ckpt", "--raw-reward",
-                     "--cue-loss", "l1"] + _FAST)
-    assert code == 0
-    lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
-    header = lines[0].split(",")
-    row = dict(zip(header, lines[-1].split(",")))
-    assert row["ema_baseline"] == "nan"
-    assert float(row["raw_reward_mean"]) <= 0.0
+@pytest.mark.parametrize("flags", [["--cue-loss", "pd"], ["--raw-reward"]],
+                         ids=["cue-loss", "raw-reward"])
+def test_cli_refuses_the_removed_cue_loss_and_raw_reward_flags(flags, capsys):
+    assert cli.main(["train", "--print-config", *flags]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["cue_loss = pd", "raw_reward = false"])
+def test_cli_refuses_a_config_file_naming_a_removed_key(line, tmp_path, capsys):
+    f = tmp_path / "run.cfg"
+    f.write_text(f"epochs = 3\n{line}\n")
+    assert cli.main(["train", "--print-config", "--config", str(f)]) == 2
+    assert f"unknown config key {line.split()[0]!r}" in capsys.readouterr().err
 
 
 _SHAPE = ["--hidden-mult", "2", "--temb-dim", "8", "--leaky-slope", "0.1"]

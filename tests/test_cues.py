@@ -1,4 +1,4 @@
-"""Prototype mining and the three distillation losses."""
+"""Prototype mining and the distillation loss."""
 
 from __future__ import annotations
 
@@ -10,18 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlvc import cues
-from rlvc.config import Config
 from rlvc.cues import mine_prototypes
 from rlvc.errors import ConfigurationError, UsageError
 
 from conftest import max_fd_error
 
 
-def _loss(variant, x, labels, protos, weight=1.0):
+def _loss(x, labels, protos, weight=1.0):
     """The cue loss's value and its gradient w.r.t. the rows x, against the
     rows of the prototype matrix `protos` at the labels."""
     v = np.asarray(protos, dtype=np.float64)[labels]
-    value, contributions = cues.cue_loss(np.asarray(x, dtype=np.float64), v, variant, weight)
+    value, contributions = cues.cue_loss(np.asarray(x, dtype=np.float64), v, weight)
     return value, [sum(contributions)]
 
 
@@ -76,9 +75,9 @@ def test_prototype_rows_follow_the_sorted_seen_ids():
 def test_pd_loss_exact_endpoints():
     v = np.array([1.0, 2.0, -1.0])
     protos = v[None]
-    aligned, _ = _loss("pd", [3.0 * v], [0], protos)
-    anti, _ = _loss("pd", [-0.5 * v], [0], protos)
-    ortho, _ = _loss("pd", [[2.0, -1.0, 0.0]], [0], protos)
+    aligned, _ = _loss([3.0 * v], [0], protos)
+    anti, _ = _loss([-0.5 * v], [0], protos)
+    ortho, _ = _loss([[2.0, -1.0, 0.0]], [0], protos)
     assert abs(aligned - 0.0) < 1e-12
     assert abs(anti - 2.0) < 1e-12
     assert abs(ortho - 1.0) < 1e-12
@@ -87,9 +86,9 @@ def test_pd_loss_exact_endpoints():
 def test_pd_loss_scale_invariance():
     protos = np.array([[2.0, 1.0]])
     x = np.array([[0.3, -0.9]])
-    base, _ = _loss("pd", x, [0], protos)
+    base, _ = _loss(x, [0], protos)
     for c in (0.01, 7.0, 1234.5):
-        assert abs(_loss("pd", c * x, [0], protos)[0] - base) < 1e-12
+        assert abs(_loss(c * x, [0], protos)[0] - base) < 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -100,14 +99,14 @@ def test_pd_loss_bounded(seed):
     if not np.any(v):
         v = np.array([1.0, 0.0, 0.0])
     protos = v[None]
-    val, _ = _loss("pd", rng.normal(size=(4, 3)), [0, 0, 0, 0], protos)
+    val, _ = _loss(rng.normal(size=(4, 3)), [0, 0, 0, 0], protos)
     assert 0.0 <= val <= 2.0
 
 
 def test_pd_loss_zero_row_is_neutral_and_warned(caplog):
     protos = np.array([[1.0, 0.0]])
     with caplog.at_level(logging.WARNING, logger="rlvc.cues"):
-        loss, (g,) = _loss("pd", [[0.0, 0.0], [1.0, 0.0]], [0, 0], protos)
+        loss, (g,) = _loss([[0.0, 0.0], [1.0, 0.0]], [0, 0], protos)
     assert "zero norm" in caplog.text
     assert abs(loss - 0.5) < 1e-12  # mean of (1, 0)
     np.testing.assert_array_equal(g[0], [0.0, 0.0])  # masked row: no gradient
@@ -116,63 +115,13 @@ def test_pd_loss_zero_row_is_neutral_and_warned(caplog):
 def test_pd_loss_shape_mismatch():
     protos = np.array([[1.0, 0.0]])
     with pytest.raises(UsageError):
-        _loss("pd", np.zeros((1, 3)), [0], protos)
+        _loss(np.zeros((1, 3)), [0], protos)
 
 
 def test_pd_loss_fd_gradient():
     protos = np.array([[1.0, -2.0, 0.5], [0.0, 1.0, 1.0]])
     x = np.random.default_rng(3).normal(size=(4, 3))
-    assert max_fd_error(lambda: _loss("pd", x, [0, 1, 0, 1], protos), [x]) < 1e-6
-
-
-def test_kl_loss_zero_at_equality_and_nonnegative():
-    protos = np.array([[0.5, -1.0, 2.0]])
-    same, _ = _loss("kl", [[0.5, -1.0, 2.0]], [0], protos)
-    assert abs(same) < 1e-12
-    rng = np.random.default_rng(4)
-    for _ in range(25):
-        x = rng.normal(size=(2, 3))
-        assert _loss("kl", x, [0, 0], protos)[0] >= -1e-15
-
-
-def test_kl_loss_hand_case():
-    protos = np.array([[1.0, 0.0]])
-    val, _ = _loss("kl", [[0.0, 1.0]], [0], protos)
-    p = np.exp([1.0, 0.0]) / np.exp([1.0, 0.0]).sum()
-    want = (p[0] - p[1]) * np.log(p[0] / p[1])
-    assert abs(val - want) < 1e-12
-    assert abs(val - 0.46212) < 1e-4
-
-
-def test_kl_loss_fd_gradient():
-    protos = np.array([[1.0, -2.0, 0.5]])
-    x = np.random.default_rng(5).normal(size=(3, 3))
-    assert max_fd_error(lambda: _loss("kl", x, [0, 0, 0], protos), [x]) < 1e-6
-
-
-def test_l1_loss_cases():
-    protos = np.array([[1.0, -3.0]])
-    assert _loss("l1", [[1.0, -3.0]], [0], protos)[0] == 0.0
-    assert _loss("l1", [[0.0, 0.0]], [0], protos)[0] == 2.0
-    # symmetry: swapping roles of x and v gives the same value
-    protos_sw = np.array([[0.2, 0.9]])
-    a, _ = _loss("l1", [[1.0, -3.0]], [0], protos_sw)
-    protos_rev = np.array([[1.0, -3.0]])
-    b, _ = _loss("l1", [[0.2, 0.9]], [0], protos_rev)
-    assert a == b
-
-
-def test_dispatcher_and_config_validation():
-    protos = np.array([[1.0, 0.0]])
-    x = np.array([[1.0, 0.0]])
-    for variant in cues.CUE_VARIANTS:
-        assert np.isfinite(_loss(variant, x, [0], protos)[0])
-    with pytest.raises(ConfigurationError):
-        _loss("huber", x, [0], protos)
-    with pytest.raises(ConfigurationError):
-        Config(cue_loss="huber")
-    with pytest.raises(ConfigurationError):
-        Config(lambda_pd=-1.0)
+    assert max_fd_error(lambda: _loss(x, [0, 1, 0, 1], protos), [x]) < 1e-6
 
 
 def test_generator_total_loss_gradient_linearity():
@@ -180,8 +129,7 @@ def test_generator_total_loss_gradient_linearity():
     protos = np.array([[1.0, -1.0, 2.0]])
     x = np.random.default_rng(6).normal(size=(2, 3))
     lam = 7.0
-    for variant in cues.CUE_VARIANTS:
-        value, (g_lam,) = _loss(variant, x, [0, 0], protos, lam)
-        unit_value, (g_unit,) = _loss(variant, x, [0, 0], protos)
-        assert value == unit_value
-        np.testing.assert_allclose(g_lam, lam * g_unit, atol=1e-12)
+    value, (g_lam,) = _loss(x, [0, 0], protos, lam)
+    unit_value, (g_unit,) = _loss(x, [0, 0], protos)
+    assert value == unit_value
+    np.testing.assert_allclose(g_lam, lam * g_unit, atol=1e-12)

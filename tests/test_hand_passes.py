@@ -127,8 +127,8 @@ def test_critic_losses_match_the_engine_at_either_end_of_the_slope_range(slope):
 
 
 @BATCHES
-@pytest.mark.parametrize("variant", cues.CUE_VARIANTS + (None,))
-def test_generator_step_matches_the_engine(variant, t):
+@pytest.mark.parametrize("with_cues", [True, False], ids=["pd", "None"])
+def test_generator_step_matches_the_engine(with_cues, t):
     gen, cx0, cxt = _nets(2)
     b = _batch(t, 12)
     v = _prototypes(3)[b["y"]]
@@ -141,9 +141,9 @@ def test_generator_step_matches_the_engine(variant, t):
     assert _same(loss, adv.data)
     assert _same(x0_tilde, oracle_x0.data)
     total = adv
-    if variant is not None:
-        value, contributions = cues.cue_loss(x0_tilde, v, variant, lambda_pd)
-        cue = oracle.cue_loss(oracle_x0, v, variant)
+    if with_cues:
+        value, contributions = cues.cue_loss(x0_tilde, v, lambda_pd)
+        cue = oracle.cue_loss(oracle_x0, v)
         assert _same(value, cue.data)
         for g in contributions:
             g_x0 = g_x0 + g
@@ -151,18 +151,17 @@ def test_generator_step_matches_the_engine(variant, t):
     assert _same(gen.net.pullback(cache, g_x0), oracle.flat_grad(total, gen.net.params))
 
 
-@pytest.mark.parametrize("variant", cues.CUE_VARIANTS)
-def test_cue_pass_matches_the_engine_on_a_zero_norm_row(variant, caplog):
+def test_cue_pass_matches_the_engine_on_a_zero_norm_row(caplog):
     rng = np.random.default_rng(4)
     x = rng.normal(size=(5, D))
     x[2] = 0.0
     y = rng.integers(0, 3, size=5)
     v = _prototypes(5)[y]
     with caplog.at_level(logging.WARNING, logger="rlvc.cues"):
-        value, contributions = cues.cue_loss(x, v, variant, 0.7)
-    assert ("zero norm" in caplog.text) == (variant == "pd")
+        value, contributions = cues.cue_loss(x, v, 0.7)
+    assert "zero norm" in caplog.text
     xt = Tensor(x, requires_grad=True)
-    cue = oracle.cue_loss(xt, v, variant)
+    cue = oracle.cue_loss(xt, v)
     grad = contributions[0]
     for g in contributions[1:]:
         grad = grad + g

@@ -53,6 +53,24 @@ def test_training_floats_counts_the_arrays_of_a_synthetic_preset_run(use_rl):
     )
 
 
+@pytest.mark.parametrize("use_rl,optimizers", [(False, 2), (True, 3)])
+def test_train_builds_the_rl_optimizer_only_when_rl_is_on(use_rl, optimizers, monkeypatch):
+    # as training_floats counts: critics, adversarial generator step, and
+    # the policy-gradient step's own state only when use_rl is on
+    ds = _small_ds()
+    rm = _reward_for(ds) if use_rl else None
+    built = []
+    init = nets.AdamState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(nets.AdamState, "__init__", counting_init)
+    train(ds, rm, _cfg(epochs=1, use_rl=use_rl))
+    assert len(built) == optimizers
+
+
 def test_rl_phase_gate_counts():
     ds = _small_ds()
     rm = _reward_for(ds)
@@ -152,17 +170,6 @@ def test_nan_sentinels_without_cues():
     for row in result.metrics:
         assert np.isnan(row.pd_loss)
         assert np.isfinite(row.gen_adv_loss)
-
-
-def test_raw_reward_disables_baseline_columns():
-    ds = _small_ds()
-    result = train(ds, _reward_for(ds), _cfg(raw_reward=True))
-    assert not result.baseline.initialized
-    assert all(c.ema_writes == 0 for c in result.counters)
-    for row in result.metrics:
-        assert np.isfinite(row.raw_reward_mean)
-        assert np.isnan(row.ema_baseline)
-        assert np.isnan(row.advantage_mean)
 
 
 def test_metrics_log_byte_identical_across_runs(tmp_path):
@@ -304,7 +311,7 @@ def _oracle_minibatch(ds, rm, cfg):
     eps_g = train_rng.standard_normal(x0.shape)
     eps_post = train_rng.standard_normal(x0.shape)
     adv, x0_tilde = oracle.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_post)
-    cue = oracle.cue_loss(x0_tilde, v, cfg.cue_loss)
+    cue = oracle.cue_loss(x0_tilde, v)
     opt_gen.step([oracle.flat_grad(adv + cfg.lambda_pd * cue, gen.net.params)])
 
     t, x_t, x_next = draw(rl_rng)
@@ -316,10 +323,10 @@ def _oracle_minibatch(ds, rm, cfg):
     opt_rl.step([oracle.flat_grad(loss, gen.net.params)])
 
 
-def _replay_against_the_oracle(ds, cue_loss, monkeypatch):
+def _replay_against_the_oracle(ds, monkeypatch):
     rm = _reward_for(ds)
     # 32 training rows and batch 32: one epoch is one minibatch
-    cfg = _cfg(epochs=1, batch_size=32, rl_start_epoch=0, cue_loss=cue_loss, eval_interval=0)
+    cfg = _cfg(epochs=1, batch_size=32, rl_start_epoch=0, eval_interval=0)
     assert ds.train[0].shape[0] <= cfg.batch_size
     updates = []
     step = nets.AdamState.step
@@ -337,9 +344,8 @@ def _replay_against_the_oracle(ds, cue_loss, monkeypatch):
     assert updates == by_trainer
 
 
-@pytest.mark.parametrize("cue_loss", ["pd", "kl", "l1"])
-def test_trainer_minibatch_matches_the_engine_oracle(cue_loss, monkeypatch):
-    _replay_against_the_oracle(_small_ds(), cue_loss, monkeypatch)
+def test_trainer_minibatch_matches_the_engine_oracle(monkeypatch):
+    _replay_against_the_oracle(_small_ds(), monkeypatch)
 
 
 def _renamed(ds: ZslDataset, new_id) -> ZslDataset:
@@ -349,16 +355,13 @@ def _renamed(ds: ZslDataset, new_id) -> ZslDataset:
                       ds.prototypes[old_id], ds.roles[old_id])
 
 
-@pytest.mark.parametrize("cue_loss", ["pd", "kl", "l1"])
-def test_trainer_minibatch_matches_the_engine_oracle_with_seen_ids_out_of_order(
-    cue_loss, monkeypatch
-):
+def test_trainer_minibatch_matches_the_engine_oracle_with_seen_ids_out_of_order(monkeypatch):
     # Every synthetic dataset has its seen classes at ids 0..S-1, where the
     # label-to-row map is the identity. Here the seen ids are 0, 1, 3 and 5,
     # and the class that was 0 is now 5, the last seen row.
     ds = _renamed(_small_ds(), np.array([5, 1, 3, 0, 4, 2]))
     assert ds.seen_classes.tolist() == [0, 1, 3, 5]
-    _replay_against_the_oracle(ds, cue_loss, monkeypatch)
+    _replay_against_the_oracle(ds, monkeypatch)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -390,7 +393,6 @@ def test_config_validation():
         dict(rl_start_epoch=-1),
         dict(lr_rl=0.0),
         dict(ema_alpha=1.0),
-        dict(cue_loss="huber"),
         dict(synth_per_class=0),
         dict(lambda_pd=-1.0),
     ):

@@ -10,8 +10,7 @@ this runs with RLVC_THREADS=1 in a fresh temporary directory:
 
 - gen-synthetic -> pretrain-reward -> train -> eval -> synthesize, all on
   --preset synthetic;
-- a `--no-rl --cue-loss kl` train and a
-  `--cue-loss l1 --raw-reward --rl-start-epoch 1` train;
+- a `--no-rl` train (cues on) and a `--rl-start-epoch 1` train;
 - `eval --synth-per-class 400` on the first train's checkpoint;
 - a `--no-rl` train at a non-default network shape (`--hidden-mult 2
   --temb-dim 8 --leaky-slope 0.1`) and an `eval` of its checkpoint with the
@@ -58,11 +57,9 @@ STEPS = (
     ("eval", ["eval", "--data", "data", "--generator", "full/generator.ckpt"]),
     ("synthesize", ["synthesize", "--data", "data", "--generator", "full/generator.ckpt",
                     "--out", "synth/features.csv"]),
-    ("train-no-rl-kl", ["train", "--data", "data", "--no-rl", "--cue-loss", "kl",
-                        "--out", "no-rl-kl"]),
-    ("train-l1-raw", ["train", "--data", "data", "--reward", "full/reward.ckpt",
-                      "--cue-loss", "l1", "--raw-reward", "--rl-start-epoch", "1",
-                      "--out", "l1-raw"]),
+    ("train-no-rl", ["train", "--data", "data", "--no-rl", "--out", "no-rl"]),
+    ("train-rl-start-1", ["train", "--data", "data", "--reward", "full/reward.ckpt",
+                          "--rl-start-epoch", "1", "--out", "rl-start-1"]),
     ("eval-400", ["eval", "--data", "data", "--generator", "full/generator.ckpt",
                   "--synth-per-class", "400"]),
     ("train-shape", ["train", "--data", "data", "--no-rl", *SHAPE, "--out", "shape"]),
