@@ -56,7 +56,6 @@ class EpochCounters:
     critic_updates: int = 0
     gen_updates: int = 0
     rl_updates: int = 0
-    ema_writes: int = 0
 
 
 @dataclass
@@ -236,7 +235,6 @@ def train(
                             f"reward is non-finite at epoch {epoch}, batch {batch_i}"
                         )
                     advantages = r - baseline.update(r)
-                    cnt.ema_writes += 1
                     rl_l, g_rl = reward_mod.rl_loss(advantages, r, lp_cache)
                     _require_finite(rl_l.item(), "rl loss", epoch, batch_i)
                     opt_rl.step([generator.net.pullback(gen_cache, g_rl)])
