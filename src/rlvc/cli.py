@@ -4,6 +4,9 @@ Commands: gen-synthetic, pretrain-reward, train, synthesize, eval.
 Exit codes: 0 success, 1 usage error, 2 I/O or validation error, 3 numeric
 failure. RLVC_THREADS=n (n > 0) sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
 MKL_NUM_THREADS to n, over any inherited values; 0 = leave them as they are.
+
+A run builds only the flags of the command named on its command line (see
+`build_parser`); `rlvc --help` prints the paragraphs above.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ from .nets import load_reward, save_reward
 from .seeding import stream_rng
 
 
+_DESCRIPTION = __doc__[: __doc__.index("\n\nA run builds")]
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are 1
         raise UsageError(message)
@@ -65,34 +71,48 @@ def _add_common(p: _Parser) -> None:
         )
 
 
+def _add_flags(command: str, p: _Parser) -> None:
+    """Add `command`'s flags to its parser: the common ones, then its own."""
+    _add_common(p)
+    if command == "gen-synthetic":
+        p.add_argument("--force", action="store_true", help="overwrite an existing dataset dir")
+        return
+    p.add_argument("--data", metavar="DIR", help="dataset directory")
+    if command == "train":
+        p.add_argument("--reward", metavar="PATH", help="frozen reward-model checkpoint")
+        p.add_argument("--no-rl", action="store_true", help="disable the policy-gradient phase")
+        p.add_argument("--no-cues", action="store_true", help="disable prototype distillation")
+    elif command in ("synthesize", "eval"):
+        p.add_argument("--generator", metavar="PATH", help="generator checkpoint")
+
+
+class _Commands(argparse._SubParsersAction):
+    """The subcommand action. Argparse calls it with the command it matched
+    and that command's arguments; it adds the command's flags to the
+    command's parser first, so a parse builds one command's flags."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.built: set[str] = set()
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        command = values[0]
+        if command not in self.built:
+            self.built.add(command)
+            _add_flags(command, self.choices[command])
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser() -> _Parser:
-    root = _Parser(prog="rlvc", description=__doc__)
-    sub = root.add_subparsers(dest="command", metavar="COMMAND")
-
-    p = sub.add_parser("gen-synthetic", parents=[], help="write a synthetic benchmark dataset")
-    _add_common(p)
-    p.add_argument("--force", action="store_true", help="overwrite an existing dataset dir")
-
-    p = sub.add_parser("pretrain-reward", help="train and freeze the reward model")
-    _add_common(p)
-    p.add_argument("--data", metavar="DIR", help="dataset directory")
-
-    p = sub.add_parser("train", help="run the full training schedule")
-    _add_common(p)
-    p.add_argument("--data", metavar="DIR", help="dataset directory")
-    p.add_argument("--reward", metavar="PATH", help="frozen reward-model checkpoint")
-    p.add_argument("--no-rl", action="store_true", help="disable the policy-gradient phase")
-    p.add_argument("--no-cues", action="store_true", help="disable prototype distillation")
-
-    p = sub.add_parser("synthesize", help="synthesize unseen-class features to a file")
-    _add_common(p)
-    p.add_argument("--data", metavar="DIR", help="dataset directory")
-    p.add_argument("--generator", metavar="PATH", help="generator checkpoint")
-
-    p = sub.add_parser("eval", help="evaluate a trained generator (CZSL and GZSL)")
-    _add_common(p)
-    p.add_argument("--data", metavar="DIR", help="dataset directory")
-    p.add_argument("--generator", metavar="PATH", help="generator checkpoint")
+    """The parser of every command. Each command is registered with its
+    help line, but its flags are added only once argparse hands it its
+    arguments: a parse builds the flags of the command it runs, not the
+    some 45 flags of each of five commands. Help texts, error messages and
+    exit codes are those of a parser built whole."""
+    root = _Parser(prog="rlvc", description=_DESCRIPTION)
+    sub = root.add_subparsers(dest="command", metavar="COMMAND", action=_Commands)
+    for name, (_, help_line) in _COMMANDS.items():
+        sub.add_parser(name, help=help_line)
     return root
 
 
@@ -227,12 +247,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# Each command's function and its help line, in the order `rlvc --help` lists them.
 _COMMANDS = {
-    "gen-synthetic": cmd_gen_synthetic,
-    "pretrain-reward": cmd_pretrain_reward,
-    "train": cmd_train,
-    "synthesize": cmd_synthesize,
-    "eval": cmd_eval,
+    "gen-synthetic": (cmd_gen_synthetic, "write a synthetic benchmark dataset"),
+    "pretrain-reward": (cmd_pretrain_reward, "train and freeze the reward model"),
+    "train": (cmd_train, "run the full training schedule"),
+    "synthesize": (cmd_synthesize, "synthesize unseen-class features to a file"),
+    "eval": (cmd_eval, "evaluate a trained generator (CZSL and GZSL)"),
 }
 
 
@@ -254,7 +275,7 @@ def main(argv=None) -> int:
         if args.print_config:
             sys.stdout.write(cfgmod.format_config(_resolve(args)))
             return 0
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

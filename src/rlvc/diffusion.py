@@ -114,13 +114,26 @@ def posterior_sample(
     t,
     sched: DiffusionSchedule,
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Draw x_t ~ q(x_t | x_{t+1}, x0_hat); deterministic where t = 0."""
+    """Draw x_t ~ q(x_t | x_{t+1}, x0_hat); deterministic where t = 0.
+
+    x_t = (c1 * x0_hat + c2 * x_next) + sigma * eps, with eps drawn in
+    `scratch` and x_t formed in `out`, each a new array unless the caller
+    gives one of the states' shape: `out` may be x_next itself (not x0_hat),
+    and `scratch` must be C-contiguous for the draw. The same draw and the
+    same bits either way."""
     x0_hat = as_rows(x0_hat)
     x_next = as_rows(x_next)
     if x0_hat.shape != x_next.shape:
         raise UsageError("posterior_sample: state shapes differ")
     t = per_row(t, x0_hat.shape[0], sched.timesteps - 1, "posterior_sample")
-    mean = sched.c1[t] * x0_hat + sched.c2[t] * x_next
-    eps = rng.standard_normal(x0_hat.shape)
-    return mean + sched.sigma[t] * eps
+    out = np.empty(x0_hat.shape) if out is None else out
+    scratch = np.empty(x0_hat.shape) if scratch is None else scratch
+    np.multiply(sched.c2[t], x_next, out)
+    np.multiply(sched.c1[t], x0_hat, scratch)
+    np.add(scratch, out, out)
+    rng.standard_normal(out=scratch)
+    np.multiply(sched.sigma[t], scratch, scratch)
+    return np.add(out, scratch, out)

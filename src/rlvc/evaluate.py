@@ -85,22 +85,38 @@ def synthesize_unseen(
     Starts at x_T ~ N(0, I); for t = T-1 .. 0 predicts the clean features
     from the current state (fresh generator noise each step) and draws the
     next state from the posterior. Returns the final clean prediction.
+
+    The chain allocates its arrays once per call, not per step: `buffers`,
+    the generator's input matrix and each layer's output, for
+    `gen.synthesize(..., out=buffers)`; `noise`, where every draw lands
+    (x_T, each step's generator noise, then its posterior draw); and the
+    returned features. The input matrix holds the class's prototype in its
+    prototype columns, written once per class, and the chain's state in its
+    state columns, which `diffusion.posterior_sample` overwrites each step.
+    A step makes only small temporaries: its timestep index vectors and
+    `leaky_relu`'s product per hidden layer. Each step is still one
+    `gen.synthesize` call and one `diffusion.posterior_sample` call,
+    drawing from `rng` in the same order. That includes the t = 0
+    posterior draw, whose state is never read: its sigma is 0, but dropping
+    the draw would shift every later draw of `rng`, and with it the heads'
+    shuffles.
     """
     if n_per_class < 1:
         raise UsageError("n_per_class must be >= 1")
     unseen_classes = [int(c) for c in unseen_classes]
-    feats, labels = [], []
-    for c in unseen_classes:
-        z = np.tile(prototypes[c], (n_per_class, 1))
-        x = rng.standard_normal((n_per_class, gen.feat_dim))
-        x0_pred = None
+    feats = np.empty((len(unseen_classes) * n_per_class, gen.feat_dim))
+    buffers = [np.empty((n_per_class, w)) for w in gen.net.layer_dims]
+    noise = np.empty((n_per_class, gen.feat_dim))
+    _, z, x, _ = gen.columns(buffers[0])
+    for k, c in enumerate(unseen_classes):
+        z[...] = prototypes[c]
+        x[...] = rng.standard_normal(out=noise)
         for t in range(sched.timesteps - 1, -1, -1):
-            eps = rng.standard_normal((n_per_class, gen.feat_dim))
-            x0_pred = gen.synthesize(eps, z, x, t + 1)[0]
-            x = diffusion.posterior_sample(x0_pred, x, t, sched, rng)
-        feats.append(x0_pred)
-        labels.extend([c] * n_per_class)
-    return np.concatenate(feats, axis=0), np.asarray(labels, dtype=np.int64)
+            rng.standard_normal(out=noise)
+            x0_pred = gen.synthesize(noise, z, x, t + 1, buffers)[0]
+            diffusion.posterior_sample(x0_pred, x, t, sched, rng, out=x, scratch=noise)
+        feats[k * n_per_class : (k + 1) * n_per_class] = x0_pred
+    return feats, np.repeat(np.asarray(unseen_classes, dtype=np.int64), n_per_class)
 
 
 def full_report(gen: Generator, dataset, config: Config, rng: np.random.Generator) -> EvalReport:

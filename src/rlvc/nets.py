@@ -13,7 +13,10 @@ its update is elementwise, so a block's entries get the bits a whole-vector
 update would give them. At the evaluation heads' sizes (hundreds of entries)
 a step costs about as much in numpy calls as in arithmetic, so it passes its
 fixed scalars as 0-d float64 arrays built once, which numpy need not convert
-on each call, and `out` positionally; `fit_linear_softmax` likewise works in
+on each call, and `out` positionally, and it checks each block's range with
+one dot product b . b: a finite squared 2-norm bounds every entry, and only
+a block whose square is not finite is scanned for its max and min (see
+`AdamState`). `fit_linear_softmax` likewise works in
 preallocated buffers: each minibatch gathers its rows into one and writes
 its logits into another, and one flat index per epoch finds every row's
 label cell. The reverse passes here (`DenseNet.pullback`,
@@ -31,7 +34,8 @@ activations. For a slope in [0, 1] the two give the same bits (see
 `leaky_relu`). So `DenseNet.forward` caches only each layer's input, and a
 reverse pass that needs a hidden layer's mask builds it from that layer's
 cached activation with `leaky_relu_mask`; a forward-only caller, such as
-evaluation's synthesis, builds none.
+evaluation's synthesis, builds none, and may hand `forward` buffers of its
+own for the activations, which a chain of calls then reuses.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ REWARD_TAG = b"RWDM"
 
 # The ufunc reductions that np.sum, ndarray.max and ndarray.min call, without
 # those wrappers' per-call cost: the same results.
-_sum, _max, _min = np.add.reduce, np.maximum.reduce, np.minimum.reduce
+_sum, _max, _min, _dot = np.add.reduce, np.maximum.reduce, np.minimum.reduce, np.dot
 
 
 NORM_FLOOR = 1e-200  # under a norm's square root: keeps its subgradient finite at zero
@@ -165,11 +169,18 @@ class DenseNet:
         `flat`."""
         return [vector[a:b].reshape(s) for (a, b), s in zip(self._spans, self._shapes)]
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    def forward(self, x: np.ndarray, out: Sequence[np.ndarray] | None = None
+                ) -> tuple[np.ndarray, list[np.ndarray]]:
         """The output for a (batch, features) array, and the cache `pullback`
         reads: the input of every layer, so x and then each hidden layer's
         activation. Each hidden layer is h @ W.T + b through `leaky_relu`;
-        no mask is built here, only by the reverse passes that read one."""
+        no mask is built here, only by the reverse passes that read one.
+
+        Each layer writes its result into a new array, or, with `out`, into
+        the caller's buffer for it: one C-contiguous (batch, layer_dims[l])
+        float64 array per layer l >= 1, which the output and the cache then
+        are (and the next call with them overwrites). A product written into
+        a buffer is the same BLAS call, so the same bits."""
         if x.ndim != 2:
             raise UsageError("forward expects a (batch, features) matrix")
         if x.shape[1] != self.layer_dims[0]:
@@ -177,13 +188,13 @@ class DenseNet:
                 f"input width {x.shape[1]} != expected {self.layer_dims[0]}"
             )
         inputs = [x]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            pre = inputs[-1] @ w.data.T
-            pre += b.data
-            inputs.append(leaky_relu(pre, self.slope))
-        out = inputs[-1] @ self.weights[-1].data.T
-        out += self.biases[-1].data
-        return out, inputs
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = np.matmul(inputs[-1], w.data.T, None if out is None else out[i])
+            h += b.data
+            if i == last:
+                return h, inputs
+            inputs.append(leaky_relu(h, self.slope))
 
     def pullback(self, cache, u: np.ndarray, wrt_input: bool = False) -> np.ndarray:
         """Reverse of `forward` for the output gradient u: the gradient w.r.t.
@@ -244,6 +255,46 @@ ADAM_BLOCK = 2**15
 _SCRATCH = [np.empty(0), np.empty(0)]
 
 
+# A finite square norm b . b bounds every entry of a block: |b_i| <= ||b||_2,
+# so each |b_i| is under 2**512. The computed b . b is at least the largest
+# rounded square (a sum of nonnegative terms, however it is ordered or fused,
+# never rounds under one of them), so its rounded root is at least
+# max|b| * (1 - 2**-52) where that square is normal, and may be 0 where
+# every square underflows (each |b_i| under 2**-511). _ROOT_SLACK and
+# _ROOT_FLOOR cover the two.
+_ROOT_SLACK, _ROOT_FLOOR = 1.0 + 2.0**-50, 2.0**-511
+
+
+def _abs_bound(b: np.ndarray) -> float:
+    """At least max|b| over the gradient block b, from its 2-norm: one dot
+    product. Only a block whose square norm is not finite (an entry of about
+    2**512 or more, an inf or a NaN) is scanned for its max and min, which
+    raises NumericFailure if the block is not finite."""
+    sq = float(_dot(b, b))
+    if sq < math.inf:
+        return math.sqrt(sq) * _ROOT_SLACK + _ROOT_FLOOR
+    hi, lo = float(_max(b, initial=0.0)), float(_min(b, initial=0.0))
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise NumericFailure("non-finite gradient; update rejected")
+    return max(hi, -lo)
+
+
+def _in_range(b: np.ndarray) -> bool:
+    """Whether every entry of the parameter block b is under _SAFE in size:
+    a finite square norm says so at once, and only a block without one is
+    scanned for its max and min (a NaN fails both)."""
+    return float(_dot(b, b)) < math.inf or (
+        -_SAFE < _min(b, initial=0.0) and _max(b, initial=0.0) < _SAFE)
+
+
+def _as_gradient(g, p: np.ndarray) -> np.ndarray:
+    """g as a float64 array of p's shape, by np.asarray; UsageError if its
+    shape is not p's."""
+    if np.shape(g) != p.shape:
+        raise UsageError("gradients do not match the parameter vectors")
+    return np.asarray(g, dtype=np.float64)
+
+
 def _cuts(n: int) -> list[int]:
     """The block bounds of an n-entry vector: every ADAM_BLOCK entries, with a
     tail shorter than ADAM_BLOCK // 8 folded into the block before it."""
@@ -289,14 +340,20 @@ class AdamState:
 
     A step is all or nothing: if it would leave a parameter non-finite, it
     raises NumericFailure and no parameter, moment or `t` moves. The step
-    tracks a bound on max|m| by the same update as m, from max|g|; the
-    denominator is at least eps, so no step entry exceeds
+    tracks a bound on max|m| by the same update as m, from a bound on max|g|;
+    the denominator is at least eps, so no step entry exceeds
     4 * lr * bound / (c1 * eps) (the 4 covers rounding). While that and every
-    parameter stay under 2**1022 (checked, like the gradient's finiteness,
-    block by block before any write), the step runs in place. Otherwise the same sweep runs on copies
-    of the moments and the parameters, and only a finite result is
-    committed. The bound decays with m, so the copies last only while m is
-    near overflow.
+    parameter stay under 2**1022, the step runs in place. Both are checked
+    block by block before any write, each block by one dot product b . b,
+    its squared 2-norm: where that is finite it bounds every entry
+    (max|b| <= ||b||_2, so every entry is under 2**512), which clears a
+    parameter block and gives a gradient block's bound (see `_abs_bound`).
+    Only a block whose square is not finite is scanned for its max and min:
+    the scan raises NumericFailure on a non-finite gradient and sends a
+    parameter near 2**1022 through the copies. Otherwise the same sweep runs
+    on copies of the moments and the parameters, and only a finite result
+    is committed. The bound decays with m, so the copies last only while m
+    is near overflow.
 
     Once beta1**t falls below 2**-54, c1 = 1 - beta1**t rounds to exactly
     1.0 (t >= 54 at beta1 = 0.5), and m / c1 is m; the step then skips that
@@ -335,16 +392,16 @@ class AdamState:
         self.m, self.v = self._views(self._m), self._views(self._v)
         self._in_place = _blocks(self.m), _blocks(self.v), _blocks(self.params)
         self._whole = len(self._in_place[2]) == len(self.params)  # one block each
+        self._one = self._whole and len(self.params) == 1
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         return [flat[a:b] for a, b in self._spans]
 
-    def _advance(self, t: int, g_blocks, m_blocks, v_blocks, p_blocks) -> None:
-        """Step t from the gradient's blocks: advance the moments' blocks in
-        place and subtract the step from the parameters' blocks, which all
-        line up."""
+    def _advance(self, t: int, c1: float, g_blocks, m_blocks, v_blocks, p_blocks) -> None:
+        """Step t, whose first bias correction is c1, from the gradient's
+        blocks: advance the moments' blocks in place and subtract the step
+        from the parameters' blocks, which all line up."""
         b1, b2, a1, a2, lr, eps = self._b1, self._b2, self._a1, self._a2, self._lr, self._eps
-        c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
         if _SCRATCH[0].size < self._block:
             _SCRATCH[:] = np.empty(self._block), np.empty(self._block)
@@ -373,37 +430,25 @@ class AdamState:
         """One update from one gradient vector per parameter vector."""
         if len(grads) != len(self.params):
             raise UsageError("gradients do not match the parameter vectors")
-        arrays = []
-        for g, p in zip(grads, self.params):
-            ready = type(g) is np.ndarray and g.dtype == np.float64
-            if (g.shape if ready else np.shape(g)) != p.shape:
-                raise UsageError("gradients do not match the parameter vectors")
-            arrays.append(g if ready else np.asarray(g, dtype=np.float64))
-        # The range checks run by blocks too: a block's second reduction
-        # reads it from cache. A gradient of one block is its own block.
-        g_blocks = arrays if self._whole else _blocks(arrays)
-        g_max = 0.0
-        for gb in g_blocks:
-            hi, lo = float(_max(gb, initial=0.0)), float(_min(gb, initial=0.0))
-            if not (math.isfinite(hi) and math.isfinite(lo)):
-                raise NumericFailure("non-finite gradient; update rejected")
-            g_max = max(g_max, hi, -lo)
-        m_bound = self.beta1 * self._m_bound + (1.0 - self.beta1) * g_max
-        t = self.t + 1
-        bound = 4.0 * abs(self.lr) * m_bound / (1.0 - self.beta1**t) / self.eps
+        arrays = [g if type(g) is np.ndarray and g.dtype == np.float64 and g.shape == p.shape
+                  else _as_gradient(g, p) for g, p in zip(grads, self.params)]
         m_blocks, v_blocks, p_blocks = self._in_place
-        in_place = bound < _SAFE
-        for pb in p_blocks:
-            if not in_place:
-                break
-            in_place = -_SAFE < _min(pb, initial=0.0) and _max(pb, initial=0.0) < _SAFE
-        if in_place:
-            self._advance(t, g_blocks, m_blocks, v_blocks, p_blocks)
+        if self._one:  # the heads', the generator's and the RL optimizers
+            g_blocks, g_max, in_range = arrays, _abs_bound(arrays[0]), _in_range(p_blocks[0])
+        else:
+            g_blocks = arrays if self._whole else _blocks(arrays)
+            g_max = max(map(_abs_bound, g_blocks), default=0.0)
+            in_range = all(map(_in_range, p_blocks))
+        t = self.t + 1
+        c1 = 1.0 - self.beta1**t
+        m_bound = self.beta1 * self._m_bound + (1.0 - self.beta1) * g_max
+        if in_range and 4.0 * abs(self.lr) * m_bound / c1 / self.eps < _SAFE:
+            self._advance(t, c1, g_blocks, m_blocks, v_blocks, p_blocks)
         else:
             m, v = self._m.copy(), self._v.copy()
             new = [p.copy() for p in self.params]
             m_blocks, v_blocks = _blocks(self._views(m)), _blocks(self._views(v))
-            self._advance(t, g_blocks, m_blocks, v_blocks, _blocks(new))
+            self._advance(t, c1, g_blocks, m_blocks, v_blocks, _blocks(new))
             if not all(np.isfinite(a).all() for a in new):
                 raise NumericFailure("non-finite parameter after update; update rejected")
             self._m[...], self._v[...] = m, v

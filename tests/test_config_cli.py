@@ -15,7 +15,7 @@ from rlvc.data import (
     CACHE_NAME, ZslDataset, export_features, load_dataset, make_synthetic, save_dataset,
     standardize,
 )
-from rlvc.errors import ConfigurationError
+from rlvc.errors import ConfigurationError, UsageError
 from rlvc.evaluate import harmonic_mean, synthesize_unseen
 from rlvc.nets import GENERATOR_TAG, REWARD_TAG, param_count, save_checkpoint
 from rlvc.reward import pretrain_reward
@@ -128,6 +128,66 @@ _FAST = [
 def test_cli_no_command_is_usage_error(capsys):
     assert cli.main([]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def _whole_parser() -> cli._Parser:
+    """The parser as it was built before each command's flags were added
+    lazily: every command with all its flags, up front."""
+    root = cli._Parser(prog="rlvc", description=cli._DESCRIPTION)
+    sub = root.add_subparsers(dest="command", metavar="COMMAND")
+    p = sub.add_parser("gen-synthetic", help="write a synthetic benchmark dataset")
+    cli._add_common(p)
+    p.add_argument("--force", action="store_true", help="overwrite an existing dataset dir")
+    p = sub.add_parser("pretrain-reward", help="train and freeze the reward model")
+    cli._add_common(p)
+    p.add_argument("--data", metavar="DIR", help="dataset directory")
+    p = sub.add_parser("train", help="run the full training schedule")
+    cli._add_common(p)
+    p.add_argument("--data", metavar="DIR", help="dataset directory")
+    p.add_argument("--reward", metavar="PATH", help="frozen reward-model checkpoint")
+    p.add_argument("--no-rl", action="store_true", help="disable the policy-gradient phase")
+    p.add_argument("--no-cues", action="store_true", help="disable prototype distillation")
+    for name, help_line in (("synthesize", "synthesize unseen-class features to a file"),
+                            ("eval", "evaluate a trained generator (CZSL and GZSL)")):
+        p = sub.add_parser(name, help=help_line)
+        cli._add_common(p)
+        p.add_argument("--data", metavar="DIR", help="dataset directory")
+        p.add_argument("--generator", metavar="PATH", help="generator checkpoint")
+    return root
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"] for c in cli._COMMANDS])
+def test_cli_help_is_the_whole_parsers(argv, capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(argv)
+    assert done.value.code == 0
+    lazy = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        _whole_parser().parse_args(argv)
+    assert lazy == capsys.readouterr().out
+    assert "usage: rlvc" in lazy
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus"],  # an unknown command
+    ["eval", "--force"],  # another command's flag
+    ["--seed", "1", "eval"],  # a flag before the command
+    ["train", "--no-rl", "--bogus"],
+])
+def test_cli_bad_command_lines_say_what_the_whole_parser_says(argv, capsys):
+    assert cli.main(argv) == 1
+    message = capsys.readouterr().err
+    with pytest.raises(UsageError) as whole:
+        _whole_parser().parse_args(argv)
+    assert message == f"usage error: {whole.value}\n"
+
+
+def test_cli_parse_builds_only_the_named_commands_flags(monkeypatch):
+    built, add_flags = [], cli._add_flags
+    monkeypatch.setattr(cli, "_add_flags", lambda command, p: (built.append(command),
+                                                                 add_flags(command, p)))
+    args = cli.build_parser().parse_args(["eval", "--data", "d", "--synth-per-class", "9"])
+    assert built == ["eval"] and args.cfg_synth_per_class == "9"
 
 
 def test_cli_missing_out_flag(capsys):

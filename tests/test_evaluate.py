@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -200,6 +202,51 @@ def test_synthesize_unseen_builds_no_tensor(monkeypatch):
     synthesize_unseen(gen, np.ones((4, 2)), [1, 3], 5, diffusion.build_schedule(4, 0.1, 0.4),
                       np.random.default_rng(9))
     assert len(built) == 0
+
+
+def _per_step_chain(gen, prototypes, classes, n, sched, rng):
+    """The chain as fresh arrays per step: a `gen.synthesize` call, then a
+    `diffusion.posterior_sample` call, each allocating its results."""
+    feats = []
+    for c in classes:
+        z = np.tile(prototypes[c], (n, 1))
+        x = rng.standard_normal((n, gen.feat_dim))
+        for t in range(sched.timesteps - 1, -1, -1):
+            eps = rng.standard_normal((n, gen.feat_dim))
+            x0_pred = gen.synthesize(eps, z, x, t + 1)[0]
+            x = diffusion.posterior_sample(x0_pred, x, t, sched, rng)
+        feats.append(x0_pred)
+    return np.concatenate(feats)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 6])
+@pytest.mark.parametrize("n", [1, 7, 400])
+@pytest.mark.parametrize("temb_dim, slope", [(0, 0.0), (16, 1.0), (16, 0.2)])
+def test_buffered_chain_gives_the_bytes_of_a_per_step_chain(steps, n, temb_dim, slope):
+    config = Config(hidden_mult=2, temb_dim=temb_dim, leaky_slope=slope, diffusion_steps=steps)
+    gen = Generator(5, 3, config, np.random.default_rng(4))
+    protos = np.random.default_rng(5).normal(size=(4, 3))
+    sched = config.schedule()
+    rng, oracle_rng = np.random.default_rng(6), np.random.default_rng(6)
+    x, y = synthesize_unseen(gen, protos, [2, 0, 3], n, sched, rng)
+    assert x.tobytes() == _per_step_chain(gen, protos, [2, 0, 3], n, sched, oracle_rng).tobytes()
+    np.testing.assert_array_equal(y, np.repeat([2, 0, 3], n))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state  # the same draws
+
+
+def test_synthesis_peak_memory_does_not_grow_with_the_chain_length():
+    def peak(steps):
+        config = Config(hidden_mult=4, temb_dim=16, diffusion_steps=steps)
+        gen = Generator(32, 16, config, np.random.default_rng(0))
+        protos, sched = np.ones((5, 16)), config.schedule()
+        tracemalloc.start()
+        try:
+            synthesize_unseen(gen, protos, range(5), 400, sched, np.random.default_rng(1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(6) <= peak(2) + 16_384  # a step's few small index arrays, not a state
 
 
 def test_synthesize_unseen_rejects_empty_budget():

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlvc import engine, gan, nets
 from rlvc.config import Config, format_config
@@ -545,6 +547,116 @@ def test_adam_copies_the_moments_only_while_a_step_could_overflow():
     assert np.isfinite(p).all() and opt.t == 61
 
 
+def _scan_bound(b):
+    """The entry scan that the dot-product check stands in for: max|b| from
+    b's max and min, NumericFailure if either is not finite."""
+    hi, lo = float(np.max(b, initial=0.0)), float(np.min(b, initial=0.0))
+    if not (np.isfinite(hi) and np.isfinite(lo)):
+        raise NumericFailure("non-finite gradient; update rejected")
+    return max(hi, -lo)
+
+
+def _scan_in_range(b):
+    return bool(-nets._SAFE < np.min(b, initial=0.0) and np.max(b, initial=0.0) < nets._SAFE)
+
+
+def _stepped_by(monkeypatch, scan: bool, start, grads):
+    """The bytes of p, m and v after Adam steps `grads` from `start`, with
+    the range checks by dot products or, with `scan`, by entry scans."""
+    with monkeypatch.context() as patch:
+        if scan:
+            patch.setattr(nets, "_abs_bound", _scan_bound)
+            patch.setattr(nets, "_in_range", _scan_in_range)
+        opt = AdamState([a.copy() for a in start], lr=0.01, **_BETAS)
+        for g in grads:
+            opt.step(g)
+        return [a.tobytes() for a in opt.params + opt.m + opt.v]
+
+
+@pytest.mark.parametrize("entry", [1e200, -1e200, 1.3e154], ids=["1e200", "-1e200", "1.3e154"])
+def test_adam_steps_a_finite_gradient_whose_square_norm_overflows(monkeypatch, entry):
+    # 1.3e154 squares to a finite 1.7e308, but 100 such squares overflow.
+    rng = np.random.default_rng(20)
+    start = [rng.normal(size=100), rng.normal(size=3 * nets.ADAM_BLOCK)]
+    grads = [[rng.normal(size=a.size) for a in start] for _ in range(3)]
+    grads[1][0][:] = entry
+    grads[2][1][nets.ADAM_BLOCK + 7] = entry  # in a later block
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.dot(grads[1][0], grads[1][0]))
+        assert (_stepped_by(monkeypatch, False, start, grads)
+                == _stepped_by(monkeypatch, True, start, grads))
+        opt = AdamState([a.copy() for a in start], lr=0.01, **_BETAS)
+        tracemalloc.start()
+        try:
+            opt.step(grads[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < start[1].nbytes // 10  # the scan's max|g| bounds the step: in place
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_adam_refuses_a_non_finite_entry_in_a_later_block_and_changes_nothing(bad):
+    rng = np.random.default_rng(21)
+    opt = AdamState([rng.normal(size=7), rng.normal(size=2 * nets.ADAM_BLOCK)], lr=0.01, **_BETAS)
+    opt.step([rng.normal(size=7), rng.normal(size=2 * nets.ADAM_BLOCK)])
+    before = [a.tobytes() for a in opt.params + opt.m + opt.v]
+    g = rng.normal(size=2 * nets.ADAM_BLOCK)
+    g[-3] = bad  # the second vector's second block
+    with pytest.raises(NumericFailure, match="non-finite gradient"):  # before any update
+        opt.step([rng.normal(size=7), g])
+    assert [a.tobytes() for a in opt.params + opt.m + opt.v] == before
+    assert opt.t == 1
+
+
+def test_adam_scans_a_parameter_block_over_2_512_and_steps_it_in_place(monkeypatch):
+    # 2**600 squares past the largest float, so only a scan can clear the
+    # block; being under 2**1022, it steps in place with the bytes of the scan.
+    n = 50_000
+    rng = np.random.default_rng(22)
+    start = [rng.normal(size=n)]
+    start[0][nets.ADAM_BLOCK + 11] = 2.0**600  # the second of two blocks
+    grads = [[rng.normal(size=n)] for _ in range(3)]
+    scanned = []
+    original_max = nets._max
+
+    def counting_max(b, *args, **kwargs):
+        scanned.append(b.size)
+        return original_max(b, *args, **kwargs)
+
+    monkeypatch.setattr(nets, "_max", counting_max)
+    opt = AdamState([start[0].copy()], lr=0.01, **_BETAS)
+    tracemalloc.start()
+    try:
+        with np.errstate(over="ignore"):
+            opt.step(grads[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scanned == [n - nets.ADAM_BLOCK]  # that block alone, and no gradient block
+    assert peak < start[0].nbytes // 10  # in place: no copies
+    with np.errstate(over="ignore"):
+        for g in grads[1:]:
+            opt.step(g)
+    monkeypatch.undo()
+    assert ([a.tobytes() for a in opt.params + opt.m + opt.v]
+            == _stepped_by(monkeypatch, True, start, grads))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FINITE, max_size=40)
+       | st.lists(st.floats(-1e-150, 1e-150), max_size=40)  # squares that underflow
+       | st.lists(st.floats(1e150, 1e155), max_size=40))  # squares near overflow
+def test_adam_dot_bound_is_at_least_every_entry(entries):
+    b = np.array(entries, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        assert nets._abs_bound(b) >= np.max(np.abs(b), initial=0.0)
+        assert nets._in_range(b) == _scan_in_range(b)
+
+
 def _params_view_flat(net) -> bool:
     """Whether every parameter's data is a view into net.flat, at its place
     in the layout."""
@@ -604,6 +716,40 @@ def test_loaded_generator_views_its_flat_vector(tmp_path, monkeypatch):
     again = tmp_path / "again.ckpt"
     gan.save_generator(again, loaded, loaded_cfg, epoch)
     assert again.read_bytes() == path.read_bytes()
+
+
+_BETA = st.floats(1e-6, 0.999, allow_subnormal=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hidden_mult=st.integers(1, 3), temb_dim=st.integers(0, 6),
+       slope=st.floats(0.0, 1.0).filter(nets.exact_slope), steps=st.integers(1, 8),
+       betas=st.tuples(_BETA, _BETA).map(sorted), standardize=st.booleans(),
+       epoch=st.integers(0, 10**6))
+def test_every_settings_line_round_trips_through_load_and_save(
+        tmp_path_factory, hidden_mult, temb_dim, slope, steps, betas, standardize, epoch):
+    cfg = Config(hidden_mult=hidden_mult, temb_dim=temb_dim, leaky_slope=slope,
+                 diffusion_steps=steps, beta_min=betas[0], beta_max=betas[1],
+                 standardize=standardize)
+    folder = tmp_path_factory.mktemp("files")
+    gen = Generator(3, 2, cfg, np.random.default_rng(epoch))
+    gan.save_generator(folder / "generator.ckpt", gen, cfg, epoch)
+    loaded, loaded_cfg, loaded_epoch = gan.load_generator(folder / "generator.ckpt", 3, 2, Config())
+    gan.save_generator(folder / "again.ckpt", loaded, loaded_cfg, loaded_epoch)
+    written = (folder / "generator.ckpt").read_bytes()
+    assert (folder / "again.ckpt").read_bytes() == written
+    for line in (f"epoch = {epoch}\n" + format_config(cfg, gan.GENERATOR_KEYS)).splitlines():
+        assert line.encode() + b"\n" in written
+
+    space = format_config(cfg, ["standardize"])
+    rng = np.random.default_rng(epoch)
+    nets.save_reward(folder / "reward.ckpt",
+                     SoftmaxClassifier(rng.normal(size=(3, 4)), rng.normal(size=3)), space)
+    model, read = nets.load_reward(folder / "reward.ckpt")
+    nets.save_reward(folder / "reward-again.ckpt", model,
+                     "".join(f"{key} = {value}\n" for key, value in read.items()))
+    written = (folder / "reward.ckpt").read_bytes()
+    assert (folder / "reward-again.ckpt").read_bytes() == written and space.encode() in written
 
 
 @pytest.mark.parametrize(

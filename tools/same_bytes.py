@@ -26,6 +26,10 @@ this runs with RLVC_THREADS=1 in a fresh temporary directory:
   --eval-interval 2` train and an `eval` of its checkpoint with the same
   `--diffusion-steps 3`, so the generator's and the transition critic's
   timestep tables are built at a T other than the preset's 6;
+- on that dataset, a `--no-rl --diffusion-steps 1 --temb-dim 0 --epochs 2
+  --eval-interval 2` train and an `eval` of its checkpoint with the same
+  `--diffusion-steps 1 --temb-dim 0`, so the reverse chain runs a single
+  step and the generator's input has no timestep columns;
 - last, `gen-synthetic --force --visual-sigma 1.5` over the first dataset
   and an `eval` of the first checkpoint on it, so a load that finds the
   parsed-array cache of the old files must parse the new ones.
@@ -48,6 +52,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SYNTHETIC = ["--preset", "synthetic"]
 SHAPE = ["--hidden-mult", "2", "--temb-dim", "8", "--leaky-slope", "0.1"]
+T1 = ["--diffusion-steps", "1", "--temb-dim", "0"]
 
 # (name, arguments after the seed); names label the stdout hashes.
 STEPS = (
@@ -82,6 +87,10 @@ STEPS = (
                         "--epochs", "2", "--eval-interval", "2", "--out", "small-t3"]),
     ("eval-small-t3", ["eval", "--data", "data-small", "--generator", "small-t3/generator.ckpt",
                        "--diffusion-steps", "3"]),
+    ("train-small-t1", ["train", "--data", "data-small", "--no-rl", *T1, "--epochs", "2",
+                        "--eval-interval", "2", "--out", "small-t1"]),
+    ("eval-small-t1", ["eval", "--data", "data-small", "--generator", "small-t1/generator.ckpt",
+                       *T1]),
     ("gen-synthetic-resampled", ["gen-synthetic", "--force", "--visual-sigma", "1.5",
                                  "--out", "data"]),
     ("eval-resampled", ["eval", "--data", "data", "--generator", "full/generator.ckpt"]),
