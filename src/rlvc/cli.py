@@ -14,16 +14,28 @@ from __future__ import annotations
 import os
 import sys
 
+from .errors import ConfigurationError, NumericFailure, UsageError
 
-def _apply_thread_env() -> None:
-    raw = os.environ.get("RLVC_THREADS")
-    if raw is None:
-        return
+
+def _threads() -> int:
+    """RLVC_THREADS as a count, 0 if it is unset; UsageError unless it is a
+    nonnegative integer."""
+    raw = os.environ.get("RLVC_THREADS", "0")
     try:
         n = int(raw)
     except ValueError:
-        return  # validated again (with a clean exit code) inside main()
-    if n > 0:
+        n = -1
+    if n < 0:
+        raise UsageError(f"RLVC_THREADS must be a nonnegative integer, got {raw!r}")
+    return n
+
+
+def _apply_thread_env() -> None:
+    try:
+        n = _threads()
+    except UsageError:
+        return  # main() refuses it, with a usage error's exit code
+    if n:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(n)
 
@@ -39,7 +51,6 @@ from . import config as cfgmod
 from . import data as datamod
 from . import evaluate, gan, trainer
 from . import reward as reward_mod
-from .errors import ConfigurationError, NumericFailure, UsageError
 from .nets import load_reward, save_reward
 from .seeding import stream_rng
 
@@ -80,8 +91,11 @@ def _add_flags(command: str, p: _Parser) -> None:
     p.add_argument("--data", metavar="DIR", help="dataset directory")
     if command == "train":
         p.add_argument("--reward", metavar="PATH", help="frozen reward-model checkpoint")
-        p.add_argument("--no-rl", action="store_true", help="disable the policy-gradient phase")
-        p.add_argument("--no-cues", action="store_true", help="disable prototype distillation")
+        # `--use-rl false` and `--use-cues false`: the later of two such flags wins
+        p.add_argument("--no-rl", dest="cfg_use_rl", action="store_const", const="false",
+                       default=argparse.SUPPRESS, help="disable the policy-gradient phase")
+        p.add_argument("--no-cues", dest="cfg_use_cues", action="store_const", const="false",
+                       default=argparse.SUPPRESS, help="disable prototype distillation")
     elif command in ("synthesize", "eval"):
         p.add_argument("--generator", metavar="PATH", help="generator checkpoint")
 
@@ -118,11 +132,7 @@ def build_parser() -> _Parser:
 
 def _overrides(args) -> dict:
     """The settings given on the command line, by Config key."""
-    given = {name[4:]: v for name, v in vars(args).items() if name.startswith("cfg_")}
-    for flag, key in (("no_rl", "use_rl"), ("no_cues", "use_cues")):
-        if getattr(args, flag, False):
-            given[key] = False
-    return given
+    return {name[4:]: v for name, v in vars(args).items() if name.startswith("cfg_")}
 
 
 def _resolve(args) -> cfgmod.Config:
@@ -184,9 +194,7 @@ def cmd_pretrain_reward(args) -> int:
     ds = _in_space(cfg, datamod.load_dataset(data_dir))
     train_x, train_y = ds.train
     y = ds.seen_rows(train_y)
-    model = reward_mod.pretrain_reward(
-        train_x, y, len(ds.seen_classes), cfg, stream_rng(cfg.seed, "reward")
-    )
+    model = reward_mod.pretrain_reward(train_x, y, len(ds.seen_classes), cfg)
     acc = np.mean(model.predict(train_x) == y)
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "reward.ckpt")
@@ -203,7 +211,7 @@ def cmd_train(args) -> int:
     model = None
     if cfg.use_rl:  # the reward model must score rows of this run's feature space
         model, settings = load_reward(_require(args, "reward"))
-        fit, space = settings.get("standardize"), cfgmod.format_config(cfg, ["standardize"])
+        fit, space = settings["standardize"], cfgmod.format_config(cfg, ["standardize"])
         if f"standardize = {fit}\n" != space:
             raise ConfigurationError(f"{args.reward} was fit with standardize = {fit}; "
                                      f"this run has {space.strip()}")
@@ -258,16 +266,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    raw_threads = os.environ.get("RLVC_THREADS")
     try:
-        if raw_threads is not None:
-            try:
-                if int(raw_threads) < 0:
-                    raise ValueError
-            except ValueError:
-                raise UsageError(
-                    f"RLVC_THREADS must be a nonnegative integer, got {raw_threads!r}"
-                ) from None
+        _threads()
         parser = build_parser()
         args = parser.parse_args(argv)
         if args.command is None:

@@ -27,7 +27,8 @@ class DiffusionSchedule:
     - for t = 0..T-1: `sqrt_alpha_next[t]` = sqrt(alpha_{t+1}) and
       `sqrt_beta_next[t]` = sqrt(beta_{t+1}), the step q(x_{t+1} | x_t);
     - for t = 0..T-1: `c1`, `c2`, `sigma2` and `sigma` = sqrt(sigma2), the
-      posterior q(x_t | x_{t+1}, x_0) of `posterior_coeffs`.
+      posterior q(x_t | x_{t+1}, x_0) = N(c1 x_0 + c2 x_{t+1}, sigma2); at
+      t = 0, c2 and sigma2 are exactly zero.
     """
 
     def __init__(self, timesteps: int, betas: np.ndarray):
@@ -60,22 +61,21 @@ def build_schedule(timesteps: int, beta_min: float, beta_max: float) -> Diffusio
     return DiffusionSchedule(timesteps, betas)
 
 
-def per_row(t, rows: int | None, hi: int | None = None, what: str = "per_row") -> np.ndarray:
-    """The one timestep check: integer timesteps as a flat vector, each in
-    [0, hi] unless hi is None, and, unless rows is None, one per row, a
-    single timestep being repeated `rows` times. A vector that breaks both
-    the range and the count is refused with both named."""
+def per_row(t, rows: int, hi: int, what: str) -> np.ndarray:
+    """The one timestep check: integer timesteps in [0, hi] as a flat vector
+    of one per row, a single timestep being repeated `rows` times. A vector
+    that breaks both the range and the count is refused with both named."""
     t = np.asarray(t).reshape(-1)
     if t.dtype.kind not in "iu":
         raise UsageError(f"{what}: timesteps must be integers, got {t.dtype}")
     problems = []
-    if hi is not None and (t.size == 0 or t.min() < 0 or t.max() > hi):
+    if t.size == 0 or t.min() < 0 or t.max() > hi:
         problems.append(f"timestep out of range [0, {hi}]")
-    if rows is not None and t.size not in (1, rows):
+    if t.size not in (1, rows):
         problems.append(f"{t.size} timesteps for {rows} rows")
     if problems:
         raise UsageError(f"{what}: " + "; ".join(problems))
-    return np.full(rows, int(t[0])) if rows is not None and t.size == 1 else t
+    return np.full(rows, int(t[0])) if t.size == 1 else t
 
 
 def forward_noise(
@@ -96,16 +96,6 @@ def forward_transition(
     t = per_row(t, x_t.shape[0], sched.timesteps - 1, "forward_transition")
     eps = rng.standard_normal(x_t.shape)
     return sched.sqrt_alpha_next[t] * x_t + sched.sqrt_beta_next[t] * eps
-
-
-def posterior_coeffs(sched: DiffusionSchedule, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficients (c1, c2, sigma2) of q(x_t | x_{t+1}, x_0), each shape (B, 1).
-
-    mean = c1 * x0_hat + c2 * x_next; variance sigma2. At t = 0 the variance
-    is exactly zero and c2 vanishes, so the output is the clean prediction.
-    """
-    t = per_row(t, None, sched.timesteps - 1, "posterior_coeffs")
-    return sched.c1[t], sched.c2[t], sched.sigma2[t]
 
 
 def posterior_sample(

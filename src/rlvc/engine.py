@@ -207,12 +207,6 @@ def linear(x, w, b) -> Tensor:
     )
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    old = a.shape
-    return Tensor(a.data.reshape(shape), _parents=(a,), _vjps=(lambda u: u.reshape(old),))
-
-
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     in_shape = a.shape

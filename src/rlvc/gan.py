@@ -254,14 +254,18 @@ def generator_adv_terms(
     distillation terms on the same batch), the loss's gradient w.r.t. them
     (critic_x0's term, then c1 times critic_xt's) and the generator's cache,
     so that `gen.net.pullback(cache, gradient)` gives the generator's
-    gradients."""
+    gradients. `sched` must be the critic's schedule; its posterior tables
+    are read at t once `critic_xt.condition` has checked it."""
+    if sched.timesteps != len(critic_xt.temb):
+        raise UsageError(f"generator_adv_terms: a schedule of {sched.timesteps} steps for a "
+                         f"transition critic of {len(critic_xt.temb)}")
     z = _as_batch(z, "generator_adv_terms z")
     x_next = _as_batch(x_next, "generator_adv_terms x_next")
     t = np.asarray(t).reshape(-1)
     x0_tilde, cache = gen.synthesize(eps_gen, z, x_next, t + 1)
-    c1, c2, _ = diffusion.posterior_coeffs(sched, t)
-    xt_tilde = c1 * x0_tilde + (c2 * x_next + sched.sigma[t] * eps_post)
     cond = critic_xt.condition(x_next, z, t)
+    c1 = sched.c1[t]
+    xt_tilde = c1 * x0_tilde + (sched.c2[t] * x_next + sched.sigma[t] * eps_post)
     s0, cache0 = critic_x0.net.forward(np.concatenate([x0_tilde, z], axis=1))
     st, cachet = critic_xt.net.forward(np.concatenate([xt_tilde, cond], axis=1))
     inv_b = 1.0 / x0_tilde.shape[0]

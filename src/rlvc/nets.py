@@ -57,8 +57,9 @@ GENERATOR_TAG = b"GNET"
 REWARD_TAG = b"RWDM"
 
 # The ufunc reductions that np.sum, ndarray.max and ndarray.min call, without
-# those wrappers' per-call cost: the same results.
-_sum, _max, _min, _dot = np.add.reduce, np.maximum.reduce, np.minimum.reduce, np.dot
+# those wrappers' per-call cost: the same results. np.vdot gives np.dot's bits
+# on a flat float64 block but does not raise numpy's overflow warning.
+_sum, _max, _min, _vdot = np.add.reduce, np.maximum.reduce, np.minimum.reduce, np.vdot
 
 
 NORM_FLOOR = 1e-200  # under a norm's square root: keeps its subgradient finite at zero
@@ -270,7 +271,7 @@ def _abs_bound(b: np.ndarray) -> float:
     product. Only a block whose square norm is not finite (an entry of about
     2**512 or more, an inf or a NaN) is scanned for its max and min, which
     raises NumericFailure if the block is not finite."""
-    sq = float(_dot(b, b))
+    sq = float(_vdot(b, b))
     if sq < math.inf:
         return math.sqrt(sq) * _ROOT_SLACK + _ROOT_FLOOR
     hi, lo = float(_max(b, initial=0.0)), float(_min(b, initial=0.0))
@@ -283,7 +284,7 @@ def _in_range(b: np.ndarray) -> bool:
     """Whether every entry of the parameter block b is under _SAFE in size:
     a finite square norm says so at once, and only a block without one is
     scanned for its max and min (a NaN fails both)."""
-    return float(_dot(b, b)) < math.inf or (
+    return float(_vdot(b, b)) < math.inf or (
         -_SAFE < _min(b, initial=0.0) and _max(b, initial=0.0) < _SAFE)
 
 
@@ -677,11 +678,14 @@ def save_reward(path, model: SoftmaxClassifier, settings: str = "") -> None:
 
 def load_reward(path) -> tuple[SoftmaxClassifier, dict[str, str]]:
     """Read a file written by `save_reward`: the model and the file's
-    settings. A checkpoint of another kind, or with more than one layer, is
-    refused."""
+    settings. A checkpoint of another kind, with more than one layer, or with
+    settings other than `standardize = true` or `false` alone, is refused."""
     dims, flat, settings = load_checkpoint(path, REWARD_TAG)
     if len(dims) != 2:
         raise ConfigurationError(f"reward checkpoint {path} is not one linear layer")
+    if settings not in ({"standardize": "true"}, {"standardize": "false"}):
+        raise ConfigurationError(f"reward checkpoint {path} records {settings}, "
+                                 "not standardize = true or false")
     d, n_classes = dims
     model = SoftmaxClassifier(flat[: n_classes * d].reshape(n_classes, d), flat[n_classes * d :])
     return model, settings

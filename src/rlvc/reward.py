@@ -21,6 +21,7 @@ from .config import Config
 from .errors import ConfigurationError, NumericFailure, UsageError
 from .nets import SoftmaxClassifier, fit_linear_softmax, label_rows
 from .nets import log_softmax_cached, log_softmax_pullback
+from .seeding import stream_rng
 
 
 def pretrain_reward(
@@ -32,7 +33,8 @@ def pretrain_reward(
 ) -> SoftmaxClassifier:
     """Train the linear reward classifier by softmax cross-entropy, then
     freeze it. Labels must be 0..n_classes-1 with every class present; they
-    are the classifier's class ids."""
+    are the classifier's class ids. Minibatches are shuffled by `rng`, by
+    default the stream (config.seed, "reward")."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
@@ -43,7 +45,7 @@ def pretrain_reward(
             f"pretrain_reward: labels must cover 0..{n_classes - 1}, saw {len(present)} classes"
         )
     if rng is None:
-        rng = np.random.default_rng(0)
+        rng = stream_rng(config.seed, "reward")
     weight, bias = fit_linear_softmax(
         features, labels, n_classes, config.reward_epochs, config.reward_lr,
         config.reward_batch, config.adam_beta1, config.adam_beta2, rng,

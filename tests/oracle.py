@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rlvc import diffusion, engine
+from rlvc import engine
 from rlvc.engine import Tensor
 from rlvc.nets import AdamState
 
@@ -85,8 +85,8 @@ def critic_terms(net, real, fake, cond, lambda_gp: float, rng) -> Tensor:
 def generator_adv_terms(gen, critic_x0, critic_xt, z, x_next, t, sched, eps_gen, eps_post):
     """gan.generator_adv_terms: the loss and the synthesized rows."""
     x0_tilde = synthesize(gen, eps_gen, z, x_next, t + 1)
-    c1, c2, sigma2 = diffusion.posterior_coeffs(sched, t)
-    xt_tilde = Tensor(c1) * x0_tilde + Tensor(c2 * x_next + np.sqrt(sigma2) * eps_post)
+    xt_tilde = Tensor(sched.c1[t]) * x0_tilde + Tensor(
+        sched.c2[t] * x_next + np.sqrt(sched.sigma2[t]) * eps_post)
     loss = -engine.tmean(score(critic_x0.net, x0_tilde, z)) - engine.tmean(
         score(critic_xt.net, xt_tilde, critic_xt.condition(x_next, z, t))
     )

@@ -253,8 +253,7 @@ def test_06_diffusion_consistency():
     t_start = time.perf_counter()
     sched8 = diffusion.build_schedule(8, 0.05, 0.8)
     t_all = np.arange(8)
-    c1, c2, _ = diffusion.posterior_coeffs(sched8, t_all)
-    lhs = c1[:, 0] + c2[:, 0] * np.sqrt(sched8.alpha_bars[t_all + 1])
+    lhs = sched8.c1[t_all, 0] + sched8.c2[t_all, 0] * np.sqrt(sched8.alpha_bars[t_all + 1])
     rhs = np.sqrt(sched8.alpha_bars[t_all])
     id_err = float(np.max(np.abs(lhs - rhs)))
 

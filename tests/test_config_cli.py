@@ -631,3 +631,39 @@ def test_cli_train_refuses_a_reward_file_from_the_other_feature_space(tmp_path, 
         assert f"was fit with standardize = {fit}; this run has standardize = {train}" in err
     assert cli.main(["train", "--data", data, "--out", run, "--reward", f"{run}/reward.ckpt",
                      "--standardize"] + _FAST) == 0
+
+
+@pytest.mark.parametrize("flags, use_rl, use_cues", [
+    (["--no-rl", "--use-rl", "true"], "true", "true"),
+    (["--use-rl", "true", "--no-rl"], "false", "true"),
+    (["--no-cues", "--use-cues"], "true", "true"),
+    (["--use-cues", "--no-cues", "--no-rl"], "false", "false"),
+])
+def test_cli_no_rl_and_no_cues_are_forms_of_use_false_and_the_later_flag_wins(
+        flags, use_rl, use_cues, capsys):
+    assert cli.main(["train", "--print-config"] + flags) == 0
+    lines = set(capsys.readouterr().out.splitlines())
+    assert {f"use_rl = {use_rl}", f"use_cues = {use_cues}"} <= lines
+
+
+@pytest.mark.parametrize("edit, shown", [
+    (lambda text: text + "bogus = 1\n", "'bogus': '1'"),
+    (lambda text: "", "{}"),
+    (lambda text: text.replace("false", "maybe"), "'standardize': 'maybe'"),
+])
+def test_cli_train_refuses_a_reward_file_whose_settings_are_not_standardize_alone(
+        edit, shown, tmp_path, capsys):
+    data, run = str(tmp_path / "data"), tmp_path / "run"
+    assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
+    assert cli.main(["pretrain-reward", "--data", data, "--out", str(run)] + _FAST) == 0
+    path = run / "reward.ckpt"
+    blob = path.read_bytes()
+    text = b"standardize = false\n"
+    at = blob.index(text)
+    new = edit(text.decode()).encode()
+    path.write_bytes(blob[: at - 4] + struct.pack("<I", len(new)) + new + blob[at + len(text):])
+    capsys.readouterr()
+    assert cli.main(["train", "--data", data, "--out", str(run), "--reward", str(path)]
+                    + _FAST) == 2
+    err = capsys.readouterr().err
+    assert f"reward checkpoint {path} records" in err and shown in err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -284,6 +285,37 @@ def test_validate_requires_train_coverage(tiny_ds):
         broken.validate()
 
 
+_EMPTY = {"features": np.zeros((0, 3)), "labels": [], "splits": []}
+_NONFINITE_PROTOTYPE = {"prototypes": [[1.0, 0.0], [0.0, np.inf], [0.7, 0.7]]}
+_UNSEEN_WITHOUT_ROWS = {"prototypes": np.ones((4, 2)),
+                        "roles": ["seen", "seen", "unseen", "unseen"]}
+
+
+@pytest.mark.parametrize("fields, message", [
+    (_EMPTY, r"^features must be a nonempty \(N, d\) matrix$"),
+    (_NONFINITE_PROTOTYPE, "^non-finite prototype value$"),
+    ({"roles": ["seen", "seen"]}, "^roles length != prototype rows$"),
+    ({"roles": ["seen", "seen", "held-out"]}, "^unknown class role 'held-out'$"),
+    (_UNSEEN_WITHOUT_ROWS, "^unseen class 3 has no test samples$"),
+], ids=["empty", "nonfinite-prototype", "roles-length", "unknown-role", "unseen-without-rows"])
+def test_validate_refuses_a_dataset_held_in_memory(fields, message):
+    tiny_dataset().validate()
+    with pytest.raises(ConfigurationError, match=message):
+        dataclasses.replace(tiny_dataset(), **fields).validate()
+
+
+def test_loader_names_a_bad_class_id_and_an_empty_matrix_file(tmp_path):
+    path = _write_fixture(tmp_path)
+    _edit(path, "labels.csv", "1,train", "one,train")
+    with pytest.raises(ConfigurationError, match=r"^labels.csv row 2: bad class id 'one'$"):
+        load_dataset(path)
+    path = _write_fixture(tmp_path / "again")
+    (path / "prototypes.csv").write_text("\n")
+    with pytest.raises(ConfigurationError, match="^prototypes.csv: no rows$"):
+        load_dataset(path)
+    assert datamod._class_id(" 7") == 7
+
+
 def _first_split_fault(ds):
     """The per-row loop over labels and splits, as the reference for the
     mask `validate` uses."""
@@ -326,6 +358,13 @@ def test_export_features_round_trip(tmp_path):
     np.testing.assert_allclose(got, mat, atol=1e-15, rtol=0)
     assert got.tobytes() == mat.tobytes()  # repr round-trip is exact
     np.testing.assert_array_equal(got_labels, labels)
+
+
+def test_export_features_refuses_a_label_count_other_than_the_row_count(tmp_path):
+    path = tmp_path / "feats.csv"
+    with pytest.raises(ConfigurationError, match="row/label count mismatch"):
+        export_features(np.zeros((3, 2)), [0, 1], path)
+    assert not path.exists()
 
 
 def test_export_features_empty_and_literal(tmp_path):

@@ -92,12 +92,8 @@ def test_forward_noise_rejects_bad_t():
         diffusion.forward_transition(np.zeros((1, 2)), 4, s, rng)
     with pytest.raises(UsageError, match="forward_transition: timesteps must be integers"):
         diffusion.forward_transition(np.zeros((1, 2)), np.array([False]), s, rng)
-    with pytest.raises(UsageError, match=r"posterior_coeffs: timestep out of range \[0, 3\]"):
-        diffusion.posterior_coeffs(s, np.array([], dtype=np.int64))
-    with pytest.raises(UsageError, match="posterior_coeffs: timesteps must be integers"):
-        diffusion.posterior_coeffs(s, np.array([True]))
-    with pytest.raises(UsageError, match="timesteps must be integers, got bool"):
-        diffusion.per_row(np.array([True]), 1)
+    with pytest.raises(UsageError, match="per_row: timesteps must be integers, got bool"):
+        diffusion.per_row(np.array([True]), 1, 4, "per_row")
     with pytest.raises(UsageError, match="0 timesteps for 1 rows"):
         diffusion.posterior_sample(np.zeros((1, 2)), np.zeros((1, 2)), np.array([], dtype=np.int64), s, rng)
     with pytest.raises(UsageError, match="timesteps must be integers, got bool"):
@@ -124,8 +120,7 @@ def test_forward_transition_matches_marginal_distribution():
 def test_posterior_mean_identity_t8():
     s = diffusion.build_schedule(8, 0.05, 0.8)
     t = np.arange(8)
-    c1, c2, _ = diffusion.posterior_coeffs(s, t)
-    lhs = c1[:, 0] + c2[:, 0] * np.sqrt(s.alpha_bars[t + 1])
+    lhs = s.c1[t, 0] + s.c2[t, 0] * np.sqrt(s.alpha_bars[t + 1])
     np.testing.assert_allclose(lhs, np.sqrt(s.alpha_bars[t]), atol=1e-10)
 
 
@@ -136,9 +131,8 @@ def test_posterior_t0_deterministic():
     a = diffusion.posterior_sample(x0_hat, x_next, 0, s, np.random.default_rng(1))
     b = diffusion.posterior_sample(x0_hat, x_next, 0, s, np.random.default_rng(2))
     np.testing.assert_array_equal(a, b)
-    c1, c2, sigma2 = diffusion.posterior_coeffs(s, np.array([0]))
-    assert sigma2[0, 0] == 0.0
-    np.testing.assert_allclose(a, c1 * x0_hat + c2 * x_next, atol=1e-15)
+    assert s.sigma2[0, 0] == 0.0
+    np.testing.assert_allclose(a, s.c1[0] * x0_hat + s.c2[0] * x_next, atol=1e-15)
 
 
 def test_posterior_sample_empirical_variance():
@@ -147,7 +141,7 @@ def test_posterior_sample_empirical_variance():
     zeros = np.zeros((n, 1))
     for t in (1, 2, 3):
         out = diffusion.posterior_sample(zeros, zeros, t, s, np.random.default_rng(t))
-        want = float(diffusion.posterior_coeffs(s, np.array([t]))[2][0, 0])
+        want = float(s.sigma2[t, 0])
         assert abs(out.var() - want) / want < 0.02
 
 
@@ -172,7 +166,7 @@ def test_per_row_timesteps():
 def test_timestep_count_must_be_one_or_the_row_count():
     s = diffusion.build_schedule(4, 0.1, 0.4)
     rng = np.random.default_rng(0)
-    np.testing.assert_array_equal(diffusion.per_row(2, 3), [2, 2, 2])
+    np.testing.assert_array_equal(diffusion.per_row(2, 3, 4, "per_row"), [2, 2, 2])
     with pytest.raises(UsageError, match="2 timesteps for 3 rows"):
         diffusion.forward_noise(np.zeros((3, 2)), np.array([1, 2]), s, rng)
     with pytest.raises(UsageError, match="2 timesteps for 3 rows"):
@@ -197,9 +191,8 @@ def test_each_sampler_checks_its_timesteps_once(monkeypatch):
     monkeypatch.setattr(diffusion, "per_row", counting_check)
     diffusion.forward_noise(x, t, s, rng)
     diffusion.forward_transition(x, t, s, rng)
-    diffusion.posterior_coeffs(s, t)
     diffusion.posterior_sample(x, x, t, s, rng)
-    assert checks == ["forward_noise", "forward_transition", "posterior_coeffs", "posterior_sample"]
+    assert checks == ["forward_noise", "forward_transition", "posterior_sample"]
 
 
 def _per_call_columns(s: diffusion.DiffusionSchedule, t: int) -> dict:
@@ -235,7 +228,3 @@ def test_tables_hold_the_per_call_formulas_bytes(cfg):
         for name, want in _per_call_columns(s, t).items():
             got = getattr(s, name)[[t]]
             assert got.tobytes() == want.tobytes(), (name, t)
-    t = np.arange(s.timesteps)
-    for got, name in zip(diffusion.posterior_coeffs(s, t), ("c1", "c2", "sigma2")):
-        assert got.shape == (s.timesteps, 1)
-        assert got.tobytes() == getattr(s, name).tobytes()

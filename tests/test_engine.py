@@ -47,9 +47,10 @@ def test_quadratic_fd_error_tiny():
 
 
 # Constant operands of the linear cases below; the case's `a` (3, 4) takes
-# the place of x, of w, of b, or of all three at once.
+# the place of x, of w, of b (as its row sums, or its first column), or of
+# all three at once.
 _R = np.random.default_rng(5)
-_X, _W, _W12, _B = (_R.normal(size=s) for s in [(2, 4), (5, 4), (12, 4), (5,)])
+_X, _W, _B = (_R.normal(size=s) for s in [(2, 4), (5, 4), (5,)])
 
 
 @pytest.mark.parametrize(
@@ -70,9 +71,9 @@ _X, _W, _W12, _B = (_R.normal(size=s) for s in [(2, 4), (5, 4), (12, 4), (5,)])
         lambda a: engine.tsum(1.0 / (a + 3.0)),
         lambda a: engine.tsum((a - engine.tmean(a, axis=1, keepdims=True)) ** 2.0),
         lambda a: engine.tsum(engine.linear(_X, a, _B[:3]) ** 2.0),
-        lambda a: engine.tsum(engine.linear(_X, _W12, engine.reshape(a, (12,))) ** 2.0),
+        lambda a: engine.tsum(engine.linear(_X, _W[:3], engine.tsum(a, axis=1)) ** 2.0),
         lambda a: engine.tsum(
-            engine.linear(a, a, engine.reshape(engine.slice_axis(a, 0, 1), (3,))) ** 2.0
+            engine.linear(a, a, engine.tsum(engine.slice_axis(a, 0, 1), axis=1)) ** 2.0
         ),
     ],
 )

@@ -237,6 +237,19 @@ def test_critic_x0_loss_rejects_bad_batches():
         gan.critic_x0_loss(critic, np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((2, 2)), gp, rng)
 
 
+@pytest.mark.parametrize("shapes", [
+    [(2, 3), (3, 3), (2, 3), (2, 2)],  # real and fake
+    [(2, 3), (2, 3), (2, 4), (2, 2)],  # x_next's width
+    [(2, 3), (2, 3), (2, 3), (3, 2)],  # z's rows
+], ids=["fake", "x_next", "z"])
+def test_critic_xt_loss_rejects_batches_whose_shapes_disagree(shapes):
+    critic = CriticXt(3, 2, Config(temb_dim=4), np.random.default_rng(0))
+    real, fake, x_next, z = (np.zeros(s) for s in shapes)
+    with pytest.raises(UsageError, match="^critic_xt_loss: batch shapes disagree$"):
+        gan.critic_xt_loss(critic, real, fake, x_next, z, np.array([0, 1]), 10.0,
+                           np.random.default_rng(0))
+
+
 def test_critic_xt_zero_net_loss_is_lambda_gp():
     critic = CriticXt(3, 2, Config(temb_dim=4), np.random.default_rng(0))
     _zero_net(critic.net)
@@ -339,6 +352,21 @@ def test_generator_adv_fd_through_posterior_path():
         return loss, [gen.net.pullback(cache, g_x0)]
 
     assert max_fd_error(loss_fn, [gen.net.flat]) < 1e-4
+
+
+def test_generator_adv_terms_refuses_another_schedule_and_checks_t_before_the_tables():
+    rng = np.random.default_rng(7)
+    cfg = Config(hidden_mult=1, temb_dim=4)  # diffusion_steps 4
+    gen, cx0, cxt = Generator(2, 2, cfg, rng), CriticX0(2, 2, cfg, rng), CriticXt(2, 2, cfg, rng)
+    z, x_next, eps = (rng.normal(size=(3, 2)) for _ in range(3))
+    with pytest.raises(UsageError, match="a schedule of 6 steps for a transition critic of 4"):
+        gan.generator_adv_terms(gen, cx0, cxt, z, x_next, np.array([0, 1, 3]),
+                                diffusion.build_schedule(6, 0.1, 0.4), eps, eps)
+    # t = -1 passes the generator's check as t + 1 = 0 and would read the
+    # tables' last row; the transition critic's check refuses it first
+    with pytest.raises(UsageError, match=r"^condition: timestep out of range \[0, 3\]$"):
+        gan.generator_adv_terms(gen, cx0, cxt, z, x_next, np.array([0, -1, 3]), cfg.schedule(),
+                                eps, eps)
 
 
 def test_summed_critic_objective_zero_nets():

@@ -11,6 +11,7 @@ from rlvc.errors import ConfigurationError, NumericFailure, UsageError
 from rlvc.gan import Generator
 from rlvc.nets import AdamState, SoftmaxClassifier
 from rlvc.reward import EmaBaseline
+from rlvc.seeding import stream_rng
 
 import oracle
 from conftest import make_separable, max_fd_error
@@ -109,6 +110,24 @@ def test_pretrain_terminates_on_conflicting_labels():
     model = reward.pretrain_reward(x, y, 2, Config(reward_epochs=5))
     acc = np.mean(model.predict(x) == y)
     assert acc <= 1.0 - 1.0 / 4
+
+
+def test_pretrain_draws_from_the_configs_reward_stream_by_default():
+    x, y = make_separable(40, 3, 2, seed=4)
+    models = [reward.pretrain_reward(x, y, 2, Config(seed=seed, reward_epochs=3))
+              for seed in (0, 1)]
+    assert models[0].weight.tobytes() != models[1].weight.tobytes()
+    given = reward.pretrain_reward(x, y, 2, Config(seed=1, reward_epochs=3),
+                                   stream_rng(1, "reward"))
+    assert given.weight.tobytes() == models[1].weight.tobytes()
+    assert given.bias.tobytes() == models[1].bias.tobytes()
+
+
+def test_pretrain_rejects_mismatched_features_and_labels():
+    with pytest.raises(ConfigurationError, match="features/labels mismatch"):
+        reward.pretrain_reward(np.zeros((4, 2)), np.array([0, 1, 0]), 2, Config())
+    with pytest.raises(ConfigurationError, match="features/labels mismatch"):
+        reward.pretrain_reward(np.zeros(4), np.array([0, 1, 0, 1]), 2, Config())
 
 
 def test_pretrain_rejects_missing_class():

@@ -89,7 +89,7 @@ def test_rl_phase_gate_counts():
     assert result.baseline.initialized
 
 
-def test_a_full_arm_minibatch_checks_its_timesteps_thirteen_times(monkeypatch):
+def test_a_full_arm_minibatch_checks_its_timesteps_twelve_times(monkeypatch):
     ds = _small_ds()
     rm = _reward_for(ds)
     cfg = _cfg(epochs=1, batch_size=ds.train[0].shape[0])  # one minibatch
@@ -97,7 +97,7 @@ def test_a_full_arm_minibatch_checks_its_timesteps_thirteen_times(monkeypatch):
     checks = []
     check = diffusion.per_row
 
-    def counting_check(t, rows, hi=None, what="per_row"):
+    def counting_check(t, rows, hi, what):
         checks.append(what)
         return check(t, rows, hi, what)
 
@@ -107,7 +107,7 @@ def test_a_full_arm_minibatch_checks_its_timesteps_thirteen_times(monkeypatch):
     draw = ["forward_noise", "forward_transition"]
     assert checks == (
         draw + ["synthesize", "posterior_sample", "condition"]  # critic step
-        + draw + ["synthesize", "posterior_coeffs", "condition"]  # generator step
+        + draw + ["synthesize", "condition"]  # generator step
         + draw + ["synthesize"]  # policy-gradient step
     )
 
@@ -369,6 +369,25 @@ def test_numeric_abort_names_position():
                lr_adv=1e200, critic_steps=3)
     with pytest.raises(NumericFailure, match=r"epoch 0, batch \d+"):
         train(ds, None, cfg)
+
+
+def test_a_non_finite_reward_aborts_naming_its_epoch_and_batch(monkeypatch):
+    ds = _small_ds()
+    assert -(-ds.train[0].shape[0] // 16) == 2  # two minibatches per epoch
+    calls, scored = [], reward.class_log_probs
+
+    def fourth_call_scores_nan(model, x, y):
+        r, cache = scored(model, x, y)
+        calls.append(1)
+        if len(calls) == 4:
+            r = r.copy()
+            r[-1] = np.nan
+        return r, cache
+
+    monkeypatch.setattr(reward, "class_log_probs", fourth_call_scores_nan)
+    with pytest.raises(NumericFailure, match=r"^reward is non-finite at epoch 1, batch 1$"):
+        train(ds, _reward_for(ds), _cfg())
+    assert len(calls) == 4
 
 
 def test_rl_requires_reward_model():
