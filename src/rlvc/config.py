@@ -62,7 +62,6 @@ class Config:
     lr_rl: float = _key(5e-5, "Adam rate for the policy-gradient generator step", _above(0))
     lambda_pd: float = _key(5.0, "weight of the prototype-distillation term", _at_least(0))
     lambda_gp: float = _key(10.0, "gradient-penalty weight", _at_least(0))
-    ema_alpha: float = _key(0.9, "EMA factor of the reward baseline", _unit_interval())
     diffusion_steps: int = _key(4, "number of diffusion steps T")
     beta_min: float = _key(0.1, "first diffusion beta")
     beta_max: float = _key(0.4, "last diffusion beta")
@@ -171,7 +170,8 @@ def parse_value(key: str, raw) -> object:
 
 
 def load_config_file(path) -> dict:
-    out = {}
+    """The file's settings; a key set on two lines is refused, naming both."""
+    out, line_of = {}, {}
     with open(path, "r") as fh:
         for i, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -181,6 +181,11 @@ def load_config_file(path) -> dict:
                 raise ConfigurationError(f"{path}:{i}: expected 'key = value'")
             key, _, raw = stripped.partition("=")
             key = key.strip()
+            if key in line_of:
+                raise ConfigurationError(
+                    f"{path}:{i}: key {key!r} is already set on line {line_of[key]}"
+                )
+            line_of[key] = i
             out[key] = parse_value(key, raw.strip())
     return out
 

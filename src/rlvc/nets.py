@@ -19,13 +19,12 @@ a block whose square is not finite is scanned for its max and min (see
 `AdamState`). `fit_linear_softmax` likewise works in
 preallocated buffers: each minibatch gathers its rows into one and writes
 its logits into another, and one flat index per epoch finds every row's
-label cell. The reverse passes here (`DenseNet.pullback`,
-`log_softmax_pullback` and the minibatch gradient of `fit_linear_softmax`)
-are written by hand in plain numpy and return gradients laid out like that
-vector. Each sums its products and reductions as the reverse pass of the
-same expression in `engine` does, so it is bit-equal to engine.backward on
-that graph. A network's engine `Tensor`s are views into its vector, kept for
-the tests' engine oracle.
+label cell. The reverse passes here (`DenseNet.pullback` and the minibatch
+gradient of `fit_linear_softmax`) are written by hand in plain numpy and
+return gradients laid out like that vector. Each sums its products and
+reductions as the reverse pass of the same expression in `engine` does, so
+it is bit-equal to engine.backward on that graph. A network's engine
+`Tensor`s are views into its vector, kept for the tests' engine oracle.
 
 A hidden layer's leaky relu is `leaky_relu`, max(pre, slope * pre): no
 data-dependent branch, where the mask form where(pre > 0, 1, slope) that
@@ -223,23 +222,6 @@ class DenseNet:
             elif wrt_input:
                 return u @ w
         return grad
-
-
-def log_softmax_cached(a: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Row-wise engine.log_softmax on a plain array, building no graph: the
-    values, and the shifted exponentials with their row sums for
-    `log_softmax_pullback`."""
-    shifted = a - np.max(a, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = np.sum(e, axis=1, keepdims=True)
-    return shifted - np.log(s), (e, s)
-
-
-def log_softmax_pullback(cache: tuple, u: np.ndarray) -> np.ndarray:
-    """The input gradient of `log_softmax_cached` for the output gradient u,
-    as engine.log_softmax's reverse pass sums it."""
-    e, s = cache
-    return u + (np.sum(-u, axis=1, keepdims=True) / s) * e
 
 
 # Parameters and steps under this size cannot sum to a non-finite value.
@@ -482,8 +464,8 @@ def fit_linear_softmax(
     that graph sends u = -onehot / B, and u + (sum(-u) / s) * e is then
     (1/B / s) * e less 1/B at each row's label: a row sum of one nonzero
     term is exact, and -0.0 + y == y. So no one-hot matrix is built and the
-    log-probs are never formed, which makes the step faster than one through
-    `log_softmax_cached` and `log_softmax_pullback`.
+    log-probs are never formed, which makes the step faster. `reward.rl_loss`
+    forms its gradient the same way.
 
     A step costs about as much in numpy calls as in arithmetic, so it makes
     few calls and allocates no array per minibatch; each minibatch's views of

@@ -1,26 +1,22 @@
-"""Frozen linear reward model, EMA baseline, and the policy-gradient loss.
+"""Frozen linear reward model and the policy step's loss.
 
 The reward model is a `nets.SoftmaxClassifier` over the seen classes, whose
 class ids are their rows 0..S-1. The reward of a synthesized feature is the
 log-probability it assigns to its intended class (`class_log_probs`). The
-trainer centres a batch's rewards by an exponential-moving-average baseline,
-always: a reward is a log-probability, never positive, so weighting by raw
-rewards would push every row's reward down. The advantages are a plain
-vector of constants, so the policy update weighs log-likelihood gradients
-by them. The passes here are plain numpy, bit-equal to engine.backward on
-the same graph (see gan.py).
+policy step descends `rl_loss`, minus the batch-mean reward: the reward is a
+differentiable function of the reparameterized sample, so its pathwise
+gradient raises every row's reward and needs no baseline (a constant
+subtracted from each reward has zero gradient). The passes here are plain
+numpy, bit-equal to engine.backward on the same graph (see gan.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import Config
-from .errors import ConfigurationError, NumericFailure, UsageError
+from .errors import ConfigurationError, UsageError
 from .nets import SoftmaxClassifier, fit_linear_softmax, label_rows
-from .nets import log_softmax_cached, log_softmax_pullback
 from .seeding import stream_rng
 
 
@@ -54,71 +50,43 @@ def pretrain_reward(
 
 
 def class_log_probs(model: SoftmaxClassifier, x: np.ndarray, y) -> tuple[np.ndarray, tuple]:
-    """log p(y_i | x_i) per row, and the cache `rl_loss` reads.
+    """log p(y_i | x_i) per row, and the cache `rl_loss` reads: the shifted
+    exponentials e of the logits and their row sums s.
 
-    Each row's value is read at its label's column. The engine graph sums the
-    row of log-probs times a one-hot row instead: with finite log-probs every
-    other term is a signed zero and the one at the label is never -0.0, so
-    that sum has the same bits."""
+    Each row's log-softmax is formed at its label's column only, as the
+    engine's log_softmax forms every entry: shifted logit less log s. The
+    engine graph sums the row of log-probs times a one-hot row instead: with
+    finite log-probs every other term is a signed zero and the one at the
+    label is never -0.0, so that sum has the same bits."""
     y = np.asarray(y).reshape(-1)
     if y.dtype.kind not in "iu":
         raise UsageError(f"class labels must be integers, got {y.dtype}")
     cols = label_rows(model.class_ids, y, "class index {} outside the reward model's class set",
                       UsageError)
-    lp, lp_cache = log_softmax_cached(model.logits(x))
+    logits = model.logits(x)
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    s = np.sum(e, axis=1, keepdims=True)
     rows = np.arange(len(y))
-    return lp[rows, cols], (model.weight, rows, cols, lp_cache)
+    return shifted[rows, cols] - np.log(s[:, 0]), (model.weight, rows, cols, e, s)
 
 
-@dataclass
-class EmaBaseline:
-    """Scalar exponential moving average of batch-mean rewards.
+def rl_loss(log_probs: np.ndarray, cache: tuple) -> tuple[np.float64, np.ndarray]:
+    """The policy step's loss -(1/B) sum_i log p(y_i | x_i), for the
+    log-probs and cache from `class_log_probs`, and its gradient w.r.t. the
+    rows x that were scored: descending it ascends the batch-mean reward
+    along the rows' reparameterized path.
 
-    The first update adopts the batch mean outright; afterwards
-    b <- alpha * b + (1 - alpha) * mean.
-    """
-
-    alpha: float
-    value: float = 0.0
-    initialized: bool = False
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha < 1.0):
-            raise ConfigurationError(f"ema alpha must be in [0, 1), got {self.alpha}")
-
-    def update(self, rewards: np.ndarray) -> float:
-        rewards = np.asarray(rewards, dtype=np.float64).reshape(-1)
-        if rewards.size == 0:
-            raise UsageError("ema update with an empty batch")
-        if not np.all(np.isfinite(rewards)):
-            raise NumericFailure("non-finite rewards in ema update")
-        m = float(np.mean(rewards))
-        if self.initialized:
-            self.value = self.alpha * self.value + (1.0 - self.alpha) * m
-        else:
-            self.value = m
-            self.initialized = True
-        return self.value
-
-
-def rl_loss(
-    advantages: np.ndarray, log_probs: np.ndarray, cache: tuple
-) -> tuple[np.float64, np.ndarray]:
-    """Policy-gradient surrogate -(1/B) sum_i A_i * log p(y_i | x_i), for
-    the advantage vector A and the log-probs and cache from
-    `class_log_probs`: the loss, and its gradient w.r.t. the rows x that
-    were scored. Advantages enter as constants."""
-    a = advantages
-    if log_probs.ndim != 1 or log_probs.shape != a.shape:
-        raise UsageError("rl_loss: batch sizes disagree")
-    inv_b = 1.0 / a.shape[0]
-    loss = -(np.sum(a * log_probs) * inv_b)
-    weight, rows, y, lp_cache = cache
-    # The engine graph sends u = w * onehot into log_softmax, w = -(1/B) * a.
-    # Here u is w at each row's label and +0.0 elsewhere. The row sum of -u
-    # is -w in both, and off the label (-w / s) * e is nonzero or a zero of
-    # the sign opposite to w's, so adding it to w * 0.0 or to +0.0 gives the
-    # same bits.
-    u = np.zeros((len(y), weight.shape[0]))
-    u[rows, y] = np.full(a.shape[0], -1.0 * inv_b) * a
-    return loss, log_softmax_pullback(lp_cache, u) @ weight
+    The gradient is formed in closed form, as `fit_linear_softmax` forms
+    its own: ((1/B) / s) * e, less 1/B at each row's label, then @ weight.
+    The engine graph sends u = -1/B at the label and a zero elsewhere into
+    log_softmax, whose reverse pass u + (sum(-u) / s) * e has a row sum of
+    one nonzero term, exact, and adds a zero off the label: the same bits."""
+    if log_probs.ndim != 1 or log_probs.size == 0:
+        raise UsageError("rl_loss: log_probs must be a non-empty vector")
+    inv_b = 1.0 / log_probs.shape[0]
+    loss = -(np.sum(log_probs) * inv_b)
+    weight, rows, y, e, s = cache
+    g = (inv_b / s) * e
+    g[rows, y] -= inv_b
+    return loss, g @ weight

@@ -5,9 +5,8 @@ generator update on the composite adversarial + distillation objective, and,
 only once the epoch index reaches rl_start_epoch, one policy-gradient update
 through a separate optimizer state, built only when use_rl is on. The two
 generator objectives alternate; they are never summed into a single step.
-The policy gradient weighs each row's log-likelihood by its advantage: the
-row's reward minus the EMA baseline, after the baseline has taken in this
-batch's mean reward.
+The policy step descends `reward.rl_loss`, minus the batch-mean reward of
+freshly synthesized rows, through the generator's reparameterized sample.
 """
 
 from __future__ import annotations
@@ -23,15 +22,12 @@ from .data import ZslDataset
 from .errors import ConfigurationError, NumericFailure
 from .evaluate import EvalReport, full_report
 from .nets import AdamState, largest_block, param_count
-from .reward import EmaBaseline
 from .seeding import stream_rng
 
 @dataclass
 class MetricsRow:
     epoch: int
     raw_reward_mean: float
-    ema_baseline: float
-    advantage_mean: float
     critic_loss: float
     gen_adv_loss: float
     pd_loss: float
@@ -65,7 +61,6 @@ class TrainResult:
     critic_xt: gan.CriticXt
     metrics: list[MetricsRow]
     counters: list[EpochCounters]
-    baseline: EmaBaseline
     visual_prototypes: np.ndarray | None
     reports: dict[int, EvalReport] = field(default_factory=dict)
 
@@ -155,7 +150,6 @@ def train(
 
     train_rng = stream_rng(config.seed, "train")
     rl_rng = stream_rng(config.seed, "rl")
-    baseline = EmaBaseline(alpha=config.ema_alpha)
 
     batches_per_epoch = -(-n_train // config.batch_size)
     proto_matrix = dataset.prototypes
@@ -181,7 +175,7 @@ def train(
             cnt = EpochCounters(epoch=epoch)
             rl_active = config.use_rl and epoch >= config.rl_start_epoch
             critic_vals, adv_vals, cue_vals = [], [], []
-            reward_means, adv_means = [], []
+            reward_means = []
 
             for batch_i in range(batches_per_epoch):
                 idx = train_rng.integers(0, n_train, size=config.batch_size)
@@ -234,13 +228,11 @@ def train(
                         raise NumericFailure(
                             f"reward is non-finite at epoch {epoch}, batch {batch_i}"
                         )
-                    advantages = r - baseline.update(r)
-                    rl_l, g_rl = reward_mod.rl_loss(advantages, r, lp_cache)
+                    rl_l, g_rl = reward_mod.rl_loss(r, lp_cache)
                     _require_finite(rl_l.item(), "rl loss", epoch, batch_i)
                     opt_rl.step([generator.net.pullback(gen_cache, g_rl)])
                     cnt.rl_updates += 1
                     reward_means.append(float(np.mean(r)))
-                    adv_means.append(float(np.mean(advantages)))
 
             nan = float("nan")
             report = None
@@ -254,8 +246,6 @@ def train(
             row = MetricsRow(
                 epoch=epoch,
                 raw_reward_mean=float(np.mean(reward_means)) if reward_means else nan,
-                ema_baseline=baseline.value if rl_active else nan,
-                advantage_mean=float(np.mean(adv_means)) if adv_means else nan,
                 critic_loss=float(np.mean(critic_vals)),
                 gen_adv_loss=float(np.mean(adv_vals)),
                 pd_loss=float(np.mean(cue_vals)) if cue_vals else nan,
@@ -288,7 +278,6 @@ def train(
         critic_xt=critic_xt,
         metrics=metrics,
         counters=counters,
-        baseline=baseline,
         visual_prototypes=visual_prototypes,
         reports=reports,
     )

@@ -109,8 +109,8 @@ def class_log_probs(model, x: Tensor, y) -> Tensor:
     return engine.tsum(engine.log_softmax(logits, axis=1) * pick, axis=1)
 
 
-def rl_loss(advantages: np.ndarray, log_probs: Tensor) -> Tensor:
-    return -engine.tmean(Tensor(advantages) * log_probs)
+def rl_loss(log_probs: Tensor) -> Tensor:
+    return -engine.tmean(log_probs)
 
 
 def fit_linear_softmax(features, rows, n_classes, epochs, lr, batch_size, beta1, beta2, rng):

@@ -30,7 +30,6 @@ def test_defaults_pin_training_constants():
     assert cfg.lr_rl == 5e-5
     assert cfg.lambda_pd == 5.0
     assert cfg.lambda_gp == 10.0
-    assert cfg.ema_alpha == 0.9
     assert cfg.adam_beta1 == 0.5
     assert cfg.adam_beta2 == 0.999
     assert (cfg.diffusion_steps, cfg.beta_min, cfg.beta_max) == (4, 0.1, 0.4)
@@ -77,8 +76,8 @@ def test_parse_value_errors():
         config.parse_value("momentum", "0.9")
     with pytest.raises(ConfigurationError, match="epochs"):
         config.parse_value("epochs", "abc")
-    with pytest.raises(ConfigurationError, match="ema_alpha"):
-        config.parse_value("ema_alpha", "1.0")
+    with pytest.raises(ConfigurationError, match="adam_beta1"):
+        config.parse_value("adam_beta1", "1.0")
     with pytest.raises(ConfigurationError, match="boolean"):
         config.parse_value("use_rl", "maybe")
     assert config.parse_value("use_rl", "off") is False
@@ -95,6 +94,17 @@ def test_config_file_parsing(tmp_path):
     bad.write_text("epochs = 3\nepochs 4\n")
     with pytest.raises(ConfigurationError, match=r"b\.cfg:2"):
         config.load_config_file(str(bad))
+
+
+def test_config_file_refuses_a_key_set_twice(tmp_path, capsys):
+    f = tmp_path / "twice.cfg"
+    f.write_text("epochs = 5\nseed = 1\n\n# again\nepochs = 7\n")
+    with pytest.raises(ConfigurationError,
+                       match=r"twice\.cfg:5: key 'epochs' is already set on line 1$"):
+        config.load_config_file(str(f))
+    assert cli.main(["train", "--print-config", "--config", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "'epochs'" in err and "line 1" in err and "twice.cfg:5" in err
 
 
 def test_unknown_preset_lists_choices():
@@ -232,7 +242,7 @@ def test_cli_rejects_an_adam_beta_outside_the_unit_interval(capsys):
         ("synthesize", "--beta-min", "0"),
         ("synthesize", "--beta-max", "1.0"),
         ("synthesize", "--beta-min", "0.5"),  # above the default beta_max 0.4
-        ("train", "--ema-alpha", "1.0"),
+        ("train", "--lr-rl", "0"),
         ("eval", "--standardize", "maybe"),
     ],
 )
@@ -542,14 +552,14 @@ def test_cli_refuses_a_dataset_without_seen_or_unseen_classes(tmp_path, monkeypa
         (data / CACHE_NAME).unlink(missing_ok=True)
 
 
-@pytest.mark.parametrize("flags", [["--cue-loss", "pd"], ["--raw-reward"]],
-                         ids=["cue-loss", "raw-reward"])
+@pytest.mark.parametrize("flags", [["--cue-loss", "pd"], ["--raw-reward"], ["--ema-alpha", "0.9"]],
+                         ids=["cue-loss", "raw-reward", "ema-alpha"])
 def test_cli_refuses_the_removed_cue_loss_and_raw_reward_flags(flags, capsys):
     assert cli.main(["train", "--print-config", *flags]) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["cue_loss = pd", "raw_reward = false"])
+@pytest.mark.parametrize("line", ["cue_loss = pd", "raw_reward = false", "ema_alpha = 0.9"])
 def test_cli_refuses_a_config_file_naming_a_removed_key(line, tmp_path, capsys):
     f = tmp_path / "run.cfg"
     f.write_text(f"epochs = 3\n{line}\n")

@@ -170,8 +170,7 @@ def test_cue_pass_matches_the_engine_on_a_zero_norm_row(caplog):
 
 
 @BATCHES
-@pytest.mark.parametrize("centred", [False, True], ids=["raw", "centred"])
-def test_rl_step_matches_the_engine(centred, t):
+def test_rl_step_matches_the_engine(t):
     gen, _, _ = _nets(6)
     b = _batch(t, 16)
     rng = np.random.default_rng(7)
@@ -182,39 +181,32 @@ def test_rl_step_matches_the_engine(centred, t):
     oracle_x0 = oracle.synthesize(gen, b["eps_g"], b["z"], b["x_next"], t + 1)
     oracle_lp = oracle.class_log_probs(model, oracle_x0, b["y"])
     assert _same(log_probs, oracle_lp.data)
-    if centred:
-        baseline = reward.EmaBaseline(alpha=0.9)
-        baseline.update(log_probs - 1.0)
-        advantages = log_probs - baseline.update(log_probs)
-    else:
-        advantages = log_probs
 
-    loss, g_x0 = reward.rl_loss(advantages, log_probs, lp_cache)
-    oracle_loss = oracle.rl_loss(advantages, oracle_lp)
+    loss, g_x0 = reward.rl_loss(log_probs, lp_cache)
+    oracle_loss = oracle.rl_loss(oracle_lp)
     assert _same(loss, oracle_loss.data)
     assert _same(gen.net.pullback(cache, g_x0), oracle.flat_grad(oracle_loss, gen.net.params))
 
 
-def test_rl_pass_matches_the_engine_at_zero_advantages_and_saturated_logits():
-    # The pass reads each label's log-prob and scatters -(1/B) * a there
-    # instead of multiplying by a one-hot row. The two differ in the sign of
-    # the zeros off the label, which may show only where a is +-0.0 or
-    # where exp underflows to 0, so this batch has both.
+def test_rl_pass_matches_the_engine_at_saturated_logits():
+    # The pass reads each label's log-prob and subtracts 1/B there instead
+    # of multiplying by a one-hot row. The two differ in the sign of the
+    # zeros off the label, which may show only where exp underflows to 0,
+    # so this batch has such entries, and rows whose label's log-prob is 0.
     rng = np.random.default_rng(11)
     model = nets.SoftmaxClassifier(300.0 * rng.normal(size=(4, D)), rng.normal(size=4))
     x = rng.normal(size=(6, D))
     logits = model.logits(x)
     y = np.argmax(logits, axis=1)
     y[3:] = np.argmin(logits[3:], axis=1)
-    a = np.array([0.0, -0.0, 1.5, 0.0, -0.0, -2.0])
     assert np.any(np.exp(logits - logits.max(axis=1, keepdims=True)) == 0.0)
     log_probs, lp_cache = reward.class_log_probs(model, x, y)
     assert np.any(log_probs == 0.0)
-    loss, g_x = reward.rl_loss(a, log_probs, lp_cache)
+    loss, g_x = reward.rl_loss(log_probs, lp_cache)
 
     xt = Tensor(x, requires_grad=True)
     oracle_lp = oracle.class_log_probs(model, xt, y)
-    oracle_loss = oracle.rl_loss(a, oracle_lp)
+    oracle_loss = oracle.rl_loss(oracle_lp)
     assert _same(log_probs, oracle_lp.data)
     assert _same(loss, oracle_loss.data)
     assert _same(g_x, engine.backward(oracle_loss, [xt])[0])

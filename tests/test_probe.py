@@ -1,13 +1,17 @@
 """Smoke test of tools/probe.py: each subcommand's worker measurement runs
 in-process at a tiny shape against the package under test, and every figure
-it reports, with the sha256, reaches the printed summary. A rename in the
-rlvc API that the probe calls fails here rather than only when the tool runs."""
+it reports, with the sha256, reaches the printed summary (for `drift`, its
+figures and its t-interval). A rename in the rlvc API that the probe calls
+fails here rather than only when the tool runs."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import re
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,54 @@ def test_probe_worker_reports_every_figure_and_a_sha256(argv, figures, capsys):
         assert f"  {name}: best " in printed
     assert "  peak RSS " in printed
     assert f"  sha256 of {hashed}: {result['sha256']}" in printed
+
+
+_TINY = ["n_seen=4", "n_unseen=2", "feat_dim=8", "sem_dim=4", "samples_per_class=10",
+         "semantic_cluster_size=3", "epochs=2", "rl_start_epoch=0", "batch_size=16",
+         "synth_per_class=4", "clf_epochs=3", "reward_epochs=3"]
+
+
+def test_drift_worker_reports_each_draw_and_the_late_reward(capsys):
+    probe = _load_probe()
+    argv = ["--worker", "drift", "--seeds", "1", "--draws", "2", *(f"--set={kv}" for kv in _TINY)]
+    assert probe.main(argv) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert set(result) == {"CZSL", "H", "reward", "peak_rss_mb"}
+    assert len(result["CZSL"]) == len(result["H"]) == 2
+    assert all(0.0 <= v <= 1.0 for v in result["CZSL"] + result["H"])
+    assert result["CZSL"][0] != result["CZSL"][1]  # two draws, two streams
+    assert result["reward"] < 0.0
+    assert probe.main(argv) == 0
+    again = json.loads(capsys.readouterr().out)
+    assert [again[k] for k in ("CZSL", "H", "reward")] == [result[k] for k in ("CZSL", "H", "reward")]
+
+
+def test_drift_t_interval_reads_the_t_table():
+    probe = _load_probe()
+    mean, half = probe.t_interval([1.0, 2.0, 3.0])
+    assert mean == 2.0 and half == pytest.approx(4.303 / 3**0.5)
+    # 12 degrees of freedom fall between rows 10 and 15: row 10's point
+    sd = (sum((x - 6) ** 2 for x in range(13)) / 12) ** 0.5
+    assert probe.t_interval(range(13))[1] == pytest.approx(2.228 * sd / 13**0.5)
+    mean, half = probe.t_interval([0.25])
+    assert mean == 0.25 and half != half
+
+
+def test_drift_prints_each_seed_and_the_paired_interval(monkeypatch, capsys):
+    probe = _load_probe()
+    tree = os.path.join(probe.ROOT, "src")
+
+    def fake_side(src, argv):  # the tree gains 0.1 per seed in CZSL and reward
+        gain = 0.1 * int(argv[argv.index("--seeds") + 1]) if src == tree else 0.0
+        return {"CZSL": [0.5 + gain, 0.7 + gain], "H": [0.4, 0.4], "reward": -1.0 + gain}
+
+    monkeypatch.setattr(probe, "run_side", fake_side)
+    monkeypatch.setitem(sys.modules, "same_bytes", types.SimpleNamespace(extract=lambda r, d: None))
+    assert probe.main(["drift", "--against", "REV", "--seeds", "1", "2", "3", "--draws", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].split() == ["1", "REV", "0.6000", "±0.1000", "0.4000", "±0.0000", "-1.0000"]
+    assert lines[4].split() == ["1", "diff", "+0.1000", "+0.0000", "+0.1000"]
+    assert lines[-3:] == ["  CZSL: +0.2000 [-0.0484, +0.4484]", "  H: +0.0000 [+0.0000, +0.0000]",
+                          "  reward: +0.2000 [-0.0484, +0.4484]"]
+    with pytest.raises(SystemExit):
+        probe.main(["drift"])

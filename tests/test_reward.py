@@ -1,29 +1,27 @@
-"""Reward model, EMA baseline, stop-gradient advantage, and the RL loss."""
+"""Reward model and the RL loss."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from rlvc import engine, reward
+from rlvc import reward
 from rlvc.config import Config
-from rlvc.errors import ConfigurationError, NumericFailure, UsageError
+from rlvc.errors import ConfigurationError, UsageError
 from rlvc.gan import Generator
 from rlvc.nets import AdamState, SoftmaxClassifier
-from rlvc.reward import EmaBaseline
 from rlvc.seeding import stream_rng
 
-import oracle
 from conftest import make_separable, max_fd_error
 
 
-def _policy_gradient(gen, model, inputs, y, advantages):
+def _policy_gradient(gen, model, inputs, y):
     """The RL loss on rows synthesized from inputs = (eps, z, x_next, t),
-    weighted by the advantage vector, and its gradient w.r.t. the
-    generator's parameters, laid out like `gen.net.flat`."""
+    and its gradient w.r.t. the generator's parameters, laid out like
+    `gen.net.flat`."""
     x0, cache = gen.synthesize(*inputs)
     lp, lp_cache = reward.class_log_probs(model, x0, y)
-    loss, g_x0 = reward.rl_loss(advantages, lp, lp_cache)
+    loss, g_x0 = reward.rl_loss(lp, lp_cache)
     return loss, gen.net.pullback(cache, g_x0)
 
 
@@ -147,148 +145,35 @@ def test_frozen_params_bitwise_stable_under_rl_steps():
     rng = np.random.default_rng(1)
     for _ in range(5):
         inputs = rng.normal(size=(8, 3)), rng.normal(size=(8, 2)), rng.normal(size=(8, 3)), 1
-        adv = rng.normal(size=8)
         y = rng.integers(0, 2, size=8)
-        _, grads = _policy_gradient(gen, model, inputs, y, adv)
+        _, grads = _policy_gradient(gen, model, inputs, y)
         opt.step([grads])
     assert model.weight.tobytes() == w_before
     assert model.bias.tobytes() == b_before
 
 
-def test_ema_first_update_adopts_batch_mean():
-    b = EmaBaseline(alpha=0.9)
-    assert not b.initialized
-    b.update(np.array([-1.0, -3.0]))
-    assert b.initialized and b.value == -2.0
-
-
-def test_ema_recurrence_arithmetic():
-    b = EmaBaseline(alpha=0.9, value=0.0, initialized=True)
-    b.update(np.array([-1.0]))
-    assert abs(b.value - (-0.1)) < 1e-15
-    b0 = EmaBaseline(alpha=0.0, value=5.0, initialized=True)
-    b0.update(np.array([2.0, 4.0]))
-    assert b0.value == 3.0
-
-
-def test_ema_geometric_contraction():
-    alpha, b0, r_star = 0.9, 4.0, -2.0
-    b = EmaBaseline(alpha=alpha, value=b0, initialized=True)
-    for k in range(1, 30):
-        b.update(np.full(3, r_star))
-        assert abs(abs(b.value - r_star) - alpha**k * abs(b0 - r_star)) < 1e-12
-
-
-def test_ema_linearity_two_updates():
-    alpha, b0 = 0.7, 1.5
-    m1, m2 = -0.5, 2.0
-    b = EmaBaseline(alpha=alpha, value=b0, initialized=True)
-    b.update(np.array([m1]))
-    b.update(np.array([m2]))
-    want = alpha**2 * b0 + alpha * (1 - alpha) * m1 + (1 - alpha) * m2
-    assert abs(b.value - want) < 1e-14
-
-
-def test_ema_validation():
-    with pytest.raises(ConfigurationError):
-        EmaBaseline(alpha=1.0)
-    b = EmaBaseline(alpha=0.9)
-    with pytest.raises(UsageError):
-        b.update(np.array([]))
-    with pytest.raises(NumericFailure):
-        b.update(np.array([np.inf]))
-
-
-def test_advantage_values():
-    # the trainer centres rewards by the baseline's post-update value
-    b = EmaBaseline(alpha=0.9, value=-2.0, initialized=True)
-    r = np.array([-1.0, -3.0])
-    np.testing.assert_array_equal(r - b.update(r), [1.0, -1.0])
-    r2 = np.full(4, b.value)
-    np.testing.assert_array_equal(r2 - b.update(r2), np.zeros(4))
-
-
 def test_rl_loss_arithmetic_and_guards():
     uniform = SoftmaxClassifier(np.zeros((2, 1)), np.zeros(2))
     lp, cache = reward.class_log_probs(uniform, np.zeros((1, 1)), [0])
-    loss, _ = reward.rl_loss(np.array([1.0]), lp, cache)
+    loss, _ = reward.rl_loss(lp, cache)
     assert abs(loss.item() - np.log(2.0)) < 1e-15
 
-    with pytest.raises(UsageError):
-        reward.rl_loss(np.zeros(2), lp, cache)
+    for bad in (np.zeros(0), np.zeros((1, 1))):
+        with pytest.raises(UsageError):
+            reward.rl_loss(bad, cache)
 
 
-def test_rl_loss_zero_advantages_zero_gradient():
-    gen = Generator(2, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(0))
-    model = SoftmaxClassifier(np.random.default_rng(1).normal(size=(2, 2)), np.zeros(2))
-    rng = np.random.default_rng(2)
-    inputs = rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), 1
-    y = np.array([0, 1, 0, 1])
-    loss, grads = _policy_gradient(gen, model, inputs, y, np.zeros(4))
-    assert loss.item() == 0.0
-    for g in grads:
-        np.testing.assert_array_equal(g, np.zeros_like(g))
-
-
-def test_stop_gradient_identity():
-    # gradients must be identical whether advantages come from the baseline
-    # arithmetic or are pasted in as plain constants of the same value
-    gen = Generator(2, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(3))
-    model = SoftmaxClassifier(np.random.default_rng(4).normal(size=(3, 2)), np.zeros(3))
-    rng = np.random.default_rng(5)
-    eps, z, xn = rng.normal(size=(6, 2)), rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
-    y = np.array([0, 1, 2, 0, 1, 2])
-
-    def grads_with(advantages):
-        return _policy_gradient(gen, model, (eps, z, xn, 2), y, advantages)[1]
-
-    b = EmaBaseline(alpha=0.9)
-    x0, _ = gen.synthesize(eps, z, xn, 2)
-    r = reward.class_log_probs(model, x0, y)[0]
-    computed = r - b.update(r)
-    pasted = computed.copy()
-    for ga, gb in zip(grads_with(computed), grads_with(pasted)):
-        np.testing.assert_allclose(ga, gb, atol=1e-10)
-
-
-def test_the_policy_gradient_stops_at_the_advantages():
-    # The hand pass must be the engine's gradient with the advantages held
-    # constant, bit for bit, and not the gradient of a graph in which they
-    # depend on the log-probs. For the batch-mean baseline the second is
-    # twice the first: sum_i (lp_i - mean lp) grad lp_i appears once through
-    # the weights and once through the advantages.
-    gen = Generator(3, 2, Config(hidden_mult=2, temb_dim=4), np.random.default_rng(16))
-    model = SoftmaxClassifier(np.random.default_rng(17).normal(size=(3, 3)), np.zeros(3))
-    rng = np.random.default_rng(18)
-    inputs = rng.normal(size=(8, 3)), rng.normal(size=(8, 2)), rng.normal(size=(8, 3)), 2
-    y = np.array([0, 1, 2, 0, 1, 2, 0, 1])
-
-    x0, cache = gen.synthesize(*inputs)
-    lp, lp_cache = reward.class_log_probs(model, x0, y)
-    advantages = lp - np.mean(lp)
-    hand = gen.net.pullback(cache, reward.rl_loss(advantages, lp, lp_cache)[1])
-
-    lp_graph = oracle.class_log_probs(model, oracle.synthesize(gen, *inputs), y)
-    detached = oracle.flat_grad(oracle.rl_loss(advantages, lp_graph), gen.net.params)
-    assert hand.tobytes() == detached.tobytes()
-
-    attached = -engine.tmean((lp_graph - engine.tmean(lp_graph)) * lp_graph)
-    through = oracle.flat_grad(attached, gen.net.params)
-    assert np.max(np.abs(through - hand)) > 0.5 * np.max(np.abs(hand)) > 0.0
-    np.testing.assert_allclose(through, 2.0 * hand, rtol=1e-9, atol=1e-12 * np.max(np.abs(hand)))
-
-
-def test_unit_advantages_reduce_to_nll():
+def test_rl_loss_is_the_mean_nll():
     model = SoftmaxClassifier(np.random.default_rng(6).normal(size=(3, 4)), np.zeros(3))
     x = np.random.default_rng(7).normal(size=(5, 4))
     y = np.array([0, 1, 2, 1, 0])
     lp, cache = reward.class_log_probs(model, x, y)
-    loss, _ = reward.rl_loss(np.ones(5), lp, cache)
+    loss, _ = reward.rl_loss(lp, cache)
     nll = -np.mean(lp)
     assert abs(loss.item() - nll) < 1e-15
 
 
-def test_positive_advantage_step_raises_log_prob():
+def test_rl_step_raises_log_prob():
     gen = Generator(2, 2, Config(hidden_mult=1, temb_dim=4), np.random.default_rng(8))
     model = SoftmaxClassifier(np.random.default_rng(9).normal(size=(2, 2)), np.zeros(2))
     rng = np.random.default_rng(10)
@@ -299,7 +184,7 @@ def test_positive_advantage_step_raises_log_prob():
         return float(reward.class_log_probs(model, gen.synthesize(*inputs)[0], y)[0][0])
 
     before = log_prob()
-    _, grads = _policy_gradient(gen, model, inputs, y, np.ones(1))
+    _, grads = _policy_gradient(gen, model, inputs, y)
     cfg = Config()
     AdamState([gen.net.flat], lr=1e-4, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2).step([grads])
     assert log_prob() > before
@@ -311,10 +196,9 @@ def test_rl_loss_fd_through_generator():
     rng = np.random.default_rng(13)
     inputs = rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), 1
     y = np.array([0, 1, 0])
-    adv = np.array([0.5, -1.0, 2.0])  # frozen constants
 
     def loss_fn():
-        loss, grad = _policy_gradient(gen, model, inputs, y, adv)
+        loss, grad = _policy_gradient(gen, model, inputs, y)
         return loss, [grad]
 
     assert max_fd_error(loss_fn, [gen.net.flat]) < 1e-4

@@ -7,6 +7,8 @@ Usage (from the repository root):
                                 [--feat-dim 2048] [--sem-dim 312] [--steps 12]
     python3 tools/probe.py report [--against REV] [--rounds 3] [--seed 0]
                                   [--reports 4] [--adam-steps 2000]
+    python3 tools/probe.py drift --against REV [--seeds 0 1 2] [--draws 8]
+                                 [--set key=value ...]
 
 Each subcommand measures in a fresh process with RLVC_THREADS=1, for the
 working tree and, with --against, for the committed files of that revision
@@ -34,6 +36,20 @@ steps cost the same at any weights). Then it times --adam-steps Adam steps,
 one at a time in us, at each head's [w | b] size (165 and 825 entries
 here). The sha256 is of both heads over every report. perfbench's traced
 run cannot time calls this short: the tracer's overhead dominates them.
+
+`drift` measures what a change does to results, not to time. For each seed
+and each side, in a fresh process, it resolves the synthetic preset with
+the --set overrides (in-training evaluation off unless --set turns it on),
+builds and standardizes the dataset, pretrains the reward model, trains,
+and evaluates the final generator --draws times, draw k from the rng
+[seed, 100 + k] on both sides. It prints per seed the mean and sd over
+draws of CZSL accuracy and H, and the mean `raw_reward_mean` of the last 4
+epochs, for both sides and their difference (tree minus REV); then the mean
+paired difference over seeds with a 95 % t-interval. The sides alternate
+which goes first from seed to seed. The worker calls only `resolve_config`,
+`make_synthetic`, `standardize`, `pretrain_reward`, `trainer.train` and
+`full_report`, whose signatures are older than the pathwise policy step, so
+--against may name a revision from before it.
 """
 
 from __future__ import annotations
@@ -131,6 +147,81 @@ def measure_report(args) -> dict:
     return {"ms": ms, "us": us, "sha256": digest.hexdigest()}
 
 
+def measure_drift(args) -> dict:
+    """Train at one seed and evaluate the final generator --draws times."""
+    import numpy as np
+
+    from rlvc import config, data, evaluate, reward, trainer
+
+    overrides = {"eval_interval": "0", **dict(kv.split("=", 1) for kv in args.set)}
+    (seed,) = args.seeds
+    cfg = config.resolve_config("synthetic", None, {**overrides, "seed": seed})
+    ds = data.make_synthetic(cfg)
+    if cfg.standardize:
+        ds = data.standardize(ds)
+    train_x, train_y = ds.train
+    rm = reward.pretrain_reward(train_x, ds.seen_rows(train_y), len(ds.seen_classes), cfg)
+    result = trainer.train(ds, rm, cfg)
+    reports = [evaluate.full_report(result.generator, ds, cfg, np.random.default_rng([seed, 100 + k]))
+               for k in range(args.draws)]
+    return {"CZSL": [r.czsl_acc for r in reports], "H": [r.gzsl_h for r in reports],
+            "reward": float(np.mean([row.raw_reward_mean for row in result.metrics[-4:]]))}
+
+
+# Two-sided 95 % points of Student's t by degrees of freedom; between rows
+# the smaller df's point is used, which widens the interval.
+T95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365, 8: 2.306,
+       9: 2.262, 10: 2.228, 15: 2.131, 20: 2.086, 30: 2.042}
+
+
+def t_interval(diffs) -> tuple[float, float]:
+    """The mean of paired differences and its 95 % half-width (nan for one)."""
+    import numpy as np
+
+    diffs = np.asarray(diffs, dtype=float)
+    df = len(diffs) - 1
+    if df < 1:
+        return float(np.mean(diffs)), float("nan")
+    t = T95[max(k for k in T95 if k <= df)]
+    return float(np.mean(diffs)), t * float(np.std(diffs, ddof=1)) / len(diffs) ** 0.5
+
+
+def drift(args) -> int:
+    """Paired runs of the tree and --against per seed; a table and intervals."""
+    import numpy as np
+
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    from same_bytes import extract
+
+    flags = ["--draws", str(args.draws), *(f"--set={kv}" for kv in args.set)]
+    tree, per_seed = os.path.join(ROOT, "src"), []
+    with tempfile.TemporaryDirectory(prefix="probe-") as tmp:
+        extract(args.against, tmp)
+        sides = [tree, os.path.join(tmp, "src")]
+        for i, seed in enumerate(args.seeds):
+            argv = ["drift", "--seeds", str(seed), *flags]
+            got = {src: run_side(src, argv) for src in (sides[::-1] if i % 2 else sides)}
+            per_seed.append([got[src] for src in sides])
+    print(f"drift: tree minus {args.against}; synthetic preset"
+          f"{''.join(' ' + kv for kv in args.set)}; {args.draws} draws per run; "
+          f"reward = mean raw_reward_mean of the last 4 epochs")
+    print(f"{'seed':>4} {'side':>10} {'CZSL':>16} {'H':>16} {'reward':>9}")
+    diffs = {"CZSL": [], "H": [], "reward": []}
+    for seed, (ours, theirs) in zip(args.seeds, per_seed):
+        for label, r in (("tree", ours), (args.against[:10], theirs)):
+            print(f"{seed:>4} {label:>10} {np.mean(r['CZSL']):>8.4f} ±{np.std(r['CZSL']):.4f}"
+                  f" {np.mean(r['H']):>8.4f} ±{np.std(r['H']):.4f} {r['reward']:>9.4f}")
+        for name, values in diffs.items():
+            values.append(np.mean(ours[name]) - np.mean(theirs[name]))
+        print(f"{seed:>4} {'diff':>10} {diffs['CZSL'][-1]:>+8.4f} {'':7} {diffs['H'][-1]:>+8.4f}"
+              f" {'':7} {diffs['reward'][-1]:>+9.4f}")
+    print(f"mean paired difference over {len(args.seeds)} seeds, 95 % t-interval:")
+    for name, values in diffs.items():
+        mean, half = t_interval(values)
+        print(f"  {name}: {mean:+.4f} [{mean - half:+.4f}, {mean + half:+.4f}]")
+    return 0
+
+
 def run_side(src: str, argv: list[str]) -> dict:
     """The measurement's results with the package at `src`, from a new process."""
     env = dict(os.environ, RLVC_THREADS="1", OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
@@ -174,6 +265,13 @@ def main(argv=None) -> int:
     report.add_argument("--reports", type=int, default=4, help="reports per process")
     report.add_argument("--adam-steps", type=int, default=2000)
     report.set_defaults(measure=measure_report, hashed="both heads")
+    drift_cmd = commands.add_parser("drift", help=drift.__doc__)
+    drift_cmd.add_argument("--against", help="git revision to compare with (required)")
+    drift_cmd.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    drift_cmd.add_argument("--draws", type=int, default=8, help="evaluations per trained run")
+    drift_cmd.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                           help="a Config override, both sides; repeatable")
+    drift_cmd.set_defaults(measure=measure_drift)
     for command, rounds in ((adam, 2), (report, 3)):
         command.add_argument("--against", help="git revision to compare with")
         command.add_argument("--rounds", type=int, default=rounds,
@@ -185,6 +283,12 @@ def main(argv=None) -> int:
         result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         print(json.dumps(result))
         return 0
+    if args.command == "drift":
+        if args.against is None:
+            parser.error("drift needs --against")
+        if any("=" not in kv for kv in args.set):
+            parser.error("--set takes key=value")
+        return drift(args)
     tree = os.path.join(ROOT, "src")
     if args.against is None:
         summarize("tree", [run_side(tree, argv)], args.hashed)
