@@ -8,14 +8,10 @@ synthesized feature toward its class prototype in cosine distance.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
 from .nets import NORM_FLOOR
-
-log = logging.getLogger(__name__)
 
 
 def mine_prototypes(features: np.ndarray, labels: np.ndarray, seen_classes) -> np.ndarray:
@@ -45,17 +41,22 @@ def cue_loss(x: np.ndarray, v: np.ndarray, weight: float):
     """The distillation loss of synthesized rows x against v, the prototype
     of each row's class (a row of `mine_prototypes` per row of x): the mean
     cosine distance, in [0, 2] and scale-invariant; a zero-norm row
-    contributes the neutral 1 with a warning and no gradient. Returns the
-    value and the contributions that engine.backward on `weight * cue_loss`
-    adds into x's gradient, in the order it adds them, so summing them onto
-    a running gradient in list order is bit-equal to the engine (see
+    contributes the neutral 1 and no gradient, with a warning on the
+    "rlvc.cues" logger (`logging` is imported only then). Returns the value
+    and the contributions that engine.backward on `weight * cue_loss` adds
+    into x's gradient, in the order it adds them, so summing them onto a
+    running gradient in list order is bit-equal to the engine (see
     gan.py)."""
     if v.shape != x.shape:
         raise UsageError(f"cue loss: batch {x.shape} vs prototypes {v.shape}")
     x_sq = np.sum(x * x, axis=1)
     nonzero = x_sq > 0.0
     if not np.all(nonzero):
-        log.warning("pd_loss: %d synthesized row(s) have zero norm", int((~nonzero).sum()))
+        import logging  # only here: a run that never warns never loads it
+
+        logging.getLogger(__name__).warning(
+            "pd_loss: %d synthesized row(s) have zero norm", int((~nonzero).sum())
+        )
     x_norm = np.sqrt(np.maximum(x_sq, NORM_FLOOR))
     v_norm = np.linalg.norm(v, axis=1)
     num = nonzero * np.sum(x * v, axis=1)

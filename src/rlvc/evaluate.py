@@ -17,7 +17,7 @@ from . import diffusion
 from .config import Config
 from .errors import UsageError
 from .gan import Generator
-from .nets import SoftmaxClassifier, fit_linear_softmax, label_rows
+from .nets import SoftmaxClassifier, distinct, fit_linear_softmax, label_rows
 
 
 @dataclass
@@ -66,7 +66,7 @@ def macro_accuracy(head: SoftmaxClassifier, features: np.ndarray, labels: np.nda
     labels = np.asarray(labels).reshape(-1)
     if labels.size == 0:
         raise UsageError("macro_accuracy over an empty set")
-    present = np.unique(labels)
+    present = distinct(labels)
     label_rows(head.class_ids, present, "test label {} outside head classes")
     preds = head.predict(features)
     return float(np.mean([np.mean(preds[labels == c] == c) for c in present]))
@@ -79,6 +79,7 @@ def synthesize_unseen(
     n_per_class: int,
     sched: diffusion.DiffusionSchedule,
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full iterative denoising from pure noise, per unseen class.
 
@@ -100,11 +101,21 @@ def synthesize_unseen(
     posterior draw, whose state is never read: its sigma is 0, but dropping
     the draw would shift every later draw of `rng`, and with it the heads'
     shuffles.
+
+    With `out`, a float64 (len(unseen_classes) * n_per_class, feat_dim)
+    array, the features are written into it and it is returned, so a caller
+    that wants them inside a larger matrix holds one copy.
     """
     if n_per_class < 1:
         raise UsageError("n_per_class must be >= 1")
     unseen_classes = [int(c) for c in unseen_classes]
-    feats = np.empty((len(unseen_classes) * n_per_class, gen.feat_dim))
+    shape = (len(unseen_classes) * n_per_class, gen.feat_dim)
+    if out is None:
+        feats = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise UsageError(f"synthesize_unseen: out is {out.dtype} {out.shape}, not float64 {shape}")
+    else:
+        feats = out
     buffers = [np.empty((n_per_class, w)) for w in gen.net.layer_dims]
     noise = np.empty((n_per_class, gen.feat_dim))
     _, z, x, _ = gen.columns(buffers[0])
@@ -121,21 +132,31 @@ def synthesize_unseen(
 
 def full_report(gen: Generator, dataset, config: Config, rng: np.random.Generator) -> EvalReport:
     """Synthesize config.synth_per_class unseen features per class along
-    config's diffusion schedule, then run both protocols."""
+    config's diffusion schedule, then run both protocols.
+
+    The synthesized rows exist once: the GZSL matrix is allocated first and
+    `synthesize_unseen` writes them into its tail, where the CZSL head reads
+    them. The real train rows are copied into its head after synthesis, so
+    they are not held while the chain runs. The heads' class ids are the
+    dataset's: the unseen classes, and for GZSL every class, since
+    `ZslDataset.validate` requires train rows of every seen class."""
+    is_train = dataset.splits == "train"
+    n_train = int(np.count_nonzero(is_train))
+    unseen = dataset.unseen_classes
+    x = np.empty((n_train + len(unseen) * config.synth_per_class, dataset.feat_dim))
     synth_x, synth_y = synthesize_unseen(
-        gen, dataset.prototypes, dataset.unseen_classes, config.synth_per_class,
-        config.schedule(), rng,
+        gen, dataset.prototypes, unseen, config.synth_per_class, config.schedule(), rng,
+        out=x[n_train:],
     )
     # CZSL: a head over the unseen classes, trained on synthesized rows only.
-    czsl = train_head(synth_x, synth_y, np.unique(synth_y), config, rng)
+    czsl = train_head(synth_x, synth_y, unseen, config, rng)
     tu_x, tu_y = dataset.test_unseen
     acc = macro_accuracy(czsl, tu_x, tu_y)
 
     # GZSL: a head over all classes, on real seen rows plus the synthesized.
-    tr_x, tr_y = dataset.train
-    x = np.concatenate([tr_x, synth_x], axis=0)
-    y = np.concatenate([np.asarray(tr_y), synth_y])
-    gzsl = train_head(x, y, np.unique(y), config, rng)
+    np.compress(is_train, dataset.features, axis=0, out=x[:n_train])
+    y = np.concatenate([dataset.labels[is_train], synth_y])
+    gzsl = train_head(x, y, np.arange(dataset.n_classes), config, rng)
     u = macro_accuracy(gzsl, tu_x, tu_y)
     ts_x, ts_y = dataset.test_seen
     s = macro_accuracy(gzsl, ts_x, ts_y)

@@ -558,6 +558,18 @@ class SoftmaxClassifier:
         return self.class_ids[np.argmax(self.logits(x), axis=1)]
 
 
+def distinct(labels) -> np.ndarray:
+    """The sorted distinct values of an integer array, flattened: what
+    np.unique returns, without np.unique, whose first call imports numpy.ma
+    (it asks np.ma.is_masked). Sorts, then keeps each value that differs
+    from its predecessor."""
+    v = np.sort(np.asarray(labels).reshape(-1))
+    keep = np.empty(v.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
 def label_rows(ids: np.ndarray, labels, message: str, error=ConfigurationError) -> np.ndarray:
     """Each label's row among the sorted, distinct `ids`. The first label
     that is not among them raises `error(message.format(label))`."""

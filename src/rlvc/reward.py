@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import Config
 from .errors import ConfigurationError, UsageError
-from .nets import SoftmaxClassifier, fit_linear_softmax, label_rows
+from .nets import SoftmaxClassifier, distinct, fit_linear_softmax, label_rows
 from .seeding import stream_rng
 
 
@@ -35,7 +35,7 @@ def pretrain_reward(
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ConfigurationError("pretrain_reward: features/labels mismatch")
-    present = np.unique(labels)
+    present = distinct(labels)
     if not np.array_equal(present, np.arange(n_classes)):
         raise ConfigurationError(
             f"pretrain_reward: labels must cover 0..{n_classes - 1}, saw {len(present)} classes"

@@ -309,6 +309,28 @@ def test_rlvc_threads_overrides_inherited_blas_thread_counts(threads, want):
     assert done.stdout.split() == [want] * 3
 
 
+def test_a_cli_run_loads_neither_numpy_ma_nor_logging(tmp_path):
+    # np.unique imports numpy.ma on its first call, and logging is needed
+    # only for the distillation loss's zero-norm warning. What a run loads
+    # shows only in a fresh interpreter (pytest itself imports logging).
+    runs = [
+        ["gen-synthetic", "--out", "d"] + _TINY,
+        ["pretrain-reward", "--data", "d", "--out", "o"] + _FAST,
+        ["train", "--data", "d", "--out", "o", "--reward", "o/reward.ckpt",
+         "--eval-interval", "1"] + _FAST,
+        ["eval", "--data", "d", "--generator", "o/generator.ckpt"],
+        ["synthesize", "--data", "d", "--generator", "o/generator.ckpt", "--out", "o/s.csv"],
+    ]
+    code = (f"import sys\nfrom rlvc import cli\nfor argv in {runs!r}:\n"
+            f"    assert cli.main(argv) == 0, argv\n"
+            f"print(*(m in sys.modules for m in ('numpy.ma', 'logging')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False False"
+
+
 def test_cli_gen_synthetic_force_semantics(tmp_path, capsys):
     out = str(tmp_path / "ds")
     assert cli.main(["gen-synthetic", "--out", out] + _TINY) == 0

@@ -249,6 +249,51 @@ def test_synthesis_peak_memory_does_not_grow_with_the_chain_length():
     assert peak(6) <= peak(2) + 16_384  # a step's few small index arrays, not a state
 
 
+def test_synthesize_unseen_writes_into_out():
+    gen = _tiny_gen()
+    protos = np.random.default_rng(0).normal(size=(4, 2))
+    sched = diffusion.build_schedule(4, 0.1, 0.4)
+    x, y = synthesize_unseen(gen, protos, [1, 3], 5, sched, np.random.default_rng(9))
+    host = np.full((12, 3), 7.0)
+    got, got_y = synthesize_unseen(gen, protos, [1, 3], 5, sched, np.random.default_rng(9),
+                                   out=host[2:])
+    assert np.shares_memory(got, host) and got.tobytes() == x.tobytes()
+    assert host[:2].tolist() == [[7.0] * 3] * 2
+    np.testing.assert_array_equal(got_y, y)
+    for bad in (np.empty((9, 3)), np.empty((10, 3), dtype=np.float32)):
+        with pytest.raises(UsageError, match="out is"):
+            synthesize_unseen(gen, protos, [1, 3], 5, sched, np.random.default_rng(9), out=bad)
+
+
+def test_full_report_holds_one_copy_of_the_synthesized_rows():
+    # 40 unseen classes x 400 rows x 32-d: the synthesized block (4.1 MB)
+    # dwarfs the 200 train rows, the networks and the chain's buffers. The
+    # report's peak stays below the GZSL matrix plus one more block; a
+    # report that synthesizes into its own array and then concatenates
+    # holds the block twice and reads about 10.5 MB against 8.2 MB.
+    n_seen, n_unseen, d, n_train, n_synth = 4, 40, 32, 50, 400
+    rng = np.random.default_rng(0)
+    labels = np.concatenate([np.repeat(np.arange(n_seen), n_train + 2),
+                             np.repeat(np.arange(n_seen, n_seen + n_unseen), 2)])
+    splits = np.array((["train"] * n_train + ["test_seen"] * 2) * n_seen
+                      + ["test_unseen"] * 2 * n_unseen, dtype=object)
+    roles = np.array(["seen"] * n_seen + ["unseen"] * n_unseen, dtype=object)
+    ds = ZslDataset(rng.normal(size=(labels.size, d)), labels, splits,
+                    rng.normal(size=(n_seen + n_unseen, 8)), roles)
+    ds.validate()
+    cfg = Config(hidden_mult=1, temb_dim=4, diffusion_steps=2, synth_per_class=n_synth,
+                 clf_epochs=1)
+    gen = Generator(d, 8, cfg, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        evaluate.full_report(gen, ds, cfg, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = n_unseen * n_synth * d * 8
+    assert peak < n_seen * n_train * d * 8 + 2 * block
+
+
 def test_synthesize_unseen_rejects_empty_budget():
     gen = _tiny_gen()
     sched = diffusion.build_schedule(4, 0.1, 0.4)

@@ -22,6 +22,7 @@ from rlvc.nets import (
     AdamState,
     DenseNet,
     SoftmaxClassifier,
+    distinct,
     load_checkpoint,
     save_checkpoint,
     timestep_table,
@@ -946,3 +947,12 @@ def test_checkpoint_tag_check_optional(tmp_path):
 def test_checkpoint_magic_constant():
     assert CHECKPOINT_MAGIC == b"RLVC"
     assert nets.CHECKPOINT_VERSION == 2
+
+
+@pytest.mark.parametrize("size, lo, hi", [(0, 0, 1), (1, -3, 3), (50, -5, 5), (400, -1000, 1000),
+                                          (64, 7, 8)])
+def test_distinct_is_np_unique(size, lo, hi):
+    values = np.random.default_rng(size).integers(lo, hi, size=size)
+    got, want = distinct(values), np.unique(values)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert distinct(values.reshape(-1, 1)).tolist() == want.tolist()  # flattened, as np.unique
