@@ -45,8 +45,8 @@ def cue_loss(x: np.ndarray, v: np.ndarray, weight: float):
     "rlvc.cues" logger (`logging` is imported only then). Returns the value
     and the contributions that engine.backward on `weight * cue_loss` adds
     into x's gradient, in the order it adds them, so summing them onto a
-    running gradient in list order is bit-equal to the engine (see
-    gan.py)."""
+    running gradient in list order is bit-equal to the engine
+    (tests/test_hand_passes.py)."""
     if v.shape != x.shape:
         raise UsageError(f"cue loss: batch {x.shape} vs prototypes {v.shape}")
     x_sq = np.sum(x * x, axis=1)

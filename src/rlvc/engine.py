@@ -13,8 +13,10 @@ No runtime code trains through it. A network's parameters are one flat
 vector (`nets.DenseNet.flat`); its weights and biases are also Tensors, as
 views into that vector, for the tests' graphs. The training losses and the
 linear softmax fit are plain numpy passes whose results are bit-equal to
-engine.backward on the graph of the same expressions; the tests build those
-graphs from these ops as their oracle.
+engine.backward on the graph of the same expressions, but for the critic
+loss, whose stacked pass sums in another order and is held to a computed
+error bound (tests/bounds.py); the tests build those graphs from these ops as
+their oracle.
 """
 
 from __future__ import annotations

@@ -95,12 +95,10 @@ def synthesize_unseen(
     prototype columns, written once per class, and the chain's state in its
     state columns, which `diffusion.posterior_sample` overwrites each step.
     A step makes only small temporaries: its timestep index vectors and
-    `leaky_relu`'s product per hidden layer. Each step is still one
-    `gen.synthesize` call and one `diffusion.posterior_sample` call,
-    drawing from `rng` in the same order. That includes the t = 0
-    posterior draw, whose state is never read: its sigma is 0, but dropping
-    the draw would shift every later draw of `rng`, and with it the heads'
-    shuffles.
+    `leaky_relu`'s product per hidden layer. Each step is one
+    `gen.synthesize` call, and each but the last (t = 0) one
+    `diffusion.posterior_sample` call: the last step's prediction is the
+    result, so the chain of T steps makes T - 1 posterior draws.
 
     With `out`, a float64 (len(unseen_classes) * n_per_class, feat_dim)
     array, the features are written into it and it is returned, so a caller
@@ -125,7 +123,8 @@ def synthesize_unseen(
         for t in range(sched.timesteps - 1, -1, -1):
             rng.standard_normal(out=noise)
             x0_pred = gen.synthesize(noise, z, x, t + 1, buffers)[0]
-            diffusion.posterior_sample(x0_pred, x, t, sched, rng, out=x, scratch=noise)
+            if t > 0:
+                diffusion.posterior_sample(x0_pred, x, t, sched, rng, out=x, scratch=noise)
         feats[k * n_per_class : (k + 1) * n_per_class] = x0_pred
     return feats, np.repeat(np.asarray(unseen_classes, dtype=np.int64), n_per_class)
 

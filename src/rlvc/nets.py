@@ -10,20 +10,23 @@ network's layer dims, the settings it was made with and that vector:
 vector's bytes, `load_checkpoint` gives all three back. Adam steps each vector
 in place, block by block through a scratch pair shared by every optimizer;
 its update is elementwise, so a block's entries get the bits a whole-vector
-update would give them. At the evaluation heads' sizes (hundreds of entries)
-a step costs about as much in numpy calls as in arithmetic, so it passes its
-fixed scalars as 0-d float64 arrays built once, which numpy need not convert
-on each call, and `out` positionally, and it checks each block's range with
-one dot product b . b: a finite squared 2-norm bounds every entry, and only
-a block whose square is not finite is scanned for its max and min (see
-`AdamState`). `fit_linear_softmax` likewise works in
+update would give them. It takes the efficient form of the step (see
+`AdamState`), which rounds unlike the textbook form, so the tests hold it to
+the textbook form within a computed error bound, not bit for bit. At the
+evaluation heads' sizes (hundreds of entries) a step costs about as much in
+numpy calls as in arithmetic, so it passes its fixed scalars as 0-d float64
+arrays, which numpy need not convert on each call, and `out` positionally,
+and it checks each block's range with one dot product b . b: a finite
+squared 2-norm bounds every entry, and only a block whose square is not
+finite is scanned for its max and min (see `AdamState`). `fit_linear_softmax` likewise works in
 preallocated buffers: each minibatch gathers its rows into one and writes
 its logits into another, and one flat index per epoch finds every row's
 label cell. The reverse passes here (`DenseNet.pullback` and the minibatch
 gradient of `fit_linear_softmax`) are written by hand in plain numpy and
 return gradients laid out like that vector. Each sums its products and
 reductions as the reverse pass of the same expression in `engine` does, so
-it is bit-equal to engine.backward on that graph. A network's engine
+it is bit-equal to engine.backward on that graph (the critics' pass, which
+stacks its rows, is held to a bound instead: see gan.py). A network's engine
 `Tensor`s are views into its vector, kept for the tests' engine oracle.
 
 A hidden layer's leaky relu is `leaky_relu`, max(pre, slope * pre): no
@@ -314,42 +317,52 @@ class AdamState:
     shared scratch pair: for each block of a parameter (about ADAM_BLOCK entries; see
     `_cuts`), in-place ufuncs advance that block of m and v, form the step
     in one scratch buffer and its denominator in the other, and subtract the
-    step from the parameter, element by element the same expression as
-    p -= lr * (m / c1) / (sqrt(v / c2) + eps). Every operation is
-    elementwise, so the bits do not depend on the block size. The scratch
-    pair is one per process, not per optimizer: a step leaves nothing in it
-    between calls and the package runs on one thread, so every AdamState can
-    share it, and Adam holds two parameter-sized vectors (m and v), not four.
+    step from the parameter. The step is Kingma and Ba's (2015, section 2)
+    efficient form of p -= lr * (m / c1) / (sqrt(v / c2) + eps),
+
+        p -= alpha * m / (sqrt(v) + eps_hat),
+        alpha = lr * sqrt(c2) / c1,  eps_hat = eps * sqrt(c2),
+
+    with alpha and eps_hat formed once per step: the same step in exact
+    arithmetic, two ufunc passes fewer per block, and other roundings. The
+    tests check it against the textbook form within a computed error bound
+    (tests/bounds.py): each step entry within gamma_16 of its size, each
+    subtraction within one rounding of its result; m and v keep their bits.
+    Every operation is elementwise, so the bits do not depend on the block
+    size. The scratch pair is one per process, not per optimizer: a step
+    leaves nothing in it between calls and the package runs on one thread,
+    so every AdamState can share it, and Adam holds two parameter-sized
+    vectors (m and v), not four.
 
     A step is all or nothing: if it would leave a parameter non-finite, it
     raises NumericFailure and no parameter, moment or `t` moves. The step
-    tracks a bound on max|m| by the same update as m, from a bound on max|g|;
-    the denominator is at least eps, so no step entry exceeds
-    4 * lr * bound / (c1 * eps) (the 4 covers rounding). While that and every
-    parameter stay under 2**1022, the step runs in place. Both are checked
-    block by block before any write, each block by one dot product b . b,
-    its squared 2-norm: where that is finite it bounds every entry
-    (max|b| <= ||b||_2, so every entry is under 2**512), which clears a
-    parameter block and gives a gradient block's bound (see `_abs_bound`).
-    Only a block whose square is not finite is scanned for its max and min:
-    the scan raises NumericFailure on a non-finite gradient and sends a
-    parameter near 2**1022 through the copies. Otherwise the same sweep runs
-    on copies of the moments and the parameters, and only a finite result
-    is committed. The bound decays with m, so the copies last only while m
-    is near overflow.
-
-    Once beta1**t falls below 2**-54, c1 = 1 - beta1**t rounds to exactly
-    1.0 (t >= 54 at beta1 = 0.5), and m / c1 is m; the step then skips that
-    division and forms m * lr, the same bits.
+    tracks a bound M on max|m| by the same update as m, from a bound on
+    max|g|. The denominator is at least eps_hat, so a step entry is at most
+    alpha * M / eps_hat = lr * M / (c1 * eps): sqrt(c2) cancels, and the
+    bound is the textbook form's. The computed entry exceeds it by a few
+    roundings at most, so no entry exceeds 4 * lr * M / (c1 * eps). While
+    that, alpha and every parameter stay under 2**1022, the step runs in
+    place. The parameters and M are checked block by block before any
+    write, each block by one dot product b . b, its squared 2-norm: where
+    that is finite it bounds every entry (max|b| <= ||b||_2, so every entry
+    is under 2**512), which clears a parameter block and gives a gradient
+    block's bound (see `_abs_bound`). Only a block whose square is not
+    finite is scanned for its max and min: the scan raises NumericFailure on
+    a non-finite gradient and sends a parameter near 2**1022 through the
+    copies. Otherwise the same sweep runs on copies of the moments and the
+    parameters, and only a finite result is committed. The bound decays
+    with m, so the copies last only while m is near overflow. eps_hat must
+    not underflow to zero, where an entry with m = v = 0 would step by
+    0 / 0, so the constructor refuses an eps * sqrt(1 - beta2) of zero
+    (sqrt(c2) is never below sqrt(1 - beta2)).
     """
 
     def __init__(
         self, params: Sequence[np.ndarray], lr: float, beta1: float, beta2: float, eps: float = 1e-8
     ):
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0 and eps > 0.0):
-            raise ConfigurationError(
-                f"Adam needs 0 <= beta < 1 and eps > 0, got {beta1}, {beta2}, {eps}"
-            )
+        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0 and eps * math.sqrt(1.0 - beta2) > 0.0):
+            raise ConfigurationError("Adam needs 0 <= beta < 1 and eps * sqrt(1 - beta2) > 0, "
+                                     f"got {beta1}, {beta2}, {eps}")
         self.params = list(params)
         if not all(isinstance(p, np.ndarray) and p.ndim == 1 and p.dtype == np.float64
                    for p in self.params):
@@ -361,9 +374,8 @@ class AdamState:
         # The update's fixed operands as 0-d float64 arrays: numpy converts a
         # Python float operand anew on every ufunc call, and these are the
         # same values, so the same bits.
-        self._b1, self._b2, self._a1, self._a2, self._lr, self._eps = (
-            np.array(c) for c in (self.beta1, self.beta2, 1.0 - self.beta1,
-                                  1.0 - self.beta2, self.lr, self.eps)
+        self._b1, self._b2, self._a1, self._a2 = (
+            np.array(c) for c in (self.beta1, self.beta2, 1.0 - self.beta1, 1.0 - self.beta2)
         )
         self.t = 0
         self._m_bound = 0.0  # at least max|m|
@@ -380,12 +392,13 @@ class AdamState:
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         return [flat[a:b] for a, b in self._spans]
 
-    def _advance(self, t: int, c1: float, g_blocks, m_blocks, v_blocks, p_blocks) -> None:
-        """Step t, whose first bias correction is c1, from the gradient's
-        blocks: advance the moments' blocks in place and subtract the step
-        from the parameters' blocks, which all line up."""
-        b1, b2, a1, a2, lr, eps = self._b1, self._b2, self._a1, self._a2, self._lr, self._eps
-        c2 = 1.0 - self.beta2**t
+    def _advance(self, alpha, eps_hat, g_blocks, m_blocks, v_blocks, p_blocks) -> None:
+        """One step from the gradient's blocks, at the step's rate
+        alpha = lr * sqrt(c2) / c1 and eps_hat = eps * sqrt(c2), each a 0-d
+        float64 array: advance the moments' blocks in place and subtract
+        alpha * m / (sqrt(v) + eps_hat) from the parameters' blocks, which
+        all line up."""
+        b1, b2, a1, a2 = self._b1, self._b2, self._a1, self._a2
         if _SCRATCH[0].size < self._block:
             _SCRATCH[:] = np.empty(self._block), np.empty(self._block)
         s_all, d_all = _SCRATCH
@@ -398,14 +411,9 @@ class AdamState:
             np.multiply(s, a2, s)
             np.multiply(vb, b2, vb)
             np.add(vb, s, vb)
-            if c1 == 1.0:
-                np.multiply(mb, lr, s)
-            else:
-                np.divide(mb, c1, s)
-                np.multiply(s, lr, s)
-            np.divide(vb, c2, d)
-            np.sqrt(d, d)
-            np.add(d, eps, d)
+            np.sqrt(vb, d)
+            np.add(d, eps_hat, d)
+            np.multiply(mb, alpha, s)
             np.divide(s, d, s)
             np.subtract(pb, s, pb)
 
@@ -423,15 +431,17 @@ class AdamState:
             g_max = max(map(_abs_bound, g_blocks), default=0.0)
             in_range = all(map(_in_range, p_blocks))
         t = self.t + 1
-        c1 = 1.0 - self.beta1**t
+        c1, root_c2 = 1.0 - self.beta1**t, math.sqrt(1.0 - self.beta2**t)
+        rate = self.lr * root_c2 / c1
+        alpha, eps_hat = np.array(rate), np.array(self.eps * root_c2)
         m_bound = self.beta1 * self._m_bound + (1.0 - self.beta1) * g_max
-        if in_range and 4.0 * abs(self.lr) * m_bound / c1 / self.eps < _SAFE:
-            self._advance(t, c1, g_blocks, m_blocks, v_blocks, p_blocks)
+        if in_range and abs(rate) < _SAFE and 4.0 * abs(self.lr) * m_bound / c1 / self.eps < _SAFE:
+            self._advance(alpha, eps_hat, g_blocks, m_blocks, v_blocks, p_blocks)
         else:
             m, v = self._m.copy(), self._v.copy()
             new = [p.copy() for p in self.params]
             m_blocks, v_blocks = _blocks(self._views(m)), _blocks(self._views(v))
-            self._advance(t, c1, g_blocks, m_blocks, v_blocks, _blocks(new))
+            self._advance(alpha, eps_hat, g_blocks, m_blocks, v_blocks, _blocks(new))
             if not all(np.isfinite(a).all() for a in new):
                 raise NumericFailure("non-finite parameter after update; update rejected")
             self._m[...], self._v[...] = m, v

@@ -7,7 +7,7 @@ policy step descends `rl_loss`, minus the batch-mean reward: the reward is a
 differentiable function of the reparameterized sample, so its pathwise
 gradient raises every row's reward and needs no baseline (a constant
 subtracted from each reward has zero gradient). The passes here are plain
-numpy, bit-equal to engine.backward on the same graph (see gan.py).
+numpy, bit-equal to engine.backward on the same graph (tests/test_hand_passes.py).
 """
 
 from __future__ import annotations

@@ -205,8 +205,9 @@ def test_synthesize_unseen_builds_no_tensor(monkeypatch):
 
 
 def _per_step_chain(gen, prototypes, classes, n, sched, rng):
-    """The chain as fresh arrays per step: a `gen.synthesize` call, then a
-    `diffusion.posterior_sample` call, each allocating its results."""
+    """The chain as fresh arrays per step: a `gen.synthesize` call, then,
+    but at t = 0, a `diffusion.posterior_sample` call, each allocating its
+    results."""
     feats = []
     for c in classes:
         z = np.tile(prototypes[c], (n, 1))
@@ -214,9 +215,34 @@ def _per_step_chain(gen, prototypes, classes, n, sched, rng):
         for t in range(sched.timesteps - 1, -1, -1):
             eps = rng.standard_normal((n, gen.feat_dim))
             x0_pred = gen.synthesize(eps, z, x, t + 1)[0]
-            x = diffusion.posterior_sample(x0_pred, x, t, sched, rng)
+            if t > 0:
+                x = diffusion.posterior_sample(x0_pred, x, t, sched, rng)
         feats.append(x0_pred)
     return np.concatenate(feats)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 6])
+def test_each_class_chain_makes_one_posterior_draw_fewer_than_its_steps(steps, monkeypatch):
+    # The last step's prediction is the result: a t = 0 draw would be discarded.
+    config = Config(hidden_mult=1, temb_dim=4, diffusion_steps=steps)
+    gen = Generator(3, 2, config, np.random.default_rng(0))
+    protos, classes, n = np.ones((4, 2)), [1, 3], 5
+    calls = []
+    sample = diffusion.posterior_sample
+
+    def counting(x0_hat, x_next, t, *args, **kwargs):
+        calls.append(t)
+        return sample(x0_hat, x_next, t, *args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "posterior_sample", counting)
+    rng = np.random.default_rng(9)
+    synthesize_unseen(gen, protos, classes, n, config.schedule(), rng)
+    assert calls == list(range(steps - 1, 0, -1)) * len(classes)
+    # per class: x_T, a generator noise block per step, a posterior block per draw
+    blocks = len(classes) * (1 + steps + steps - 1)
+    expected = np.random.default_rng(9)
+    expected.standard_normal((blocks * n, 3))
+    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 @pytest.mark.parametrize("steps", [1, 3, 6])

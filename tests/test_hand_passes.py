@@ -1,12 +1,15 @@
-"""The package's numpy passes against the engine.
+"""The package's numpy passes against the engine and the error-bound oracle.
 
-Each pass must give the same bytes as engine.backward on the engine graph of
-the same loss, built by `oracle` from engine ops: the critic losses, the
-generator's adversarial step with each cue loss, the policy-gradient step,
-and the linear softmax fit that trains the reward model and the evaluation
-heads. A pass's parameter gradient is one vector laid out like
-`DenseNet.flat`; the oracle's per-parameter gradients are concatenated to
-match.
+A pass that sums in the order of the engine graph of its loss, built by
+`oracle` from engine ops, must give the same bytes as engine.backward on it:
+the generator's adversarial step with each cue loss, the policy-gradient
+step, and the linear softmax fit that trains the reward model and the
+evaluation heads. The critic pass stacks its real, fake and interpolated rows
+into one forward and sums each weight gradient over all of them at once, so
+it and the engine graph are each checked against `bounds`: within the
+computed error bound of a reference whose every sum is exact. A pass's
+parameter gradient is one vector laid out like `DenseNet.flat`; the oracle's
+per-parameter gradients are concatenated to match.
 """
 
 from __future__ import annotations
@@ -16,12 +19,15 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from rlvc import cues, diffusion, engine, gan, nets, reward
 from rlvc.config import Config
 from rlvc.engine import Tensor
 from rlvc.nets import DenseNet
 
+import bounds
 import oracle
 from conftest import set_params
 
@@ -99,31 +105,94 @@ def test_dense_pullback_matches_the_engine_at_either_end_of_the_slope_range(rows
     test_dense_pullback_matches_the_engine(0, rows, slope)
 
 
+def _critic_cases(cx0, cxt, b, t, gp=10.0):
+    """Per critic: the loss function's arguments before the rng, the
+    conditioning columns, and the seed of the rng it draws u from."""
+    cond = cxt.condition(b["x_next"], b["z"], t)
+    return [(gan.critic_x0_loss, (cx0, b["real"], b["fake"], b["z"], gp), cx0.net, b["z"], 5),
+            (gan.critic_xt_loss, (cxt, b["real"], b["fake"], b["x_next"], b["z"], t, gp),
+             cxt.net, cond, 6)]
+
+
+def _reference(net, b, cond, seed, gp=10.0):
+    u = np.random.default_rng(seed).uniform(size=(b["real"].shape[0], 1))
+    return bounds.critic_reference(net, b["real"], b["fake"], cond, gp, u)
+
+
 @BATCHES
 @pytest.mark.parametrize("seed", [0, 1])
 def test_critic_losses_match_the_engine(seed, t, slope=SHAPE.leaky_slope):
+    # The stacked pass and the engine graph each lie within the bound of the
+    # exact reference. At batch 1 and 7 the stacked forward changes bits.
     _, cx0, cxt = _nets(seed, slope)
     b = _batch(t, seed + 10)
-    gp = 10.0
-    cond = cxt.condition(b["x_next"], b["z"], t)
-    assert _both_branches(cx0.net, np.concatenate([b["real"], b["z"]], axis=1))
-    assert _both_branches(cxt.net, np.concatenate([b["real"], cond], axis=1))
-
-    loss, grads = gan.critic_x0_loss(cx0, b["real"], b["fake"], b["z"], gp, np.random.default_rng(5))
-    terms = oracle.critic_terms(cx0.net, b["real"], b["fake"], b["z"], gp, np.random.default_rng(5))
-    assert _same(loss, terms.data)
-    assert _same(grads, oracle.flat_grad(terms, cx0.net.params))
-
-    args = (b["real"], b["fake"], b["x_next"], b["z"], t, gp)
-    loss, grads = gan.critic_xt_loss(cxt, *args, np.random.default_rng(6))
-    terms = oracle.critic_terms(cxt.net, b["real"], b["fake"], cond, gp, np.random.default_rng(6))
-    assert _same(loss, terms.data)
-    assert _same(grads, oracle.flat_grad(terms, cxt.net.params))
+    for loss_fn, args, net, cond, rng_seed in _critic_cases(cx0, cxt, b, t):
+        assert _both_branches(net, np.concatenate([b["real"], cond], axis=1))
+        ref_loss, ref_grad = _reference(net, b, cond, rng_seed)
+        loss, grads = loss_fn(*args, np.random.default_rng(rng_seed))
+        terms = oracle.critic_terms(net, b["real"], b["fake"], cond, args[-1],
+                                    np.random.default_rng(rng_seed))
+        assert bounds.within(loss, ref_loss) <= 1.0
+        assert bounds.within(grads, ref_grad) <= 1.0
+        assert bounds.within(terms.data, ref_loss) <= 1.0
+        assert bounds.within(oracle.flat_grad(terms, net.params), ref_grad) <= 1.0
 
 
 @pytest.mark.parametrize("slope", [0.0, 1.0])
 def test_critic_losses_match_the_engine_at_either_end_of_the_slope_range(slope):
     test_critic_losses_match_the_engine(0, np.arange(32) % T, slope)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 64),
+       slope=st.sampled_from([0.0, 0.2, 1.0]))
+def test_stacked_critic_pass_is_within_the_bound(seed, rows, slope):
+    _, cx0, cxt = _nets(seed, slope)
+    t = np.random.default_rng(seed).integers(0, T, size=rows)
+    b = _batch(t, seed + 1)
+    for loss_fn, args, net, cond, rng_seed in _critic_cases(cx0, cxt, b, t):
+        try:  # inputs are drawn with the kink margin: the bound covers no flipped mask
+            ref_loss, ref_grad = _reference(net, b, cond, rng_seed)
+        except bounds.KinkTooClose:
+            reject()
+        loss, grads = loss_fn(*args, np.random.default_rng(rng_seed))
+        assert bounds.within(loss, ref_loss) <= 1.0
+        assert bounds.within(grads, ref_grad) <= 1.0
+
+
+@BATCHES
+def test_critic_bound_fails_a_gradient_entry_scaled_by_1e_9(t):
+    _, cx0, cxt = _nets(0)
+    b = _batch(t, 10)
+    for loss_fn, args, net, cond, rng_seed in _critic_cases(cx0, cxt, b, t):
+        _, ref_grad = _reference(net, b, cond, rng_seed)
+        _, grads = loss_fn(*args, np.random.default_rng(rng_seed))
+        grads[np.argmax(np.abs(ref_grad.v))] *= 1.0 + 1e-9
+        assert bounds.within(grads, ref_grad) > 1.0
+
+
+class _Flipped:
+    """An rng whose uniform draw is 1 - u: with real and fake swapped, the
+    interpolates are those of u, while the Wasserstein terms swap signs."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, size):
+        return 1.0 - self.u
+
+
+@BATCHES
+def test_critic_bound_fails_a_pass_with_real_and_fake_signs_swapped(t):
+    _, cx0, cxt = _nets(0)
+    b = _batch(t, 10)
+    for loss_fn, args, net, cond, rng_seed in _critic_cases(cx0, cxt, b, t):
+        ref_loss, ref_grad = _reference(net, b, cond, rng_seed)
+        u = np.random.default_rng(rng_seed).uniform(size=(t.size, 1))
+        swapped = (args[0], args[2], args[1], *args[3:])
+        loss, grads = loss_fn(*swapped, _Flipped(u))
+        assert bounds.within(loss, ref_loss) > 1.0
+        assert bounds.within(grads, ref_grad) > 1.0
 
 
 @BATCHES

@@ -28,6 +28,7 @@ from rlvc.nets import (
     timestep_table,
 )
 
+import bounds
 import oracle
 from conftest import max_fd_error, set_params
 
@@ -308,40 +309,52 @@ def _critic_pair(rng):
     return pair
 
 
-def _adam_against_a_per_parameter_reference(pair, rng):
-    # Past step 54, 1 - 0.5**t rounds to 1.0: the steps then skip m / c1.
+def _adam_against_a_per_parameter_reference(pair, rng, lr_scale=1.0):
+    """60 steps of one AdamState over the pair's flat vectors against the
+    textbook update of each parameter apart, at lr * lr_scale: m and v must
+    keep their bits, and each parameter must stay within `bounds.adam_drift`
+    of the textbook form's. Returns the largest |p - reference| / bound."""
     lr, b1, b2, eps = 0.01, _BETAS["beta1"], _BETAS["beta2"], 1e-8
-    assert 1.0 - b1**54 == 1.0 and 1.0 - b1**53 < 1.0
     opt = AdamState([net.flat for net in pair], lr=lr, **_BETAS)
     refs = [[a.copy() for a in net.views(net.flat)] for net in pair]
     ref_m = [[np.zeros(a.shape) for a in ref] for ref in refs]
     ref_v = [[np.zeros(a.shape) for a in ref] for ref in refs]
+    drift = [[np.zeros(a.shape) for a in ref] for ref in refs]
     for t in range(1, 61):
         # drawn transposed, as the engine lays out a weight gradient
         grads = [[rng.normal(size=a.shape[::-1]).T for a in ref] for ref in refs]
         assert not grads[0][0].flags.c_contiguous
         opt.step([np.concatenate([g.ravel() for g in gs]) for gs in grads])
         c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-        for ref, rm, rv, gs in zip(refs, ref_m, ref_v, grads):
-            for p, m, v, g in zip(ref, rm, rv, gs):
+        for ref, rm, rv, rd, gs in zip(refs, ref_m, ref_v, drift, grads):
+            for p, m, v, d, g in zip(ref, rm, rv, rd, gs):
                 m *= b1
                 m += (1.0 - b1) * g
                 v *= b2
                 v += (1.0 - b2) * np.square(g)
-                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+                step = (lr * lr_scale) * (m / c1) / (np.sqrt(v / c2) + eps)
+                p -= step
+                d[...] = bounds.adam_drift(d, step, p)
 
     def cat(arrays):
-        return np.concatenate([a.ravel() for a in arrays]).tobytes()
+        return np.concatenate([a.ravel() for a in arrays])
 
-    for net, m, v, ref, rm, rv in zip(pair, opt.m, opt.v, refs, ref_m, ref_v):
-        assert net.flat.tobytes() == cat(ref)
-        assert m.tobytes() == cat(rm) and v.tobytes() == cat(rv)
+    worst = 0.0
+    for net, m, v, ref, rm, rv, rd in zip(pair, opt.m, opt.v, refs, ref_m, ref_v, drift):
+        assert m.tobytes() == cat(rm).tobytes() and v.tobytes() == cat(rv).tobytes()
+        worst = max(worst, float(np.max(np.abs(net.flat - cat(ref)) / cat(rd))))
     assert opt.t == 60
+    return worst
 
 
 def test_flat_adam_matches_a_per_parameter_reference():
     rng = np.random.default_rng(8)
-    _adam_against_a_per_parameter_reference(_critic_pair(rng), rng)
+    assert _adam_against_a_per_parameter_reference(_critic_pair(rng), rng) <= 1.0
+
+
+def test_adam_bound_fails_a_rate_scaled_by_1e_9():
+    rng = np.random.default_rng(8)
+    assert _adam_against_a_per_parameter_reference(_critic_pair(rng), rng, 1.0 + 1e-9) > 1.0
 
 
 def test_flat_adam_on_huge_parameters_matches_the_reference():
@@ -349,7 +362,7 @@ def test_flat_adam_on_huge_parameters_matches_the_reference():
     rng = np.random.default_rng(8)
     pair = _critic_pair(rng)
     pair[1].biases[0].data[3] = 1e308
-    _adam_against_a_per_parameter_reference(pair, rng)
+    assert _adam_against_a_per_parameter_reference(pair, rng) <= 1.0
 
 
 def _past_one_block(rng):
@@ -366,14 +379,14 @@ def _past_one_block(rng):
 
 def test_blocked_adam_matches_the_reference_past_one_block():
     rng = np.random.default_rng(13)
-    _adam_against_a_per_parameter_reference(_past_one_block(rng), rng)
+    assert _adam_against_a_per_parameter_reference(_past_one_block(rng), rng) <= 1.0
 
 
 def test_blocked_adam_on_huge_parameters_matches_the_reference_past_one_block():
     rng = np.random.default_rng(13)
     pair = _past_one_block(rng)
     pair[0].biases[-1].data[0] = 1e308  # in the tail block
-    _adam_against_a_per_parameter_reference(pair, rng)
+    assert _adam_against_a_per_parameter_reference(pair, rng) <= 1.0
 
 
 def test_blocked_adam_matches_the_reference_with_an_unfolded_tail():
@@ -382,7 +395,7 @@ def test_blocked_adam_matches_the_reference_with_an_unfolded_tail():
     assert [b.size for b in nets._blocks([pair[0].flat])] == [nets.ADAM_BLOCK, 4633]
     for net in pair:
         net.flat += 0.1 * rng.normal(size=net.flat.size)
-    _adam_against_a_per_parameter_reference(pair, rng)
+    assert _adam_against_a_per_parameter_reference(pair, rng) <= 1.0
 
 
 _B = nets.ADAM_BLOCK
@@ -471,9 +484,22 @@ def test_linear_softmax_fit_never_copies_its_features():
 
 def test_adam_rejects_betas_outside_the_unit_interval():
     p = np.zeros(2)
-    for beta1, beta2, eps in [(1.0, 0.999, 1e-8), (0.5, -0.1, 1e-8), (0.5, 0.999, 0.0)]:
+    # 5e-324 * sqrt(1 - 0.999) underflows: eps_hat would be 0 at step 1
+    for beta1, beta2, eps in [(1.0, 0.999, 1e-8), (0.5, -0.1, 1e-8), (0.5, 0.999, 0.0),
+                              (0.5, 0.999, 5e-324)]:
         with pytest.raises(ConfigurationError):
             AdamState([p], lr=0.01, beta1=beta1, beta2=beta2, eps=eps)
+    AdamState([p], lr=0.01, beta1=0.5, beta2=0.0, eps=5e-324)  # sqrt(c2) = 1: no underflow
+
+
+def test_adam_refuses_a_step_whose_rate_overflows_and_changes_nothing():
+    # At t = 1, alpha = lr * sqrt(c2) / c1 = 1e308 * 1 / 1e-10 overflows; even
+    # a zero gradient would step by 0 * inf, so the step is refused whole.
+    p = np.array([0.5, -0.25])
+    opt = AdamState([p], lr=1e308, beta1=1.0 - 1e-10, beta2=0.0)
+    with pytest.raises(NumericFailure), np.errstate(invalid="ignore", over="ignore"):
+        opt.step([np.zeros(2)])
+    assert p.tolist() == [0.5, -0.25] and opt.m[0].tolist() == [0.0, 0.0] and opt.t == 0
 
 
 def test_flat_adam_nan_gradient_changes_nothing():

@@ -35,8 +35,11 @@ def _load_probe():
          {"ms": (1, ["synthesis", "czsl head", "gzsl head", "czsl ms per step",
                      "gzsl ms per step"]),
           "us": (3, ["adam 165 entries", "adam 825 entries"])}),
+        (["step", "--hidden-mult", "1", "--batch-size", "3", "--batches", "2"],
+         {"ms": (2, ["critic pair", "generator adversarial step", "policy step", "adam critic pair",
+                     "adam generator", "adam policy", "batch"])}),
     ],
-    ids=["adam", "report"],
+    ids=["adam", "report", "step"],
 )
 def test_probe_worker_reports_every_figure_and_a_sha256(argv, figures, capsys):
     """`figures` maps a unit to (values per figure, each figure's name pattern)."""
@@ -50,7 +53,7 @@ def test_probe_worker_reports_every_figure_and_a_sha256(argv, figures, capsys):
         for pattern, (name, values) in zip(patterns, result[unit].items()):
             assert re.fullmatch(pattern, name)
             assert len(values) == count and all(v > 0 for v in values)
-    hashed = {"adam": "p, m, v", "report": "both heads"}[argv[0]]
+    hashed = {"adam": "p, m, v", "report": "both heads", "step": "the three networks"}[argv[0]]
     best = probe.summarize("tree", [result], hashed)
     printed = capsys.readouterr().out
     assert list(best) == [name for unit in figures for name in result[unit]]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from rlvc.reward import pretrain_reward
 from rlvc.seeding import stream_rng
 from rlvc.trainer import METRICS_COLUMNS, train
 
+import bounds
 import oracle
 
 
@@ -262,12 +265,27 @@ def test_pretraining_training_and_evaluation_build_no_graph(monkeypatch):
     assert len(linked) > 0
 
 
+def _critic_step(loss_fn, args, net, real, fake, cond, lambda_gp, rng):
+    """The critic's gradient for the step: the package's stacked pass, which
+    sums in another order than the engine graph, so it is held here, as is
+    the engine graph of the same loss, within the error bound of the exact
+    reference (`bounds.critic_reference`); both draw u from rng as it is."""
+    twin = copy.deepcopy(rng)
+    grad = loss_fn(*args, lambda_gp, rng)[1]
+    u = copy.deepcopy(twin).uniform(size=(real.shape[0], 1))
+    _, ref_grad = bounds.critic_reference(net, real, fake, cond, lambda_gp, u)
+    terms = oracle.critic_terms(net, real, fake, cond, lambda_gp, twin)
+    assert bounds.within(grad, ref_grad) <= 1.0
+    assert bounds.within(oracle.flat_grad(terms, net.params), ref_grad) <= 1.0
+    return grad
+
+
 def _oracle_minibatch(ds, rm, cfg):
     """One minibatch of the training schedule on engine graphs: the same
     draws in the same order as trainer.train, with the gradients taken by
-    engine.backward and concatenated per network. Each row's visual
-    prototype and reward class come from its class id here, not through the
-    trainer's label-to-row map."""
+    engine.backward and concatenated per network, but for the critics' (see
+    `_critic_step`). Each row's visual prototype and reward class come from
+    its class id here, not through the trainer's label-to-row map."""
     train_x, train_y = ds.train
     seen = sorted(int(c) for c in ds.seen_classes)
     sched = cfg.schedule()
@@ -297,10 +315,12 @@ def _oracle_minibatch(ds, rm, cfg):
     eps_g = train_rng.standard_normal(x0.shape)
     fake_x0 = oracle.synthesize(gen, eps_g, z, x_next, t + 1).data
     fake_xt = diffusion.posterior_sample(fake_x0, x_next, t, sched, train_rng)
-    l0 = oracle.critic_terms(cx0.net, x0, fake_x0, z, cfg.lambda_gp, train_rng)
+    g0 = _critic_step(gan.critic_x0_loss, (cx0, x0, fake_x0, z), cx0.net, x0, fake_x0, z,
+                      cfg.lambda_gp, train_rng)
     cond = cxt.condition(x_next, z, t)
-    lt = oracle.critic_terms(cxt.net, x_t, fake_xt, cond, cfg.lambda_gp, train_rng)
-    opt_critic.step([oracle.flat_grad(l0, cx0.net.params), oracle.flat_grad(lt, cxt.net.params)])
+    gt = _critic_step(gan.critic_xt_loss, (cxt, x_t, fake_xt, x_next, z, t), cxt.net, x_t, fake_xt,
+                      cond, cfg.lambda_gp, train_rng)
+    opt_critic.step([g0, gt])
 
     t, x_t, x_next = draw(train_rng)
     eps_g = train_rng.standard_normal(x0.shape)

@@ -7,6 +7,8 @@ Usage (from the repository root):
                                 [--feat-dim 2048] [--sem-dim 312] [--steps 12]
     python3 tools/probe.py report [--against REV] [--rounds 3] [--seed 0]
                                   [--reports 4] [--adam-steps 2000]
+    python3 tools/probe.py step [--against REV] [--rounds 3] [--seed 0]
+                                [--hidden-mult 4] [--batch-size 32] [--batches 300]
     python3 tools/probe.py drift --against REV [--seeds 0 1 2] [--draws 8]
                                  [--set key=value ...]
 
@@ -36,6 +38,17 @@ steps cost the same at any weights). Then it times --adam-steps Adam steps,
 one at a time in us, at each head's [w | b] size (165 and 825 entries
 here). The sha256 is of both heads over every report. perfbench's traced
 run cannot time calls this short: the tracer's overhead dominates them.
+
+`step` times a training minibatch's parts apart, as `trainer.train` runs
+them, at the synthetic preset's shapes (d=32, d_z=16, 20 seen classes, the
+critics 48 -> 128 -> 128 -> 1 and 96 -> 128 -> 128 -> 1 at the default
+--hidden-mult 4 and --batch-size 32) on random batches: ms per critic pair
+(both critic losses with their penalties), per generator adversarial step
+(with the cue loss and the generator's pullback), per policy step, per Adam
+sweep of the critic pair, of the generator's adversarial optimizer and of
+its policy optimizer, and per minibatch, the sum of its six timed calls.
+The sha256 is of the three networks after the last step. `--hidden-mult 1
+--batch-size 4` reads the per-call floor, where arithmetic is negligible.
 
 `drift` measures what a change does to results, not to time. For each seed
 and each side, in a fresh process, it resolves the synthetic preset with
@@ -145,6 +158,69 @@ def measure_report(args) -> dict:
             times.append(1e6 * (time.perf_counter() - start))
         us[f"adam {size} entries"] = times
     return {"ms": ms, "us": us, "sha256": digest.hexdigest()}
+
+
+def measure_step(args) -> dict:
+    """A minibatch's steps, each timed alone, as `trainer.train` runs them."""
+    import numpy as np
+
+    from rlvc import config, cues, gan, nets, reward
+
+    cfg = config.resolve_config("synthetic", None, {"hidden_mult": args.hidden_mult,
+                                                    "batch_size": args.batch_size})
+    rng = np.random.default_rng(args.seed)
+    d, d_z, b, classes = cfg.feat_dim, cfg.sem_dim, cfg.batch_size, cfg.n_seen
+    gen = gan.Generator(d, d_z, cfg, rng)
+    critic_x0, critic_xt = gan.CriticX0(d, d_z, cfg, rng), gan.CriticXt(d, d_z, cfg, rng)
+    betas = dict(beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
+    opt_critic = nets.AdamState([critic_x0.net.flat, critic_xt.net.flat], lr=cfg.lr_adv, **betas)
+    opt_gen = nets.AdamState([gen.net.flat], lr=cfg.lr_adv, **betas)
+    opt_rl = nets.AdamState([gen.net.flat], lr=cfg.lr_rl, **betas)
+    model = nets.SoftmaxClassifier(rng.normal(size=(classes, d)), np.zeros(classes))
+    visual, sched = rng.normal(size=(classes, d)), cfg.schedule()
+    ms = {name: [] for name in ("critic pair", "generator adversarial step", "policy step",
+                                "adam critic pair", "adam generator", "adam policy", "batch")}
+    spent = [0.0]  # the current minibatch's timed ms
+
+    def timed(name, fn, *call_args):
+        start = time.perf_counter()
+        out = fn(*call_args)
+        took = 1e3 * (time.perf_counter() - start)
+        ms[name].append(took)
+        spent[0] += took
+        return out
+
+    def critic_pair(x0, fake, x_t, x_next, z, t):
+        return [gan.critic_x0_loss(critic_x0, x0, fake, z, cfg.lambda_gp, rng)[1],
+                gan.critic_xt_loss(critic_xt, x_t, fake, x_next, z, t, cfg.lambda_gp, rng)[1]]
+
+    def adversarial(z, x_next, t, eps_g, eps_post, rows):
+        _, x0_tilde, g_x0, cache = gan.generator_adv_terms(
+            gen, critic_x0, critic_xt, z, x_next, t, sched, eps_g, eps_post)
+        for g in cues.cue_loss(x0_tilde, visual[rows], cfg.lambda_pd)[1]:
+            g_x0 = g_x0 + g
+        return [gen.net.pullback(cache, g_x0)]
+
+    def rl(z, x_next, t, eps_g, rows):
+        x0, cache = gen.synthesize(eps_g, z, x_next, t + 1)
+        log_probs, lp_cache = reward.class_log_probs(model, x0, rows)
+        return [gen.net.pullback(cache, reward.rl_loss(log_probs, lp_cache)[1])]
+
+    for _ in range(args.batches):
+        spent[0] = 0.0
+        x0, fake, x_t, x_next, eps_g, eps_post = (rng.normal(size=(b, d)) for _ in range(6))
+        z, rows = rng.normal(size=(b, d_z)), rng.integers(0, classes, size=b)
+        t = rng.integers(0, cfg.diffusion_steps, size=b)
+        timed("adam critic pair", opt_critic.step,
+              timed("critic pair", critic_pair, x0, fake, x_t, x_next, z, t))
+        timed("adam generator", opt_gen.step,
+              timed("generator adversarial step", adversarial, z, x_next, t, eps_g, eps_post, rows))
+        timed("adam policy", opt_rl.step, timed("policy step", rl, z, x_next, t, eps_g, rows))
+        ms["batch"].append(spent[0])
+    digest = hashlib.sha256()
+    for net in (gen.net, critic_x0.net, critic_xt.net):
+        digest.update(net.flat.tobytes())
+    return {"ms": ms, "sha256": digest.hexdigest()}
 
 
 def measure_drift(args) -> dict:
@@ -265,6 +341,11 @@ def main(argv=None) -> int:
     report.add_argument("--reports", type=int, default=4, help="reports per process")
     report.add_argument("--adam-steps", type=int, default=2000)
     report.set_defaults(measure=measure_report, hashed="both heads")
+    step = commands.add_parser("step", help=measure_step.__doc__)
+    step.add_argument("--hidden-mult", type=int, default=4)
+    step.add_argument("--batch-size", type=int, default=32)
+    step.add_argument("--batches", type=int, default=300, help="minibatches per process")
+    step.set_defaults(measure=measure_step, hashed="the three networks")
     drift_cmd = commands.add_parser("drift", help=drift.__doc__)
     drift_cmd.add_argument("--against", help="git revision to compare with (required)")
     drift_cmd.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
@@ -272,7 +353,7 @@ def main(argv=None) -> int:
     drift_cmd.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                            help="a Config override, both sides; repeatable")
     drift_cmd.set_defaults(measure=measure_drift)
-    for command, rounds in ((adam, 2), (report, 3)):
+    for command, rounds in ((adam, 2), (report, 3), (step, 3)):
         command.add_argument("--against", help="git revision to compare with")
         command.add_argument("--rounds", type=int, default=rounds,
                              help="turns per side with --against")
