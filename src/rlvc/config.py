@@ -86,6 +86,11 @@ class Config:
     clf_lr: float = _key(0.001, "evaluation-head Adam rate", _above(0))
     clf_batch: int = _key(128, "evaluation-head minibatch size", _at_least(1))
     standardize: bool = _key(False, "standardize features with train-split statistics")
+    dtype: str = _key(
+        "float64",
+        "precision of training and of the generator's synthesis: float64 or float32",
+        ((lambda v: v in ("float64", "float32")), "float64 or float32"),
+    )
     n_seen: int = _key(20, "synthetic benchmark: seen classes", _at_least(1))
     n_unseen: int = _key(5, "synthetic benchmark: unseen classes", _at_least(1))
     feat_dim: int = _key(32, "synthetic benchmark: visual feature dim", _at_least(1))
@@ -120,7 +125,8 @@ class Config:
         return int(round(self.samples_per_class * self.test_fraction))
 
     def schedule(self) -> diffusion.DiffusionSchedule:
-        return diffusion.build_schedule(self.diffusion_steps, self.beta_min, self.beta_max)
+        return diffusion.build_schedule(self.diffusion_steps, self.beta_min, self.beta_max,
+                                        self.dtype)
 
 
 _FIELDS = {f.name: f for f in fields(Config)}
@@ -149,6 +155,9 @@ PRESETS: dict[str, dict] = {
         "diffusion_steps": 6,
         "beta_max": 0.9,
         "standardize": True,
+        # float32 training: its drift from float64 is inside the noise of
+        # CZSL, H and the late reward (see README, "Precision")
+        "dtype": "float32",
     },
 }
 

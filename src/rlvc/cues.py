@@ -46,9 +46,11 @@ def cue_loss(x: np.ndarray, v: np.ndarray, weight: float):
     and the contributions that engine.backward on `weight * cue_loss` adds
     into x's gradient, in the order it adds them, so summing them onto a
     running gradient in list order is bit-equal to the engine
-    (tests/test_hand_passes.py)."""
-    if v.shape != x.shape:
-        raise UsageError(f"cue loss: batch {x.shape} vs prototypes {v.shape}")
+    (tests/test_hand_passes.py). Everything is of x's dtype, which v must
+    share, the norm's floor too."""
+    if v.shape != x.shape or v.dtype != x.dtype:
+        raise UsageError(f"cue loss: batch {x.dtype} {x.shape} vs prototypes {v.dtype} {v.shape}")
+    floor = NORM_FLOOR[x.dtype]
     x_sq = np.sum(x * x, axis=1)
     nonzero = x_sq > 0.0
     if not np.all(nonzero):
@@ -57,16 +59,16 @@ def cue_loss(x: np.ndarray, v: np.ndarray, weight: float):
         logging.getLogger(__name__).warning(
             "pd_loss: %d synthesized row(s) have zero norm", int((~nonzero).sum())
         )
-    x_norm = np.sqrt(np.maximum(x_sq, NORM_FLOOR))
+    x_norm = np.sqrt(np.maximum(x_sq, floor))
     v_norm = np.linalg.norm(v, axis=1)
     num = nonzero * np.sum(x * v, axis=1)
     den = x_norm * v_norm
     inv_b = 1.0 / x.shape[0]
     value = np.sum(1.0 - num / den) * inv_b
 
-    u_cos = -np.full(x.shape[0], weight * inv_b)
+    u_cos = -np.full(x.shape[0], weight * inv_b, x.dtype)
     u_num = (u_cos / den) * nonzero
     u_den = -((u_cos * num) / (den * den))
-    u_sq = (((u_den * v_norm) * 0.5) / x_norm) * (x_sq >= NORM_FLOOR)
+    u_sq = (((u_den * v_norm) * 0.5) / x_norm) * (x_sq >= floor)
     through_sq = u_sq[:, None] * x
     return value, [u_num[:, None] * v, through_sq, through_sq]

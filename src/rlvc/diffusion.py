@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .nets import as_rows
+from .nets import FLOAT64, as_rows
 
 
 class DiffusionSchedule:
@@ -29,10 +29,14 @@ class DiffusionSchedule:
     - for t = 0..T-1: `c1`, `c2`, `sigma2` and `sigma` = sqrt(sigma2), the
       posterior q(x_t | x_{t+1}, x_0) = N(c1 x_0 + c2 x_{t+1}, sigma2); at
       t = 0, c2 and sigma2 are exactly zero.
+
+    The tables are formed in float64 and narrowed to `dtype`, the dtype the
+    samplers draw and compute in; betas, alphas and alpha_bars stay float64.
     """
 
-    def __init__(self, timesteps: int, betas: np.ndarray):
+    def __init__(self, timesteps: int, betas: np.ndarray, dtype=FLOAT64):
         self.timesteps = int(timesteps)
+        self.dtype = np.dtype(dtype)
         self.betas = betas  # shape (T+1,), betas[0] unused (0.0)
         self.alphas = 1.0 - betas
         self.alphas[0] = 1.0
@@ -47,9 +51,13 @@ class DiffusionSchedule:
         self.c2 = (self.sqrt_alpha_next[:, 0] * (1.0 - abar_t) / denom)[:, None]
         self.sigma2 = (beta_next * (1.0 - abar_t) / denom)[:, None]
         self.sigma = np.sqrt(self.sigma2)
+        for name in ("sqrt_abar", "sqrt_one_minus_abar", "sqrt_alpha_next", "sqrt_beta_next",
+                     "c1", "c2", "sigma2", "sigma"):
+            setattr(self, name, getattr(self, name).astype(self.dtype, copy=False))
 
 
-def build_schedule(timesteps: int, beta_min: float, beta_max: float) -> DiffusionSchedule:
+def build_schedule(timesteps: int, beta_min: float, beta_max: float,
+                   dtype=FLOAT64) -> DiffusionSchedule:
     if timesteps < 1:
         raise ConfigurationError(f"timesteps must be >= 1, got {timesteps}")
     if not (0.0 < beta_min <= beta_max < 1.0):
@@ -58,7 +66,7 @@ def build_schedule(timesteps: int, beta_min: float, beta_max: float) -> Diffusio
         )
     betas = np.zeros(timesteps + 1)
     betas[1:] = np.linspace(beta_min, beta_max, timesteps)
-    return DiffusionSchedule(timesteps, betas)
+    return DiffusionSchedule(timesteps, betas, dtype)
 
 
 def per_row(t, rows: int, hi: int, what: str) -> np.ndarray:
@@ -81,20 +89,22 @@ def per_row(t, rows: int, hi: int, what: str) -> np.ndarray:
 def forward_noise(
     x0: np.ndarray, t, sched: DiffusionSchedule, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw x_t ~ q(x_t | x_0) = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps."""
-    x0 = as_rows(x0)
+    """Draw x_t ~ q(x_t | x_0) = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps, in
+    the schedule's dtype (eps drawn in it)."""
+    x0 = as_rows(x0, sched.dtype)
     t = per_row(t, x0.shape[0], sched.timesteps, "forward_noise")
-    eps = rng.standard_normal(x0.shape)
+    eps = rng.standard_normal(x0.shape, sched.dtype)
     return sched.sqrt_abar[t] * x0 + sched.sqrt_one_minus_abar[t] * eps
 
 
 def forward_transition(
     x_t: np.ndarray, t, sched: DiffusionSchedule, rng: np.random.Generator
 ) -> np.ndarray:
-    """One forward chain step: x_{t+1} ~ q(x_{t+1} | x_t)."""
-    x_t = as_rows(x_t)
+    """One forward chain step: x_{t+1} ~ q(x_{t+1} | x_t), in the
+    schedule's dtype."""
+    x_t = as_rows(x_t, sched.dtype)
     t = per_row(t, x_t.shape[0], sched.timesteps - 1, "forward_transition")
-    eps = rng.standard_normal(x_t.shape)
+    eps = rng.standard_normal(x_t.shape, sched.dtype)
     return sched.sqrt_alpha_next[t] * x_t + sched.sqrt_beta_next[t] * eps
 
 
@@ -109,21 +119,22 @@ def posterior_sample(
 ) -> np.ndarray:
     """Draw x_t ~ q(x_t | x_{t+1}, x0_hat); deterministic where t = 0.
 
-    x_t = (c1 * x0_hat + c2 * x_next) + sigma * eps, with eps drawn in
-    `scratch` and x_t formed in `out`, each a new array unless the caller
-    gives one of the states' shape: `out` may be x_next itself (not x0_hat),
-    and `scratch` must be C-contiguous for the draw. The same draw and the
-    same bits either way."""
-    x0_hat = as_rows(x0_hat)
-    x_next = as_rows(x_next)
+    x_t = (c1 * x0_hat + c2 * x_next) + sigma * eps, in the schedule's
+    dtype, with eps drawn in `scratch` and x_t formed in `out`, each a new
+    array unless the caller gives one of the states' shape and the
+    schedule's dtype: `out` may be x_next itself (not x0_hat), and `scratch`
+    must be C-contiguous for the draw. The same draw and the same bits
+    either way."""
+    x0_hat = as_rows(x0_hat, sched.dtype)
+    x_next = as_rows(x_next, sched.dtype)
     if x0_hat.shape != x_next.shape:
         raise UsageError("posterior_sample: state shapes differ")
     t = per_row(t, x0_hat.shape[0], sched.timesteps - 1, "posterior_sample")
-    out = np.empty(x0_hat.shape) if out is None else out
-    scratch = np.empty(x0_hat.shape) if scratch is None else scratch
+    out = np.empty(x0_hat.shape, sched.dtype) if out is None else out
+    scratch = np.empty(x0_hat.shape, sched.dtype) if scratch is None else scratch
     np.multiply(sched.c2[t], x_next, out)
     np.multiply(sched.c1[t], x0_hat, scratch)
     np.add(scratch, out, out)
-    rng.standard_normal(out=scratch)
+    rng.standard_normal(out=scratch, dtype=sched.dtype)
     np.multiply(sched.sigma[t], scratch, scratch)
     return np.add(out, scratch, out)

@@ -43,6 +43,12 @@ def harmonic_mean(s: float, u: float) -> float:
     return 2.0 * s * u / (s + u)
 
 
+def _one_label_per_row(features: np.ndarray, labels: np.ndarray, what: str) -> None:
+    rows = features.shape[0] if features.ndim == 2 else 1
+    if labels.size != rows:
+        raise UsageError(f"{what}: {labels.size} labels for {rows} feature rows")
+
+
 def train_head(
     features: np.ndarray,
     labels: np.ndarray,
@@ -50,10 +56,13 @@ def train_head(
     config: Config,
     rng: np.random.Generator,
 ) -> SoftmaxClassifier:
-    """Softmax cross-entropy with Adam over shuffled minibatches."""
+    """Softmax cross-entropy with Adam over shuffled minibatches, in
+    float64. One label per feature row; any other count is refused."""
     features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels).reshape(-1)
+    _one_label_per_row(features, labels, "train_head")
     ids = np.asarray(sorted(int(c) for c in class_ids), dtype=np.int64)
-    rows = label_rows(ids, np.asarray(labels).reshape(-1), "training label {} outside head classes")
+    rows = label_rows(ids, labels, "training label {} outside head classes")
     weight, bias = fit_linear_softmax(
         features, rows, len(ids), config.clf_epochs, config.clf_lr,
         config.clf_batch, config.adam_beta1, config.adam_beta2, rng,
@@ -62,10 +71,13 @@ def train_head(
 
 
 def macro_accuracy(head: SoftmaxClassifier, features: np.ndarray, labels: np.ndarray) -> float:
-    """Per-class top-1 accuracy averaged uniformly over the classes present."""
+    """Per-class top-1 accuracy averaged uniformly over the classes present,
+    one label per feature row; any other count is refused."""
     labels = np.asarray(labels).reshape(-1)
     if labels.size == 0:
         raise UsageError("macro_accuracy over an empty set")
+    features = np.asarray(features)
+    _one_label_per_row(features, labels, "macro_accuracy")
     present = distinct(labels)
     label_rows(head.class_ids, present, "test label {} outside head classes")
     preds = head.predict(features)
@@ -85,7 +97,9 @@ def synthesize_unseen(
 
     Starts at x_T ~ N(0, I); for t = T-1 .. 0 predicts the clean features
     from the current state (fresh generator noise each step) and draws the
-    next state from the posterior. Returns the final clean prediction.
+    next state from the posterior. Returns the final clean prediction,
+    widened to float64 for the heads: the chain runs in the generator's
+    dtype, which the schedule must share, and draws its normals in it.
 
     The chain allocates its arrays once per call, not per step: `buffers`,
     the generator's input matrix and each layer's output, for
@@ -106,6 +120,9 @@ def synthesize_unseen(
     """
     if n_per_class < 1:
         raise UsageError("n_per_class must be >= 1")
+    dtype = gen.dtype
+    if sched.dtype != dtype:
+        raise UsageError(f"synthesize_unseen: a {sched.dtype} schedule for a {dtype} generator")
     unseen_classes = [int(c) for c in unseen_classes]
     shape = (len(unseen_classes) * n_per_class, gen.feat_dim)
     if out is None:
@@ -114,14 +131,14 @@ def synthesize_unseen(
         raise UsageError(f"synthesize_unseen: out is {out.dtype} {out.shape}, not float64 {shape}")
     else:
         feats = out
-    buffers = [np.empty((n_per_class, w)) for w in gen.net.layer_dims]
-    noise = np.empty((n_per_class, gen.feat_dim))
+    buffers = [np.empty((n_per_class, w), dtype) for w in gen.net.layer_dims]
+    noise = np.empty((n_per_class, gen.feat_dim), dtype)
     _, z, x, _ = gen.columns(buffers[0])
     for k, c in enumerate(unseen_classes):
         z[...] = prototypes[c]
-        x[...] = rng.standard_normal(out=noise)
+        x[...] = rng.standard_normal(out=noise, dtype=dtype)
         for t in range(sched.timesteps - 1, -1, -1):
-            rng.standard_normal(out=noise)
+            rng.standard_normal(out=noise, dtype=dtype)
             x0_pred = gen.synthesize(noise, z, x, t + 1, buffers)[0]
             if t > 0:
                 diffusion.posterior_sample(x0_pred, x, t, sched, rng, out=x, scratch=noise)

@@ -21,17 +21,20 @@ from .nets import (GENERATOR_TAG, NORM_FLOOR, DenseNet, as_rows, leaky_relu_mask
 # The settings a generator file records: with the dataset's widths they
 # rebuild the network, its diffusion chain and its feature space.
 GENERATOR_KEYS = ("hidden_mult", "temb_dim", "leaky_slope", "diffusion_steps", "beta_min",
-                  "beta_max", "standardize")
+                  "beta_max", "standardize", "dtype")
 
 
 class Generator:
     """Predicts clean features from a noisy state and its timestep in 0..T
-    (callers pass t + 1 for t = 0..T-1), embedded through a table of 0..T."""
+    (callers pass t + 1 for t = 0..T-1), embedded through a table of 0..T.
+    Its network, its table and everything it computes are of config.dtype."""
 
     def __init__(self, feat_dim: int, sem_dim: int, config: Config, rng: np.random.Generator | None):
         self.feat_dim, self.sem_dim = int(feat_dim), int(sem_dim)
-        self.temb = timestep_table(config.diffusion_steps + 1, config.temb_dim)
-        self.net = DenseNet(self.layer_dims(feat_dim, sem_dim, config), rng, config.leaky_slope)
+        self.dtype = np.dtype(config.dtype)
+        self.temb = timestep_table(config.diffusion_steps + 1, config.temb_dim, self.dtype)
+        self.net = DenseNet(self.layer_dims(feat_dim, sem_dim, config), rng, config.leaky_slope,
+                            self.dtype)
 
     @staticmethod
     def layer_dims(feat_dim: int, sem_dim: int, config: Config) -> list[int]:
@@ -39,7 +42,7 @@ class Generator:
         return [feat_dim + sem_dim + feat_dim + config.temb_dim, hidden, hidden, feat_dim]
 
     def _inputs(self, eps, z, x_noisy, t, out: np.ndarray | None = None) -> np.ndarray:
-        eps, z, xn = as_rows(eps), as_rows(z), as_rows(x_noisy)
+        eps, z, xn = (as_rows(a, self.dtype) for a in (eps, z, x_noisy))
         rows = eps.shape[0]
         if not (z.shape[0] == rows and xn.shape[0] == rows):
             raise UsageError("synthesize: batch sizes differ")
@@ -61,9 +64,10 @@ class Generator:
         on batches of the same shape, since a BLAS product's row depends on
         the batch's row count.
 
-        Returns the features and the cache for `self.net.pullback`. Every
-        array is new, or, with `out`, one C-contiguous (rows, w) float64
-        buffer of the caller's per width w of `self.net.layer_dims`: the
+        Returns the features and the cache for `self.net.pullback`, of the
+        network's dtype, to which the inputs are converted. Every array is
+        new, or, with `out`, one C-contiguous (rows, w) buffer of that dtype
+        of the caller's per width w of `self.net.layer_dims`: the
         input matrix, whose `columns` the four blocks are concatenated into,
         then each layer's output (see `DenseNet.forward`). A block passed as
         its own column view of that matrix is not copied (numpy skips a copy
@@ -107,7 +111,8 @@ class CriticX0:
     """Scores (clean feature, prototype) pairs; scalar output per row."""
 
     def __init__(self, feat_dim: int, sem_dim: int, config: Config, rng: np.random.Generator):
-        self.net = DenseNet(self.layer_dims(feat_dim, sem_dim, config), rng, config.leaky_slope)
+        self.net = DenseNet(self.layer_dims(feat_dim, sem_dim, config), rng, config.leaky_slope,
+                            config.dtype)
 
     @staticmethod
     def layer_dims(feat_dim: int, sem_dim: int, config: Config) -> list[int]:
@@ -120,8 +125,9 @@ class CriticXt:
     t = 0..T-1 embedded through a table of those rows."""
 
     def __init__(self, feat_dim: int, sem_dim: int, config: Config, rng: np.random.Generator):
-        self.temb = timestep_table(config.diffusion_steps, config.temb_dim)
-        self.net = DenseNet(self.layer_dims(feat_dim, sem_dim, config), rng, config.leaky_slope)
+        self.temb = timestep_table(config.diffusion_steps, config.temb_dim, config.dtype)
+        self.net = DenseNet(self.layer_dims(feat_dim, sem_dim, config), rng, config.leaky_slope,
+                            config.dtype)
 
     @staticmethod
     def layer_dims(feat_dim: int, sem_dim: int, config: Config) -> list[int]:
@@ -131,13 +137,13 @@ class CriticXt:
     def condition(self, x_next, z, t) -> np.ndarray:
         """The fixed input columns that follow x_t: x_next, z, then the
         timestep embedding."""
-        x_next, z = as_rows(x_next), as_rows(z)
+        x_next, z = as_rows(x_next, self.temb.dtype), as_rows(z, self.temb.dtype)
         t = diffusion.per_row(t, x_next.shape[0], len(self.temb) - 1, "condition")
         return np.concatenate([x_next, z, self.temb[t]], axis=1)
 
 
-def _as_batch(x, what: str) -> np.ndarray:
-    data = as_rows(x)
+def _as_batch(x, what: str, dtype) -> np.ndarray:
+    data = as_rows(x, dtype)
     if data.shape[0] < 1:
         raise UsageError(f"{what}: empty batch")
     return data
@@ -153,7 +159,7 @@ def _as_batch(x, what: str) -> np.ndarray:
 # leaky-relu pre-activation farther from its kink than that bound.
 
 
-def _penalty_pass(net: DenseNet, inputs, start: int, d: int, weight: float, lhs) -> np.float64:
+def _penalty_pass(net: DenseNet, inputs, start: int, d: int, weight: float, lhs) -> np.floating:
     """The gradient penalty mean((|d sum(net) / d x_hat| - 1)^2) at the rows
     `start:` of the forward cache `inputs` (the interpolates x_hat, whose
     first d columns are differentiated and the rest held fixed), set up for
@@ -164,9 +170,10 @@ def _penalty_pass(net: DenseNet, inputs, start: int, d: int, weight: float, lhs)
     of the leaky-relu MLP, with the masks D held constant; each mask is built
     once, from its layer's cached activation, before those rows are
     overwritten. A critic has one output, so ones @ W_L is W_L in every row,
-    and W_L is broadcast instead; its gated rows are ones."""
+    and W_L is broadcast instead; its gated rows are ones. Everything is of
+    the network's dtype, the norm's floor too."""
     masks = [leaky_relu_mask(h[start:], net.slope) for h in inputs[1:]]
-    ws = [w.data for w in net.weights]
+    ws, floor = net.ws, NORM_FLOOR[net.flat.dtype]
     # g = W_L, each row of ones @ W_L, then g = (g * D_l) @ W_l down to the
     # first layer.
     g = ws[-1]
@@ -176,13 +183,13 @@ def _penalty_pass(net: DenseNet, inputs, start: int, d: int, weight: float, lhs)
     gx = g[:, :d]
     rows = gx.shape[0]
     sq = np.sum(gx * gx, axis=1)
-    norms = np.sqrt(np.maximum(sq, NORM_FLOOR))
+    norms = np.sqrt(np.maximum(sq, floor))
     dev = norms - 1.0
     inv_b = 1.0 / rows
     value = (dev @ dev) * inv_b
     # d(weight * value) / d gx = 2 weight / B * dev / norm * gx, and 0 where
     # the norm is floored
-    kappa = (2.0 * weight * inv_b) * dev / norms * (sq >= NORM_FLOOR)
+    kappa = (2.0 * weight * inv_b) * dev / norms * (sq >= floor)
     ug = inputs[0][start:]
     ug[:, d:] = 0.0
     np.multiply(kappa[:, None], gx, out=ug[:, :d])
@@ -202,30 +209,33 @@ def _critic_pass(net: DenseNet, real, fake, cond, lambda_gp: float, rng):
     the real and fake rows (-1/B, +1/B at the output, pulled back through
     the masks) over the penalty's gated rows, and rhs_l holds those rows'
     layer inputs over the penalty's ug rows, written over the x_hat rows of
-    the forward cache. The biases get the real and fake rows' sums alone."""
+    the forward cache. The biases get the real and fake rows' sums alone.
+    Everything is of the network's dtype; u is drawn in float64 and
+    narrowed to it."""
     rows, d = real.shape
     two = 2 * rows
-    u = rng.uniform(size=(rows, 1))
-    x = np.empty((3 * rows, net.layer_dims[0]))
+    dtype = net.flat.dtype
+    u = rng.uniform(size=(rows, 1)).astype(dtype, copy=False)
+    x = np.empty((3 * rows, net.layer_dims[0]), dtype)
     x3 = x.reshape(3, rows, -1)
     x3[0, :, :d], x3[1, :, :d] = real, fake
     x3[2, :, :d] = u * real + (1.0 - u) * fake
     x3[:, :, d:] = cond
     scores, inputs = net.forward(x)
-    lhs = [np.empty((3 * rows, width)) for width in net.layer_dims[1:]]
+    lhs = [np.empty((3 * rows, width), dtype) for width in net.layer_dims[1:]]
     gp = _penalty_pass(net, inputs, two, d, lambda_gp, lhs)
     inv_b = 1.0 / rows
     loss = (-(np.sum(scores[:rows]) * inv_b) + np.sum(scores[rows:two]) * inv_b) + gp * lambda_gp
 
-    grad = np.empty(net.flat.size)
+    grad = np.empty(net.flat.size, dtype)
     views = net.views(grad)
     u_out = lhs[-1][:two]
     u_out[:rows], u_out[rows:] = -inv_b, inv_b
-    for i in range(len(net.weights) - 1, -1, -1):
+    for i in range(len(net.ws) - 1, -1, -1):
         np.matmul(lhs[i].T, inputs[i], out=views[2 * i])
         np.sum(u_out, axis=0, out=views[2 * i + 1])
         if i > 0:
-            w, below = net.weights[i].data, lhs[i - 1][:two]
+            w, below = net.ws[i], lhs[i - 1][:two]
             if u_out.shape[1] == 1:  # one term per entry: the broadcast product
                 np.multiply(u_out, w, out=below)
             else:
@@ -237,12 +247,14 @@ def _critic_pass(net: DenseNet, real, fake, cond, lambda_gp: float, rng):
 def critic_x0_loss(critic, real_x0, fake_x0, z, lambda_gp: float, rng):
     """Clean-feature critic loss; fakes are constants (no generator grad).
 
-    Returns the loss as an np.float64 and its gradient w.r.t. the critic's
-    parameters, laid out like `critic.net.flat`.
+    Returns the loss as a numpy scalar and its gradient w.r.t. the critic's
+    parameters, laid out like `critic.net.flat`, both of the network's
+    dtype, to which the batches are converted.
     """
-    real = _as_batch(real_x0, "critic_x0_loss real")
-    fake = _as_batch(fake_x0, "critic_x0_loss fake")
-    z = _as_batch(z, "critic_x0_loss z")
+    dtype = critic.net.flat.dtype
+    real = _as_batch(real_x0, "critic_x0_loss real", dtype)
+    fake = _as_batch(fake_x0, "critic_x0_loss fake", dtype)
+    z = _as_batch(z, "critic_x0_loss z", dtype)
     if not (real.shape == fake.shape and real.shape[0] == z.shape[0]):
         raise UsageError("critic_x0_loss: batch shapes disagree")
     return _critic_pass(critic.net, real, fake, z, lambda_gp, rng)
@@ -251,10 +263,11 @@ def critic_x0_loss(critic, real_x0, fake_x0, z, lambda_gp: float, rng):
 def critic_xt_loss(critic, real_xt, fake_xt, x_next, z, t, lambda_gp: float, rng):
     """Transition critic loss on (x_t, x_next, z, t); same contract as
     critic_x0_loss."""
-    real = _as_batch(real_xt, "critic_xt_loss real")
-    fake = _as_batch(fake_xt, "critic_xt_loss fake")
-    x_next = _as_batch(x_next, "critic_xt_loss x_next")
-    z = _as_batch(z, "critic_xt_loss z")
+    dtype = critic.net.flat.dtype
+    real = _as_batch(real_xt, "critic_xt_loss real", dtype)
+    fake = _as_batch(fake_xt, "critic_xt_loss fake", dtype)
+    x_next = _as_batch(x_next, "critic_xt_loss x_next", dtype)
+    z = _as_batch(z, "critic_xt_loss z", dtype)
     if not (real.shape == fake.shape == x_next.shape and real.shape[0] == z.shape[0]):
         raise UsageError("critic_xt_loss: batch shapes disagree")
     cond = critic.condition(x_next, z, t)
@@ -271,7 +284,7 @@ def generator_adv_terms(
     sched: diffusion.DiffusionSchedule,
     eps_gen: np.ndarray,
     eps_post: np.ndarray,
-) -> tuple[np.float64, np.ndarray, np.ndarray, list]:
+) -> tuple[np.floating, np.ndarray, np.ndarray, list]:
     """Adversarial generator objective -mean(critic_x0) - mean(critic_xt).
 
     The transition sample is reparameterized (posterior mean + sigma * eps
@@ -280,13 +293,17 @@ def generator_adv_terms(
     distillation terms on the same batch), the loss's gradient w.r.t. them
     (critic_x0's term, then c1 times critic_xt's) and the generator's cache,
     so that `gen.net.pullback(cache, gradient)` gives the generator's
-    gradients. `sched` must be the critic's schedule; its posterior tables
-    are read at t once `critic_xt.condition` has checked it."""
+    gradients. `sched` must be the critic's schedule, of the networks'
+    dtype, in which everything is computed; its posterior tables are read
+    at t once `critic_xt.condition` has checked it."""
     if sched.timesteps != len(critic_xt.temb):
         raise UsageError(f"generator_adv_terms: a schedule of {sched.timesteps} steps for a "
                          f"transition critic of {len(critic_xt.temb)}")
-    z = _as_batch(z, "generator_adv_terms z")
-    x_next = _as_batch(x_next, "generator_adv_terms x_next")
+    if sched.dtype != gen.dtype:
+        raise UsageError(f"generator_adv_terms: a {sched.dtype} schedule for a {gen.dtype} "
+                         "generator")
+    z = _as_batch(z, "generator_adv_terms z", gen.dtype)
+    x_next = _as_batch(x_next, "generator_adv_terms x_next", gen.dtype)
     t = np.asarray(t).reshape(-1)
     x0_tilde, cache = gen.synthesize(eps_gen, z, x_next, t + 1)
     cond = critic_xt.condition(x_next, z, t)
@@ -297,6 +314,6 @@ def generator_adv_terms(
     inv_b = 1.0 / x0_tilde.shape[0]
     loss = -(np.sum(s0) * inv_b) - np.sum(st) * inv_b
     d = x0_tilde.shape[1]
-    g0 = critic_x0.net.pullback(cache0, np.full(s0.shape, -inv_b), wrt_input=True)
-    gt = critic_xt.net.pullback(cachet, np.full(st.shape, -inv_b), wrt_input=True)
+    g0 = critic_x0.net.pullback(cache0, np.full(s0.shape, -inv_b, s0.dtype), wrt_input=True)
+    gt = critic_xt.net.pullback(cachet, np.full(st.shape, -inv_b, st.dtype), wrt_input=True)
     return loss, x0_tilde, g0[:, :d] + gt[:, :d] * c1, cache

@@ -4,18 +4,21 @@ the sinusoidal timestep table, and binary checkpoints.
 A network that takes a timestep builds its own `timestep_table` once, for
 the timesteps it can see, and indexes it after `diffusion.per_row` checks.
 
-A network's parameters are one flat float64 vector, and a checkpoint is a
-network's layer dims, the settings it was made with and that vector:
-`save_checkpoint` writes a header, the settings' `key = value` lines and the
-vector's bytes, `load_checkpoint` gives all three back. Adam steps each vector
-in place, block by block through a scratch pair shared by every optimizer;
-its update is elementwise, so a block's entries get the bits a whole-vector
-update would give them. It takes the efficient form of the step (see
-`AdamState`), which rounds unlike the textbook form, so the tests hold it to
-the textbook form within a computed error bound, not bit for bit. At the
-evaluation heads' sizes (hundreds of entries) a step costs about as much in
-numpy calls as in arithmetic, so it passes its fixed scalars as 0-d float64
-arrays, which numpy need not convert on each call, and `out` positionally,
+A network's parameters are one flat vector of its dtype (float64, or float32
+where a run's `dtype` says so; see `DenseNet`), and a checkpoint is a
+network's layer dims, the settings it was made with and that vector, always
+written as float64: `save_checkpoint` writes a header, the settings' `key =
+value` lines and the vector's bytes, `load_checkpoint` gives all three back.
+A float32 vector widens to float64 exactly and narrows back exactly. Adam
+steps each vector in place, block by block through a scratch pair per dtype
+shared by every optimizer; its update is elementwise, so a block's entries
+get the bits a whole-vector update would give them. It takes the efficient
+form of the step (see `AdamState`), which rounds unlike the textbook form,
+so the tests hold it to the textbook form within a computed error bound, not
+bit for bit. At the evaluation heads' sizes (hundreds of entries) a step
+costs about as much in numpy calls as in arithmetic, so it passes its fixed
+scalars as 0-d arrays of the parameters' dtype, which numpy need not convert
+on each call, and `out` positionally,
 and it checks each block's range with one dot product b . b: a finite
 squared 2-norm bounds every entry, and only a block whose square is not
 finite is scanned for its max and min (see `AdamState`). `fit_linear_softmax` likewise works in
@@ -26,8 +29,9 @@ gradient of `fit_linear_softmax`) are written by hand in plain numpy and
 return gradients laid out like that vector. Each sums its products and
 reductions as the reverse pass of the same expression in `engine` does, so
 it is bit-equal to engine.backward on that graph (the critics' pass, which
-stacks its rows, is held to a bound instead: see gan.py). A network's engine
-`Tensor`s are views into its vector, kept for the tests' engine oracle.
+stacks its rows, is held to a bound instead: see gan.py). A float64
+network's engine `Tensor`s are views into its vector, kept for the tests'
+engine oracle; a float32 network has none.
 
 A hidden layer's leaky relu is `leaky_relu`, max(pre, slope * pre): no
 data-dependent branch, where the mask form where(pre > 0, 1, slope) that
@@ -60,33 +64,40 @@ REWARD_TAG = b"RWDM"
 
 # The ufunc reductions that np.sum, ndarray.max and ndarray.min call, without
 # those wrappers' per-call cost: the same results. np.vdot gives np.dot's bits
-# on a flat float64 block but does not raise numpy's overflow warning.
+# on a flat block of either dtype but does not raise numpy's overflow warning.
 _sum, _max, _min, _vdot = np.add.reduce, np.maximum.reduce, np.minimum.reduce, np.vdot
 
 
-NORM_FLOOR = 1e-200  # under a norm's square root: keeps its subgradient finite at zero
+# The dtypes a network computes in; a run's Config `dtype` names one.
+FLOAT64, FLOAT32 = np.dtype(np.float64), np.dtype(np.float32)
+
+# Under a norm's square root, per dtype: keeps its subgradient finite at zero.
+# Each is a normal number of its dtype whose root's reciprocal is finite.
+NORM_FLOOR = {FLOAT64: 1e-200, FLOAT32: 1e-30}
 
 
-def as_rows(x) -> np.ndarray:
-    """x as a float64 matrix of rows, x itself if it is one already: a
+def as_rows(x, dtype=FLOAT64) -> np.ndarray:
+    """x as a matrix of rows of `dtype`, x itself if it is one already: a
     vector is one row, and more than two dimensions are refused."""
-    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64:
+    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == dtype:
         return x
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(x, dtype=dtype))
     if x.ndim > 2:
         raise UsageError(f"a batch is a vector or a matrix of rows, got shape {x.shape}")
     return x
 
 
-def timestep_table(steps: int, dim: int) -> np.ndarray:
+def timestep_table(steps: int, dim: int, dtype=FLOAT64) -> np.ndarray:
     """Sinusoidal embeddings of the timesteps 0..steps-1, shape (steps, dim):
     row t is sin(t f_i), cos(t f_i) at f_i = 10000^(-i / (dim // 2)) for
-    i < dim // 2, zero-padded to dim columns; it depends only on t and dim."""
+    i < dim // 2, zero-padded to dim columns; it depends only on t and dim.
+    Formed in float64, then narrowed to `dtype`."""
     t = np.arange(steps, dtype=np.float64)
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half, 1))
     args = t[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(args), np.cos(args), np.zeros((steps, dim - 2 * half))], axis=1)
+    table = np.concatenate([np.sin(args), np.cos(args), np.zeros((steps, dim - 2 * half))], axis=1)
+    return table.astype(dtype, copy=False)
 
 
 def exact_slope(slope: float) -> bool:
@@ -117,7 +128,7 @@ def leaky_relu_mask(h: np.ndarray, slope: float) -> np.ndarray:
     data-dependent branch. With an `exact_slope`, h > 0 exactly where
     pre > 0 (but for +inf at slope 0), and max(1, slope) = 1,
     max(0, slope) = slope, so this is where(pre > 0, 1, slope) bit for bit."""
-    m = (h > 0.0).astype(np.float64)
+    m = (h > 0.0).astype(h.dtype)
     return np.maximum(m, slope, out=m)
 
 
@@ -130,18 +141,24 @@ class DenseNet:
     """Multilayer affine network with leaky-relu hidden units, linear output.
 
     Weight of layer l has shape (layer_dims[l+1], layer_dims[l]); He init
-    std sqrt(2/fan_in), zero biases. With rng None every parameter starts at
-    zero and nothing is drawn, for a network whose vector is loaded next.
+    std sqrt(2/fan_in), drawn in float64 and narrowed to the network's
+    dtype, zero biases. With rng None every parameter starts at zero and
+    nothing is drawn, for a network whose vector is loaded next.
 
-    The parameters live in one float64 vector, `flat`: per layer the weight
-    row-major, then the bias, in `params` order, which is a checkpoint's
-    payload.
+    The parameters live in one vector of `dtype` (float64 or float32),
+    `flat`: per layer the weight row-major, then the bias, in `params`
+    order, which is a checkpoint's payload. `ws` and `bs` are the per-layer
+    weight and bias views into `flat` that every pass reads.
     `weights` and `biases` are Tensors whose data are views into `flat`, for
     the engine graphs of the tests; nothing rebinds their data, so a write to
-    `flat` and a write to a view are one.
+    `flat` and a write to a view are one. The engine computes in float64, so
+    only a float64 network has them: a float32 network's would be float64
+    copies that no write to `flat` reaches, and its `weights` and `biases`
+    are None.
     """
 
-    def __init__(self, layer_dims: Sequence[int], rng: np.random.Generator | None, slope: float):
+    def __init__(self, layer_dims: Sequence[int], rng: np.random.Generator | None, slope: float,
+                 dtype=FLOAT64):
         if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
             raise ConfigurationError(f"bad layer dims {layer_dims}")
         if not exact_slope(slope):
@@ -152,13 +169,15 @@ class DenseNet:
         self._shapes = [s for fan_in, fan_out in pairs for s in ((fan_out, fan_in), (fan_out,))]
         ends = np.cumsum([int(np.prod(s)) for s in self._shapes])
         self._spans = list(zip([0, *ends[:-1]], ends))
-        self.flat = np.zeros(ends[-1])
+        self.flat = np.zeros(ends[-1], dtype)
         views = self.views(self.flat)
+        self.ws, self.bs = views[0::2], views[1::2]
         if rng is not None:
-            for (fan_in, _), w in zip(pairs, views[0::2]):
+            for (fan_in, _), w in zip(pairs, self.ws):
                 w[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=w.shape)
-        self.weights = [Tensor(w, requires_grad=True) for w in views[0::2]]
-        self.biases = [Tensor(b, requires_grad=True) for b in views[1::2]]
+        wide = self.flat.dtype == FLOAT64
+        self.weights = [Tensor(w, requires_grad=True) for w in self.ws] if wide else None
+        self.biases = [Tensor(b, requires_grad=True) for b in self.bs] if wide else None
 
     @property
     def params(self) -> list[Tensor]:
@@ -179,11 +198,12 @@ class DenseNet:
         activation. Each hidden layer is h @ W.T + b through `leaky_relu`;
         no mask is built here, only by the reverse passes that read one.
 
-        Each layer writes its result into a new array, or, with `out`, into
-        the caller's buffer for it: one C-contiguous (batch, layer_dims[l])
-        float64 array per layer l >= 1, which the output and the cache then
-        are (and the next call with them overwrites). A product written into
-        a buffer is the same BLAS call, so the same bits."""
+        x and every layer's result are of the network's dtype. Each layer
+        writes its result into a new array, or, with `out`, into the
+        caller's buffer for it: one C-contiguous (batch, layer_dims[l])
+        array per layer l >= 1, which the output and the cache then are (and
+        the next call with them overwrites). A product written into a buffer
+        is the same BLAS call, so the same bits."""
         if x.ndim != 2:
             raise UsageError("forward expects a (batch, features) matrix")
         if x.shape[1] != self.layer_dims[0]:
@@ -191,10 +211,10 @@ class DenseNet:
                 f"input width {x.shape[1]} != expected {self.layer_dims[0]}"
             )
         inputs = [x]
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = np.matmul(inputs[-1], w.data.T, None if out is None else out[i])
-            h += b.data
+        last = len(self.ws) - 1
+        for i, (w, b) in enumerate(zip(self.ws, self.bs)):
+            h = np.matmul(inputs[-1], w.T, None if out is None else out[i])
+            h += b
             if i == last:
                 return h, inputs
             inputs.append(leaky_relu(h, self.slope))
@@ -210,12 +230,13 @@ class DenseNet:
         through the same layers; each hidden layer's mask comes from its
         cached activation by `leaky_relu_mask`. Where u has one column (a
         critic's output), u @ w has one term per entry and is formed as the
-        broadcast u * w, the same single rounding."""
+        broadcast u * w, the same single rounding. u is of the network's
+        dtype, and so is the result."""
         inputs = cache
-        grad = None if wrt_input else np.empty(self.flat.size)
+        grad = None if wrt_input else np.empty(self.flat.size, self.flat.dtype)
         views = None if wrt_input else self.views(grad)
-        for i in range(len(self.weights) - 1, -1, -1):
-            w = self.weights[i].data
+        for i in range(len(self.ws) - 1, -1, -1):
+            w = self.ws[i]
             if views is not None:
                 np.matmul(u.T, inputs[i], out=views[2 * i])
                 _sum(u, axis=0, out=views[2 * i + 1])
@@ -227,8 +248,9 @@ class DenseNet:
         return grad
 
 
-# Parameters and steps under this size cannot sum to a non-finite value.
-_SAFE = 2.0**1022
+# Per dtype: parameters and steps under this size cannot sum to a
+# non-finite value.
+_SAFE = {FLOAT64: 2.0**1022, FLOAT32: 2.0**126}
 
 # Adam sweeps each vector this many entries at a time, so that a block's
 # operands stay in cache across the dozen ufunc calls of its update. A tail
@@ -236,29 +258,34 @@ _SAFE = 2.0**1022
 # those calls for a few entries.
 ADAM_BLOCK = 2**15
 
-# The step and denominator of one block, shared by every AdamState and grown
-# in place to the largest block stepped so far on first need.
-_SCRATCH = [np.empty(0), np.empty(0)]
+# The step and denominator of one block, per dtype, shared by every AdamState
+# of that dtype. Each pair is grown in place to the largest block stepped so
+# far on first need; neither the dict nor a pair is ever rebound.
+_SCRATCH = {FLOAT64: [np.empty(0), np.empty(0)],
+            FLOAT32: [np.empty(0, FLOAT32), np.empty(0, FLOAT32)]}
 
 
 # A finite square norm b . b bounds every entry of a block: |b_i| <= ||b||_2,
-# so each |b_i| is under 2**512. The computed b . b is at least the largest
-# rounded square (a sum of nonnegative terms, however it is ordered or fused,
-# never rounds under one of them), so its rounded root is at least
-# max|b| * (1 - 2**-52) where that square is normal, and may be 0 where
-# every square underflows (each |b_i| under 2**-511). _ROOT_SLACK and
-# _ROOT_FLOOR cover the two.
-_ROOT_SLACK, _ROOT_FLOOR = 1.0 + 2.0**-50, 2.0**-511
+# so each |b_i| is under 2**512 in float64 (2**64 in float32). The computed
+# b . b is at least the largest rounded square (a sum of nonnegative terms,
+# however it is ordered or fused, never rounds under one of them), so its
+# root, taken in float64, is at least max|b| * (1 - 2**-52) in float64 and
+# max|b| * (1 - 2**-23) in float32 where that square is normal, and may be 0
+# where every square underflows (each |b_i| under 2**-511 in float64, the
+# root of its smallest normal; 2**-63 in float32). Per dtype, the slack and
+# the floor of _ROOT cover the two.
+_ROOT = {FLOAT64: (1.0 + 2.0**-50, 2.0**-511), FLOAT32: (1.0 + 2.0**-21, 2.0**-63)}
 
 
 def _abs_bound(b: np.ndarray) -> float:
     """At least max|b| over the gradient block b, from its 2-norm: one dot
-    product. Only a block whose square norm is not finite (an entry of about
-    2**512 or more, an inf or a NaN) is scanned for its max and min, which
-    raises NumericFailure if the block is not finite."""
+    product. Only a block whose square norm is not finite (in float64, an
+    entry of about 2**512 or more, an inf or a NaN) is scanned for its max
+    and min, which raises NumericFailure if the block is not finite."""
     sq = float(_vdot(b, b))
     if sq < math.inf:
-        return math.sqrt(sq) * _ROOT_SLACK + _ROOT_FLOOR
+        slack, floor = _ROOT[b.dtype]
+        return math.sqrt(sq) * slack + floor
     hi, lo = float(_max(b, initial=0.0)), float(_min(b, initial=0.0))
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise NumericFailure("non-finite gradient; update rejected")
@@ -266,19 +293,20 @@ def _abs_bound(b: np.ndarray) -> float:
 
 
 def _in_range(b: np.ndarray) -> bool:
-    """Whether every entry of the parameter block b is under _SAFE in size:
-    a finite square norm says so at once, and only a block without one is
-    scanned for its max and min (a NaN fails both)."""
+    """Whether every entry of the parameter block b is under its dtype's
+    _SAFE in size: a finite square norm says so at once, and only a block
+    without one is scanned for its max and min (a NaN fails both)."""
+    safe = _SAFE[b.dtype]
     return float(_vdot(b, b)) < math.inf or (
-        -_SAFE < _min(b, initial=0.0) and _max(b, initial=0.0) < _SAFE)
+        -safe < _min(b, initial=0.0) and _max(b, initial=0.0) < safe)
 
 
 def _as_gradient(g, p: np.ndarray) -> np.ndarray:
-    """g as a float64 array of p's shape, by np.asarray; UsageError if its
-    shape is not p's."""
+    """g as an array of p's shape and dtype, by np.asarray; UsageError if
+    its shape is not p's."""
     if np.shape(g) != p.shape:
         raise UsageError("gradients do not match the parameter vectors")
-    return np.asarray(g, dtype=np.float64)
+    return np.asarray(g, dtype=p.dtype)
 
 
 def _cuts(n: int) -> list[int]:
@@ -308,13 +336,14 @@ def _blocks(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
 class AdamState:
     """Adam with bias correction over a fixed list of parameter vectors.
 
-    Each parameter is a 1-D float64 vector, such as `DenseNet.flat`, that a
-    step updates in place, and a step takes one gradient vector per
-    parameter. The moments live in one flat vector each, and `m` and `v` are
-    lists of per-parameter views of them. A step reads each gradient where
-    it lies (a float64 ndarray as it is, anything else through
-    np.asarray(g, float64)) and runs the update block by block through a
-    shared scratch pair: for each block of a parameter (about ADAM_BLOCK entries; see
+    Each parameter is a 1-D vector, such as `DenseNet.flat`, that a step
+    updates in place, all of one `dtype`, float64 or float32, and a step
+    takes one gradient vector per parameter. The moments live in one flat
+    vector each, of that dtype, and `m` and `v` are lists of per-parameter
+    views of them. A step reads each gradient where it lies (an ndarray of
+    the dtype as it is, anything else through np.asarray(g, dtype)) and
+    runs the update block by block through the dtype's shared scratch
+    pair: for each block of a parameter (about ADAM_BLOCK entries; see
     `_cuts`), in-place ufuncs advance that block of m and v, form the step
     in one scratch buffer and its denominator in the other, and subtract the
     step from the parameter. The step is Kingma and Ba's (2015, section 2)
@@ -323,16 +352,17 @@ class AdamState:
         p -= alpha * m / (sqrt(v) + eps_hat),
         alpha = lr * sqrt(c2) / c1,  eps_hat = eps * sqrt(c2),
 
-    with alpha and eps_hat formed once per step: the same step in exact
-    arithmetic, two ufunc passes fewer per block, and other roundings. The
-    tests check it against the textbook form within a computed error bound
-    (tests/bounds.py): each step entry within gamma_16 of its size, each
+    with alpha and eps_hat formed once per step in float64 and narrowed to
+    the dtype: the same step in exact arithmetic, two ufunc passes fewer
+    per block, and other roundings. The tests check it against the textbook
+    form within a computed error bound (tests/bounds.py), at the dtype's
+    unit roundoff: each step entry within gamma_16 of its size, each
     subtraction within one rounding of its result; m and v keep their bits.
     Every operation is elementwise, so the bits do not depend on the block
-    size. The scratch pair is one per process, not per optimizer: a step
-    leaves nothing in it between calls and the package runs on one thread,
-    so every AdamState can share it, and Adam holds two parameter-sized
-    vectors (m and v), not four.
+    size. The scratch pair is one per dtype and process, not per optimizer:
+    a step leaves nothing in it between calls and the package runs on one
+    thread, so every AdamState of a dtype can share it, and Adam holds two
+    parameter-sized vectors (m and v), not four.
 
     A step is all or nothing: if it would leave a parameter non-finite, it
     raises NumericFailure and no parameter, moment or `t` moves. The step
@@ -341,48 +371,54 @@ class AdamState:
     alpha * M / eps_hat = lr * M / (c1 * eps): sqrt(c2) cancels, and the
     bound is the textbook form's. The computed entry exceeds it by a few
     roundings at most, so no entry exceeds 4 * lr * M / (c1 * eps). While
-    that, alpha and every parameter stay under 2**1022, the step runs in
-    place. The parameters and M are checked block by block before any
-    write, each block by one dot product b . b, its squared 2-norm: where
-    that is finite it bounds every entry (max|b| <= ||b||_2, so every entry
-    is under 2**512), which clears a parameter block and gives a gradient
-    block's bound (see `_abs_bound`). Only a block whose square is not
-    finite is scanned for its max and min: the scan raises NumericFailure on
-    a non-finite gradient and sends a parameter near 2**1022 through the
-    copies. Otherwise the same sweep runs on copies of the moments and the
-    parameters, and only a finite result is committed. The bound decays
-    with m, so the copies last only while m is near overflow. eps_hat must
-    not underflow to zero, where an entry with m = v = 0 would step by
-    0 / 0, so the constructor refuses an eps * sqrt(1 - beta2) of zero
-    (sqrt(c2) is never below sqrt(1 - beta2)).
+    that, alpha and every parameter stay under the dtype's `_SAFE` (2**1022
+    in float64, 2**126 in float32), the step runs in place. The parameters
+    and M are checked block by block before any write, each block by one
+    dot product b . b, its squared 2-norm: where that is finite it bounds
+    every entry (max|b| <= ||b||_2), which clears a parameter block and
+    gives a gradient block's bound (see `_abs_bound`). Only a block whose
+    square is not finite is scanned for its max and min: the scan raises
+    NumericFailure on a non-finite gradient and sends a parameter near
+    `_SAFE` through the copies. Otherwise the same sweep runs on copies of
+    the moments and the parameters, and only a finite result is committed.
+    The bound decays with m, so the copies last only while m is near
+    overflow. eps_hat must not underflow to zero, where an entry with
+    m = v = 0 would step by 0 / 0, so the constructor refuses an
+    eps * sqrt(1 - beta2) that is zero in the dtype (sqrt(c2) is never
+    below sqrt(1 - beta2)).
     """
 
     def __init__(
         self, params: Sequence[np.ndarray], lr: float, beta1: float, beta2: float, eps: float = 1e-8
     ):
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0 and eps * math.sqrt(1.0 - beta2) > 0.0):
-            raise ConfigurationError("Adam needs 0 <= beta < 1 and eps * sqrt(1 - beta2) > 0, "
-                                     f"got {beta1}, {beta2}, {eps}")
         self.params = list(params)
-        if not all(isinstance(p, np.ndarray) and p.ndim == 1 and p.dtype == np.float64
-                   for p in self.params):
-            raise UsageError("Adam steps 1-D float64 parameter vectors")
+        dtypes = {p.dtype for p in self.params if isinstance(p, np.ndarray) and p.ndim == 1}
+        if len(dtypes) > 1 or not dtypes <= _SAFE.keys() or not all(
+                isinstance(p, np.ndarray) and p.ndim == 1 for p in self.params):
+            raise UsageError("Adam steps 1-D float64 or float32 parameter vectors of one dtype")
+        self.dtype = dtypes.pop() if dtypes else FLOAT64
+        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0
+                and self.dtype.type(eps * math.sqrt(1.0 - beta2)) > 0.0):
+            raise ConfigurationError(f"Adam needs 0 <= beta < 1 and eps * sqrt(1 - beta2) > 0 "
+                                     f"in {self.dtype}, got {beta1}, {beta2}, {eps}")
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        # The update's fixed operands as 0-d float64 arrays: numpy converts a
-        # Python float operand anew on every ufunc call, and these are the
-        # same values, so the same bits.
+        self._safe = _SAFE[self.dtype]
+        # The update's fixed operands as 0-d arrays of the dtype: numpy
+        # converts a Python float operand anew on every ufunc call, and these
+        # are the same values, so the same bits.
         self._b1, self._b2, self._a1, self._a2 = (
-            np.array(c) for c in (self.beta1, self.beta2, 1.0 - self.beta1, 1.0 - self.beta2)
+            np.array(c, self.dtype)
+            for c in (self.beta1, self.beta2, 1.0 - self.beta1, 1.0 - self.beta2)
         )
         self.t = 0
         self._m_bound = 0.0  # at least max|m|
         ends = np.cumsum([p.size for p in self.params], dtype=np.int64)
         self._spans = list(zip([0, *ends[:-1]], ends))
         size = sum(p.size for p in self.params)
-        self._m, self._v = np.zeros(size), np.zeros(size)
+        self._m, self._v = np.zeros(size, self.dtype), np.zeros(size, self.dtype)
         self._block = max((largest_block(p.size) for p in self.params), default=0)
         self.m, self.v = self._views(self._m), self._views(self._v)
         self._in_place = _blocks(self.m), _blocks(self.v), _blocks(self.params)
@@ -395,13 +431,14 @@ class AdamState:
     def _advance(self, alpha, eps_hat, g_blocks, m_blocks, v_blocks, p_blocks) -> None:
         """One step from the gradient's blocks, at the step's rate
         alpha = lr * sqrt(c2) / c1 and eps_hat = eps * sqrt(c2), each a 0-d
-        float64 array: advance the moments' blocks in place and subtract
+        array of the dtype: advance the moments' blocks in place and subtract
         alpha * m / (sqrt(v) + eps_hat) from the parameters' blocks, which
         all line up."""
         b1, b2, a1, a2 = self._b1, self._b2, self._a1, self._a2
-        if _SCRATCH[0].size < self._block:
-            _SCRATCH[:] = np.empty(self._block), np.empty(self._block)
-        s_all, d_all = _SCRATCH
+        scratch = _SCRATCH[self.dtype]
+        if scratch[0].size < self._block:
+            scratch[:] = np.empty(self._block, self.dtype), np.empty(self._block, self.dtype)
+        s_all, d_all = scratch
         for gb, mb, vb, pb in zip(g_blocks, m_blocks, v_blocks, p_blocks):
             s, d = s_all[: gb.size], d_all[: gb.size]
             np.multiply(a1, gb, s)
@@ -421,7 +458,7 @@ class AdamState:
         """One update from one gradient vector per parameter vector."""
         if len(grads) != len(self.params):
             raise UsageError("gradients do not match the parameter vectors")
-        arrays = [g if type(g) is np.ndarray and g.dtype == np.float64 and g.shape == p.shape
+        arrays = [g if type(g) is np.ndarray and g.dtype == self.dtype and g.shape == p.shape
                   else _as_gradient(g, p) for g, p in zip(grads, self.params)]
         m_blocks, v_blocks, p_blocks = self._in_place
         if self._one:  # the heads', the generator's and the RL optimizers
@@ -433,9 +470,15 @@ class AdamState:
         t = self.t + 1
         c1, root_c2 = 1.0 - self.beta1**t, math.sqrt(1.0 - self.beta2**t)
         rate = self.lr * root_c2 / c1
-        alpha, eps_hat = np.array(rate), np.array(self.eps * root_c2)
         m_bound = self.beta1 * self._m_bound + (1.0 - self.beta1) * g_max
-        if in_range and abs(rate) < _SAFE and 4.0 * abs(self.lr) * m_bound / c1 / self.eps < _SAFE:
+        safe = self._safe
+        if abs(rate) < safe:
+            alpha = np.array(rate, self.dtype)
+        else:  # a rate past float32's range narrows to inf, as one past float64's is inf
+            with np.errstate(over="ignore"):
+                alpha = np.array(rate, self.dtype)
+        eps_hat = np.array(self.eps * root_c2, self.dtype)
+        if in_range and abs(rate) < safe and 4.0 * abs(self.lr) * m_bound / c1 / self.eps < safe:
             self._advance(alpha, eps_hat, g_blocks, m_blocks, v_blocks, p_blocks)
         else:
             m, v = self._m.copy(), self._v.copy()
@@ -539,13 +582,14 @@ def fit_linear_softmax(
 class SoftmaxClassifier:
     """A frozen linear softmax classifier: row i of `weight` and `bias`
     scores class `class_ids[i]` (sorted and distinct, by default
-    0..n_classes-1) by x @ weight.T + bias. The three arrays are read-only
+    0..n_classes-1) by x @ weight.T + bias, in `dtype` (float64 unless a
+    float32 run narrows its reward model). The three arrays are read-only
     copies; `label_rows` maps labels to rows. The reward model and both
     evaluation heads are of this type."""
 
-    def __init__(self, weight, bias, class_ids=None):
-        weight = np.array(weight, dtype=np.float64)
-        bias = np.array(bias, dtype=np.float64)
+    def __init__(self, weight, bias, class_ids=None, dtype=FLOAT64):
+        weight = np.array(weight, dtype=dtype)
+        bias = np.array(bias, dtype=dtype)
         ids = np.arange(bias.size) if class_ids is None else np.array(class_ids, dtype=np.int64)
         if weight.ndim != 2 or bias.shape != (weight.shape[0],) or ids.shape != bias.shape:
             raise ConfigurationError(f"classifier shape mismatch: weight {weight.shape}, "
@@ -561,7 +605,7 @@ class SoftmaxClassifier:
         self.n_classes, self.feat_dim = weight.shape
 
     def logits(self, x) -> np.ndarray:
-        return as_rows(x) @ self.weight.T + self.bias
+        return as_rows(x, self.weight.dtype) @ self.weight.T + self.bias
 
     def predict(self, x) -> np.ndarray:
         """The class id of the largest logit of each row."""
@@ -600,7 +644,8 @@ def save_checkpoint(path, tag: bytes, layer_dims: Sequence[int], flat: np.ndarra
     Little-endian binary: magic, u32 version, 4-byte kind tag, u32 layer
     dim count, u32 dims (the first fan_in, then each fan_out), u32 byte
     count of the settings, the settings as UTF-8 `key = value` lines, then
-    the vector as raw f64 (per layer: weight row-major, then bias). Nothing
+    the vector as raw f64 (per layer: weight row-major, then bias), so a
+    float32 vector is widened, exactly. Nothing
     is written unless the dims and the vector's size agree. The bytes go to
     `<path>.<pid>.tmp`, which is then renamed over `path`, so a write that
     fails part way leaves the file that was there before."""

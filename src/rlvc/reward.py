@@ -51,7 +51,8 @@ def pretrain_reward(
 
 def class_log_probs(model: SoftmaxClassifier, x: np.ndarray, y) -> tuple[np.ndarray, tuple]:
     """log p(y_i | x_i) per row, and the cache `rl_loss` reads: the shifted
-    exponentials e of the logits and their row sums s.
+    exponentials e of the logits and their row sums s, all in the model's
+    dtype. y holds one label per row of x; any other count is refused.
 
     Each row's log-softmax is formed at its label's column only, as the
     engine's log_softmax forms every entry: shifted logit less log s. The
@@ -64,6 +65,8 @@ def class_log_probs(model: SoftmaxClassifier, x: np.ndarray, y) -> tuple[np.ndar
     cols = label_rows(model.class_ids, y, "class index {} outside the reward model's class set",
                       UsageError)
     logits = model.logits(x)
+    if len(y) != logits.shape[0]:
+        raise UsageError(f"class_log_probs: {len(y)} labels for {logits.shape[0]} rows")
     shifted = logits - np.max(logits, axis=1, keepdims=True)
     e = np.exp(shifted)
     s = np.sum(e, axis=1, keepdims=True)
@@ -71,7 +74,7 @@ def class_log_probs(model: SoftmaxClassifier, x: np.ndarray, y) -> tuple[np.ndar
     return shifted[rows, cols] - np.log(s[:, 0]), (model.weight, rows, cols, e, s)
 
 
-def rl_loss(log_probs: np.ndarray, cache: tuple) -> tuple[np.float64, np.ndarray]:
+def rl_loss(log_probs: np.ndarray, cache: tuple) -> tuple[np.floating, np.ndarray]:
     """The policy step's loss -(1/B) sum_i log p(y_i | x_i), for the
     log-probs and cache from `class_log_probs`, and its gradient w.r.t. the
     rows x that were scored: descending it ascends the batch-mean reward

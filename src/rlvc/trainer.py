@@ -7,6 +7,11 @@ through a separate optimizer state, built only when use_rl is on. The two
 generator objectives alternate; they are never summed into a single step.
 The policy step descends `reward.rl_loss`, minus the batch-mean reward of
 freshly synthesized rows, through the generator's reparameterized sample.
+
+Everything a minibatch computes is of config.dtype: the networks, their Adam
+state, the batch rows, the prototypes, the diffusion tables, the reward
+model (narrowed once per run) and every normal draw. The dataset, the
+evaluation reports and the logged values stay float64.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ def _require_finite(value: float, what: str, epoch: int, batch: int) -> float:
 
 
 def training_floats(feat_dim: int, sem_dim: int, config: Config) -> int:
-    """The float64 entries that training holds in its parameter-sized
+    """The entries of config.dtype that training holds in its parameter-sized
     arrays: each network's parameters and one gradient of them, two Adam
     moments per optimized vector (the generator has a second optimizer when
     use_rl is on), and Adam's shared scratch pair."""
@@ -107,8 +112,9 @@ def train(
     its seen row, once; a batch's rows then pick both its reward class and
     its prototypes. Checkpoints are written every checkpoint_interval epochs
     and at completion; on a numeric abort the last written checkpoint stays
-    on disk. A run whose `training_floats` would not fit in physical memory
-    is refused before any network is built.
+    on disk. A run whose `training_floats`, at config.dtype's bytes per
+    entry, would not fit in physical memory is refused before any network
+    is built.
     """
     dataset.validate()
 
@@ -125,7 +131,9 @@ def train(
                 f"{reward_model.feat_dim}, dataset has {len(seen)} seen / dim {d}"
             )
 
-    need, have = 8 * training_floats(d, dataset.sem_dim, config), _physical_memory()
+    dtype = np.dtype(config.dtype)
+    need = dtype.itemsize * training_floats(d, dataset.sem_dim, config)
+    have = _physical_memory()
     if have is not None and need > have:
         raise ConfigurationError(
             f"training would hold {need:,} bytes of parameters, gradients and Adam "
@@ -133,6 +141,14 @@ def train(
         )
 
     visual_prototypes = cues.mine_prototypes(train_x, train_y, seen) if config.use_cues else None
+    # The minibatches' sources in the run's dtype, narrowed once (no copy at
+    # float64). The reward model is scored and differentiated in it too.
+    batch_x = train_x.astype(dtype, copy=False)
+    proto_matrix = dataset.prototypes.astype(dtype, copy=False)
+    visual = None if visual_prototypes is None else visual_prototypes.astype(dtype, copy=False)
+    if reward_model is not None and reward_model.weight.dtype != dtype:
+        reward_model = nets.SoftmaxClassifier(reward_model.weight, reward_model.bias,
+                                              reward_model.class_ids, dtype)
     sched = config.schedule()
 
     init_rng = stream_rng(config.seed, "init")
@@ -152,7 +168,6 @@ def train(
     rl_rng = stream_rng(config.seed, "rl")
 
     batches_per_epoch = -(-n_train // config.batch_size)
-    proto_matrix = dataset.prototypes
 
     metrics: list[MetricsRow] = []
     counters: list[EpochCounters] = []
@@ -179,13 +194,13 @@ def train(
 
             for batch_i in range(batches_per_epoch):
                 idx = train_rng.integers(0, n_train, size=config.batch_size)
-                x0 = train_x[idx]
+                x0 = batch_x[idx]
                 z = proto_matrix[train_y[idx]]
                 rows = train_rows[idx]
 
                 for _ in range(config.critic_steps):
                     t, x_t, x_next = _draw_states(train_rng, x0)
-                    eps_g = train_rng.standard_normal(x0.shape)
+                    eps_g = train_rng.standard_normal(x0.shape, dtype)
                     fake_x0 = generator.synthesize(eps_g, z, x_next, t + 1)[0]
                     fake_xt = diffusion.posterior_sample(fake_x0, x_next, t, sched, train_rng)
                     loss0, grad0 = gan.critic_x0_loss(
@@ -201,15 +216,15 @@ def train(
                     critic_vals.append(total)
 
                 t, x_t, x_next = _draw_states(train_rng, x0)
-                eps_g = train_rng.standard_normal(x0.shape)
-                eps_post = train_rng.standard_normal(x0.shape)
+                eps_g = train_rng.standard_normal(x0.shape, dtype)
+                eps_post = train_rng.standard_normal(x0.shape, dtype)
                 adv_loss, x0_tilde, g_x0, gen_cache = gan.generator_adv_terms(
                     generator, critic_x0, critic_xt, z, x_next, t, sched, eps_g, eps_post
                 )
                 _require_finite(adv_loss.item(), "generator adversarial loss", epoch, batch_i)
                 if config.use_cues:
                     cue_term, cue_grads = cues.cue_loss(
-                        x0_tilde, visual_prototypes[rows], config.lambda_pd
+                        x0_tilde, visual[rows], config.lambda_pd
                     )
                     _require_finite(cue_term.item(), "distillation loss", epoch, batch_i)
                     for g in cue_grads:
@@ -221,7 +236,7 @@ def train(
 
                 if rl_active:
                     t, x_t, x_next = _draw_states(rl_rng, x0)
-                    eps_g = rl_rng.standard_normal(x0.shape)
+                    eps_g = rl_rng.standard_normal(x0.shape, dtype)
                     x0_rl, gen_cache = generator.synthesize(eps_g, z, x_next, t + 1)
                     r, lp_cache = reward_mod.class_log_probs(reward_model, x0_rl, rows)
                     if not np.all(np.isfinite(r)):

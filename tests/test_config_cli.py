@@ -632,9 +632,11 @@ def test_cli_eval_of_the_final_checkpoint_prints_the_logged_row(shaped_run, caps
         (["--standardize", "false"], "generator.ckpt", 2,
          "trained with standardize = true; --standardize false disagrees"),
         (["--preset", "synthetic"], "v1.ckpt", 2, "unsupported checkpoint version 1"),
+        (["--dtype", "float64"], "generator.ckpt", 2,
+         "trained with dtype = float32; --dtype float64 disagrees"),
     ],
     ids=["no shape flags", "no preset", "agreeing flags", "other diffusion steps",
-         "other slope", "other feature space", "v1 file"],
+         "other slope", "other feature space", "v1 file", "other dtype"],
 )
 @pytest.mark.parametrize("command", ["eval", "synthesize"])
 def test_cli_reads_the_generator_settings_from_the_file(shaped_run, tmp_path, capsys, command,

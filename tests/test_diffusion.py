@@ -226,5 +226,6 @@ def test_tables_hold_the_per_call_formulas_bytes(cfg):
         assert getattr(s, name).shape == (n, 1), name
     for t in range(s.timesteps + 1):
         for name, want in _per_call_columns(s, t).items():
+            # the synthetic preset's float32 tables narrow the float64 formula once
             got = getattr(s, name)[[t]]
-            assert got.tobytes() == want.tobytes(), (name, t)
+            assert got.tobytes() == want.astype(cfg.dtype).tobytes(), (name, t)

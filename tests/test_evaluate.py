@@ -113,6 +113,18 @@ def test_train_head_memorizes_singletons():
     assert macro_accuracy(head, x, y) == 1.0
 
 
+def test_train_head_and_macro_accuracy_refuse_a_label_count_other_than_the_row_count():
+    # train_head once trained on the first 10 of 12 labels; macro_accuracy
+    # raised numpy's IndexError
+    x, y = make_separable(n_per_class=6, d=3, n_classes=2, seed=1)
+    head = train_head(x, y, [0, 1], Config(clf_epochs=2), np.random.default_rng(0))
+    for labels in (y[:10], np.concatenate([y, y[:2]])):
+        with pytest.raises(UsageError, match=f"^train_head: {labels.size} labels for 12 feature rows$"):
+            train_head(x, labels, [0, 1], Config(clf_epochs=2), np.random.default_rng(0))
+        with pytest.raises(UsageError, match=f"^macro_accuracy: {labels.size} labels for 12 "):
+            macro_accuracy(head, x, labels)
+
+
 def test_train_head_unknown_label_rejected():
     with pytest.raises(ConfigurationError, match="outside head"):
         train_head(np.zeros((2, 3)), np.array([0, 9]), [0, 1],
@@ -207,13 +219,13 @@ def test_synthesize_unseen_builds_no_tensor(monkeypatch):
 def _per_step_chain(gen, prototypes, classes, n, sched, rng):
     """The chain as fresh arrays per step: a `gen.synthesize` call, then,
     but at t = 0, a `diffusion.posterior_sample` call, each allocating its
-    results."""
+    results, all in the generator's dtype."""
     feats = []
     for c in classes:
         z = np.tile(prototypes[c], (n, 1))
-        x = rng.standard_normal((n, gen.feat_dim))
+        x = rng.standard_normal((n, gen.feat_dim), gen.dtype)
         for t in range(sched.timesteps - 1, -1, -1):
-            eps = rng.standard_normal((n, gen.feat_dim))
+            eps = rng.standard_normal((n, gen.feat_dim), gen.dtype)
             x0_pred = gen.synthesize(eps, z, x, t + 1)[0]
             if t > 0:
                 x = diffusion.posterior_sample(x0_pred, x, t, sched, rng)
@@ -258,6 +270,22 @@ def test_buffered_chain_gives_the_bytes_of_a_per_step_chain(steps, n, temb_dim, 
     assert x.tobytes() == _per_step_chain(gen, protos, [2, 0, 3], n, sched, oracle_rng).tobytes()
     np.testing.assert_array_equal(y, np.repeat([2, 0, 3], n))
     assert rng.bit_generator.state == oracle_rng.bit_generator.state  # the same draws
+
+
+@pytest.mark.parametrize("steps", [1, 6])
+def test_a_float32_chain_gives_the_widened_bytes_of_a_float32_per_step_chain(steps):
+    config = Config(hidden_mult=2, temb_dim=16, diffusion_steps=steps, dtype="float32")
+    gen = Generator(5, 3, config, np.random.default_rng(4))
+    protos = np.random.default_rng(5).normal(size=(4, 3))
+    sched = config.schedule()
+    rng, oracle_rng = np.random.default_rng(6), np.random.default_rng(6)
+    x, _ = synthesize_unseen(gen, protos, [2, 0, 3], 7, sched, rng)
+    chain = _per_step_chain(gen, protos, [2, 0, 3], 7, sched, oracle_rng)
+    assert x.dtype == np.float64 and chain.dtype == np.float32
+    assert x.tobytes() == chain.astype(np.float64).tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    with pytest.raises(UsageError, match="float64 schedule for a float32 generator"):
+        synthesize_unseen(gen, protos, [2], 7, Config(diffusion_steps=steps).schedule(), rng)
 
 
 def test_synthesis_peak_memory_does_not_grow_with_the_chain_length():

@@ -263,10 +263,21 @@ def test_adam_rejects_bad_gradients():
     assert opt.t == 0
 
 
-def test_adam_steps_only_float64_vectors():
-    for bad in (np.zeros((2, 2)), np.zeros(2, dtype=np.float32), Tensor(np.zeros(2))):
+def test_adam_steps_only_float64_or_float32_vectors_of_one_dtype():
+    for bad in ([np.zeros((2, 2))], [np.zeros(2, dtype=np.float16)], [Tensor(np.zeros(2))],
+                [np.zeros(2), np.zeros(2, dtype=np.float32)]):
         with pytest.raises(UsageError):
-            AdamState([bad], lr=0.01, **_BETAS)
+            AdamState(bad, lr=0.01, **_BETAS)
+    for dtype in (np.float64, np.float32):
+        opt = AdamState([np.zeros(2, dtype), np.zeros(3, dtype)], lr=0.01, **_BETAS)
+        assert opt.dtype == dtype and all(a.dtype == dtype for a in opt.m + opt.v)
+
+
+def test_adam_refuses_an_eps_hat_that_underflows_in_its_dtype():
+    # eps * sqrt(1 - beta2) = 1e-46 is a float64 but rounds to zero in float32
+    assert AdamState([np.zeros(2)], lr=0.01, beta1=0.5, beta2=0.99, eps=1e-45)
+    with pytest.raises(ConfigurationError, match="float32"):
+        AdamState([np.zeros(2, np.float32)], lr=0.01, beta1=0.5, beta2=0.99, eps=1e-45)
 
 
 @pytest.mark.parametrize("convert", [
@@ -309,20 +320,22 @@ def _critic_pair(rng):
     return pair
 
 
-def _adam_against_a_per_parameter_reference(pair, rng, lr_scale=1.0):
+def _adam_against_a_per_parameter_reference(pair, rng, lr_scale=1.0, unit=bounds.U64):
     """60 steps of one AdamState over the pair's flat vectors against the
-    textbook update of each parameter apart, at lr * lr_scale: m and v must
-    keep their bits, and each parameter must stay within `bounds.adam_drift`
-    of the textbook form's. Returns the largest |p - reference| / bound."""
+    textbook update of each parameter apart, at lr * lr_scale, both in the
+    pair's dtype, whose unit roundoff is `unit`: m and v must keep their
+    bits, and each parameter must stay within `bounds.adam_drift` of the
+    textbook form's. Returns the largest |p - reference| / bound."""
     lr, b1, b2, eps = 0.01, _BETAS["beta1"], _BETAS["beta2"], 1e-8
+    dtype = pair[0].flat.dtype
     opt = AdamState([net.flat for net in pair], lr=lr, **_BETAS)
     refs = [[a.copy() for a in net.views(net.flat)] for net in pair]
-    ref_m = [[np.zeros(a.shape) for a in ref] for ref in refs]
-    ref_v = [[np.zeros(a.shape) for a in ref] for ref in refs]
+    ref_m = [[np.zeros(a.shape, dtype) for a in ref] for ref in refs]
+    ref_v = [[np.zeros(a.shape, dtype) for a in ref] for ref in refs]
     drift = [[np.zeros(a.shape) for a in ref] for ref in refs]
     for t in range(1, 61):
         # drawn transposed, as the engine lays out a weight gradient
-        grads = [[rng.normal(size=a.shape[::-1]).T for a in ref] for ref in refs]
+        grads = [[rng.normal(size=a.shape[::-1]).T.astype(dtype) for a in ref] for ref in refs]
         assert not grads[0][0].flags.c_contiguous
         opt.step([np.concatenate([g.ravel() for g in gs]) for gs in grads])
         c1, c2 = 1.0 - b1**t, 1.0 - b2**t
@@ -334,7 +347,7 @@ def _adam_against_a_per_parameter_reference(pair, rng, lr_scale=1.0):
                 v += (1.0 - b2) * np.square(g)
                 step = (lr * lr_scale) * (m / c1) / (np.sqrt(v / c2) + eps)
                 p -= step
-                d[...] = bounds.adam_drift(d, step, p)
+                d[...] = bounds.adam_drift(d, step, p, unit)
 
     def cat(arrays):
         return np.concatenate([a.ravel() for a in arrays])
@@ -342,7 +355,8 @@ def _adam_against_a_per_parameter_reference(pair, rng, lr_scale=1.0):
     worst = 0.0
     for net, m, v, ref, rm, rv, rd in zip(pair, opt.m, opt.v, refs, ref_m, ref_v, drift):
         assert m.tobytes() == cat(rm).tobytes() and v.tobytes() == cat(rv).tobytes()
-        worst = max(worst, float(np.max(np.abs(net.flat - cat(ref)) / cat(rd))))
+        gap = np.abs(net.flat.astype(np.float64) - cat(ref))
+        worst = max(worst, float(np.max(gap / cat(rd))))
     assert opt.t == 60
     return worst
 
@@ -355,6 +369,34 @@ def test_flat_adam_matches_a_per_parameter_reference():
 def test_adam_bound_fails_a_rate_scaled_by_1e_9():
     rng = np.random.default_rng(8)
     assert _adam_against_a_per_parameter_reference(_critic_pair(rng), rng, 1.0 + 1e-9) > 1.0
+
+
+def _narrowed(pair):
+    """Float32 copies of float64 nets."""
+    out = [DenseNet(net.layer_dims, None, net.slope, np.float32) for net in pair]
+    for narrow, wide in zip(out, pair):
+        narrow.flat[...] = wide.flat
+    return out
+
+
+def test_float32_adam_matches_a_per_parameter_reference_at_u_2_24():
+    rng = np.random.default_rng(8)
+    pair = _narrowed(_critic_pair(rng))
+    assert _adam_against_a_per_parameter_reference(pair, rng, unit=bounds.U32) <= 1.0
+
+
+def test_float32_adam_bound_fails_a_rate_scaled_by_1e_5():
+    rng = np.random.default_rng(8)
+    pair = _narrowed(_critic_pair(rng))
+    assert _adam_against_a_per_parameter_reference(pair, rng, 1.0 + 1e-5, bounds.U32) > 1.0
+
+
+def test_float32_adam_on_parameters_past_2_126_matches_the_reference():
+    # An entry past float32's _SAFE sends every step through the copies.
+    rng = np.random.default_rng(8)
+    pair = _narrowed(_critic_pair(rng))
+    pair[1].bs[0][3] = 2.0**127
+    assert _adam_against_a_per_parameter_reference(pair, rng, unit=bounds.U32) <= 1.0
 
 
 def test_flat_adam_on_huge_parameters_matches_the_reference():
@@ -440,7 +482,7 @@ def test_optimizers_sharing_the_scratch_leave_the_bytes_of_lone_runs(monkeypatch
     def state(opt):
         return [a.tobytes() for a in opt.params + opt.m + opt.v]
 
-    monkeypatch.setattr(nets, "_SCRATCH", [np.empty(0), np.empty(0)])
+    monkeypatch.setitem(nets._SCRATCH, np.dtype(np.float64), [np.empty(0), np.empty(0)])
     together = optimizers()
     for k in range(5):
         for opt, gs in zip(together, grads):
@@ -584,7 +626,8 @@ def _scan_bound(b):
 
 
 def _scan_in_range(b):
-    return bool(-nets._SAFE < np.min(b, initial=0.0) and np.max(b, initial=0.0) < nets._SAFE)
+    safe = nets._SAFE[b.dtype]
+    return bool(-safe < np.min(b, initial=0.0) and np.max(b, initial=0.0) < safe)
 
 
 def _stepped_by(monkeypatch, scan: bool, start, grads):
@@ -684,6 +727,19 @@ def test_adam_dot_bound_is_at_least_every_entry(entries):
         assert nets._in_range(b) == _scan_in_range(b)
 
 
+_FINITE32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FINITE32, max_size=40)
+       | st.lists(st.floats(-2.0**-66, 2.0**-66, width=32), max_size=40)  # squares that underflow
+       | st.lists(st.floats(2.0**60, 2.0**66, width=32), max_size=40))  # squares near overflow
+def test_adam_dot_bound_is_at_least_every_float32_entry(entries):
+    b = np.array(entries, dtype=np.float32)
+    assert nets._abs_bound(b) >= np.max(np.abs(b), initial=0.0)
+    assert nets._in_range(b) == _scan_in_range(b)
+
+
 def _params_view_flat(net) -> bool:
     """Whether every parameter's data is a view into net.flat, at its place
     in the layout."""
@@ -729,15 +785,35 @@ def test_loaded_generator_views_its_flat_vector(tmp_path, monkeypatch):
     rngs = []
     built = gan.DenseNet
 
-    def recording(dims, rng, slope):
+    def recording(dims, rng, slope, dtype):
         rngs.append(rng)
-        return built(dims, rng, slope)
+        return built(dims, rng, slope, dtype)
 
     monkeypatch.setattr(gan, "DenseNet", recording)
     # the file's settings replace the defaults the caller passes in
     loaded, loaded_cfg, epoch = gan.load_generator(path, 3, 2, Config())
     assert rngs == [None]  # no initialisation is drawn for weights the file overwrites
     assert _params_view_flat(loaded.net)
+    assert loaded.net.flat.tobytes() == trained.net.flat.tobytes()
+    assert loaded_cfg == cfg and epoch == 3
+    again = tmp_path / "again.ckpt"
+    gan.save_generator(again, loaded, loaded_cfg, epoch)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_float32_generator_file_round_trips_bit_for_bit(tmp_path):
+    # The payload is float64: the float32 vector widens exactly, and the
+    # file's dtype narrows it back exactly on load.
+    cfg = Config(hidden_mult=2, temb_dim=4, dtype="float32")
+    trained = Generator(3, 2, cfg, np.random.default_rng(13))
+    trained.net.flat += np.random.default_rng(14).normal(size=trained.net.flat.size)
+    path = tmp_path / "generator.ckpt"
+    gan.save_generator(path, trained, cfg, 3)
+    _, payload, settings = nets.load_checkpoint(path)
+    assert payload.dtype == "<f8" and settings["dtype"] == "float32"
+    assert payload.tobytes() == trained.net.flat.astype(np.float64).tobytes()
+    loaded, loaded_cfg, epoch = gan.load_generator(path, 3, 2, Config())
+    assert loaded.net.flat.dtype == np.float32 and loaded.temb.dtype == np.float32
     assert loaded.net.flat.tobytes() == trained.net.flat.tobytes()
     assert loaded_cfg == cfg and epoch == 3
     again = tmp_path / "again.ckpt"

@@ -2,7 +2,9 @@
 in-process at a tiny shape against the package under test, and every figure
 it reports, with the sha256, reaches the printed summary (for `drift`, its
 figures and its t-interval). A rename in the rlvc API that the probe calls
-fails here rather than only when the tool runs."""
+fails here rather than only when the tool runs. tools/same_bytes.py's
+--tree-set is checked on stand-in commands: the flag it adds and the
+checkpoint settings line it drops."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PROBE = Path(__file__).resolve().parents[1] / "tools" / "probe.py"
@@ -107,8 +110,64 @@ def test_drift_prints_each_seed_and_the_paired_interval(monkeypatch, capsys):
     assert probe.main(["drift", "--against", "REV", "--seeds", "1", "2", "3", "--draws", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[3].split() == ["1", "REV", "0.6000", "±0.1000", "0.4000", "±0.0000", "-1.0000"]
-    assert lines[4].split() == ["1", "diff", "+0.1000", "+0.0000", "+0.1000"]
+    assert lines[4].split() == ["1", "diff", "+0.1000", "+0.0000", "+1.000e-01"]
     assert lines[-3:] == ["  CZSL: +0.2000 [-0.0484, +0.4484]", "  H: +0.0000 [+0.0000, +0.0000]",
-                          "  reward: +0.2000 [-0.0484, +0.4484]"]
+                          "  reward: +2.000e-01 [-4.843e-02, +4.484e-01]"]
     with pytest.raises(SystemExit):
         probe.main(["drift"])
+
+
+def test_drift_prints_a_reward_change_of_a_few_roundings(monkeypatch, capsys):
+    # At 4 decimals a reward moved by 3e-7 on every seed read +0.0000 [-0.0000, +0.0000].
+    probe = _load_probe()
+    tree = os.path.join(probe.ROOT, "src")
+
+    def fake_side(src, argv):
+        seed = int(argv[argv.index("--seeds") + 1])
+        return {"CZSL": [0.5], "H": [0.4], "reward": -1.0 + (3e-7 * seed if src == tree else 0.0)}
+
+    monkeypatch.setattr(probe, "run_side", fake_side)
+    monkeypatch.setitem(sys.modules, "same_bytes", types.SimpleNamespace(extract=lambda r, d: None))
+    assert probe.main(["drift", "--against", "REV", "--seeds", "1", "2", "--draws", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[4].split()[-1] == "+3.000e-07"
+    assert lines[-1] == "  reward: +4.500e-07 [-1.456e-06, +2.356e-06]"
+
+
+def _load_same_bytes():
+    spec = importlib.util.spec_from_file_location("same_bytes", PROBE.parent / "same_bytes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_same_bytes_tree_set_adds_its_flag_and_drops_its_checkpoint_line(tmp_path, monkeypatch):
+    from rlvc import nets
+
+    same_bytes = _load_same_bytes()
+    dims, flat = [3, 2], np.arange(8, dtype=np.float64)
+    nets.save_checkpoint(tmp_path / "tree.ckpt", b"GNET", dims, flat,
+                         "beta_max = 0.9\ndtype = float64\nepoch = 1\n")
+    nets.save_checkpoint(tmp_path / "parent.ckpt", b"GNET", dims, flat, "beta_max = 0.9\nepoch = 1\n")
+    tree = (tmp_path / "tree.ckpt").read_bytes()
+    assert (same_bytes.without_settings(tree, ["dtype = float64"])
+            == (tmp_path / "parent.ckpt").read_bytes())
+    assert same_bytes.without_settings(tree, ["dtype = float32"]) == tree
+
+    commands = []
+
+    def fake_run(cmd, cwd, env, capture_output):
+        commands.append(cmd)
+        if cmd[3] == "train":  # each train writes a checkpoint as the tree would
+            (Path(cwd) / "generator.ckpt").write_bytes(tree)
+        return types.SimpleNamespace(returncode=0, stdout=b"")
+
+    monkeypatch.setattr(same_bytes.subprocess, "run", fake_run)
+    (tmp_path / "work").mkdir()
+    hashes = same_bytes.run_pipeline("src", str(tmp_path / "work"), 0, ["dtype=float64"])
+    assert len(commands) == len(same_bytes.STEPS)
+    assert all(cmd[-2:] == ["--dtype", "float64"] for cmd in commands)
+    assert hashes["generator.ckpt"] == same_bytes._sha((tmp_path / "parent.ckpt").read_bytes())
+    commands.clear()
+    same_bytes.run_pipeline("src", str(tmp_path / "work"), 0)
+    assert not any("--dtype" in cmd for cmd in commands)

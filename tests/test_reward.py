@@ -73,6 +73,18 @@ def test_class_log_probs_rejects_labels_that_are_not_integers():
             reward.class_log_probs(model, np.zeros((1, 2)), labels)
 
 
+def test_class_log_probs_refuses_a_label_count_other_than_the_row_count():
+    # One label for 5 rows was broadcast to every row.
+    rng = np.random.default_rng(3)
+    model = SoftmaxClassifier(rng.normal(size=(3, 2)), rng.normal(size=3))
+    x, y = rng.normal(size=(5, 2)), np.array([0, 2, 1, 0, 2])
+    for labels in ([1], y[:4], np.append(y, 1)):
+        with pytest.raises(UsageError, match=f"^class_log_probs: {len(labels)} labels for 5 rows$"):
+            reward.class_log_probs(model, x, labels)
+    by_row = [reward.class_log_probs(model, x[[i]], y[[i]])[0][0] for i in range(5)]
+    assert reward.class_log_probs(model, x, y)[0].tolist() == pytest.approx(by_row, rel=1e-12)
+
+
 def test_model_parameters_are_write_protected():
     model = SoftmaxClassifier(np.ones((2, 2)), np.zeros(2))
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -403,6 +404,58 @@ def test_a_non_finite_reward_aborts_naming_its_epoch_and_batch(monkeypatch):
     with pytest.raises(NumericFailure, match=r"^reward is non-finite at epoch 1, batch 1$"):
         train(ds, _reward_for(ds), _cfg())
     assert len(calls) == 4
+
+
+def test_a_float32_run_computes_every_pass_in_float32(monkeypatch):
+    # Every forward and pullback of a float32 run, with RL, cues and
+    # evaluation, reads and returns float32, and each Adam step is handed
+    # gradients of its parameters' dtype: float32 in training, float64 in
+    # the evaluation heads. NumPy promotes float32 with float64 silently,
+    # so a float64 operand anywhere would show here.
+    ds = _small_ds()
+    rm = _reward_for(ds)
+    seen = {"forward": [], "pullback": [], "step": []}
+    forward, pullback, step = nets.DenseNet.forward, nets.DenseNet.pullback, nets.AdamState.step
+
+    def checked_forward(self, x, out=None):
+        h, cache = forward(self, x, out)
+        seen["forward"].append({self.flat.dtype, h.dtype, *(a.dtype for a in cache)})
+        return h, cache
+
+    def checked_pullback(self, cache, u, wrt_input=False):
+        g = pullback(self, cache, u, wrt_input)
+        seen["pullback"].append({self.flat.dtype, u.dtype, g.dtype, *(a.dtype for a in cache)})
+        return g
+
+    def checked_step(self, grads):
+        seen["step"].append(({g.dtype for g in grads}, {p.dtype for p in self.params}))
+        step(self, grads)
+
+    monkeypatch.setattr(nets.DenseNet, "forward", checked_forward)
+    monkeypatch.setattr(nets.DenseNet, "pullback", checked_pullback)
+    monkeypatch.setattr(nets.AdamState, "step", checked_step)
+    cfg = _cfg(epochs=2, rl_start_epoch=1, eval_interval=2, dtype="float32")
+    result = train(ds, rm, cfg)
+    assert result.generator.net.flat.dtype == np.float32
+    assert seen["forward"] and all(s == {np.dtype(np.float32)} for s in seen["forward"])
+    assert seen["pullback"] and all(s == {np.dtype(np.float32)} for s in seen["pullback"])
+    assert all(g == p and len(p) == 1 for g, p in seen["step"])
+    batches = -(-ds.train[0].shape[0] // cfg.batch_size)
+    f32 = [p for _, p in seen["step"] if p == {np.dtype(np.float32)}]
+    assert len(f32) == 2 * 2 * batches + batches  # critic and generator steps, then RL
+    assert len(seen["step"]) > len(f32)  # the heads' float64 steps
+    assert np.isfinite(result.metrics[-1].czsl_acc)
+
+
+def test_training_preflight_counts_the_bytes_of_the_runs_dtype(monkeypatch):
+    ds, cfg = _small_ds(), _cfg(epochs=1, use_rl=False)
+    floats = trainer.training_floats(ds.feat_dim, ds.sem_dim, cfg)
+    for dtype, size in (("float64", 8), ("float32", 4)):
+        monkeypatch.setattr(trainer, "_physical_memory", lambda: size * floats - 1)
+        with pytest.raises(ConfigurationError, match=f"would hold {size * floats:,} bytes"):
+            train(ds, None, dataclasses.replace(cfg, dtype=dtype))
+        monkeypatch.setattr(trainer, "_physical_memory", lambda: size * floats)
+        train(ds, None, dataclasses.replace(cfg, dtype=dtype))
 
 
 def test_rl_requires_reward_model():

@@ -42,7 +42,9 @@ run cannot time calls this short: the tracer's overhead dominates them.
 `step` times a training minibatch's parts apart, as `trainer.train` runs
 them, at the synthetic preset's shapes (d=32, d_z=16, 20 seen classes, the
 critics 48 -> 128 -> 128 -> 1 and 96 -> 128 -> 128 -> 1 at the default
---hidden-mult 4 and --batch-size 32) on random batches: ms per critic pair
+--hidden-mult 4 and --batch-size 32) and its `dtype` (float64 for a
+revision without that setting), on random batches drawn in float64 and
+narrowed to it: ms per critic pair
 (both critic losses with their penalties), per generator adversarial step
 (with the cue loss and the generator's pullback), per policy step, per Adam
 sweep of the critic pair, of the generator's adversarial optimizer and of
@@ -58,7 +60,9 @@ and evaluates the final generator --draws times, draw k from the rng
 [seed, 100 + k] on both sides. It prints per seed the mean and sd over
 draws of CZSL accuracy and H, and the mean `raw_reward_mean` of the last 4
 epochs, for both sides and their difference (tree minus REV); then the mean
-paired difference over seeds with a 95 % t-interval. The sides alternate
+paired difference over seeds with a 95 % t-interval; the reward's
+differences print as %+.3e, so that a change of a few roundings does not
+read as +0.0000. The sides alternate
 which goes first from seed to seed. The worker calls only `resolve_config`,
 `make_synthetic`, `standardize`, `pretrain_reward`, `trainer.train` and
 `full_report`, whose signatures are older than the pathwise policy step, so
@@ -168,16 +172,22 @@ def measure_step(args) -> dict:
 
     cfg = config.resolve_config("synthetic", None, {"hidden_mult": args.hidden_mult,
                                                     "batch_size": args.batch_size})
+    dtype = getattr(cfg, "dtype", "float64")
     rng = np.random.default_rng(args.seed)
     d, d_z, b, classes = cfg.feat_dim, cfg.sem_dim, cfg.batch_size, cfg.n_seen
+
+    def normal(*size):
+        return rng.normal(size=size).astype(dtype)
+
     gen = gan.Generator(d, d_z, cfg, rng)
     critic_x0, critic_xt = gan.CriticX0(d, d_z, cfg, rng), gan.CriticXt(d, d_z, cfg, rng)
     betas = dict(beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
     opt_critic = nets.AdamState([critic_x0.net.flat, critic_xt.net.flat], lr=cfg.lr_adv, **betas)
     opt_gen = nets.AdamState([gen.net.flat], lr=cfg.lr_adv, **betas)
     opt_rl = nets.AdamState([gen.net.flat], lr=cfg.lr_rl, **betas)
-    model = nets.SoftmaxClassifier(rng.normal(size=(classes, d)), np.zeros(classes))
-    visual, sched = rng.normal(size=(classes, d)), cfg.schedule()
+    narrow = {} if dtype == "float64" else {"dtype": dtype}
+    model = nets.SoftmaxClassifier(rng.normal(size=(classes, d)), np.zeros(classes), **narrow)
+    visual, sched = normal(classes, d), cfg.schedule()
     ms = {name: [] for name in ("critic pair", "generator adversarial step", "policy step",
                                 "adam critic pair", "adam generator", "adam policy", "batch")}
     spent = [0.0]  # the current minibatch's timed ms
@@ -208,8 +218,8 @@ def measure_step(args) -> dict:
 
     for _ in range(args.batches):
         spent[0] = 0.0
-        x0, fake, x_t, x_next, eps_g, eps_post = (rng.normal(size=(b, d)) for _ in range(6))
-        z, rows = rng.normal(size=(b, d_z)), rng.integers(0, classes, size=b)
+        x0, fake, x_t, x_next, eps_g, eps_post = (normal(b, d) for _ in range(6))
+        z, rows = normal(b, d_z), rng.integers(0, classes, size=b)
         t = rng.integers(0, cfg.diffusion_steps, size=b)
         timed("adam critic pair", opt_critic.step,
               timed("critic pair", critic_pair, x0, fake, x_t, x_next, z, t))
@@ -290,11 +300,12 @@ def drift(args) -> int:
         for name, values in diffs.items():
             values.append(np.mean(ours[name]) - np.mean(theirs[name]))
         print(f"{seed:>4} {'diff':>10} {diffs['CZSL'][-1]:>+8.4f} {'':7} {diffs['H'][-1]:>+8.4f}"
-              f" {'':7} {diffs['reward'][-1]:>+9.4f}")
+              f" {'':7} {diffs['reward'][-1]:>+.3e}")
     print(f"mean paired difference over {len(args.seeds)} seeds, 95 % t-interval:")
     for name, values in diffs.items():
         mean, half = t_interval(values)
-        print(f"  {name}: {mean:+.4f} [{mean - half:+.4f}, {mean + half:+.4f}]")
+        f = "{:+.3e}" if name == "reward" else "{:+.4f}"
+        print(f"  {name}: {f.format(mean)} [{f.format(mean - half)}, {f.format(mean + half)}]")
     return 0
 
 

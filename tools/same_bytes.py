@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/same_bytes.py --against HEAD~1 [--seeds 0 3]
+    python3 tools/same_bytes.py --against HEAD~1 [--seeds 0 3] [--tree-set KEY=VALUE ...]
 
 For the working tree and for the committed files of revision --against
 (extracted with `git archive` into a temporary directory), and for each seed,
@@ -34,6 +34,14 @@ this runs with RLVC_THREADS=1 in a fresh temporary directory:
   and an `eval` of the first checkpoint on it, so a load that finds the
   parsed-array cache of the old files must parse the new ones.
 
+`--tree-set KEY=VALUE` (repeatable) passes `--KEY VALUE` to every command
+of the working tree's side only, for a setting that --against does not
+have: `--tree-set dtype=float64` runs the tree at the precision of a
+revision before `dtype`. A checkpoint records its settings, so each
+`KEY = VALUE` line is dropped from the settings block of the tree's
+checkpoint files (and the block's byte count mended) before they are
+hashed; any other byte of theirs counts.
+
 Every command uses relative paths, so its stdout does not name the
 directory. The script prints the sha256 of each file the commands wrote and
 of each command's stdout, for both sides, and exits 1 if any differ (2 if a
@@ -45,6 +53,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -101,13 +110,32 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_pipeline(src: str, work: str, seed: int) -> dict[str, str]:
+def without_settings(blob: bytes, lines: list[str]) -> bytes:
+    """A checkpoint file's bytes with each of `lines` dropped from its
+    settings block, whose byte count is mended (see rlvc.nets.save_checkpoint
+    for the layout)."""
+    (ndims,) = struct.unpack_from("<I", blob, 12)
+    at = 16 + 4 * ndims
+    (size,) = struct.unpack_from("<I", blob, at)
+    kept = [line for line in blob[at + 4 : at + 4 + size].decode().splitlines(keepends=True)
+            if line.rstrip("\n") not in lines]
+    text = "".join(kept).encode()
+    return blob[:at] + struct.pack("<I", len(text)) + text + blob[at + 4 + size :]
+
+
+def run_pipeline(src: str, work: str, seed: int, tree_set: list[str] = ()) -> dict[str, str]:
     """Run every step with the package at `src` in the empty directory
-    `work`; the sha256 of each step's stdout and of each file written."""
+    `work`, each with the `--KEY VALUE` flags of `tree_set`; the sha256 of
+    each step's stdout and of each file written, a checkpoint's without the
+    `KEY = VALUE` settings lines of `tree_set`."""
     env = dict(os.environ, RLVC_THREADS="1", PYTHONPATH=src)
+    pairs = [kv.split("=", 1) for kv in tree_set]
+    flags = [a for key, value in pairs for a in ("--" + key.replace("_", "-"), value)]
+    lines = [f"{key} = {value}" for key, value in pairs]
     hashes = {}
     for name, args in STEPS:
-        cmd = [sys.executable, "-m", "rlvc.cli", args[0], *SYNTHETIC, "--seed", str(seed), *args[1:]]
+        cmd = [sys.executable, "-m", "rlvc.cli", args[0], *SYNTHETIC, "--seed", str(seed),
+               *args[1:], *flags]
         done = subprocess.run(cmd, cwd=work, env=env, capture_output=True)
         if done.returncode != 0:
             sys.stderr.write(done.stderr.decode(errors="replace"))
@@ -118,7 +146,10 @@ def run_pipeline(src: str, work: str, seed: int) -> dict[str, str]:
         for f in files:
             path = os.path.join(folder, f)
             with open(path, "rb") as fh:
-                hashes[os.path.relpath(path, work)] = _sha(fh.read())
+                blob = fh.read()
+            if lines and f.endswith(".ckpt"):
+                blob = without_settings(blob, lines)
+            hashes[os.path.relpath(path, work)] = _sha(blob)
     return hashes
 
 
@@ -132,7 +163,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", default="HEAD", help="git revision to compare with")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
+    parser.add_argument("--tree-set", action="append", default=[], metavar="KEY=VALUE",
+                        help="a setting for the working tree's commands only; repeatable")
     args = parser.parse_args(argv)
+    if any("=" not in kv for kv in args.tree_set):
+        parser.error("--tree-set takes KEY=VALUE")
     differ = 0
     with tempfile.TemporaryDirectory(prefix="same_bytes-") as tmp:
         base = os.path.join(tmp, "against")
@@ -144,7 +179,7 @@ def main(argv=None) -> int:
             for side, src in enumerate(sources):
                 work = os.path.join(tmp, f"seed{seed}-{side}")
                 os.makedirs(work)
-                results.append(run_pipeline(src, work, seed))
+                results.append(run_pipeline(src, work, seed, args.tree_set if side == 0 else ()))
             ours, theirs = results
             print(f"seed {seed}")
             for key in sorted(set(ours) | set(theirs)):
