@@ -198,7 +198,8 @@ def cmd_pretrain_reward(args) -> int:
     acc = np.mean(model.predict(train_x) == y)
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "reward.ckpt")
-    save_reward(path, model, cfgmod.format_config(cfg, ["standardize"]))
+    save_reward(path, model,
+                cfgmod.format_config(cfg, ["standardize"]) + f"dataset = {ds.fingerprint}\n")
     print(f"reward model: train accuracy {acc:.4f}, saved to {path}")
     return 0
 
@@ -209,12 +210,16 @@ def cmd_train(args) -> int:
     out = _require(args, "out")
     ds = _in_space(cfg, datamod.load_dataset(data_dir))
     model = None
-    if cfg.use_rl:  # the reward model must score rows of this run's feature space
+    if cfg.use_rl:  # the reward model must score rows of this dataset, in this run's space
         model, settings = load_reward(_require(args, "reward"))
         fit, space = settings["standardize"], cfgmod.format_config(cfg, ["standardize"])
         if f"standardize = {fit}\n" != space:
             raise ConfigurationError(f"{args.reward} was fit with standardize = {fit}; "
                                      f"this run has {space.strip()}")
+        fit_on = settings.get("dataset", "(none recorded)")
+        if fit_on != ds.fingerprint:
+            raise ConfigurationError(f"{args.reward} was fit on dataset {fit_on}; "
+                                     f"{data_dir} is dataset {ds.fingerprint}")
     result = trainer.train(ds, model, cfg, out_dir=out)
     last = result.metrics[-1]
     print(

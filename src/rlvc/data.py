@@ -53,6 +53,9 @@ class ZslDataset:
     splits: np.ndarray  # (N,) strings from SPLIT_TAGS
     prototypes: np.ndarray  # (C, d_z), row index == class id
     roles: np.ndarray  # (C,) strings from ROLES
+    # the `fingerprint` of the directory the rows were loaded from, kept by
+    # `standardize`; None for a dataset built in memory
+    fingerprint: str | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -232,7 +235,8 @@ def load_dataset(dirpath) -> ZslDataset:
     """Read and fully validate a dataset directory; any broken invariant is
     rejected with a row-level diagnostic. The arrays come from the directory's
     cache when it was stored under the files' fingerprint; otherwise the csv
-    files are parsed and the cache is (re)written."""
+    files are parsed and the cache is (re)written. The dataset carries the
+    files' fingerprint."""
     for name in DATASET_FILES:
         if not os.path.isfile(os.path.join(dirpath, name)):
             raise FileNotFoundError(f"missing {name} in {dirpath}")
@@ -242,6 +246,7 @@ def load_dataset(dirpath) -> ZslDataset:
     if ds is None:
         ds = _parse_dataset(dirpath)
         _write_cache(cache, key, ds)
+    ds.fingerprint = key
     return ds
 
 
@@ -481,8 +486,9 @@ def train_stats(ds: ZslDataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def standardize(ds: ZslDataset) -> ZslDataset:
-    """Per-coordinate standardization using train-split statistics only."""
+    """Per-coordinate standardization using train-split statistics only; the
+    result keeps the dataset's fingerprint."""
     mu, sd = train_stats(ds)
     return ZslDataset(
-        (ds.features - mu) / sd, ds.labels, ds.splits, ds.prototypes, ds.roles
+        (ds.features - mu) / sd, ds.labels, ds.splits, ds.prototypes, ds.roles, ds.fingerprint
     )

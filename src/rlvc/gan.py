@@ -159,7 +159,8 @@ def _as_batch(x, what: str, dtype) -> np.ndarray:
 # leaky-relu pre-activation farther from its kink than that bound.
 
 
-def _penalty_pass(net: DenseNet, inputs, start: int, d: int, weight: float, lhs) -> np.floating:
+def _penalty_pass(net: DenseNet, inputs, masks, start: int, d: int, weight: float,
+                  lhs) -> np.floating:
     """The gradient penalty mean((|d sum(net) / d x_hat| - 1)^2) at the rows
     `start:` of the forward cache `inputs` (the interpolates x_hat, whose
     first d columns are differentiated and the rest held fixed), set up for
@@ -167,20 +168,22 @@ def _penalty_pass(net: DenseNet, inputs, start: int, d: int, weight: float, lhs)
     layer l, the weight gradient gated_l.T @ ug_l, so gated_l is written into
     rows `start:` of lhs[l] and ug_l over rows `start:` of inputs[l]. The
     input gradient is the closed form ones @ W_L @ D_{L-1} @ ... @ D_1 @ W_1
-    of the leaky-relu MLP, with the masks D held constant; each mask is built
-    once, from its layer's cached activation, before those rows are
+    of the leaky-relu MLP, with the masks D held constant: `masks`, one per
+    hidden layer over every row of the cache, built before these rows are
     overwritten. A critic has one output, so ones @ W_L is W_L in every row,
-    and W_L is broadcast instead; its gated rows are ones. Everything is of
-    the network's dtype, the norm's floor too."""
-    masks = [leaky_relu_mask(h[start:], net.slope) for h in inputs[1:]]
+    and W_L is broadcast instead; its gated rows are ones. The first layer's
+    products read only W_1's first d columns, the ones x_hat meets; ug_1 is
+    zero in the others. Everything is of the network's dtype, the norm's
+    floor too."""
     ws, floor = net.ws, NORM_FLOOR[net.flat.dtype]
+    first = ws[0][:, :d]
     # g = W_L, each row of ones @ W_L, then g = (g * D_l) @ W_l down to the
-    # first layer.
+    # first layer, of which only the x_hat columns are formed.
     g = ws[-1]
     lhs[-1][start:] = 1.0
-    for i in range(len(ws) - 2, -1, -1):
-        g = np.multiply(g, masks[i], out=lhs[i][start:]) @ ws[i]
-    gx = g[:, :d]
+    for i in range(len(ws) - 2, 0, -1):
+        g = np.multiply(g, masks[i][start:], out=lhs[i][start:]) @ ws[i]
+    gx = np.multiply(g, masks[0][start:], out=lhs[0][start:]) @ first
     rows = gx.shape[0]
     sq = np.sum(gx * gx, axis=1)
     norms = np.sqrt(np.maximum(sq, floor))
@@ -192,9 +195,10 @@ def _penalty_pass(net: DenseNet, inputs, start: int, d: int, weight: float, lhs)
     kappa = (2.0 * weight * inv_b) * dev / norms * (sq >= floor)
     ug = inputs[0][start:]
     ug[:, d:] = 0.0
-    np.multiply(kappa[:, None], gx, out=ug[:, :d])
-    for i, (w, mask) in enumerate(zip(ws[:-1], masks)):
-        ug = np.multiply(ug @ w.T, mask, out=inputs[i + 1][start:])
+    ugx = np.multiply(kappa[:, None], gx, out=ug[:, :d])
+    ug = np.multiply(ugx @ first.T, masks[0][start:], out=inputs[1][start:])
+    for i, w in enumerate(ws[1:-1], 1):
+        ug = np.multiply(ug @ w.T, masks[i][start:], out=inputs[i + 1][start:])
     return value
 
 
@@ -210,8 +214,9 @@ def _critic_pass(net: DenseNet, real, fake, cond, lambda_gp: float, rng):
     the masks) over the penalty's gated rows, and rhs_l holds those rows'
     layer inputs over the penalty's ug rows, written over the x_hat rows of
     the forward cache. The biases get the real and fake rows' sums alone.
-    Everything is of the network's dtype; u is drawn in float64 and
-    narrowed to it."""
+    Each hidden layer's mask is built once, over all 3B rows, before the
+    penalty overwrites its x_hat rows. Everything is of the network's dtype;
+    u is drawn in float64 and narrowed to it."""
     rows, d = real.shape
     two = 2 * rows
     dtype = net.flat.dtype
@@ -222,8 +227,9 @@ def _critic_pass(net: DenseNet, real, fake, cond, lambda_gp: float, rng):
     x3[2, :, :d] = u * real + (1.0 - u) * fake
     x3[:, :, d:] = cond
     scores, inputs = net.forward(x)
+    masks = [leaky_relu_mask(h, net.slope) for h in inputs[1:]]
     lhs = [np.empty((3 * rows, width), dtype) for width in net.layer_dims[1:]]
-    gp = _penalty_pass(net, inputs, two, d, lambda_gp, lhs)
+    gp = _penalty_pass(net, inputs, masks, two, d, lambda_gp, lhs)
     inv_b = 1.0 / rows
     loss = (-(np.sum(scores[:rows]) * inv_b) + np.sum(scores[rows:two]) * inv_b) + gp * lambda_gp
 
@@ -240,7 +246,7 @@ def _critic_pass(net: DenseNet, real, fake, cond, lambda_gp: float, rng):
                 np.multiply(u_out, w, out=below)
             else:
                 np.matmul(u_out, w, out=below)
-            u_out = np.multiply(below, leaky_relu_mask(inputs[i][:two], net.slope), out=below)
+            u_out = np.multiply(below, masks[i - 1][:two], out=below)
     return loss, grad
 
 
@@ -275,40 +281,44 @@ def critic_xt_loss(critic, real_xt, fake_xt, x_next, z, t, lambda_gp: float, rng
 
 
 def generator_adv_terms(
-    gen: Generator,
     critic_x0: CriticX0,
     critic_xt: CriticXt,
+    x0_tilde: np.ndarray,
+    xt_tilde: np.ndarray,
     z: np.ndarray,
     x_next: np.ndarray,
     t: np.ndarray,
     sched: diffusion.DiffusionSchedule,
-    eps_gen: np.ndarray,
-    eps_post: np.ndarray,
-) -> tuple[np.floating, np.ndarray, np.ndarray, list]:
-    """Adversarial generator objective -mean(critic_x0) - mean(critic_xt).
+) -> tuple[np.floating, np.ndarray]:
+    """Adversarial generator objective -mean(critic_x0) - mean(critic_xt) on
+    rows the generator has already synthesized; nothing is drawn.
 
-    The transition sample is reparameterized (posterior mean + sigma * eps
-    with eps fixed), so gradient reaches the generator through both critics.
-    Returns the loss, the synthesized clean features (for composing
-    distillation terms on the same batch), the loss's gradient w.r.t. them
-    (critic_x0's term, then c1 times critic_xt's) and the generator's cache,
-    so that `gen.net.pullback(cache, gradient)` gives the generator's
-    gradients. `sched` must be the critic's schedule, of the networks'
-    dtype, in which everything is computed; its posterior tables are read
-    at t once `critic_xt.condition` has checked it."""
+    x0_tilde is the generator's prediction from x_next at timestep t + 1,
+    and xt_tilde its transition sample `diffusion.posterior_sample(x0_tilde,
+    x_next, t, sched, rng)`. That sample is reparameterized (posterior mean
+    + sigma * eps with eps fixed), so xt_tilde moves with x0_tilde by c1[t]
+    and gradient reaches the generator through both critics. Returns the
+    loss and its gradient w.r.t. x0_tilde (critic_x0's term, then c1 times
+    critic_xt's); `gen.net.pullback(cache, gradient)`, with the cache of the
+    forward that made x0_tilde, gives the generator's gradients. `sched`
+    must be the critic's schedule, of the networks' dtype, in which
+    everything is computed; c1 is read at t once `critic_xt.condition` has
+    checked it."""
     if sched.timesteps != len(critic_xt.temb):
         raise UsageError(f"generator_adv_terms: a schedule of {sched.timesteps} steps for a "
                          f"transition critic of {len(critic_xt.temb)}")
-    if sched.dtype != gen.dtype:
-        raise UsageError(f"generator_adv_terms: a {sched.dtype} schedule for a {gen.dtype} "
-                         "generator")
-    z = _as_batch(z, "generator_adv_terms z", gen.dtype)
-    x_next = _as_batch(x_next, "generator_adv_terms x_next", gen.dtype)
-    t = np.asarray(t).reshape(-1)
-    x0_tilde, cache = gen.synthesize(eps_gen, z, x_next, t + 1)
+    dtype = critic_xt.net.flat.dtype
+    if sched.dtype != dtype:
+        raise UsageError(f"generator_adv_terms: a {sched.dtype} schedule for {dtype} critics")
+    x0_tilde = _as_batch(x0_tilde, "generator_adv_terms x0_tilde", dtype)
+    xt_tilde = _as_batch(xt_tilde, "generator_adv_terms xt_tilde", dtype)
+    z = _as_batch(z, "generator_adv_terms z", dtype)
+    x_next = _as_batch(x_next, "generator_adv_terms x_next", dtype)
+    if not (x0_tilde.shape == xt_tilde.shape == x_next.shape
+            and x0_tilde.shape[0] == z.shape[0]):
+        raise UsageError("generator_adv_terms: batch shapes disagree")
     cond = critic_xt.condition(x_next, z, t)
-    c1 = sched.c1[t]
-    xt_tilde = c1 * x0_tilde + (sched.c2[t] * x_next + sched.sigma[t] * eps_post)
+    c1 = sched.c1[np.asarray(t).reshape(-1)]
     s0, cache0 = critic_x0.net.forward(np.concatenate([x0_tilde, z], axis=1))
     st, cachet = critic_xt.net.forward(np.concatenate([xt_tilde, cond], axis=1))
     inv_b = 1.0 / x0_tilde.shape[0]
@@ -316,4 +326,4 @@ def generator_adv_terms(
     d = x0_tilde.shape[1]
     g0 = critic_x0.net.pullback(cache0, np.full(s0.shape, -inv_b, s0.dtype), wrt_input=True)
     gt = critic_xt.net.pullback(cachet, np.full(st.shape, -inv_b, st.dtype), wrt_input=True)
-    return loss, x0_tilde, g0[:, :d] + gt[:, :d] * c1, cache
+    return loss, g0[:, :d] + gt[:, :d] * c1

@@ -728,13 +728,15 @@ def save_reward(path, model: SoftmaxClassifier, settings: str = "") -> None:
 def load_reward(path) -> tuple[SoftmaxClassifier, dict[str, str]]:
     """Read a file written by `save_reward`: the model and the file's
     settings. A checkpoint of another kind, with more than one layer, or with
-    settings other than `standardize = true` or `false` alone, is refused."""
+    settings other than `standardize = true` or `false` and, optionally, the
+    `dataset` fingerprint of the rows it was fit on, is refused."""
     dims, flat, settings = load_checkpoint(path, REWARD_TAG)
     if len(dims) != 2:
         raise ConfigurationError(f"reward checkpoint {path} is not one linear layer")
-    if settings not in ({"standardize": "true"}, {"standardize": "false"}):
-        raise ConfigurationError(f"reward checkpoint {path} records {settings}, "
-                                 "not standardize = true or false")
+    if not (settings.get("standardize") in ("true", "false")
+            and settings.keys() <= {"standardize", "dataset"}):
+        raise ConfigurationError(f"reward checkpoint {path} records {settings}, not "
+                                 "standardize = true or false and a dataset fingerprint")
     d, n_classes = dims
     model = SoftmaxClassifier(flat[: n_classes * d].reshape(n_classes, d), flat[n_classes * d :])
     return model, settings

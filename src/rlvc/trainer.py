@@ -8,6 +8,23 @@ generator objectives alternate; they are never summed into a single step.
 The policy step descends `reward.rl_loss`, minus the batch-mean reward of
 freshly synthesized rows, through the generator's reparameterized sample.
 
+What each step draws and reads, the minibatch's rows x0 and prototypes z
+being drawn first from the "train" stream:
+
+- each critic step draws, from "train", t in 0..T-1, x_t ~ q(x_t | x0),
+  x_{t+1} ~ q(x_{t+1} | x_t) and the generator's noise; synthesizes the fake
+  x0 from x_{t+1} at t + 1 and draws its fake x_t from the posterior
+  q(x_t | x_{t+1}, fake x0); then each critic's penalty draws its u;
+- the generator step draws nothing: it scores the last critic step's fake
+  x0 and x_t rows with the updated critics and pulls the gradient back
+  through that step's generator forward, which the critic update left
+  valid;
+- the policy step draws, from "rl", t, x_{t+1} ~ q(x_{t+1} | x0) in one
+  block and the generator's noise, then synthesizes its rows.
+
+So a minibatch runs the generator once per critic step and once more for
+the policy step.
+
 Everything a minibatch computes is of config.dtype: the networks, their Adam
 state, the batch rows, the prototypes, the diffusion tables, the reward
 model (narrowed once per run) and every normal draw. The dataset, the
@@ -179,12 +196,6 @@ def train(
         metrics_fh = open(os.path.join(out_dir, "metrics.csv"), "w", newline="\n")
         metrics_fh.write(",".join(METRICS_COLUMNS) + "\n")
 
-    def _draw_states(rng, x0):
-        t = rng.integers(0, config.diffusion_steps, size=x0.shape[0])
-        x_t = diffusion.forward_noise(x0, t, sched, rng)
-        x_next = diffusion.forward_transition(x_t, t, sched, rng)
-        return t, x_t, x_next
-
     try:
         for epoch in range(config.epochs):
             cnt = EpochCounters(epoch=epoch)
@@ -199,9 +210,11 @@ def train(
                 rows = train_rows[idx]
 
                 for _ in range(config.critic_steps):
-                    t, x_t, x_next = _draw_states(train_rng, x0)
+                    t = train_rng.integers(0, config.diffusion_steps, size=x0.shape[0])
+                    x_t = diffusion.forward_noise(x0, t, sched, train_rng)
+                    x_next = diffusion.forward_transition(x_t, t, sched, train_rng)
                     eps_g = train_rng.standard_normal(x0.shape, dtype)
-                    fake_x0 = generator.synthesize(eps_g, z, x_next, t + 1)[0]
+                    fake_x0, gen_cache = generator.synthesize(eps_g, z, x_next, t + 1)
                     fake_xt = diffusion.posterior_sample(fake_x0, x_next, t, sched, train_rng)
                     loss0, grad0 = gan.critic_x0_loss(
                         critic_x0, x0, fake_x0, z, config.lambda_gp, train_rng
@@ -215,16 +228,16 @@ def train(
                     cnt.critic_updates += 1
                     critic_vals.append(total)
 
-                t, x_t, x_next = _draw_states(train_rng, x0)
-                eps_g = train_rng.standard_normal(x0.shape, dtype)
-                eps_post = train_rng.standard_normal(x0.shape, dtype)
-                adv_loss, x0_tilde, g_x0, gen_cache = gan.generator_adv_terms(
-                    generator, critic_x0, critic_xt, z, x_next, t, sched, eps_g, eps_post
+                # The last critic step's fakes, scored by the updated critics:
+                # that step changed no generator weight, so its forward cache
+                # still pulls the gradient back.
+                adv_loss, g_x0 = gan.generator_adv_terms(
+                    critic_x0, critic_xt, fake_x0, fake_xt, z, x_next, t, sched
                 )
                 _require_finite(adv_loss.item(), "generator adversarial loss", epoch, batch_i)
                 if config.use_cues:
                     cue_term, cue_grads = cues.cue_loss(
-                        x0_tilde, visual[rows], config.lambda_pd
+                        fake_x0, visual[rows], config.lambda_pd
                     )
                     _require_finite(cue_term.item(), "distillation loss", epoch, batch_i)
                     for g in cue_grads:
@@ -235,7 +248,9 @@ def train(
                 adv_vals.append(adv_loss.item())
 
                 if rl_active:
-                    t, x_t, x_next = _draw_states(rl_rng, x0)
+                    # x_{t+1} ~ q(x_{t+1} | x_0) in one draw: no x_t is read here
+                    t = rl_rng.integers(0, config.diffusion_steps, size=x0.shape[0])
+                    x_next = diffusion.forward_noise(x0, t + 1, sched, rl_rng)
                     eps_g = rl_rng.standard_normal(x0.shape, dtype)
                     x0_rl, gen_cache = generator.synthesize(eps_g, z, x_next, t + 1)
                     r, lp_cache = reward_mod.class_log_probs(reward_model, x0_rl, rows)

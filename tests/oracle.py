@@ -82,15 +82,16 @@ def critic_terms(net, real, fake, cond, lambda_gp: float, rng) -> Tensor:
     return wass + lambda_gp * engine.tmean((norms - 1.0) ** 2.0)
 
 
-def generator_adv_terms(gen, critic_x0, critic_xt, z, x_next, t, sched, eps_gen, eps_post):
-    """gan.generator_adv_terms: the loss and the synthesized rows."""
-    x0_tilde = synthesize(gen, eps_gen, z, x_next, t + 1)
-    xt_tilde = Tensor(sched.c1[t]) * x0_tilde + Tensor(
-        sched.c2[t] * x_next + np.sqrt(sched.sigma2[t]) * eps_post)
+def generator_adv_terms(critic_x0, critic_xt, x0_tilde: Tensor, z, x_next, t, sched, eps_post):
+    """gan.generator_adv_terms on the synthesized rows x0_tilde, whose
+    transition sample is `diffusion.posterior_sample`'s expression with the
+    draw eps_post: the loss and that sample's graph node."""
+    xt_tilde = (Tensor(sched.c1[t]) * x0_tilde + Tensor(sched.c2[t] * x_next)) + Tensor(
+        sched.sigma[t] * eps_post)
     loss = -engine.tmean(score(critic_x0.net, x0_tilde, z)) - engine.tmean(
         score(critic_xt.net, xt_tilde, critic_xt.condition(x_next, z, t))
     )
-    return loss, x0_tilde
+    return loss, xt_tilde
 
 
 def cue_loss(x: Tensor, v: np.ndarray) -> Tensor:

@@ -99,7 +99,11 @@ def test_01_gradient_correctness(monkeypatch):
             )
 
         def adv_pass():
-            return gan.generator_adv_terms(gen, c0, ct, z, x_next, t, sched, eps_g, eps_p)
+            # the trainer's rows: a forward and its posterior sample, the draw fixed
+            x0_tilde, cache = gen.synthesize(eps_g, z, x_next, t + 1)
+            xt_tilde = (sched.c1[t] * x0_tilde + sched.c2[t] * x_next) + sched.sigma[t] * eps_p
+            loss, g_x0 = gan.generator_adv_terms(c0, ct, x0_tilde, xt_tilde, z, x_next, t, sched)
+            return loss, x0_tilde, g_x0, cache
 
         def loss_adv():
             loss, _, g_x0, cache = adv_pass()

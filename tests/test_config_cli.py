@@ -12,12 +12,12 @@ import pytest
 
 from rlvc import cli, config, trainer
 from rlvc.data import (
-    CACHE_NAME, ZslDataset, export_features, load_dataset, make_synthetic, save_dataset,
-    standardize,
+    CACHE_NAME, ZslDataset, export_features, fingerprint, load_dataset, make_synthetic,
+    save_dataset, standardize,
 )
 from rlvc.errors import ConfigurationError, UsageError
 from rlvc.evaluate import harmonic_mean, synthesize_unseen
-from rlvc.nets import GENERATOR_TAG, REWARD_TAG, param_count, save_checkpoint
+from rlvc.nets import GENERATOR_TAG, REWARD_TAG, param_count, save_checkpoint, save_reward
 from rlvc.reward import pretrain_reward
 from rlvc.seeding import stream_rng
 
@@ -692,12 +692,47 @@ def test_cli_train_refuses_a_reward_file_whose_settings_are_not_standardize_alon
     assert cli.main(["pretrain-reward", "--data", data, "--out", str(run)] + _FAST) == 0
     path = run / "reward.ckpt"
     blob = path.read_bytes()
-    text = b"standardize = false\n"
-    at = blob.index(text)
-    new = edit(text.decode()).encode()
-    path.write_bytes(blob[: at - 4] + struct.pack("<I", len(new)) + new + blob[at + len(text):])
+    at = blob.index(b"standardize = false\n")  # the first line of the settings
+    (size,) = struct.unpack("<I", blob[at - 4 : at])
+    text = blob[at : at + size].decode()
+    assert text == f"standardize = false\ndataset = {fingerprint(data)}\n"
+    new = edit(text).encode()
+    path.write_bytes(blob[: at - 4] + struct.pack("<I", len(new)) + new + blob[at + size :])
     capsys.readouterr()
     assert cli.main(["train", "--data", data, "--out", str(run), "--reward", str(path)]
                     + _FAST) == 2
     err = capsys.readouterr().err
     assert f"reward checkpoint {path} records" in err and shown in err
+
+
+def test_cli_train_refuses_a_reward_file_fit_on_another_dataset(tmp_path, capsys):
+    # seed 1's reward model, then a seed 2 dataset at the same shape: the
+    # widths and classes agree, the rows do not
+    first, second, run = (str(tmp_path / name) for name in ("data-1", "data-2", "run"))
+    for data, seed in ((first, "1"), (second, "2")):
+        assert cli.main(["gen-synthetic", "--out", data, "--seed", seed] + _TINY) == 0
+    assert cli.main(["pretrain-reward", "--data", first, "--out", run] + _FAST) == 0
+    capsys.readouterr()
+    reward = f"{run}/reward.ckpt"
+    assert cli.main(["train", "--data", second, "--out", run, "--reward", reward] + _FAST) == 2
+    assert capsys.readouterr().err == (
+        f"error: {reward} was fit on dataset {fingerprint(first)}; "
+        f"{second} is dataset {fingerprint(second)}\n"
+    )
+    assert not os.path.exists(f"{run}/metrics.csv")
+    assert cli.main(["train", "--data", first, "--out", run, "--reward", reward] + _FAST) == 0
+
+
+def test_cli_train_refuses_a_reward_file_that_records_no_dataset(tmp_path, capsys):
+    data, run = str(tmp_path / "data"), tmp_path / "run"
+    assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
+    ds = load_dataset(data)
+    train_x, train_y = ds.train
+    model = pretrain_reward(train_x, ds.seen_rows(train_y), len(ds.seen_classes),
+                            config.Config(reward_epochs=2))
+    run.mkdir()
+    save_reward(run / "reward.ckpt", model, "standardize = false\n")
+    assert cli.main(["train", "--data", data, "--out", str(run), "--reward",
+                     str(run / "reward.ckpt")] + _FAST) == 2
+    assert f"was fit on dataset (none recorded); {data} is dataset {ds.fingerprint}" in (
+        capsys.readouterr().err)

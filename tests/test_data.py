@@ -271,6 +271,15 @@ def test_the_fingerprint_follows_every_byte_and_its_file(tmp_path):
     assert datamod.fingerprint(moved) != datamod.fingerprint(path)
 
 
+def test_a_loaded_dataset_carries_its_fingerprint_parsed_cached_and_standardized(tmp_path):
+    path = _write_fixture(tmp_path)
+    key = datamod.fingerprint(path)
+    parsed, cached = load_dataset(path), load_dataset(path)
+    assert (path / datamod.CACHE_NAME).is_file()
+    assert parsed.fingerprint == cached.fingerprint == standardize(cached).fingerprint == key
+    assert tiny_dataset().fingerprint is None
+
+
 def test_seen_rows_index_the_sorted_seen_ids():
     roles = np.array(["unseen", "seen", "seen", "unseen", "seen"], dtype=object)
     ds = ZslDataset(np.zeros((1, 1)), [1], ["train"], np.zeros((5, 1)), roles)

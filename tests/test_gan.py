@@ -20,6 +20,11 @@ def _zero_net(net) -> None:
     set_params(net, [np.zeros_like(p.data) for p in net.params])
 
 
+def _transition(x0_tilde, x_next, t, sched, eps):
+    """`diffusion.posterior_sample`'s x_t with its draw fixed to eps."""
+    return (sched.c1[t] * x0_tilde + sched.c2[t] * x_next) + sched.sigma[t] * eps
+
+
 def _constant_critic_x0(c: float, d=3, dz=2) -> CriticX0:
     critic = CriticX0(d, dz, Config(), np.random.default_rng(0))
     _zero_net(critic.net)
@@ -300,12 +305,14 @@ def test_generator_adv_loss_constant_critics():
     arrays[-1][:] = -0.75
     set_params(cxt.net, arrays)
 
-    loss, *_ = gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
+    x0_tilde, cache = gen.synthesize(eps_g, z, x_next, t + 1)
+    xt_tilde = _transition(x0_tilde, x_next, t, sched, eps_p)
+    loss, _ = gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, x_next, t, sched)
     assert abs(loss.item() - (-1.25 + 0.75)) < 1e-12
 
     _zero_net(cx0.net)
     _zero_net(cxt.net)
-    loss0, _, g_x0, cache = gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
+    loss0, g_x0 = gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, x_next, t, sched)
     grads0 = gen.net.pullback(cache, g_x0)
     assert loss0.item() == 0.0
     np.testing.assert_array_equal(grads0, np.zeros_like(gen.net.flat))
@@ -327,8 +334,10 @@ def test_generator_step_runs_no_critic_weight_vjp(monkeypatch):
         calls.append((net, wrt_input))
         return pullback(net, cache, u, wrt_input)
 
+    x0_tilde = gen.synthesize(eps_g, z, x_next, t + 1)[0]
+    xt_tilde = _transition(x0_tilde, x_next, t, sched, eps_p)
     monkeypatch.setattr(DenseNet, "pullback", recording_pullback)
-    gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
+    gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, x_next, t, sched)
     # each critic is pulled back to its input only
     assert calls == [(cx0.net, True), (cxt.net, True)]
 
@@ -348,7 +357,9 @@ def test_generator_adv_fd_through_posterior_path():
     eps_p = rng.normal(size=(3, 2))
 
     def loss_fn():
-        loss, _, g_x0, cache = gan.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_p)
+        x0_tilde, cache = gen.synthesize(eps_g, z, x_next, t + 1)
+        xt_tilde = _transition(x0_tilde, x_next, t, sched, eps_p)
+        loss, g_x0 = gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, x_next, t, sched)
         return loss, [gen.net.pullback(cache, g_x0)]
 
     assert max_fd_error(loss_fn, [gen.net.flat]) < 1e-4
@@ -357,16 +368,16 @@ def test_generator_adv_fd_through_posterior_path():
 def test_generator_adv_terms_refuses_another_schedule_and_checks_t_before_the_tables():
     rng = np.random.default_rng(7)
     cfg = Config(hidden_mult=1, temb_dim=4)  # diffusion_steps 4
-    gen, cx0, cxt = Generator(2, 2, cfg, rng), CriticX0(2, 2, cfg, rng), CriticXt(2, 2, cfg, rng)
-    z, x_next, eps = (rng.normal(size=(3, 2)) for _ in range(3))
+    cx0, cxt = CriticX0(2, 2, cfg, rng), CriticXt(2, 2, cfg, rng)
+    z, x_next, x0_tilde, xt_tilde = (rng.normal(size=(3, 2)) for _ in range(4))
     with pytest.raises(UsageError, match="a schedule of 6 steps for a transition critic of 4"):
-        gan.generator_adv_terms(gen, cx0, cxt, z, x_next, np.array([0, 1, 3]),
-                                diffusion.build_schedule(6, 0.1, 0.4), eps, eps)
-    # t = -1 passes the generator's check as t + 1 = 0 and would read the
-    # tables' last row; the transition critic's check refuses it first
+        gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, x_next, np.array([0, 1, 3]),
+                                diffusion.build_schedule(6, 0.1, 0.4))
+    # t = -1 would read c1's last row; the transition critic's check refuses
+    # it first
     with pytest.raises(UsageError, match=r"^condition: timestep out of range \[0, 3\]$"):
-        gan.generator_adv_terms(gen, cx0, cxt, z, x_next, np.array([0, -1, 3]), cfg.schedule(),
-                                eps, eps)
+        gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, x_next, np.array([0, -1, 3]),
+                                cfg.schedule())
 
 
 def test_summed_critic_objective_zero_nets():

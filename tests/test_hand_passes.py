@@ -262,13 +262,18 @@ def test_generator_step_matches_the_engine(with_cues, t):
     b = _batch(t, 12)
     v = _prototypes(3)[b["y"]]
     lambda_pd = 0.7
-    args = (gen, cx0, cxt, b["z"], b["x_next"], t, SCHED, b["eps_g"], b["eps_p"])
-    assert _both_branches(gen.net, gen._inputs(b["eps_g"], b["z"], b["x_next"], t + 1))
+    z, x_next = b["z"], b["x_next"]
+    assert _both_branches(gen.net, gen._inputs(b["eps_g"], z, x_next, t + 1))
 
-    loss, x0_tilde, g_x0, cache = gan.generator_adv_terms(*args)
-    adv, oracle_x0 = oracle.generator_adv_terms(*args)
+    # the trainer's rows: a forward, then the posterior sample of its output
+    x0_tilde, cache = gen.synthesize(b["eps_g"], z, x_next, t + 1)
+    xt_tilde = diffusion.posterior_sample(x0_tilde, x_next, t, SCHED, np.random.default_rng(13))
+    eps_p = np.random.default_rng(13).standard_normal(x0_tilde.shape)
+    loss, g_x0 = gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, x_next, t, SCHED)
+    oracle_x0 = oracle.synthesize(gen, b["eps_g"], z, x_next, t + 1)
+    adv, oracle_xt = oracle.generator_adv_terms(cx0, cxt, oracle_x0, z, x_next, t, SCHED, eps_p)
+    assert _same(x0_tilde, oracle_x0.data) and _same(xt_tilde, oracle_xt.data)
     assert _same(loss, adv.data)
-    assert _same(x0_tilde, oracle_x0.data)
     total = adv
     if with_cues:
         value, contributions = cues.cue_loss(x0_tilde, v, lambda_pd)

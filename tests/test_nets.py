@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import io
 import struct
 import tracemalloc
@@ -828,9 +829,10 @@ _BETA = st.floats(1e-6, 0.999, allow_subnormal=False)
 @given(hidden_mult=st.integers(1, 3), temb_dim=st.integers(0, 6),
        slope=st.floats(0.0, 1.0).filter(nets.exact_slope), steps=st.integers(1, 8),
        betas=st.tuples(_BETA, _BETA).map(sorted), standardize=st.booleans(),
-       epoch=st.integers(0, 10**6))
+       epoch=st.integers(0, 10**6),
+       dataset=st.none() | st.binary().map(lambda b: hashlib.sha256(b).hexdigest()))
 def test_every_settings_line_round_trips_through_load_and_save(
-        tmp_path_factory, hidden_mult, temb_dim, slope, steps, betas, standardize, epoch):
+        tmp_path_factory, hidden_mult, temb_dim, slope, steps, betas, standardize, epoch, dataset):
     cfg = Config(hidden_mult=hidden_mult, temb_dim=temb_dim, leaky_slope=slope,
                  diffusion_steps=steps, beta_min=betas[0], beta_max=betas[1],
                  standardize=standardize)
@@ -844,7 +846,10 @@ def test_every_settings_line_round_trips_through_load_and_save(
     for line in (f"epoch = {epoch}\n" + format_config(cfg, gan.GENERATOR_KEYS)).splitlines():
         assert line.encode() + b"\n" in written
 
-    space = format_config(cfg, ["standardize"])
+    # the reward file's lines: its feature space and the fingerprint of the
+    # dataset it was fit on, which files from before that line lack
+    space = format_config(cfg, ["standardize"]) + (
+        "" if dataset is None else f"dataset = {dataset}\n")
     rng = np.random.default_rng(epoch)
     nets.save_reward(folder / "reward.ckpt",
                      SoftmaxClassifier(rng.normal(size=(3, 4)), rng.normal(size=3)), space)

@@ -66,6 +66,46 @@ def test_probe_worker_reports_every_figure_and_a_sha256(argv, figures, capsys):
     assert f"  sha256 of {hashed}: {result['sha256']}" in printed
 
 
+def _old_generator_adv_terms(new):
+    """`gan.generator_adv_terms` with the signature of the revisions whose
+    generator step synthesized its own rows from noise it was given."""
+
+    def generator_adv_terms(gen, critic_x0, critic_xt, z, x_next, t, sched, eps_gen, eps_post):
+        x0_tilde, cache = gen.synthesize(eps_gen, z, x_next, t + 1)
+        xt_tilde = sched.c1[t] * x0_tilde + (sched.c2[t] * x_next + sched.sigma[t] * eps_post)
+        loss, g_x0 = new(critic_x0, critic_xt, x0_tilde, xt_tilde, z, x_next, t, sched)
+        return loss, x0_tilde, g_x0, cache
+
+    return generator_adv_terms
+
+
+@pytest.mark.parametrize("old", [False, True], ids=["tree", "old signature"])
+def test_probe_step_runs_the_schedule_of_the_revision_it_measures(old, monkeypatch, capsys):
+    # a minibatch synthesizes twice (critic and policy steps), or, on a
+    # revision whose generator step takes noise, three times, with two more
+    # transition draws
+    from rlvc import diffusion, gan
+
+    if old:
+        monkeypatch.setattr(gan, "generator_adv_terms",
+                            _old_generator_adv_terms(gan.generator_adv_terms))
+    counts = {"synthesize": 0, "forward_transition": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for owner, name in ((gan.Generator, "synthesize"), (diffusion, "forward_transition")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    argv = ["--worker", "step", "--hidden-mult", "1", "--batch-size", "3", "--batches", "2"]
+    assert _load_probe().main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["ms"]["batch"][0] > 0
+    assert counts == ({"synthesize": 6, "forward_transition": 6} if old
+                      else {"synthesize": 4, "forward_transition": 2})
+
+
 _TINY = ["n_seen=4", "n_unseen=2", "feat_dim=8", "sem_dim=4", "samples_per_class=10",
          "semantic_cluster_size=3", "epochs=2", "rl_start_epoch=0", "batch_size=16",
          "synth_per_class=4", "clf_epochs=3", "reward_epochs=3"]

@@ -92,10 +92,15 @@ def test_rl_phase_gate_counts():
         assert c.critic_updates == batches * cfg.critic_steps
 
 
-def test_a_full_arm_minibatch_checks_its_timesteps_twelve_times(monkeypatch):
+def _one_minibatch(**kw):
+    """A dataset, its reward model and a config whose epoch is one minibatch
+    of every training row, the policy step on from the first epoch."""
     ds = _small_ds()
-    rm = _reward_for(ds)
-    cfg = _cfg(epochs=1, batch_size=ds.train[0].shape[0])  # one minibatch
+    return ds, _reward_for(ds), _cfg(epochs=1, batch_size=ds.train[0].shape[0], **kw)
+
+
+def test_a_full_arm_minibatch_checks_its_timesteps_eight_times(monkeypatch):
+    ds, rm, cfg = _one_minibatch()
     assert cfg.critic_steps == 1 and cfg.use_cues
     checks = []
     check = diffusion.per_row
@@ -107,12 +112,77 @@ def test_a_full_arm_minibatch_checks_its_timesteps_twelve_times(monkeypatch):
     monkeypatch.setattr(diffusion, "per_row", counting_check)
     result = train(ds, rm, cfg)
     assert result.counters[0].rl_updates == 1
-    draw = ["forward_noise", "forward_transition"]
     assert checks == (
-        draw + ["synthesize", "posterior_sample", "condition"]  # critic step
-        + draw + ["synthesize", "condition"]  # generator step
-        + draw + ["synthesize"]  # policy-gradient step
+        ["forward_noise", "forward_transition", "synthesize", "posterior_sample",
+         "condition"]  # critic step
+        + ["condition"]  # generator step, on the critic step's rows
+        + ["forward_noise", "synthesize"]  # policy-gradient step
     )
+
+
+@pytest.mark.parametrize("use_rl,calls", [(True, 2), (False, 1)])
+def test_a_minibatch_runs_the_generator_once_per_critic_step_and_policy_step(
+        use_rl, calls, monkeypatch):
+    ds, rm, cfg = _one_minibatch(use_rl=use_rl)
+    seen = []
+    synthesize = gan.Generator.synthesize
+
+    def counting_synthesize(self, *args, **kwargs):
+        seen.append(1)
+        return synthesize(self, *args, **kwargs)
+
+    monkeypatch.setattr(gan.Generator, "synthesize", counting_synthesize)
+    train(ds, rm if use_rl else None, cfg)
+    assert len(seen) == calls
+
+
+def test_the_generator_step_scores_the_last_critic_steps_fakes(monkeypatch):
+    ds, rm, cfg = _one_minibatch(critic_steps=3)
+    fakes, scored = [], []
+    x0_loss, xt_loss, adv_terms = gan.critic_x0_loss, gan.critic_xt_loss, gan.generator_adv_terms
+
+    def recording_x0_loss(critic, real, fake, *args):
+        fakes.append([fake.copy()])
+        return x0_loss(critic, real, fake, *args)
+
+    def recording_xt_loss(critic, real, fake, *args):
+        fakes[-1].append(fake.copy())
+        return xt_loss(critic, real, fake, *args)
+
+    def recording_adv_terms(critic_x0, critic_xt, x0_tilde, xt_tilde, *args):
+        scored.append([x0_tilde.copy(), xt_tilde.copy()])
+        return adv_terms(critic_x0, critic_xt, x0_tilde, xt_tilde, *args)
+
+    monkeypatch.setattr(gan, "critic_x0_loss", recording_x0_loss)
+    monkeypatch.setattr(gan, "critic_xt_loss", recording_xt_loss)
+    monkeypatch.setattr(gan, "generator_adv_terms", recording_adv_terms)
+    train(ds, rm, cfg)
+    assert len(fakes) == 3 and len(scored) == 1
+    assert [a.tobytes() for a in scored[0]] == [a.tobytes() for a in fakes[-1]]
+    assert fakes[-2][0].tobytes() != fakes[-1][0].tobytes()
+
+
+def test_the_policy_step_draws_its_state_from_the_marginal(monkeypatch):
+    ds, rm, cfg = _one_minibatch()
+    calls = []
+    synthesize = gan.Generator.synthesize
+
+    def recording_synthesize(self, eps, z, x_noisy, t, out=None):
+        calls.append((eps.copy(), x_noisy.copy(), np.array(t)))
+        return synthesize(self, eps, z, x_noisy, t, out)
+
+    monkeypatch.setattr(gan.Generator, "synthesize", recording_synthesize)
+    train(ds, rm, cfg)
+    eps_g, x_next, t_next = calls[-1]  # the policy step's
+    train_x = ds.train[0]
+    x0 = train_x[stream_rng(cfg.seed, "train").integers(0, len(train_x), size=cfg.batch_size)]
+    rl, sched = stream_rng(cfg.seed, "rl"), cfg.schedule()
+    t = rl.integers(0, cfg.diffusion_steps, size=cfg.batch_size)
+    eps = rl.standard_normal(x0.shape)
+    replay = sched.sqrt_abar[t + 1] * x0 + sched.sqrt_one_minus_abar[t + 1] * eps
+    assert t_next.tobytes() == (t + 1).tobytes()
+    assert x_next.tobytes() == replay.tobytes()
+    assert eps_g.tobytes() == rl.standard_normal(x0.shape).tobytes()
 
 
 def test_rl_from_first_epoch():
@@ -307,14 +377,13 @@ def _oracle_minibatch(ds, rm, cfg):
     v = np.stack([train_x[train_y == c].mean(0) for c in y])
     reward_rows = np.array([seen.index(int(c)) for c in y])
 
-    def draw(rng):
-        t = rng.integers(0, cfg.diffusion_steps, size=x0.shape[0])
-        x_t = diffusion.forward_noise(x0, t, sched, rng)
-        return t, x_t, diffusion.forward_transition(x_t, t, sched, rng)
-
-    t, x_t, x_next = draw(train_rng)
+    t = train_rng.integers(0, cfg.diffusion_steps, size=x0.shape[0])
+    x_t = diffusion.forward_noise(x0, t, sched, train_rng)
+    x_next = diffusion.forward_transition(x_t, t, sched, train_rng)
     eps_g = train_rng.standard_normal(x0.shape)
-    fake_x0 = oracle.synthesize(gen, eps_g, z, x_next, t + 1).data
+    x0_tilde = oracle.synthesize(gen, eps_g, z, x_next, t + 1)
+    fake_x0 = x0_tilde.data
+    eps_post = copy.deepcopy(train_rng).standard_normal(x0.shape)
     fake_xt = diffusion.posterior_sample(fake_x0, x_next, t, sched, train_rng)
     g0 = _critic_step(gan.critic_x0_loss, (cx0, x0, fake_x0, z), cx0.net, x0, fake_x0, z,
                       cfg.lambda_gp, train_rng)
@@ -323,14 +392,14 @@ def _oracle_minibatch(ds, rm, cfg):
                       cond, cfg.lambda_gp, train_rng)
     opt_critic.step([g0, gt])
 
-    t, x_t, x_next = draw(train_rng)
-    eps_g = train_rng.standard_normal(x0.shape)
-    eps_post = train_rng.standard_normal(x0.shape)
-    adv, x0_tilde = oracle.generator_adv_terms(gen, cx0, cxt, z, x_next, t, sched, eps_g, eps_post)
+    # the critic step's fakes and generator graph, scored by the updated critics
+    adv, xt_tilde = oracle.generator_adv_terms(cx0, cxt, x0_tilde, z, x_next, t, sched, eps_post)
+    assert xt_tilde.data.tobytes() == fake_xt.tobytes()
     cue = oracle.cue_loss(x0_tilde, v)
     opt_gen.step([oracle.flat_grad(adv + cfg.lambda_pd * cue, gen.net.params)])
 
-    t, x_t, x_next = draw(rl_rng)
+    t = rl_rng.integers(0, cfg.diffusion_steps, size=x0.shape[0])
+    x_next = diffusion.forward_noise(x0, t + 1, sched, rl_rng)
     eps_g = rl_rng.standard_normal(x0.shape)
     x0_rl = oracle.synthesize(gen, eps_g, z, x_next, t + 1)
     log_probs = oracle.class_log_probs(rm, x0_rl, reward_rows)

@@ -39,18 +39,24 @@ one at a time in us, at each head's [w | b] size (165 and 825 entries
 here). The sha256 is of both heads over every report. perfbench's traced
 run cannot time calls this short: the tracer's overhead dominates them.
 
-`step` times a training minibatch's parts apart, as `trainer.train` runs
-them, at the synthetic preset's shapes (d=32, d_z=16, 20 seen classes, the
-critics 48 -> 128 -> 128 -> 1 and 96 -> 128 -> 128 -> 1 at the default
+`step` times training minibatches as `trainer.train` runs them, at the
+synthetic preset's shapes (d=32, d_z=16, 20 seen classes, the critics
+48 -> 128 -> 128 -> 1 and 96 -> 128 -> 128 -> 1 at the default
 --hidden-mult 4 and --batch-size 32) and its `dtype` (float64 for a
-revision without that setting), on random batches drawn in float64 and
-narrowed to it: ms per critic pair
-(both critic losses with their penalties), per generator adversarial step
-(with the cue loss and the generator's pullback), per policy step, per Adam
+revision without that setting), each minibatch's rows picked from a pool
+of random rows drawn in float64 and narrowed to it. Per minibatch it
+reads, in ms: the critic pair (the critic step's draws, the fakes'
+synthesis and posterior sample, and both critic losses with their
+penalties), the generator adversarial step (with the cue loss and the
+generator's pullback), the policy step (its draws included), the Adam
 sweep of the critic pair, of the generator's adversarial optimizer and of
-its policy optimizer, and per minibatch, the sum of its six timed calls.
-The sha256 is of the three networks after the last step. `--hidden-mult 1
---batch-size 4` reads the per-call floor, where arithmetic is negligible.
+its policy optimizer, and the whole minibatch from its rows' pick to its
+last Adam sweep. On a revision whose `gan.generator_adv_terms` still
+takes the generator and its noise, the generator step draws its own
+states and synthesizes its own rows, and the policy step draws x_t before
+x_{t+1}, as that revision's trainer did. The sha256 is of the three
+networks after the last step. `--hidden-mult 1 --batch-size 4` reads the
+per-call floor, where arithmetic is negligible.
 
 `drift` measures what a change does to results, not to time. For each seed
 and each side, in a fresh process, it resolves the synthetic preset with
@@ -165,16 +171,20 @@ def measure_report(args) -> dict:
 
 
 def measure_step(args) -> dict:
-    """A minibatch's steps, each timed alone, as `trainer.train` runs them."""
+    """Minibatches as `trainer.train` runs them, each step also timed alone."""
+    import inspect
+
     import numpy as np
 
-    from rlvc import config, cues, gan, nets, reward
+    from rlvc import config, cues, diffusion, gan, nets, reward
 
     cfg = config.resolve_config("synthetic", None, {"hidden_mult": args.hidden_mult,
                                                     "batch_size": args.batch_size})
     dtype = getattr(cfg, "dtype", "float64")
     rng = np.random.default_rng(args.seed)
     d, d_z, b, classes = cfg.feat_dim, cfg.sem_dim, cfg.batch_size, cfg.n_seen
+    # A revision whose generator step synthesizes and draws its own rows.
+    own_rows = "eps_post" in inspect.signature(gan.generator_adv_terms).parameters
 
     def normal(*size):
         return rng.normal(size=size).astype(dtype)
@@ -187,46 +197,63 @@ def measure_step(args) -> dict:
     opt_rl = nets.AdamState([gen.net.flat], lr=cfg.lr_rl, **betas)
     narrow = {} if dtype == "float64" else {"dtype": dtype}
     model = nets.SoftmaxClassifier(rng.normal(size=(classes, d)), np.zeros(classes), **narrow)
-    visual, sched = normal(classes, d), cfg.schedule()
+    visual, protos, sched = normal(classes, d), normal(classes, d_z), cfg.schedule()
+    pool_x, pool_y = normal(classes * 48, d), np.repeat(np.arange(classes), 48)
     ms = {name: [] for name in ("critic pair", "generator adversarial step", "policy step",
                                 "adam critic pair", "adam generator", "adam policy", "batch")}
-    spent = [0.0]  # the current minibatch's timed ms
 
     def timed(name, fn, *call_args):
         start = time.perf_counter()
         out = fn(*call_args)
-        took = 1e3 * (time.perf_counter() - start)
-        ms[name].append(took)
-        spent[0] += took
+        ms[name].append(1e3 * (time.perf_counter() - start))
         return out
 
-    def critic_pair(x0, fake, x_t, x_next, z, t):
-        return [gan.critic_x0_loss(critic_x0, x0, fake, z, cfg.lambda_gp, rng)[1],
-                gan.critic_xt_loss(critic_xt, x_t, fake, x_next, z, t, cfg.lambda_gp, rng)[1]]
+    def states():
+        t = rng.integers(0, cfg.diffusion_steps, size=b)
+        x_t = diffusion.forward_noise(x0, t, sched, rng)
+        return t, x_t, diffusion.forward_transition(x_t, t, sched, rng)
 
-    def adversarial(z, x_next, t, eps_g, eps_post, rows):
-        _, x0_tilde, g_x0, cache = gan.generator_adv_terms(
-            gen, critic_x0, critic_xt, z, x_next, t, sched, eps_g, eps_post)
-        for g in cues.cue_loss(x0_tilde, visual[rows], cfg.lambda_pd)[1]:
+    def critic_pair():
+        t, x_t, x_next = states()
+        fake_x0, cache = gen.synthesize(rng.standard_normal(x0.shape, dtype), z, x_next, t + 1)
+        fake_xt = diffusion.posterior_sample(fake_x0, x_next, t, sched, rng)
+        grads = [gan.critic_x0_loss(critic_x0, x0, fake_x0, z, cfg.lambda_gp, rng)[1],
+                 gan.critic_xt_loss(critic_xt, x_t, fake_xt, x_next, z, t, cfg.lambda_gp, rng)[1]]
+        return grads, (fake_x0, fake_xt, x_next, t, cache)
+
+    def adversarial(fake_x0, fake_xt, x_next, t, cache):
+        if own_rows:
+            t, _, x_next = states()
+            eps_g, eps_post = (rng.standard_normal(x0.shape, dtype) for _ in range(2))
+            _, fake_x0, g_x0, cache = gan.generator_adv_terms(
+                gen, critic_x0, critic_xt, z, x_next, t, sched, eps_g, eps_post)
+        else:
+            g_x0 = gan.generator_adv_terms(critic_x0, critic_xt, fake_x0, fake_xt, z, x_next, t,
+                                           sched)[1]
+        for g in cues.cue_loss(fake_x0, visual[rows], cfg.lambda_pd)[1]:
             g_x0 = g_x0 + g
         return [gen.net.pullback(cache, g_x0)]
 
-    def rl(z, x_next, t, eps_g, rows):
-        x0, cache = gen.synthesize(eps_g, z, x_next, t + 1)
-        log_probs, lp_cache = reward.class_log_probs(model, x0, rows)
+    def rl():
+        if own_rows:
+            t, _, x_next = states()
+        else:
+            t = rng.integers(0, cfg.diffusion_steps, size=b)
+            x_next = diffusion.forward_noise(x0, t + 1, sched, rng)
+        x0_rl, cache = gen.synthesize(rng.standard_normal(x0.shape, dtype), z, x_next, t + 1)
+        log_probs, lp_cache = reward.class_log_probs(model, x0_rl, rows)
         return [gen.net.pullback(cache, reward.rl_loss(log_probs, lp_cache)[1])]
 
     for _ in range(args.batches):
-        spent[0] = 0.0
-        x0, fake, x_t, x_next, eps_g, eps_post = (normal(b, d) for _ in range(6))
-        z, rows = normal(b, d_z), rng.integers(0, classes, size=b)
-        t = rng.integers(0, cfg.diffusion_steps, size=b)
-        timed("adam critic pair", opt_critic.step,
-              timed("critic pair", critic_pair, x0, fake, x_t, x_next, z, t))
+        start = time.perf_counter()
+        idx = rng.integers(0, len(pool_x), size=b)
+        x0, z, rows = pool_x[idx], protos[pool_y[idx]], pool_y[idx]
+        grads, fakes = timed("critic pair", critic_pair)
+        timed("adam critic pair", opt_critic.step, grads)
         timed("adam generator", opt_gen.step,
-              timed("generator adversarial step", adversarial, z, x_next, t, eps_g, eps_post, rows))
-        timed("adam policy", opt_rl.step, timed("policy step", rl, z, x_next, t, eps_g, rows))
-        ms["batch"].append(spent[0])
+              timed("generator adversarial step", adversarial, *fakes))
+        timed("adam policy", opt_rl.step, timed("policy step", rl))
+        ms["batch"].append(1e3 * (time.perf_counter() - start))
     digest = hashlib.sha256()
     for net in (gen.net, critic_x0.net, critic_xt.net):
         digest.update(net.flat.tobytes())
