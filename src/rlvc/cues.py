@@ -51,7 +51,7 @@ def cue_loss(x: np.ndarray, v: np.ndarray, weight: float):
     if v.shape != x.shape or v.dtype != x.dtype:
         raise UsageError(f"cue loss: batch {x.dtype} {x.shape} vs prototypes {v.dtype} {v.shape}")
     floor = NORM_FLOOR[x.dtype]
-    x_sq = np.sum(x * x, axis=1)
+    x_sq = np.add.reduce(x * x, axis=1)
     nonzero = x_sq > 0.0
     if not np.all(nonzero):
         import logging  # only here: a run that never warns never loads it
@@ -61,10 +61,10 @@ def cue_loss(x: np.ndarray, v: np.ndarray, weight: float):
         )
     x_norm = np.sqrt(np.maximum(x_sq, floor))
     v_norm = np.linalg.norm(v, axis=1)
-    num = nonzero * np.sum(x * v, axis=1)
+    num = nonzero * np.add.reduce(x * v, axis=1)
     den = x_norm * v_norm
     inv_b = 1.0 / x.shape[0]
-    value = np.sum(1.0 - num / den) * inv_b
+    value = np.add.reduce(1.0 - num / den, axis=None) * inv_b
 
     u_cos = -np.full(x.shape[0], weight * inv_b, x.dtype)
     u_num = (u_cos / den) * nonzero

@@ -142,13 +142,6 @@ class CriticXt:
         return np.concatenate([x_next, z, self.temb[t]], axis=1)
 
 
-def _as_batch(x, what: str, dtype) -> np.ndarray:
-    data = as_rows(x, dtype)
-    if data.shape[0] < 1:
-        raise UsageError(f"{what}: empty batch")
-    return data
-
-
 # The critic pass below is one forward over the stacked rows [real; fake;
 # x_hat] and one reverse pass, whose weight-gradient products each sum the
 # real, fake and penalty rows at once. That orders its sums unlike the engine
@@ -185,7 +178,7 @@ def _penalty_pass(net: DenseNet, inputs, masks, start: int, d: int, weight: floa
         g = np.multiply(g, masks[i][start:], out=lhs[i][start:]) @ ws[i]
     gx = np.multiply(g, masks[0][start:], out=lhs[0][start:]) @ first
     rows = gx.shape[0]
-    sq = np.sum(gx * gx, axis=1)
+    sq = np.add.reduce(gx * gx, axis=1)
     norms = np.sqrt(np.maximum(sq, floor))
     dev = norms - 1.0
     inv_b = 1.0 / rows
@@ -231,7 +224,8 @@ def _critic_pass(net: DenseNet, real, fake, cond, lambda_gp: float, rng):
     lhs = [np.empty((3 * rows, width), dtype) for width in net.layer_dims[1:]]
     gp = _penalty_pass(net, inputs, masks, two, d, lambda_gp, lhs)
     inv_b = 1.0 / rows
-    loss = (-(np.sum(scores[:rows]) * inv_b) + np.sum(scores[rows:two]) * inv_b) + gp * lambda_gp
+    loss = (-(np.add.reduce(scores[:rows], axis=None) * inv_b)
+            + np.add.reduce(scores[rows:two], axis=None) * inv_b) + gp * lambda_gp
 
     grad = np.empty(net.flat.size, dtype)
     views = net.views(grad)
@@ -239,7 +233,7 @@ def _critic_pass(net: DenseNet, real, fake, cond, lambda_gp: float, rng):
     u_out[:rows], u_out[rows:] = -inv_b, inv_b
     for i in range(len(net.ws) - 1, -1, -1):
         np.matmul(lhs[i].T, inputs[i], out=views[2 * i])
-        np.sum(u_out, axis=0, out=views[2 * i + 1])
+        np.add.reduce(u_out, axis=0, out=views[2 * i + 1])
         if i > 0:
             w, below = net.ws[i], lhs[i - 1][:two]
             if u_out.shape[1] == 1:  # one term per entry: the broadcast product
@@ -250,6 +244,21 @@ def _critic_pass(net: DenseNet, real, fake, cond, lambda_gp: float, rng):
     return loss, grad
 
 
+def _batches(what: str, net: DenseNet, x, x_other, cond):
+    """Two batches of rows that `net` scores under the conditioning columns
+    cond, all as matrices of the network's dtype; refused unless the batches
+    share a shape and cond has their row count, at least one, and the width
+    that completes theirs to the network's input."""
+    dtype = net.flat.dtype
+    x, x_other, cond = (as_rows(a, dtype) for a in (x, x_other, cond))
+    rows, d = x.shape
+    if not (x_other.shape == x.shape and cond.shape == (rows, net.layer_dims[0] - d)):
+        raise UsageError(f"{what}: batch shapes disagree")
+    if rows < 1:
+        raise UsageError(f"{what}: empty batch")
+    return x, x_other, cond
+
+
 def critic_x0_loss(critic, real_x0, fake_x0, z, lambda_gp: float, rng):
     """Clean-feature critic loss; fakes are constants (no generator grad).
 
@@ -257,27 +266,17 @@ def critic_x0_loss(critic, real_x0, fake_x0, z, lambda_gp: float, rng):
     parameters, laid out like `critic.net.flat`, both of the network's
     dtype, to which the batches are converted.
     """
-    dtype = critic.net.flat.dtype
-    real = _as_batch(real_x0, "critic_x0_loss real", dtype)
-    fake = _as_batch(fake_x0, "critic_x0_loss fake", dtype)
-    z = _as_batch(z, "critic_x0_loss z", dtype)
-    if not (real.shape == fake.shape and real.shape[0] == z.shape[0]):
-        raise UsageError("critic_x0_loss: batch shapes disagree")
-    return _critic_pass(critic.net, real, fake, z, lambda_gp, rng)
+    batches = _batches("critic_x0_loss", critic.net, real_x0, fake_x0, z)
+    return _critic_pass(critic.net, *batches, lambda_gp, rng)
 
 
-def critic_xt_loss(critic, real_xt, fake_xt, x_next, z, t, lambda_gp: float, rng):
-    """Transition critic loss on (x_t, x_next, z, t); same contract as
-    critic_x0_loss."""
-    dtype = critic.net.flat.dtype
-    real = _as_batch(real_xt, "critic_xt_loss real", dtype)
-    fake = _as_batch(fake_xt, "critic_xt_loss fake", dtype)
-    x_next = _as_batch(x_next, "critic_xt_loss x_next", dtype)
-    z = _as_batch(z, "critic_xt_loss z", dtype)
-    if not (real.shape == fake.shape == x_next.shape and real.shape[0] == z.shape[0]):
-        raise UsageError("critic_xt_loss: batch shapes disagree")
-    cond = critic.condition(x_next, z, t)
-    return _critic_pass(critic.net, real, fake, cond, lambda_gp, rng)
+def critic_xt_loss(critic, real_xt, fake_xt, cond, lambda_gp: float, rng):
+    """Transition critic loss on (x_t, cond), cond being the rows'
+    `critic.condition(x_next, z, t)`: critic_x0_loss's contract with cond
+    in place of z. The trainer builds cond once per critic step and hands
+    the same columns to `generator_adv_terms`."""
+    batches = _batches("critic_xt_loss", critic.net, real_xt, fake_xt, cond)
+    return _critic_pass(critic.net, *batches, lambda_gp, rng)
 
 
 def generator_adv_terms(
@@ -286,9 +285,8 @@ def generator_adv_terms(
     x0_tilde: np.ndarray,
     xt_tilde: np.ndarray,
     z: np.ndarray,
-    x_next: np.ndarray,
-    t: np.ndarray,
-    sched: diffusion.DiffusionSchedule,
+    cond: np.ndarray,
+    c1: np.ndarray,
 ) -> tuple[np.floating, np.ndarray]:
     """Adversarial generator objective -mean(critic_x0) - mean(critic_xt) on
     rows the generator has already synthesized; nothing is drawn.
@@ -296,34 +294,26 @@ def generator_adv_terms(
     x0_tilde is the generator's prediction from x_next at timestep t + 1,
     and xt_tilde its transition sample `diffusion.posterior_sample(x0_tilde,
     x_next, t, sched, rng)`. That sample is reparameterized (posterior mean
-    + sigma * eps with eps fixed), so xt_tilde moves with x0_tilde by c1[t]
-    and gradient reaches the generator through both critics. Returns the
-    loss and its gradient w.r.t. x0_tilde (critic_x0's term, then c1 times
-    critic_xt's); `gen.net.pullback(cache, gradient)`, with the cache of the
-    forward that made x0_tilde, gives the generator's gradients. `sched`
-    must be the critic's schedule, of the networks' dtype, in which
-    everything is computed; c1 is read at t once `critic_xt.condition` has
-    checked it."""
-    if sched.timesteps != len(critic_xt.temb):
-        raise UsageError(f"generator_adv_terms: a schedule of {sched.timesteps} steps for a "
-                         f"transition critic of {len(critic_xt.temb)}")
-    dtype = critic_xt.net.flat.dtype
-    if sched.dtype != dtype:
-        raise UsageError(f"generator_adv_terms: a {sched.dtype} schedule for {dtype} critics")
-    x0_tilde = _as_batch(x0_tilde, "generator_adv_terms x0_tilde", dtype)
-    xt_tilde = _as_batch(xt_tilde, "generator_adv_terms xt_tilde", dtype)
-    z = _as_batch(z, "generator_adv_terms z", dtype)
-    x_next = _as_batch(x_next, "generator_adv_terms x_next", dtype)
-    if not (x0_tilde.shape == xt_tilde.shape == x_next.shape
-            and x0_tilde.shape[0] == z.shape[0]):
-        raise UsageError("generator_adv_terms: batch shapes disagree")
-    cond = critic_xt.condition(x_next, z, t)
-    c1 = sched.c1[np.asarray(t).reshape(-1)]
+    + sigma * eps with eps fixed), so xt_tilde moves with x0_tilde by c1,
+    the (B, 1) column `sched.c1[t]`, and gradient reaches the generator
+    through both critics. cond is the rows' `critic_xt.condition(x_next, z,
+    t)`, built, with its check of t, by the critic step. Returns the loss
+    and its gradient w.r.t. x0_tilde (critic_x0's term, then c1 times
+    critic_xt's); `gen.net.pullback(cache, gradient)`, with the cache of
+    the forward that made x0_tilde, gives the generator's gradients.
+    Everything is of the critics' dtype, which c1 must share."""
+    x0_tilde, xt_tilde, cond = _batches("generator_adv_terms", critic_xt.net, x0_tilde,
+                                        xt_tilde, cond)
+    z = _batches("generator_adv_terms", critic_x0.net, x0_tilde, xt_tilde, z)[2]
+    rows, d = x0_tilde.shape
+    c1 = np.asarray(c1)
+    if c1.shape != (rows, 1) or c1.dtype != x0_tilde.dtype:
+        raise UsageError(f"generator_adv_terms: c1 of {c1.dtype} {c1.shape}, not a "
+                         f"{x0_tilde.dtype} ({rows}, 1) column")
     s0, cache0 = critic_x0.net.forward(np.concatenate([x0_tilde, z], axis=1))
     st, cachet = critic_xt.net.forward(np.concatenate([xt_tilde, cond], axis=1))
-    inv_b = 1.0 / x0_tilde.shape[0]
-    loss = -(np.sum(s0) * inv_b) - np.sum(st) * inv_b
-    d = x0_tilde.shape[1]
+    inv_b = 1.0 / rows
+    loss = -(np.add.reduce(s0, axis=None) * inv_b) - np.add.reduce(st, axis=None) * inv_b
     g0 = critic_x0.net.pullback(cache0, np.full(s0.shape, -inv_b, s0.dtype), wrt_input=True)
     gt = critic_xt.net.pullback(cachet, np.full(st.shape, -inv_b, st.dtype), wrt_input=True)
     return loss, g0[:, :d] + gt[:, :d] * c1

@@ -69,7 +69,7 @@ def class_log_probs(model: SoftmaxClassifier, x: np.ndarray, y) -> tuple[np.ndar
         raise UsageError(f"class_log_probs: {len(y)} labels for {logits.shape[0]} rows")
     shifted = logits - np.max(logits, axis=1, keepdims=True)
     e = np.exp(shifted)
-    s = np.sum(e, axis=1, keepdims=True)
+    s = np.add.reduce(e, axis=1, keepdims=True)
     rows = np.arange(len(y))
     return shifted[rows, cols] - np.log(s[:, 0]), (model.weight, rows, cols, e, s)
 
@@ -88,7 +88,7 @@ def rl_loss(log_probs: np.ndarray, cache: tuple) -> tuple[np.floating, np.ndarra
     if log_probs.ndim != 1 or log_probs.size == 0:
         raise UsageError("rl_loss: log_probs must be a non-empty vector")
     inv_b = 1.0 / log_probs.shape[0]
-    loss = -(np.sum(log_probs) * inv_b)
+    loss = -(np.add.reduce(log_probs, axis=None) * inv_b)
     weight, rows, y, e, s = cache
     g = (inv_b / s) * e
     g[rows, y] -= inv_b

@@ -16,9 +16,10 @@ being drawn first from the "train" stream:
   x0 from x_{t+1} at t + 1 and draws its fake x_t from the posterior
   q(x_t | x_{t+1}, fake x0); then each critic's penalty draws its u;
 - the generator step draws nothing: it scores the last critic step's fake
-  x0 and x_t rows with the updated critics and pulls the gradient back
-  through that step's generator forward, which the critic update left
-  valid;
+  x0 and x_t rows with the updated critics, under the transition critic's
+  conditioning columns that step built (`CriticXt.condition`, once per
+  critic step), and pulls the gradient back through that step's generator
+  forward, which the critic update left valid;
 - the policy step draws, from "rl", t, x_{t+1} ~ q(x_{t+1} | x0) in one
   block and the generator's noise, then synthesizes its rows.
 
@@ -93,6 +94,15 @@ def _require_finite(value: float, what: str, epoch: int, batch: int) -> float:
     return value
 
 
+def _step(opt: AdamState, grads: list, what: str, epoch: int, batch: int) -> None:
+    """One Adam step; a NumericFailure it raises is raised again naming the
+    training step and its position."""
+    try:
+        opt.step(grads)
+    except NumericFailure as e:
+        raise NumericFailure(f"{what} step at epoch {epoch}, batch {batch}: {e}") from e
+
+
 def training_floats(feat_dim: int, sem_dim: int, config: Config) -> int:
     """The entries of config.dtype that training holds in its parameter-sized
     arrays: each network's parameters and one gradient of them, two Adam
@@ -128,10 +138,10 @@ def train(
     epoch, visual prototypes are mined and each training label is mapped to
     its seen row, once; a batch's rows then pick both its reward class and
     its prototypes. Checkpoints are written every checkpoint_interval epochs
-    and at completion; on a numeric abort the last written checkpoint stays
-    on disk. A run whose `training_floats`, at config.dtype's bytes per
-    entry, would not fit in physical memory is refused before any network
-    is built.
+    and at completion; a numeric abort names the step or value and its
+    epoch and batch, and leaves the last written checkpoint on disk. A run
+    whose `training_floats`, at config.dtype's bytes per entry, would not
+    fit in physical memory is refused before any network is built.
     """
     dataset.validate()
 
@@ -219,20 +229,21 @@ def train(
                     loss0, grad0 = gan.critic_x0_loss(
                         critic_x0, x0, fake_x0, z, config.lambda_gp, train_rng
                     )
+                    cond = critic_xt.condition(x_next, z, t)
                     losst, gradt = gan.critic_xt_loss(
-                        critic_xt, x_t, fake_xt, x_next, z, t, config.lambda_gp, train_rng
+                        critic_xt, x_t, fake_xt, cond, config.lambda_gp, train_rng
                     )
                     total = loss0.item() + losst.item()
                     _require_finite(total, "critic loss", epoch, batch_i)
-                    opt_critic.step([grad0, gradt])
+                    _step(opt_critic, [grad0, gradt], "critic", epoch, batch_i)
                     cnt.critic_updates += 1
                     critic_vals.append(total)
 
-                # The last critic step's fakes, scored by the updated critics:
-                # that step changed no generator weight, so its forward cache
-                # still pulls the gradient back.
+                # The last critic step's fakes and conditioning, scored by the
+                # updated critics: that step changed no generator weight, so
+                # its forward cache still pulls the gradient back.
                 adv_loss, g_x0 = gan.generator_adv_terms(
-                    critic_x0, critic_xt, fake_x0, fake_xt, z, x_next, t, sched
+                    critic_x0, critic_xt, fake_x0, fake_xt, z, cond, sched.c1[t]
                 )
                 _require_finite(adv_loss.item(), "generator adversarial loss", epoch, batch_i)
                 if config.use_cues:
@@ -243,7 +254,8 @@ def train(
                     for g in cue_grads:
                         g_x0 = g_x0 + g
                     cue_vals.append(cue_term.item())
-                opt_gen.step([generator.net.pullback(gen_cache, g_x0)])
+                _step(opt_gen, [generator.net.pullback(gen_cache, g_x0)], "generator", epoch,
+                      batch_i)
                 cnt.gen_updates += 1
                 adv_vals.append(adv_loss.item())
 
@@ -260,7 +272,8 @@ def train(
                         )
                     rl_l, g_rl = reward_mod.rl_loss(r, lp_cache)
                     _require_finite(rl_l.item(), "rl loss", epoch, batch_i)
-                    opt_rl.step([generator.net.pullback(gen_cache, g_rl)])
+                    _step(opt_rl, [generator.net.pullback(gen_cache, g_rl)], "policy", epoch,
+                          batch_i)
                     cnt.rl_updates += 1
                     reward_means.append(float(np.mean(r)))
 

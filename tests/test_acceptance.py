@@ -95,14 +95,16 @@ def test_01_gradient_correctness(monkeypatch):
 
         def loss_ct():
             return gan.critic_xt_loss(
-                ct, xt_real, xt_fake, x_next, z, t, gp, np.random.default_rng(gp_seed)
+                ct, xt_real, xt_fake, ct.condition(x_next, z, t), gp,
+                np.random.default_rng(gp_seed)
             )
 
         def adv_pass():
             # the trainer's rows: a forward and its posterior sample, the draw fixed
             x0_tilde, cache = gen.synthesize(eps_g, z, x_next, t + 1)
             xt_tilde = (sched.c1[t] * x0_tilde + sched.c2[t] * x_next) + sched.sigma[t] * eps_p
-            loss, g_x0 = gan.generator_adv_terms(c0, ct, x0_tilde, xt_tilde, z, x_next, t, sched)
+            loss, g_x0 = gan.generator_adv_terms(c0, ct, x0_tilde, xt_tilde, z,
+                                                 ct.condition(x_next, z, t), sched.c1[t])
             return loss, x0_tilde, g_x0, cache
 
         def loss_adv():

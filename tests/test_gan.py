@@ -244,14 +244,16 @@ def test_critic_x0_loss_rejects_bad_batches():
 
 @pytest.mark.parametrize("shapes", [
     [(2, 3), (3, 3), (2, 3), (2, 2)],  # real and fake
-    [(2, 3), (2, 3), (2, 4), (2, 2)],  # x_next's width
-    [(2, 3), (2, 3), (2, 3), (3, 2)],  # z's rows
+    [(2, 3), (2, 3), (2, 4), (2, 2)],  # x_next's width: cond's width
+    [(2, 3), (2, 3), (2, 3), (3, 2)],  # z's rows: cond's rows
 ], ids=["fake", "x_next", "z"])
 def test_critic_xt_loss_rejects_batches_whose_shapes_disagree(shapes):
+    # cond has z's rows and the width of x_next, z and the embedding
     critic = CriticXt(3, 2, Config(temb_dim=4), np.random.default_rng(0))
-    real, fake, x_next, z = (np.zeros(s) for s in shapes)
+    real, fake, x_next, z = shapes
+    cond = np.zeros((z[0], x_next[1] + z[1] + 4))
     with pytest.raises(UsageError, match="^critic_xt_loss: batch shapes disagree$"):
-        gan.critic_xt_loss(critic, real, fake, x_next, z, np.array([0, 1]), 10.0,
+        gan.critic_xt_loss(critic, np.zeros(real), np.zeros(fake), cond, 10.0,
                            np.random.default_rng(0))
 
 
@@ -260,16 +262,9 @@ def test_critic_xt_zero_net_loss_is_lambda_gp():
     _zero_net(critic.net)
     rng = np.random.default_rng(13)
     shape = (6, 3)
-    loss, grads = gan.critic_xt_loss(
-        critic,
-        rng.normal(size=shape),
-        rng.normal(size=shape),
-        rng.normal(size=shape),
-        rng.normal(size=(6, 2)),
-        np.array([0, 1, 2, 3, 0, 1]),
-        10.0,
-        rng,
-    )
+    real, fake, x_next, z = (rng.normal(size=s) for s in (shape, shape, shape, (6, 2)))
+    cond = critic.condition(x_next, z, np.array([0, 1, 2, 3, 0, 1]))
+    loss, grads = gan.critic_xt_loss(critic, real, fake, cond, 10.0, rng)
     assert abs(loss.item() - 10.0) < 1e-12
     assert grads.shape == critic.net.flat.shape
 
@@ -307,12 +302,13 @@ def test_generator_adv_loss_constant_critics():
 
     x0_tilde, cache = gen.synthesize(eps_g, z, x_next, t + 1)
     xt_tilde = _transition(x0_tilde, x_next, t, sched, eps_p)
-    loss, _ = gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, x_next, t, sched)
+    cond = cxt.condition(x_next, z, t)
+    loss, _ = gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, cond, sched.c1[t])
     assert abs(loss.item() - (-1.25 + 0.75)) < 1e-12
 
     _zero_net(cx0.net)
     _zero_net(cxt.net)
-    loss0, g_x0 = gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, x_next, t, sched)
+    loss0, g_x0 = gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, cond, sched.c1[t])
     grads0 = gen.net.pullback(cache, g_x0)
     assert loss0.item() == 0.0
     np.testing.assert_array_equal(grads0, np.zeros_like(gen.net.flat))
@@ -336,8 +332,9 @@ def test_generator_step_runs_no_critic_weight_vjp(monkeypatch):
 
     x0_tilde = gen.synthesize(eps_g, z, x_next, t + 1)[0]
     xt_tilde = _transition(x0_tilde, x_next, t, sched, eps_p)
+    cond = cxt.condition(x_next, z, t)
     monkeypatch.setattr(DenseNet, "pullback", recording_pullback)
-    gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, x_next, t, sched)
+    gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, cond, sched.c1[t])
     # each critic is pulled back to its input only
     assert calls == [(cx0.net, True), (cxt.net, True)]
 
@@ -359,25 +356,39 @@ def test_generator_adv_fd_through_posterior_path():
     def loss_fn():
         x0_tilde, cache = gen.synthesize(eps_g, z, x_next, t + 1)
         xt_tilde = _transition(x0_tilde, x_next, t, sched, eps_p)
-        loss, g_x0 = gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, x_next, t, sched)
+        loss, g_x0 = gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z,
+                                             cxt.condition(x_next, z, t), sched.c1[t])
         return loss, [gen.net.pullback(cache, g_x0)]
 
     assert max_fd_error(loss_fn, [gen.net.flat]) < 1e-4
 
 
-def test_generator_adv_terms_refuses_another_schedule_and_checks_t_before_the_tables():
+@pytest.mark.parametrize("c1", [
+    np.full(3, 0.5),  # a vector, not a column
+    np.full((2, 1), 0.5),  # another row count
+    np.full((3, 1), 0.5, np.float32),  # another dtype
+], ids=["vector", "rows", "dtype"])
+def test_generator_adv_terms_refuses_a_c1_that_is_not_a_column_of_the_critics_dtype(c1):
     rng = np.random.default_rng(7)
-    cfg = Config(hidden_mult=1, temb_dim=4)  # diffusion_steps 4
+    cfg = Config(hidden_mult=1, temb_dim=4)
     cx0, cxt = CriticX0(2, 2, cfg, rng), CriticXt(2, 2, cfg, rng)
     z, x_next, x0_tilde, xt_tilde = (rng.normal(size=(3, 2)) for _ in range(4))
-    with pytest.raises(UsageError, match="a schedule of 6 steps for a transition critic of 4"):
-        gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, x_next, np.array([0, 1, 3]),
-                                diffusion.build_schedule(6, 0.1, 0.4))
-    # t = -1 would read c1's last row; the transition critic's check refuses
-    # it first
-    with pytest.raises(UsageError, match=r"^condition: timestep out of range \[0, 3\]$"):
-        gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, x_next, np.array([0, -1, 3]),
-                                cfg.schedule())
+    cond = cxt.condition(x_next, z, np.array([0, 1, 3]))
+    gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, cond, np.full((3, 1), 0.5))
+    with pytest.raises(UsageError, match=r"^generator_adv_terms: c1 of float\d\d \(\d,( 1)?\), "
+                                         r"not a float64 \(3, 1\) column$"):
+        gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, cond, c1)
+
+
+@pytest.mark.parametrize("cond_shape", [(2, 8), (3, 9)], ids=["rows", "width"])
+def test_generator_adv_terms_refuses_a_cond_that_disagrees_with_the_batch(cond_shape):
+    rng = np.random.default_rng(8)
+    cfg = Config(hidden_mult=1, temb_dim=4)  # cond: x_next 2 + z 2 + embedding 4 columns
+    cx0, cxt = CriticX0(2, 2, cfg, rng), CriticXt(2, 2, cfg, rng)
+    z, x0_tilde, xt_tilde = (rng.normal(size=(3, 2)) for _ in range(3))
+    with pytest.raises(UsageError, match="^generator_adv_terms: batch shapes disagree$"):
+        gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, np.zeros(cond_shape),
+                                np.full((3, 1), 0.5))
 
 
 def test_summed_critic_objective_zero_nets():
@@ -395,5 +406,6 @@ def test_summed_critic_objective_zero_nets():
     t = np.array([0, 1, 2, 3])
     gp = 10.0
     l0, _ = gan.critic_x0_loss(cx0, real, fake, z, gp, np.random.default_rng(70))
-    lt, _ = gan.critic_xt_loss(cxt, real, fake, xn, z, t, gp, np.random.default_rng(71))
+    lt, _ = gan.critic_xt_loss(cxt, real, fake, cxt.condition(xn, z, t), gp,
+                               np.random.default_rng(71))
     assert abs((l0.item() + lt.item()) - 20.0) < 1e-12

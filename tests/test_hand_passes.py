@@ -117,7 +117,7 @@ def _critic_cases(cx0, cxt, b, t, gp=10.0):
     conditioning columns, and the seed of the rng it draws u from."""
     cond = cxt.condition(b["x_next"], b["z"], t)
     return [(gan.critic_x0_loss, (cx0, b["real"], b["fake"], b["z"], gp), cx0.net, b["z"], 5),
-            (gan.critic_xt_loss, (cxt, b["real"], b["fake"], b["x_next"], b["z"], t, gp),
+            (gan.critic_xt_loss, (cxt, b["real"], b["fake"], cond, gp),
              cxt.net, cond, 6)]
 
 
@@ -269,7 +269,8 @@ def test_generator_step_matches_the_engine(with_cues, t):
     x0_tilde, cache = gen.synthesize(b["eps_g"], z, x_next, t + 1)
     xt_tilde = diffusion.posterior_sample(x0_tilde, x_next, t, SCHED, np.random.default_rng(13))
     eps_p = np.random.default_rng(13).standard_normal(x0_tilde.shape)
-    loss, g_x0 = gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z, x_next, t, SCHED)
+    loss, g_x0 = gan.generator_adv_terms(cx0, cxt, x0_tilde, xt_tilde, z,
+                                         cxt.condition(x_next, z, t), SCHED.c1[t])
     oracle_x0 = oracle.synthesize(gen, b["eps_g"], z, x_next, t + 1)
     adv, oracle_xt = oracle.generator_adv_terms(cx0, cxt, oracle_x0, z, x_next, t, SCHED, eps_p)
     assert _same(x0_tilde, oracle_x0.data) and _same(xt_tilde, oracle_xt.data)

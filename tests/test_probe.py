@@ -8,6 +8,7 @@ checkpoint settings line it drops."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -29,27 +30,35 @@ def _load_probe():
     return probe
 
 
+# At batch 480 an epoch of the synthetic preset's 960 training rows is two
+# minibatches, so --batches 3 trains two epochs.
+_STEP = ["step", "--hidden-mult", "1", "--batch-size", "480", "--batches", "3"]
+
+
 @pytest.mark.parametrize(
-    "argv, figures",
+    "argv, figures, timed",
     [
         (["adam", "--feat-dim", "8", "--sem-dim", "4", "--steps", "2"],
-         {"ms": (2, [r"critic pair \([\d,]+ entries\)", r"generator \([\d,]+ entries\)"])}),
+         {"ms": (2, [r"critic pair \([\d,]+ entries\)", r"generator \([\d,]+ entries\)"])},
+         None),
         (["report", "--reports", "1", "--adam-steps", "3"],
          {"ms": (1, ["synthesis", "czsl head", "gzsl head", "czsl ms per step",
                      "gzsl ms per step"]),
-          "us": (3, ["adam 165 entries", "adam 825 entries"])}),
-        (["step", "--hidden-mult", "1", "--batch-size", "3", "--batches", "2"],
-         {"ms": (2, ["critic pair", "generator adversarial step", "policy step", "adam critic pair",
-                     "adam generator", "adam policy", "batch"])}),
+          "us": (3, ["adam 165 entries", "adam 825 entries"])}, None),
+        (_STEP,
+         {"ms": (4, ["critic pair", "generator adversarial step", "policy step", "adam critic pair",
+                     "adam generator", "adam policy", "batch"])}, [2, 4]),
     ],
     ids=["adam", "report", "step"],
 )
-def test_probe_worker_reports_every_figure_and_a_sha256(argv, figures, capsys):
-    """`figures` maps a unit to (values per figure, each figure's name pattern)."""
+def test_probe_worker_reports_every_figure_and_a_sha256(argv, figures, timed, capsys):
+    """`figures` maps a unit to (values per figure, each figure's name pattern);
+    `timed` is the epochs and minibatches `step` reports timing."""
     probe = _load_probe()
     assert probe.main(["--worker", *argv]) == 0
     result = json.loads(capsys.readouterr().out)
-    assert set(result) == {*figures, "peak_rss_mb", "sha256"}
+    assert set(result) == {*figures, "peak_rss_mb", "sha256", *(["timed"] if timed else [])}
+    assert result.get("timed") == timed
     assert re.fullmatch(r"[0-9a-f]{64}", result["sha256"])
     for unit, (count, patterns) in figures.items():
         assert len(result[unit]) == len(patterns)
@@ -64,46 +73,36 @@ def test_probe_worker_reports_every_figure_and_a_sha256(argv, figures, capsys):
         assert f"  {name}: best " in printed
     assert "  peak RSS " in printed
     assert f"  sha256 of {hashed}: {result['sha256']}" in printed
+    assert ("  timed 2 epochs, 4 minibatches per round" in printed) == bool(timed)
 
 
-def _old_generator_adv_terms(new):
-    """`gan.generator_adv_terms` with the signature of the revisions whose
-    generator step synthesized its own rows from noise it was given."""
+def test_probe_step_hashes_the_networks_of_a_direct_train_at_its_config(capsys):
+    from rlvc import config, data, nets, reward, trainer
 
-    def generator_adv_terms(gen, critic_x0, critic_xt, z, x_next, t, sched, eps_gen, eps_post):
-        x0_tilde, cache = gen.synthesize(eps_gen, z, x_next, t + 1)
-        xt_tilde = sched.c1[t] * x0_tilde + (sched.c2[t] * x_next + sched.sigma[t] * eps_post)
-        loss, g_x0 = new(critic_x0, critic_xt, x0_tilde, xt_tilde, z, x_next, t, sched)
-        return loss, x0_tilde, g_x0, cache
+    adam = vars(nets.AdamState).copy()
+    assert _load_probe().main(["--worker", *_STEP, "--seed", "2"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert vars(nets.AdamState) == adam  # the timing wrappers are gone again
+    cfg = config.resolve_config("synthetic", None, {
+        "hidden_mult": 1, "batch_size": 480, "seed": 2, "rl_start_epoch": 0, "eval_interval": 0,
+        "epochs": 2})
+    ds = data.standardize(data.make_synthetic(cfg))
+    x, y = ds.train
+    rm = reward.pretrain_reward(x, ds.seen_rows(y), len(ds.seen_classes), cfg)
+    trained = trainer.train(ds, rm, cfg)
+    nets_bytes = (n.net.flat.tobytes() for n in (trained.generator, trained.critic_x0,
+                                                 trained.critic_xt))
+    assert result["sha256"] == hashlib.sha256(b"".join(nets_bytes)).hexdigest()
 
-    return generator_adv_terms
 
+def test_probe_step_refuses_a_schedule_of_other_steps(monkeypatch):
+    # two critic steps per minibatch: the steps are not critic, generator, policy
+    from rlvc import config
 
-@pytest.mark.parametrize("old", [False, True], ids=["tree", "old signature"])
-def test_probe_step_runs_the_schedule_of_the_revision_it_measures(old, monkeypatch, capsys):
-    # a minibatch synthesizes twice (critic and policy steps), or, on a
-    # revision whose generator step takes noise, three times, with two more
-    # transition draws
-    from rlvc import diffusion, gan
-
-    if old:
-        monkeypatch.setattr(gan, "generator_adv_terms",
-                            _old_generator_adv_terms(gan.generator_adv_terms))
-    counts = {"synthesize": 0, "forward_transition": 0}
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return counted
-
-    for owner, name in ((gan.Generator, "synthesize"), (diffusion, "forward_transition")):
-        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
-    argv = ["--worker", "step", "--hidden-mult", "1", "--batch-size", "3", "--batches", "2"]
-    assert _load_probe().main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["ms"]["batch"][0] > 0
-    assert counts == ({"synthesize": 6, "forward_transition": 6} if old
-                      else {"synthesize": 4, "forward_transition": 2})
+    monkeypatch.setitem(config.PRESETS["synthetic"], "critic_steps", 2)
+    with pytest.raises(SystemExit, match="^step: 3 optimizers built and 16 steps, not critic, "
+                                         "generator, policy for each of 4 minibatches$"):
+        _load_probe().main(["--worker", *_STEP])
 
 
 _TINY = ["n_seen=4", "n_unseen=2", "feat_dim=8", "sem_dim=4", "samples_per_class=10",

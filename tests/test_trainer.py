@@ -99,7 +99,7 @@ def _one_minibatch(**kw):
     return ds, _reward_for(ds), _cfg(epochs=1, batch_size=ds.train[0].shape[0], **kw)
 
 
-def test_a_full_arm_minibatch_checks_its_timesteps_eight_times(monkeypatch):
+def test_a_full_arm_minibatch_checks_its_timesteps_seven_times(monkeypatch):
     ds, rm, cfg = _one_minibatch()
     assert cfg.critic_steps == 1 and cfg.use_cues
     checks = []
@@ -114,10 +114,30 @@ def test_a_full_arm_minibatch_checks_its_timesteps_eight_times(monkeypatch):
     assert result.counters[0].rl_updates == 1
     assert checks == (
         ["forward_noise", "forward_transition", "synthesize", "posterior_sample",
-         "condition"]  # critic step
-        + ["condition"]  # generator step, on the critic step's rows
+         "condition"]  # critic step; the generator step reads its conditioning
         + ["forward_noise", "synthesize"]  # policy-gradient step
     )
+
+
+@pytest.mark.parametrize("critic_steps", [1, 3])
+def test_each_critic_step_builds_the_transition_conditioning_once(critic_steps, monkeypatch):
+    ds, rm, cfg = _one_minibatch(critic_steps=critic_steps)
+    built, scored = [], []
+    condition, adv_terms = gan.CriticXt.condition, gan.generator_adv_terms
+
+    def counting_condition(self, *args):
+        built.append(condition(self, *args))
+        return built[-1]
+
+    def recording_adv_terms(critic_x0, critic_xt, x0_tilde, xt_tilde, z, cond, c1):
+        scored.append(cond)
+        return adv_terms(critic_x0, critic_xt, x0_tilde, xt_tilde, z, cond, c1)
+
+    monkeypatch.setattr(gan.CriticXt, "condition", counting_condition)
+    monkeypatch.setattr(gan, "generator_adv_terms", recording_adv_terms)
+    train(ds, rm, cfg)
+    assert len(built) == critic_steps and len(scored) == 1
+    assert scored[0] is built[-1]  # the last critic step's columns, not rebuilt
 
 
 @pytest.mark.parametrize("use_rl,calls", [(True, 2), (False, 1)])
@@ -388,7 +408,7 @@ def _oracle_minibatch(ds, rm, cfg):
     g0 = _critic_step(gan.critic_x0_loss, (cx0, x0, fake_x0, z), cx0.net, x0, fake_x0, z,
                       cfg.lambda_gp, train_rng)
     cond = cxt.condition(x_next, z, t)
-    gt = _critic_step(gan.critic_xt_loss, (cxt, x_t, fake_xt, x_next, z, t), cxt.net, x_t, fake_xt,
+    gt = _critic_step(gan.critic_xt_loss, (cxt, x_t, fake_xt, cond), cxt.net, x_t, fake_xt,
                       cond, cfg.lambda_gp, train_rng)
     opt_critic.step([g0, gt])
 
@@ -454,6 +474,33 @@ def test_numeric_abort_names_position():
                lr_adv=1e200, critic_steps=3)
     with pytest.raises(NumericFailure, match=r"epoch 0, batch \d+"):
         train(ds, None, cfg)
+
+
+# Adam's rejected update overflows on its copies, and numpy says so
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("what, overrides", [
+    ("critic", dict(use_rl=False, lr_adv=1e39)),
+    ("policy", dict(lr_rl=1e39)),
+], ids=["critic", "policy"])
+def test_an_adam_step_whose_update_overflows_aborts_naming_it(what, overrides):
+    ds = _small_ds()
+    with pytest.raises(NumericFailure, match=rf"^{what} step at epoch 0, batch 0: non-finite "
+                                             r"parameter after update; update rejected$"):
+        train(ds, _reward_for(ds), _cfg(epochs=1, dtype="float32", **overrides))
+
+
+def test_a_generator_step_with_a_non_finite_gradient_aborts_naming_it(monkeypatch):
+    ds = _small_ds()
+    adv_terms = gan.generator_adv_terms
+
+    def nan_gradient(*args):
+        loss, g_x0 = adv_terms(*args)
+        return loss, np.full_like(g_x0, np.nan)
+
+    monkeypatch.setattr(gan, "generator_adv_terms", nan_gradient)
+    with pytest.raises(NumericFailure, match=r"^generator step at epoch 0, batch 0: non-finite "
+                                             r"gradient; update rejected$"):
+        train(ds, None, _cfg(epochs=1, use_rl=False, use_cues=False))
 
 
 def test_a_non_finite_reward_aborts_naming_its_epoch_and_batch(monkeypatch):

@@ -39,24 +39,29 @@ one at a time in us, at each head's [w | b] size (165 and 825 entries
 here). The sha256 is of both heads over every report. perfbench's traced
 run cannot time calls this short: the tracer's overhead dominates them.
 
-`step` times training minibatches as `trainer.train` runs them, at the
-synthetic preset's shapes (d=32, d_z=16, 20 seen classes, the critics
-48 -> 128 -> 128 -> 1 and 96 -> 128 -> 128 -> 1 at the default
---hidden-mult 4 and --batch-size 32) and its `dtype` (float64 for a
-revision without that setting), each minibatch's rows picked from a pool
-of random rows drawn in float64 and narrowed to it. Per minibatch it
-reads, in ms: the critic pair (the critic step's draws, the fakes'
-synthesis and posterior sample, and both critic losses with their
-penalties), the generator adversarial step (with the cue loss and the
-generator's pullback), the policy step (its draws included), the Adam
-sweep of the critic pair, of the generator's adversarial optimizer and of
-its policy optimizer, and the whole minibatch from its rows' pick to its
-last Adam sweep. On a revision whose `gan.generator_adv_terms` still
-takes the generator and its noise, the generator step draws its own
-states and synthesizes its own rows, and the policy step draws x_t before
-x_{t+1}, as that revision's trainer did. The sha256 is of the three
-networks after the last step. `--hidden-mult 1 --batch-size 4` reads the
-per-call floor, where arithmetic is negligible.
+`step` times the minibatches of one `trainer.train` per process, on the
+synthetic preset (d=32, d_z=16, 20 seen classes and 960 training rows; the
+critics 48 -> 128 -> 128 -> 1 and 96 -> 128 -> 128 -> 1 at the default
+--hidden-mult 4) at --batch-size and its `dtype`, with the policy step on
+from the first epoch and no in-training evaluation. It trains the whole
+epochs that cover --batches (30 minibatches per epoch at batch 32) and
+prints how many it timed; the reward model is pretrained before timing
+starts. It wraps `AdamState.__init__` and `step` around that call only,
+tags the optimizers critic pair, generator and policy by construction
+order, and refuses any other order of steps. Per minibatch it reads, in ms,
+between step boundaries: the critic pair from the end of the previous
+minibatch's policy step (for the first minibatch, from the end of the last
+optimizer's construction) to the start of the critic pair's Adam step,
+which takes in the rows' pick, the critic step's draws, the fakes' synthesis and
+posterior sample and both critic losses with their penalties; the
+generator adversarial step from the end of that Adam step to the start of
+the generator's (the adversarial terms, the cue loss and the generator's
+pullback); the policy step from there to the start of the policy's Adam
+step (its draws, synthesis, reward and pullback); each of the three Adam
+steps; and the whole minibatch from the end of the previous policy step to
+the end of its own. The sha256 is of the three networks `trainer.train`
+returns. `--hidden-mult 1 --batch-size 4` reads the per-call floor, where
+arithmetic is negligible.
 
 `drift` measures what a change does to results, not to time. For each seed
 and each side, in a fresh process, it resolves the synthetic preset with
@@ -171,93 +176,61 @@ def measure_report(args) -> dict:
 
 
 def measure_step(args) -> dict:
-    """Minibatches as `trainer.train` runs them, each step also timed alone."""
-    import inspect
+    """`trainer.train`'s minibatches, timed at the boundaries of its Adam steps."""
+    import dataclasses
 
-    import numpy as np
+    from rlvc import config, data, nets, reward, trainer
 
-    from rlvc import config, cues, diffusion, gan, nets, reward
+    cfg = config.resolve_config("synthetic", None, {
+        "hidden_mult": args.hidden_mult, "batch_size": args.batch_size, "seed": args.seed,
+        "rl_start_epoch": 0, "eval_interval": 0})
+    ds = data.make_synthetic(cfg)
+    if cfg.standardize:
+        ds = data.standardize(ds)
+    train_x, train_y = ds.train
+    per_epoch = -(-len(train_x) // cfg.batch_size)
+    cfg = dataclasses.replace(cfg, epochs=-(-args.batches // per_epoch))
+    rm = reward.pretrain_reward(train_x, ds.seen_rows(train_y), len(ds.seen_classes), cfg)
 
-    cfg = config.resolve_config("synthetic", None, {"hidden_mult": args.hidden_mult,
-                                                    "batch_size": args.batch_size})
-    dtype = getattr(cfg, "dtype", "float64")
-    rng = np.random.default_rng(args.seed)
-    d, d_z, b, classes = cfg.feat_dim, cfg.sem_dim, cfg.batch_size, cfg.n_seen
-    # A revision whose generator step synthesizes and draws its own rows.
-    own_rows = "eps_post" in inspect.signature(gan.generator_adv_terms).parameters
+    # The optimizers in construction order, critic, generator and policy;
+    # each step's (optimizer's index, start, end); the last build's end.
+    adam, made, steps, built = nets.AdamState, [], [], 0.0
+    init, step, clock = adam.__init__, adam.step, time.perf_counter
 
-    def normal(*size):
-        return rng.normal(size=size).astype(dtype)
+    def tagging_init(opt, *a, **kw):
+        nonlocal built
+        init(opt, *a, **kw)
+        made.append(opt)
+        built = clock()
 
-    gen = gan.Generator(d, d_z, cfg, rng)
-    critic_x0, critic_xt = gan.CriticX0(d, d_z, cfg, rng), gan.CriticXt(d, d_z, cfg, rng)
-    betas = dict(beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
-    opt_critic = nets.AdamState([critic_x0.net.flat, critic_xt.net.flat], lr=cfg.lr_adv, **betas)
-    opt_gen = nets.AdamState([gen.net.flat], lr=cfg.lr_adv, **betas)
-    opt_rl = nets.AdamState([gen.net.flat], lr=cfg.lr_rl, **betas)
-    narrow = {} if dtype == "float64" else {"dtype": dtype}
-    model = nets.SoftmaxClassifier(rng.normal(size=(classes, d)), np.zeros(classes), **narrow)
-    visual, protos, sched = normal(classes, d), normal(classes, d_z), cfg.schedule()
-    pool_x, pool_y = normal(classes * 48, d), np.repeat(np.arange(classes), 48)
+    def timed_step(opt, grads):
+        start = clock()
+        step(opt, grads)
+        steps.append((made.index(opt), start, clock()))
+
+    adam.__init__, adam.step = tagging_init, timed_step
+    try:
+        result = trainer.train(ds, rm, cfg)
+    finally:
+        adam.__init__, adam.step = init, step
+    batches = cfg.epochs * per_epoch
+    if len(made) != 3 or [k for k, _, _ in steps] != [0, 1, 2] * batches:
+        raise SystemExit(f"step: {len(made)} optimizers built and {len(steps)} steps, not "
+                         f"critic, generator, policy for each of {batches} minibatches")
     ms = {name: [] for name in ("critic pair", "generator adversarial step", "policy step",
                                 "adam critic pair", "adam generator", "adam policy", "batch")}
-
-    def timed(name, fn, *call_args):
-        start = time.perf_counter()
-        out = fn(*call_args)
-        ms[name].append(1e3 * (time.perf_counter() - start))
-        return out
-
-    def states():
-        t = rng.integers(0, cfg.diffusion_steps, size=b)
-        x_t = diffusion.forward_noise(x0, t, sched, rng)
-        return t, x_t, diffusion.forward_transition(x_t, t, sched, rng)
-
-    def critic_pair():
-        t, x_t, x_next = states()
-        fake_x0, cache = gen.synthesize(rng.standard_normal(x0.shape, dtype), z, x_next, t + 1)
-        fake_xt = diffusion.posterior_sample(fake_x0, x_next, t, sched, rng)
-        grads = [gan.critic_x0_loss(critic_x0, x0, fake_x0, z, cfg.lambda_gp, rng)[1],
-                 gan.critic_xt_loss(critic_xt, x_t, fake_xt, x_next, z, t, cfg.lambda_gp, rng)[1]]
-        return grads, (fake_x0, fake_xt, x_next, t, cache)
-
-    def adversarial(fake_x0, fake_xt, x_next, t, cache):
-        if own_rows:
-            t, _, x_next = states()
-            eps_g, eps_post = (rng.standard_normal(x0.shape, dtype) for _ in range(2))
-            _, fake_x0, g_x0, cache = gan.generator_adv_terms(
-                gen, critic_x0, critic_xt, z, x_next, t, sched, eps_g, eps_post)
-        else:
-            g_x0 = gan.generator_adv_terms(critic_x0, critic_xt, fake_x0, fake_xt, z, x_next, t,
-                                           sched)[1]
-        for g in cues.cue_loss(fake_x0, visual[rows], cfg.lambda_pd)[1]:
-            g_x0 = g_x0 + g
-        return [gen.net.pullback(cache, g_x0)]
-
-    def rl():
-        if own_rows:
-            t, _, x_next = states()
-        else:
-            t = rng.integers(0, cfg.diffusion_steps, size=b)
-            x_next = diffusion.forward_noise(x0, t + 1, sched, rng)
-        x0_rl, cache = gen.synthesize(rng.standard_normal(x0.shape, dtype), z, x_next, t + 1)
-        log_probs, lp_cache = reward.class_log_probs(model, x0_rl, rows)
-        return [gen.net.pullback(cache, reward.rl_loss(log_probs, lp_cache)[1])]
-
-    for _ in range(args.batches):
-        start = time.perf_counter()
-        idx = rng.integers(0, len(pool_x), size=b)
-        x0, z, rows = pool_x[idx], protos[pool_y[idx]], pool_y[idx]
-        grads, fakes = timed("critic pair", critic_pair)
-        timed("adam critic pair", opt_critic.step, grads)
-        timed("adam generator", opt_gen.step,
-              timed("generator adversarial step", adversarial, *fakes))
-        timed("adam policy", opt_rl.step, timed("policy step", rl))
-        ms["batch"].append(1e3 * (time.perf_counter() - start))
+    last = built  # the previous minibatch's policy step ends here
+    for (_, c0, c1), (_, g0, g1), (_, p0, p1) in zip(*[iter(steps)] * 3):
+        for name, begin, end in (("critic pair", last, c0), ("adam critic pair", c0, c1),
+                                 ("generator adversarial step", c1, g0),
+                                 ("adam generator", g0, g1), ("policy step", g1, p0),
+                                 ("adam policy", p0, p1), ("batch", last, p1)):
+            ms[name].append(1e3 * (end - begin))
+        last = p1
     digest = hashlib.sha256()
-    for net in (gen.net, critic_x0.net, critic_xt.net):
-        digest.update(net.flat.tobytes())
-    return {"ms": ms, "sha256": digest.hexdigest()}
+    for net in (result.generator, result.critic_x0, result.critic_xt):
+        digest.update(net.net.flat.tobytes())
+    return {"ms": ms, "timed": [cfg.epochs, batches], "sha256": digest.hexdigest()}
 
 
 def measure_drift(args) -> dict:
@@ -357,6 +330,8 @@ def summarize(label: str, results: list[dict], hashed: str) -> dict[str, float]:
             best[name] = min(values)
             print(f"  {name}: best {fmt.format(best[name])}, "
                   f"median {fmt.format(statistics.median(values))}")
+    if "timed" in results[0]:
+        print("  timed {} epochs, {} minibatches per round".format(*results[0]["timed"]))
     print(f"  peak RSS {max(result['peak_rss_mb'] for result in results):.0f} MB")
     for digest in sorted({result["sha256"] for result in results}):
         print(f"  sha256 of {hashed}: {digest}")
@@ -382,7 +357,8 @@ def main(argv=None) -> int:
     step = commands.add_parser("step", help=measure_step.__doc__)
     step.add_argument("--hidden-mult", type=int, default=4)
     step.add_argument("--batch-size", type=int, default=32)
-    step.add_argument("--batches", type=int, default=300, help="minibatches per process")
+    step.add_argument("--batches", type=int, default=300,
+                      help="minibatches per process, rounded up to whole epochs")
     step.set_defaults(measure=measure_step, hashed="the three networks")
     drift_cmd = commands.add_parser("drift", help=drift.__doc__)
     drift_cmd.add_argument("--against", help="git revision to compare with (required)")
