@@ -95,6 +95,51 @@ def test_probe_step_hashes_the_networks_of_a_direct_train_at_its_config(capsys):
     assert result["sha256"] == hashlib.sha256(b"".join(nets_bytes)).hexdigest()
 
 
+def _self_synthesizing_generator_adv_terms(new, last):
+    """`gan.generator_adv_terms` whose generator step synthesizes its rows
+    itself from the noise it is given, as on the revisions of the old
+    signature. `last` holds the latest synthesis's generator and arguments:
+    at the generator step those are the critic step's, so the rows, and the
+    networks trained, are the tree's."""
+
+    def generator_adv_terms(critic_x0, critic_xt, x0_tilde, xt_tilde, z, cond, c1):
+        gen, args = last[0]
+        x0_again, _ = gen.synthesize(*args)
+        np.testing.assert_array_equal(x0_again, x0_tilde)
+        return new(critic_x0, critic_xt, x0_again, xt_tilde, z, cond, c1)
+
+    return generator_adv_terms
+
+
+@pytest.mark.parametrize("old", [False, True], ids=["tree", "old signature"])
+def test_probe_step_runs_the_schedule_of_the_revision_it_measures(old, monkeypatch, capsys):
+    # each of the 4 minibatches synthesizes twice (critic and policy steps),
+    # or, when the generator step synthesizes its own rows, three times; the
+    # critic step draws the one transition
+    from rlvc import diffusion, gan
+
+    counts = {"synthesize": 0, "forward_transition": 0}
+    last = [None]
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            if name == "synthesize":
+                last[0] = (args[0], args[1:])
+            return fn(*args, **kwargs)
+        return counted
+
+    for owner, name in ((gan.Generator, "synthesize"), (diffusion, "forward_transition")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    if old:
+        monkeypatch.setattr(gan, "generator_adv_terms",
+                            _self_synthesizing_generator_adv_terms(gan.generator_adv_terms, last))
+    assert _load_probe().main(["--worker", *_STEP]) == 0
+    assert json.loads(capsys.readouterr().out)["ms"]["batch"][0] > 0
+    assert counts == ({"synthesize": 12, "forward_transition": 4} if old
+                      else {"synthesize": 8, "forward_transition": 4})
+
+
 def test_probe_step_refuses_a_schedule_of_other_steps(monkeypatch):
     # two critic steps per minibatch: the steps are not critic, generator, policy
     from rlvc import config
