@@ -4,9 +4,6 @@ Commands: gen-synthetic, pretrain-reward, train, synthesize, eval.
 Exit codes: 0 success, 1 usage error, 2 I/O or validation error, 3 numeric
 failure. RLVC_THREADS=n (n > 0) sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
 MKL_NUM_THREADS to n, over any inherited values; 0 = leave them as they are.
-
-A run builds only the flags of the command named on its command line (see
-`build_parser`); `rlvc --help` prints the paragraphs above.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ def _apply_thread_env() -> None:
 _apply_thread_env()  # must precede numpy's first import
 
 import argparse
-import dataclasses
 
 import numpy as np
 
@@ -55,22 +51,21 @@ from .nets import load_reward, save_reward
 from .seeding import stream_rng
 
 
-_DESCRIPTION = __doc__[: __doc__.index("\n\nA run builds")]
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are 1
         raise UsageError(message)
 
 
-def _add_common(p: _Parser) -> None:
+def _add_flags(command: str, p: _Parser) -> None:
+    """Add `command`'s flags to its parser: one for each setting it reads
+    (`config.command_fields`), then its own."""
     p.add_argument("--config", metavar="PATH", help="key=value config file")
     p.add_argument("--preset", metavar="NAME", help=f"one of {sorted(cfgmod.PRESETS)}")
-    p.add_argument("--out", metavar="DIR", help="output directory or file")
-    p.add_argument(
-        "--print-config", action="store_true", help="print the resolved config and exit"
-    )
-    for f in dataclasses.fields(cfgmod.Config):
+    if command != "eval":
+        p.add_argument("--out", metavar="DIR", help="output directory or file")
+    p.add_argument("--print-config", action="store_true",
+                   help="print the resolved settings this command reads and exit")
+    for f in cfgmod.command_fields(command):
         bare = {"nargs": "?", "const": "true"} if isinstance(f.default, bool) else {}
         p.add_argument(
             "--" + f.name.replace("_", "-"),
@@ -80,11 +75,6 @@ def _add_common(p: _Parser) -> None:
             help=f"{f.metadata['help']} (default: {f.default})",
             **bare,
         )
-
-
-def _add_flags(command: str, p: _Parser) -> None:
-    """Add `command`'s flags to its parser: the common ones, then its own."""
-    _add_common(p)
     if command == "gen-synthetic":
         p.add_argument("--force", action="store_true", help="overwrite an existing dataset dir")
         return
@@ -100,33 +90,13 @@ def _add_flags(command: str, p: _Parser) -> None:
         p.add_argument("--generator", metavar="PATH", help="generator checkpoint")
 
 
-class _Commands(argparse._SubParsersAction):
-    """The subcommand action. Argparse calls it with the command it matched
-    and that command's arguments; it adds the command's flags to the
-    command's parser first, so a parse builds one command's flags."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.built: set[str] = set()
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        command = values[0]
-        if command not in self.built:
-            self.built.add(command)
-            _add_flags(command, self.choices[command])
-        super().__call__(parser, namespace, values, option_string)
-
-
 def build_parser() -> _Parser:
-    """The parser of every command. Each command is registered with its
-    help line, but its flags are added only once argparse hands it its
-    arguments: a parse builds the flags of the command it runs, not the
-    some 45 flags of each of five commands. Help texts, error messages and
-    exit codes are those of a parser built whole."""
-    root = _Parser(prog="rlvc", description=_DESCRIPTION)
-    sub = root.add_subparsers(dest="command", metavar="COMMAND", action=_Commands)
+    """The parser of every command, each with the flags `_add_flags` gives
+    it; no flag may be abbreviated."""
+    root = _Parser(prog="rlvc", description=__doc__, allow_abbrev=False)
+    sub = root.add_subparsers(dest="command", metavar="COMMAND")
     for name, (_, help_line) in _COMMANDS.items():
-        sub.add_parser(name, help=help_line)
+        _add_flags(name, sub.add_parser(name, help=help_line, allow_abbrev=False))
     return root
 
 
@@ -278,7 +248,8 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError("no command given; see --help")
         if args.print_config:
-            sys.stdout.write(cfgmod.format_config(_resolve(args)))
+            keys = [f.name for f in cfgmod.command_fields(args.command)]
+            sys.stdout.write(cfgmod.format_config(_resolve(args), keys))
             return 0
         return _COMMANDS[args.command][0](args)
     except UsageError as e:

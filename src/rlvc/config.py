@@ -1,17 +1,19 @@
 """One frozen `Config` for the command line and the library.
 
-Each setting is declared once below, with its default, help text and range
-check; the CLI derives a `--key` flag from every field, and a value given as
-text is parsed by the type of its default.
+Each setting is declared once below, with its default, help text, range
+check and the commands that read it; each command takes a `--key` flag for
+each setting it reads, and a value given as text is parsed by the type of
+its default.
 
 Precedence, lowest to highest: built-in defaults, preset, config file,
 explicit command-line flags. Files hold one `key = value` per line; blank
-lines and `#` comments are ignored; unknown keys are rejected.
+lines and `#` comments are ignored; unknown keys are rejected. A file may set
+any key, so one file serves every command of a pipeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields
 
 from . import diffusion
 from .errors import ConfigurationError
@@ -27,9 +29,22 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _key(default, help_text: str, check=None):
-    """A config field; `check` is an optional (predicate, rule text) pair."""
-    return field(default=default, metadata={"help": help_text, "check": check})
+# The commands that read a setting, by the part of a run it shapes.
+_ALL = ("gen-synthetic", "pretrain-reward", "train", "synthesize", "eval")
+_LOAD = _ALL[1:]  # the commands that load a dataset
+_DATA = ("gen-synthetic",)
+_REWARD = ("pretrain-reward",)
+_TRAIN = ("train",)
+_GENERATOR = ("train", "synthesize", "eval")  # the commands that build or run a generator
+_HEADS = ("train", "eval")
+_ADAM = ("pretrain-reward", "train", "eval")
+
+
+def _key(commands: tuple, default, help_text: str, check=None):
+    """A config field read by `commands`; `check` is an optional (predicate,
+    rule text) pair."""
+    return field(default=default,
+                 metadata={"commands": commands, "help": help_text, "check": check})
 
 
 def _at_least(lo):
@@ -49,66 +64,71 @@ class Config:
     """Every setting of a run. Construction runs every range check, so a
     Config that exists is valid; derive variants with dataclasses.replace."""
 
-    seed: int = _key(0, "root seed; every random stream derives from it", _at_least(0))
-    epochs: int = _key(20, "training epochs", _at_least(1))
+    seed: int = _key(_ALL, 0, "root seed; every random stream derives from it", _at_least(0))
+    epochs: int = _key(_TRAIN, 20, "training epochs", _at_least(1))
     rl_start_epoch: int = _key(
-        5, "first epoch (0-indexed) with policy-gradient updates", _at_least(0)
+        _TRAIN, 5, "first epoch (0-indexed) with policy-gradient updates", _at_least(0)
     )
-    critic_steps: int = _key(1, "critic updates per minibatch", _at_least(1))
-    batch_size: int = _key(32, "minibatch size", _at_least(1))
+    critic_steps: int = _key(_TRAIN, 1, "critic updates per minibatch", _at_least(1))
+    batch_size: int = _key(_TRAIN, 32, "minibatch size", _at_least(1))
     lr_adv: float = _key(
-        5e-4, "Adam rate for critics and the adversarial generator step", _above(0)
+        _TRAIN, 5e-4, "Adam rate for critics and the adversarial generator step", _above(0)
     )
-    lr_rl: float = _key(5e-5, "Adam rate for the policy-gradient generator step", _above(0))
-    lambda_pd: float = _key(5.0, "weight of the prototype-distillation term", _at_least(0))
-    lambda_gp: float = _key(10.0, "gradient-penalty weight", _at_least(0))
-    diffusion_steps: int = _key(4, "number of diffusion steps T")
-    beta_min: float = _key(0.1, "first diffusion beta")
-    beta_max: float = _key(0.4, "last diffusion beta")
-    synth_per_class: int = _key(100, "synthesized features per unseen class", _at_least(1))
-    eval_interval: int = _key(0, "epochs between evaluations (0 = never)", _at_least(0))
-    checkpoint_interval: int = _key(0, "epochs between checkpoints (0 = end only)", _at_least(0))
-    use_rl: bool = _key(True, "enable the policy-gradient phase")
-    use_cues: bool = _key(True, "enable the prototype-distillation term")
-    hidden_mult: int = _key(4, "hidden width as a multiple of the feature dim", _at_least(1))
-    temb_dim: int = _key(16, "timestep embedding width", _at_least(0))
+    lr_rl: float = _key(_TRAIN, 5e-5, "Adam rate for the policy-gradient generator step", _above(0))
+    lambda_pd: float = _key(_TRAIN, 5.0, "weight of the prototype-distillation term", _at_least(0))
+    lambda_gp: float = _key(_TRAIN, 10.0, "gradient-penalty weight", _at_least(0))
+    diffusion_steps: int = _key(_GENERATOR, 4, "number of diffusion steps T")
+    beta_min: float = _key(_GENERATOR, 0.1, "first diffusion beta")
+    beta_max: float = _key(_GENERATOR, 0.4, "last diffusion beta")
+    synth_per_class: int = _key(
+        _GENERATOR, 100, "synthesized features per unseen class", _at_least(1)
+    )
+    eval_interval: int = _key(_TRAIN, 0, "epochs between evaluations (0 = never)", _at_least(0))
+    checkpoint_interval: int = _key(
+        _TRAIN, 0, "epochs between checkpoints (0 = end only)", _at_least(0)
+    )
+    use_rl: bool = _key(_TRAIN, True, "enable the policy-gradient phase")
+    use_cues: bool = _key(_TRAIN, True, "enable the prototype-distillation term")
+    hidden_mult: int = _key(
+        _GENERATOR, 4, "hidden width as a multiple of the feature dim", _at_least(1)
+    )
+    temb_dim: int = _key(_GENERATOR, 16, "timestep embedding width", _at_least(0))
     leaky_slope: float = _key(
-        0.2,
-        "leaky-relu negative slope",
-        (exact_slope, "in [0, 1] and not -0.0"),
+        _GENERATOR, 0.2, "leaky-relu negative slope", (exact_slope, "in [0, 1] and not -0.0")
     )
-    adam_beta1: float = _key(0.5, "Adam beta1 (all optimizers)", _unit_interval())
-    adam_beta2: float = _key(0.999, "Adam beta2 (all optimizers)", _unit_interval())
-    reward_epochs: int = _key(50, "reward-model pretraining epochs", _at_least(1))
-    reward_lr: float = _key(0.01, "reward-model Adam rate", _above(0))
-    reward_batch: int = _key(128, "reward-model minibatch size", _at_least(1))
-    clf_epochs: int = _key(50, "evaluation-head training epochs", _at_least(1))
-    clf_lr: float = _key(0.001, "evaluation-head Adam rate", _above(0))
-    clf_batch: int = _key(128, "evaluation-head minibatch size", _at_least(1))
-    standardize: bool = _key(False, "standardize features with train-split statistics")
+    adam_beta1: float = _key(_ADAM, 0.5, "Adam beta1 (all optimizers)", _unit_interval())
+    adam_beta2: float = _key(_ADAM, 0.999, "Adam beta2 (all optimizers)", _unit_interval())
+    reward_epochs: int = _key(_REWARD, 50, "reward-model pretraining epochs", _at_least(1))
+    reward_lr: float = _key(_REWARD, 0.01, "reward-model Adam rate", _above(0))
+    reward_batch: int = _key(_REWARD, 128, "reward-model minibatch size", _at_least(1))
+    clf_epochs: int = _key(_HEADS, 50, "evaluation-head training epochs", _at_least(1))
+    clf_lr: float = _key(_HEADS, 0.001, "evaluation-head Adam rate", _above(0))
+    clf_batch: int = _key(_HEADS, 128, "evaluation-head minibatch size", _at_least(1))
+    standardize: bool = _key(_LOAD, False, "standardize features with train-split statistics")
     dtype: str = _key(
-        "float64",
+        _GENERATOR, "float64",
         "precision of training and of the generator's synthesis: float64 or float32",
         ((lambda v: v in ("float64", "float32")), "float64 or float32"),
     )
-    n_seen: int = _key(20, "synthetic benchmark: seen classes", _at_least(1))
-    n_unseen: int = _key(5, "synthetic benchmark: unseen classes", _at_least(1))
-    feat_dim: int = _key(32, "synthetic benchmark: visual feature dim", _at_least(1))
-    sem_dim: int = _key(16, "synthetic benchmark: semantic prototype dim", _at_least(1))
-    samples_per_class: int = _key(60, "synthetic benchmark: samples per class", _at_least(2))
+    n_seen: int = _key(_DATA, 20, "synthetic benchmark: seen classes", _at_least(1))
+    n_unseen: int = _key(_DATA, 5, "synthetic benchmark: unseen classes", _at_least(1))
+    feat_dim: int = _key(_DATA, 32, "synthetic benchmark: visual feature dim", _at_least(1))
+    sem_dim: int = _key(_DATA, 16, "synthetic benchmark: semantic prototype dim", _at_least(1))
+    samples_per_class: int = _key(_DATA, 60, "synthetic benchmark: samples per class", _at_least(2))
     semantic_cluster_size: int = _key(
-        5, "synthetic benchmark: classes per semantic cluster", _at_least(1)
+        _DATA, 5, "synthetic benchmark: classes per semantic cluster", _at_least(1)
     )
     semantic_jitter: float = _key(
-        0.05, "synthetic benchmark: within-cluster prototype jitter", _at_least(0)
+        _DATA, 0.05, "synthetic benchmark: within-cluster prototype jitter", _at_least(0)
     )
     visual_separation: float = _key(
-        6.0, "synthetic benchmark: min distance between class means", _above(0)
+        _DATA, 6.0, "synthetic benchmark: min distance between class means", _above(0)
     )
-    visual_sigma: float = _key(1.0, "synthetic benchmark: within-class feature noise", _at_least(0))
+    visual_sigma: float = _key(
+        _DATA, 1.0, "synthetic benchmark: within-class feature noise", _at_least(0)
+    )
     test_fraction: float = _key(
-        0.2,
-        "synthetic benchmark: held-out fraction per seen class",
+        _DATA, 0.2, "synthetic benchmark: held-out fraction per seen class",
         ((lambda v: 0.0 < v < 1.0), "in (0, 1)"),
     )
 
@@ -130,6 +150,11 @@ class Config:
 
 
 _FIELDS = {f.name: f for f in fields(Config)}
+
+
+def command_fields(command: str) -> list[Field]:
+    """The fields of the settings `command` reads, in declaration order."""
+    return [f for f in _FIELDS.values() if command in f.metadata["commands"]]
 
 
 def _check(f, value) -> None:

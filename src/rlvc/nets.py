@@ -484,7 +484,8 @@ class AdamState:
             m, v = self._m.copy(), self._v.copy()
             new = [p.copy() for p in self.params]
             m_blocks, v_blocks = _blocks(self._views(m)), _blocks(self._views(v))
-            self._advance(alpha, eps_hat, g_blocks, m_blocks, v_blocks, _blocks(new))
+            with np.errstate(over="ignore", invalid="ignore"):  # the copies are checked below
+                self._advance(alpha, eps_hat, g_blocks, m_blocks, v_blocks, _blocks(new))
             if not all(np.isfinite(a).all() for a in new):
                 raise NumericFailure("non-finite parameter after update; update rejected")
             self._m[...], self._v[...] = m, v

@@ -416,11 +416,10 @@ def test_10_determinism(tmp_path):
             "--sem-dim", "4", "--samples-per-class", "10",
             "--semantic-cluster-size", "3"]
     fast = ["--epochs", "4", "--rl-start-epoch", "1", "--batch-size", "16",
-            "--synth-per-class", "4", "--clf-epochs", "3",
-            "--reward-epochs", "10", "--eval-interval", "2"]
+            "--synth-per-class", "4", "--clf-epochs", "3", "--eval-interval", "2"]
     assert cli.main(["gen-synthetic", "--out", data] + tiny) == 0
     assert cli.main(["pretrain-reward", "--data", data,
-                     "--out", str(tmp_path / "rm")] + fast) == 0
+                     "--out", str(tmp_path / "rm"), "--reward-epochs", "10"]) == 0
     for name in ("a", "b"):
         code = cli.main(["train", "--data", data, "--out", str(tmp_path / name),
                          "--reward", str(tmp_path / "rm" / "reward.ckpt")] + fast)

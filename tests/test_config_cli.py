@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -10,12 +13,12 @@ import sys
 import numpy as np
 import pytest
 
-from rlvc import cli, config, trainer
+from rlvc import cli, config, gan, trainer
 from rlvc.data import (
     CACHE_NAME, ZslDataset, export_features, fingerprint, load_dataset, make_synthetic,
     save_dataset, standardize,
 )
-from rlvc.errors import ConfigurationError, UsageError
+from rlvc.errors import ConfigurationError
 from rlvc.evaluate import harmonic_mean, synthesize_unseen
 from rlvc.nets import GENERATOR_TAG, REWARD_TAG, param_count, save_checkpoint, save_reward
 from rlvc.reward import pretrain_reward
@@ -129,10 +132,23 @@ _TINY = [
     "--n-seen", "4", "--n-unseen", "2", "--feat-dim", "8", "--sem-dim", "4",
     "--samples-per-class", "10", "--semantic-cluster-size", "3",
 ]
-_FAST = [
-    "--epochs", "2", "--rl-start-epoch", "1", "--batch-size", "16",
-    "--synth-per-class", "4", "--clf-epochs", "3", "--reward-epochs", "10",
-]
+
+
+def _flags(command: str, settings: dict) -> list[str]:
+    """The flags of those of `settings` that `command` reads."""
+    keys = {f.name for f in config.command_fields(command)}
+    return [a for key, v in settings.items() if key in keys
+            for a in ("--" + key.replace("_", "-"), v)]
+
+
+def _settings(flags: list[str]) -> dict:
+    """The Config keys and values of `--key value` flags."""
+    return {k[2:].replace("-", "_"): v for k, v in zip(flags[::2], flags[1::2])}
+
+
+_FAST_SETTINGS = {"epochs": "2", "rl_start_epoch": "1", "batch_size": "16",
+                  "synth_per_class": "4", "clf_epochs": "3", "reward_epochs": "10"}
+_FAST = {c: _flags(c, _FAST_SETTINGS) for c in cli._COMMANDS}  # each command's fast flags
 
 
 def test_cli_no_command_is_usage_error(capsys):
@@ -140,30 +156,14 @@ def test_cli_no_command_is_usage_error(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def _whole_parser() -> cli._Parser:
-    """The parser as it was built before each command's flags were added
-    lazily: every command with all its flags, up front."""
-    root = cli._Parser(prog="rlvc", description=cli._DESCRIPTION)
-    sub = root.add_subparsers(dest="command", metavar="COMMAND")
-    p = sub.add_parser("gen-synthetic", help="write a synthetic benchmark dataset")
-    cli._add_common(p)
-    p.add_argument("--force", action="store_true", help="overwrite an existing dataset dir")
-    p = sub.add_parser("pretrain-reward", help="train and freeze the reward model")
-    cli._add_common(p)
-    p.add_argument("--data", metavar="DIR", help="dataset directory")
-    p = sub.add_parser("train", help="run the full training schedule")
-    cli._add_common(p)
-    p.add_argument("--data", metavar="DIR", help="dataset directory")
-    p.add_argument("--reward", metavar="PATH", help="frozen reward-model checkpoint")
-    p.add_argument("--no-rl", action="store_true", help="disable the policy-gradient phase")
-    p.add_argument("--no-cues", action="store_true", help="disable prototype distillation")
-    for name, help_line in (("synthesize", "synthesize unseen-class features to a file"),
-                            ("eval", "evaluate a trained generator (CZSL and GZSL)")):
-        p = sub.add_parser(name, help=help_line)
-        cli._add_common(p)
-        p.add_argument("--data", metavar="DIR", help="dataset directory")
-        p.add_argument("--generator", metavar="PATH", help="generator checkpoint")
-    return root
+# The flags of each command beyond those of the settings it reads.
+_OWN_FLAGS = {
+    "gen-synthetic": {"--out", "--force"},
+    "pretrain-reward": {"--data", "--out"},
+    "train": {"--data", "--out", "--reward", "--no-rl", "--no-cues"},
+    "synthesize": {"--data", "--out", "--generator"},
+    "eval": {"--data", "--generator"},
+}
 
 
 @pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"] for c in cli._COMMANDS])
@@ -171,11 +171,15 @@ def test_cli_help_is_the_whole_parsers(argv, capsys):
     with pytest.raises(SystemExit) as done:
         cli.main(argv)
     assert done.value.code == 0
-    lazy = capsys.readouterr().out
-    with pytest.raises(SystemExit):
-        _whole_parser().parse_args(argv)
-    assert lazy == capsys.readouterr().out
-    assert "usage: rlvc" in lazy
+    out = capsys.readouterr().out
+    assert out.startswith("usage: rlvc")
+    if argv == ["--help"]:
+        assert all(f"    {c}" in out and line in out for c, (_, line) in cli._COMMANDS.items())
+        return
+    command = argv[0]
+    settings = {"--" + f.name.replace("_", "-") for f in config.command_fields(command)}
+    listed = set(re.findall(r"^  (--[a-z0-9-]+)", out, flags=re.M))
+    assert listed == settings | _OWN_FLAGS[command] | {"--config", "--preset", "--print-config"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -185,19 +189,34 @@ def test_cli_help_is_the_whole_parsers(argv, capsys):
     ["train", "--no-rl", "--bogus"],
 ])
 def test_cli_bad_command_lines_say_what_the_whole_parser_says(argv, capsys):
+    said = {
+        "bogus": "argument COMMAND: invalid choice: 'bogus'",
+        "eval --force": "unrecognized arguments: --force",
+        "--seed 1 eval": "argument COMMAND: invalid choice: '1'",
+        "train --no-rl --bogus": "unrecognized arguments: --bogus",
+    }
     assert cli.main(argv) == 1
-    message = capsys.readouterr().err
-    with pytest.raises(UsageError) as whole:
-        _whole_parser().parse_args(argv)
-    assert message == f"usage error: {whole.value}\n"
+    assert capsys.readouterr().err.startswith(f"usage error: {said[' '.join(argv)]}")
 
 
-def test_cli_parse_builds_only_the_named_commands_flags(monkeypatch):
-    built, add_flags = [], cli._add_flags
-    monkeypatch.setattr(cli, "_add_flags", lambda command, p: (built.append(command),
-                                                                 add_flags(command, p)))
-    args = cli.build_parser().parse_args(["eval", "--data", "d", "--synth-per-class", "9"])
-    assert built == ["eval"] and args.cfg_synth_per_class == "9"
+@pytest.mark.parametrize("argv", [
+    ["eval", "--epochs", "3"],  # a setting eval does not read
+    ["eval", "--checkpoint", "run/generator.ckpt"],  # not --checkpoint-interval
+    ["eval", "--gen", "run/generator.ckpt"],  # not --generator
+    ["eval", "--out", "run"],
+])
+def test_cli_eval_refuses_a_flag_it_would_ignore_or_abbreviate(argv, capsys):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: unrecognized arguments: {argv[1]}")
+
+
+def test_cli_every_command_refuses_a_flag_for_a_setting_it_does_not_read(capsys):
+    for command in cli._COMMANDS:
+        keys = {f.name for f in config.command_fields(command)}
+        for key in sorted({f.name for f in dataclasses.fields(config.Config)} - keys):
+            flag = "--" + key.replace("_", "-")
+            assert cli.main([command, "--print-config", flag, "1"]) == 1, (command, key)
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_cli_missing_out_flag(capsys):
@@ -211,9 +230,9 @@ def test_cli_unknown_flag():
 
 def test_cli_bad_flag_value(tmp_path, capsys):
     code = cli.main(["gen-synthetic", "--out", str(tmp_path / "d"),
-                     "--epochs", "abc"])
+                     "--n-seen", "abc"])
     assert code == 2
-    assert "epochs" in capsys.readouterr().err
+    assert "n_seen" in capsys.readouterr().err
 
 
 def test_cli_rejects_an_adam_beta_outside_the_unit_interval(capsys):
@@ -238,7 +257,7 @@ def test_cli_rejects_an_adam_beta_outside_the_unit_interval(capsys):
         ("train", "--temb-dim", "-1"),
         ("train", "--eval-interval", "-1"),
         ("train", "--checkpoint-interval", "-1"),
-        ("gen-synthetic", "--diffusion-steps", "0"),
+        ("train", "--diffusion-steps", "0"),
         ("synthesize", "--beta-min", "0"),
         ("synthesize", "--beta-max", "1.0"),
         ("synthesize", "--beta-min", "0.5"),  # above the default beta_max 0.4
@@ -251,13 +270,12 @@ def test_cli_rejects_an_out_of_range_value_when_resolving(command, flag, value, 
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["gen-synthetic", "pretrain-reward", "train", "synthesize",
-                                     "eval"])
+# gen-synthetic reads no boolean setting
+@pytest.mark.parametrize("command", ["pretrain-reward", "train", "synthesize", "eval"])
 def test_cli_a_bare_boolean_flag_means_true(command, capsys):
-    assert cli.main([command, "--print-config", "--standardize", "--seed", "3",
-                     "--use-cues", "false"]) == 0
+    assert cli.main([command, "--print-config", "--standardize", "--seed", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert {"standardize = true", "seed = 3", "use_cues = false"} <= set(lines)
+    assert {"standardize = true", "seed = 3"} <= set(lines)
 
 
 @pytest.mark.parametrize("slope", ["1.5", "-0.1", "-0.0"])
@@ -272,10 +290,11 @@ def test_cli_train_refuses_a_leaky_slope_outside_the_exact_range(slope, tmp_path
 @pytest.mark.parametrize("slope", ["0", "1"])
 def test_cli_train_and_eval_run_at_either_end_of_the_slope_range(slope, tmp_path, capsys):
     data, run = str(tmp_path / "data"), str(tmp_path / "run")
-    flags = _FAST + ["--leaky-slope", slope]
+    at = ["--leaky-slope", slope]
     assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
-    assert cli.main(["train", "--data", data, "--out", run, "--no-rl"] + flags) == 0
-    assert cli.main(["eval", "--data", data, "--generator", f"{run}/generator.ckpt"] + flags) == 0
+    assert cli.main(["train", "--data", data, "--out", run, "--no-rl"] + _FAST["train"] + at) == 0
+    assert cli.main(["eval", "--data", data, "--generator", f"{run}/generator.ckpt"]
+                    + _FAST["eval"] + at) == 0
     assert "acc=" in capsys.readouterr().out.strip().splitlines()[-1]
 
 
@@ -315,9 +334,9 @@ def test_a_cli_run_loads_neither_numpy_ma_nor_logging(tmp_path):
     # shows only in a fresh interpreter (pytest itself imports logging).
     runs = [
         ["gen-synthetic", "--out", "d"] + _TINY,
-        ["pretrain-reward", "--data", "d", "--out", "o"] + _FAST,
+        ["pretrain-reward", "--data", "d", "--out", "o"] + _FAST["pretrain-reward"],
         ["train", "--data", "d", "--out", "o", "--reward", "o/reward.ckpt",
-         "--eval-interval", "1"] + _FAST,
+         "--eval-interval", "1"] + _FAST["train"],
         ["eval", "--data", "d", "--generator", "o/generator.ckpt"],
         ["synthesize", "--data", "d", "--generator", "o/generator.ckpt", "--out", "o/s.csv"],
     ]
@@ -373,13 +392,13 @@ def test_cli_train_refuses_a_run_larger_than_physical_memory(tmp_path, monkeypat
     need = 8 * trainer.training_floats(8, 4, cfg)
     monkeypatch.setattr(trainer, "_physical_memory", lambda: need - 1)
     capsys.readouterr()
-    code = cli.main(["train", "--data", data, "--out", str(run), "--no-rl"] + _FAST)
+    code = cli.main(["train", "--data", data, "--out", str(run), "--no-rl"] + _FAST["train"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert f"{need:,} bytes" in err and f"{need - 1:,} bytes of physical memory" in err
     assert not (run / "metrics.csv").exists()
     monkeypatch.setattr(trainer, "_physical_memory", lambda: need)
-    assert cli.main(["train", "--data", data, "--out", str(run), "--no-rl"] + _FAST) == 0
+    assert cli.main(["train", "--data", data, "--out", str(run), "--no-rl"] + _FAST["train"]) == 0
     assert (run / "metrics.csv").exists()
 
 
@@ -389,13 +408,14 @@ def test_cli_full_pipeline(tmp_path, capsys):
     synth = str(tmp_path / "synth.csv")
 
     assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
-    assert cli.main(["pretrain-reward", "--data", data, "--out", run] + _FAST) == 0
+    assert cli.main(["pretrain-reward", "--data", data, "--out", run]
+                    + _FAST["pretrain-reward"]) == 0
     out = capsys.readouterr().out
     assert "train accuracy" in out
 
     code = cli.main(["train", "--data", data, "--out", run,
                      "--reward", f"{run}/reward.ckpt",
-                     "--eval-interval", "2"] + _FAST)
+                     "--eval-interval", "2"] + _FAST["train"])
     assert code == 0
     out = capsys.readouterr().out
     assert "final eval" in out
@@ -403,13 +423,13 @@ def test_cli_full_pipeline(tmp_path, capsys):
     assert (tmp_path / "run" / "generator.ckpt").exists()
 
     assert cli.main(["synthesize", "--data", data, "--out", synth,
-                     "--generator", f"{run}/generator.ckpt"] + _FAST) == 0
+                     "--generator", f"{run}/generator.ckpt"] + _FAST["synthesize"]) == 0
     assert "8 synthesized rows" in capsys.readouterr().out
     text = (tmp_path / "synth.csv").read_text()
     assert text.startswith("# features n=8 d=8\n")
 
     assert cli.main(["eval", "--data", data,
-                     "--generator", f"{run}/generator.ckpt"] + _FAST) == 0
+                     "--generator", f"{run}/generator.ckpt"] + _FAST["eval"]) == 0
     line = capsys.readouterr().out.strip()
     parts = dict(kv.split("=") for kv in line.split())
     u, s, h = float(parts["u"]), float(parts["s"]), float(parts["h"])
@@ -417,26 +437,22 @@ def test_cli_full_pipeline(tmp_path, capsys):
     assert 0.0 <= float(parts["acc"]) <= 1.0
 
 
-def test_cli_and_library_train_write_the_same_metrics(tmp_path, capsys):
+def test_cli_and_library_train_write_the_same_metrics(tmp_path):
     # with these settings the logged eval numbers move with every head and
     # synthesis setting, so the CLI cannot pass the library other values
-    flags = _TINY + [
-        "--preset", "synthetic", "--seed", "3", "--n-unseen", "3",
-        "--epochs", "8", "--rl-start-epoch", "1", "--batch-size", "16",
-        "--eval-interval", "4", "--synth-per-class", "4", "--clf-epochs", "3",
-        "--clf-lr", "0.05", "--reward-epochs", "10",
-    ]
+    settings = {**_settings(_TINY), "seed": "3", "n_unseen": "3", "epochs": "8",
+                "rl_start_epoch": "1", "batch_size": "16", "eval_interval": "4",
+                "synth_per_class": "4", "clf_epochs": "3", "clf_lr": "0.05",
+                "reward_epochs": "10"}
+    flags = {c: ["--preset", "synthetic", *_flags(c, settings)] for c in cli._COMMANDS}
     data, run = str(tmp_path / "data"), str(tmp_path / "cli")
-    assert cli.main(["gen-synthetic", "--out", data] + flags) == 0
-    assert cli.main(["pretrain-reward", "--data", data, "--out", run] + flags) == 0
+    assert cli.main(["gen-synthetic", "--out", data] + flags["gen-synthetic"]) == 0
+    assert cli.main(["pretrain-reward", "--data", data, "--out", run]
+                    + flags["pretrain-reward"]) == 0
     assert cli.main(["train", "--data", data, "--out", run,
-                     "--reward", f"{run}/reward.ckpt"] + flags) == 0
-    capsys.readouterr()
-    assert cli.main(["train", "--print-config"] + flags) == 0
-    resolved = tmp_path / "resolved.cfg"
-    resolved.write_text(capsys.readouterr().out)
+                     "--reward", f"{run}/reward.ckpt"] + flags["train"]) == 0
 
-    cfg = config.resolve_config(config_path=str(resolved))
+    cfg = config.resolve_config("synthetic", overrides=settings)
     assert cfg.standardize
     ds = standardize(make_synthetic(cfg))
     train_x, train_y = ds.train
@@ -453,7 +469,7 @@ def test_cli_train_without_rl_needs_no_reward(tmp_path, capsys):
     run = str(tmp_path / "run")
     assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
     code = cli.main(["train", "--data", data, "--out", run,
-                     "--no-rl", "--no-cues"] + _FAST)
+                     "--no-rl", "--no-cues"] + _FAST["train"])
     assert code == 0
     assert "final critic loss" in capsys.readouterr().out
     lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
@@ -473,28 +489,27 @@ def test_cli_generator_dim_mismatch(tmp_path, capsys):
                      "--samples-per-class", "10",
                      "--semantic-cluster-size", "3"]) == 0
     assert cli.main(["train", "--data", data_a, "--out", run,
-                     "--no-rl", "--no-cues"] + _FAST) == 0
+                     "--no-rl", "--no-cues"] + _FAST["train"]) == 0
     capsys.readouterr()
     code = cli.main(["eval", "--data", data_b,
-                     "--generator", f"{run}/generator.ckpt"] + _FAST)
+                     "--generator", f"{run}/generator.ckpt"] + _FAST["eval"])
     assert code == 2
     assert "do not match" in capsys.readouterr().err
 
 
 def test_cli_synthesize_rebuilds_a_non_default_shape(tmp_path):
     shape = ["--hidden-mult", "2", "--temb-dim", "8", "--leaky-slope", "0.1"]
-    flags = _TINY + _FAST + shape + ["--use-rl", "false"]
     cfg = config.resolve_config(
-        overrides={k[2:].replace("-", "_"): v for k, v in zip(flags[::2], flags[1::2])}
+        overrides={**_settings(_TINY + shape), **_FAST_SETTINGS, "use_rl": "false"}
     )
     data, run = str(tmp_path / "data"), tmp_path / "run"
-    assert cli.main(["gen-synthetic", "--out", data] + flags) == 0
+    assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
     ds = load_dataset(data)
     result = trainer.train(ds, None, cfg, out_dir=run)
     assert result.generator.net.layer_dims == [8 + 4 + 8 + 8, 16, 16, 8]
     synth = tmp_path / "cli.csv"
     assert cli.main(["synthesize", "--data", data, "--out", str(synth),
-                     "--generator", f"{run}/generator.ckpt"] + flags) == 0
+                     "--generator", f"{run}/generator.ckpt"] + _FAST["synthesize"] + shape) == 0
     feats, labels = synthesize_unseen(result.generator, ds.prototypes, ds.unseen_classes,
                                       cfg.synth_per_class, cfg.schedule(),
                                       stream_rng(cfg.seed, "eval", cfg.epochs - 1))
@@ -504,18 +519,18 @@ def test_cli_synthesize_rebuilds_a_non_default_shape(tmp_path):
 
 @pytest.mark.parametrize("standardized", [True, False], ids=["standardized", "raw"])
 def test_cli_synthesize_writes_the_dataset_units(tmp_path, standardized):
-    flags = _TINY + _FAST + ["--use-rl", "false", "--standardize", str(standardized).lower()]
+    space = ["--standardize", str(standardized).lower()]
     cfg = config.resolve_config(
-        overrides={k[2:].replace("-", "_"): v for k, v in zip(flags[::2], flags[1::2])}
+        overrides={**_settings(_TINY + space), **_FAST_SETTINGS, "use_rl": "false"}
     )
     data, run = str(tmp_path / "data"), tmp_path / "run"
-    assert cli.main(["gen-synthetic", "--out", data] + flags) == 0
+    assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
     raw = load_dataset(data)
     ds = standardize(raw) if standardized else raw
     result = trainer.train(ds, None, cfg, out_dir=run)
     synth = tmp_path / "cli.csv"
     assert cli.main(["synthesize", "--data", data, "--out", str(synth),
-                     "--generator", f"{run}/generator.ckpt"] + flags) == 0
+                     "--generator", f"{run}/generator.ckpt"] + _FAST["synthesize"] + space) == 0
     feats, labels = synthesize_unseen(result.generator, ds.prototypes, ds.unseen_classes,
                                       cfg.synth_per_class, cfg.schedule(),
                                       stream_rng(cfg.seed, "eval", cfg.epochs - 1))
@@ -537,7 +552,7 @@ def test_cli_train_refuses_a_multi_layer_reward_checkpoint(tmp_path, capsys):
     dims = [d, n_seen, n_seen]
     save_checkpoint(run / "reward.ckpt", REWARD_TAG, dims, rng.normal(size=param_count(dims)))
     code = cli.main(["train", "--data", data, "--out", str(run),
-                     "--reward", str(run / "reward.ckpt")] + _FAST)
+                     "--reward", str(run / "reward.ckpt")] + _FAST["train"])
     assert code == 2
     assert "one linear layer" in capsys.readouterr().err
 
@@ -569,7 +584,8 @@ def test_cli_refuses_a_dataset_without_seen_or_unseen_classes(tmp_path, monkeypa
     for cache in ("warm", "cold"):
         assert (data / CACHE_NAME).is_file() == (cache == "warm")
         for command in commands:
-            assert cli.main([*command, "--data", str(data)] + _FAST) == 2, (cache, command)
+            assert cli.main([*command, "--data", str(data)] + _FAST[command[0]]) == 2, (
+                cache, command)
             assert f"error: dataset has no {missing} class" in capsys.readouterr().err
         (data / CACHE_NAME).unlink(missing_ok=True)
 
@@ -590,7 +606,7 @@ def test_cli_refuses_a_config_file_naming_a_removed_key(line, tmp_path, capsys):
 
 
 _SHAPE = ["--hidden-mult", "2", "--temb-dim", "8", "--leaky-slope", "0.1"]
-_EVAL_TIME = ["--seed", "0", "--synth-per-class", "4", "--clf-epochs", "3"]
+_EVAL_TIME = {"seed": "0", "synth_per_class": "4", "clf_epochs": "3"}
 
 
 @pytest.fixture(scope="module")
@@ -600,11 +616,9 @@ def shaped_run(tmp_path_factory):
     library logged at the last epoch."""
     root = tmp_path_factory.mktemp("shaped")
     data, run = root / "data", root / "run"
-    flags = _TINY + _FAST + _SHAPE + ["--eval-interval", "2", "--use-rl", "false"]
-    assert cli.main(["gen-synthetic", "--preset", "synthetic", "--out", str(data)] + flags) == 0
-    cfg = config.resolve_config(
-        "synthetic", overrides={k[2:].replace("-", "_"): v for k, v in zip(flags[::2], flags[1::2])}
-    )
+    assert cli.main(["gen-synthetic", "--preset", "synthetic", "--out", str(data)] + _TINY) == 0
+    cfg = config.resolve_config("synthetic", overrides={
+        **_settings(_TINY + _SHAPE), **_FAST_SETTINGS, "eval_interval": "2", "use_rl": "false"})
     result = trainer.train(standardize(load_dataset(data)), None, cfg, out_dir=run)
     dims = result.generator.net.layer_dims
     v1 = struct.pack(f"<4sI4sI{len(dims)}I", b"RLVC", 1, GENERATOR_TAG, len(dims), *dims)
@@ -615,7 +629,7 @@ def shaped_run(tmp_path_factory):
 def test_cli_eval_of_the_final_checkpoint_prints_the_logged_row(shaped_run, capsys):
     data, run, logged = shaped_run
     assert cli.main(["eval", "--preset", "synthetic", "--data", str(data), "--generator",
-                     str(run / "generator.ckpt")] + _EVAL_TIME) == 0
+                     str(run / "generator.ckpt")] + _flags("eval", _EVAL_TIME)) == 0
     assert capsys.readouterr().out == logged + "\n"
 
 
@@ -644,7 +658,7 @@ def test_cli_reads_the_generator_settings_from_the_file(shaped_run, tmp_path, ca
     data, run, logged = shaped_run
     out = ["--out", str(tmp_path / "synth.csv")] if command == "synthesize" else []
     argv = [command, "--data", str(data), "--generator", str(run / ckpt), *out]
-    assert cli.main(argv + _EVAL_TIME + flags) == code
+    assert cli.main(argv + _flags(command, _EVAL_TIME) + flags) == code
     stdout, stderr = capsys.readouterr()
     if code:
         assert expected in stderr and stdout == ""
@@ -657,14 +671,14 @@ def test_cli_train_refuses_a_reward_file_from_the_other_feature_space(tmp_path, 
     assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
     for fit, train in (("false", "true"), ("true", "false")):
         assert cli.main(["pretrain-reward", "--data", data, "--out", run,
-                         "--standardize", fit] + _FAST) == 0
+                         "--standardize", fit] + _FAST["pretrain-reward"]) == 0
         capsys.readouterr()
         assert cli.main(["train", "--data", data, "--out", run, "--reward", f"{run}/reward.ckpt",
-                         "--standardize", train] + _FAST) == 2
+                         "--standardize", train] + _FAST["train"]) == 2
         err = capsys.readouterr().err
         assert f"was fit with standardize = {fit}; this run has standardize = {train}" in err
     assert cli.main(["train", "--data", data, "--out", run, "--reward", f"{run}/reward.ckpt",
-                     "--standardize"] + _FAST) == 0
+                     "--standardize"] + _FAST["train"]) == 0
 
 
 @pytest.mark.parametrize("flags, use_rl, use_cues", [
@@ -689,7 +703,8 @@ def test_cli_train_refuses_a_reward_file_whose_settings_are_not_standardize_alon
         edit, shown, tmp_path, capsys):
     data, run = str(tmp_path / "data"), tmp_path / "run"
     assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
-    assert cli.main(["pretrain-reward", "--data", data, "--out", str(run)] + _FAST) == 0
+    assert cli.main(["pretrain-reward", "--data", data, "--out", str(run)]
+                    + _FAST["pretrain-reward"]) == 0
     path = run / "reward.ckpt"
     blob = path.read_bytes()
     at = blob.index(b"standardize = false\n")  # the first line of the settings
@@ -700,7 +715,7 @@ def test_cli_train_refuses_a_reward_file_whose_settings_are_not_standardize_alon
     path.write_bytes(blob[: at - 4] + struct.pack("<I", len(new)) + new + blob[at + size :])
     capsys.readouterr()
     assert cli.main(["train", "--data", data, "--out", str(run), "--reward", str(path)]
-                    + _FAST) == 2
+                    + _FAST["train"]) == 2
     err = capsys.readouterr().err
     assert f"reward checkpoint {path} records" in err and shown in err
 
@@ -711,16 +726,19 @@ def test_cli_train_refuses_a_reward_file_fit_on_another_dataset(tmp_path, capsys
     first, second, run = (str(tmp_path / name) for name in ("data-1", "data-2", "run"))
     for data, seed in ((first, "1"), (second, "2")):
         assert cli.main(["gen-synthetic", "--out", data, "--seed", seed] + _TINY) == 0
-    assert cli.main(["pretrain-reward", "--data", first, "--out", run] + _FAST) == 0
+    assert cli.main(["pretrain-reward", "--data", first, "--out", run]
+                    + _FAST["pretrain-reward"]) == 0
     capsys.readouterr()
     reward = f"{run}/reward.ckpt"
-    assert cli.main(["train", "--data", second, "--out", run, "--reward", reward] + _FAST) == 2
+    assert cli.main(["train", "--data", second, "--out", run, "--reward", reward]
+                    + _FAST["train"]) == 2
     assert capsys.readouterr().err == (
         f"error: {reward} was fit on dataset {fingerprint(first)}; "
         f"{second} is dataset {fingerprint(second)}\n"
     )
     assert not os.path.exists(f"{run}/metrics.csv")
-    assert cli.main(["train", "--data", first, "--out", run, "--reward", reward] + _FAST) == 0
+    assert cli.main(["train", "--data", first, "--out", run, "--reward", reward]
+                    + _FAST["train"]) == 0
 
 
 def test_cli_train_refuses_a_reward_file_that_records_no_dataset(tmp_path, capsys):
@@ -733,6 +751,107 @@ def test_cli_train_refuses_a_reward_file_that_records_no_dataset(tmp_path, capsy
     run.mkdir()
     save_reward(run / "reward.ckpt", model, "standardize = false\n")
     assert cli.main(["train", "--data", data, "--out", str(run), "--reward",
-                     str(run / "reward.ckpt")] + _FAST) == 2
+                     str(run / "reward.ckpt")] + _FAST["train"]) == 2
     assert f"was fit on dataset (none recorded); {data} is dataset {ds.fingerprint}" in (
         capsys.readouterr().err)
+
+
+def _pipeline_config(path, capsys) -> None:
+    """Write to `path` the config file of a tiny pipeline that runs every
+    part of training: `train --print-config`'s settings, then gen-synthetic's
+    shape keys, which train does not read."""
+    assert cli.main(["train", "--print-config", *_FAST["train"], "--eval-interval", "1"]) == 0
+    path.write_text(capsys.readouterr().out
+                    + "".join(f"{k} = {v}\n" for k, v in _settings(_TINY).items()))
+
+
+def _pipeline(tmp_path, config_file) -> list[list[str]]:
+    """The five commands of a pipeline in `tmp_path`, each given `config_file`."""
+    data, run = str(tmp_path / "data"), str(tmp_path / "run")
+    trained = ["--data", data, "--generator", f"{run}/generator.ckpt"]
+    return [[*argv, "--config", str(config_file)] for argv in (
+        ["gen-synthetic", "--out", data],
+        ["pretrain-reward", "--data", data, "--out", run],
+        ["train", "--data", data, "--reward", f"{run}/reward.ckpt", "--out", run],
+        ["synthesize", *trained, "--out", f"{run}/synth.csv"],
+        ["eval", *trained],
+    )]
+
+
+def test_one_config_file_serves_a_whole_pipeline(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    _pipeline_config(path, capsys)
+    for argv in _pipeline(tmp_path, path):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    cfg = config.resolve_config(config_path=str(path))
+    assert (cfg.n_seen, cfg.epochs) == (4, 2)
+    for command in cli._COMMANDS:
+        assert cli.main([command, "--print-config", "--config", str(path)]) == 0
+        keys = [f.name for f in config.command_fields(command)]
+        assert capsys.readouterr().out == config.format_config(cfg, keys)
+
+
+# How many settings each command reads, and so how many it takes as flags.
+_READ_COUNTS = {"gen-synthetic": 11, "pretrain-reward": 7, "train": 27, "synthesize": 10,
+                "eval": 15}
+
+
+def test_each_command_takes_a_flag_for_exactly_the_settings_it_reads(tmp_path, monkeypatch,
+                                                                    capsys):
+    names = {f.name for f in dataclasses.fields(config.Config)}
+    reads: set[str] = set()
+
+    class Recording(config.Config):
+        """A Config that notes each setting read from it once built, through
+        a property or method too, but not by dataclasses.replace's copy."""
+
+        def __init__(self, **values):
+            super().__init__(**values)
+            object.__setattr__(self, "_built", True)
+
+        def __getattribute__(self, name):
+            if (name in names and "_built" in object.__getattribute__(self, "__dict__")
+                    and sys._getframe(1).f_globals["__name__"] != "dataclasses"):
+                reads.add(name)
+            return object.__getattribute__(self, name)
+
+    path = tmp_path / "run.cfg"
+    _pipeline_config(path, capsys)
+    monkeypatch.setattr(config, "Config", Recording)
+    for argv in _pipeline(tmp_path, path):
+        reads.clear()
+        assert cli.main(argv) == 0, argv
+        assert reads == {f.name for f in config.command_fields(argv[0])}, argv[0]
+        assert len(reads) == _READ_COUNTS[argv[0]]
+    assert set(gan.GENERATOR_KEYS) <= reads  # eval checks each against the generator file
+
+
+def _load(path: str, name: str):
+    """The module of the script at `path`, imported as `name`."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_and_the_byte_check_command_lines_parse(tmp_path, monkeypatch, capsys):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))  # run.py's own imports
+    run = _load(os.path.join(root, "perfbench", "run.py"), "perfbench_run")
+    same_bytes = _load(os.path.join(root, "tools", "same_bytes.py"), "same_bytes")
+    argvs = []
+    for workload in run.WORKLOADS:
+        p = run.Paths(str(tmp_path), workload, 1)
+        specs = [*run.input_steps(workload, 1, p), run.pipeline_spec(workload, 1, p, 0)]
+        argvs += [argv for spec in specs for _, argv in spec["stages"]]
+    argvs += [[args[0], *same_bytes.SYNTHETIC, "--seed", "0", *args[1:]]
+              for _, args in same_bytes.STEPS]
+    parser = cli.build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)
+    train = next(a for a in argvs if a[0] == "train" and "--reward" in a)
+    assert cli.main(train + ["--print-config"]) == 0
+    printed = run.checks.parse_config(capsys.readouterr().out)
+    assert {"epochs", "batch_size", "use_cues"} <= printed.keys()
+    assert run.checks.train_batches(printed, 100) == 40 * 4  # the preset's 40 epochs of 32

@@ -249,9 +249,12 @@ def test_same_bytes_tree_set_adds_its_flag_and_drops_its_checkpoint_line(tmp_pat
     monkeypatch.setattr(same_bytes.subprocess, "run", fake_run)
     (tmp_path / "work").mkdir()
     hashes = same_bytes.run_pipeline("src", str(tmp_path / "work"), 0, ["dtype=float64"])
+    # the setting reaches every command as a config file beside the hashed directory
     assert len(commands) == len(same_bytes.STEPS)
-    assert all(cmd[-2:] == ["--dtype", "float64"] for cmd in commands)
+    assert all(cmd[-2:] == ["--config", str(tmp_path / "work.cfg")] for cmd in commands)
+    assert (tmp_path / "work.cfg").read_text() == "dtype = float64\n"
+    assert hashes.keys() == {"generator.ckpt"} | {f"{name} stdout" for name, _ in same_bytes.STEPS}
     assert hashes["generator.ckpt"] == same_bytes._sha((tmp_path / "parent.ckpt").read_bytes())
     commands.clear()
     same_bytes.run_pipeline("src", str(tmp_path / "work"), 0)
-    assert not any("--dtype" in cmd for cmd in commands)
+    assert not any("--config" in cmd for cmd in commands)

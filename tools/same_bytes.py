@@ -34,10 +34,13 @@ this runs with RLVC_THREADS=1 in a fresh temporary directory:
   and an `eval` of the first checkpoint on it, so a load that finds the
   parsed-array cache of the old files must parse the new ones.
 
-`--tree-set KEY=VALUE` (repeatable) passes `--KEY VALUE` to every command
-of the working tree's side only, for a setting that --against does not
-have: `--tree-set dtype=float64` runs the tree at the precision of a
-revision before `dtype`. A checkpoint records its settings, so each
+`--tree-set KEY=VALUE` (repeatable) sets KEY for every command of the
+working tree's side only, for a setting that --against does not have:
+`--tree-set dtype=float64` runs the tree at the precision of a revision
+before `dtype`. The settings reach the tree's commands as one `--config`
+file of `KEY = VALUE` lines, outside the directory that is hashed: a
+config file may hold any key, where a command refuses a flag for a setting
+it does not read. A checkpoint records its settings, so each
 `KEY = VALUE` line is dropped from the settings block of the tree's
 checkpoint files (and the block's byte count mended) before they are
 hashed; any other byte of theirs counts.
@@ -125,13 +128,18 @@ def without_settings(blob: bytes, lines: list[str]) -> bytes:
 
 def run_pipeline(src: str, work: str, seed: int, tree_set: list[str] = ()) -> dict[str, str]:
     """Run every step with the package at `src` in the empty directory
-    `work`, each with the `--KEY VALUE` flags of `tree_set`; the sha256 of
-    each step's stdout and of each file written, a checkpoint's without the
-    `KEY = VALUE` settings lines of `tree_set`."""
+    `work`, each with a config file of the `KEY=VALUE` settings of
+    `tree_set` (written beside `work`); the sha256 of each step's stdout and
+    of each file written, a checkpoint's without the `KEY = VALUE` settings
+    lines of `tree_set`."""
     env = dict(os.environ, RLVC_THREADS="1", PYTHONPATH=src)
-    pairs = [kv.split("=", 1) for kv in tree_set]
-    flags = [a for key, value in pairs for a in ("--" + key.replace("_", "-"), value)]
-    lines = [f"{key} = {value}" for key, value in pairs]
+    lines = [" = ".join(kv.split("=", 1)) for kv in tree_set]
+    flags = []
+    if lines:
+        path = work + ".cfg"
+        with open(path, "w") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        flags = ["--config", path]
     hashes = {}
     for name, args in STEPS:
         cmd = [sys.executable, "-m", "rlvc.cli", args[0], *SYNTHETIC, "--seed", str(seed),
