@@ -8,45 +8,18 @@ MKL_NUM_THREADS to n, over any inherited values; 0 = leave them as they are.
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 
-from .errors import ConfigurationError, NumericFailure, UsageError
-
-
-def _threads() -> int:
-    """RLVC_THREADS as a count, 0 if it is unset; UsageError unless it is a
-    nonnegative integer."""
-    raw = os.environ.get("RLVC_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise UsageError(f"RLVC_THREADS must be a nonnegative integer, got {raw!r}")
-    return n
-
-
-def _apply_thread_env() -> None:
-    try:
-        n = _threads()
-    except UsageError:
-        return  # main() refuses it, with a usage error's exit code
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-
-
-_apply_thread_env()  # must precede numpy's first import
-
-import argparse
-
 import numpy as np
 
+from . import _threads
 from . import config as cfgmod
 from . import data as datamod
 from . import evaluate, gan, trainer
 from . import reward as reward_mod
+from .errors import ConfigurationError, NumericFailure, UsageError
 from .nets import load_reward, save_reward
 from .seeding import stream_rng
 
@@ -241,8 +214,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
         _threads()
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            # argparse would read the flag's value as the command
+            raise UsageError(f"flags go after the command: {argv[0]}")
         parser = build_parser()
         args = parser.parse_args(argv)
         if args.command is None:

@@ -114,27 +114,15 @@ def posterior_sample(
     t,
     sched: DiffusionSchedule,
     rng: np.random.Generator,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw x_t ~ q(x_t | x_{t+1}, x0_hat); deterministic where t = 0.
 
-    x_t = (c1 * x0_hat + c2 * x_next) + sigma * eps, in the schedule's
-    dtype, with eps drawn in `scratch` and x_t formed in `out`, each a new
-    array unless the caller gives one of the states' shape and the
-    schedule's dtype: `out` may be x_next itself (not x0_hat), and `scratch`
-    must be C-contiguous for the draw. The same draw and the same bits
-    either way."""
+    x_t = (c1 * x0_hat + c2 * x_next) + sigma * eps, a new array of the
+    schedule's dtype, with eps drawn in it."""
     x0_hat = as_rows(x0_hat, sched.dtype)
     x_next = as_rows(x_next, sched.dtype)
     if x0_hat.shape != x_next.shape:
         raise UsageError("posterior_sample: state shapes differ")
     t = per_row(t, x0_hat.shape[0], sched.timesteps - 1, "posterior_sample")
-    out = np.empty(x0_hat.shape, sched.dtype) if out is None else out
-    scratch = np.empty(x0_hat.shape, sched.dtype) if scratch is None else scratch
-    np.multiply(sched.c2[t], x_next, out)
-    np.multiply(sched.c1[t], x0_hat, scratch)
-    np.add(scratch, out, out)
-    rng.standard_normal(out=scratch, dtype=sched.dtype)
-    np.multiply(sched.sigma[t], scratch, scratch)
-    return np.add(out, scratch, out)
+    mean = sched.c1[t] * x0_hat + sched.c2[t] * x_next
+    return mean + sched.sigma[t] * rng.standard_normal(x0_hat.shape, sched.dtype)

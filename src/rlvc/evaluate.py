@@ -95,24 +95,15 @@ def synthesize_unseen(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full iterative denoising from pure noise, per unseen class.
 
-    Starts at x_T ~ N(0, I); for t = T-1 .. 0 predicts the clean features
-    from the current state (fresh generator noise each step) and draws the
-    next state from the posterior. Returns the final clean prediction,
-    widened to float64 for the heads: the chain runs in the generator's
-    dtype, which the schedule must share, and draws its normals in it.
-
-    The chain allocates its arrays once per call, not per step: `buffers`,
-    the generator's input matrix and each layer's output, for
-    `gen.synthesize(..., out=buffers)`; `noise`, where every draw lands
-    (x_T, each step's generator noise, then its posterior draw); and the
-    returned features. The input matrix holds the class's prototype in its
-    prototype columns, written once per class, and the chain's state in its
-    state columns, which `diffusion.posterior_sample` overwrites each step.
-    A step makes only small temporaries: its timestep index vectors and
-    `leaky_relu`'s product per hidden layer. Each step is one
-    `gen.synthesize` call, and each but the last (t = 0) one
+    Starts at x_T ~ N(0, I); for t = T-1 .. 0 draws fresh generator noise,
+    predicts the clean features from the current state with one
+    `gen.synthesize` call and, but at t = 0, draws the next state with one
     `diffusion.posterior_sample` call: the last step's prediction is the
-    result, so the chain of T steps makes T - 1 posterior draws.
+    result, so the chain of T steps makes T - 1 posterior draws. Each step's
+    arrays are new and freed by the next, so the memory a call holds does
+    not grow with T. Returns the final clean prediction, widened to float64
+    for the heads: the chain runs in the generator's dtype, which the
+    schedule must share, and draws its normals in it.
 
     With `out`, a float64 (len(unseen_classes) * n_per_class, feat_dim)
     array, the features are written into it and it is returned, so a caller
@@ -131,17 +122,14 @@ def synthesize_unseen(
         raise UsageError(f"synthesize_unseen: out is {out.dtype} {out.shape}, not float64 {shape}")
     else:
         feats = out
-    buffers = [np.empty((n_per_class, w), dtype) for w in gen.net.layer_dims]
-    noise = np.empty((n_per_class, gen.feat_dim), dtype)
-    _, z, x, _ = gen.columns(buffers[0])
     for k, c in enumerate(unseen_classes):
-        z[...] = prototypes[c]
-        x[...] = rng.standard_normal(out=noise, dtype=dtype)
+        z = np.tile(np.asarray(prototypes[c], dtype), (n_per_class, 1))
+        x = rng.standard_normal((n_per_class, gen.feat_dim), dtype)
         for t in range(sched.timesteps - 1, -1, -1):
-            rng.standard_normal(out=noise, dtype=dtype)
-            x0_pred = gen.synthesize(noise, z, x, t + 1, buffers)[0]
+            eps = rng.standard_normal(x.shape, dtype)
+            x0_pred = gen.synthesize(eps, z, x, t + 1)[0]
             if t > 0:
-                diffusion.posterior_sample(x0_pred, x, t, sched, rng, out=x, scratch=noise)
+                x = diffusion.posterior_sample(x0_pred, x, t, sched, rng)
         feats[k * n_per_class : (k + 1) * n_per_class] = x0_pred
     return feats, np.repeat(np.asarray(unseen_classes, dtype=np.int64), n_per_class)
 

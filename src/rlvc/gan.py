@@ -41,42 +41,25 @@ class Generator:
         hidden = config.hidden_mult * feat_dim
         return [feat_dim + sem_dim + feat_dim + config.temb_dim, hidden, hidden, feat_dim]
 
-    def _inputs(self, eps, z, x_noisy, t, out: np.ndarray | None = None) -> np.ndarray:
+    def _inputs(self, eps, z, x_noisy, t) -> np.ndarray:
         eps, z, xn = (as_rows(a, self.dtype) for a in (eps, z, x_noisy))
         rows = eps.shape[0]
         if not (z.shape[0] == rows and xn.shape[0] == rows):
             raise UsageError("synthesize: batch sizes differ")
         t = diffusion.per_row(t, rows, len(self.temb) - 1, "synthesize")
-        return np.concatenate([eps, z, xn, self.temb[t]], axis=1, out=out)
+        return np.concatenate([eps, z, xn, self.temb[t]], axis=1)
 
-    def columns(self, inputs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Views of the four column blocks of an input matrix, in the order
-        `synthesize` writes them: noise, prototype, noisy state, timestep
-        embedding."""
-        d, e = self.feat_dim, self.feat_dim + self.sem_dim
-        return inputs[:, :d], inputs[:, d:e], inputs[:, e : e + d], inputs[:, e + d :]
-
-    def synthesize(self, eps, z, x_noisy, t, out: list[np.ndarray] | None = None
-                   ) -> tuple[np.ndarray, list]:
+    def synthesize(self, eps, z, x_noisy, t) -> tuple[np.ndarray, list]:
         """Predict clean features from noise, prototype, noisy state, and the
         timestep index of that state. Row-wise: a batched call equals stacked
         single-row calls up to rounding, and is bitwise equal only to calls
         on batches of the same shape, since a BLAS product's row depends on
         the batch's row count.
 
-        Returns the features and the cache for `self.net.pullback`, of the
-        network's dtype, to which the inputs are converted. Every array is
-        new, or, with `out`, one C-contiguous (rows, w) buffer of that dtype
-        of the caller's per width w of `self.net.layer_dims`: the
-        input matrix, whose `columns` the four blocks are concatenated into,
-        then each layer's output (see `DenseNet.forward`). A block passed as
-        its own column view of that matrix is not copied (numpy skips a copy
-        of an array onto itself), so a caller can keep the prototype and
-        the state there.
+        Returns the features and the cache for `self.net.pullback`, new
+        arrays of the network's dtype, to which the inputs are converted.
         """
-        if out is None:
-            return self.net.forward(self._inputs(eps, z, x_noisy, t))
-        return self.net.forward(self._inputs(eps, z, x_noisy, t, out[0]), out[1:])
+        return self.net.forward(self._inputs(eps, z, x_noisy, t))
 
 
 def save_generator(path, gen: Generator, config: Config, epoch: int) -> None:

@@ -40,8 +40,8 @@ activations. For a slope in [0, 1] the two give the same bits (see
 `leaky_relu`). So `DenseNet.forward` caches only each layer's input, and a
 reverse pass that needs a hidden layer's mask builds it from that layer's
 cached activation with `leaky_relu_mask`; a forward-only caller, such as
-evaluation's synthesis, builds none, and may hand `forward` buffers of its
-own for the activations, which a chain of calls then reuses.
+evaluation's reverse chain, builds none. `forward` allocates each layer's
+result afresh, so a cache stays valid after the next call.
 """
 
 from __future__ import annotations
@@ -191,19 +191,13 @@ class DenseNet:
         `flat`."""
         return [vector[a:b].reshape(s) for (a, b), s in zip(self._spans, self._shapes)]
 
-    def forward(self, x: np.ndarray, out: Sequence[np.ndarray] | None = None
-                ) -> tuple[np.ndarray, list[np.ndarray]]:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """The output for a (batch, features) array, and the cache `pullback`
         reads: the input of every layer, so x and then each hidden layer's
         activation. Each hidden layer is h @ W.T + b through `leaky_relu`;
         no mask is built here, only by the reverse passes that read one.
-
-        x and every layer's result are of the network's dtype. Each layer
-        writes its result into a new array, or, with `out`, into the
-        caller's buffer for it: one C-contiguous (batch, layer_dims[l])
-        array per layer l >= 1, which the output and the cache then are (and
-        the next call with them overwrites). A product written into a buffer
-        is the same BLAS call, so the same bits."""
+        x and every layer's result, each a new array, are of the network's
+        dtype."""
         if x.ndim != 2:
             raise UsageError("forward expects a (batch, features) matrix")
         if x.shape[1] != self.layer_dims[0]:
@@ -213,7 +207,7 @@ class DenseNet:
         inputs = [x]
         last = len(self.ws) - 1
         for i, (w, b) in enumerate(zip(self.ws, self.bs)):
-            h = np.matmul(inputs[-1], w.T, None if out is None else out[i])
+            h = inputs[-1] @ w.T
             h += b
             if i == last:
                 return h, inputs

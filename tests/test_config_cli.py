@@ -192,7 +192,7 @@ def test_cli_bad_command_lines_say_what_the_whole_parser_says(argv, capsys):
     said = {
         "bogus": "argument COMMAND: invalid choice: 'bogus'",
         "eval --force": "unrecognized arguments: --force",
-        "--seed 1 eval": "argument COMMAND: invalid choice: '1'",
+        "--seed 1 eval": "flags go after the command: --seed",
         "train --no-rl --bogus": "unrecognized arguments: --bogus",
     }
     assert cli.main(argv) == 1
@@ -319,13 +319,16 @@ _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 @pytest.mark.parametrize("threads,want", [("1", "1"), ("3", "3"), ("0", "4")])
 def test_rlvc_threads_overrides_inherited_blas_thread_counts(threads, want):
     # The variables must be set before numpy's first import, so this runs
-    # in a fresh interpreter that inherits a count of 4 for each.
+    # in a fresh interpreter that inherits a count of 4 for each. The
+    # package sets them, so a library caller's first import of any module
+    # pins BLAS as the CLI's does.
     env = dict(os.environ, RLVC_THREADS=threads, **dict.fromkeys(_BLAS_VARS, "4"))
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
-    code = f"import os, rlvc.cli; print(*(os.environ[v] for v in {_BLAS_VARS!r}))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.split() == [want] * 3
+    for module in ("rlvc.cli", "rlvc.trainer"):
+        code = f"import os, {module}; print(*(os.environ[v] for v in {_BLAS_VARS!r}))"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.split() == [want] * 3, module
 
 
 def test_a_cli_run_loads_neither_numpy_ma_nor_logging(tmp_path):

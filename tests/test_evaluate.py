@@ -321,7 +321,7 @@ def test_synthesize_unseen_writes_into_out():
 
 def test_full_report_holds_one_copy_of_the_synthesized_rows():
     # 40 unseen classes x 400 rows x 32-d: the synthesized block (4.1 MB)
-    # dwarfs the 200 train rows, the networks and the chain's buffers. The
+    # dwarfs the 200 train rows, the networks and the chain's step arrays. The
     # report's peak stays below the GZSL matrix plus one more block; a
     # report that synthesizes into its own array and then concatenates
     # holds the block twice and reads about 10.5 MB against 8.2 MB.

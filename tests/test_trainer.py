@@ -187,9 +187,9 @@ def test_the_policy_step_draws_its_state_from_the_marginal(monkeypatch):
     calls = []
     synthesize = gan.Generator.synthesize
 
-    def recording_synthesize(self, eps, z, x_noisy, t, out=None):
+    def recording_synthesize(self, eps, z, x_noisy, t):
         calls.append((eps.copy(), x_noisy.copy(), np.array(t)))
-        return synthesize(self, eps, z, x_noisy, t, out)
+        return synthesize(self, eps, z, x_noisy, t)
 
     monkeypatch.setattr(gan.Generator, "synthesize", recording_synthesize)
     train(ds, rm, cfg)
@@ -533,8 +533,8 @@ def test_a_float32_run_computes_every_pass_in_float32(monkeypatch):
     seen = {"forward": [], "pullback": [], "step": []}
     forward, pullback, step = nets.DenseNet.forward, nets.DenseNet.pullback, nets.AdamState.step
 
-    def checked_forward(self, x, out=None):
-        h, cache = forward(self, x, out)
+    def checked_forward(self, x):
+        h, cache = forward(self, x)
         seen["forward"].append({self.flat.dtype, h.dtype, *(a.dtype for a in cache)})
         return h, cache
 

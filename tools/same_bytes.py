@@ -30,6 +30,12 @@ this runs with RLVC_THREADS=1 in a fresh temporary directory:
   --eval-interval 2` train and an `eval` of its checkpoint with the same
   `--diffusion-steps 1 --temb-dim 0`, so the reverse chain runs a single
   step and the generator's input has no timestep columns;
+- on that dataset, a `--no-rl --dtype float64 --epochs 2 --eval-interval 2`
+  train and an `eval` of its checkpoint with the same `--dtype float64`, so
+  training and the reverse chain run at the default config's precision
+  (the synthetic preset trains in float32). A revision from before the
+  `dtype` setting refuses this step's flag, so --against must name one
+  that has it;
 - last, `gen-synthetic --force --visual-sigma 1.5` over the first dataset
   and an `eval` of the first checkpoint on it, so a load that finds the
   parsed-array cache of the old files must parse the new ones.
@@ -37,7 +43,8 @@ this runs with RLVC_THREADS=1 in a fresh temporary directory:
 `--tree-set KEY=VALUE` (repeatable) sets KEY for every command of the
 working tree's side only, for a setting that --against does not have:
 `--tree-set dtype=float64` runs the tree at the precision of a revision
-before `dtype`. The settings reach the tree's commands as one `--config`
+before `dtype`, though that revision stops at the float64 pair, whose flag
+it lacks. The settings reach the tree's commands as one `--config`
 file of `KEY = VALUE` lines, outside the directory that is hashed: a
 config file may hold any key, where a command refuses a flag for a setting
 it does not read. A checkpoint records its settings, so each
@@ -65,6 +72,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SYNTHETIC = ["--preset", "synthetic"]
 SHAPE = ["--hidden-mult", "2", "--temb-dim", "8", "--leaky-slope", "0.1"]
 T1 = ["--diffusion-steps", "1", "--temb-dim", "0"]
+F64 = ["--dtype", "float64"]
 
 # (name, arguments after the seed); names label the stdout hashes.
 STEPS = (
@@ -103,6 +111,10 @@ STEPS = (
                         "--eval-interval", "2", "--out", "small-t1"]),
     ("eval-small-t1", ["eval", "--data", "data-small", "--generator", "small-t1/generator.ckpt",
                        *T1]),
+    ("train-small-f64", ["train", "--data", "data-small", "--no-rl", *F64, "--epochs", "2",
+                         "--eval-interval", "2", "--out", "small-f64"]),
+    ("eval-small-f64", ["eval", "--data", "data-small", "--generator", "small-f64/generator.ckpt",
+                        *F64]),
     ("gen-synthetic-resampled", ["gen-synthetic", "--force", "--visual-sigma", "1.5",
                                  "--out", "data"]),
     ("eval-resampled", ["eval", "--data", "data", "--generator", "full/generator.ckpt"]),
