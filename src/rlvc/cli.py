@@ -20,7 +20,6 @@ from . import data as datamod
 from . import evaluate, gan, trainer
 from . import reward as reward_mod
 from .errors import ConfigurationError, NumericFailure, UsageError
-from .nets import load_reward, save_reward
 from .seeding import stream_rng
 
 
@@ -141,8 +140,7 @@ def cmd_pretrain_reward(args) -> int:
     acc = np.mean(model.predict(train_x) == y)
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "reward.ckpt")
-    save_reward(path, model,
-                cfgmod.format_config(cfg, ["standardize"]) + f"dataset = {ds.fingerprint}\n")
+    reward_mod.save_reward(path, model, cfg.standardize, ds.fingerprint)
     print(f"reward model: train accuracy {acc:.4f}, saved to {path}")
     return 0
 
@@ -154,15 +152,7 @@ def cmd_train(args) -> int:
     ds = _in_space(cfg, datamod.load_dataset(data_dir))
     model = None
     if cfg.use_rl:  # the reward model must score rows of this dataset, in this run's space
-        model, settings = load_reward(_require(args, "reward"))
-        fit, space = settings["standardize"], cfgmod.format_config(cfg, ["standardize"])
-        if f"standardize = {fit}\n" != space:
-            raise ConfigurationError(f"{args.reward} was fit with standardize = {fit}; "
-                                     f"this run has {space.strip()}")
-        fit_on = settings.get("dataset", "(none recorded)")
-        if fit_on != ds.fingerprint:
-            raise ConfigurationError(f"{args.reward} was fit on dataset {fit_on}; "
-                                     f"{data_dir} is dataset {ds.fingerprint}")
+        model = reward_mod.load_reward(_require(args, "reward"), cfg.standardize, ds.fingerprint)
     result = trainer.train(ds, model, cfg, out_dir=out)
     last = result.metrics[-1]
     print(
@@ -224,9 +214,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("no command given; see --help")
-        if args.print_config:
+        if args.print_config:  # with --generator, under the settings the file records
+            cfg = _trained(args)[2] if getattr(args, "generator", None) else _resolve(args)
             keys = [f.name for f in cfgmod.command_fields(args.command)]
-            sys.stdout.write(cfgmod.format_config(_resolve(args), keys))
+            sys.stdout.write(cfgmod.format_config(cfg, keys))
             return 0
         return _COMMANDS[args.command][0](args)
     except UsageError as e:

@@ -77,7 +77,7 @@ class Config:
     lr_rl: float = _key(_TRAIN, 5e-5, "Adam rate for the policy-gradient generator step", _above(0))
     lambda_pd: float = _key(_TRAIN, 5.0, "weight of the prototype-distillation term", _at_least(0))
     lambda_gp: float = _key(_TRAIN, 10.0, "gradient-penalty weight", _at_least(0))
-    diffusion_steps: int = _key(_GENERATOR, 4, "number of diffusion steps T")
+    diffusion_steps: int = _key(_GENERATOR, 4, "number of diffusion steps T", _at_least(1))
     beta_min: float = _key(_GENERATOR, 0.1, "first diffusion beta")
     beta_max: float = _key(_GENERATOR, 0.4, "last diffusion beta")
     synth_per_class: int = _key(
@@ -137,7 +137,7 @@ class Config:
             _check(f, getattr(self, f.name))
         if not 1 <= self.n_test < self.samples_per_class:
             raise ConfigurationError("test_fraction leaves an empty split")
-        self.schedule()  # build_schedule's own rule checks diffusion_steps and the betas
+        self.schedule()  # build_schedule's own rule checks the betas
 
     @property
     def n_test(self) -> int:

@@ -15,11 +15,13 @@ import numpy as np
 from . import diffusion
 from .config import Config, format_config, parse_value
 from .errors import ConfigurationError, UsageError
-from .nets import (GENERATOR_TAG, NORM_FLOOR, DenseNet, as_rows, leaky_relu_mask,
-                   load_checkpoint, save_checkpoint, timestep_table)
+from .nets import (NORM_FLOOR, DenseNet, as_rows, leaky_relu_mask, load_checkpoint,
+                   save_checkpoint, timestep_table)
 
-# The settings a generator file records: with the dataset's widths they
-# rebuild the network, its diffusion chain and its feature space.
+# The generator file's kind tag, and the settings it records: with the
+# dataset's widths they rebuild the network, its diffusion chain and its
+# feature space.
+GENERATOR_TAG = b"GNET"
 GENERATOR_KEYS = ("hidden_mult", "temb_dim", "leaky_slope", "diffusion_steps", "beta_min",
                   "beta_max", "standardize", "dtype")
 

@@ -59,8 +59,6 @@ from .errors import ConfigurationError, NumericFailure, UsageError
 
 CHECKPOINT_MAGIC = b"RLVC"
 CHECKPOINT_VERSION = 2
-GENERATOR_TAG = b"GNET"
-REWARD_TAG = b"RWDM"
 
 # The ufunc reductions that np.sum, ndarray.max and ndarray.min call, without
 # those wrappers' per-call cost: the same results. np.vdot gives np.dot's bits
@@ -146,8 +144,8 @@ class DenseNet:
     nothing is drawn, for a network whose vector is loaded next.
 
     The parameters live in one vector of `dtype` (float64 or float32),
-    `flat`: per layer the weight row-major, then the bias, in `params`
-    order, which is a checkpoint's payload. `ws` and `bs` are the per-layer
+    `flat`: per layer the weight row-major, then the bias, which is a
+    checkpoint's payload. `ws` and `bs` are the per-layer
     weight and bias views into `flat` that every pass reads.
     `weights` and `biases` are Tensors whose data are views into `flat`, for
     the engine graphs of the tests; nothing rebinds their data, so a write to
@@ -179,16 +177,9 @@ class DenseNet:
         self.weights = [Tensor(w, requires_grad=True) for w in self.ws] if wide else None
         self.biases = [Tensor(b, requires_grad=True) for b in self.bs] if wide else None
 
-    @property
-    def params(self) -> list[Tensor]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
-
     def views(self, vector: np.ndarray) -> list[np.ndarray]:
-        """Per-parameter views, in `params` order, of a vector laid out like
-        `flat`."""
+        """Per-parameter views, per layer the weight then the bias, of a
+        vector laid out like `flat`."""
         return [vector[a:b].reshape(s) for (a, b), s in zip(self._spans, self._shapes)]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -709,29 +700,3 @@ def load_checkpoint(path, expected_tag: bytes | None = None) -> tuple[list[int],
     if len(blob) - off > 8 * count:
         raise ConfigurationError(f"trailing bytes in checkpoint {path}")
     return dims, np.frombuffer(blob, dtype="<f8", count=count, offset=off), settings
-
-
-def save_reward(path, model: SoftmaxClassifier, settings: str = "") -> None:
-    """Write the reward file: a checkpoint of kind REWARD_TAG with layer dims
-    [feat_dim, n_classes], `settings`, and the vector [weight row-major |
-    bias]. It holds no class ids; `load_reward` gives the model ids
-    0..n_classes-1."""
-    save_checkpoint(path, REWARD_TAG, [model.feat_dim, model.n_classes],
-                    np.concatenate([model.weight.ravel(), model.bias]), settings)
-
-
-def load_reward(path) -> tuple[SoftmaxClassifier, dict[str, str]]:
-    """Read a file written by `save_reward`: the model and the file's
-    settings. A checkpoint of another kind, with more than one layer, or with
-    settings other than `standardize = true` or `false` and, optionally, the
-    `dataset` fingerprint of the rows it was fit on, is refused."""
-    dims, flat, settings = load_checkpoint(path, REWARD_TAG)
-    if len(dims) != 2:
-        raise ConfigurationError(f"reward checkpoint {path} is not one linear layer")
-    if not (settings.get("standardize") in ("true", "false")
-            and settings.keys() <= {"standardize", "dataset"}):
-        raise ConfigurationError(f"reward checkpoint {path} records {settings}, not "
-                                 "standardize = true or false and a dataset fingerprint")
-    d, n_classes = dims
-    model = SoftmaxClassifier(flat[: n_classes * d].reshape(n_classes, d), flat[n_classes * d :])
-    return model, settings

@@ -1,4 +1,4 @@
-"""Frozen linear reward model and the policy step's loss.
+"""Frozen linear reward model, its file, and the policy step's loss.
 
 The reward model is a `nets.SoftmaxClassifier` over the seen classes, whose
 class ids are their rows 0..S-1. The reward of a synthesized feature is the
@@ -7,8 +7,7 @@ policy step descends `rl_loss`, minus the batch-mean reward: the reward is a
 differentiable function of the reparameterized sample, so its pathwise
 gradient raises every row's reward and needs no baseline (a constant
 subtracted from each reward has zero gradient). The passes here are plain
-numpy, bit-equal to engine.backward on the same graph (tests/test_hand_passes.py).
-"""
+numpy, bit-equal to engine.backward on the same graph (tests/test_hand_passes.py)."""
 
 from __future__ import annotations
 
@@ -16,8 +15,11 @@ import numpy as np
 
 from .config import Config
 from .errors import ConfigurationError, UsageError
-from .nets import SoftmaxClassifier, distinct, fit_linear_softmax, label_rows
+from .nets import (SoftmaxClassifier, distinct, fit_linear_softmax, label_rows,
+                   load_checkpoint, save_checkpoint)
 from .seeding import stream_rng
+
+REWARD_TAG = b"RWDM"
 
 
 def pretrain_reward(
@@ -93,3 +95,40 @@ def rl_loss(log_probs: np.ndarray, cache: tuple) -> tuple[np.floating, np.ndarra
     g = (inv_b / s) * e
     g[rows, y] -= inv_b
     return loss, g @ weight
+
+
+def save_reward(path, model: SoftmaxClassifier, standardize: bool, dataset: str) -> None:
+    """Write the reward file: a checkpoint of kind REWARD_TAG with layer dims
+    [feat_dim, n_classes], the settings lines `standardize = true` (or
+    `false`), the feature space the model was fit in, and `dataset = ` the
+    fingerprint of the rows it was fit on, then the vector [weight row-major
+    | bias]. It holds no class ids; `load_reward` gives the model ids
+    0..n_classes-1."""
+    save_checkpoint(path, REWARD_TAG, [model.feat_dim, model.n_classes],
+                    np.concatenate([model.weight.ravel(), model.bias]),
+                    f"standardize = {str(standardize).lower()}\ndataset = {dataset}\n")
+
+
+def load_reward(path, standardize: bool, dataset: str) -> SoftmaxClassifier:
+    """The model of a file written by `save_reward`, for a run in the space
+    `standardize` on the dataset of fingerprint `dataset`. Refused: a
+    checkpoint of another kind or of more than one layer, settings other than
+    `standardize = true` or `false` and an optional `dataset` line, and a
+    model fit in the other space (it would score standardized rows as raw
+    ones, or the reverse) or on another dataset or none recorded."""
+    dims, flat, settings = load_checkpoint(path, REWARD_TAG)
+    if len(dims) != 2:
+        raise ConfigurationError(f"reward checkpoint {path} is not one linear layer")
+    fit, space = settings.get("standardize"), str(standardize).lower()
+    if not (fit in ("true", "false") and settings.keys() <= {"standardize", "dataset"}):
+        raise ConfigurationError(f"reward checkpoint {path} records {settings}, not "
+                                 "standardize = true or false and a dataset fingerprint")
+    if fit != space:
+        raise ConfigurationError(f"{path} was fit with standardize = {fit}; "
+                                 f"this run has standardize = {space}")
+    fit_on = settings.get("dataset", "(none recorded)")
+    if fit_on != dataset:
+        raise ConfigurationError(f"{path} was fit on dataset {fit_on}; "
+                                 f"this run's dataset is {dataset}")
+    d, n_classes = dims
+    return SoftmaxClassifier(flat[: n_classes * d].reshape(n_classes, d), flat[n_classes * d :])

@@ -8,6 +8,8 @@ import pytest
 from rlvc.data import ZslDataset
 from rlvc.errors import ConfigurationError
 
+import oracle
+
 
 def tiny_dataset() -> ZslDataset:
     """Two seen classes, one unseen, d=3, d_z=2, six feature rows.
@@ -79,11 +81,11 @@ def max_fd_error(fn, params, step: float = 1e-5, floor: float = 1e-6) -> float:
 
 
 def set_params(net, arrays) -> None:
-    """Copy per-layer arrays, in `net.params` order (per layer the weight,
+    """Copy per-layer arrays, in `oracle.params` order (per layer the weight,
     then the bias), into `net.flat`."""
     given = [np.shape(a) for a in arrays]
-    expected = [p.shape for p in net.params]
+    expected = [p.shape for p in oracle.params(net)]
     if given != expected:
         raise ConfigurationError(f"parameter shapes {given} do not match the network's {expected}")
-    for p, a in zip(net.params, arrays):
+    for p, a in zip(oracle.params(net), arrays):
         p.data[...] = a

@@ -25,6 +25,12 @@ def flat_grad(loss: Tensor, params) -> np.ndarray:
     return np.concatenate([np.ravel(g) for g in engine.backward(loss, params)])
 
 
+def params(net) -> list[Tensor]:
+    """A float64 network's parameter Tensors in the order of `flat`: per
+    layer the weight, then the bias."""
+    return [p for pair in zip(net.weights, net.biases) for p in pair]
+
+
 def forward(net, h: Tensor) -> Tensor:
     """The dense net on a graph node: linear layers with leaky-relu between."""
     last = len(net.weights) - 1

@@ -233,7 +233,7 @@ def test_04_reward_ascent():
             x0, cache = gen.synthesize(eps, z, x_next, t + 1)
             step = -gen.net.pullback(cache, reward_mod.rl_loss(*class_log_probs(rm, x0, rows))[1])
             lp = oracle.class_log_probs(rm, oracle.synthesize(gen, eps, z, x_next, t + 1), rows)
-            ascent = oracle.flat_grad(engine.tmean(lp), gen.net.params)
+            ascent = oracle.flat_grad(engine.tmean(lp), oracle.params(gen.net))
             cosines.append(float(step @ ascent) / float(np.linalg.norm(step) * np.linalg.norm(ascent)))
     elapsed = time.perf_counter() - t_start
     ok = min(cosines) > 0.0 and min(gains) > 0.0 and elapsed < 60

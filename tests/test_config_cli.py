@@ -20,8 +20,9 @@ from rlvc.data import (
 )
 from rlvc.errors import ConfigurationError
 from rlvc.evaluate import harmonic_mean, synthesize_unseen
-from rlvc.nets import GENERATOR_TAG, REWARD_TAG, param_count, save_checkpoint, save_reward
-from rlvc.reward import pretrain_reward
+from rlvc.gan import GENERATOR_TAG
+from rlvc.nets import param_count, save_checkpoint
+from rlvc.reward import REWARD_TAG, pretrain_reward
 from rlvc.seeding import stream_rng
 
 
@@ -267,7 +268,8 @@ def test_cli_rejects_an_adam_beta_outside_the_unit_interval(capsys):
 )
 def test_cli_rejects_an_out_of_range_value_when_resolving(command, flag, value, capsys):
     assert cli.main([command, "--print-config", flag, value]) == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err and flag[2:].replace("-", "_") in err  # the message names the setting
 
 
 # gen-synthetic reads no boolean setting
@@ -669,6 +671,28 @@ def test_cli_reads_the_generator_settings_from_the_file(shaped_run, tmp_path, ca
         assert stdout == logged + "\n"
 
 
+@pytest.mark.parametrize("command", ["eval", "synthesize"])
+def test_cli_print_config_given_a_generator_prints_the_settings_the_file_imposes(
+        shaped_run, capsys, command):
+    # The file records the synthetic preset's float32, T = 6, beta_max 0.9 and
+    # standardize = true at _SHAPE's network; given no preset, the command
+    # runs with those, and prints them.
+    data, run, _ = shaped_run
+    argv = [command, "--print-config", "--data", str(data), "--seed", "5"]
+    keys = [f.name for f in config.command_fields(command)]
+    assert cli.main(argv) == 0  # no generator: the settings as resolved
+    assert capsys.readouterr().out == config.format_config(config.Config(seed=5), keys)
+    argv += ["--generator", str(run / "generator.ckpt")]
+    assert cli.main(argv) == 0
+    trained = config.resolve_config("synthetic", overrides={**_settings(_SHAPE), "seed": "5"})
+    out = capsys.readouterr().out
+    assert out == config.format_config(trained, keys)
+    assert {"dtype = float32", "diffusion_steps = 6", "standardize = true"} <= set(out.splitlines())
+    assert cli.main(argv + ["--dtype", "float64"]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and "trained with dtype = float32; --dtype float64 disagrees" in stderr
+
+
 def test_cli_train_refuses_a_reward_file_from_the_other_feature_space(tmp_path, capsys):
     data, run = str(tmp_path / "data"), str(tmp_path / "run")
     assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
@@ -737,7 +761,7 @@ def test_cli_train_refuses_a_reward_file_fit_on_another_dataset(tmp_path, capsys
                     + _FAST["train"]) == 2
     assert capsys.readouterr().err == (
         f"error: {reward} was fit on dataset {fingerprint(first)}; "
-        f"{second} is dataset {fingerprint(second)}\n"
+        f"this run's dataset is {fingerprint(second)}\n"
     )
     assert not os.path.exists(f"{run}/metrics.csv")
     assert cli.main(["train", "--data", first, "--out", run, "--reward", reward]
@@ -752,10 +776,11 @@ def test_cli_train_refuses_a_reward_file_that_records_no_dataset(tmp_path, capsy
     model = pretrain_reward(train_x, ds.seen_rows(train_y), len(ds.seen_classes),
                             config.Config(reward_epochs=2))
     run.mkdir()
-    save_reward(run / "reward.ckpt", model, "standardize = false\n")
+    save_checkpoint(run / "reward.ckpt", REWARD_TAG, [model.feat_dim, model.n_classes],
+                    np.concatenate([model.weight.ravel(), model.bias]), "standardize = false\n")
     assert cli.main(["train", "--data", data, "--out", str(run), "--reward",
                      str(run / "reward.ckpt")] + _FAST["train"]) == 2
-    assert f"was fit on dataset (none recorded); {data} is dataset {ds.fingerprint}" in (
+    assert f"was fit on dataset (none recorded); this run's dataset is {ds.fingerprint}" in (
         capsys.readouterr().err)
 
 

@@ -17,7 +17,7 @@ from conftest import max_fd_error, set_params
 
 
 def _zero_net(net) -> None:
-    set_params(net, [np.zeros_like(p.data) for p in net.params])
+    set_params(net, [np.zeros_like(p.data) for p in oracle.params(net)])
 
 
 def _transition(x0_tilde, x_next, t, sched, eps):
@@ -28,7 +28,7 @@ def _transition(x0_tilde, x_next, t, sched, eps):
 def _constant_critic_x0(c: float, d=3, dz=2) -> CriticX0:
     critic = CriticX0(d, dz, Config(), np.random.default_rng(0))
     _zero_net(critic.net)
-    arrays = [p.data.copy() for p in critic.net.params]
+    arrays = [p.data.copy() for p in oracle.params(critic.net)]
     arrays[-1][:] = c  # output bias
     set_params(critic.net, arrays)
     return critic
@@ -296,7 +296,7 @@ def test_generator_adv_loss_constant_critics():
     cx0 = _constant_critic_x0(1.25, d=3, dz=2)
     cxt = CriticXt(3, 2, Config(temb_dim=16), np.random.default_rng(0))
     _zero_net(cxt.net)
-    arrays = [p.data.copy() for p in cxt.net.params]
+    arrays = [p.data.copy() for p in oracle.params(cxt.net)]
     arrays[-1][:] = -0.75
     set_params(cxt.net, arrays)
 

@@ -64,7 +64,7 @@ def _nets(seed: int, slope: float = SHAPE.leaky_slope, dtype: str = "float64"):
     shape = dataclasses.replace(SHAPE, leaky_slope=slope)
     wide = [cls(D, DZ, shape, rng) for cls in (gan.Generator, gan.CriticX0, gan.CriticXt)]
     for net in (m.net for m in wide):  # He init leaves zero biases
-        set_params(net, [p.data + 0.1 * rng.normal(size=p.shape) for p in net.params])
+        set_params(net, [p.data + 0.1 * rng.normal(size=p.shape) for p in oracle.params(net)])
     if dtype == "float64":
         return wide
     narrow = dataclasses.replace(shape, dtype=dtype)
@@ -92,7 +92,7 @@ def _prototypes(seed: int):
 def test_dense_pullback_matches_the_engine(seed, rows, slope=0.2):
     rng = np.random.default_rng(seed)
     net = DenseNet([5, 7, 7, 3], rng, slope)
-    set_params(net, [p.data + 0.1 * rng.normal(size=p.shape) for p in net.params])
+    set_params(net, [p.data + 0.1 * rng.normal(size=p.shape) for p in oracle.params(net)])
     x = rng.normal(size=(rows, 5))
     u = rng.normal(size=(rows, 3))
     assert _both_branches(net, x)
@@ -102,7 +102,7 @@ def test_dense_pullback_matches_the_engine(seed, rows, slope=0.2):
     graph = oracle.forward(net, xt)
     assert _same(out, graph.data)
     loss = engine.tsum(graph * Tensor(u))
-    assert _same(net.pullback(cache, u), oracle.flat_grad(loss, net.params))
+    assert _same(net.pullback(cache, u), oracle.flat_grad(loss, oracle.params(net)))
     assert _same(net.pullback(cache, u, wrt_input=True), engine.backward(loss, [xt])[0])
 
 
@@ -145,7 +145,7 @@ def test_critic_losses_match_the_engine(seed, t, slope=SHAPE.leaky_slope):
         assert bounds.within(loss, ref_loss) <= 1.0
         assert bounds.within(grads, ref_grad) <= 1.0
         assert bounds.within(terms.data, ref_loss) <= 1.0
-        assert bounds.within(oracle.flat_grad(terms, net.params), ref_grad) <= 1.0
+        assert bounds.within(oracle.flat_grad(terms, oracle.params(net)), ref_grad) <= 1.0
 
 
 @pytest.mark.parametrize("slope", [0.0, 1.0])
@@ -283,7 +283,7 @@ def test_generator_step_matches_the_engine(with_cues, t):
         for g in contributions:
             g_x0 = g_x0 + g
         total = adv + lambda_pd * cue
-    assert _same(gen.net.pullback(cache, g_x0), oracle.flat_grad(total, gen.net.params))
+    assert _same(gen.net.pullback(cache, g_x0), oracle.flat_grad(total, oracle.params(gen.net)))
 
 
 def test_cue_pass_matches_the_engine_on_a_zero_norm_row(caplog):
@@ -320,7 +320,8 @@ def test_rl_step_matches_the_engine(t):
     loss, g_x0 = reward.rl_loss(log_probs, lp_cache)
     oracle_loss = oracle.rl_loss(oracle_lp)
     assert _same(loss, oracle_loss.data)
-    assert _same(gen.net.pullback(cache, g_x0), oracle.flat_grad(oracle_loss, gen.net.params))
+    assert _same(gen.net.pullback(cache, g_x0),
+                 oracle.flat_grad(oracle_loss, oracle.params(gen.net)))
 
 
 def test_rl_pass_matches_the_engine_at_saturated_logits():

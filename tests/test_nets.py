@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlvc import engine, gan, nets
+from rlvc import engine, gan, nets, reward
 from rlvc.config import Config, format_config
 from rlvc.engine import Tensor
 from rlvc.errors import ConfigurationError, NumericFailure, UsageError
@@ -53,7 +53,7 @@ def test_forward_identity_layer():
 
 def test_forward_zero_net_outputs_zero():
     net = DenseNet([3, 4, 2], np.random.default_rng(0), 0.2)
-    set_params(net, [np.zeros_like(p.data) for p in net.params])
+    set_params(net, [np.zeros_like(p.data) for p in oracle.params(net)])
     out, _ = net.forward(np.random.default_rng(1).normal(size=(5, 3)))
     np.testing.assert_array_equal(out, np.zeros((5, 2)))
 
@@ -194,7 +194,7 @@ def _central_input_grad(net, x, step=1e-6):
 def test_input_grad_matches_central_differences(seed):
     rng = np.random.default_rng(seed)
     net = DenseNet([5, 7, 6, 2], rng, 0.3)
-    set_params(net, [p.data + 0.1 * rng.normal(size=p.shape) for p in net.params])
+    set_params(net, [p.data + 0.1 * rng.normal(size=p.shape) for p in oracle.params(net)])
     x = rng.normal(size=(4, 5))
     pres = _pre_activations(net, x)
     # both mask branches are active, and every stencil stays off the kinks
@@ -212,9 +212,9 @@ def test_input_grad_is_a_graph_node_of_the_weights():
     assert min(np.abs(p).min() for p in _pre_activations(net, x)) > 1e-3
     def value_and_grads():
         loss = engine.tsum(oracle.input_grad(net, x) ** 2.0)
-        return loss.item(), engine.backward(loss, net.params)
+        return loss.item(), engine.backward(loss, oracle.params(net))
 
-    assert max_fd_error(value_and_grads, [p.data for p in net.params]) < 1e-6
+    assert max_fd_error(value_and_grads, [p.data for p in oracle.params(net)]) < 1e-6
 
 
 def test_set_params_validates():
@@ -744,8 +744,8 @@ def test_adam_dot_bound_is_at_least_every_float32_entry(entries):
 def _params_view_flat(net) -> bool:
     """Whether every parameter's data is a view into net.flat, at its place
     in the layout."""
-    cat = np.concatenate([p.data.ravel() for p in net.params])
-    return all(np.shares_memory(p.data, net.flat) for p in net.params) and (
+    cat = np.concatenate([p.data.ravel() for p in oracle.params(net)])
+    return all(np.shares_memory(p.data, net.flat) for p in oracle.params(net)) and (
         cat.tobytes() == net.flat.tobytes()
     )
 
@@ -754,7 +754,7 @@ def test_parameters_stay_views_of_the_flat_vector():
     rng = np.random.default_rng(12)
     net = DenseNet([4, 6, 3], rng, 0.2)
     assert _params_view_flat(net)
-    set_params(net, [rng.normal(size=p.shape) for p in net.params])
+    set_params(net, [rng.normal(size=p.shape) for p in oracle.params(net)])
     assert _params_view_flat(net)
     before = net.flat.copy()
     AdamState([net.flat], lr=0.01, **_BETAS).step([rng.normal(size=net.flat.size)])
@@ -847,16 +847,21 @@ def test_every_settings_line_round_trips_through_load_and_save(
         assert line.encode() + b"\n" in written
 
     # the reward file's lines: its feature space and the fingerprint of the
-    # dataset it was fit on, which files from before that line lack
-    space = format_config(cfg, ["standardize"]) + (
-        "" if dataset is None else f"dataset = {dataset}\n")
+    # dataset it was fit on; a file from before the second line is refused
+    space = format_config(cfg, ["standardize"])
     rng = np.random.default_rng(epoch)
-    nets.save_reward(folder / "reward.ckpt",
-                     SoftmaxClassifier(rng.normal(size=(3, 4)), rng.normal(size=3)), space)
-    model, read = nets.load_reward(folder / "reward.ckpt")
-    nets.save_reward(folder / "reward-again.ckpt", model,
-                     "".join(f"{key} = {value}\n" for key, value in read.items()))
+    model = SoftmaxClassifier(rng.normal(size=(3, 4)), rng.normal(size=3))
+    if dataset is None:
+        save_checkpoint(folder / "reward.ckpt", reward.REWARD_TAG, [4, 3],
+                        np.concatenate([model.weight.ravel(), model.bias]), space)
+        with pytest.raises(ConfigurationError, match=r"fit on dataset \(none recorded\)"):
+            reward.load_reward(folder / "reward.ckpt", standardize, "0" * 64)
+        return
+    reward.save_reward(folder / "reward.ckpt", model, standardize, dataset)
+    loaded = reward.load_reward(folder / "reward.ckpt", standardize, dataset)
+    reward.save_reward(folder / "reward-again.ckpt", loaded, standardize, dataset)
     written = (folder / "reward.ckpt").read_bytes()
+    space += f"dataset = {dataset}\n"
     assert (folder / "reward-again.ckpt").read_bytes() == written and space.encode() in written
 
 
@@ -1002,12 +1007,12 @@ def test_the_reward_file_is_a_v2_header_then_weight_and_bias(tmp_path):
     rng = np.random.default_rng(5)
     weight, bias = rng.normal(size=(3, 4)), rng.normal(size=3)
     path = tmp_path / "reward.ckpt"
-    nets.save_reward(path, SoftmaxClassifier(weight, bias), "standardize = true\n")
-    header = struct.pack("<4sI4sI2II", b"RLVC", 2, b"RWDM", 2, 4, 3, 19)
+    reward.save_reward(path, SoftmaxClassifier(weight, bias), True, "f" * 64)
+    lines = b"standardize = true\ndataset = " + b"f" * 64 + b"\n"
+    header = struct.pack("<4sI4sI2II", b"RLVC", 2, b"RWDM", 2, 4, 3, len(lines))
     payload = struct.pack("<15d", *weight.ravel(), *bias)
-    assert path.read_bytes() == header + b"standardize = true\n" + payload
-    model, settings = nets.load_reward(path)
-    assert settings == {"standardize": "true"}
+    assert path.read_bytes() == header + lines + payload
+    model = reward.load_reward(path, True, "f" * 64)
     assert model.weight.tobytes() == weight.tobytes() and model.bias.tobytes() == bias.tobytes()
     assert model.class_ids.tolist() == [0, 1, 2]
     with pytest.raises(ValueError):

@@ -227,7 +227,7 @@ def test_pre_activation_epochs_leave_no_rl_trace():
     rm = _reward_for(ds)
     a = train(ds, rm, _cfg(epochs=2, rl_start_epoch=2))
     b = train(ds, None, _cfg(epochs=2, rl_start_epoch=2, use_rl=False))
-    for pa, pb in zip(a.generator.net.params, b.generator.net.params):
+    for pa, pb in zip(oracle.params(a.generator.net), oracle.params(b.generator.net)):
         assert pa.data.tobytes() == pb.data.tobytes()
 
 
@@ -238,7 +238,7 @@ def test_rl_step_changes_generator():
     b = train(ds, None, _cfg(epochs=3, rl_start_epoch=2, use_rl=False))
     same = all(
         pa.data.tobytes() == pb.data.tobytes()
-        for pa, pb in zip(a.generator.net.params, b.generator.net.params)
+        for pa, pb in zip(oracle.params(a.generator.net), oracle.params(b.generator.net))
     )
     assert not same
 
@@ -367,7 +367,7 @@ def _critic_step(loss_fn, args, net, real, fake, cond, lambda_gp, rng):
     _, ref_grad = bounds.critic_reference(net, real, fake, cond, lambda_gp, u)
     terms = oracle.critic_terms(net, real, fake, cond, lambda_gp, twin)
     assert bounds.within(grad, ref_grad) <= 1.0
-    assert bounds.within(oracle.flat_grad(terms, net.params), ref_grad) <= 1.0
+    assert bounds.within(oracle.flat_grad(terms, oracle.params(net)), ref_grad) <= 1.0
     return grad
 
 
@@ -416,14 +416,14 @@ def _oracle_minibatch(ds, rm, cfg):
     adv, xt_tilde = oracle.generator_adv_terms(cx0, cxt, x0_tilde, z, x_next, t, sched, eps_post)
     assert xt_tilde.data.tobytes() == fake_xt.tobytes()
     cue = oracle.cue_loss(x0_tilde, v)
-    opt_gen.step([oracle.flat_grad(adv + cfg.lambda_pd * cue, gen.net.params)])
+    opt_gen.step([oracle.flat_grad(adv + cfg.lambda_pd * cue, oracle.params(gen.net))])
 
     t = rl_rng.integers(0, cfg.diffusion_steps, size=x0.shape[0])
     x_next = diffusion.forward_noise(x0, t + 1, sched, rl_rng)
     eps_g = rl_rng.standard_normal(x0.shape)
     x0_rl = oracle.synthesize(gen, eps_g, z, x_next, t + 1)
     log_probs = oracle.class_log_probs(rm, x0_rl, reward_rows)
-    opt_rl.step([oracle.flat_grad(oracle.rl_loss(log_probs), gen.net.params)])
+    opt_rl.step([oracle.flat_grad(oracle.rl_loss(log_probs), oracle.params(gen.net))])
 
 
 def _replay_against_the_oracle(ds, monkeypatch):
@@ -604,8 +604,9 @@ def test_config_validation():
 def test_networks_are_disjoint():
     ds = _small_ds()
     result = train(ds, None, _cfg(epochs=1, use_rl=False))
-    gen_ids = {id(p) for p in result.generator.net.params}
-    critic_ids = {id(p) for p in result.critic_x0.net.params + result.critic_xt.net.params}
+    gen_ids = {id(p) for p in oracle.params(result.generator.net)}
+    critic_ids = {id(p) for net in (result.critic_x0.net, result.critic_xt.net)
+                  for p in oracle.params(net)}
     assert gen_ids.isdisjoint(critic_ids)
 
 
