@@ -13,6 +13,7 @@ any key, so one file serves every command of a pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import Field, dataclass, field, fields
 
 from . import diffusion
@@ -61,8 +62,9 @@ def _unit_interval():
 
 @dataclass(frozen=True)
 class Config:
-    """Every setting of a run. Construction runs every range check, so a
-    Config that exists is valid; derive variants with dataclasses.replace."""
+    """Every setting of a run. Construction runs every range check, and
+    refuses a non-finite float, so a Config that exists is valid; derive
+    variants with dataclasses.replace."""
 
     seed: int = _key(_ALL, 0, "root seed; every random stream derives from it", _at_least(0))
     epochs: int = _key(_TRAIN, 20, "training epochs", _at_least(1))
@@ -158,6 +160,10 @@ def command_fields(command: str) -> list[Field]:
 
 
 def _check(f, value) -> None:
+    """Refuse a non-finite value of a float setting, then any value outside
+    the setting's range."""
+    if isinstance(f.default, float) and not math.isfinite(value):
+        raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
     if f.metadata["check"] is None:
         return
     ok, rule = f.metadata["check"]

@@ -108,9 +108,11 @@ class ZslDataset:
         return label_rows(self.seen_classes, labels, "label {} is not a seen class")
 
     def validate(self) -> None:
-        n, c = self.features.shape[0], self.n_classes
-        if self.features.ndim != 2 or n == 0:
+        if self.features.ndim != 2 or self.features.shape[0] == 0:
             raise ConfigurationError("features must be a nonempty (N, d) matrix")
+        if self.prototypes.ndim != 2:
+            raise ConfigurationError("prototypes must be a (C, d_z) matrix")
+        n, c = self.features.shape[0], self.n_classes
         if self.labels.shape != (n,) or self.splits.shape != (n,):
             raise ConfigurationError("labels/splits length != feature rows")
         if not np.all(np.isfinite(self.features)):

@@ -272,6 +272,20 @@ def test_cli_rejects_an_out_of_range_value_when_resolving(command, flag, value, 
     assert "error" in err and flag[2:].replace("-", "_") in err  # the message names the setting
 
 
+_FLOAT_FIELDS = [f for f in dataclasses.fields(config.Config) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("f", _FLOAT_FIELDS, ids=[f.name for f in _FLOAT_FIELDS])
+def test_a_float_setting_must_be_finite_in_a_config_and_on_the_command_line(f, value, capsys):
+    message = f"{f.name} must be finite, got {value}"
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        config.Config(**{f.name: float(value)})
+    flag = f"--{f.name.replace('_', '-')}={value}"
+    assert cli.main([f.metadata["commands"][0], "--print-config", flag]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # gen-synthetic reads no boolean setting
 @pytest.mark.parametrize("command", ["pretrain-reward", "train", "synthesize", "eval"])
 def test_cli_a_bare_boolean_flag_means_true(command, capsys):

@@ -302,11 +302,15 @@ _UNSEEN_WITHOUT_ROWS = {"prototypes": np.ones((4, 2)),
 
 @pytest.mark.parametrize("fields, message", [
     (_EMPTY, r"^features must be a nonempty \(N, d\) matrix$"),
+    ({"features": np.float64(1.0)}, r"^features must be a nonempty \(N, d\) matrix$"),
+    ({"prototypes": np.float64(1.0)}, r"^prototypes must be a \(C, d_z\) matrix$"),
+    ({"prototypes": np.ones(3)}, r"^prototypes must be a \(C, d_z\) matrix$"),
     (_NONFINITE_PROTOTYPE, "^non-finite prototype value$"),
     ({"roles": ["seen", "seen"]}, "^roles length != prototype rows$"),
     ({"roles": ["seen", "seen", "held-out"]}, "^unknown class role 'held-out'$"),
     (_UNSEEN_WITHOUT_ROWS, "^unseen class 3 has no test samples$"),
-], ids=["empty", "nonfinite-prototype", "roles-length", "unknown-role", "unseen-without-rows"])
+], ids=["empty", "0-d features", "0-d prototypes", "1-d prototypes", "nonfinite-prototype",
+        "roles-length", "unknown-role", "unseen-without-rows"])
 def test_validate_refuses_a_dataset_held_in_memory(fields, message):
     tiny_dataset().validate()
     with pytest.raises(ConfigurationError, match=message):

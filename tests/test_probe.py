@@ -41,10 +41,11 @@ _STEP = ["step", "--hidden-mult", "1", "--batch-size", "480", "--batches", "3"]
         (["adam", "--feat-dim", "8", "--sem-dim", "4", "--steps", "2"],
          {"ms": (2, [r"critic pair \([\d,]+ entries\)", r"generator \([\d,]+ entries\)"])},
          None),
-        (["report", "--reports", "1", "--adam-steps", "3"],
-         {"ms": (1, ["synthesis", "czsl head", "gzsl head", "czsl ms per step",
+        (["report", "--reports", "2"],
+         {"ms": (2, ["full report", "synthesis", "czsl head", "gzsl head", "czsl ms per step",
                      "gzsl ms per step"]),
-          "us": (3, ["adam 165 entries", "adam 825 entries"])}, None),
+          # each head's steps over both reports: 50 epochs of 16 and of 24 minibatches
+          "us": ([1600, 2400], ["adam 165 entries", "adam 825 entries"])}, None),
         (_STEP,
          {"ms": (4, ["critic pair", "generator adversarial step", "policy step", "adam critic pair",
                      "adam generator", "adam policy", "batch"])}, [2, 4]),
@@ -52,8 +53,9 @@ _STEP = ["step", "--hidden-mult", "1", "--batch-size", "480", "--batches", "3"]
     ids=["adam", "report", "step"],
 )
 def test_probe_worker_reports_every_figure_and_a_sha256(argv, figures, timed, capsys):
-    """`figures` maps a unit to (values per figure, each figure's name pattern);
-    `timed` is the epochs and minibatches `step` reports timing."""
+    """`figures` maps a unit to (values per figure, or a list of each figure's
+    count, and each figure's name pattern); `timed` is the epochs and
+    minibatches `step` reports timing."""
     probe = _load_probe()
     assert probe.main(["--worker", *argv]) == 0
     result = json.loads(capsys.readouterr().out)
@@ -62,9 +64,10 @@ def test_probe_worker_reports_every_figure_and_a_sha256(argv, figures, timed, ca
     assert re.fullmatch(r"[0-9a-f]{64}", result["sha256"])
     for unit, (count, patterns) in figures.items():
         assert len(result[unit]) == len(patterns)
-        for pattern, (name, values) in zip(patterns, result[unit].items()):
+        counts = count if isinstance(count, list) else [count] * len(patterns)
+        for pattern, n, (name, values) in zip(patterns, counts, result[unit].items()):
             assert re.fullmatch(pattern, name)
-            assert len(values) == count and all(v > 0 for v in values)
+            assert len(values) == n and all(v > 0 for v in values)
     hashed = {"adam": "p, m, v", "report": "both heads", "step": "the three networks"}[argv[0]]
     best = probe.summarize("tree", [result], hashed)
     printed = capsys.readouterr().out
@@ -148,6 +151,86 @@ def test_probe_step_refuses_a_schedule_of_other_steps(monkeypatch):
     with pytest.raises(SystemExit, match="^step: 3 optimizers built and 16 steps, not critic, "
                                          "generator, policy for each of 4 minibatches$"):
         _load_probe().main(["--worker", *_STEP])
+
+
+def test_probe_report_hashes_the_heads_of_direct_full_reports(monkeypatch, capsys):
+    # the heads' [w | b] are the vectors the two optimizers of each report stepped
+    from rlvc import config, data, evaluate, gan, nets
+
+    assert _load_probe().main(["--worker", "report", "--reports", "2", "--seed", "3"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    cfg = config.resolve_config("synthetic", None, {"synth_per_class": 400})
+    ds = data.standardize(data.make_synthetic(cfg))
+    gen = gan.Generator(ds.feat_dim, ds.sem_dim, cfg, np.random.default_rng(3))
+    heads = []
+
+    def kept(*args):
+        heads.append(nets.fit_linear_softmax(*args))
+        return heads[-1]
+
+    monkeypatch.setattr(evaluate, "fit_linear_softmax", kept)
+    for k in range(2):
+        evaluate.full_report(gen, ds, cfg, np.random.default_rng([3, k]))
+    assert len(heads) == 4
+    digest = hashlib.sha256(b"".join(w.tobytes() + b.tobytes() for w, b in heads))
+    assert result["sha256"] == digest.hexdigest()
+
+
+def _one_more_optimizer(full_report, *args):
+    """`full_report` that builds a third optimizer after its heads."""
+    report = full_report(*args)
+    _adam()
+    return report
+
+
+def _stepping(order):
+    """A stand-in for `full_report` that builds both optimizers first, then
+    steps them in `order`."""
+    def steps(full_report, *args):
+        opts = [_adam(), _adam()]
+        for i in order:
+            opts[i].step([np.ones(3)])
+
+    return steps
+
+
+def _adam():
+    from rlvc import nets
+
+    return nets.AdamState([np.zeros(3)], lr=0.1, beta1=0.5, beta2=0.999)
+
+
+@pytest.mark.parametrize("fake, found", [
+    (_one_more_optimizer, "3 optimizers built and 2000 steps"),
+    (_stepping([0, 1, 0]), "2 optimizers built and 3 steps"),
+    (_stepping([0, 1]), "2 optimizers built and 2 steps"),
+], ids=["third optimizer", "out of order", "built together"])
+def test_probe_report_refuses_a_report_of_other_optimizers(fake, found, monkeypatch):
+    from rlvc import evaluate, nets
+
+    adam, real = vars(nets.AdamState).copy(), evaluate.full_report
+    monkeypatch.setattr(evaluate, "full_report", lambda *args: fake(real, *args))
+    with pytest.raises(SystemExit, match=f"^report: {found}, not the CZSL head's steps "
+                                         "and then the GZSL head's$"):
+        _load_probe().main(["--worker", "report", "--reports", "1"])
+    assert vars(nets.AdamState) == adam  # the timing wrappers are gone again
+
+
+def test_probe_usage_lists_only_flags_its_parsers_take_at_their_defaults():
+    # Each usage line of the docstring, brackets and "..." dropped, is a
+    # command line its subcommand's parser takes; each value shown is that
+    # flag's default, but for the placeholders REV and key=value.
+    probe = _load_probe()
+    usage = probe.__doc__.split("\n\n")[2]
+    commands = re.split(r"^\s*python3 tools/probe.py ", usage, flags=re.M)[1:]
+    assert [c.split()[0] for c in commands] == ["adam", "report", "step", "drift"]
+    parser = probe.build_parser()
+    for command in commands:
+        argv = command.replace("[", " ").replace("]", " ").replace("...", " ").split()
+        documented, default = vars(parser.parse_args(argv)), vars(parser.parse_args(argv[:1]))
+        assert documented.keys() == default.keys()
+        shown = {key for key in documented if documented[key] != default[key]}
+        assert shown == {"against", "set"} & documented.keys(), command
 
 
 _TINY = ["n_seen=4", "n_unseen=2", "feat_dim=8", "sem_dim=4", "samples_per_class=10",

@@ -6,7 +6,7 @@ Usage (from the repository root):
                                 [--preset cub] [--hidden-mult 1]
                                 [--feat-dim 2048] [--sem-dim 312] [--steps 12]
     python3 tools/probe.py report [--against REV] [--rounds 3] [--seed 0]
-                                  [--reports 4] [--adam-steps 2000]
+                                  [--reports 4]
     python3 tools/probe.py step [--against REV] [--rounds 3] [--seed 0]
                                 [--hidden-mult 4] [--batch-size 32] [--batches 300]
     python3 tools/probe.py drift --against REV [--seeds 0 1 2] [--draws 8]
@@ -28,16 +28,23 @@ CUB's shape (d=2048, d_z=312, `hidden_mult` 1): about 40M parameters and
 2 GB per side, the sides one at a time. It reads Adam where Adam dominates,
 which the synthetic preset does not show.
 
-`report` runs --reports evaluation reports at perfbench's eval-sweep shape:
-the synthetic preset's standardized dataset (20 seen and 5 unseen classes,
-32-d) and 400 synthesized rows per unseen class. Each report times the
-reverse-chain synthesis and the CZSL (2,000 rows, 5 classes) and GZSL
-(2,960 rows, 25 classes) heads that `evaluate.full_report` trains, in ms
-and in ms per head step, on a freshly drawn generator (synthesis and head
-steps cost the same at any weights). Then it times --adam-steps Adam steps,
-one at a time in us, at each head's [w | b] size (165 and 825 entries
-here). The sha256 is of both heads over every report. perfbench's traced
-run cannot time calls this short: the tracer's overhead dominates them.
+`report` times --reports calls of `evaluate.full_report` per process at
+perfbench's eval-sweep shape: the synthetic preset's standardized dataset
+(20 seen and 5 unseen classes, 32-d) and 400 synthesized rows per unseen
+class, on a freshly drawn generator (synthesis and head steps cost the same
+at any weights), report k from the rng [seed, k]. It reads, in ms, between
+the boundaries of the heads' Adam steps, as `step` does: the whole report;
+the synthesis, from the report's start to the end of the CZSL head's
+optimizer's construction; each head, the CZSL head (2,000 rows, 5 classes)
+and the GZSL head (2,960 rows, 25 classes), from its optimizer's
+construction to the end of its last step, and that time per step it
+counted; and, in us, each Adam step at each head's [w | b] size (165 and
+825 entries here). It refuses any optimizers other than two, stepped one
+after the other. The sha256 is of both heads' [w | b] over every report.
+It calls only `resolve_config`, `make_synthetic`, `standardize`,
+`gan.Generator`, `full_report` and `AdamState`, so --against needs no code
+of its own for a revision. perfbench's traced run cannot time calls this
+short: the tracer's overhead dominates them.
 
 `step` times the minibatches of one `trainer.train` per process, on the
 synthetic preset (d=32, d_z=16, 20 seen classes and 960 training rows; the
@@ -46,22 +53,22 @@ critics 48 -> 128 -> 128 -> 1 and 96 -> 128 -> 128 -> 1 at the default
 from the first epoch and no in-training evaluation. It trains the whole
 epochs that cover --batches (30 minibatches per epoch at batch 32) and
 prints how many it timed; the reward model is pretrained before timing
-starts. It wraps `AdamState.__init__` and `step` around that call only,
-tags the optimizers critic pair, generator and policy by construction
-order, and refuses any other order of steps. Per minibatch it reads, in ms,
-between step boundaries: the critic pair from the end of the previous
-minibatch's policy step (for the first minibatch, from the end of the last
-optimizer's construction) to the start of the critic pair's Adam step,
-which takes in the rows' pick, the critic step's draws, the fakes' synthesis and
-posterior sample and both critic losses with their penalties; the
-generator adversarial step from the end of that Adam step to the start of
-the generator's (the adversarial terms, the cue loss and the generator's
-pullback); the policy step from there to the start of the policy's Adam
-step (its draws, synthesis, reward and pullback); each of the three Adam
-steps; and the whole minibatch from the end of the previous policy step to
-the end of its own. The sha256 is of the three networks `trainer.train`
-returns. `--hidden-mult 1 --batch-size 4` reads the per-call floor, where
-arithmetic is negligible.
+starts. As `report` does, it wraps `AdamState.__init__` and `step` around
+that call only; it tags the optimizers critic pair, generator and policy by
+construction order, and refuses any other order of steps. Per minibatch it
+reads, in ms, between step boundaries: the critic pair from the end of the
+previous minibatch's policy step (for the first minibatch, from the end of
+the last optimizer's construction) to the start of the critic pair's Adam
+step, which takes in the rows' pick, the critic step's draws, the fakes'
+synthesis and posterior sample and both critic losses with their penalties;
+the generator adversarial step from the end of that Adam step to the start
+of the generator's (the adversarial terms, the cue loss and the generator's
+pullback); the policy step from there to the start of the policy's Adam step
+(its draws, synthesis, reward and pullback); each of the three Adam steps;
+and the whole minibatch from the end of the previous policy step to the end
+of its own. The sha256 is of the three networks `trainer.train` returns.
+`--hidden-mult 1 --batch-size 4` reads the per-call floor, where arithmetic
+is negligible.
 
 `drift` measures what a change does to results, not to time. For each seed
 and each side, in a fresh process, it resolves the synthetic preset with
@@ -130,78 +137,29 @@ def measure_adam(args) -> dict:
     return {"ms": ms, "sha256": digest.hexdigest()}
 
 
-def measure_report(args) -> dict:
-    """Synthesis, both heads and Adam steps at the heads' sizes."""
-    import numpy as np
+def synthetic(overrides: dict):
+    """The synthetic preset's Config with `overrides`, and its dataset,
+    standardized if the Config says so."""
+    from rlvc import config, data
 
-    from rlvc import config, data, evaluate, gan, nets
-
-    cfg = config.resolve_config("synthetic", None, {"synth_per_class": SYNTH_PER_CLASS})
-    ds = data.standardize(data.make_synthetic(cfg))
-    gen = gan.Generator(ds.feat_dim, ds.sem_dim, cfg, np.random.default_rng(args.seed))
-    tr_x, tr_y = ds.train
-    ms = {"synthesis": [], "czsl head": [], "gzsl head": [],
-          "czsl ms per step": [], "gzsl ms per step": []}
-    digest = hashlib.sha256()
-    for k in range(args.reports):
-        rng = np.random.default_rng([args.seed, k])
-        start = time.perf_counter()
-        synth_x, synth_y = evaluate.synthesize_unseen(
-            gen, ds.prototypes, ds.unseen_classes, cfg.synth_per_class, cfg.schedule(), rng)
-        ms["synthesis"].append(1e3 * (time.perf_counter() - start))
-        heads = {"czsl": (synth_x, synth_y),
-                 "gzsl": (np.concatenate([tr_x, synth_x]), np.concatenate([tr_y, synth_y]))}
-        for name, (x, y) in heads.items():
-            start = time.perf_counter()
-            head = evaluate.train_head(x, y, np.unique(y), cfg, rng)
-            took = 1e3 * (time.perf_counter() - start)
-            steps = cfg.clf_epochs * -(-len(x) // cfg.clf_batch)
-            ms[f"{name} head"].append(took)
-            ms[f"{name} ms per step"].append(took / steps)
-            digest.update(head.weight.tobytes() + head.bias.tobytes())
-    n_unseen = len(ds.unseen_classes)
-    us = {}
-    for classes in (n_unseen, len(ds.seen_classes) + n_unseen):  # the CZSL and GZSL heads
-        size = classes * (ds.feat_dim + 1)
-        opt = nets.AdamState([np.zeros(size)], lr=cfg.clf_lr,
-                             beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
-        grads = np.random.default_rng(size).normal(size=(args.adam_steps, size))
-        times = []
-        for g in grads:
-            start = time.perf_counter()
-            opt.step([g])
-            times.append(1e6 * (time.perf_counter() - start))
-        us[f"adam {size} entries"] = times
-    return {"ms": ms, "us": us, "sha256": digest.hexdigest()}
-
-
-def measure_step(args) -> dict:
-    """`trainer.train`'s minibatches, timed at the boundaries of its Adam steps."""
-    import dataclasses
-
-    from rlvc import config, data, nets, reward, trainer
-
-    cfg = config.resolve_config("synthetic", None, {
-        "hidden_mult": args.hidden_mult, "batch_size": args.batch_size, "seed": args.seed,
-        "rl_start_epoch": 0, "eval_interval": 0})
+    cfg = config.resolve_config("synthetic", None, overrides)
     ds = data.make_synthetic(cfg)
-    if cfg.standardize:
-        ds = data.standardize(ds)
-    train_x, train_y = ds.train
-    per_epoch = -(-len(train_x) // cfg.batch_size)
-    cfg = dataclasses.replace(cfg, epochs=-(-args.batches // per_epoch))
-    rm = reward.pretrain_reward(train_x, ds.seen_rows(train_y), len(ds.seen_classes), cfg)
+    return cfg, data.standardize(ds) if cfg.standardize else ds
 
-    # The optimizers in construction order, critic, generator and policy;
-    # each step's (optimizer's index, start, end); the last build's end.
-    adam, made, steps, built = nets.AdamState, [], [], 0.0
+
+def adam_boundaries(call):
+    """`call()` with `AdamState.__init__` and `step` wrapped for that call
+    only: its result, the optimizers built, in order, the time each one's
+    construction ended, and each step as (its optimizer's index, start, end)."""
+    from rlvc import nets
+
+    adam, made, built, steps = nets.AdamState, [], [], []
     init, step, clock = adam.__init__, adam.step, time.perf_counter
 
     def tagging_init(opt, *a, **kw):
-        nonlocal built
         init(opt, *a, **kw)
         made.append(opt)
-        built = clock()
+        built.append(clock())
 
     def timed_step(opt, grads):
         start = clock()
@@ -210,16 +168,67 @@ def measure_step(args) -> dict:
 
     adam.__init__, adam.step = tagging_init, timed_step
     try:
-        result = trainer.train(ds, rm, cfg)
+        return call(), made, built, steps
     finally:
         adam.__init__, adam.step = init, step
+
+
+def measure_report(args) -> dict:
+    """`evaluate.full_report`, timed at the boundaries of its heads' Adam steps."""
+    import numpy as np
+
+    from rlvc import evaluate, gan
+
+    cfg, ds = synthetic({"synth_per_class": SYNTH_PER_CLASS})
+    gen = gan.Generator(ds.feat_dim, ds.sem_dim, cfg, np.random.default_rng(args.seed))
+    ms = {name: [] for name in ("full report", "synthesis", "czsl head", "gzsl head",
+                                "czsl ms per step", "gzsl ms per step")}
+    us, digest = {}, hashlib.sha256()
+    for k in range(args.reports):
+        rng = np.random.default_rng([args.seed, k])
+        start = time.perf_counter()
+        _, made, built, steps = adam_boundaries(lambda: evaluate.full_report(gen, ds, cfg, rng))
+        ms["full report"].append(1e3 * (time.perf_counter() - start))
+        order = [i for i, _, _ in steps]
+        czsl = order.count(0)  # the CZSL head's optimizer is built first
+        if (len(made) != 2 or order != sorted(order) or not 0 < czsl < len(order)
+                or built[1] < steps[czsl - 1][2]):
+            raise SystemExit(f"report: {len(made)} optimizers built and {len(steps)} steps, "
+                             f"not the CZSL head's steps and then the GZSL head's")
+        ms["synthesis"].append(1e3 * (built[0] - start))
+        for name, opt, begun, own in (("czsl", made[0], built[0], steps[:czsl]),
+                                      ("gzsl", made[1], built[1], steps[czsl:])):
+            took = 1e3 * (own[-1][2] - begun)
+            ms[f"{name} head"].append(took)
+            ms[f"{name} ms per step"].append(took / len(own))
+            us.setdefault(f"adam {opt.params[0].size} entries", []).extend(
+                1e6 * (end - begin) for _, begin, end in own)
+            digest.update(opt.params[0].tobytes())
+    return {"ms": ms, "us": us, "sha256": digest.hexdigest()}
+
+
+def measure_step(args) -> dict:
+    """`trainer.train`'s minibatches, timed at the boundaries of its Adam steps."""
+    import dataclasses
+
+    from rlvc import reward, trainer
+
+    cfg, ds = synthetic({"hidden_mult": args.hidden_mult, "batch_size": args.batch_size,
+                         "seed": args.seed, "rl_start_epoch": 0, "eval_interval": 0})
+    train_x, train_y = ds.train
+    per_epoch = -(-len(train_x) // cfg.batch_size)
+    cfg = dataclasses.replace(cfg, epochs=-(-args.batches // per_epoch))
+    rm = reward.pretrain_reward(train_x, ds.seen_rows(train_y), len(ds.seen_classes), cfg)
+
+    # The optimizers in construction order: critic, generator and policy.
+    result, made, built, steps = adam_boundaries(lambda: trainer.train(ds, rm, cfg))
     batches = cfg.epochs * per_epoch
     if len(made) != 3 or [k for k, _, _ in steps] != [0, 1, 2] * batches:
         raise SystemExit(f"step: {len(made)} optimizers built and {len(steps)} steps, not "
                          f"critic, generator, policy for each of {batches} minibatches")
     ms = {name: [] for name in ("critic pair", "generator adversarial step", "policy step",
                                 "adam critic pair", "adam generator", "adam policy", "batch")}
-    last = built  # the previous minibatch's policy step ends here
+    last = built[-1]  # the previous minibatch's policy step ends here
     for (_, c0, c1), (_, g0, g1), (_, p0, p1) in zip(*[iter(steps)] * 3):
         for name, begin, end in (("critic pair", last, c0), ("adam critic pair", c0, c1),
                                  ("generator adversarial step", c1, g0),
@@ -237,14 +246,11 @@ def measure_drift(args) -> dict:
     """Train at one seed and evaluate the final generator --draws times."""
     import numpy as np
 
-    from rlvc import config, data, evaluate, reward, trainer
+    from rlvc import evaluate, reward, trainer
 
     overrides = {"eval_interval": "0", **dict(kv.split("=", 1) for kv in args.set)}
     (seed,) = args.seeds
-    cfg = config.resolve_config("synthetic", None, {**overrides, "seed": seed})
-    ds = data.make_synthetic(cfg)
-    if cfg.standardize:
-        ds = data.standardize(ds)
+    cfg, ds = synthetic({**overrides, "seed": seed})
     train_x, train_y = ds.train
     rm = reward.pretrain_reward(train_x, ds.seen_rows(train_y), len(ds.seen_classes), cfg)
     result = trainer.train(ds, rm, cfg)
@@ -338,8 +344,9 @@ def summarize(label: str, results: list[dict], hashed: str) -> dict[str, float]:
     return best
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+def build_parser() -> argparse.ArgumentParser:
+    """The command line: one subcommand per measurement, each with the flags
+    its usage line in this module's docstring shows."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -352,7 +359,6 @@ def main(argv=None) -> int:
     adam.set_defaults(measure=measure_adam, hashed="p, m, v")
     report = commands.add_parser("report", help=measure_report.__doc__)
     report.add_argument("--reports", type=int, default=4, help="reports per process")
-    report.add_argument("--adam-steps", type=int, default=2000)
     report.set_defaults(measure=measure_report, hashed="both heads")
     step = commands.add_parser("step", help=measure_step.__doc__)
     step.add_argument("--hidden-mult", type=int, default=4)
@@ -372,6 +378,12 @@ def main(argv=None) -> int:
         command.add_argument("--rounds", type=int, default=rounds,
                              help="turns per side with --against")
         command.add_argument("--seed", type=int, default=0)
+    return parser
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.worker:
         result = args.measure(args)

@@ -41,16 +41,19 @@ this runs with RLVC_THREADS=1 in a fresh temporary directory:
   parsed-array cache of the old files must parse the new ones.
 
 `--tree-set KEY=VALUE` (repeatable) sets KEY for every command of the
-working tree's side only, for a setting that --against does not have:
-`--tree-set dtype=float64` runs the tree at the precision of a revision
-before `dtype`, though that revision stops at the float64 pair, whose flag
-it lacks. The settings reach the tree's commands as one `--config`
-file of `KEY = VALUE` lines, outside the directory that is hashed: a
-config file may hold any key, where a command refuses a flag for a setting
-it does not read. A checkpoint records its settings, so each
-`KEY = VALUE` line is dropped from the settings block of the tree's
-checkpoint files (and the block's byte count mended) before they are
-hashed; any other byte of theirs counts.
+working tree's side only, for a setting that --against does not have. The
+settings reach the tree's commands as one `--config` file of `KEY = VALUE`
+lines, outside the directory that is hashed: a config file may hold any
+key, where a command refuses a flag for a setting it does not read. A
+checkpoint records its settings, so each `KEY = VALUE` line is dropped from
+the settings block of the tree's checkpoint files (and the block's byte
+count mended) before they are hashed; any other byte of theirs counts.
+The steps above still pass their own flags to both sides, so a revision
+that lacks a setting one of them names fails that step, and the script
+exits 2 before it prints any hash. `--tree-set dtype=float64` against a
+revision from before `dtype` therefore compares nothing: the tree's side
+runs whole, then the other side stops at `train-small-f64`, whose
+`--dtype` flag that revision refuses.
 
 Every command uses relative paths, so its stdout does not name the
 directory. The script prints the sha256 of each file the commands wrote and
