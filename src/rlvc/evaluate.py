@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffusion
+from . import diffusion, nets
 from .config import Config
-from .errors import UsageError
+from .errors import ConfigurationError, UsageError
 from .gan import Generator
 from .nets import SoftmaxClassifier, distinct, fit_linear_softmax, label_rows
 
@@ -84,6 +84,19 @@ def macro_accuracy(head: SoftmaxClassifier, features: np.ndarray, labels: np.nda
     return float(np.mean([np.mean(preds[labels == c] == c) for c in present]))
 
 
+def _refuse_oversize(rows: int, feat_dim: int, n_per_class: int) -> None:
+    """ConfigurationError if a float64 (rows, feat_dim) matrix, which holds
+    n_per_class synthesized rows per unseen class, would not fit in physical
+    memory."""
+    need = 8 * rows * feat_dim
+    have = nets.physical_memory()
+    if have is not None and need > have:
+        raise ConfigurationError(
+            f"synth_per_class = {n_per_class:,} needs a {need:,}-byte matrix of features, "
+            f"more than the {have:,} bytes of physical memory; lower synth_per_class"
+        )
+
+
 def synthesize_unseen(
     gen: Generator,
     prototypes: np.ndarray,
@@ -107,7 +120,9 @@ def synthesize_unseen(
 
     With `out`, a float64 (len(unseen_classes) * n_per_class, feat_dim)
     array, the features are written into it and it is returned, so a caller
-    that wants them inside a larger matrix holds one copy.
+    that wants them inside a larger matrix holds one copy. Without it, a
+    result that would not fit in physical memory is refused before any
+    allocation.
     """
     if n_per_class < 1:
         raise UsageError("n_per_class must be >= 1")
@@ -117,6 +132,7 @@ def synthesize_unseen(
     unseen_classes = [int(c) for c in unseen_classes]
     shape = (len(unseen_classes) * n_per_class, gen.feat_dim)
     if out is None:
+        _refuse_oversize(*shape, n_per_class)
         feats = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
         raise UsageError(f"synthesize_unseen: out is {out.dtype} {out.shape}, not float64 {shape}")
@@ -143,11 +159,15 @@ def full_report(gen: Generator, dataset, config: Config, rng: np.random.Generato
     them. The real train rows are copied into its head after synthesis, so
     they are not held while the chain runs. The heads' class ids are the
     dataset's: the unseen classes, and for GZSL every class, since
-    `ZslDataset.validate` requires train rows of every seen class."""
+    `ZslDataset.validate` requires train rows of every seen class. A GZSL
+    matrix that would not fit in physical memory is refused before any
+    allocation."""
     is_train = dataset.splits == "train"
     n_train = int(np.count_nonzero(is_train))
     unseen = dataset.unseen_classes
-    x = np.empty((n_train + len(unseen) * config.synth_per_class, dataset.feat_dim))
+    shape = (n_train + len(unseen) * config.synth_per_class, dataset.feat_dim)
+    _refuse_oversize(*shape, config.synth_per_class)
+    x = np.empty(shape)
     synth_x, synth_y = synthesize_unseen(
         gen, dataset.prototypes, unseen, config.synth_per_class, config.schedule(), rng,
         out=x[n_train:],

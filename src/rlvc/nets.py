@@ -135,6 +135,14 @@ def param_count(layer_dims: Sequence[int]) -> int:
     return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(layer_dims, layer_dims[1:]))
 
 
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 class DenseNet:
     """Multilayer affine network with leaky-relu hidden units, linear output.
 

@@ -117,14 +117,6 @@ def training_floats(feat_dim: int, sem_dim: int, config: Config) -> int:
     return 2 * params + moments + 2 * max(largest_block(n) for n in (gen, *critics))
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def train(
     dataset: ZslDataset,
     reward_model: nets.SoftmaxClassifier | None,
@@ -160,7 +152,7 @@ def train(
 
     dtype = np.dtype(config.dtype)
     need = dtype.itemsize * training_floats(d, dataset.sem_dim, config)
-    have = _physical_memory()
+    have = nets.physical_memory()
     if have is not None and need > have:
         raise ConfigurationError(
             f"training would hold {need:,} bytes of parameters, gradients and Adam "

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from rlvc import cli, config, gan, trainer
+from rlvc import cli, config, gan, nets, trainer
 from rlvc.data import (
     CACHE_NAME, ZslDataset, export_features, fingerprint, load_dataset, make_synthetic,
     save_dataset, standardize,
@@ -409,16 +409,35 @@ def test_cli_train_refuses_a_run_larger_than_physical_memory(tmp_path, monkeypat
     assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
     cfg = config.resolve_config(overrides={"feat_dim": 8, "sem_dim": 4, "use_rl": False})
     need = 8 * trainer.training_floats(8, 4, cfg)
-    monkeypatch.setattr(trainer, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(nets, "physical_memory", lambda: need - 1)
     capsys.readouterr()
     code = cli.main(["train", "--data", data, "--out", str(run), "--no-rl"] + _FAST["train"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert f"{need:,} bytes" in err and f"{need - 1:,} bytes of physical memory" in err
     assert not (run / "metrics.csv").exists()
-    monkeypatch.setattr(trainer, "_physical_memory", lambda: need)
+    monkeypatch.setattr(nets, "physical_memory", lambda: need)
     assert cli.main(["train", "--data", data, "--out", str(run), "--no-rl"] + _FAST["train"]) == 0
     assert (run / "metrics.csv").exists()
+
+
+def test_cli_eval_and_synthesize_refuse_a_synthesis_larger_than_physical_memory(
+        tmp_path, monkeypatch, capsys):
+    data, run = str(tmp_path / "data"), str(tmp_path / "run")
+    assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
+    assert cli.main(["train", "--data", data, "--out", run, "--no-rl"] + _FAST["train"]) == 0
+    monkeypatch.setattr(nets, "physical_memory", lambda: 1000)
+    trained = ["--data", data, "--generator", f"{run}/generator.ckpt", "--synth-per-class", "100"]
+    synth = tmp_path / "synth.csv"
+    for argv in (["eval", *trained], ["synthesize", *trained, "--out", str(synth)]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv[0]
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: synth_per_class = 100 ")
+        assert "the 1,000 bytes of physical memory" in err
+    assert f"needs a {8 * 2 * 100 * 8:,}-byte matrix" in err  # synthesize: 2 unseen classes, d = 8
+    assert not synth.exists()
 
 
 def test_cli_full_pipeline(tmp_path, capsys):
@@ -881,14 +900,14 @@ def test_the_benchmark_and_the_byte_check_command_lines_parse(tmp_path, monkeypa
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))  # run.py's own imports
     run = _load(os.path.join(root, "perfbench", "run.py"), "perfbench_run")
-    same_bytes = _load(os.path.join(root, "tools", "same_bytes.py"), "same_bytes")
+    probe = _load(os.path.join(root, "tools", "probe.py"), "probe")
+    assert probe.SYNTH_PER_CLASS == run.SWEEP_SYNTH_PER_CLASS  # `probe report` mirrors eval-sweep
     argvs = []
     for workload in run.WORKLOADS:
         p = run.Paths(str(tmp_path), workload, 1)
         specs = [*run.input_steps(workload, 1, p), run.pipeline_spec(workload, 1, p, 0)]
         argvs += [argv for spec in specs for _, argv in spec["stages"]]
-    argvs += [[args[0], *same_bytes.SYNTHETIC, "--seed", "0", *args[1:]]
-              for _, args in same_bytes.STEPS]
+    argvs += [[args[0], *probe.SYNTHETIC, "--seed", "0", *args[1:]] for _, args in probe.STEPS]
     parser = cli.build_parser()
     for argv in argvs:
         parser.parse_args(argv)

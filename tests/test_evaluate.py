@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rlvc import diffusion, engine, evaluate, reward
+from rlvc import diffusion, engine, evaluate, nets, reward
 from rlvc.config import Config
 from rlvc.data import ZslDataset
 from rlvc.errors import ConfigurationError, UsageError
@@ -354,6 +354,27 @@ def test_synthesize_unseen_rejects_empty_budget():
     with pytest.raises(UsageError):
         synthesize_unseen(gen, np.zeros((2, 2)), [0], 0, sched,
                           np.random.default_rng(0))
+
+
+def test_synthesis_larger_than_physical_memory_is_refused_before_it_draws(tiny_ds, monkeypatch):
+    gen = _tiny_gen(d=3, d_z=2)
+    cfg = Config(diffusion_steps=3, beta_min=0.1, beta_max=0.4, synth_per_class=6, clf_epochs=5)
+    unseen, n_train = tiny_ds.unseen_classes, int(np.count_nonzero(tiny_ds.splits == "train"))
+    calls = (  # each with the bytes of the float64 matrix it allocates first
+        (8 * (n_train + 6 * len(unseen)) * 3,
+         lambda rng: evaluate.full_report(gen, tiny_ds, cfg, rng)),
+        (8 * 6 * len(unseen) * 3,
+         lambda rng: synthesize_unseen(gen, tiny_ds.prototypes, unseen, 6, cfg.schedule(), rng)),
+    )
+    for need, call in calls:
+        monkeypatch.setattr(nets, "physical_memory", lambda: need - 1)
+        rng = np.random.default_rng(0)
+        message = f"synth_per_class = 6 needs a {need:,}-byte matrix .* the {need - 1:,} bytes"
+        with pytest.raises(ConfigurationError, match=message):
+            call(rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+        monkeypatch.setattr(nets, "physical_memory", lambda: need)
+        call(rng)
 
 
 def _head_classes(tiny_ds, monkeypatch) -> list[list[int]]:

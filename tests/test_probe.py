@@ -2,9 +2,8 @@
 in-process at a tiny shape against the package under test, and every figure
 it reports, with the sha256, reaches the printed summary (for `drift`, its
 figures and its t-interval). A rename in the rlvc API that the probe calls
-fails here rather than only when the tool runs. tools/same_bytes.py's
---tree-set is checked on stand-in commands: the flag it adds and the
-checkpoint settings line it drops."""
+fails here rather than only when the tool runs. `bytes` is checked on
+stand-in commands: where each step runs, what is hashed and its exit codes."""
 
 from __future__ import annotations
 
@@ -223,7 +222,7 @@ def test_probe_usage_lists_only_flags_its_parsers_take_at_their_defaults():
     probe = _load_probe()
     usage = probe.__doc__.split("\n\n")[2]
     commands = re.split(r"^\s*python3 tools/probe.py ", usage, flags=re.M)[1:]
-    assert [c.split()[0] for c in commands] == ["adam", "report", "step", "drift"]
+    assert [c.split()[0] for c in commands] == ["adam", "report", "step", "drift", "bytes"]
     parser = probe.build_parser()
     for command in commands:
         argv = command.replace("[", " ").replace("]", " ").replace("...", " ").split()
@@ -273,7 +272,7 @@ def test_drift_prints_each_seed_and_the_paired_interval(monkeypatch, capsys):
         return {"CZSL": [0.5 + gain, 0.7 + gain], "H": [0.4, 0.4], "reward": -1.0 + gain}
 
     monkeypatch.setattr(probe, "run_side", fake_side)
-    monkeypatch.setitem(sys.modules, "same_bytes", types.SimpleNamespace(extract=lambda r, d: None))
+    monkeypatch.setattr(probe, "extract", lambda rev, dest: None)
     assert probe.main(["drift", "--against", "REV", "--seeds", "1", "2", "3", "--draws", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[3].split() == ["1", "REV", "0.6000", "±0.1000", "0.4000", "±0.0000", "-1.0000"]
@@ -294,50 +293,64 @@ def test_drift_prints_a_reward_change_of_a_few_roundings(monkeypatch, capsys):
         return {"CZSL": [0.5], "H": [0.4], "reward": -1.0 + (3e-7 * seed if src == tree else 0.0)}
 
     monkeypatch.setattr(probe, "run_side", fake_side)
-    monkeypatch.setitem(sys.modules, "same_bytes", types.SimpleNamespace(extract=lambda r, d: None))
+    monkeypatch.setattr(probe, "extract", lambda rev, dest: None)
     assert probe.main(["drift", "--against", "REV", "--seeds", "1", "2", "--draws", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[4].split()[-1] == "+3.000e-07"
     assert lines[-1] == "  reward: +4.500e-07 [-1.456e-06, +2.356e-06]"
 
 
-def _load_same_bytes():
-    spec = importlib.util.spec_from_file_location("same_bytes", PROBE.parent / "same_bytes.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_same_bytes_tree_set_adds_its_flag_and_drops_its_checkpoint_line(tmp_path, monkeypatch):
-    from rlvc import nets
-
-    same_bytes = _load_same_bytes()
-    dims, flat = [3, 2], np.arange(8, dtype=np.float64)
-    nets.save_checkpoint(tmp_path / "tree.ckpt", b"GNET", dims, flat,
-                         "beta_max = 0.9\ndtype = float64\nepoch = 1\n")
-    nets.save_checkpoint(tmp_path / "parent.ckpt", b"GNET", dims, flat, "beta_max = 0.9\nepoch = 1\n")
-    tree = (tmp_path / "tree.ckpt").read_bytes()
-    assert (same_bytes.without_settings(tree, ["dtype = float64"])
-            == (tmp_path / "parent.ckpt").read_bytes())
-    assert same_bytes.without_settings(tree, ["dtype = float32"]) == tree
-
-    commands = []
+def test_probe_bytes_runs_each_step_per_side_and_seed_and_hashes_every_output(monkeypatch,
+                                                                              capsys):
+    probe = _load_probe()
+    tree = os.path.join(probe.ROOT, "src")
+    monkeypatch.setattr(probe, "extract", lambda rev, dest: None)
+    runs, differ, fail = [], set(), set()  # differ and fail hold (step name, seed, side)
 
     def fake_run(cmd, cwd, env, capture_output):
-        commands.append(cmd)
-        if cmd[3] == "train":  # each train writes a checkpoint as the tree would
-            (Path(cwd) / "generator.ckpt").write_bytes(tree)
-        return types.SimpleNamespace(returncode=0, stdout=b"")
+        name, args = probe.STEPS[sum(ran[0] == cwd for ran in runs)]  # the steps in order
+        seed, side = cmd[cmd.index("--seed") + 1], "tree" if env["PYTHONPATH"] == tree else "rev"
+        assert cmd == [sys.executable, "-m", "rlvc.cli", args[0], "--preset", "synthetic",
+                       "--seed", seed, *args[1:]]
+        assert env["RLVC_THREADS"] == "1"
+        runs.append((cwd, seed, side))
+        out = Path(cwd, "out")
+        out.mkdir(exist_ok=True)
+        (out / name).write_text(f"{name} {seed}" + (side if (name, seed, side) in differ else ""))
+        return types.SimpleNamespace(returncode=int((name, seed, side) in fail),
+                                     stdout=f"{name} {seed}".encode(), stderr=b"")
 
-    monkeypatch.setattr(same_bytes.subprocess, "run", fake_run)
-    (tmp_path / "work").mkdir()
-    hashes = same_bytes.run_pipeline("src", str(tmp_path / "work"), 0, ["dtype=float64"])
-    # the setting reaches every command as a config file beside the hashed directory
-    assert len(commands) == len(same_bytes.STEPS)
-    assert all(cmd[-2:] == ["--config", str(tmp_path / "work.cfg")] for cmd in commands)
-    assert (tmp_path / "work.cfg").read_text() == "dtype = float64\n"
-    assert hashes.keys() == {"generator.ckpt"} | {f"{name} stdout" for name, _ in same_bytes.STEPS}
-    assert hashes["generator.ckpt"] == same_bytes._sha((tmp_path / "parent.ckpt").read_bytes())
-    commands.clear()
-    same_bytes.run_pipeline("src", str(tmp_path / "work"), 0)
-    assert not any("--config" in cmd for cmd in commands)
+    monkeypatch.setattr(probe.subprocess, "run", fake_run)
+    argv = ["bytes", "--against", "REV", "--seeds", "0", "3"]
+    assert probe.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # every step once per side and seed, each (seed, side) in a directory of its own
+    assert len(runs) == 2 * 2 * len(probe.STEPS)
+    where = {(seed, side): {cwd for cwd, s, d in runs if (s, d) == (seed, side)}
+             for seed in ("0", "3") for side in ("tree", "rev")}
+    assert all(len(dirs) == 1 for dirs in where.values())
+    assert len(set.union(*where.values())) == 4
+    # each step's stdout and each file it wrote, hashed, SAME on both sides
+    for seed in ("0", "3"):
+        at = lines.index(f"seed {seed}")
+        expected = sorted(line for name, _ in probe.STEPS for line in (
+            f"  SAME {name} stdout: {hashlib.sha256(f'{name} {seed}'.encode()).hexdigest()}",
+            f"  SAME out/{name}: {hashlib.sha256(f'{name} {seed}'.encode()).hexdigest()}"))
+        assert sorted(lines[at + 1 : at + 1 + len(expected)]) == expected
+    assert len(lines) == 2 * (1 + 2 * len(probe.STEPS)) + 1 and lines[-1] == "SAME"
+
+    runs.clear()
+    differ.add(("train", "3", "rev"))
+    assert probe.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "SAME" not in line] == [
+        "seed 0", "seed 3", f"  DIFF out/train: tree {hashlib.sha256(b'train 3').hexdigest()}, "
+        f"REV {hashlib.sha256(b'train 3rev').hexdigest()}", "DIFFERENT: 1 artifact(s)"]
+
+    runs.clear()
+    fail.add(("eval-small", "3", "rev"))  # the last seed's last side
+    with pytest.raises(SystemExit) as stop:
+        probe.main(argv)
+    assert stop.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "eval-small failed with exit 1" in err

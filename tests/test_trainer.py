@@ -567,10 +567,10 @@ def test_training_preflight_counts_the_bytes_of_the_runs_dtype(monkeypatch):
     ds, cfg = _small_ds(), _cfg(epochs=1, use_rl=False)
     floats = trainer.training_floats(ds.feat_dim, ds.sem_dim, cfg)
     for dtype, size in (("float64", 8), ("float32", 4)):
-        monkeypatch.setattr(trainer, "_physical_memory", lambda: size * floats - 1)
+        monkeypatch.setattr(nets, "physical_memory", lambda: size * floats - 1)
         with pytest.raises(ConfigurationError, match=f"would hold {size * floats:,} bytes"):
             train(ds, None, dataclasses.replace(cfg, dtype=dtype))
-        monkeypatch.setattr(trainer, "_physical_memory", lambda: size * floats)
+        monkeypatch.setattr(nets, "physical_memory", lambda: size * floats)
         train(ds, None, dataclasses.replace(cfg, dtype=dtype))
 
 

@@ -1,4 +1,5 @@
-"""Time a part of the rlvc package, for the working tree and another revision.
+"""Time a part of the rlvc package, or check its outputs' bytes, for the
+working tree and another revision.
 
 Usage (from the repository root):
 
@@ -11,13 +12,16 @@ Usage (from the repository root):
                                 [--hidden-mult 4] [--batch-size 32] [--batches 300]
     python3 tools/probe.py drift --against REV [--seeds 0 1 2] [--draws 8]
                                  [--set key=value ...]
+    python3 tools/probe.py bytes [--against REV] [--seeds 0 3]
 
-Each subcommand measures in a fresh process with RLVC_THREADS=1, for the
-working tree and, with --against, for the committed files of that revision
-(extracted with `git archive`, as `tools/same_bytes.py` does). The sides take
-turns for --rounds rounds, each side first in every other round, because a
-machine's speed can drift between processes. It prints, per side, the best
-and median of each figure over its rounds, the largest peak RSS
+Every subcommand runs the package in fresh processes with RLVC_THREADS=1,
+for the working tree and, with --against, for the committed files of that
+revision (extracted with `git archive` into a temporary directory).
+
+`adam`, `report` and `step` measure in one process per side and round. The
+sides take turns for --rounds rounds, each side first in every other round,
+because a machine's speed can drift between processes. Each prints, per side,
+the best and median of each figure over its rounds, the largest peak RSS
 (`ru_maxrss`) and the sha256 of what was computed, then each figure's ratio
 of best times; it exits 1 if the sides' sha256 differ. No figure is gated.
 
@@ -85,6 +89,48 @@ which goes first from seed to seed. The worker calls only `resolve_config`,
 `make_synthetic`, `standardize`, `pretrain_reward`, `trainer.train` and
 `full_report`, whose signatures are older than the pathwise policy step, so
 --against may name a revision from before it.
+
+`bytes` checks that a change keeps every output's bytes. For each seed and
+each side (--against defaults to HEAD), in an empty directory of its own,
+it runs these steps, each `python -m rlvc.cli CMD --preset synthetic
+--seed S ...` in a fresh process:
+
+- gen-synthetic -> pretrain-reward -> train -> eval -> synthesize;
+- a `--no-rl` train (cues on) and a `--rl-start-epoch 1` train;
+- `eval --synth-per-class 400` on the first train's checkpoint;
+- a `--no-rl` train at a non-default network shape (`--hidden-mult 2
+  --temb-dim 8 --leaky-slope 0.1`) and an `eval` of its checkpoint with the
+  same flags, so one checkpoint's layer dims are not the preset's;
+- a full-arm train and an `eval` of its checkpoint at each end of the
+  leaky-slope range, `--leaky-slope 0` and `--leaky-slope 1`;
+- a second, smaller dataset (`--n-seen 6 --n-unseen 3 --feat-dim 8
+  --sem-dim 4`), a `pretrain-reward` on it, a `--no-rl --epochs 2
+  --eval-interval 2` train on it and an `eval` of that checkpoint, so the
+  dataset writer and reader, the reward file, the label-to-row map and the
+  evaluation heads see other widths and class counts;
+- on that dataset, a `--no-rl --diffusion-steps 3 --epochs 2
+  --eval-interval 2` train and an `eval` of its checkpoint with the same
+  `--diffusion-steps 3`, so the generator's and the transition critic's
+  timestep tables are built at a T other than the preset's 6;
+- on that dataset, a `--no-rl --diffusion-steps 1 --temb-dim 0 --epochs 2
+  --eval-interval 2` train and an `eval` of its checkpoint with the same
+  `--diffusion-steps 1 --temb-dim 0`, so the reverse chain runs a single
+  step and the generator's input has no timestep columns;
+- on that dataset, a `--no-rl --dtype float64 --epochs 2 --eval-interval 2`
+  train and an `eval` of its checkpoint with the same `--dtype float64`, so
+  training and the reverse chain run at the default config's precision
+  (the synthetic preset trains in float32). A revision from before the
+  `dtype` setting refuses this step's flag, so --against must name one
+  that has it;
+- last, `gen-synthetic --force --visual-sigma 1.5` over the first dataset
+  and an `eval` of the first checkpoint on it, so a load that finds the
+  parsed-array cache of the old files must parse the new ones.
+
+Every command uses relative paths, so its stdout does not name the
+directory. After every run it prints, per seed, a SAME or DIFF line with
+the sha256 of each file the commands wrote and of each command's stdout,
+then SAME or the count of differing artifacts; it exits 1 if any differ.
+A failed step exits 2 before any hash prints.
 """
 
 from __future__ import annotations
@@ -103,6 +149,56 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SYNTH_PER_CLASS = "400"  # perfbench's eval-sweep value
 FORMATS = {"ms": "{:.3f} ms", "us": "{:.2f} us"}
+SYNTHETIC = ["--preset", "synthetic"]
+SHAPE = ["--hidden-mult", "2", "--temb-dim", "8", "--leaky-slope", "0.1"]
+T1 = ["--diffusion-steps", "1", "--temb-dim", "0"]
+F64 = ["--dtype", "float64"]
+
+# `bytes`' steps: (name, arguments after the seed); names label the stdout hashes.
+STEPS = (
+    ("gen-synthetic", ["gen-synthetic", "--out", "data"]),
+    ("pretrain-reward", ["pretrain-reward", "--data", "data", "--out", "full"]),
+    ("train", ["train", "--data", "data", "--reward", "full/reward.ckpt", "--out", "full"]),
+    ("eval", ["eval", "--data", "data", "--generator", "full/generator.ckpt"]),
+    ("synthesize", ["synthesize", "--data", "data", "--generator", "full/generator.ckpt",
+                    "--out", "synth/features.csv"]),
+    ("train-no-rl", ["train", "--data", "data", "--no-rl", "--out", "no-rl"]),
+    ("train-rl-start-1", ["train", "--data", "data", "--reward", "full/reward.ckpt",
+                          "--rl-start-epoch", "1", "--out", "rl-start-1"]),
+    ("eval-400", ["eval", "--data", "data", "--generator", "full/generator.ckpt",
+                  "--synth-per-class", "400"]),
+    ("train-shape", ["train", "--data", "data", "--no-rl", *SHAPE, "--out", "shape"]),
+    ("eval-shape", ["eval", "--data", "data", "--generator", "shape/generator.ckpt", *SHAPE]),
+    ("train-slope-0", ["train", "--data", "data", "--reward", "full/reward.ckpt",
+                       "--leaky-slope", "0", "--out", "slope-0"]),
+    ("eval-slope-0", ["eval", "--data", "data", "--generator", "slope-0/generator.ckpt",
+                      "--leaky-slope", "0"]),
+    ("train-slope-1", ["train", "--data", "data", "--reward", "full/reward.ckpt",
+                       "--leaky-slope", "1", "--out", "slope-1"]),
+    ("eval-slope-1", ["eval", "--data", "data", "--generator", "slope-1/generator.ckpt",
+                      "--leaky-slope", "1"]),
+    ("gen-synthetic-small", ["gen-synthetic", "--n-seen", "6", "--n-unseen", "3", "--feat-dim", "8",
+                             "--sem-dim", "4", "--out", "data-small"]),
+    ("pretrain-reward-small", ["pretrain-reward", "--data", "data-small", "--out", "small"]),
+    ("train-small", ["train", "--data", "data-small", "--no-rl", "--epochs", "2",
+                     "--eval-interval", "2", "--out", "small"]),
+    ("eval-small", ["eval", "--data", "data-small", "--generator", "small/generator.ckpt"]),
+    ("train-small-t3", ["train", "--data", "data-small", "--no-rl", "--diffusion-steps", "3",
+                        "--epochs", "2", "--eval-interval", "2", "--out", "small-t3"]),
+    ("eval-small-t3", ["eval", "--data", "data-small", "--generator", "small-t3/generator.ckpt",
+                       "--diffusion-steps", "3"]),
+    ("train-small-t1", ["train", "--data", "data-small", "--no-rl", *T1, "--epochs", "2",
+                        "--eval-interval", "2", "--out", "small-t1"]),
+    ("eval-small-t1", ["eval", "--data", "data-small", "--generator", "small-t1/generator.ckpt",
+                       *T1]),
+    ("train-small-f64", ["train", "--data", "data-small", "--no-rl", *F64, "--epochs", "2",
+                         "--eval-interval", "2", "--out", "small-f64"]),
+    ("eval-small-f64", ["eval", "--data", "data-small", "--generator", "small-f64/generator.ckpt",
+                        *F64]),
+    ("gen-synthetic-resampled", ["gen-synthetic", "--force", "--visual-sigma", "1.5",
+                                 "--out", "data"]),
+    ("eval-resampled", ["eval", "--data", "data", "--generator", "full/generator.ckpt"]),
+)
 
 
 def measure_adam(args) -> dict:
@@ -282,9 +378,6 @@ def drift(args) -> int:
     """Paired runs of the tree and --against per seed; a table and intervals."""
     import numpy as np
 
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from same_bytes import extract
-
     flags = ["--draws", str(args.draws), *(f"--set={kv}" for kv in args.set)]
     tree, per_seed = os.path.join(ROOT, "src"), []
     with tempfile.TemporaryDirectory(prefix="probe-") as tmp:
@@ -313,6 +406,59 @@ def drift(args) -> int:
         f = "{:+.3e}" if name == "reward" else "{:+.4f}"
         print(f"  {name}: {f.format(mean)} [{f.format(mean - half)}, {f.format(mean + half)}]")
     return 0
+
+
+def run_pipeline(src: str, work: str, seed: int) -> dict[str, str]:
+    """Run every step with the package at `src` in the empty directory
+    `work`; the sha256 of each step's stdout and of each file written."""
+    env = dict(os.environ, RLVC_THREADS="1", PYTHONPATH=src)
+    hashes = {}
+    for name, args in STEPS:
+        cmd = [sys.executable, "-m", "rlvc.cli", args[0], *SYNTHETIC, "--seed", str(seed),
+               *args[1:]]
+        done = subprocess.run(cmd, cwd=work, env=env, capture_output=True)
+        if done.returncode != 0:
+            sys.stderr.write(done.stderr.decode(errors="replace"))
+            print(f"{name} failed with exit {done.returncode} in {work}", file=sys.stderr)
+            raise SystemExit(2)
+        hashes[f"{name} stdout"] = hashlib.sha256(done.stdout).hexdigest()
+    for folder, _, files in os.walk(work):
+        for f in files:
+            path = os.path.join(folder, f)
+            with open(path, "rb") as fh:
+                hashes[os.path.relpath(path, work)] = hashlib.sha256(fh.read()).hexdigest()
+    return hashes
+
+
+def check_bytes(args) -> int:
+    """Every step's outputs for the tree and --against, per seed; 1 if any differ."""
+    results = []
+    with tempfile.TemporaryDirectory(prefix="probe-") as tmp:
+        extract(args.against, tmp)
+        for seed in args.seeds:
+            results.append([])
+            for side, src in enumerate((os.path.join(ROOT, "src"), os.path.join(tmp, "src"))):
+                work = os.path.join(tmp, f"seed{seed}-{side}")
+                os.makedirs(work)
+                results[-1].append(run_pipeline(src, work, seed))
+    differ = 0
+    for seed, (ours, theirs) in zip(args.seeds, results):
+        print(f"seed {seed}")
+        for key in sorted(set(ours) | set(theirs)):
+            a, b = ours.get(key, "-"), theirs.get(key, "-")
+            differ += a != b
+            if a == b:
+                print(f"  SAME {key}: {a}")
+            else:
+                print(f"  DIFF {key}: tree {a}, {args.against} {b}")
+    print("SAME" if not differ else f"DIFFERENT: {differ} artifact(s)")
+    return 1 if differ else 0
+
+
+def extract(rev: str, dest: str) -> None:
+    """The committed files of `rev` under `dest`."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
 
 
 def run_side(src: str, argv: list[str]) -> dict:
@@ -373,6 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     drift_cmd.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                            help="a Config override, both sides; repeatable")
     drift_cmd.set_defaults(measure=measure_drift)
+    bytes_cmd = commands.add_parser("bytes", help=check_bytes.__doc__)
+    bytes_cmd.add_argument("--against", default="HEAD", help="git revision to compare with")
+    bytes_cmd.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
     for command, rounds in ((adam, 2), (report, 3), (step, 3)):
         command.add_argument("--against", help="git revision to compare with")
         command.add_argument("--rounds", type=int, default=rounds,
@@ -396,13 +545,12 @@ def main(argv=None) -> int:
         if any("=" not in kv for kv in args.set):
             parser.error("--set takes key=value")
         return drift(args)
+    if args.command == "bytes":
+        return check_bytes(args)
     tree = os.path.join(ROOT, "src")
     if args.against is None:
         summarize("tree", [run_side(tree, argv)], args.hashed)
         return 0
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from same_bytes import extract
-
     ours, theirs = [], []
     with tempfile.TemporaryDirectory(prefix="probe-") as tmp:
         extract(args.against, tmp)
