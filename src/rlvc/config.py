@@ -171,10 +171,18 @@ def _check(f, value) -> None:
         raise ConfigurationError(f"{f.name} must be {rule}, got {value!r}")
 
 
+# The published presets carry each benchmark's schedule constants and its
+# shape: the proposed splits' seen/unseen classes (Xian et al. 2017), 2048-d
+# ResNet-101 features and the attribute width, which `gen-synthetic` writes.
 PRESETS: dict[str, dict] = {
-    "cub": {"epochs": 500, "rl_start_epoch": 30, "lambda_pd": 20.0, "synth_per_class": 400},
-    "sun": {"epochs": 300, "rl_start_epoch": 30, "lambda_pd": 1.0, "synth_per_class": 400},
-    "awa2": {"epochs": 30, "rl_start_epoch": 7, "lambda_pd": 5.0, "synth_per_class": 4000},
+    "cub": {"epochs": 500, "rl_start_epoch": 30, "lambda_pd": 20.0, "synth_per_class": 400,
+            "n_seen": 150, "n_unseen": 50, "feat_dim": 2048, "sem_dim": 312},
+    # SUN has about 20 images per class
+    "sun": {"epochs": 300, "rl_start_epoch": 30, "lambda_pd": 1.0, "synth_per_class": 400,
+            "n_seen": 645, "n_unseen": 72, "feat_dim": 2048, "sem_dim": 102,
+            "samples_per_class": 20},
+    "awa2": {"epochs": 30, "rl_start_epoch": 7, "lambda_pd": 5.0, "synth_per_class": 4000,
+             "n_seen": 40, "n_unseen": 10, "feat_dim": 2048, "sem_dim": 85},
     "synthetic": {
         "epochs": 40,
         "rl_start_epoch": 5,

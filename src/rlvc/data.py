@@ -439,8 +439,12 @@ def make_synthetic(config: Config) -> ZslDataset:
             lift_scale / np.sqrt(config.sem_dim)
         )
         candidate = placed @ lift.T
-        diffs = candidate[:, None, :] - candidate[None, :, :]
-        dist = np.sqrt(np.sum(diffs * diffs, axis=2))
+        # one row of distances at a time: a (C, C, d) difference array is
+        # 7.8 GiB at SUN's 717 classes and d = 2048
+        dist = np.empty((c_total, c_total))
+        for i in range(c_total):
+            diff = candidate[i] - candidate
+            dist[i] = np.sqrt(np.sum(diff * diff, axis=1))
         np.fill_diagonal(dist, np.inf)
         if dist.min() >= config.visual_separation:
             means, prototypes = candidate, protos

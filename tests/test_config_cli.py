@@ -40,20 +40,26 @@ def test_defaults_pin_training_constants():
 
 
 @pytest.mark.parametrize(
-    "name,epochs,rl_start,lam,per_class",
+    "name,epochs,rl_start,lam,per_class,shape",
     [
-        ("cub", 500, 30, 20.0, 400),
-        ("sun", 300, 30, 1.0, 400),
-        ("awa2", 30, 7, 5.0, 4000),
-        ("synthetic", 40, 5, 5.0, 100),
+        ("cub", 500, 30, 20.0, 400, (150, 50, 2048, 312, 60)),
+        ("sun", 300, 30, 1.0, 400, (645, 72, 2048, 102, 20)),
+        ("awa2", 30, 7, 5.0, 4000, (40, 10, 2048, 85, 60)),
+        ("synthetic", 40, 5, 5.0, 100, (20, 5, 32, 16, 60)),
     ],
 )
-def test_presets_pinned(name, epochs, rl_start, lam, per_class):
+def test_presets_pinned(name, epochs, rl_start, lam, per_class, shape, capsys):
     cfg = config.resolve_config(preset=name)
     assert cfg.epochs == epochs
     assert cfg.rl_start_epoch == rl_start
     assert cfg.lambda_pd == lam
     assert cfg.synth_per_class == per_class
+    # the benchmark's shape, which gen-synthetic writes
+    assert cli.main(["gen-synthetic", "--preset", name, "--print-config"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for key, value in zip(("n_seen", "n_unseen", "feat_dim", "sem_dim", "samples_per_class"),
+                          shape):
+        assert f"{key} = {value}" in lines
 
 
 def test_synthetic_preset_diffusion_override():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -490,6 +491,19 @@ def test_make_synthetic_rejection_exhaustion():
                   semantic_cluster_size=1, samples_per_class=5)
     with pytest.raises(ConfigurationError, match="separation"):
         make_synthetic(spec)
+
+
+def test_make_synthetic_holds_no_class_by_class_by_dim_array():
+    # 200 classes at d = 512: their (C, C, d) differences would be 164 MB,
+    # the features are 2.5 MB
+    spec = Config(n_seen=150, n_unseen=50, feat_dim=512, samples_per_class=3)
+    tracemalloc.start()
+    try:
+        make_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize(

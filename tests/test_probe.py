@@ -32,29 +32,37 @@ def _load_probe():
 # At batch 480 an epoch of the synthetic preset's 960 training rows is two
 # minibatches, so --batches 3 trains two epochs.
 _STEP = ["step", "--hidden-mult", "1", "--batch-size", "480", "--batches", "3"]
+_STEP_FIGURES = {"ms": (4, ["critic pair", "generator adversarial step", "policy step",
+                            "adam critic pair", "adam generator", "adam policy", "batch"])}
+# The cub preset at a tiny shape: 4 seen classes of 8 training rows, so at
+# batch 16 --batches 3 again trains two epochs of two minibatches.
+_TINY_CUB = {"n_seen": 4, "n_unseen": 2, "feat_dim": 8, "sem_dim": 4, "samples_per_class": 10,
+             "semantic_cluster_size": 3}
 
 
 @pytest.mark.parametrize(
     "argv, figures, timed",
     [
-        (["adam", "--feat-dim", "8", "--sem-dim", "4", "--steps", "2"],
-         {"ms": (2, [r"critic pair \([\d,]+ entries\)", r"generator \([\d,]+ entries\)"])},
-         None),
+        (["step", "--preset", "cub", "--hidden-mult", "1", "--batch-size", "16", "--batches", "3"],
+         _STEP_FIGURES, [2, 4]),
         (["report", "--reports", "2"],
          {"ms": (2, ["full report", "synthesis", "czsl head", "gzsl head", "czsl ms per step",
                      "gzsl ms per step"]),
           # each head's steps over both reports: 50 epochs of 16 and of 24 minibatches
           "us": ([1600, 2400], ["adam 165 entries", "adam 825 entries"])}, None),
-        (_STEP,
-         {"ms": (4, ["critic pair", "generator adversarial step", "policy step", "adam critic pair",
-                     "adam generator", "adam policy", "batch"])}, [2, 4]),
+        (_STEP, _STEP_FIGURES, [2, 4]),
     ],
-    ids=["adam", "report", "step"],
+    ids=["step preset", "report", "step"],
 )
-def test_probe_worker_reports_every_figure_and_a_sha256(argv, figures, timed, capsys):
+def test_probe_worker_reports_every_figure_and_a_sha256(argv, figures, timed, monkeypatch,
+                                                        capsys):
     """`figures` maps a unit to (values per figure, or a list of each figure's
     count, and each figure's name pattern); `timed` is the epochs and
     minibatches `step` reports timing."""
+    from rlvc import config
+
+    for key, value in _TINY_CUB.items():
+        monkeypatch.setitem(config.PRESETS["cub"], key, value)
     probe = _load_probe()
     assert probe.main(["--worker", *argv]) == 0
     result = json.loads(capsys.readouterr().out)
@@ -67,7 +75,7 @@ def test_probe_worker_reports_every_figure_and_a_sha256(argv, figures, timed, ca
         for pattern, n, (name, values) in zip(patterns, counts, result[unit].items()):
             assert re.fullmatch(pattern, name)
             assert len(values) == n and all(v > 0 for v in values)
-    hashed = {"adam": "p, m, v", "report": "both heads", "step": "the three networks"}[argv[0]]
+    hashed = {"report": "both heads", "step": "the three networks"}[argv[0]]
     best = probe.summarize("tree", [result], hashed)
     printed = capsys.readouterr().out
     assert list(best) == [name for unit in figures for name in result[unit]]
@@ -222,7 +230,7 @@ def test_probe_usage_lists_only_flags_its_parsers_take_at_their_defaults():
     probe = _load_probe()
     usage = probe.__doc__.split("\n\n")[2]
     commands = re.split(r"^\s*python3 tools/probe.py ", usage, flags=re.M)[1:]
-    assert [c.split()[0] for c in commands] == ["adam", "report", "step", "drift", "bytes"]
+    assert [c.split()[0] for c in commands] == ["report", "step", "drift", "bytes"]
     parser = probe.build_parser()
     for command in commands:
         argv = command.replace("[", " ").replace("]", " ").replace("...", " ").split()

@@ -574,6 +574,37 @@ def test_training_preflight_counts_the_bytes_of_the_runs_dtype(monkeypatch):
         train(ds, None, dataclasses.replace(cfg, dtype=dtype))
 
 
+def test_training_preflight_refuses_cub_width_at_float64_on_8_gb(monkeypatch):
+    # the cub preset's shape at 3 rows per class; a zero reward model passes
+    # the RL phase's check, which runs first
+    cfg = config.resolve_config("cub", overrides={"samples_per_class": 3})
+    ds = make_synthetic(cfg)
+    assert (len(ds.seen_classes), len(ds.unseen_classes), ds.feat_dim, ds.sem_dim) == (
+        150, 50, 2048, 312)
+    floats = trainer.training_floats(ds.feat_dim, ds.sem_dim, cfg)
+    assert round(8 * floats / 1e9, 2) == 11.84 and 4 * floats < 8 * 10**9  # float32 fits
+    monkeypatch.setattr(nets, "physical_memory", lambda: 8 * 10**9)
+    rm = nets.SoftmaxClassifier(np.zeros((150, 2048)), np.zeros(150))
+    with pytest.raises(ConfigurationError, match=f"would hold {8 * floats:,} bytes .* "
+                                                 "the 8,000,000,000 bytes of physical memory"):
+        train(ds, rm, cfg)
+
+
+def test_training_preflight_refuses_an_in_training_evaluation_before_any_epoch(tmp_path,
+                                                                              monkeypatch):
+    # eval_interval 10 over 2 epochs still evaluates after the last one
+    ds, cfg = _small_ds(), _cfg(use_rl=False, eval_interval=10, synth_per_class=100_000)
+    need = 8 * (len(ds.train[0]) + len(ds.unseen_classes) * 100_000) * ds.feat_dim
+    assert need > 8 * trainer.training_floats(ds.feat_dim, ds.sem_dim, cfg)
+    monkeypatch.setattr(nets, "physical_memory", lambda: need - 1)
+    run = tmp_path / "run"
+    with pytest.raises(ConfigurationError,
+                       match=f"synth_per_class = 100,000 needs a {need:,}-byte matrix"):
+        train(ds, None, cfg, out_dir=str(run))
+    assert not run.exists()  # its metrics.csv is opened before the first epoch
+    assert len(train(ds, None, dataclasses.replace(cfg, eval_interval=0)).metrics) == 2
+
+
 def test_rl_requires_reward_model():
     ds = _small_ds()
     with pytest.raises(ConfigurationError, match="reward model"):

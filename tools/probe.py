@@ -3,13 +3,11 @@ working tree and another revision.
 
 Usage (from the repository root):
 
-    python3 tools/probe.py adam [--against REV] [--rounds 2] [--seed 0]
-                                [--preset cub] [--hidden-mult 1]
-                                [--feat-dim 2048] [--sem-dim 312] [--steps 12]
     python3 tools/probe.py report [--against REV] [--rounds 3] [--seed 0]
                                   [--reports 4]
     python3 tools/probe.py step [--against REV] [--rounds 3] [--seed 0]
-                                [--hidden-mult 4] [--batch-size 32] [--batches 300]
+                                [--preset synthetic] [--hidden-mult 4]
+                                [--batch-size 32] [--batches 300]
     python3 tools/probe.py drift --against REV [--seeds 0 1 2] [--draws 8]
                                  [--set key=value ...]
     python3 tools/probe.py bytes [--against REV] [--seeds 0 3]
@@ -18,19 +16,12 @@ Every subcommand runs the package in fresh processes with RLVC_THREADS=1,
 for the working tree and, with --against, for the committed files of that
 revision (extracted with `git archive` into a temporary directory).
 
-`adam`, `report` and `step` measure in one process per side and round. The
+`report` and `step` measure in one process per side and round. The
 sides take turns for --rounds rounds, each side first in every other round,
 because a machine's speed can drift between processes. Each prints, per side,
 the best and median of each figure over its rounds, the largest peak RSS
 (`ru_maxrss`) and the sha256 of what was computed, then each figure's ratio
 of best times; it exits 1 if the sides' sha256 differ. No figure is gated.
-
-`adam` takes --steps Adam steps, interleaved, of the optimizers of --preset's
-critic pair and generator on fixed random gradients: ms per step, and the
-sha256 of every parameter and moment after the last step. The default is
-CUB's shape (d=2048, d_z=312, `hidden_mult` 1): about 40M parameters and
-2 GB per side, the sides one at a time. It reads Adam where Adam dominates,
-which the synthetic preset does not show.
 
 `report` times --reports calls of `evaluate.full_report` per process at
 perfbench's eval-sweep shape: the synthetic preset's standardized dataset
@@ -50,29 +41,35 @@ It calls only `resolve_config`, `make_synthetic`, `standardize`,
 of its own for a revision. perfbench's traced run cannot time calls this
 short: the tracer's overhead dominates them.
 
-`step` times the minibatches of one `trainer.train` per process, on the
-synthetic preset (d=32, d_z=16, 20 seen classes and 960 training rows; the
-critics 48 -> 128 -> 128 -> 1 and 96 -> 128 -> 128 -> 1 at the default
---hidden-mult 4) at --batch-size and its `dtype`, with the policy step on
-from the first epoch and no in-training evaluation. It trains the whole
-epochs that cover --batches (30 minibatches per epoch at batch 32) and
-prints how many it timed; the reward model is pretrained before timing
-starts. As `report` does, it wraps `AdamState.__init__` and `step` around
-that call only; it tags the optimizers critic pair, generator and policy by
-construction order, and refuses any other order of steps. Per minibatch it
-reads, in ms, between step boundaries: the critic pair from the end of the
-previous minibatch's policy step (for the first minibatch, from the end of
-the last optimizer's construction) to the start of the critic pair's Adam
-step, which takes in the rows' pick, the critic step's draws, the fakes'
-synthesis and posterior sample and both critic losses with their penalties;
-the generator adversarial step from the end of that Adam step to the start
-of the generator's (the adversarial terms, the cue loss and the generator's
-pullback); the policy step from there to the start of the policy's Adam step
-(its draws, synthesis, reward and pullback); each of the three Adam steps;
-and the whole minibatch from the end of the previous policy step to the end
-of its own. The sha256 is of the three networks `trainer.train` returns.
-`--hidden-mult 1 --batch-size 4` reads the per-call floor, where arithmetic
-is negligible.
+`step` times the minibatches of one `trainer.train` per process, on
+--preset's dataset at --batch-size and the preset's `dtype`, with the policy
+step on from the first epoch and no in-training evaluation. The synthetic
+preset is d=32, d_z=16, 20 seen classes and 960 training rows, float32; its
+critics are 48 -> 128 -> 128 -> 1 and 96 -> 128 -> 128 -> 1 at the default
+--hidden-mult 4. It trains the whole epochs that cover --batches (30
+minibatches per epoch at batch 32 on the synthetic preset) and prints how
+many it timed; the dataset is generated and the reward model pretrained
+before timing starts. As `report` does, it wraps `AdamState.__init__` and
+`step` around that call only; it tags the optimizers critic pair, generator
+and policy by construction order, and refuses any other order of steps. Per
+minibatch it reads, in ms, between step boundaries: the critic pair from the
+end of the previous minibatch's policy step (for the first minibatch, from
+the end of the last optimizer's construction) to the start of the critic
+pair's Adam step, which takes in the rows' pick, the critic step's draws,
+the fakes' synthesis and posterior sample and both critic losses with their
+penalties; the generator adversarial step from the end of that Adam step to
+the start of the generator's (the adversarial terms, the cue loss and the
+generator's pullback); the policy step from there to the start of the
+policy's Adam step (its draws, synthesis, reward and pullback); each of the
+three Adam steps; and the whole minibatch from the end of the previous
+policy step to the end of its own. The sha256 is of the three networks
+`trainer.train` returns. `--hidden-mult 1 --batch-size 4` reads the per-call
+floor, where arithmetic is negligible. `--preset cub --hidden-mult 1` reads
+a published shape, where arithmetic and Adam's sweeps dominate: d=2048,
+d_z=312, 7,200 training rows and float64, so one epoch is 225 minibatches at
+batch 32, which any --batches up to 225 trains. --against must then name a
+revision whose presets set the benchmarks' shapes; an older one trains at
+d=32.
 
 `drift` measures what a change does to results, not to time. For each seed
 and each side, in a fresh process, it resolves the synthetic preset with
@@ -201,44 +198,12 @@ STEPS = (
 )
 
 
-def measure_adam(args) -> dict:
-    """Adam steps of the critic pair's and the generator's optimizers."""
-    import numpy as np
-
-    from rlvc import config, gan, nets
-
-    cfg = config.resolve_config(args.preset, None, {"hidden_mult": args.hidden_mult})
-    rng = np.random.default_rng(args.seed)
-    d, d_z = args.feat_dim, args.sem_dim
-    nets_by_opt = {
-        "critic pair": [gan.CriticX0(d, d_z, cfg, rng).net, gan.CriticXt(d, d_z, cfg, rng).net],
-        "generator": [gan.Generator(d, d_z, cfg, rng).net],
-    }
-    betas = dict(beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
-    ms, runs = {}, []
-    for name, owned in nets_by_opt.items():
-        opt = nets.AdamState([net.flat for net in owned], lr=cfg.lr_adv, **betas)
-        grads = [rng.normal(size=net.flat.size) for net in owned]
-        times = ms[f"{name} ({sum(p.size for p in opt.params):,} entries)"] = []
-        runs.append((opt, grads, times))
-    for _ in range(args.steps):
-        for opt, grads, times in runs:
-            start = time.perf_counter()
-            opt.step(grads)
-            times.append(1e3 * (time.perf_counter() - start))
-    digest = hashlib.sha256()
-    for opt, _, _ in runs:
-        for a in opt.params + opt.m + opt.v:
-            digest.update(a.tobytes())
-    return {"ms": ms, "sha256": digest.hexdigest()}
-
-
-def synthetic(overrides: dict):
-    """The synthetic preset's Config with `overrides`, and its dataset,
+def synthetic(overrides: dict, preset: str = "synthetic"):
+    """The preset's Config with `overrides`, and its synthetic dataset,
     standardized if the Config says so."""
     from rlvc import config, data
 
-    cfg = config.resolve_config("synthetic", None, overrides)
+    cfg = config.resolve_config(preset, None, overrides)
     ds = data.make_synthetic(cfg)
     return cfg, data.standardize(ds) if cfg.standardize else ds
 
@@ -310,7 +275,8 @@ def measure_step(args) -> dict:
     from rlvc import reward, trainer
 
     cfg, ds = synthetic({"hidden_mult": args.hidden_mult, "batch_size": args.batch_size,
-                         "seed": args.seed, "rl_start_epoch": 0, "eval_interval": 0})
+                         "seed": args.seed, "rl_start_epoch": 0, "eval_interval": 0},
+                        args.preset)
     train_x, train_y = ds.train
     per_epoch = -(-len(train_x) // cfg.batch_size)
     cfg = dataclasses.replace(cfg, epochs=-(-args.batches // per_epoch))
@@ -496,17 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     commands = parser.add_subparsers(dest="command", required=True)
-    adam = commands.add_parser("adam", help=measure_adam.__doc__)
-    adam.add_argument("--preset", default="cub")
-    adam.add_argument("--hidden-mult", type=int, default=1)
-    adam.add_argument("--feat-dim", type=int, default=2048)
-    adam.add_argument("--sem-dim", type=int, default=312)
-    adam.add_argument("--steps", type=int, default=12)
-    adam.set_defaults(measure=measure_adam, hashed="p, m, v")
     report = commands.add_parser("report", help=measure_report.__doc__)
     report.add_argument("--reports", type=int, default=4, help="reports per process")
     report.set_defaults(measure=measure_report, hashed="both heads")
     step = commands.add_parser("step", help=measure_step.__doc__)
+    step.add_argument("--preset", default="synthetic", help="the rlvc preset whose shape to train")
     step.add_argument("--hidden-mult", type=int, default=4)
     step.add_argument("--batch-size", type=int, default=32)
     step.add_argument("--batches", type=int, default=300,
@@ -522,10 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     bytes_cmd = commands.add_parser("bytes", help=check_bytes.__doc__)
     bytes_cmd.add_argument("--against", default="HEAD", help="git revision to compare with")
     bytes_cmd.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
-    for command, rounds in ((adam, 2), (report, 3), (step, 3)):
+    for command in (report, step):
         command.add_argument("--against", help="git revision to compare with")
-        command.add_argument("--rounds", type=int, default=rounds,
-                             help="turns per side with --against")
+        command.add_argument("--rounds", type=int, default=3, help="turns per side with --against")
         command.add_argument("--seed", type=int, default=0)
     return parser
 
