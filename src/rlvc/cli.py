@@ -72,13 +72,10 @@ def build_parser() -> _Parser:
     return root
 
 
-def _overrides(args) -> dict:
-    """The settings given on the command line, by Config key."""
-    return {name[4:]: v for name, v in vars(args).items() if name.startswith("cfg_")}
-
-
 def _resolve(args) -> cfgmod.Config:
-    return cfgmod.resolve_config(args.preset, args.config, _overrides(args))
+    """The Config of --preset, --config and the settings given as flags."""
+    given = {name[4:]: v for name, v in vars(args).items() if name.startswith("cfg_")}
+    return cfgmod.resolve_config(args.preset, args.config, given)
 
 
 def _require(args, name: str) -> str:
@@ -94,20 +91,12 @@ def _in_space(cfg: cfgmod.Config, raw: datamod.ZslDataset) -> datamod.ZslDataset
 
 
 def _trained(args):
-    """The raw dataset of --data and `gan.load_generator` of --generator on it.
-    A flag for a setting the generator file records must give the file's value."""
+    """The raw dataset of --data, then what `gan.load_generator` of --generator
+    gives on it: the generator, the Config under the file's settings, the epoch."""
     cfg = _resolve(args)
     data_dir, path = _require(args, "data"), _require(args, "generator")
     raw = datamod.load_dataset(data_dir)
-    gen, trained, epoch = gan.load_generator(path, raw.feat_dim, raw.sem_dim, cfg)
-    given = _overrides(args)
-    for key in gan.GENERATOR_KEYS:
-        if key in given and getattr(cfg, key) != getattr(trained, key):
-            raise ConfigurationError(
-                f"{path} was trained with {cfgmod.format_config(trained, [key]).strip()}; "
-                f"--{key.replace('_', '-')} {given[key]} disagrees"
-            )
-    return raw, gen, trained, epoch
+    return (raw, *gan.load_generator(path, raw.feat_dim, raw.sem_dim, cfg))
 
 
 def cmd_gen_synthetic(args) -> int:
@@ -214,9 +203,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("no command given; see --help")
-        if args.print_config:  # with --generator, under the settings the file records
-            cfg = _trained(args)[2] if getattr(args, "generator", None) else _resolve(args)
+        if args.print_config:
             keys = [f.name for f in cfgmod.command_fields(args.command)]
+            if getattr(args, "generator", None):  # and the settings the file records
+                cfg, keys = _trained(args)[2], keys + list(gan.GENERATOR_KEYS)
+            else:
+                cfg = _resolve(args)
             sys.stdout.write(cfgmod.format_config(cfg, keys))
             return 0
         return _COMMANDS[args.command][0](args)

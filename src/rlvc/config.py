@@ -30,13 +30,14 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-# The commands that read a setting, by the part of a run it shapes.
+# The commands that read a setting, by the part of a run it shapes. Those a generator
+# file records (`gan.GENERATOR_KEYS`) are train's alone: synthesize and eval read the file.
 _ALL = ("gen-synthetic", "pretrain-reward", "train", "synthesize", "eval")
-_LOAD = _ALL[1:]  # the commands that load a dataset
 _DATA = ("gen-synthetic",)
 _REWARD = ("pretrain-reward",)
 _TRAIN = ("train",)
-_GENERATOR = ("train", "synthesize", "eval")  # the commands that build or run a generator
+_SPACE = ("pretrain-reward", "train")  # the commands that fit a model in a feature space
+_SYNTH = ("train", "synthesize", "eval")  # the commands that synthesize unseen features
 _HEADS = ("train", "eval")
 _ADAM = ("pretrain-reward", "train", "eval")
 
@@ -79,11 +80,11 @@ class Config:
     lr_rl: float = _key(_TRAIN, 5e-5, "Adam rate for the policy-gradient generator step", _above(0))
     lambda_pd: float = _key(_TRAIN, 5.0, "weight of the prototype-distillation term", _at_least(0))
     lambda_gp: float = _key(_TRAIN, 10.0, "gradient-penalty weight", _at_least(0))
-    diffusion_steps: int = _key(_GENERATOR, 4, "number of diffusion steps T", _at_least(1))
-    beta_min: float = _key(_GENERATOR, 0.1, "first diffusion beta")
-    beta_max: float = _key(_GENERATOR, 0.4, "last diffusion beta")
+    diffusion_steps: int = _key(_TRAIN, 4, "number of diffusion steps T", _at_least(1))
+    beta_min: float = _key(_TRAIN, 0.1, "first diffusion beta")
+    beta_max: float = _key(_TRAIN, 0.4, "last diffusion beta")
     synth_per_class: int = _key(
-        _GENERATOR, 100, "synthesized features per unseen class", _at_least(1)
+        _SYNTH, 100, "synthesized features per unseen class", _at_least(1)
     )
     eval_interval: int = _key(_TRAIN, 0, "epochs between evaluations (0 = never)", _at_least(0))
     checkpoint_interval: int = _key(
@@ -92,11 +93,11 @@ class Config:
     use_rl: bool = _key(_TRAIN, True, "enable the policy-gradient phase")
     use_cues: bool = _key(_TRAIN, True, "enable the prototype-distillation term")
     hidden_mult: int = _key(
-        _GENERATOR, 4, "hidden width as a multiple of the feature dim", _at_least(1)
+        _TRAIN, 4, "hidden width as a multiple of the feature dim", _at_least(1)
     )
-    temb_dim: int = _key(_GENERATOR, 16, "timestep embedding width", _at_least(0))
+    temb_dim: int = _key(_TRAIN, 16, "timestep embedding width", _at_least(0))
     leaky_slope: float = _key(
-        _GENERATOR, 0.2, "leaky-relu negative slope", (exact_slope, "in [0, 1] and not -0.0")
+        _TRAIN, 0.2, "leaky-relu negative slope", (exact_slope, "in [0, 1] and not -0.0")
     )
     adam_beta1: float = _key(_ADAM, 0.5, "Adam beta1 (all optimizers)", _unit_interval())
     adam_beta2: float = _key(_ADAM, 0.999, "Adam beta2 (all optimizers)", _unit_interval())
@@ -106,9 +107,9 @@ class Config:
     clf_epochs: int = _key(_HEADS, 50, "evaluation-head training epochs", _at_least(1))
     clf_lr: float = _key(_HEADS, 0.001, "evaluation-head Adam rate", _above(0))
     clf_batch: int = _key(_HEADS, 128, "evaluation-head minibatch size", _at_least(1))
-    standardize: bool = _key(_LOAD, False, "standardize features with train-split statistics")
+    standardize: bool = _key(_SPACE, False, "standardize features with train-split statistics")
     dtype: str = _key(
-        _GENERATOR, "float64",
+        _TRAIN, "float64",
         "precision of training and of the generator's synthesis: float64 or float32",
         ((lambda v: v in ("float64", "float32")), "float64 or float32"),
     )

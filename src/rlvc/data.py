@@ -161,18 +161,17 @@ def _write_rows(path, rows) -> None:
 
 
 def _real_rows(matrix: np.ndarray):
-    """The rows of a real matrix as repr cells."""
-    return (map(repr, row) for row in matrix.tolist())
+    """The rows of a real matrix as repr cells, converted one row at a time."""
+    return (map(repr, row.tolist()) for row in matrix)
 
 
 def _read_rows(path, what: str, parse, width: int | None = None,
-               comment: str | None = None) -> list:
-    """`parse(cells)` for each nonblank line of `path` split on commas, in
-    order. Every line must have `width` cells, or as many as the first line
-    when `width` is None; lines starting with `comment` are skipped. A wrong
-    cell count or a ValueError from `parse` raises ConfigurationError
+               comment: str | None = None):
+    """Yield `parse(cells)` for each nonblank line of `path` split on commas,
+    in order. Every line must have `width` cells, or as many as the first
+    line when `width` is None; lines starting with `comment` are skipped. A
+    wrong cell count or a ValueError from `parse` raises ConfigurationError
     "{what} row {i}: ...", i the 0-based line number."""
-    rows = []
     with open(path, "r") as fh:
         for i, line in enumerate(fh):
             line = line.strip()
@@ -184,10 +183,10 @@ def _read_rows(path, what: str, parse, width: int | None = None,
             elif len(cells) != width:
                 raise ConfigurationError(f"{what} row {i}: expected {width} cells, got {len(cells)}")
             try:
-                rows.append(parse(cells))
+                parsed = parse(cells)
             except ValueError as e:
                 raise ConfigurationError(f"{what} row {i}: {e}") from None
-    return rows
+            yield parsed
 
 
 def _reals(cells) -> list:
@@ -203,9 +202,10 @@ def _class_id(cell: str) -> int:
 
 def _read_matrix(path, what: str) -> np.ndarray:
     rows = _read_rows(path, what, _reals)
-    if not rows:
+    first = next(rows, None)
+    if first is None:
         raise ConfigurationError(f"{what}: no rows")
-    return np.asarray(rows, dtype=np.float64)
+    return np.fromiter(itertools.chain([first], rows), dtype=(np.float64, len(first)))
 
 
 def save_dataset(ds: ZslDataset, dirpath) -> None:
@@ -308,7 +308,7 @@ def _parse_dataset(dirpath) -> ZslDataset:
             raise ValueError(f"duplicate class id {c}")
         roles_by_id[c] = role
 
-    _read_rows(classes_csv, "classes.csv", add_role, width=2)
+    list(_read_rows(classes_csv, "classes.csv", add_role, width=2))
     c_count = prototypes.shape[0]
     if sorted(roles_by_id) != list(range(c_count)):
         raise ConfigurationError(
@@ -316,8 +316,8 @@ def _parse_dataset(dirpath) -> ZslDataset:
         )
     roles = [roles_by_id[c] for c in range(c_count)]
 
-    rows = _read_rows(labels_csv, "labels.csv",
-                      lambda cells: (_class_id(cells[0]), cells[1].strip()), width=2)
+    rows = list(_read_rows(labels_csv, "labels.csv",
+                           lambda cells: (_class_id(cells[0]), cells[1].strip()), width=2))
     if len(rows) != features.shape[0]:
         raise ConfigurationError(
             f"labels.csv has {len(rows)} rows but features.csv has {features.shape[0]}"
@@ -353,12 +353,17 @@ def load_features(path) -> tuple[np.ndarray, np.ndarray]:
     if head is None:
         raise ConfigurationError(f"{path}: first line is not a '# features n=<rows> d=<width>' header")
     n, d = int(head[1]), int(head[2])
-    rows = _read_rows(path, str(path), lambda cells: (int(cells[0]), _reals(cells[1:])),
-                      width=d + 1, comment="#")
-    if len(rows) != n:
-        raise ConfigurationError(f"{path}: the header gives {n} rows, the file holds {len(rows)}")
-    labels = np.array([y for y, _ in rows], dtype=np.int64)
-    return np.array([x for _, x in rows], dtype=np.float64).reshape(n, d), labels
+    labels = []
+
+    def reals_after_label(cells) -> list:
+        labels.append(int(cells[0]))
+        return _reals(cells[1:])
+
+    rows = _read_rows(path, str(path), reals_after_label, width=d + 1, comment="#")
+    features = np.fromiter(itertools.chain.from_iterable(rows), np.float64)
+    if len(labels) != n:
+        raise ConfigurationError(f"{path}: the header gives {n} rows, the file holds {len(labels)}")
+    return features.reshape(n, d), np.array(labels, dtype=np.int64)
 
 
 _REJECTION_ROUNDS = 500

@@ -97,6 +97,15 @@ def _refuse_oversize(rows: int, feat_dim: int, n_per_class: int) -> None:
         )
 
 
+def gzsl_shape(dataset, config: Config) -> tuple[int, int]:
+    """The shape of `full_report`'s GZSL matrix, train rows then synthesized
+    ones; refused if a float64 one would not fit in physical memory."""
+    n_train = int(np.count_nonzero(dataset.splits == "train"))
+    shape = (n_train + len(dataset.unseen_classes) * config.synth_per_class, dataset.feat_dim)
+    _refuse_oversize(*shape, config.synth_per_class)
+    return shape
+
+
 def synthesize_unseen(
     gen: Generator,
     prototypes: np.ndarray,
@@ -161,13 +170,11 @@ def full_report(gen: Generator, dataset, config: Config, rng: np.random.Generato
     dataset's: the unseen classes, and for GZSL every class, since
     `ZslDataset.validate` requires train rows of every seen class. A GZSL
     matrix that would not fit in physical memory is refused before any
-    allocation."""
+    allocation (`gzsl_shape`)."""
     is_train = dataset.splits == "train"
     n_train = int(np.count_nonzero(is_train))
     unseen = dataset.unseen_classes
-    shape = (n_train + len(unseen) * config.synth_per_class, dataset.feat_dim)
-    _refuse_oversize(*shape, config.synth_per_class)
-    x = np.empty(shape)
+    x = np.empty(gzsl_shape(dataset, config))
     synth_x, synth_y = synthesize_unseen(
         gen, dataset.prototypes, unseen, config.synth_per_class, config.schedule(), rng,
         out=x[n_train:],

@@ -43,7 +43,7 @@ from . import cues, diffusion, gan, nets, reward as reward_mod
 from .config import Config
 from .data import ZslDataset
 from .errors import ConfigurationError, NumericFailure
-from .evaluate import EvalReport, _refuse_oversize, full_report
+from .evaluate import EvalReport, full_report, gzsl_shape
 from .nets import AdamState, largest_block, param_count
 from .seeding import stream_rng
 
@@ -159,9 +159,8 @@ def train(
             f"training would hold {need:,} bytes of parameters, gradients and Adam "
             f"state, more than the {have:,} bytes of physical memory; lower hidden_mult"
         )
-    if config.eval_interval > 0:  # the GZSL matrix of each in-training full_report
-        _refuse_oversize(n_train + len(dataset.unseen_classes) * config.synth_per_class, d,
-                         config.synth_per_class)
+    if config.eval_interval > 0:  # refuses the GZSL matrix of each in-training full_report
+        gzsl_shape(dataset, config)
 
     visual_prototypes = cues.mine_prototypes(train_x, train_y, seen) if config.use_cues else None
     # The minibatches' sources in the run's dtype, narrowed once (no copy at

@@ -265,11 +265,11 @@ def test_cli_rejects_an_adam_beta_outside_the_unit_interval(capsys):
         ("train", "--eval-interval", "-1"),
         ("train", "--checkpoint-interval", "-1"),
         ("train", "--diffusion-steps", "0"),
-        ("synthesize", "--beta-min", "0"),
-        ("synthesize", "--beta-max", "1.0"),
-        ("synthesize", "--beta-min", "0.5"),  # above the default beta_max 0.4
+        ("train", "--beta-min", "0"),
+        ("train", "--beta-max", "1.0"),
+        ("train", "--beta-min", "0.5"),  # above the default beta_max 0.4
         ("train", "--lr-rl", "0"),
-        ("eval", "--standardize", "maybe"),
+        ("train", "--standardize", "maybe"),
     ],
 )
 def test_cli_rejects_an_out_of_range_value_when_resolving(command, flag, value, capsys):
@@ -292,8 +292,8 @@ def test_a_float_setting_must_be_finite_in_a_config_and_on_the_command_line(f, v
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-# gen-synthetic reads no boolean setting
-@pytest.mark.parametrize("command", ["pretrain-reward", "train", "synthesize", "eval"])
+# gen-synthetic, synthesize and eval read no boolean setting
+@pytest.mark.parametrize("command", ["pretrain-reward", "train"])
 def test_cli_a_bare_boolean_flag_means_true(command, capsys):
     assert cli.main([command, "--print-config", "--standardize", "--seed", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -316,7 +316,7 @@ def test_cli_train_and_eval_run_at_either_end_of_the_slope_range(slope, tmp_path
     assert cli.main(["gen-synthetic", "--out", data] + _TINY) == 0
     assert cli.main(["train", "--data", data, "--out", run, "--no-rl"] + _FAST["train"] + at) == 0
     assert cli.main(["eval", "--data", data, "--generator", f"{run}/generator.ckpt"]
-                    + _FAST["eval"] + at) == 0
+                    + _FAST["eval"]) == 0
     assert "acc=" in capsys.readouterr().out.strip().splitlines()[-1]
 
 
@@ -553,7 +553,7 @@ def test_cli_synthesize_rebuilds_a_non_default_shape(tmp_path):
     assert result.generator.net.layer_dims == [8 + 4 + 8 + 8, 16, 16, 8]
     synth = tmp_path / "cli.csv"
     assert cli.main(["synthesize", "--data", data, "--out", str(synth),
-                     "--generator", f"{run}/generator.ckpt"] + _FAST["synthesize"] + shape) == 0
+                     "--generator", f"{run}/generator.ckpt"] + _FAST["synthesize"]) == 0
     feats, labels = synthesize_unseen(result.generator, ds.prototypes, ds.unseen_classes,
                                       cfg.synth_per_class, cfg.schedule(),
                                       stream_rng(cfg.seed, "eval", cfg.epochs - 1))
@@ -574,7 +574,7 @@ def test_cli_synthesize_writes_the_dataset_units(tmp_path, standardized):
     result = trainer.train(ds, None, cfg, out_dir=run)
     synth = tmp_path / "cli.csv"
     assert cli.main(["synthesize", "--data", data, "--out", str(synth),
-                     "--generator", f"{run}/generator.ckpt"] + _FAST["synthesize"] + space) == 0
+                     "--generator", f"{run}/generator.ckpt"] + _FAST["synthesize"]) == 0
     feats, labels = synthesize_unseen(result.generator, ds.prototypes, ds.unseen_classes,
                                       cfg.synth_per_class, cfg.schedule(),
                                       stream_rng(cfg.seed, "eval", cfg.epochs - 1))
@@ -680,21 +680,11 @@ def test_cli_eval_of_the_final_checkpoint_prints_the_logged_row(shaped_run, caps
 @pytest.mark.parametrize(
     "flags, ckpt, code, expected",
     [
-        (["--preset", "synthetic"], "generator.ckpt", 0, None),  # no shape flags
+        (["--preset", "synthetic"], "generator.ckpt", 0, None),
         ([], "generator.ckpt", 0, None),  # no preset
-        (["--preset", "synthetic", *_SHAPE, "--standardize"], "generator.ckpt", 0, None),
-        (["--preset", "synthetic", "--diffusion-steps", "8"], "generator.ckpt", 2,
-         "trained with diffusion_steps = 6; --diffusion-steps 8 disagrees"),
-        (["--leaky-slope", "0.2"], "generator.ckpt", 2,
-         "trained with leaky_slope = 0.1; --leaky-slope 0.2 disagrees"),
-        (["--standardize", "false"], "generator.ckpt", 2,
-         "trained with standardize = true; --standardize false disagrees"),
         (["--preset", "synthetic"], "v1.ckpt", 2, "unsupported checkpoint version 1"),
-        (["--dtype", "float64"], "generator.ckpt", 2,
-         "trained with dtype = float32; --dtype float64 disagrees"),
     ],
-    ids=["no shape flags", "no preset", "agreeing flags", "other diffusion steps",
-         "other slope", "other feature space", "v1 file", "other dtype"],
+    ids=["preset", "no preset", "v1 file"],
 )
 @pytest.mark.parametrize("command", ["eval", "synthesize"])
 def test_cli_reads_the_generator_settings_from_the_file(shaped_run, tmp_path, capsys, command,
@@ -710,12 +700,27 @@ def test_cli_reads_the_generator_settings_from_the_file(shaped_run, tmp_path, ca
         assert stdout == logged + "\n"
 
 
+@pytest.mark.parametrize("key", gan.GENERATOR_KEYS)
+@pytest.mark.parametrize("command", ["eval", "synthesize"])
+def test_cli_takes_no_flag_for_a_setting_the_generator_file_records(shaped_run, capsys,
+                                                                    command, key):
+    # refused even at the file's own value; train takes the flag
+    data, run, _ = shaped_run
+    trained = config.resolve_config("synthetic", overrides=_settings(_SHAPE))
+    flag, value = "--" + key.replace("_", "-"), config.format_config(trained, [key]).split()[-1]
+    argv = [command, "--data", str(data), "--generator", str(run / "generator.ckpt"), flag, value]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: unrecognized arguments: {flag}")
+    assert cli.main(["train", "--print-config", flag, value]) == 0
+    assert f"{key} = {value}" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("command", ["eval", "synthesize"])
 def test_cli_print_config_given_a_generator_prints_the_settings_the_file_imposes(
         shaped_run, capsys, command):
     # The file records the synthetic preset's float32, T = 6, beta_max 0.9 and
     # standardize = true at _SHAPE's network; given no preset, the command
-    # runs with those, and prints them.
+    # runs with those, and prints them after its own settings.
     data, run, _ = shaped_run
     argv = [command, "--print-config", "--data", str(data), "--seed", "5"]
     keys = [f.name for f in config.command_fields(command)]
@@ -725,11 +730,8 @@ def test_cli_print_config_given_a_generator_prints_the_settings_the_file_imposes
     assert cli.main(argv) == 0
     trained = config.resolve_config("synthetic", overrides={**_settings(_SHAPE), "seed": "5"})
     out = capsys.readouterr().out
-    assert out == config.format_config(trained, keys)
+    assert out == config.format_config(trained, keys + list(gan.GENERATOR_KEYS))
     assert {"dtype = float32", "diffusion_steps = 6", "standardize = true"} <= set(out.splitlines())
-    assert cli.main(argv + ["--dtype", "float64"]) == 2
-    stdout, stderr = capsys.readouterr()
-    assert stdout == "" and "trained with dtype = float32; --dtype float64 disagrees" in stderr
 
 
 def test_cli_train_refuses_a_reward_file_from_the_other_feature_space(tmp_path, capsys):
@@ -859,9 +861,10 @@ def test_one_config_file_serves_a_whole_pipeline(tmp_path, capsys):
         assert capsys.readouterr().out == config.format_config(cfg, keys)
 
 
-# How many settings each command reads, and so how many it takes as flags.
-_READ_COUNTS = {"gen-synthetic": 11, "pretrain-reward": 7, "train": 27, "synthesize": 10,
-                "eval": 15}
+# How many setting flags each command takes: one for each setting it reads, but
+# for those that synthesize and eval read from the generator file.
+_READ_COUNTS = {"gen-synthetic": 11, "pretrain-reward": 7, "train": 27, "synthesize": 2,
+                "eval": 7}
 
 
 def test_each_command_takes_a_flag_for_exactly_the_settings_it_reads(tmp_path, monkeypatch,
@@ -889,9 +892,11 @@ def test_each_command_takes_a_flag_for_exactly_the_settings_it_reads(tmp_path, m
     for argv in _pipeline(tmp_path, path):
         reads.clear()
         assert cli.main(argv) == 0, argv
-        assert reads == {f.name for f in config.command_fields(argv[0])}, argv[0]
-        assert len(reads) == _READ_COUNTS[argv[0]]
-    assert set(gan.GENERATOR_KEYS) <= reads  # eval checks each against the generator file
+        flags = {f.name for f in config.command_fields(argv[0])}
+        assert len(flags) == _READ_COUNTS[argv[0]]
+        # synthesize and eval also read the settings the generator file records
+        from_file = set(gan.GENERATOR_KEYS) if argv[0] in ("synthesize", "eval") else set()
+        assert reads == flags | from_file, argv[0]
 
 
 def _load(path: str, name: str):

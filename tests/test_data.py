@@ -493,17 +493,34 @@ def test_make_synthetic_rejection_exhaustion():
         make_synthetic(spec)
 
 
+def _traced(call):
+    """`call()` and tracemalloc's peak during it, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_make_synthetic_holds_no_class_by_class_by_dim_array():
     # 200 classes at d = 512: their (C, C, d) differences would be 164 MB,
     # the features are 2.5 MB
     spec = Config(n_seen=150, n_unseen=50, feat_dim=512, samples_per_class=3)
-    tracemalloc.start()
-    try:
-        make_synthetic(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    assert _traced(lambda: make_synthetic(spec))[1] < 16e6
+
+
+def test_the_text_writer_and_readers_convert_one_row_at_a_time(tmp_path):
+    # 500 x 256 float64 is 1 MB; as one list of Python floats it is about 4x
+    # that, and one row of them with its reprs is about 30 KB
+    mat = np.random.default_rng(0).standard_normal((500, 256))
+    labels = np.arange(500) % 7
+    exported, csv = tmp_path / "exported.csv", tmp_path / "matrix.csv"
+    for write in (lambda: export_features(mat, labels, exported),
+                  lambda: datamod._write_rows(csv, datamod._real_rows(mat))):
+        assert _traced(write)[1] < 200e3
+    for read in (lambda: load_features(exported)[0], lambda: datamod._read_matrix(csv, "m")):
+        got, peak = _traced(read)
+        assert got.tobytes() == mat.tobytes() and peak < 2 * mat.nbytes
 
 
 @pytest.mark.parametrize(

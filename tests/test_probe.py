@@ -95,7 +95,7 @@ def test_probe_step_hashes_the_networks_of_a_direct_train_at_its_config(capsys):
     assert vars(nets.AdamState) == adam  # the timing wrappers are gone again
     cfg = config.resolve_config("synthetic", None, {
         "hidden_mult": 1, "batch_size": 480, "seed": 2, "rl_start_epoch": 0, "eval_interval": 0,
-        "epochs": 2})
+        "reward_epochs": 1, "epochs": 2})
     ds = data.standardize(data.make_synthetic(cfg))
     x, y = ds.train
     rm = reward.pretrain_reward(x, ds.seen_rows(y), len(ds.seen_classes), cfg)

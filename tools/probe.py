@@ -48,8 +48,9 @@ preset is d=32, d_z=16, 20 seen classes and 960 training rows, float32; its
 critics are 48 -> 128 -> 128 -> 1 and 96 -> 128 -> 128 -> 1 at the default
 --hidden-mult 4. It trains the whole epochs that cover --batches (30
 minibatches per epoch at batch 32 on the synthetic preset) and prints how
-many it timed; the dataset is generated and the reward model pretrained
-before timing starts. As `report` does, it wraps `AdamState.__init__` and
+many it timed; the dataset is generated and the reward model pretrained,
+for one epoch (the timed steps do the same arithmetic at any reward
+weights), before timing starts. As `report` does, it wraps `AdamState.__init__` and
 `step` around that call only; it tags the optimizers critic pair, generator
 and policy by construction order, and refuses any other order of steps. Per
 minibatch it reads, in ms, between step boundaries: the critic pair from the
@@ -96,8 +97,8 @@ it runs these steps, each `python -m rlvc.cli CMD --preset synthetic
 - a `--no-rl` train (cues on) and a `--rl-start-epoch 1` train;
 - `eval --synth-per-class 400` on the first train's checkpoint;
 - a `--no-rl` train at a non-default network shape (`--hidden-mult 2
-  --temb-dim 8 --leaky-slope 0.1`) and an `eval` of its checkpoint with the
-  same flags, so one checkpoint's layer dims are not the preset's;
+  --temb-dim 8 --leaky-slope 0.1`) and an `eval` of its checkpoint, so one
+  checkpoint's layer dims are not the preset's;
 - a full-arm train and an `eval` of its checkpoint at each end of the
   leaky-slope range, `--leaky-slope 0` and `--leaky-slope 1`;
 - a second, smaller dataset (`--n-seen 6 --n-unseen 3 --feat-dim 8
@@ -106,19 +107,18 @@ it runs these steps, each `python -m rlvc.cli CMD --preset synthetic
   dataset writer and reader, the reward file, the label-to-row map and the
   evaluation heads see other widths and class counts;
 - on that dataset, a `--no-rl --diffusion-steps 3 --epochs 2
-  --eval-interval 2` train and an `eval` of its checkpoint with the same
-  `--diffusion-steps 3`, so the generator's and the transition critic's
-  timestep tables are built at a T other than the preset's 6;
+  --eval-interval 2` train and an `eval` of its checkpoint, so the
+  generator's and the transition critic's timestep tables are built at a T
+  other than the preset's 6;
 - on that dataset, a `--no-rl --diffusion-steps 1 --temb-dim 0 --epochs 2
-  --eval-interval 2` train and an `eval` of its checkpoint with the same
-  `--diffusion-steps 1 --temb-dim 0`, so the reverse chain runs a single
-  step and the generator's input has no timestep columns;
+  --eval-interval 2` train and an `eval` of its checkpoint, so the reverse
+  chain runs a single step and the generator's input has no timestep
+  columns;
 - on that dataset, a `--no-rl --dtype float64 --epochs 2 --eval-interval 2`
-  train and an `eval` of its checkpoint with the same `--dtype float64`, so
-  training and the reverse chain run at the default config's precision
-  (the synthetic preset trains in float32). A revision from before the
-  `dtype` setting refuses this step's flag, so --against must name one
-  that has it;
+  train and an `eval` of its checkpoint, so training and the reverse chain
+  run at the default config's precision (the synthetic preset trains in
+  float32). A revision from before the `dtype` setting refuses this step's
+  flag, so --against must name one that has it;
 - last, `gen-synthetic --force --visual-sigma 1.5` over the first dataset
   and an `eval` of the first checkpoint on it, so a load that finds the
   parsed-array cache of the old files must parse the new ones.
@@ -147,9 +147,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SYNTH_PER_CLASS = "400"  # perfbench's eval-sweep value
 FORMATS = {"ms": "{:.3f} ms", "us": "{:.2f} us"}
 SYNTHETIC = ["--preset", "synthetic"]
-SHAPE = ["--hidden-mult", "2", "--temb-dim", "8", "--leaky-slope", "0.1"]
-T1 = ["--diffusion-steps", "1", "--temb-dim", "0"]
-F64 = ["--dtype", "float64"]
 
 # `bytes`' steps: (name, arguments after the seed); names label the stdout hashes.
 STEPS = (
@@ -164,16 +161,15 @@ STEPS = (
                           "--rl-start-epoch", "1", "--out", "rl-start-1"]),
     ("eval-400", ["eval", "--data", "data", "--generator", "full/generator.ckpt",
                   "--synth-per-class", "400"]),
-    ("train-shape", ["train", "--data", "data", "--no-rl", *SHAPE, "--out", "shape"]),
-    ("eval-shape", ["eval", "--data", "data", "--generator", "shape/generator.ckpt", *SHAPE]),
+    ("train-shape", ["train", "--data", "data", "--no-rl", "--hidden-mult", "2", "--temb-dim", "8",
+                     "--leaky-slope", "0.1", "--out", "shape"]),
+    ("eval-shape", ["eval", "--data", "data", "--generator", "shape/generator.ckpt"]),
     ("train-slope-0", ["train", "--data", "data", "--reward", "full/reward.ckpt",
                        "--leaky-slope", "0", "--out", "slope-0"]),
-    ("eval-slope-0", ["eval", "--data", "data", "--generator", "slope-0/generator.ckpt",
-                      "--leaky-slope", "0"]),
+    ("eval-slope-0", ["eval", "--data", "data", "--generator", "slope-0/generator.ckpt"]),
     ("train-slope-1", ["train", "--data", "data", "--reward", "full/reward.ckpt",
                        "--leaky-slope", "1", "--out", "slope-1"]),
-    ("eval-slope-1", ["eval", "--data", "data", "--generator", "slope-1/generator.ckpt",
-                      "--leaky-slope", "1"]),
+    ("eval-slope-1", ["eval", "--data", "data", "--generator", "slope-1/generator.ckpt"]),
     ("gen-synthetic-small", ["gen-synthetic", "--n-seen", "6", "--n-unseen", "3", "--feat-dim", "8",
                              "--sem-dim", "4", "--out", "data-small"]),
     ("pretrain-reward-small", ["pretrain-reward", "--data", "data-small", "--out", "small"]),
@@ -182,16 +178,15 @@ STEPS = (
     ("eval-small", ["eval", "--data", "data-small", "--generator", "small/generator.ckpt"]),
     ("train-small-t3", ["train", "--data", "data-small", "--no-rl", "--diffusion-steps", "3",
                         "--epochs", "2", "--eval-interval", "2", "--out", "small-t3"]),
-    ("eval-small-t3", ["eval", "--data", "data-small", "--generator", "small-t3/generator.ckpt",
-                       "--diffusion-steps", "3"]),
-    ("train-small-t1", ["train", "--data", "data-small", "--no-rl", *T1, "--epochs", "2",
-                        "--eval-interval", "2", "--out", "small-t1"]),
-    ("eval-small-t1", ["eval", "--data", "data-small", "--generator", "small-t1/generator.ckpt",
-                       *T1]),
-    ("train-small-f64", ["train", "--data", "data-small", "--no-rl", *F64, "--epochs", "2",
-                         "--eval-interval", "2", "--out", "small-f64"]),
-    ("eval-small-f64", ["eval", "--data", "data-small", "--generator", "small-f64/generator.ckpt",
-                        *F64]),
+    ("eval-small-t3", ["eval", "--data", "data-small", "--generator", "small-t3/generator.ckpt"]),
+    ("train-small-t1", ["train", "--data", "data-small", "--no-rl", "--diffusion-steps", "1",
+                        "--temb-dim", "0", "--epochs", "2", "--eval-interval", "2",
+                        "--out", "small-t1"]),
+    ("eval-small-t1", ["eval", "--data", "data-small", "--generator", "small-t1/generator.ckpt"]),
+    ("train-small-f64", ["train", "--data", "data-small", "--no-rl", "--dtype", "float64",
+                         "--epochs", "2", "--eval-interval", "2", "--out", "small-f64"]),
+    ("eval-small-f64", ["eval", "--data", "data-small", "--generator",
+                        "small-f64/generator.ckpt"]),
     ("gen-synthetic-resampled", ["gen-synthetic", "--force", "--visual-sigma", "1.5",
                                  "--out", "data"]),
     ("eval-resampled", ["eval", "--data", "data", "--generator", "full/generator.ckpt"]),
@@ -275,8 +270,8 @@ def measure_step(args) -> dict:
     from rlvc import reward, trainer
 
     cfg, ds = synthetic({"hidden_mult": args.hidden_mult, "batch_size": args.batch_size,
-                         "seed": args.seed, "rl_start_epoch": 0, "eval_interval": 0},
-                        args.preset)
+                         "seed": args.seed, "rl_start_epoch": 0, "eval_interval": 0,
+                         "reward_epochs": 1}, args.preset)
     train_x, train_y = ds.train
     per_epoch = -(-len(train_x) // cfg.batch_size)
     cfg = dataclasses.replace(cfg, epochs=-(-args.batches // per_epoch))
